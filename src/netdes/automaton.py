@@ -44,10 +44,6 @@ def state_name(q: State) -> str:
     return repr(q)
 
 
-def _state_key(q: State) -> str:
-    return state_name(q)
-
-
 class Automaton:
     """A 5-tuple (states, alphabet, transition relation, initial, marked).
 
@@ -63,41 +59,45 @@ class Automaton:
                  transitions: Iterable[Transition], initial: Optional[State],
                  marked: Iterable[State] = (), name: str = "") -> None:
         self.name = name
-        seen: Dict[State, None] = {}
-        for q in states:
-            if q not in seen:
-                seen[q] = None
-        self.states: Tuple[State, ...] = tuple(seen)
+        self.states: Tuple[State, ...] = tuple(dict.fromkeys(states))
         self.alphabet: FrozenSet[EventLabel] = frozenset(alphabet)
         self.transitions: FrozenSet[Transition] = frozenset(transitions)
         self.initial = initial
         self.marked: FrozenSet[State] = frozenset(marked)
 
-        state_set = set(self.states)
+        # the successor map doubles as the set of declared states
+        delta: Dict[State, Dict[EventLabel, Tuple[State, ...]]] = {q: {} for q in self.states}
         if initial is None:
             if self.states:
                 raise AutomatonError("initial state required for a nonempty automaton")
-        elif initial not in state_set:
+        elif initial not in delta:
             raise AutomatonError(f"initial state {state_name(initial)} not declared")
-        if not self.marked <= state_set:
-            extra = next(iter(self.marked - state_set))
-            raise AutomatonError(f"marked state {state_name(extra)} not declared")
+        for q in self.marked:
+            if q not in delta:
+                raise AutomatonError(f"marked state {state_name(q)} not declared")
 
-        delta: Dict[State, Dict[EventLabel, Tuple[State, ...]]] = {q: {} for q in self.states}
-        tmp: Dict[State, Dict[EventLabel, Set[State]]] = {}
         for (src, ev, dst) in self.transitions:
-            if src not in state_set or dst not in state_set:
+            succ = delta.get(src)
+            if succ is None or dst not in delta:
                 raise AutomatonError(f"transition references unknown state: "
                                      f"{state_name(src)} -{ev.spell()}-> {state_name(dst)}")
             if ev not in self.alphabet:
                 raise AutomatonError(f"transition event {ev.spell()} not in alphabet")
-            tmp.setdefault(src, {}).setdefault(ev, set()).add(dst)
-        for src, by_ev in tmp.items():
-            for ev, dsts in by_ev.items():
-                delta[src][ev] = tuple(sorted(dsts, key=_state_key))
+            dsts = succ.get(ev)
+            if dsts is None:
+                succ[ev] = [dst]
+            else:
+                dsts.append(dst)
+        # a single successor needs no sort; several keep the canonical
+        # state_name order that BFS numbering and witnesses depend on
+        for succ in delta.values():
+            for ev, dsts in succ.items():
+                succ[ev] = (tuple(dsts) if len(dsts) == 1
+                            else tuple(sorted(dsts, key=state_name)))
         self._delta = delta
         self._enabled: Dict[State, Tuple[EventLabel, ...]] = {
-            q: tuple(sorted_events(delta[q])) for q in self.states
+            q: tuple(succ) if len(succ) < 2 else tuple(sorted_events(succ))
+            for q, succ in delta.items()
         }
 
     # -- basic queries -------------------------------------------------
@@ -126,7 +126,7 @@ class Automaton:
         return not self.states
 
     def sorted_states(self) -> List[State]:
-        return sorted(self.states, key=_state_key)
+        return sorted(self.states, key=state_name)
 
     def renamed(self, mapping: Dict[State, State], name: str = "") -> "Automaton":
         return Automaton(
@@ -136,8 +136,18 @@ class Automaton:
             [mapping[q] for q in self.marked], name or self.name)
 
     def with_marked(self, marked: Iterable[State], name: str = "") -> "Automaton":
-        return Automaton(self.states, self.alphabet, self.transitions,
-                         self.initial, marked, name or self.name)
+        """The same automaton with another marked set; the validated
+        successor maps are shared, so only the new marked states are checked."""
+        marked = frozenset(marked)
+        for q in marked:
+            if q not in self._delta:
+                raise AutomatonError(f"marked state {state_name(q)} not declared")
+        copy = Automaton.__new__(Automaton)
+        for slot in Automaton.__slots__:
+            setattr(copy, slot, getattr(self, slot))
+        copy.marked = marked
+        copy.name = name or self.name
+        return copy
 
     def __repr__(self) -> str:
         return (f"Automaton({self.name or '?'}: {len(self.states)} states, "
@@ -272,6 +282,7 @@ def subset_construction(a: Automaton, observed: Iterable[EventLabel],
         return empty_automaton(a.alphabet, name)
     unobs = sorted_events(a.alphabet - obs)
     obs_sorted = sorted_events(obs)
+    delta = a._delta
 
     init = _closure(a, (a.initial,), obs)
     states: List[FrozenSet[State]] = [init]
@@ -282,13 +293,20 @@ def subset_construction(a: Automaton, observed: Iterable[EventLabel],
         cur = frontier.popleft()
         for ev in unobs:
             transitions.append((cur, ev, cur))
+        raw_by_event: Dict[EventLabel, Set[State]] = {}
+        for q in cur:
+            for ev, dsts in delta[q].items():
+                if ev in obs:
+                    raw = raw_by_event.get(ev)
+                    if raw is None:
+                        raw_by_event[ev] = set(dsts)
+                    else:
+                        raw.update(dsts)
         for ev in obs_sorted:
-            raw: Set[State] = set()
-            for q in cur:
-                raw.update(a.successors(q, ev))
-            if not raw:
+            raw = raw_by_event.get(ev)
+            if raw is None:
                 continue
-            nxt = _closure(a, sorted(raw, key=_state_key), obs)
+            nxt = _closure(a, raw, obs)
             transitions.append((cur, ev, nxt))
             if nxt not in index:
                 index.add(nxt)
@@ -331,50 +349,44 @@ def compose(components: Sequence[Automaton], name: str = "",
     init = tuple(c.initial for c in components)
     if forbidden is not None and forbidden(init):
         return empty_automaton(alphabet, name)
-    events = sorted_events(alphabet)
+    events = [(ev, participants[ev]) for ev in sorted_events(alphabet)]
+    deltas = [c._delta for c in components]
     states: List[Tuple[State, ...]] = [init]
     index: Set[Tuple[State, ...]] = {init}
     transitions: List[Transition] = []
     frontier = deque([init])
     while frontier:
         cur = frontier.popleft()
-        for ev in events:
-            parts = participants[ev]
-            target_lists = []
-            blocked = False
+        rows = [d[q] for d, q in zip(deltas, cur)]
+        for ev, parts in events:
+            moves = []
             for i in parts:
-                dsts = components[i].successors(cur[i], ev)
+                dsts = rows[i].get(ev)
                 if not dsts:
-                    blocked = True
                     break
-                target_lists.append((i, dsts))
-            if blocked:
-                continue
-            for combo in _combinations(target_lists):
-                nxt = list(cur)
-                for i, dst in combo:
-                    nxt[i] = dst
-                nxt_t = tuple(nxt)
-                if forbidden is not None and forbidden(nxt_t):
-                    continue
-                transitions.append((cur, ev, nxt_t))
-                if nxt_t not in index:
-                    index.add(nxt_t)
-                    states.append(nxt_t)
-                    frontier.append(nxt_t)
+                moves.append((i, dsts))
+            else:
+                nexts = [list(cur)]
+                for i, dsts in moves:
+                    if len(dsts) == 1:
+                        for nxt in nexts:
+                            nxt[i] = dsts[0]
+                    else:
+                        # earlier components vary slowest, as in nested loops
+                        nexts = [nxt[:i] + [dst] + nxt[i + 1:]
+                                 for nxt in nexts for dst in dsts]
+                for nxt in nexts:
+                    nxt_t = tuple(nxt)
+                    if forbidden is not None and forbidden(nxt_t):
+                        continue
+                    transitions.append((cur, ev, nxt_t))
+                    if nxt_t not in index:
+                        index.add(nxt_t)
+                        states.append(nxt_t)
+                        frontier.append(nxt_t)
     marked = [q for q in states
               if all(q[i] in c.marked for i, c in enumerate(components))]
     return Automaton(states, alphabet, transitions, init, marked, name)
-
-
-def _combinations(target_lists: List[Tuple[int, Tuple[State, ...]]]):
-    if not target_lists:
-        yield ()
-        return
-    (i, dsts), rest = target_lists[0], target_lists[1:]
-    for dst in dsts:
-        for tail in _combinations(rest):
-            yield ((i, dst),) + tail
 
 
 # -- comparison helpers ------------------------------------------------

@@ -2,7 +2,8 @@
 
 Commands: ``capacity``, ``build``, ``synthesize``, ``verify``, ``export-dot``.
 Exit statuses: 0 success, 1 usage or parse error, 2 validation failure,
-3 no covert attack exists.
+3 no covert attack exists, 4 ``verify`` found the attack detectable (not
+covert). ``verify`` still exits 0 when only a damage goal fails.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NO_ATTACK = 3
+EXIT_DETECTED = 4
 
 
 @dataclass
@@ -155,7 +157,7 @@ def cmd_verify(args) -> int:
     dr = verify_damage_reachable(problem, attack)
     print(f"damage-reachable: {dr.ok}" + (f"\ndamage-witness: {dr.render_witness()}"
                                           if dr.ok else ""))
-    return EXIT_OK
+    return EXIT_OK if cov.ok else EXIT_DETECTED
 
 
 def cmd_export_dot(args) -> int:

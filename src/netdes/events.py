@@ -49,6 +49,11 @@ class EventLabel:
         else:
             if not self.base:
                 raise EventError(f"role {self.role!r} requires a base name")
+        # labels key every successor map; hash the fields once, not per lookup
+        object.__setattr__(self, "_hash", hash((self.base, self.role)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_command_role(self) -> bool:

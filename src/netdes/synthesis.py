@@ -14,7 +14,12 @@ of the new plant by an iterated pruning:
    set are eliminated by disabling the controllable entries into them and
    deleting estimates entered uncontrollably, then the pass repeats.
 
-Deletions are processed in canonical state order so runs are reproducible.
+Runs are reproducible without sorting the pruning passes: each pass only
+adds to the sets of deleted estimates and disabled events, so it ends with
+the same sets in any visiting order (the backward propagation is a least
+fixpoint). Where order does reach an output, it comes from the automaton
+kernel: events are visited in label order and several successors of one
+state on one event are kept in canonical ``state_name`` order.
 """
 from __future__ import annotations
 
@@ -99,15 +104,14 @@ def supremal_supervisor(plant: Automaton, bad: FrozenSet,
     obs = subset_construction(plant, observable & plant.alphabet, name=name)
     if obs.initial is None:
         return None
-    order = obs.sorted_states()
-    dead: Set = {x for x in order if x & bad}
+    dead: Set = {x for x in obs.states if x & bad}
     disabled: Set[Tuple[FrozenSet, EventLabel]] = set()
 
     def backward_closure() -> None:
         changed = True
         while changed:
             changed = False
-            for x in order:
+            for x in obs.states:
                 if x in dead:
                     continue
                 for e in obs.enabled(x):
@@ -133,9 +137,7 @@ def supremal_supervisor(plant: Automaton, bad: FrozenSet,
         if loop.initial in blocking:
             return None
         progress = False
-        for (src, e, dst) in sorted(
-                loop.transitions,
-                key=lambda t: (state_name(t[0]), t[1].sort_key(), state_name(t[2]))):
+        for (src, e, dst) in loop.transitions:
             if dst not in blocking or src in blocking:
                 continue
             x = src[1]

@@ -263,3 +263,25 @@ def test_empty_automaton_behaves():
     e = empty_automaton([A])
     assert not accepts(e, [])
     assert reachable(e) == frozenset()
+
+
+# -- order contract ------------------------------------------------------------
+
+def test_successors_come_in_state_name_order():
+    # serialize_automaton(rename=True) numbers states in this order, so it
+    # must not follow insertion, numeric or hash order
+    a = aut([0, 9, 10, 2, ("x", 1)], [A, B],
+            [(0, A, 9), (0, A, ("x", 1)), (0, A, 10), (0, A, 2), (0, B, 9)], 0)
+    assert a.successors(0, A) == (("x", 1), 10, 2, 9)
+    assert a.successors(0, B) == (9,)
+    assert a.successors(9, A) == ()
+
+
+def test_with_marked_keeps_transitions_and_checks_states():
+    a = aut(["q0", "q1"], [A, B], [("q0", A, "q1"), ("q0", A, "q0")], "q0")
+    m = a.with_marked(["q1"], name="M")
+    assert (m.marked, m.name) == (frozenset({"q1"}), "M")
+    assert m.successors("q0", A) == ("q0", "q1")
+    assert m.transitions == a.transitions and a.marked == frozenset()
+    with pytest.raises(AutomatonError):
+        a.with_marked(["q1", "nowhere"])

@@ -1,9 +1,14 @@
 import filecmp
 import os
+import subprocess
+import sys
 
+import netdes
 from netdes.cli import main
 from netdes.automaton import isomorphic_by, state_name
-from netdes.textio import load_automaton, parse_automaton, serialize_automaton
+from netdes.fixtures import _swap_attacker, guideway_config
+from netdes.textio import (load_automaton, parse_automaton, save_automaton,
+                           serialize_automaton)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "netdes", "data")
 RED = {
@@ -57,6 +62,27 @@ def test_build_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     assert main(red_args("build", out1)) == 0
     assert main(red_args("build", out2)) == 0
+    for p in out1.iterdir():
+        assert filecmp.cmp(p, out2 / p.name, shallow=False), p.name
+
+
+def test_synthesize_is_independent_of_hash_seed(tmp_path):
+    # set iteration order follows PYTHONHASHSEED; the outputs must not
+    src = os.path.dirname(os.path.dirname(netdes.__file__))
+    runs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "netdes.cli",
+                               *red_args("synthesize", out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, out))
+    (stdout1, out1), (stdout2, out2) = runs
+    assert stdout1 == stdout2
+    assert sorted(p.name for p in out1.iterdir()) == sorted(p.name for p in out2.iterdir())
     for p in out1.iterdir():
         assert filecmp.cmp(p, out2 / p.name, shallow=False), p.name
 
@@ -211,3 +237,19 @@ def test_forwarded_event_toggle_plumbs_through(tmp_path, capsys):
 def test_usage_error(capsys):
     assert main([]) == 1
     assert main(["synthesize"]) == 1
+
+
+def test_verify_detected_attack_exit_status(tmp_path, capsys):
+    # answering a1 with a3# is inconsistent with the attack-free loop, so the
+    # monitor catches it; the report is printed as usual
+    cfg = guideway_config()
+    save_automaton(_swap_attacker(cfg, {"a1": "a3"}), str(tmp_path / "a.aut"))
+    rc = main(["verify", "--config", os.path.join(DATA, "guideway.cfg"),
+               "--plant", os.path.join(DATA, "guideway_plant.aut"),
+               "--ns", os.path.join(DATA, "guideway_ns.aut"),
+               "--attack", str(tmp_path / "a.aut")])
+    assert rc == 4
+    out = capsys.readouterr().out
+    assert "A_swap: valid" in out
+    assert "covert: False" in out
+    assert "covertness-witness: v3_in v3_out v3 a1 a3# stop a3_out" in out

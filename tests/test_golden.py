@@ -1,0 +1,120 @@
+"""Golden outputs of the CLI on both shipped systems.
+
+Each case runs ``build`` or ``synthesize`` (and ``verify`` on the attack it
+wrote) and compares the sha256 of every written file, of stdout and the exit
+status with digests recorded before the kernel's orderings were relaxed. A
+change that alters any byte of any output fails here.
+"""
+import contextlib
+import hashlib
+import io
+import os
+
+import pytest
+
+from netdes.cli import main
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "netdes", "data")
+
+# component files that build and synthesize both write, per system
+_GUIDEWAY_COMPONENTS = {
+    "ac.aut": "77f3f324dcff19406dc5bde5b0260c981d50ef47e953e03390f6b18b3e751395",
+    "cc.aut": "6eb5d146a117ff69a7dc6f0709c152e53a8b7d23176f86bb8cdd453f9d75c8af",
+    "ce.aut": "f59a6f5bb10b0a815b587cffd08ba972f720fb46295541dc1b1754b62e8e6b84",
+    "cs.aut": "c5d327f17377b35f3e83130149c45d8f741f4421ebfdc05505f678a02adc410e",
+    "g_new.aut": "56ae2f8d2ae4ea63b52cdd7e86c16f950c37d9ce06039ce8e9be7926a5888b29",
+    "monitor.aut": "7f86cd7d5f00a9c93a926d77ca9dfee06f3f30af517ae20f73feecdb25403c6b",
+    "oc.aut": "2c1d13ace78ad55732beb51dcc1a44fb4d88c7c494f2842d4633795071923db3",
+    "oc_t.aut": "792251497dc59aaa954b095b84669836c98b0f1de5a643c99e2a4207c30dacd4",
+    "state_counts.txt": "1db75acc7017bee4bcc72edcf58635249d507b95e703a54b1d3f2f1b73b6b703",
+}
+_REDUCED_COMPONENTS = {
+    "ac.aut": "46c4007c33c7fbb7de9aebc8f2ea2f0615fdaae89944f05a244790c285fedd5e",
+    "cc.aut": "1710b96a8fa5cec9a7dc00f176ab3ebaa7ac6704d4cd5a6119e5b4462faf5beb",
+    "ce.aut": "f56397d121fef10ed2925835de936eabfe997cd2649c7ac0d2f9fc4f8a334b00",
+    "cs.aut": "111bb606cc64b5060bc515b186a3022decf1612f7fce4ba6f244f9e4efa5cff4",
+    "g_new.aut": "0fa134e2345fe3188c7459523487caf4102584df7edd15e67b35d46b2ea2607c",
+    "monitor.aut": "b9748df03bb22fce91c76921fba72386a1c72579a78a5824238c6160a2590143",
+    "oc.aut": "1fd85d67e558d7f50540cea437f1293e439161be75d4cca151f3131832d74b09",
+    "oc_t.aut": "513ebc23571ede4efd1fe18c63130b63e97b78861aa8696148d2f1fc01c60be0",
+    "state_counts.txt": "1966e5adc7f8eb2cdbd95bd0cb3705914099fdc0686f7ceb0fbab4a56ed7672b",
+}
+_COMPONENTS = {"guideway": _GUIDEWAY_COMPONENTS, "reduced": _REDUCED_COMPONENTS}
+
+# build prints the same line on both systems
+_BUILD_STDOUT = "9bdf4cb1870446bc9bcbd8768b404537751c584011404a4932d16a0d08c9c694"
+
+# (system, mode) -> digests of attack.aut, certificate.txt (which synthesize
+# also prints) and the stdout of verify on that attack
+GOLDEN = {
+    ("guideway", "nonblocking"): {
+        "attack.aut": "2459ea512d60065a1d0d26c4dcf2583a6db6daa7a30d4f0eb17049db3c3683e0",
+        "certificate.txt": "e79af885472f1d400721976162c3da8867e809ab1f7fcd8bf6a48f50ea8c50ce",
+        "<verify>": "10c84d892650a9d1e6d1dae51224c471aae8d851666f60fb3c1204f8012f88e4",
+    },
+    ("guideway", "reachable"): {
+        "attack.aut": "4a6cbe0ed0be9a4f703bdca718756dbcb4fb94d375f1edbd20e080d3f84b34f5",
+        "certificate.txt": "3719bec3399195c0b0751c4335b0bfe9dc48fd662e84c413e9f3221ef74e6446",
+        "<verify>": "9e30afcb4dae3d3243cd8bc68fbb206667dfc4fbe56712cfc291dd3a3b11578d",
+    },
+    ("reduced", "nonblocking"): {
+        "attack.aut": "41edf17d88e5cf9a0e77e5f048ee62508c071cb2eb854fed1bf6097e0a0540b1",
+        "certificate.txt": "c997da52c78cef5755c6969efa2d6700f17e8f412c5d368004d9deee8b346f87",
+        "<verify>": "b4b678b496d467e1f7520f6c5d24a84ef25521b0f545622c4185c45b7ae30e9c",
+    },
+    ("reduced", "reachable"): {
+        "attack.aut": "9001917c678f22b347b6c0358fb3613d7d8c2d5881947cd6562735d303e0b7cc",
+        "certificate.txt": "0577038831b1f1792c6b113ae66a5500350050f15a31795cf1a3e3a5c136868d",
+        "<verify>": "51150fa17218a1a2d2d650b6fffdd4282ceec019cc6356bc6abbe9daadbe80a1",
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(system, cmd, extra=()):
+    """Run one CLI command on a shipped system; return (status, stdout)."""
+    args = [cmd, "--config", os.path.join(DATA, f"{system}.cfg"),
+            "--plant", os.path.join(DATA, f"{system}_plant.aut"),
+            "--ns", os.path.join(DATA, f"{system}_ns.aut"), *extra]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = main(args)
+    return status, buf.getvalue()
+
+
+def _file_digests(out_dir):
+    digests = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            digests[name] = _sha(fh.read())
+    return digests
+
+
+@pytest.mark.parametrize("system", ["guideway", "reduced"])
+def test_build_outputs_match_golden(system, tmp_path, monkeypatch):
+    # a relative --out keeps the printed path independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    status, stdout = _run(system, "build", ["--out", "out"])
+    assert status == 0
+    assert _sha(stdout.encode()) == _BUILD_STDOUT
+    assert _file_digests("out") == _COMPONENTS[system]
+
+
+@pytest.mark.parametrize("system,mode", sorted(GOLDEN))
+def test_synthesize_and_verify_match_golden(system, mode, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    status, stdout = _run(system, "synthesize", ["--out", "out", "--mode", mode])
+    assert status == 0
+    expected = dict(_COMPONENTS[system])
+    expected["attack.aut"] = GOLDEN[system, mode]["attack.aut"]
+    expected["certificate.txt"] = GOLDEN[system, mode]["certificate.txt"]
+    assert _file_digests("out") == expected
+    # synthesize prints exactly the certificate
+    assert _sha(stdout.encode()) == GOLDEN[system, mode]["certificate.txt"]
+
+    status, stdout = _run(system, "verify", ["--attack", "out/attack.aut"])
+    assert status == 0
+    assert _sha(stdout.encode()) == GOLDEN[system, mode]["<verify>"]
