@@ -8,7 +8,8 @@ frozensets) so results hash and compare deterministically.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator,
+                    List, Optional, Sequence, Set, Tuple)
 
 from .events import EventLabel, sorted_events
 
@@ -188,19 +189,25 @@ def _closure(a: Automaton, seed: Iterable[State],
     return frozenset(seen)
 
 
+def close_under(seen: Set, seeds: Iterable, step: Callable[[Any], Iterable]) -> Set:
+    """Worklist search: add ``seeds`` and everything ``step`` reaches from
+    them to ``seen`` and return it. Members of ``seen`` are not expanded
+    again, so growing a closed set costs only the new part."""
+    work = [q for q in seeds if q not in seen]
+    seen.update(work)
+    while work:
+        for dst in step(work.pop()):
+            if dst not in seen:
+                seen.add(dst)
+                work.append(dst)
+    return seen
+
+
 def reachable(a: Automaton) -> FrozenSet[State]:
     if a.initial is None:
         return frozenset()
-    seen: Set[State] = {a.initial}
-    frontier = deque(seen)
-    while frontier:
-        cur = frontier.popleft()
-        for dsts in a._delta[cur].values():
-            for dst in dsts:
-                if dst not in seen:
-                    seen.add(dst)
-                    frontier.append(dst)
-    return frozenset(seen)
+    return frozenset(close_under(set(), (a.initial,), lambda q: [
+        dst for dsts in a._delta[q].values() for dst in dsts]))
 
 
 def coreachable(a: Automaton) -> FrozenSet[State]:
@@ -208,15 +215,7 @@ def coreachable(a: Automaton) -> FrozenSet[State]:
     back: Dict[State, List[State]] = {q: [] for q in a.states}
     for (src, _ev, dst) in a.transitions:
         back[dst].append(src)
-    seen: Set[State] = set(a.marked)
-    frontier = deque(seen)
-    while frontier:
-        cur = frontier.popleft()
-        for src in back[cur]:
-            if src not in seen:
-                seen.add(src)
-                frontier.append(src)
-    return frozenset(seen)
+    return frozenset(close_under(set(), a.marked, back.__getitem__))
 
 
 def is_nonblocking(a: Automaton) -> bool:
@@ -265,6 +264,56 @@ def accepts(a: Automaton, seq: Sequence[EventLabel], marked: bool = False) -> bo
 
 # -- observer / subset construction ------------------------------------
 
+ObserverMap = Dict[FrozenSet[State], Dict[EventLabel, FrozenSet[State]]]
+
+
+def observer_map(a: Automaton, observed: Iterable[EventLabel]) -> ObserverMap:
+    """The observer of ``a`` w.r.t. ``observed`` as a plain successor map.
+
+    Keys are the estimates in breadth-first discovery order, the initial
+    estimate first (none when ``a`` is empty). Each maps an observed event, in
+    label order, to the unobservable reach of the estimate's successor set;
+    an event with no successor is absent. Unobserved events are implicit
+    self-loops.
+    """
+    obs = frozenset(observed)
+    if not obs <= a.alphabet:
+        bad = next(iter(obs - a.alphabet))
+        raise AutomatonError(f"observed event {bad.spell()} not in alphabet")
+    graph: ObserverMap = {}
+    if a.initial is None:
+        return graph
+    obs_sorted = sorted_events(obs)
+    delta = a._delta
+
+    init = _closure(a, (a.initial,), obs)
+    seen: Set[FrozenSet[State]] = {init}
+    frontier = deque([init])
+    while frontier:
+        cur = frontier.popleft()
+        raw_by_event: Dict[EventLabel, Set[State]] = {}
+        for q in cur:
+            for ev, dsts in delta[q].items():
+                if ev in obs:
+                    raw = raw_by_event.get(ev)
+                    if raw is None:
+                        raw_by_event[ev] = set(dsts)
+                    else:
+                        raw.update(dsts)
+        succ: Dict[EventLabel, FrozenSet[State]] = {}
+        for ev in obs_sorted:
+            raw = raw_by_event.get(ev)
+            if raw is None:
+                continue
+            nxt = _closure(a, raw, obs)
+            succ[ev] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+        graph[cur] = succ
+    return graph
+
+
 def subset_construction(a: Automaton, observed: Iterable[EventLabel],
                         name: str = "") -> Automaton:
     """Determinize w.r.t. ``observed`` over the full alphabet of ``a``.
@@ -275,44 +324,40 @@ def subset_construction(a: Automaton, observed: Iterable[EventLabel],
     by the monitor construction, which routes inconsistencies explicitly).
     """
     obs = frozenset(observed)
-    if not obs <= a.alphabet:
-        bad = next(iter(obs - a.alphabet))
-        raise AutomatonError(f"observed event {bad.spell()} not in alphabet")
-    if a.initial is None:
+    graph = observer_map(a, obs)
+    if not graph:
         return empty_automaton(a.alphabet, name)
     unobs = sorted_events(a.alphabet - obs)
-    obs_sorted = sorted_events(obs)
-    delta = a._delta
+    transitions = [(x, ev, x) for x in graph for ev in unobs]
+    transitions += [(x, ev, y) for x, succ in graph.items()
+                    for ev, y in succ.items()]
+    states = list(graph)
+    return Automaton(states, a.alphabet, transitions, states[0], states, name)
 
-    init = _closure(a, (a.initial,), obs)
-    states: List[FrozenSet[State]] = [init]
-    index: Set[FrozenSet[State]] = {init}
-    transitions: List[Transition] = []
-    frontier = deque([init])
-    while frontier:
-        cur = frontier.popleft()
-        for ev in unobs:
-            transitions.append((cur, ev, cur))
-        raw_by_event: Dict[EventLabel, Set[State]] = {}
-        for q in cur:
-            for ev, dsts in delta[q].items():
-                if ev in obs:
-                    raw = raw_by_event.get(ev)
-                    if raw is None:
-                        raw_by_event[ev] = set(dsts)
-                    else:
-                        raw.update(dsts)
-        for ev in obs_sorted:
-            raw = raw_by_event.get(ev)
-            if raw is None:
+
+def observer_pairs(a: Automaton, start: State,
+                   step: Callable[[State, EventLabel], Optional[State]]
+                   ) -> Iterator[Tuple[State, State, List[Tuple[EventLabel, int]]]]:
+    """Product of ``a`` with a deterministic observer given by ``step`` (the
+    successor of an observer state on an event, or None), explored lazily in
+    BFS order from (initial, start). Each pair is yielded as (q, x, edges),
+    the edges as (event, index of the target pair in yield order)."""
+    if a.initial is None:
+        return
+    order = [(a.initial, start)]
+    index = {order[0]: 0}
+    for q, x in order:  # grows while iterated
+        edges = []
+        for ev, dsts in a._delta[q].items():
+            y = step(x, ev)
+            if y is None:
                 continue
-            nxt = _closure(a, raw, obs)
-            transitions.append((cur, ev, nxt))
-            if nxt not in index:
-                index.add(nxt)
-                states.append(nxt)
-                frontier.append(nxt)
-    return Automaton(states, a.alphabet, transitions, init, states, name)
+            for dst in dsts:
+                j = index.setdefault((dst, y), len(order))
+                if j == len(order):
+                    order.append((dst, y))
+                edges.append((ev, j))
+        yield q, x, edges
 
 
 # -- composition -------------------------------------------------------

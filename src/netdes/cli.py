@@ -11,20 +11,20 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from .attacker import validate_attack
-from .automaton import AutomatonError
+from .automaton import Automaton, AutomatonError
 from .channels import (capacity_control, capacity_observation,
                        enumerate_channel_states)
 from .config import ConfigError, SystemConfig, load_config
 from .fixtures import BuiltSystem, build_system
 from .plant import capacity_storage, load_plant, rate_bound_warnings
 from .supervision import validate_networked_supervisor
-from .synthesis import (SynthesisMode, build_problem, render_size_report,
-                        state_size_report, synthesize_supremal_attack,
-                        verify_covert, verify_damage_nonblocking,
-                        verify_damage_reachable)
+from .synthesis import (SynthesisMode, SynthesisProblem, attack_loop,
+                        build_problem, covert_in, damage_nonblocking_in,
+                        damage_reachable_in, render_size_report,
+                        state_size_report, synthesize_supremal_attack)
 from .textio import ParseError, load_automaton, save_automaton, to_dot
 
 EXIT_OK = 0
@@ -119,19 +119,8 @@ def cmd_synthesize(args) -> int:
     lines = [f"mode: {ws.mode.value}",
              f"attack-states: {len(attack.states)}"]
     lines.append(f"validates: {validate_attack(attack, problem.constraint, problem.plant.alphabet).ok}")
-    cov = verify_covert(problem, attack)
-    lines.append(f"covert: {cov.ok}")
-    if not cov.ok:
-        lines.append(f"covertness-witness: {cov.render_witness()}")
-    if ws.mode is SynthesisMode.DAMAGE_NONBLOCKING:
-        check = verify_damage_nonblocking(problem, attack)
-        lines.append(f"damage-nonblocking: {check.ok}")
-        if not check.ok:
-            lines.append(f"blocking-witness: {check.render_witness()}")
-    reach = verify_damage_reachable(problem, attack)
-    lines.append(f"damage-reachable: {reach.ok}")
-    if reach.ok:
-        lines.append(f"damage-witness: {reach.render_witness()}")
+    lines += _verdicts(problem, attack,
+                       ws.mode is SynthesisMode.DAMAGE_NONBLOCKING)[1]
     with open(cert_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
@@ -148,16 +137,30 @@ def cmd_verify(args) -> int:
     print(report.render())
     if not report.ok:
         return EXIT_VALIDATION
-    cov = verify_covert(problem, attack)
-    print(f"covert: {cov.ok}" + ("" if cov.ok else
-                                 f"\ncovertness-witness: {cov.render_witness()}"))
-    dnb = verify_damage_nonblocking(problem, attack)
-    print(f"damage-nonblocking: {dnb.ok}" + ("" if dnb.ok else
-                                             f"\nblocking-witness: {dnb.render_witness()}"))
-    dr = verify_damage_reachable(problem, attack)
-    print(f"damage-reachable: {dr.ok}" + (f"\ndamage-witness: {dr.render_witness()}"
-                                          if dr.ok else ""))
-    return EXIT_OK if cov.ok else EXIT_DETECTED
+    covert, lines = _verdicts(problem, attack, nonblocking=True)
+    print("\n".join(lines))
+    return EXIT_OK if covert else EXIT_DETECTED
+
+
+def _verdicts(problem: SynthesisProblem, attack: Automaton,
+              nonblocking: bool) -> Tuple[bool, List[str]]:
+    """Whether the attack is covert, and the verdict and witness lines that
+    ``synthesize`` and ``verify`` print, all read from one P||A."""
+    loop = attack_loop(problem, attack)
+    cov = covert_in(problem, loop)
+    lines = [f"covert: {cov.ok}"]
+    if not cov.ok:
+        lines.append(f"covertness-witness: {cov.render_witness()}")
+    if nonblocking:
+        check = damage_nonblocking_in(loop)
+        lines.append(f"damage-nonblocking: {check.ok}")
+        if not check.ok:
+            lines.append(f"blocking-witness: {check.render_witness()}")
+    reach = damage_reachable_in(problem, loop)
+    lines.append(f"damage-reachable: {reach.ok}")
+    if reach.ok:
+        lines.append(f"damage-witness: {reach.render_witness()}")
+    return cov.ok, lines
 
 
 def cmd_export_dot(args) -> int:

@@ -247,15 +247,12 @@ def parse_config(text: str) -> SystemConfig:
                if k not in params]
     if missing:
         raise ConfigError(f"missing parameters: {', '.join(missing)}")
-    try:
-        return SystemConfig(
-            events=tuple(specs), commands=commands,
-            delta_o=params["delta_o"], delta_c=params["delta_c"],
-            delta_s=params["delta_s"],
-            rates=RateBounds(params["n_f"], params["u"], params["v"]),
-            damage=frozenset(damage))
-    except ConfigError:
-        raise
+    return SystemConfig(
+        events=tuple(specs), commands=commands,
+        delta_o=params["delta_o"], delta_c=params["delta_c"],
+        delta_s=params["delta_s"],
+        rates=RateBounds(params["n_f"], params["u"], params["v"]),
+        damage=frozenset(damage))
 
 
 def load_config(path: str) -> SystemConfig:

@@ -14,25 +14,32 @@ of the new plant by an iterated pruning:
    set are eliminated by disabling the controllable entries into them and
    deleting estimates entered uncontrollably, then the pass repeats.
 
+The observer is pruned as a plain successor map; only the result becomes an
+automaton. Rules 1-2 are a worklist attractor (Graedel, Thomas & Wilke, LNCS
+2500): each dead estimate is pushed once to its uncontrollable predecessors,
+in O(|E|). Rule 3 uses the product of P and the full observer, built once;
+each round recomputes reachability and coreachability over the product edges
+that the dead estimates and disabled events still allow.
+
 Runs are reproducible without sorting the pruning passes: each pass only
 adds to the sets of deleted estimates and disabled events, so it ends with
 the same sets in any visiting order (the backward propagation is a least
 fixpoint). Where order does reach an output, it comes from the automaton
-kernel: events are visited in label order and several successors of one
-state on one event are kept in canonical ``state_name`` order.
+kernel: estimates keep the observer's discovery order, events are visited in
+label order and several successors of one state on one event are kept in
+canonical ``state_name`` order.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .attacker import (AttackControlConstraint, attack_control_constraint,
-                       complete_with_selfloops)
-from .automaton import (Automaton, AutomatonError, compose, coreachable,
-                        restrict_reachable, shortest_path_to, state_name,
-                        subset_construction)
+from .attacker import AttackControlConstraint, attack_control_constraint
+from .automaton import (Automaton, AutomatonError, close_under, compose,
+                        coreachable, observer_map, observer_pairs,
+                        shortest_path_to, state_name, subset_construction)
 from .channels import enumerate_channel_states
 from .config import SystemConfig
 from .events import EventLabel, sorted_events
@@ -96,75 +103,77 @@ def supremal_supervisor(plant: Automaton, bad: FrozenSet,
 
     Generic over the control constraint: also used to synthesize networked
     supervisors. Returns None when no supervisor exists. The result's states
-    are the surviving observer estimates, all marked; missing uncontrollable
-    events still have to be completed by the caller.
+    are the surviving reachable observer estimates in discovery order, all
+    marked. It is total on the uncontrollable events: an event missing from
+    the observer self-loops, since no state of the estimate can take it.
     """
     if not controllable <= observable:
         raise AutomatonError("controllable events must be observable here")
-    obs = subset_construction(plant, observable & plant.alphabet, name=name)
-    if obs.initial is None:
+    graph = observer_map(plant, observable & plant.alphabet)
+    if not graph:
         return None
-    dead: Set = {x for x in obs.states if x & bad}
+    init = next(iter(graph))
+    preds: Dict[FrozenSet, List[FrozenSet]] = {x: [] for x in graph}
+    for x, succ in graph.items():
+        for e, y in succ.items():
+            if e not in controllable:
+                preds[y].append(x)
+    dead: Set[FrozenSet] = set()
     disabled: Set[Tuple[FrozenSet, EventLabel]] = set()
 
-    def backward_closure() -> None:
-        changed = True
-        while changed:
-            changed = False
-            for x in obs.states:
-                if x in dead:
-                    continue
-                for e in obs.enabled(x):
-                    if e in controllable:
-                        continue
-                    if obs.step(x, e) in dead:
-                        dead.add(x)
-                        changed = True
-                        break
+    def keeps(x: FrozenSet, e: EventLabel, y: FrozenSet) -> bool:
+        # whether an edge out of a live estimate survives
+        return y not in dead and (x, e) not in disabled
 
-    while True:
-        backward_closure()
-        if obs.initial in dead:
-            return None
-        supervisor = _pruned_observer(obs, dead, disabled, controllable, name)
-        if not require_nonblocking:
-            return restrict_reachable(supervisor, name=name)
-        loop = compose([plant, supervisor], name="P||S")
-        loop = loop.with_marked([q for q in loop.states if q[0] in plant.marked])
-        blocking = frozenset(loop.states) - coreachable(loop)
-        if not blocking:
-            return restrict_reachable(supervisor, name=name)
-        if loop.initial in blocking:
-            return None
-        progress = False
-        for (src, e, dst) in loop.transitions:
-            if dst not in blocking or src in blocking:
-                continue
-            x = src[1]
-            if e in controllable:
-                if (x, e) not in disabled:
-                    disabled.add((x, e))
-                    progress = True
-            elif x not in dead:
-                dead.add(x)
-                progress = True
-        if not progress:
-            # every blocking state is entered from inside the blocking set
-            return None
+    close_under(dead, (x for x in graph if not bad.isdisjoint(x)),
+                preds.__getitem__)
+    if require_nonblocking and init not in dead:
+        # p is in x in every pair, so each observed move of p has an
+        # observer successor; unobserved events leave x unchanged
+        pairs = list(observer_pairs(plant, init, lambda x, e: graph[x].get(e, x)))
+        into: List[List[Tuple[int, EventLabel]]] = [[] for _ in pairs]
+        for i, (_p, _x, edges) in enumerate(pairs):
+            for e, j in edges:
+                into[j].append((i, e))
+        marked = [i for i, (p, _x, _edges) in enumerate(pairs) if p in plant.marked]
 
+        def live(i: int, e: EventLabel, j: int) -> bool:
+            return keeps(pairs[i][1], e, pairs[j][1])
 
-def _pruned_observer(obs: Automaton, dead: Set, disabled: Set,
-                     controllable: FrozenSet[EventLabel], name: str) -> Automaton:
-    states = [x for x in obs.states if x not in dead]
+        # every round disables an event or kills an estimate, so this ends
+        while init not in dead:
+            reach = close_under(set(), (0,), lambda i: [
+                j for e, j in pairs[i][2] if live(i, e, j)])
+            coreach = close_under(set(), (i for i in marked if i in reach),
+                                  lambda j: [i for i, e in into[j]
+                                             if i in reach and live(i, e, j)])
+            if len(coreach) == len(reach):
+                break
+            if 0 not in coreach:
+                return None
+            deaths = []
+            for i in coreach:
+                for e, j in pairs[i][2]:
+                    if j not in coreach and live(i, e, j):
+                        if e in controllable:
+                            disabled.add((pairs[i][1], e))
+                        else:
+                            deaths.append(pairs[i][1])
+            close_under(dead, deaths, preds.__getitem__)
+    if init in dead:
+        return None
+
+    reach = close_under(set(), (init,), lambda x: [
+        y for e, y in graph[x].items() if keeps(x, e, y)])
+    states = [x for x in graph if x in reach]
+    uncontrollable = plant.alphabet - controllable
     transitions = []
-    for (src, e, dst) in obs.transitions:
-        if src in dead or dst in dead:
-            continue
-        if e in controllable and (src, e) in disabled:
-            continue
-        transitions.append((src, e, dst))
-    return Automaton(states, obs.alphabet, transitions, obs.initial,
-                     marked=states, name=name)
+    for x in states:
+        succ = graph[x]
+        transitions += [(x, e, succ.get(e, x)) for e in uncontrollable]
+        transitions += [(x, e, y) for e, y in succ.items()
+                        if e in controllable and keeps(x, e, y)]
+    return Automaton(states, plant.alphabet, transitions, init, states, name)
 
 
 def synthesize_supremal_attack(problem: SynthesisProblem,
@@ -178,18 +187,17 @@ def synthesize_supremal_attack(problem: SynthesisProblem,
     plant = problem.plant
     controllable = frozenset(problem.constraint.controllable) & plant.alphabet
     observable = frozenset(problem.constraint.observable) & plant.alphabet
-    sup = supremal_supervisor(
+    attack = supremal_supervisor(
         plant, problem.bad, controllable, observable,
         require_nonblocking=(mode is SynthesisMode.DAMAGE_NONBLOCKING),
         name="A")
-    if sup is None:
+    if attack is None:
         return None
-    if mode is SynthesisMode.DAMAGE_REACHABLE:
-        loop = compose([plant, sup], name="P||A")
-        if not any(q[0] in problem.target for q in loop.states):
-            return None
-    uncontrollable = frozenset(sup.alphabet) - controllable
-    return complete_with_selfloops(sup, uncontrollable, name="A")
+    if mode is SynthesisMode.DAMAGE_REACHABLE and not any(
+            p in problem.target for p, _a, _edges in
+            observer_pairs(plant, attack.initial, attack.step)):
+        return None
+    return attack
 
 
 # -- verification -------------------------------------------------------------
@@ -206,38 +214,49 @@ class VerificationResult:
         return " ".join(e.spell() for e in self.witness) or "(empty)"
 
 
-def _attack_loop(problem: SynthesisProblem, attack: Automaton) -> Automaton:
+def attack_loop(problem: SynthesisProblem, attack: Automaton) -> Automaton:
+    """P||A with the damage states marked; the three checks below read it."""
     if frozenset(attack.alphabet) != frozenset(problem.plant.alphabet):
         raise AutomatonError("attack alphabet differs from the composed plant's")
     loop = compose([problem.plant, attack], name="P||A")
     return loop.with_marked([q for q in loop.states if q[0] in problem.target])
 
 
-def verify_covert(problem: SynthesisProblem, attack: Automaton) -> VerificationResult:
+def covert_in(problem: SynthesisProblem, loop: Automaton) -> VerificationResult:
     """No covertness-violating state may be reachable in the attacked loop."""
-    loop = _attack_loop(problem, attack)
     offenders = [q for q in loop.states if q[0] in problem.bad]
     if not offenders:
         return VerificationResult(True)
     return VerificationResult(False, shortest_path_to(loop, offenders))
 
 
-def verify_damage_nonblocking(problem: SynthesisProblem,
-                              attack: Automaton) -> VerificationResult:
-    loop = _attack_loop(problem, attack)
+def damage_nonblocking_in(loop: Automaton) -> VerificationResult:
     stuck = frozenset(loop.states) - coreachable(loop)
     if not stuck:
         return VerificationResult(True)
     return VerificationResult(False, shortest_path_to(loop, stuck))
 
 
-def verify_damage_reachable(problem: SynthesisProblem,
-                            attack: Automaton) -> VerificationResult:
-    loop = _attack_loop(problem, attack)
+def damage_reachable_in(problem: SynthesisProblem,
+                        loop: Automaton) -> VerificationResult:
     hits = [q for q in loop.states if q[0] in problem.target]
     if hits:
         return VerificationResult(True, shortest_path_to(loop, hits))
     return VerificationResult(False)
+
+
+def verify_covert(problem: SynthesisProblem, attack: Automaton) -> VerificationResult:
+    return covert_in(problem, attack_loop(problem, attack))
+
+
+def verify_damage_nonblocking(problem: SynthesisProblem,
+                              attack: Automaton) -> VerificationResult:
+    return damage_nonblocking_in(attack_loop(problem, attack))
+
+
+def verify_damage_reachable(problem: SynthesisProblem,
+                            attack: Automaton) -> VerificationResult:
+    return damage_reachable_in(problem, attack_loop(problem, attack))
 
 
 # -- local maximality probes ---------------------------------------------------
