@@ -2,7 +2,7 @@
 
 from .automaton import (Automaton, AutomatonError, accepts, compose,
                         coreachable, is_nonblocking, reachable,
-                        subset_construction, synchronous_product, trim,
+                        subset_construction, trim,
                         unobservable_reach)
 from .channels import (build_control_channel, build_observation_channel,
                        capacity_control, capacity_observation,

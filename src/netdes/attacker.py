@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
 
 from . import events as ev
-from .automaton import Automaton, AutomatonError, state_name
+from .automaton import (Automaton, AutomatonError, complete_with_selfloops,
+                        state_name)
 from .config import ConfigError, SystemConfig
 from .events import EventLabel, sorted_events
 
@@ -34,13 +35,17 @@ class AttackConstraint:
 
 
 @dataclass(frozen=True)
-class AttackControlConstraint:
+class ControlConstraint:
+    """What a supervisor may disable and what it sees. An attack is the
+    supervisor of the composed plant, so attacks and networked supervisors
+    share this type; ``rule`` prefixes the names of violations."""
     controllable: FrozenSet[EventLabel]
     observable: FrozenSet[EventLabel]
+    rule: str
 
     def __post_init__(self) -> None:
         if not self.controllable <= self.observable:
-            raise ConfigError("attacker-controllable events must be observable "
+            raise ConfigError("controllable events must be observable "
                               "(required for normality to equal observability)")
 
 
@@ -49,14 +54,14 @@ def attack_constraint(cfg: SystemConfig) -> AttackConstraint:
                             cfg.rates.u)
 
 
-def attack_control_constraint(cfg: SystemConfig) -> AttackControlConstraint:
+def attack_control_constraint(cfg: SystemConfig) -> ControlConstraint:
     sa = set(cfg.sigma_sa)
     controllable = {ev.compromised(n) for n in cfg.sigma_sa} | {ev.stop}
     observable = {ev.plant(n) for n in cfg.sigma_oa}
     observable |= {ev.entry(n) for n in cfg.sigma_oa if n not in sa}
     observable |= {ev.compromised(n) for n in cfg.sigma_sa}
     observable |= {ev.tick, ev.stop}
-    return AttackControlConstraint(frozenset(controllable), frozenset(observable))
+    return ControlConstraint(frozenset(controllable), frozenset(observable), "sa")
 
 
 def build_attack_constraints(cfg: SystemConfig,
@@ -149,42 +154,34 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_attack(a: Automaton, constraint: AttackControlConstraint,
-                    expected_alphabet: FrozenSet[EventLabel]) -> ValidationReport:
-    """Check SA-controllability and SA-observability of an attack automaton."""
+def validate_control(a: Automaton, constraint: ControlConstraint,
+                     expected_alphabet: FrozenSet[EventLabel],
+                     subject: str) -> ValidationReport:
+    """Controllability (every event outside the control set is defined
+    everywhere) and observability (no state change on an unobservable event)
+    of a supervisor or attack; ``subject`` names it when ``a`` has no name."""
     if a.alphabet != expected_alphabet:
-        raise AutomatonError("attack alphabet differs from the constraints alphabet")
+        raise AutomatonError(f"{subject} alphabet differs from the loop alphabet")
     uncontrollable = sorted_events(a.alphabet - constraint.controllable)
-    unobservable = a.alphabet - constraint.observable
+    unobservable = sorted_events(a.alphabet - constraint.observable)
     violations: List[Violation] = []
     for q in a.states:
         for e in uncontrollable:
             if not a.successors(q, e):
                 violations.append(Violation(state_name(q), e.spell(),
-                                            "sa-controllability"))
-        for e in sorted_events(unobservable):
+                                            f"{constraint.rule}-controllability"))
+        for e in unobservable:
             for dst in a.successors(q, e):
                 if dst != q:
                     violations.append(Violation(state_name(q), e.spell(),
-                                                "sa-observability"))
-    return ValidationReport(a.name or "attack", violations)
+                                                f"{constraint.rule}-observability"))
+    return ValidationReport(a.name or subject, violations)
 
 
-def complete_with_selfloops(a: Automaton, uncontrollable: FrozenSet[EventLabel],
-                            name: str = "") -> Automaton:
-    """Add self-loops for missing uncontrollable events at every state.
-
-    Sound for synthesized supervisors: a missing uncontrollable event is
-    infeasible at every plant state compatible with the estimate, so the
-    loop's behavior is unchanged while the totality requirement is met.
-    """
-    transitions = set(a.transitions)
-    for q in a.states:
-        for e in sorted_events(uncontrollable & a.alphabet):
-            if not a.successors(q, e):
-                transitions.add((q, e, q))
-    return Automaton(a.states, a.alphabet, transitions, a.initial,
-                     a.marked, name or a.name)
+def validate_attack(a: Automaton, constraint: ControlConstraint,
+                    expected_alphabet: FrozenSet[EventLabel]) -> ValidationReport:
+    """Check SA-controllability and SA-observability of an attack automaton."""
+    return validate_control(a, constraint, expected_alphabet, "attack")
 
 
 def faithful_attacker(cfg: SystemConfig) -> Automaton:
@@ -210,6 +207,5 @@ def faithful_attacker(cfg: SystemConfig) -> Automaton:
         t.append((f"fobs_{n}", ev.entry(n), fstop))
     t.append((fstop, ev.stop, f0))
     base = Automaton(states, alphabet, t, f0, marked=states, name="A_faithful")
-    constraint = attack_control_constraint(cfg)
-    return complete_with_selfloops(base, frozenset(base.alphabet)
-                                   - constraint.controllable, name="A_faithful")
+    return complete_with_selfloops(
+        base, base.alphabet - attack_control_constraint(cfg).controllable)

@@ -3,11 +3,13 @@
 Automata here are possibly nondeterministic, immutable after construction,
 and safe to share. States are opaque hashable identifiers; composite
 operations (products, observers) produce canonical encodings (tuples,
-frozensets) so results hash and compare deterministically.
+frozensets) so results hash and compare deterministically. Every forward
+search goes through one breadth-first explorer, ``explore``, whose discovery
+order is the state order of what it builds; unordered closures use
+``close_under``.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator,
                     List, Optional, Sequence, Set, Tuple)
 
@@ -106,6 +108,11 @@ class Automaton:
     def successors(self, q: State, ev: EventLabel) -> Tuple[State, ...]:
         return self._delta[q].get(ev, ())
 
+    def moves(self, q: State) -> List[Transition]:
+        """The transitions leaving q, events in label order."""
+        succ = self._delta[q]
+        return [(q, e, dst) for e in self._enabled[q] for dst in succ[e]]
+
     def enabled(self, q: State) -> Tuple[EventLabel, ...]:
         return self._enabled[q]
 
@@ -128,13 +135,6 @@ class Automaton:
 
     def sorted_states(self) -> List[State]:
         return sorted(self.states, key=state_name)
-
-    def renamed(self, mapping: Dict[State, State], name: str = "") -> "Automaton":
-        return Automaton(
-            [mapping[q] for q in self.states], self.alphabet,
-            [(mapping[s], e, mapping[t]) for (s, e, t) in self.transitions],
-            None if self.initial is None else mapping[self.initial],
-            [mapping[q] for q in self.marked], name or self.name)
 
     def with_marked(self, marked: Iterable[State], name: str = "") -> "Automaton":
         """The same automaton with another marked set; the validated
@@ -159,7 +159,61 @@ def empty_automaton(alphabet: Iterable[EventLabel], name: str = "") -> Automaton
     return Automaton((), alphabet, (), None, (), name)
 
 
-# -- reachability ------------------------------------------------------
+def complete_with_selfloops(a: Automaton, events: Iterable[EventLabel],
+                            name: str = "") -> Automaton:
+    """``a`` with a self-loop wherever one of ``events`` is undefined; events
+    outside the alphabet join it.
+
+    Sound for synthesized supervisors: a missing uncontrollable event is
+    infeasible at every plant state compatible with the estimate, so the
+    loop's behavior is unchanged while the totality requirement is met.
+    """
+    events = frozenset(events)
+    loops = [(q, e, q) for q, succ in a._delta.items() for e in events
+             if e not in succ]
+    return Automaton(a.states, a.alphabet | events, a.transitions | frozenset(loops),
+                     a.initial, a.marked, name or a.name)
+
+
+# -- exploration and reachability --------------------------------------
+
+Moves = Callable[[Any], List[Tuple[Any, Any, Any]]]
+
+
+def explore(init: State, moves: Moves, index: Optional[Dict[State, int]] = None
+            ) -> Iterator[Tuple[State, List[Tuple[State, Any, State]]]]:
+    """Lazy breadth-first search from ``init``.
+
+    ``moves(q)`` returns the transitions leaving q as (q, label, target)
+    triples. Yields each reachable state once, in discovery order, with its
+    transitions in the order ``moves`` returned them. The targets of a
+    yielded state are already numbered in ``index`` (if given, empty) by
+    discovery order. A consumer may stop at any point: no state after the
+    last one yielded has been expanded.
+    """
+    seen = {} if index is None else index
+    seen[init] = 0
+    order = [init]
+    for q in order:  # grows while iterated
+        out = moves(q)
+        for _src, _label, dst in out:
+            if dst not in seen:
+                seen[dst] = len(order)
+                order.append(dst)
+        yield q, out
+
+
+def explored_automaton(init: State, moves: Moves, alphabet: Iterable[EventLabel],
+                       name: str = "") -> Automaton:
+    """The automaton of everything reachable from ``init`` under ``moves``,
+    states in discovery order, nothing marked."""
+    states: List[State] = []
+    transitions: List[Transition] = []
+    for q, out in explore(init, moves):
+        states.append(q)
+        transitions += out
+    return Automaton(states, alphabet, transitions, init, (), name)
+
 
 def unobservable_reach(a: Automaton, q: State,
                        observed: Iterable[EventLabel]) -> FrozenSet[State]:
@@ -170,31 +224,33 @@ def unobservable_reach(a: Automaton, q: State,
     if not obs <= a.alphabet:
         bad = next(iter(obs - a.alphabet))
         raise AutomatonError(f"observed event {bad.spell()} not in alphabet")
-    return _closure(a, (q,), obs)
+    return _closure(_silent_steps(a, obs), (q,))
 
 
-def _closure(a: Automaton, seed: Iterable[State],
-             observed: FrozenSet[EventLabel]) -> FrozenSet[State]:
-    seen: Set[State] = set(seed)
-    frontier = deque(seen)
-    while frontier:
-        cur = frontier.popleft()
-        for ev, dsts in a._delta[cur].items():
-            if ev in observed:
-                continue
-            for dst in dsts:
-                if dst not in seen:
-                    seen.add(dst)
-                    frontier.append(dst)
-    return frozenset(seen)
+def _silent_steps(a: Automaton, observed: FrozenSet[EventLabel]
+                  ) -> Dict[State, List[State]]:
+    """The successors of each state along events outside ``observed``;
+    states without any are absent."""
+    silent: Dict[State, List[State]] = {}
+    for src, ev, dst in a.transitions:
+        if ev not in observed:
+            silent.setdefault(src, []).append(dst)
+    return silent
+
+
+def _closure(silent: Dict[State, List[State]],
+             seed: Iterable[State]) -> FrozenSet[State]:
+    return frozenset(close_under(set(), seed, lambda q: silent.get(q, ())))
 
 
 def close_under(seen: Set, seeds: Iterable, step: Callable[[Any], Iterable]) -> Set:
     """Worklist search: add ``seeds`` and everything ``step`` reaches from
     them to ``seen`` and return it. Members of ``seen`` are not expanded
     again, so growing a closed set costs only the new part."""
-    work = [q for q in seeds if q not in seen]
-    seen.update(work)
+    # set operations reuse stored hashes; composite states hash slowly
+    fresh = set(seeds) - seen
+    seen |= fresh
+    work = list(fresh)
     while work:
         for dst in step(work.pop()):
             if dst not in seen:
@@ -223,19 +279,17 @@ def is_nonblocking(a: Automaton) -> bool:
 
 
 def trim(a: Automaton, name: str = "") -> Automaton:
-    keep = reachable(a) & coreachable(a)
-    if a.initial not in keep:
-        return empty_automaton(a.alphabet, name or a.name)
-    kept_states = [q for q in a.states if q in keep]
-    kept_trans = [(s, e, t) for (s, e, t) in a.transitions if s in keep and t in keep]
-    return Automaton(kept_states, a.alphabet, kept_trans, a.initial,
-                     a.marked & keep, name or a.name)
+    return _restrict(a, reachable(a) & coreachable(a), name)
 
 
 def restrict_reachable(a: Automaton, name: str = "") -> Automaton:
-    keep = reachable(a)
-    if a.initial is None:
-        return a
+    return _restrict(a, reachable(a), name)
+
+
+def _restrict(a: Automaton, keep: FrozenSet[State], name: str) -> Automaton:
+    """The part of ``a`` on ``keep``; empty unless it holds the initial state."""
+    if a.initial not in keep:
+        return empty_automaton(a.alphabet, name or a.name)
     kept_states = [q for q in a.states if q in keep]
     kept_trans = [(s, e, t) for (s, e, t) in a.transitions if s in keep and t in keep]
     return Automaton(kept_states, a.alphabet, kept_trans, a.initial,
@@ -280,17 +334,14 @@ def observer_map(a: Automaton, observed: Iterable[EventLabel]) -> ObserverMap:
     if not obs <= a.alphabet:
         bad = next(iter(obs - a.alphabet))
         raise AutomatonError(f"observed event {bad.spell()} not in alphabet")
-    graph: ObserverMap = {}
     if a.initial is None:
-        return graph
+        return {}
     obs_sorted = sorted_events(obs)
     delta = a._delta
+    silent = _silent_steps(a, obs)
 
-    init = _closure(a, (a.initial,), obs)
-    seen: Set[FrozenSet[State]] = {init}
-    frontier = deque([init])
-    while frontier:
-        cur = frontier.popleft()
+    def moves(cur: FrozenSet[State]) -> List[Tuple[FrozenSet[State], EventLabel,
+                                                  FrozenSet[State]]]:
         raw_by_event: Dict[EventLabel, Set[State]] = {}
         for q in cur:
             for ev, dsts in delta[q].items():
@@ -300,18 +351,11 @@ def observer_map(a: Automaton, observed: Iterable[EventLabel]) -> ObserverMap:
                         raw_by_event[ev] = set(dsts)
                     else:
                         raw.update(dsts)
-        succ: Dict[EventLabel, FrozenSet[State]] = {}
-        for ev in obs_sorted:
-            raw = raw_by_event.get(ev)
-            if raw is None:
-                continue
-            nxt = _closure(a, raw, obs)
-            succ[ev] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-        graph[cur] = succ
-    return graph
+        return [(cur, ev, _closure(silent, raw_by_event[ev]))
+                for ev in obs_sorted if ev in raw_by_event]
+
+    return {x: {ev: y for _x, ev, y in out} for x, out in
+            explore(_closure(silent, (a.initial,)), moves)}
 
 
 def subset_construction(a: Automaton, observed: Iterable[EventLabel],
@@ -344,41 +388,34 @@ def observer_pairs(a: Automaton, start: State,
     the edges as (event, index of the target pair in yield order)."""
     if a.initial is None:
         return
-    order = [(a.initial, start)]
-    index = {order[0]: 0}
-    for q, x in order:  # grows while iterated
-        edges = []
-        for ev, dsts in a._delta[q].items():
+    delta = a._delta
+
+    def moves(pair: Tuple[State, State]) -> List[Tuple[Tuple, EventLabel, Tuple]]:
+        q, x = pair
+        out = []
+        for ev, dsts in delta[q].items():
             y = step(x, ev)
-            if y is None:
-                continue
-            for dst in dsts:
-                j = index.setdefault((dst, y), len(order))
-                if j == len(order):
-                    order.append((dst, y))
-                edges.append((ev, j))
-        yield q, x, edges
+            if y is not None:
+                out += [(pair, ev, (dst, y)) for dst in dsts]
+        return out
+
+    index: Dict[Tuple[State, State], int] = {}
+    for (q, x), out in explore((a.initial, start), moves, index):
+        yield q, x, [(ev, index[dst]) for _src, ev, dst in out]
 
 
 # -- composition -------------------------------------------------------
-
-def synchronous_product(a1: Automaton, a2: Automaton, name: str = "") -> Automaton:
-    """Binary synchronous product with pair states.
-
-    Shared events synchronize when both sides enable them, private events
-    interleave, and a shared event enabled on one side only is blocked.
-    Only the reachable part is constructed; marked states are pairs of
-    marked states.
-    """
-    return compose([a1, a2], name=name)
-
 
 def compose(components: Sequence[Automaton], name: str = "",
             forbidden: Optional[Callable[[Tuple[State, ...]], bool]] = None) -> Automaton:
     """N-ary synchronous product with flat tuple states.
 
-    ``forbidden`` prunes composite states during exploration (used by the
-    plant pruning step); a forbidden state is neither kept nor expanded.
+    Shared events synchronize when all sharing components enable them,
+    private events interleave, and a shared event enabled on one side only
+    is blocked. Only the reachable part is constructed; marked states are
+    tuples of marked states. ``forbidden`` prunes composite states during
+    exploration (used by the plant pruning step); a forbidden state is
+    neither kept nor expanded.
     """
     if not components:
         raise AutomatonError("compose needs at least one component")
@@ -396,23 +433,20 @@ def compose(components: Sequence[Automaton], name: str = "",
         return empty_automaton(alphabet, name)
     events = [(ev, participants[ev]) for ev in sorted_events(alphabet)]
     deltas = [c._delta for c in components]
-    states: List[Tuple[State, ...]] = [init]
-    index: Set[Tuple[State, ...]] = {init}
-    transitions: List[Transition] = []
-    frontier = deque([init])
-    while frontier:
-        cur = frontier.popleft()
+
+    def moves(cur: Tuple[State, ...]) -> List[Transition]:
+        out = []
         rows = [d[q] for d, q in zip(deltas, cur)]
         for ev, parts in events:
-            moves = []
+            steps = []
             for i in parts:
                 dsts = rows[i].get(ev)
                 if not dsts:
                     break
-                moves.append((i, dsts))
+                steps.append((i, dsts))
             else:
                 nexts = [list(cur)]
-                for i, dsts in moves:
+                for i, dsts in steps:
                     if len(dsts) == 1:
                         for nxt in nexts:
                             nxt[i] = dsts[0]
@@ -422,16 +456,14 @@ def compose(components: Sequence[Automaton], name: str = "",
                                  for nxt in nexts for dst in dsts]
                 for nxt in nexts:
                     nxt_t = tuple(nxt)
-                    if forbidden is not None and forbidden(nxt_t):
-                        continue
-                    transitions.append((cur, ev, nxt_t))
-                    if nxt_t not in index:
-                        index.add(nxt_t)
-                        states.append(nxt_t)
-                        frontier.append(nxt_t)
-    marked = [q for q in states
-              if all(q[i] in c.marked for i, c in enumerate(components))]
-    return Automaton(states, alphabet, transitions, init, marked, name)
+                    if forbidden is None or not forbidden(nxt_t):
+                        out.append((cur, ev, nxt_t))
+        return out
+
+    product = explored_automaton(init, moves, alphabet, name)
+    return product.with_marked(
+        [q for q in product.states
+         if all(q[i] in c.marked for i, c in enumerate(components))])
 
 
 # -- comparison helpers ------------------------------------------------
@@ -443,17 +475,9 @@ def canonical_form(a: Automaton):
         raise AutomatonError("canonical_form requires a deterministic automaton")
     if a.initial is None:
         return (tuple(sorted_events(a.alphabet)), (), ())
-    order: Dict[State, int] = {a.initial: 0}
-    queue = deque([a.initial])
-    edges = []
-    while queue:
-        cur = queue.popleft()
-        for ev in a.enabled(cur):
-            dst = a.successors(cur, ev)[0]
-            if dst not in order:
-                order[dst] = len(order)
-                queue.append(dst)
-            edges.append((order[cur], ev.spell(), order[dst]))
+    order: Dict[State, int] = {}
+    edges = [(order[q], ev.spell(), order[dst])
+             for _q, out in explore(a.initial, a.moves, order) for q, ev, dst in out]
     marked = tuple(sorted(order[q] for q in a.marked if q in order))
     return (tuple(sorted_events(a.alphabet)), tuple(edges), marked)
 
@@ -488,26 +512,19 @@ def shortest_path_to(a: Automaton, targets: Iterable[State]) -> Optional[List[Ev
         return None
     if a.initial in target_set:
         return []
-    parent: Dict[State, Tuple[State, EventLabel]] = {}
-    seen: Set[State] = {a.initial}
-    frontier = deque([a.initial])
-    while frontier:
-        cur = frontier.popleft()
-        for ev in a.enabled(cur):
-            for dst in a.successors(cur, ev):
-                if dst in seen:
-                    continue
-                seen.add(dst)
-                parent[dst] = (cur, ev)
-                if dst in target_set:
-                    path: List[EventLabel] = []
-                    node = dst
-                    while node != a.initial:
-                        node, e = parent[node]
-                        path.append(e)
-                    path.reverse()
-                    return path
-                frontier.append(dst)
+    parent: Dict[State, Optional[Tuple[State, EventLabel]]] = {a.initial: None}
+    for _q, out in explore(a.initial, a.moves):
+        for q, ev, dst in out:
+            if dst in parent:
+                continue
+            parent[dst] = (q, ev)
+            if dst in target_set:
+                path: List[EventLabel] = []
+                while parent[dst] is not None:
+                    dst, e = parent[dst]
+                    path.append(e)
+                path.reverse()
+                return path
     return None
 
 
@@ -519,30 +536,26 @@ def same_closed_language(a1: Automaton, a2: Automaton,
     are); transitions on other events are followed as silent self-loops only,
     so callers project first when anything else moves state.
     """
-    evs = sorted_events(events)
+    evs = frozenset(events)
     if a1.initial is None or a2.initial is None:
         return (a1.initial is None) == (a2.initial is None)
-    seen = {(a1.initial, a2.initial)}
-    frontier = deque(seen)
-    while frontier:
-        q1, q2 = frontier.popleft()
-        en1 = {e for e in a1.enabled(q1) if e in evs}
-        en2 = {e for e in a2.enabled(q2) if e in evs}
-        if en1 != en2:
-            return False
-        for e in sorted_events(en1):
-            nxt = (a1.step(q1, e), a2.step(q2, e))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return True
+
+    def moves(pair: Tuple[State, State]) -> List[Tuple[Tuple, EventLabel, Tuple]]:
+        q1, q2 = pair
+        return [(pair, e, (a1.step(q1, e), a2.step(q2, e))) for e in sorted_events(
+            {e for e in a1.enabled(q1) + a2.enabled(q2) if e in evs})]
+
+    # an event enabled on one side only shows as a None component; the search
+    # stops there, before that pair is expanded
+    return all(None not in nxt for _q, out in
+               explore((a1.initial, a2.initial), moves) for _p, _e, nxt in out)
 
 
 def bounded_traces(a: Automaton, depth: int) -> Set[Tuple[EventLabel, ...]]:
     """All traces of the closed behavior up to the given length.
 
     Tracks the state estimate per trace so nondeterminism does not blow up
-    the frontier beyond the number of distinct traces.
+    a level beyond the number of distinct traces.
     """
     out: Set[Tuple[EventLabel, ...]] = set()
     if a.initial is None:

@@ -13,11 +13,10 @@ most ``n_f * u * v * (delta_o + delta_c + 1) + v * (delta_c + 1)``.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Iterable, List, Tuple
 
 from . import events as ev
-from .automaton import Automaton, AutomatonError
+from .automaton import Automaton, AutomatonError, Transition, explored_automaton
 from .config import SystemConfig
 
 Entry = Tuple[Tuple[str, int], int]  # ((message, delay), multiplicity)
@@ -99,10 +98,11 @@ def capacity_control(n_f: int, u: int, v: int, delta_o: int, delta_c: int) -> in
 def enumerate_channel_states(n_kinds: int, delta: int, capacity: int) -> int:
     """Number of bounded multisets over n_kinds messages and delays [0:delta].
 
-    Geometric sum of multiset counts by size; the empty channel counts too.
+    Geometric sum of multiset counts by size; the empty channel counts too,
+    and is the only state when there are no message kinds.
     """
-    if n_kinds <= 0:
-        raise ValueError("need a positive number of message kinds")
+    if n_kinds < 0:
+        raise ValueError("the number of message kinds must be nonnegative")
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
     base = n_kinds * (delta + 1)
@@ -117,34 +117,15 @@ def _build_channel(messages: List[str], delta: int, capacity: int,
                    in_label, out_label, name: str) -> Automaton:
     alphabet = [in_label(m) for m in messages] + [out_label(m) for m in messages]
     alphabet.append(ev.tick)
-    states: List[ChannelState] = [EMPTY_CHANNEL]
-    seen = {EMPTY_CHANNEL}
-    transitions = []
-    frontier = deque([EMPTY_CHANNEL])
-
-    def visit(q: ChannelState) -> None:
-        if q not in seen:
-            seen.add(q)
-            states.append(q)
-            frontier.append(q)
-
-    while frontier:
-        q = frontier.popleft()
-        if not q.has_zero_delay():
-            nxt = q.tick()
-            transitions.append((q, ev.tick, nxt))
-            visit(nxt)
+    def moves(q: ChannelState) -> List[Transition]:
+        out = [] if q.has_zero_delay() else [(q, ev.tick, q.tick())]
         if q.total() < capacity:
-            for m in messages:
-                nxt = q.add(m, delta)
-                transitions.append((q, in_label(m), nxt))
-                visit(nxt)
-        for m in messages:
-            for d in q.delays_of(m):
-                nxt = q.remove(m, d)
-                transitions.append((q, out_label(m), nxt))
-                visit(nxt)
-    return Automaton(states, alphabet, transitions, EMPTY_CHANNEL, name=name)
+            out += [(q, in_label(m), q.add(m, delta)) for m in messages]
+        out += [(q, out_label(m), q.remove(m, d))
+                for m in messages for d in q.delays_of(m)]
+        return out
+
+    return explored_automaton(EMPTY_CHANNEL, moves, alphabet, name)
 
 
 def build_observation_channel(cfg: SystemConfig) -> Automaton:

@@ -15,16 +15,15 @@ from typing import List, Optional, Tuple
 
 from .attacker import validate_attack
 from .automaton import Automaton, AutomatonError
-from .channels import (capacity_control, capacity_observation,
-                       enumerate_channel_states)
 from .config import ConfigError, SystemConfig, load_config
 from .fixtures import BuiltSystem, build_system
-from .plant import capacity_storage, load_plant, rate_bound_warnings
+from .plant import load_plant, rate_bound_warnings
 from .supervision import validate_networked_supervisor
 from .synthesis import (SynthesisMode, SynthesisProblem, attack_loop,
-                        build_problem, covert_in, damage_nonblocking_in,
-                        damage_reachable_in, render_size_report,
-                        state_size_report, synthesize_supremal_attack)
+                        build_problem, capacities, covert_in,
+                        damage_nonblocking_in, damage_reachable_in,
+                        render_size_report, state_size_report,
+                        synthesize_supremal_attack)
 from .textio import ParseError, load_automaton, save_automaton, to_dot
 
 EXIT_OK = 0
@@ -44,22 +43,9 @@ class Workspace:
     count_forwarded_event: bool = True
 
 
-def _capacities(cfg: SystemConfig):
-    c_oc = capacity_observation(cfg.rates.n_f, cfg.rates.u, cfg.delta_o)
-    c_cc = capacity_control(cfg.rates.n_f, cfg.rates.u, cfg.rates.v,
-                            cfg.delta_o, cfg.delta_c)
-    c_cs = capacity_storage(cfg.rates.n_f, cfg.rates.u, cfg.rates.v,
-                            cfg.delta_o, cfg.delta_c, cfg.delta_s)
-    return c_oc, c_cc, c_cs
-
-
 def cmd_capacity(args) -> int:
-    cfg = load_config(args.config)
-    c_oc, c_cc, c_cs = _capacities(cfg)
+    (c_oc, n_oc), (c_cc, n_cc), (c_cs, n_cs) = capacities(load_config(args.config))
     print(f"C_oc={c_oc} C_cc={c_cc} C_cs={c_cs}")
-    n_oc = enumerate_channel_states(max(len(cfg.sigma_o), 1), cfg.delta_o, c_oc)
-    n_cc = enumerate_channel_states(max(len(cfg.gamma), 1), cfg.delta_c, c_cc)
-    n_cs = enumerate_channel_states(max(len(cfg.gamma), 1), cfg.delta_s, c_cs)
     print(f"states_oc={n_oc} states_cc={n_cc} states_cs<={n_cs}")
     return EXIT_OK
 

@@ -147,20 +147,6 @@ class SystemConfig:
     def plant_labels(self) -> List[EventLabel]:
         return [ev.plant(n) for n in self.sigma]
 
-    def observation_channel_alphabet(self) -> List[EventLabel]:
-        sa = set(self.sigma_sa)
-        labels = [ev.entry(n) for n in self.sigma_o if n not in sa]
-        labels += [ev.compromised(n) for n in self.sigma_sa]
-        labels += [ev.exit_(n) for n in self.sigma_o]
-        labels.append(ev.tick)
-        return labels
-
-    def control_channel_alphabet(self) -> List[EventLabel]:
-        labels = [ev.command_entry(g) for g in self.gamma]
-        labels += [ev.command_exit(g) for g in self.gamma]
-        labels.append(ev.tick)
-        return labels
-
     def full_alphabet(self) -> List[EventLabel]:
         """The common alphabet of AC, NS and the composed plant."""
         sa = set(self.sigma_sa)

@@ -22,8 +22,6 @@ STOP = "stop"
 
 ROLES = (PLAIN, IN, COMPROMISED, OUT, COMMAND, COMMAND_IN, COMMAND_OUT, TICK, STOP)
 
-_PLANT_ROLES = (PLAIN, IN, COMPROMISED, OUT)
-_COMMAND_ROLES = (COMMAND, COMMAND_IN, COMMAND_OUT)
 _BARE_ROLES = (TICK, STOP)
 
 _ROLE_RANK = {role: i for i, role in enumerate(ROLES)}
@@ -54,14 +52,6 @@ class EventLabel:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def is_command_role(self) -> bool:
-        return self.role in _COMMAND_ROLES
-
-    @property
-    def is_plant_role(self) -> bool:
-        return self.role in _PLANT_ROLES
 
     def spell(self) -> str:
         """Render in the text-format spelling (``x``, ``x_in``, ``x#`` ...)."""

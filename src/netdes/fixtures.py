@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from . import events as ev
-from .attacker import (attack_control_constraint, build_attack_constraints,
-                       complete_with_selfloops)
-from .automaton import Automaton
+from .attacker import attack_control_constraint, build_attack_constraints
+from .automaton import Automaton, complete_with_selfloops
 from .channels import (build_control_channel, build_observation_channel,
                        relabel_to_attack_free)
 from .config import EventSpec, RateBounds, SystemConfig
@@ -81,14 +80,9 @@ def _supervisor_from_design(cfg: SystemConfig, states: List[str], initial: str,
     else, except command sends, which stay disabled unless designed."""
     full = cfg.full_alphabet()
     gamma_in = {ev.command_entry(g) for g in cfg.gamma}
-    defined = {(s, e) for (s, e, _t) in designed}
-    t = list(designed)
-    for q in states:
-        for e in full:
-            if e in gamma_in or (q, e) in defined:
-                continue
-            t.append((q, e, q))
-    return Automaton(states, full, t, initial, marked=states, name=name)
+    return complete_with_selfloops(
+        Automaton(states, full, designed, initial, marked=states, name=name),
+        frozenset(full) - gamma_in)
 
 
 def guideway_supervisor(cfg: SystemConfig) -> Automaton:
@@ -163,9 +157,8 @@ def _swap_attacker(cfg: SystemConfig, swaps: Dict[str, str]) -> Automaton:
     t.append(("T", ev.stop, "F1"))
     base = Automaton(states, cfg.full_alphabet(), t, "F0", marked=states,
                      name="A_swap")
-    constraint = attack_control_constraint(cfg)
     return complete_with_selfloops(
-        base, frozenset(base.alphabet) - constraint.controllable, name="A_swap")
+        base, base.alphabet - attack_control_constraint(cfg).controllable)
 
 
 # -- reduced fixture ----------------------------------------------------------

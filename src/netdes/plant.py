@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from . import events as ev
-from .automaton import (Automaton, AutomatonError, compose, restrict_reachable,
-                        state_name)
+from .automaton import (Automaton, AutomatonError, Transition, compose,
+                        explored_automaton, restrict_reachable, state_name)
 from .config import SystemConfig
 from .textio import load_automaton, parse_automaton
 
@@ -67,32 +67,15 @@ def build_command_storage(cfg: SystemConfig) -> Automaton:
     alphabet += [ev.command(g) for g in cfg.gamma]
     alphabet.append(ev.tick)
 
-    states: List[StorageState] = [EMPTY_QUEUE]
-    seen: Set[StorageState] = {EMPTY_QUEUE}
-    transitions = []
-    frontier = [EMPTY_QUEUE]
-
-    def visit(q: StorageState) -> None:
-        if q not in seen:
-            seen.add(q)
-            states.append(q)
-            frontier.append(q)
-
-    while frontier:
-        q = frontier.pop(0)
-        nxt = _queue_tick(q)
-        transitions.append((q, ev.tick, nxt))
-        visit(nxt)
+    def moves(q: StorageState) -> List[Transition]:
+        out = [(q, ev.tick, _queue_tick(q))]
         if len(q) < cap:
-            for g in cfg.gamma:
-                nxt = q + ((g, cfg.delta_s),)
-                transitions.append((q, ev.command_exit(g), nxt))
-                visit(nxt)
-        for g in _queue_commands(q):
-            nxt = _queue_remove_first(q, g)
-            transitions.append((q, ev.command(g), nxt))
-            visit(nxt)
-    return Automaton(states, alphabet, transitions, EMPTY_QUEUE, name="CS")
+            out += [(q, ev.command_exit(g), q + ((g, cfg.delta_s),)) for g in cfg.gamma]
+        out += [(q, ev.command(g), _queue_remove_first(q, g))
+                for g in _queue_commands(q)]
+        return out
+
+    return explored_automaton(EMPTY_QUEUE, moves, alphabet, name="CS")
 
 
 # -- command execution ----------------------------------------------------
@@ -115,36 +98,18 @@ def build_command_execution(cfg: SystemConfig) -> Automaton:
         for g in cfg.gamma
     }
 
-    states: List[ExecState] = [IDLE]
-    seen: Set[ExecState] = {IDLE}
-    transitions = []
-    frontier = [IDLE]
-
-    def visit(q: ExecState) -> None:
-        if q not in seen:
-            seen.add(q)
-            states.append(q)
-            frontier.append(q)
-
-    while frontier:
-        q = frontier.pop(0)
+    def moves(q: ExecState) -> List[Transition]:
         if q == IDLE:
-            transitions.append((q, ev.tick, IDLE))
-            for g in cfg.gamma:
-                nxt = numbered[g]
-                transitions.append((q, ev.command(g), nxt))
-                visit(nxt)
+            out = [(q, ev.tick, IDLE)]
+            out += [(q, ev.command(g), numbered[g]) for g in cfg.gamma]
         else:
+            out = []
             if any(t > 0 for _, t in q):
-                nxt = frozenset((s, t - 1) for (s, t) in q)
-                transitions.append((q, ev.tick, nxt))
-                visit(nxt)
-            for (s, t) in sorted(q):
-                if t == 0:
-                    transitions.append((q, ev.plant(s), IDLE))
-        for u in uncontrollable:
-            transitions.append((q, u, IDLE))
-    return Automaton(states, alphabet, transitions, IDLE, name="CE")
+                out.append((q, ev.tick, frozenset((s, t - 1) for (s, t) in q)))
+            out += [(q, ev.plant(s), IDLE) for (s, t) in sorted(q) if t == 0]
+        return out + [(q, u, IDLE) for u in uncontrollable]
+
+    return explored_automaton(IDLE, moves, alphabet, name="CE")
 
 
 # -- plant loading ---------------------------------------------------------

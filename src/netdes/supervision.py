@@ -8,51 +8,31 @@ detection, so the empty estimate carries a tick self-loop and nothing else.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
 
 from . import events as ev
-from .attacker import ValidationReport, Violation
-from .automaton import (Automaton, AutomatonError, compose, state_name,
-                        subset_construction)
+from .attacker import ControlConstraint, ValidationReport, validate_control
+from .automaton import (Automaton, AutomatonError, complete_with_selfloops,
+                        compose, subset_construction)
 from .config import SystemConfig
 from .events import EventLabel, sorted_events
 from .synthesis import MONITOR_EMPTY, supremal_supervisor
 
 
-@dataclass(frozen=True)
-class SupervisorControlConstraint:
-    controllable: FrozenSet[EventLabel]   # command sends
-    observable: FrozenSet[EventLabel]     # command sends, channel outputs, tick
-
-
-def supervisor_control_constraint(cfg: SystemConfig) -> SupervisorControlConstraint:
+def supervisor_control_constraint(cfg: SystemConfig) -> ControlConstraint:
+    """Only command sends may be disabled; sends, channel outputs and ticks
+    are observed."""
     controllable = frozenset(ev.command_entry(g) for g in cfg.gamma)
     observable = controllable | frozenset(ev.exit_(n) for n in cfg.sigma_o) \
         | frozenset((ev.tick,))
-    return SupervisorControlConstraint(controllable, observable)
+    return ControlConstraint(controllable, observable, "network")
 
 
 def validate_networked_supervisor(ns: Automaton,
                                   cfg: SystemConfig) -> ValidationReport:
-    """Network controllability: only command sends may be disabled.
-    Network observability: state changes only on sends, outputs and ticks."""
-    full = frozenset(cfg.full_alphabet())
-    if frozenset(ns.alphabet) != full:
-        raise AutomatonError("supervisor alphabet is not the full loop alphabet")
-    constraint = supervisor_control_constraint(cfg)
-    violations: List[Violation] = []
-    for q in ns.states:
-        for e in sorted_events(full - constraint.controllable):
-            if not ns.successors(q, e):
-                violations.append(Violation(state_name(q), e.spell(),
-                                            "network-controllability"))
-        for e in sorted_events(full - constraint.observable):
-            for dst in ns.successors(q, e):
-                if dst != q:
-                    violations.append(Violation(state_name(q), e.spell(),
-                                                "network-observability"))
-    return ValidationReport(ns.name or "NS", violations)
+    """Network controllability and observability of a supervisor."""
+    return validate_control(ns, supervisor_control_constraint(cfg),
+                            frozenset(cfg.full_alphabet()), "NS")
 
 
 def monitor_observed_events(cfg: SystemConfig) -> FrozenSet[EventLabel]:
@@ -169,15 +149,9 @@ def synthesize_networked_supervisor(g_new: Automaton, oc_t: Automaton,
         require_nonblocking=False, name="NS")
     if sup is None:
         raise NoSupervisorError("no networked supervisor exists for this spec")
-
-    full = frozenset(cfg.full_alphabet())
-    transitions = set(sup.transitions)
-    for q in sup.states:
-        for e in sorted_events(full - constraint.controllable):
-            if e not in sup.alphabet or not sup.successors(q, e):
-                transitions.add((q, e, q))
-    ns = Automaton(sup.states, full, transitions, sup.initial,
-                   marked=sup.states, name="NS")
+    # events outside P_ns's alphabet join as self-loops
+    ns = complete_with_selfloops(
+        sup, frozenset(cfg.full_alphabet()) - constraint.controllable)
     report = validate_networked_supervisor(ns, cfg)
     if not report.ok:
         raise AutomatonError("synthesized supervisor fails validity:\n"

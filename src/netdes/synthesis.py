@@ -36,13 +36,16 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .attacker import AttackControlConstraint, attack_control_constraint
-from .automaton import (Automaton, AutomatonError, close_under, compose,
-                        coreachable, observer_map, observer_pairs,
-                        shortest_path_to, state_name, subset_construction)
-from .channels import enumerate_channel_states
+from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
+from .automaton import (Automaton, AutomatonError, close_under,
+                        complete_with_selfloops, compose, coreachable,
+                        observer_map, observer_pairs, shortest_path_to,
+                        state_name, subset_construction)
+from .channels import (capacity_control, capacity_observation,
+                       enumerate_channel_states)
 from .config import SystemConfig
 from .events import EventLabel, sorted_events
+from .plant import capacity_storage
 
 MONITOR_EMPTY: FrozenSet = frozenset()
 
@@ -58,7 +61,7 @@ class SynthesisProblem:
     plant: Automaton
     bad: FrozenSet
     target: FrozenSet
-    constraint: AttackControlConstraint
+    constraint: ControlConstraint
 
     def __post_init__(self) -> None:
         states = set(self.plant.states)
@@ -294,20 +297,15 @@ def apply_edit(problem: SynthesisProblem, attack: Automaton,
 
     If the observer successor was pruned away it is reattached as a sink
     that self-loops on every event the attacker cannot disable (which
-    includes everything it cannot observe).
+    includes everything it cannot observe); the attack's own states are
+    total on those events already.
     """
     x, e, y = edit
-    controllable = frozenset(problem.constraint.controllable) & attack.alphabet
-    states = list(attack.states)
-    transitions = set(attack.transitions)
-    if y not in set(states):
-        states.append(y)
-        for u in sorted_events(frozenset(attack.alphabet) - controllable):
-            transitions.add((y, u, y))
-    transitions.add((x, e, y))
-    marked = set(attack.marked) | {y}
-    return Automaton(states, attack.alphabet, transitions, attack.initial,
-                     marked, name=attack.name + "+edit")
+    edited = Automaton(attack.states + (y,), attack.alphabet,
+                       attack.transitions | {(x, e, y)}, attack.initial,
+                       attack.marked | {y}, name=attack.name + "+edit")
+    return complete_with_selfloops(
+        edited, attack.alphabet - problem.constraint.controllable)
 
 
 # -- state-size report ---------------------------------------------------------
@@ -325,34 +323,33 @@ class SizeRow:
         return f"{self.component:<6} states={self.count:<8} bound={self.bound:<12} {flag}"
 
 
+def capacities(cfg: SystemConfig) -> List[Tuple[int, int]]:
+    """(capacity, closed-form state count) of OC, CC and CS, in that order."""
+    c_oc = capacity_observation(cfg.rates.n_f, cfg.rates.u, cfg.delta_o)
+    c_cc = capacity_control(cfg.rates.n_f, cfg.rates.u, cfg.rates.v,
+                            cfg.delta_o, cfg.delta_c)
+    c_cs = capacity_storage(cfg.rates.n_f, cfg.rates.u, cfg.rates.v,
+                            cfg.delta_o, cfg.delta_c, cfg.delta_s)
+    return [(c_oc, enumerate_channel_states(len(cfg.sigma_o), cfg.delta_o, c_oc)),
+            (c_cc, enumerate_channel_states(len(cfg.gamma), cfg.delta_c, c_cc)),
+            (c_cs, enumerate_channel_states(len(cfg.gamma), cfg.delta_s, c_cs))]
+
+
 def state_size_report(cfg: SystemConfig, *, ac: Automaton, oc: Automaton,
                       cc: Automaton, cs: Automaton, ce: Automaton,
                       g: Automaton, ns: Automaton,
                       m: Optional[Automaton] = None) -> List[SizeRow]:
     """Constructed component sizes against the closed-form counts."""
-    from .attacker import ac_state_count
-    from .channels import capacity_control, capacity_observation
-    from .plant import capacity_storage
-
     rows: List[SizeRow] = []
     n_ac = ac_state_count(cfg)
     rows.append(SizeRow("AC", len(ac.states), f"= {n_ac}", len(ac.states) == n_ac))
 
     # the closed-form channel counts enumerate entry orders, so they bound
     # the canonical multiset state spaces from above
-    c_oc = capacity_observation(cfg.rates.n_f, cfg.rates.u, cfg.delta_o)
-    n_oc = enumerate_channel_states(len(cfg.sigma_o), cfg.delta_o, c_oc)
-    rows.append(SizeRow("OC", len(oc.states), f"<= {n_oc}", len(oc.states) <= n_oc))
-
-    c_cc = capacity_control(cfg.rates.n_f, cfg.rates.u, cfg.rates.v,
-                            cfg.delta_o, cfg.delta_c)
-    n_cc = enumerate_channel_states(len(cfg.gamma), cfg.delta_c, c_cc)
-    rows.append(SizeRow("CC", len(cc.states), f"<= {n_cc}", len(cc.states) <= n_cc))
-
-    c_cs = capacity_storage(cfg.rates.n_f, cfg.rates.u, cfg.rates.v,
-                            cfg.delta_o, cfg.delta_c, cfg.delta_s)
-    n_cs = enumerate_channel_states(len(cfg.gamma), cfg.delta_s, c_cs)
-    rows.append(SizeRow("CS", len(cs.states), f"<= {n_cs}", len(cs.states) <= n_cs))
+    for label, built, (_cap, n) in zip(("OC", "CC", "CS"), (oc, cc, cs),
+                                       capacities(cfg)):
+        rows.append(SizeRow(label, len(built.states), f"<= {n}",
+                            len(built.states) <= n))
 
     n_ce = len(cfg.gamma) * (1 + cfg.max_exec_delay())
     rows.append(SizeRow("CE", len(ce.states), f"<= 1+{n_ce}",

@@ -15,11 +15,10 @@ ends, not begins, its token.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional
 
 from . import events as ev
-from .automaton import Automaton, State, state_name
+from .automaton import Automaton, State, explore, state_name
 from .events import EventLabel, sorted_events
 
 
@@ -57,15 +56,8 @@ def serialize_automaton(a: Automaton, rename: bool = False) -> str:
             return f"S{len(naming)}"
 
         if a.initial is not None:
-            order = deque([a.initial])
-            naming[a.initial] = fresh(a.initial)
-            while order:
-                cur = order.popleft()
-                for e in a.enabled(cur):
-                    for dst in a.successors(cur, e):
-                        if dst not in naming:
-                            naming[dst] = fresh(dst)
-                            order.append(dst)
+            for q, _moves in explore(a.initial, a.moves):
+                naming[q] = fresh(q)
         for q in a.states:
             if q not in naming:
                 naming[q] = fresh(q)

@@ -2,9 +2,9 @@ import pytest
 
 import netdes.events as ev
 from netdes.attacker import (AC_INIT, ac_state_count, attack_control_constraint,
-                             build_attack_constraints, complete_with_selfloops,
-                             faithful_attacker, validate_attack)
-from netdes.automaton import Automaton, AutomatonError
+                             build_attack_constraints, faithful_attacker,
+                             validate_attack)
+from netdes.automaton import Automaton, AutomatonError, complete_with_selfloops
 from netdes.config import ConfigError, EventSpec, RateBounds, SystemConfig
 from netdes.fixtures import guideway_config, reduced_config
 

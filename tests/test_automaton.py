@@ -6,9 +6,9 @@ import pytest
 import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, accepts, compose,
                               canonical_form, coreachable, empty_automaton,
-                              is_nonblocking, isomorphic, isomorphic_by,
-                              reachable, subset_construction,
-                              synchronous_product, trim, unobservable_reach)
+                              explore, is_nonblocking, isomorphic,
+                              isomorphic_by, reachable, subset_construction,
+                              trim, unobservable_reach)
 
 A, B, C, U, O = (ev.plant(x) for x in "abcuo")
 
@@ -150,14 +150,14 @@ def test_product_neutral_partner():
     a = aut(["q0", "q1"], [A, B], [("q0", A, "q1"), ("q1", B, "q0")], "q0",
             marked=["q1"])
     neutral = aut(["n"], [A, B], [("n", A, "n"), ("n", B, "n")], "n", marked=["n"])
-    prod = synchronous_product(a, neutral)
+    prod = compose([a, neutral])
     assert isomorphic_by(a, prod, lambda q: (q, "n"))
 
 
 def test_product_disjoint_alphabets_is_interleaving_diamond():
     a1 = aut(["p0", "p1"], [A], [("p0", A, "p1")], "p0")
     a2 = aut(["r0", "r1"], [B], [("r0", B, "r1")], "r0")
-    prod = synchronous_product(a1, a2)
+    prod = compose([a1, a2])
     # oracle: explicit four-state enumeration
     want_states = {(p, r) for p in ("p0", "p1") for r in ("r0", "r1")}
     want_trans = {(("p0", r), A, ("p1", r)) for r in ("r0", "r1")}
@@ -169,7 +169,7 @@ def test_product_disjoint_alphabets_is_interleaving_diamond():
 def test_product_blocks_shared_event_enabled_on_one_side():
     a1 = aut(["p0", "p1"], [A], [("p0", A, "p1")], "p0")
     a2 = aut(["r0"], [A], [], "r0")
-    prod = synchronous_product(a1, a2)
+    prod = compose([a1, a2])
     assert len(prod.states) == 1 and not prod.transitions
 
 
@@ -177,11 +177,11 @@ def test_product_commutative_associative_up_to_renaming():
     rng = random.Random(3)
     for _ in range(40):
         a1, a2, a3 = (random_automaton(rng, max_states=4) for _ in range(3))
-        p12 = synchronous_product(a1, a2)
-        p21 = synchronous_product(a2, a1)
+        p12 = compose([a1, a2])
+        p21 = compose([a2, a1])
         assert isomorphic_by(p12, p21, lambda q: (q[1], q[0]))
-        left = synchronous_product(p12, a3)
-        right = synchronous_product(a1, synchronous_product(a2, a3))
+        left = compose([p12, a3])
+        right = compose([a1, compose([a2, a3])])
         assert isomorphic_by(left, right, lambda q: (q[0][0], (q[0][1], q[1])))
 
 
@@ -189,8 +189,38 @@ def test_nary_compose_matches_binary():
     rng = random.Random(4)
     for _ in range(20):
         a1, a2 = random_automaton(rng, 4), random_automaton(rng, 4)
-        flat = compose([a1, a2])
-        assert isomorphic_by(flat, synchronous_product(a1, a2), lambda q: q)
+        a3 = random_automaton(rng, 4)
+        flat = compose([a1, a2, a3])
+        nested = compose([compose([a1, a2]), a3])
+        assert isomorphic_by(flat, nested, lambda q: ((q[0], q[1]), q[2]))
+
+
+# -- explorer ----------------------------------------------------------------------
+
+def test_explore_yields_each_state_once_in_discovery_order():
+    # a diamond a -> b, c -> d with edges back to a from c and d
+    graph = {"a": [("a", "x", "b"), ("a", "y", "c")], "b": [("b", "x", "d")],
+             "c": [("c", "y", "d"), ("c", "x", "a")], "d": [("d", "x", "a")]}
+    index = {}
+    assert list(explore("a", graph.__getitem__, index)) == [
+        (q, graph[q]) for q in "abcd"]
+    assert index == {"a": 0, "b": 1, "c": 2, "d": 3}
+
+
+def test_explore_is_lazy_on_an_infinite_graph():
+    expanded = []
+
+    def moves(n):
+        expanded.append(n)
+        return [(n, "inc", n + 1), (n, "dbl", 2 * n)]
+
+    states = []
+    for n, _out in explore(1, moves):
+        states.append(n)
+        if len(states) == 5:
+            break
+    assert states == [1, 2, 3, 4, 6]
+    assert expanded == states
 
 
 # -- reachability family -----------------------------------------------------------

@@ -47,6 +47,14 @@ def test_enumerate_capacity_zero_is_just_empty():
     assert enumerate_channel_states(1, 0, 4) == 5  # degenerate base-1 series
 
 
+def test_enumerate_without_message_kinds_is_just_empty():
+    for delta in range(3):
+        for capacity in range(4):
+            assert enumerate_channel_states(0, delta, capacity) == 1
+    with pytest.raises(ValueError):
+        enumerate_channel_states(-1, 1, 1)
+
+
 # -- observation channel ----------------------------------------------------------
 
 def test_tick_selfloop_at_empty():

@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 import netdes
+import netdes.events as ev
 from netdes.cli import main
-from netdes.automaton import isomorphic_by, state_name
+from netdes.automaton import Automaton, isomorphic_by, state_name
+from netdes.config import load_config
 from netdes.fixtures import _swap_attacker, guideway_config
 from netdes.textio import (load_automaton, parse_automaton, save_automaton,
                            serialize_automaton)
@@ -196,6 +198,31 @@ def test_capacity_zero_rates(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "C_oc=0 C_cc=0 C_cs=0" in out
     assert "states_oc=1 states_cc=1" in out
+
+
+def test_config_without_observable_events(tmp_path, capsys):
+    # nothing reaches the supervisor, so the observation channel is only its
+    # empty state and there is nothing to attack
+    cfg = tmp_path / "blind.cfg"
+    cfg.write_text("[parameters] delta_o=0 delta_c=0 delta_s=0 n_f=1 u=1 v=1\n"
+                   "[events] a1 c uo - - te=0\n"
+                   "         a2 c uo - - te=0\n"
+                   "         a3 uc uo - - -\n"
+                   "[commands] w1 = a1\n"
+                   "           w2 = a2\n"
+                   "[damage] 7 8\n")
+    full = load_config(str(cfg)).full_alphabet()
+    ns = Automaton(["n"], full, [("n", e, "n") for e in full
+                                 if e.role != ev.COMMAND_IN], "n", ["n"], "NS")
+    save_automaton(ns, str(tmp_path / "ns.aut"))
+    args = ["--config", str(cfg), "--plant", RED["plant"],
+            "--ns", str(tmp_path / "ns.aut")]
+    assert main(["capacity", "--config", str(cfg)]) == 0
+    assert "states_oc=1 " in capsys.readouterr().out
+    assert main(["build", *args, "--out", str(tmp_path / "b")]) == 0
+    counts = (tmp_path / "b" / "state_counts.txt").read_text().splitlines()
+    assert counts[1].split() == ["OC", "states=1", "bound=<=", "1", "ok"]
+    assert main(["synthesize", *args, "--out", str(tmp_path / "s")]) == 3
 
 
 def test_export_dot_guideway_plant_shape(tmp_path, capsys):

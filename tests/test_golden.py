@@ -1,11 +1,13 @@
-"""Golden outputs of the CLI on both shipped systems.
+"""Golden outputs of the CLI on both shipped systems and on parameter rungs.
 
 Each case runs ``build`` or ``synthesize`` (and ``verify`` on the attack it
 wrote) and compares the sha256 of every written file, of stdout and the exit
-status with digests recorded before the kernel's orderings were relaxed. A
-change that alters any byte of any output fails here.
+status with digests recorded before the kernel's orderings were relaxed (the
+rungs: before the searches moved onto one explorer). A change that alters
+any byte of any output fails here.
 """
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -13,6 +15,7 @@ import os
 import pytest
 
 from netdes.cli import main
+from netdes.config import load_config, serialize_config
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "netdes", "data")
 
@@ -70,13 +73,45 @@ GOLDEN = {
 }
 
 
+# parameter rungs: (system, changed parameters) -> build outputs; they cover
+# storage delay, a multi-message control channel and a deeper observation
+# channel, which the shipped configs leave at their smallest
+RUNGS = {
+    ("guideway", "delta_o=2"): {
+        **_GUIDEWAY_COMPONENTS,
+        "cc.aut": "58bcf2c4ff1abd84dc58933f5e1bdf6d652c52d5645113f20fee692c35537785",
+        "cs.aut": "2388667d238bc6c8ecd56a4128d20199d7063d791d643517bb316a0c854c136b",
+        "g_new.aut": "3966921635c4f03320525fdbf91ab7209c98761589abdd7f9297b224cd48eb29",
+        "monitor.aut": "50a1ccd01ddc795e0b7aaebbef2c3134f86f7d72831a1ce684382a512ed27cc8",
+        "oc.aut": "23bf3431a5c0689bd809ae9e268d878d796986cef5dc3bd3e186ce93000d879b",
+        "oc_t.aut": "76efe9b4b6cd0a1be6fdafd9d5a26c8d812532f16549284bc3c64e53752debc3",
+        "state_counts.txt": "df00a736a16a63e252e22e18fa86ea622c74057329a434ce98ca794977942a0c",
+    },
+    ("guideway", "delta_c=1"): {
+        **_GUIDEWAY_COMPONENTS,
+        "cc.aut": "f60b79ed1817f401b5db9f2315dfd42d2f3f6d64c9697c0874671d245ec9bd0e",
+        "cs.aut": "5b5a29b69b3ae9dddcb68b64c6f80d574c9a410d99601a086105f603b93b557a",
+        "g_new.aut": "aec35cdeaf7543d1284bdadce4618619f05e6207b07f177950318a546fe7ffde",
+        "monitor.aut": "50a1ccd01ddc795e0b7aaebbef2c3134f86f7d72831a1ce684382a512ed27cc8",
+        "state_counts.txt": "ccdf5a411927f47cec0027380a53cede2f49bb3e57eee7c2f34ed7a35c898384",
+    },
+    ("reduced", "delta_s=1"): {
+        **_REDUCED_COMPONENTS,
+        "cs.aut": "90be4723876e486237f891884cee1bc8a6fead1fe7b07aa94c1fe6393e2195a8",
+        "g_new.aut": "fb459c5da6962b99f7e0ac495bf04e60c580d9957d68625b1594d16cc1f81dda",
+        "state_counts.txt": "c7cd5e8cc13b79ad5cfe26ba864dd000caeebf0bb40fd938201143648f36ed10",
+    },
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(system, cmd, extra=()):
-    """Run one CLI command on a shipped system; return (status, stdout)."""
-    args = [cmd, "--config", os.path.join(DATA, f"{system}.cfg"),
+def _run(system, cmd, extra=(), config=None):
+    """Run one CLI command on a shipped system, optionally with another
+    config file; return (status, stdout)."""
+    args = [cmd, "--config", config or os.path.join(DATA, f"{system}.cfg"),
             "--plant", os.path.join(DATA, f"{system}_plant.aut"),
             "--ns", os.path.join(DATA, f"{system}_ns.aut"), *extra]
     buf = io.StringIO()
@@ -101,6 +136,20 @@ def test_build_outputs_match_golden(system, tmp_path, monkeypatch):
     assert status == 0
     assert _sha(stdout.encode()) == _BUILD_STDOUT
     assert _file_digests("out") == _COMPONENTS[system]
+
+
+@pytest.mark.parametrize("system,params", sorted(RUNGS))
+def test_build_on_parameter_rungs_matches_golden(system, params, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    key, _, value = params.partition("=")
+    cfg = load_config(os.path.join(DATA, f"{system}.cfg"))
+    with open("rung.cfg", "w", encoding="utf-8") as fh:
+        fh.write(serialize_config(dataclasses.replace(cfg, **{key: int(value)})))
+    status, stdout = _run(system, "build", ["--out", "out"], config="rung.cfg")
+    assert status == 0
+    assert _sha(stdout.encode()) == _BUILD_STDOUT
+    assert _file_digests("out") == RUNGS[system, params]
 
 
 @pytest.mark.parametrize("system,mode", sorted(GOLDEN))

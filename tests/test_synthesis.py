@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import netdes.events as ev
-from netdes.attacker import (AttackControlConstraint, faithful_attacker,
+from netdes.attacker import (ControlConstraint, faithful_attacker,
                              validate_attack)
 from netdes.automaton import (Automaton, AutomatonError, accepts,
                               bounded_traces, compose, empty_automaton,
@@ -25,8 +25,8 @@ U_EV = ev.plant("u")
 def tiny_problem(bad, target, trans, states=("s0", "s1", "s2")):
     alphabet = [C_HASH, U_EV, ev.stop]
     plant = Automaton(states, alphabet, trans, "s0", marked=target, name="P")
-    constraint = AttackControlConstraint(
-        frozenset({C_HASH, ev.stop}), frozenset({C_HASH, ev.stop}))
+    constraint = ControlConstraint(
+        frozenset({C_HASH, ev.stop}), frozenset({C_HASH, ev.stop}), "sa")
     return SynthesisProblem(plant, frozenset(bad), frozenset(target), constraint)
 
 
@@ -212,8 +212,8 @@ def _random_problems(seed, count):
     c1, c2 = ev.compromised("x"), ev.stop
     uo, oo = ev.plant("h"), ev.plant("o")
     alphabet = [c1, c2, uo, oo]
-    constraint = AttackControlConstraint(
-        frozenset({c1, c2}), frozenset({c1, c2, oo}))
+    constraint = ControlConstraint(
+        frozenset({c1, c2}), frozenset({c1, c2, oo}), "sa")
     for _ in range(count):
         n = rng.randint(2, 7)
         states = [f"p{i}" for i in range(n)]
