@@ -22,19 +22,6 @@ AC_INIT = "qinit"
 
 
 @dataclass(frozen=True)
-class AttackConstraint:
-    observable: FrozenSet[str]     # event names the attacker can see
-    compromised: FrozenSet[str]    # the subset it can forge
-    bound: int                     # max events sent per observation
-
-    def __post_init__(self) -> None:
-        if not self.compromised <= self.observable:
-            raise ConfigError("compromised events must be attacker-observable")
-        if self.bound < 0:
-            raise ConfigError("attack bound must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ControlConstraint:
     """What a supervisor may disable and what it sees. An attack is the
     supervisor of the composed plant, so attacks and networked supervisors
@@ -47,11 +34,6 @@ class ControlConstraint:
         if not self.controllable <= self.observable:
             raise ConfigError("controllable events must be observable "
                               "(required for normality to equal observability)")
-
-
-def attack_constraint(cfg: SystemConfig) -> AttackConstraint:
-    return AttackConstraint(frozenset(cfg.sigma_oa), frozenset(cfg.sigma_sa),
-                            cfg.rates.u)
 
 
 def attack_control_constraint(cfg: SystemConfig) -> ControlConstraint:

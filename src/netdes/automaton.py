@@ -407,15 +407,18 @@ def observer_pairs(a: Automaton, start: State,
 # -- composition -------------------------------------------------------
 
 def compose(components: Sequence[Automaton], name: str = "",
-            forbidden: Optional[Callable[[Tuple[State, ...]], bool]] = None) -> Automaton:
+            allowed: Optional[Callable[[Tuple[State, ...], EventLabel,
+                                        Tuple[State, ...]], bool]] = None
+            ) -> Automaton:
     """N-ary synchronous product with flat tuple states.
 
     Shared events synchronize when all sharing components enable them,
     private events interleave, and a shared event enabled on one side only
     is blocked. Only the reachable part is constructed; marked states are
-    tuples of marked states. ``forbidden`` prunes composite states during
-    exploration (used by the plant pruning step); a forbidden state is
-    neither kept nor expanded.
+    tuples of marked states. ``allowed(src, event, dst)`` filters transitions
+    during exploration (used by the plant pruning step): a rejected
+    transition is dropped, and a state that only rejected transitions lead
+    to is never discovered or expanded. The initial state is always kept.
     """
     if not components:
         raise AutomatonError("compose needs at least one component")
@@ -429,8 +432,6 @@ def compose(components: Sequence[Automaton], name: str = "",
     if any(c.initial is None for c in components):
         return empty_automaton(alphabet, name)
     init = tuple(c.initial for c in components)
-    if forbidden is not None and forbidden(init):
-        return empty_automaton(alphabet, name)
     events = [(ev, participants[ev]) for ev in sorted_events(alphabet)]
     deltas = [c._delta for c in components]
 
@@ -456,7 +457,7 @@ def compose(components: Sequence[Automaton], name: str = "",
                                  for nxt in nexts for dst in dsts]
                 for nxt in nexts:
                     nxt_t = tuple(nxt)
-                    if forbidden is None or not forbidden(nxt_t):
+                    if allowed is None or allowed(cur, ev, nxt_t):
                         out.append((cur, ev, nxt_t))
         return out
 

@@ -16,14 +16,13 @@ from typing import List, Optional, Tuple
 from .attacker import validate_attack
 from .automaton import Automaton, AutomatonError
 from .config import ConfigError, SystemConfig, load_config
-from .fixtures import BuiltSystem, build_system
+from .fixtures import BuiltSystem, build_attack_problem, build_system
 from .plant import load_plant, rate_bound_warnings
 from .supervision import validate_networked_supervisor
 from .synthesis import (SynthesisMode, SynthesisProblem, attack_loop,
-                        build_problem, capacities, covert_in,
-                        damage_nonblocking_in, damage_reachable_in,
-                        render_size_report, state_size_report,
-                        synthesize_supremal_attack)
+                        capacities, covert_in, damage_nonblocking_in,
+                        damage_reachable_in, render_size_report,
+                        state_size_report, synthesize_supremal_attack)
 from .textio import ParseError, load_automaton, save_automaton, to_dot
 
 EXIT_OK = 0
@@ -92,8 +91,7 @@ def cmd_synthesize(args) -> int:
     ws = _workspace(args)
     system = _assemble(ws)
     _write_components(system, ws.out_dir)
-    problem = build_problem(system.g_new, system.ac, system.oc, system.ns,
-                            system.cc, system.monitor, system.cfg)
+    problem = build_attack_problem(system)
     attack = synthesize_supremal_attack(problem, ws.mode)
     cert_path = os.path.join(ws.out_dir, "certificate.txt")
     if attack is None:
@@ -116,8 +114,7 @@ def cmd_synthesize(args) -> int:
 def cmd_verify(args) -> int:
     ws = _workspace(args)
     system = _assemble(ws)
-    problem = build_problem(system.g_new, system.ac, system.oc, system.ns,
-                            system.cc, system.monitor, system.cfg)
+    problem = build_attack_problem(system)
     attack = load_automaton(args.attack, name="A")
     report = validate_attack(attack, problem.constraint, problem.plant.alphabet)
     print(report.render())

@@ -5,17 +5,19 @@ from the control channel, expire after a bounded number of ticks), a
 command-execution stage (uses one fetched command at a time, fires an event
 once its per-event countdown reaches zero, abandons the command when an
 uncontrollable event preempts it), and the plant proper. Their product is
-pruned so the execution stage never holds a command that is useless at the
-current plant state, and never idles over a tick while the store holds a
-usable command.
+explored once, through a transition filter that keeps the execution stage
+from ever holding a command that is useless at the current plant state, or
+idling over a tick while the store holds a usable command. The same two
+rules, written once in ``_pruning_rules``, are re-checked on the result by
+``check_pruned_invariants``.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from . import events as ev
 from .automaton import (Automaton, AutomatonError, Transition, compose,
-                        explored_automaton, restrict_reachable, state_name)
+                        explored_automaton, state_name)
 from .config import SystemConfig
 from .textio import load_automaton, parse_automaton
 
@@ -145,7 +147,9 @@ def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
     Rule 1 deletes composite states whose active command shares no event with
     the plant's enabled set (the fetch was useless). Rule 2 removes tick from
     states where the execution stage idles while the store holds a usable
-    command: the fetch preempts time.
+    command: the fetch preempts time. Both rules filter transitions while
+    the product is explored, so a state that only pruned transitions reach
+    is never built.
     """
     sigma_cs = {ev.command_exit(x) for x in cfg.gamma} \
         | {ev.command(x) for x in cfg.gamma} | {ev.tick}
@@ -155,32 +159,32 @@ def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
     if set(g.alphabet) != set(cfg.plant_labels()):
         raise AutomatonError("plant alphabet mismatch with config")
 
+    useless_fetch, preempted = _pruning_rules(g, cfg)
+    return compose([cs, ce, g], name="G_new",
+                   allowed=lambda src, e, dst: not useless_fetch(dst)
+                   and not (e == ev.tick and preempted(src)))
+
+
+def _pruning_rules(g: Automaton, cfg: SystemConfig
+                   ) -> Tuple[Callable[[Tuple], bool], Callable[[Tuple], bool]]:
+    """The two pruning rules as predicates on G_new's states: whether the
+    active command is useless (rule 1 removes the state), and whether the
+    idle stage is preempted by a usable stored command (rule 2 removes its
+    tick)."""
     enabled_g: Dict[object, Set[str]] = {
         q: {e.base for e in g.enabled(q)} for q in g.states
     }
-    command_events = {name: set(members) for name, members in cfg.commands.items()}
 
     def useless_fetch(state: Tuple) -> bool:
-        s, e, q = state
-        if e == IDLE:
-            return False
-        denum = {name for (name, _) in e}
-        return not (enabled_g[q] & denum)
-
-    temp = compose([cs, ce, g], name="G_new", forbidden=useless_fetch)
+        _s, e, q = state
+        return e != IDLE and not (enabled_g[q] & {name for (name, _) in e})
 
     def preempted(state: Tuple) -> bool:
         s, e, q = state
-        if e != IDLE:
-            return False
-        en = enabled_g[q]
-        return any(command_events[g_] & en for g_ in _queue_commands(s))
+        return e == IDLE and any(cfg.commands[c] & enabled_g[q]
+                                 for c in _queue_commands(s))
 
-    kept = [(src, label, dst) for (src, label, dst) in temp.transitions
-            if not (label == ev.tick and preempted(src))]
-    pruned = Automaton(temp.states, temp.alphabet, kept, temp.initial,
-                       (), name="G_new")
-    return restrict_reachable(pruned, name="G_new")
+    return useless_fetch, preempted
 
 
 # -- structural checks -------------------------------------------------------
@@ -188,20 +192,13 @@ def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
 def check_pruned_invariants(g_new: Automaton, g: Automaton,
                             cfg: SystemConfig) -> List[str]:
     """Re-assert both pruning rules on the finished composition."""
+    useless_fetch, preempted = _pruning_rules(g, cfg)
     problems = []
-    enabled_g = {q: {e.base for e in g.enabled(q)} for q in g.states}
-    command_events = {name: set(members) for name, members in cfg.commands.items()}
     for state in g_new.states:
-        s, e, q = state
-        if e != IDLE:
-            denum = {name for (name, _) in e}
-            if not (enabled_g[q] & denum):
-                problems.append(f"useless active command at {state_name(state)}")
-        else:
-            usable = any(command_events[g_] & enabled_g[q]
-                         for g_ in _queue_commands(s))
-            if usable and g_new.successors(state, ev.tick):
-                problems.append(f"tick not preempted at {state_name(state)}")
+        if useless_fetch(state):
+            problems.append(f"useless active command at {state_name(state)}")
+        elif preempted(state) and g_new.successors(state, ev.tick):
+            problems.append(f"tick not preempted at {state_name(state)}")
     return problems
 
 
@@ -218,41 +215,9 @@ def check_uncontrollable_liveness(g_new: Automaton, g: Automaton,
     return problems
 
 
-def check_activity_loop_free(a: Automaton) -> bool:
-    """No cycle made solely of non-tick events."""
-    adj: Dict[object, List[object]] = {q: [] for q in a.states}
-    for (s, e, t) in a.transitions:
-        if e != ev.tick:
-            adj[s].append(t)
-    color: Dict[object, int] = {}
-    for root in a.states:
-        if color.get(root):
-            continue
-        stack = [(root, iter(adj[root]))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, 0)
-                if c == 1:
-                    return False
-                if c == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return True
-
-
 def max_plant_events_between_ticks(a: Automaton) -> Optional[int]:
     """Longest run of plant events on any tick-free path; None if the
     tick-free subgraph is cyclic."""
-    if not check_activity_loop_free(a):
-        return None
     order: List[object] = []
     indeg: Dict[object, int] = {q: 0 for q in a.states}
     adj: Dict[object, List[Tuple[object, int]]] = {q: [] for q in a.states}
@@ -270,6 +235,9 @@ def max_plant_events_between_ticks(a: Automaton) -> Optional[int]:
             indeg[t] -= 1
             if indeg[t] == 0:
                 ready.append(t)
+    if len(order) < len(a.states):
+        # Kahn's order misses exactly the states a tick-free cycle reaches
+        return None
     best: Dict[object, int] = {q: 0 for q in a.states}
     for q in reversed(order):
         for t, w in adj[q]:
@@ -280,14 +248,11 @@ def max_plant_events_between_ticks(a: Automaton) -> Optional[int]:
 def rate_bound_warnings(g_new: Automaton, cfg: SystemConfig) -> List[str]:
     """The per-tick firing bound is validated, not enforced: the plant is
     user input."""
-    warnings = []
-    if not check_activity_loop_free(g_new):
-        warnings.append("composed plant has an activity loop (cycle without tick)")
-        return warnings
     burst = max_plant_events_between_ticks(g_new)
-    if burst is not None and burst > cfg.rates.n_f:
-        warnings.append(
-            f"plant assembly alone can fire {burst} events within one tick, "
-            f"above n_f={cfg.rates.n_f} (the closed loop is tighter: supervisor "
-            f"sends are bounded per observation)")
-    return warnings
+    if burst is None:
+        return ["composed plant has an activity loop (cycle without tick)"]
+    if burst > cfg.rates.n_f:
+        return [f"plant assembly alone can fire {burst} events within one tick, "
+                f"above n_f={cfg.rates.n_f} (the closed loop is tighter: supervisor "
+                f"sends are bounded per observation)"]
+    return []

@@ -140,10 +140,14 @@ def synthesize_networked_supervisor(g_new: Automaton, oc_t: Automaton,
     nsc = build_supervisor_constraints(cfg)
     spec_total = _complete_spec(spec, cfg)
     plant_ns = compose([g_new, oc_t, nsc, cc, spec_total], name="P_ns")
-    bad = frozenset(q for q in plant_ns.states if q[4] is SPEC_DUMP)
+    bad = set()
+    for q in plant_ns.states:
+        _g, _oc, _nsc, _cc, spec_state = q
+        if spec_state is SPEC_DUMP:
+            bad.add(q)
     constraint = supervisor_control_constraint(cfg)
     sup = supremal_supervisor(
-        plant_ns, bad,
+        plant_ns, frozenset(bad),
         frozenset(constraint.controllable) & plant_ns.alphabet,
         frozenset(constraint.observable) & plant_ns.alphabet,
         require_nonblocking=False, name="NS")

@@ -86,13 +86,16 @@ def build_problem(g_new: Automaton, ac: Automaton, oc: Automaton,
         if frozenset(c.alphabet) != full:
             raise AutomatonError(f"{label} alphabet is not the full loop alphabet")
     plant = compose([g_new, ac, oc, ns, cc, m], name="P")
-    target = frozenset(
-        q for q in plant.states if state_name(q[0][2]) in cfg.damage)
-    bad = frozenset(
-        q for q in plant.states
-        if q[5] == MONITOR_EMPTY and state_name(q[0][2]) not in cfg.damage)
+    target, bad = set(), set()
+    for q in plant.states:
+        (_store, _stage, g), _ac, _oc, _ns, _cc, estimate = q
+        if state_name(g) in cfg.damage:
+            target.add(q)
+        elif estimate == MONITOR_EMPTY:
+            bad.add(q)
     plant = plant.with_marked(target)
-    return SynthesisProblem(plant, bad, target, attack_control_constraint(cfg))
+    return SynthesisProblem(plant, frozenset(bad), frozenset(target),
+                            attack_control_constraint(cfg))
 
 
 # -- the observer fixpoint ---------------------------------------------------

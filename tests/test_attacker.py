@@ -20,16 +20,6 @@ def rich_cfg(u=2):
                         rates=RateBounds(1, u, 1))
 
 
-def test_attack_constraint_invariants():
-    from netdes.attacker import AttackConstraint, attack_constraint
-    c = attack_constraint(guideway_config())
-    assert c.compromised <= c.observable and c.bound == 1
-    with pytest.raises(ConfigError):
-        AttackConstraint(frozenset({"a"}), frozenset({"a", "b"}), 1)
-    with pytest.raises(ConfigError):
-        AttackConstraint(frozenset({"a"}), frozenset({"a"}), -1)
-
-
 def test_state_count_formula():
     cfg = guideway_config()
     ac = build_attack_constraints(cfg)

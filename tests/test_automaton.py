@@ -195,6 +195,23 @@ def test_nary_compose_matches_binary():
         assert isomorphic_by(flat, nested, lambda q: ((q[0], q[1]), q[2]))
 
 
+def test_compose_filter_never_discovers_states_behind_rejected_transitions():
+    # p1 and p2 are reachable only through p0 -a-> p1, which the filter rejects
+    a = aut(["p0", "p1", "p2", "p3"], [A, B, C],
+            [("p0", A, "p1"), ("p1", B, "p2"), ("p0", C, "p3"), ("p3", B, "p0")],
+            "p0")
+    sources = []
+
+    def allowed(src, e, dst):
+        sources.append(src)
+        return (src, e, dst) != (("p0",), A, ("p1",))
+
+    prod = compose([a], allowed=allowed)
+    assert set(prod.states) == {("p0",), ("p3",)}
+    assert set(prod.transitions) == {(("p0",), C, ("p3",)), (("p3",), B, ("p0",))}
+    assert set(sources) == {("p0",), ("p3",)}
+
+
 # -- explorer ----------------------------------------------------------------------
 
 def test_explore_yields_each_state_once_in_discovery_order():

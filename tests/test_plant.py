@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
 import netdes.events as ev
-from netdes.automaton import Automaton, AutomatonError, state_name
+from netdes.automaton import (Automaton, AutomatonError, compose,
+                              restrict_reachable, state_name)
 from netdes.config import EventSpec, RateBounds, SystemConfig
 from netdes.plant import (IDLE, _queue_remove_first, build_command_execution,
                           build_command_storage, capacity_storage,
-                          check_activity_loop_free, check_pruned_invariants,
+                          check_pruned_invariants,
                           check_uncontrollable_liveness,
                           compose_and_prune_plant,
-                          max_plant_events_between_ticks, plant_from_text)
+                          max_plant_events_between_ticks, plant_from_text,
+                          rate_bound_warnings)
 
 
 def make_cfg(delta_s=0, te=None, commands=None, events=None, damage=()):
@@ -158,6 +162,56 @@ def test_prune_preempts_tick_when_command_usable():
     assert not check_pruned_invariants(gn, g, cfg)
 
 
+def _three_stage_g_new(cs, ce, g, cfg):
+    """G_new built the long way: the unpruned product, then rule 1's states
+    and rule 2's ticks dropped, then the part still reachable."""
+    full = compose([cs, ce, g])
+    enabled = {q: {e.base for e in g.enabled(q)} for q in g.states}
+
+    def useless(state):
+        _store, stage, q = state
+        return stage != IDLE and not enabled[q] & {name for name, _t in stage}
+
+    def usable_stored(state):
+        store, stage, q = state
+        return stage == IDLE and any(cfg.commands[c] & enabled[q] for c, _t in store)
+
+    states = [q for q in full.states if not useless(q)]
+    trans = [(s, e, t) for (s, e, t) in full.transitions
+             if not useless(s) and not useless(t)
+             and not (e == ev.tick and usable_stored(s))]
+    return restrict_reachable(Automaton(states, full.alphabet, trans, full.initial))
+
+
+def _random_plant_case(rng):
+    delta_s = rng.choice((0, 1))
+    events = (EventSpec("s1", True, True, True, True, rng.choice((0, 1))),
+              EventSpec("s2", True, True, True, True, rng.choice((0, 1))),
+              EventSpec("u", False, False, False, False, None))
+    commands = {"g1": frozenset({"s1"})}
+    if delta_s == 0 or rng.random() < 0.3:
+        commands["g2"] = frozenset(rng.choice(({"s2"}, {"s1", "s2"})))
+    cfg = make_cfg(delta_s=delta_s, events=events, commands=commands)
+    states = [f"q{i}" for i in range(rng.randint(1, 4))]
+    trans = {(rng.choice(states), rng.choice(cfg.plant_labels()), rng.choice(states))
+             for _ in range(rng.randint(0, 2 * len(states) + 1))}
+    return cfg, _lone_plant(cfg, sorted(trans, key=str), states)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_pass_g_new_matches_three_stage_construction(seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        cfg, g = _random_plant_case(rng)
+        cs, ce = build_command_storage(cfg), build_command_execution(cfg)
+        got = compose_and_prune_plant(cs, ce, g, cfg)
+        want = _three_stage_g_new(cs, ce, g, cfg)
+        assert got.initial == want.initial
+        assert set(got.states) == set(want.states)
+        assert set(got.transitions) == set(want.transitions)
+        assert not check_pruned_invariants(got, g, cfg)
+
+
 def test_alphabet_mismatch_rejected():
     cfg = make_cfg()
     other = make_cfg(events=(EventSpec("z", True, True, True, True, 0),
@@ -176,9 +230,24 @@ def test_uncontrollable_liveness_on_fixtures(reduced, guideway):
 
 
 def test_fixtures_are_activity_loop_free(reduced, guideway):
-    assert check_activity_loop_free(reduced.g_new)
-    assert check_activity_loop_free(guideway.g_new)
     assert max_plant_events_between_ticks(reduced.g_new) is not None
+    assert max_plant_events_between_ticks(guideway.g_new) is not None
+
+
+def test_rate_bound_warns_on_activity_loop():
+    cfg = make_cfg()
+    g = _lone_plant(cfg, [("q0", ev.plant("u"), "q0")], ["q0"])
+    gn = compose_and_prune_plant(build_command_storage(cfg),
+                                 build_command_execution(cfg), g, cfg)
+    assert rate_bound_warnings(gn, cfg) == [
+        "composed plant has an activity loop (cycle without tick)"]
+
+
+def test_rate_bound_warns_on_burst_above_n_f(guideway):
+    assert rate_bound_warnings(guideway.g_new, guideway.cfg) == [
+        "plant assembly alone can fire 6 events within one tick, above n_f=1 "
+        "(the closed loop is tighter: supervisor sends are bounded per "
+        "observation)"]
 
 
 # -- plant loading -----------------------------------------------------------------
