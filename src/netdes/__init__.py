@@ -9,12 +9,10 @@ from .channels import (build_control_channel, build_observation_channel,
                        enumerate_channel_states, relabel_to_attack_free)
 from .config import RateBounds, SystemConfig, load_config, parse_config
 from .events import EventLabel
-from .attacker import (build_attack_constraints, faithful_attacker,
-                       validate_attack)
+from .attacker import build_attack_constraints, validate_attack
 from .plant import (build_command_execution, build_command_storage,
                     capacity_storage, compose_and_prune_plant, load_plant)
-from .supervision import (build_monitor, synthesize_networked_supervisor,
-                          validate_networked_supervisor)
+from .supervision import build_monitor, validate_networked_supervisor
 from .synthesis import (SynthesisMode, SynthesisProblem, build_problem,
                         synthesize_supremal_attack, verify_covert,
                         verify_damage_nonblocking, verify_damage_reachable)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
 
 from . import events as ev
-from .automaton import (Automaton, AutomatonError, complete_with_selfloops,
-                        state_name)
+from .automaton import Automaton, AutomatonError, state_name
 from .config import ConfigError, SystemConfig
 from .events import EventLabel, sorted_events
 
@@ -164,30 +163,3 @@ def validate_attack(a: Automaton, constraint: ControlConstraint,
                     expected_alphabet: FrozenSet[EventLabel]) -> ValidationReport:
     """Check SA-controllability and SA-observability of an attack automaton."""
     return validate_control(a, constraint, expected_alphabet, "attack")
-
-
-def faithful_attacker(cfg: SystemConfig) -> Automaton:
-    """The attacker that forwards every observation untouched.
-
-    Observing a compromised event, it re-emits exactly that event and stops;
-    observing an untamperable one, it lets the plant's forward pass and
-    stops. Everything else self-loops. Serves as the sound no-op fixture:
-    composed with the loop it must never trigger detection.
-    """
-    alphabet = cfg.full_alphabet()
-    oa, sa = set(cfg.sigma_oa), set(cfg.sigma_sa)
-    obs_only = sorted(oa - sa)
-    f0, fstop = "f0", "fstop"
-    states = [f0] + [f"fsig_{n}" for n in sorted(sa)] \
-        + [f"fobs_{n}" for n in obs_only] + [fstop]
-    t: List[Tuple[str, EventLabel, str]] = []
-    for n in sorted(sa):
-        t.append((f0, ev.plant(n), f"fsig_{n}"))
-        t.append((f"fsig_{n}", ev.compromised(n), fstop))
-    for n in obs_only:
-        t.append((f0, ev.plant(n), f"fobs_{n}"))
-        t.append((f"fobs_{n}", ev.entry(n), fstop))
-    t.append((fstop, ev.stop, f0))
-    base = Automaton(states, alphabet, t, f0, marked=states, name="A_faithful")
-    return complete_with_selfloops(
-        base, base.alphabet - attack_control_constraint(cfg).controllable)

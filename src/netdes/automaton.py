@@ -130,12 +130,6 @@ class Automaton:
         return all(len(dsts) == 1 for by_ev in self._delta.values()
                    for dsts in by_ev.values())
 
-    def is_empty(self) -> bool:
-        return not self.states
-
-    def sorted_states(self) -> List[State]:
-        return sorted(self.states, key=state_name)
-
     def with_marked(self, marked: Iterable[State], name: str = "") -> "Automaton":
         """The same automaton with another marked set; the validated
         successor maps are shared, so only the new marked states are checked."""
@@ -467,44 +461,7 @@ def compose(components: Sequence[Automaton], name: str = "",
          if all(q[i] in c.marked for i, c in enumerate(components))])
 
 
-# -- comparison helpers ------------------------------------------------
-
-def canonical_form(a: Automaton):
-    """BFS-canonical encoding of a deterministic automaton, for isomorphism
-    checks up to state renaming."""
-    if not a.deterministic:
-        raise AutomatonError("canonical_form requires a deterministic automaton")
-    if a.initial is None:
-        return (tuple(sorted_events(a.alphabet)), (), ())
-    order: Dict[State, int] = {}
-    edges = [(order[q], ev.spell(), order[dst])
-             for _q, out in explore(a.initial, a.moves, order) for q, ev, dst in out]
-    marked = tuple(sorted(order[q] for q in a.marked if q in order))
-    return (tuple(sorted_events(a.alphabet)), tuple(edges), marked)
-
-
-def isomorphic(a1: Automaton, a2: Automaton) -> bool:
-    """Reachable-part isomorphism for deterministic automata."""
-    return canonical_form(a1) == canonical_form(a2)
-
-
-def isomorphic_by(a1: Automaton, a2: Automaton,
-                  mapping: Callable[[State], State]) -> bool:
-    """Check that ``mapping`` is a transition-preserving bijection from the
-    states of a1 onto the states of a2 (works for nondeterministic automata
-    when the bijection is known, e.g. tuple reordering)."""
-    image = {mapping(q) for q in a1.states}
-    if image != set(a2.states) or len(image) != len(a1.states):
-        return False
-    if a1.initial is None or a2.initial is None:
-        return a1.initial is None and a2.initial is None
-    if mapping(a1.initial) != a2.initial:
-        return False
-    if {mapping(q) for q in a1.marked} != set(a2.marked):
-        return False
-    mapped = {(mapping(s), e, mapping(t)) for (s, e, t) in a1.transitions}
-    return mapped == set(a2.transitions)
-
+# -- witnesses ---------------------------------------------------------
 
 def shortest_path_to(a: Automaton, targets: Iterable[State]) -> Optional[List[EventLabel]]:
     """Shortest event sequence from the initial state into ``targets``."""
@@ -527,53 +484,3 @@ def shortest_path_to(a: Automaton, targets: Iterable[State]) -> Optional[List[Ev
                 path.reverse()
                 return path
     return None
-
-
-def same_closed_language(a1: Automaton, a2: Automaton,
-                         events: Iterable[EventLabel]) -> bool:
-    """Equality of closed behaviors restricted to ``events``.
-
-    Both automata must be deterministic on the compared events (observers
-    are); transitions on other events are followed as silent self-loops only,
-    so callers project first when anything else moves state.
-    """
-    evs = frozenset(events)
-    if a1.initial is None or a2.initial is None:
-        return (a1.initial is None) == (a2.initial is None)
-
-    def moves(pair: Tuple[State, State]) -> List[Tuple[Tuple, EventLabel, Tuple]]:
-        q1, q2 = pair
-        return [(pair, e, (a1.step(q1, e), a2.step(q2, e))) for e in sorted_events(
-            {e for e in a1.enabled(q1) + a2.enabled(q2) if e in evs})]
-
-    # an event enabled on one side only shows as a None component; the search
-    # stops there, before that pair is expanded
-    return all(None not in nxt for _q, out in
-               explore((a1.initial, a2.initial), moves) for _p, _e, nxt in out)
-
-
-def bounded_traces(a: Automaton, depth: int) -> Set[Tuple[EventLabel, ...]]:
-    """All traces of the closed behavior up to the given length.
-
-    Tracks the state estimate per trace so nondeterminism does not blow up
-    a level beyond the number of distinct traces.
-    """
-    out: Set[Tuple[EventLabel, ...]] = set()
-    if a.initial is None:
-        return out
-    level: Dict[Tuple[EventLabel, ...], FrozenSet[State]] = {(): frozenset((a.initial,))}
-    out.add(())
-    for _ in range(depth):
-        nxt: Dict[Tuple[EventLabel, ...], FrozenSet[State]] = {}
-        for trace, states in level.items():
-            evs = sorted_events({e for q in states for e in a._delta[q]})
-            for ev in evs:
-                targets = frozenset(t for q in states for t in a.successors(q, ev))
-                if targets:
-                    t2 = trace + (ev,)
-                    nxt[t2] = targets
-                    out.add(t2)
-        level = nxt
-        if not level:
-            break
-    return out

@@ -10,15 +10,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .attacker import validate_attack
 from .automaton import Automaton, AutomatonError
-from .config import ConfigError, SystemConfig, load_config
-from .fixtures import BuiltSystem, build_attack_problem, build_system
-from .plant import load_plant, rate_bound_warnings
-from .supervision import validate_networked_supervisor
+from .config import ConfigError, load_config
+from .fixtures import BuiltSystem, build_attack_problem, load_system
+from .plant import rate_bound_warnings
 from .synthesis import (SynthesisMode, SynthesisProblem, attack_loop,
                         capacities, covert_in, damage_nonblocking_in,
                         damage_reachable_in, render_size_report,
@@ -32,30 +30,11 @@ EXIT_NO_ATTACK = 3
 EXIT_DETECTED = 4
 
 
-@dataclass
-class Workspace:
-    cfg: SystemConfig
-    plant_file: str
-    ns_file: str
-    out_dir: str
-    mode: SynthesisMode = SynthesisMode.DAMAGE_NONBLOCKING
-    count_forwarded_event: bool = True
-
-
 def cmd_capacity(args) -> int:
     (c_oc, n_oc), (c_cc, n_cc), (c_cs, n_cs) = capacities(load_config(args.config))
     print(f"C_oc={c_oc} C_cc={c_cc} C_cs={c_cs}")
     print(f"states_oc={n_oc} states_cc={n_cc} states_cs<={n_cs}")
     return EXIT_OK
-
-
-def _assemble(ws: Workspace) -> BuiltSystem:
-    plant = load_plant(ws.plant_file, ws.cfg)
-    ns = load_automaton(ws.ns_file, name="NS")
-    report = validate_networked_supervisor(ns, ws.cfg)
-    if not report.ok:
-        raise AutomatonError(report.render())
-    return build_system(ws.cfg, plant, ns, ws.count_forwarded_event)
 
 
 def _write_components(system: BuiltSystem, out_dir: str) -> None:
@@ -80,31 +59,32 @@ def _write_components(system: BuiltSystem, out_dir: str) -> None:
 
 
 def cmd_build(args) -> int:
-    ws = _workspace(args)
-    system = _assemble(ws)
-    _write_components(system, ws.out_dir)
-    print(f"wrote 8 automata and state_counts.txt to {ws.out_dir}")
+    system = load_system(args.config, args.plant, args.ns,
+                         args.count_forwarded_event == "on")
+    _write_components(system, args.out)
+    print(f"wrote 8 automata and state_counts.txt to {args.out}")
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
-    ws = _workspace(args)
-    system = _assemble(ws)
-    _write_components(system, ws.out_dir)
+    mode = SynthesisMode(args.mode)
+    system = load_system(args.config, args.plant, args.ns,
+                         args.count_forwarded_event == "on")
+    _write_components(system, args.out)
     problem = build_attack_problem(system)
-    attack = synthesize_supremal_attack(problem, ws.mode)
-    cert_path = os.path.join(ws.out_dir, "certificate.txt")
+    attack = synthesize_supremal_attack(problem, mode)
+    cert_path = os.path.join(args.out, "certificate.txt")
     if attack is None:
         with open(cert_path, "w", encoding="utf-8") as fh:
-            fh.write(f"mode: {ws.mode.value}\nresult: no covert attack exists\n")
+            fh.write(f"mode: {mode.value}\nresult: no covert attack exists\n")
         print("no covert attack exists")
         return EXIT_NO_ATTACK
-    save_automaton(attack, os.path.join(ws.out_dir, "attack.aut"), rename=True)
-    lines = [f"mode: {ws.mode.value}",
+    save_automaton(attack, os.path.join(args.out, "attack.aut"), rename=True)
+    lines = [f"mode: {mode.value}",
              f"attack-states: {len(attack.states)}"]
     lines.append(f"validates: {validate_attack(attack, problem.constraint, problem.plant.alphabet).ok}")
     lines += _verdicts(problem, attack,
-                       ws.mode is SynthesisMode.DAMAGE_NONBLOCKING)[1]
+                       mode is SynthesisMode.DAMAGE_NONBLOCKING)[1]
     with open(cert_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
@@ -112,8 +92,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ws = _workspace(args)
-    system = _assemble(ws)
+    system = load_system(args.config, args.plant, args.ns,
+                         args.count_forwarded_event == "on")
     problem = build_attack_problem(system)
     attack = load_automaton(args.attack, name="A")
     report = validate_attack(attack, problem.constraint, problem.plant.alphabet)
@@ -155,19 +135,6 @@ def cmd_export_dot(args) -> int:
     else:
         sys.stdout.write(dot)
     return EXIT_OK
-
-
-def _workspace(args) -> Workspace:
-    mode = SynthesisMode.DAMAGE_NONBLOCKING
-    if getattr(args, "mode", None) == "reachable":
-        mode = SynthesisMode.DAMAGE_REACHABLE
-    return Workspace(
-        cfg=load_config(args.config),
-        plant_file=args.plant,
-        ns_file=args.ns,
-        out_dir=getattr(args, "out", ".") or ".",
-        mode=mode,
-        count_forwarded_event=(getattr(args, "count_forwarded_event", "on") != "off"))
 
 
 def _parser() -> argparse.ArgumentParser:

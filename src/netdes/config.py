@@ -104,10 +104,6 @@ class SystemConfig:
         return [e.name for e in self.events]
 
     @property
-    def sigma_c(self) -> List[str]:
-        return [e.name for e in self.events if e.controllable]
-
-    @property
     def sigma_uc(self) -> List[str]:
         return [e.name for e in self.events if not e.controllable]
 
@@ -168,6 +164,9 @@ def _parse_int(tok: str, what: str, lineno: int) -> int:
         raise ConfigError(f"{what} expects an integer, got {tok!r}", lineno)
 
 
+PARAMETERS = ("delta_o", "delta_c", "delta_s", "n_f", "u", "v")
+
+
 def parse_config(text: str) -> SystemConfig:
     params: Dict[str, int] = {}
     specs: List[EventSpec] = []
@@ -194,6 +193,10 @@ def parse_config(text: str) -> SystemConfig:
                 key, _, val = tok.partition("=")
                 if not val:
                     raise ConfigError(f"malformed parameter {tok!r}", lineno)
+                if key not in PARAMETERS:
+                    raise ConfigError(f"unknown parameter {key!r}", lineno)
+                if key in params:
+                    raise ConfigError(f"parameter {key} given twice", lineno)
                 params[key] = _parse_int(val, key, lineno)
         elif section == "events":
             if len(toks) != 6:
@@ -229,8 +232,7 @@ def parse_config(text: str) -> SystemConfig:
         elif section == "damage":
             damage.extend(toks)
 
-    missing = [k for k in ("delta_o", "delta_c", "delta_s", "n_f", "u", "v")
-               if k not in params]
+    missing = [k for k in PARAMETERS if k not in params]
     if missing:
         raise ConfigError(f"missing parameters: {', '.join(missing)}")
     return SystemConfig(

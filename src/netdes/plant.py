@@ -19,7 +19,7 @@ from . import events as ev
 from .automaton import (Automaton, AutomatonError, Transition, compose,
                         explored_automaton, state_name)
 from .config import SystemConfig
-from .textio import load_automaton, parse_automaton
+from .textio import load_automaton
 
 StorageState = Tuple[Tuple[str, int], ...]   # reception-ordered (command, time-left)
 ExecState = FrozenSet[Tuple[str, int]]       # (event, countdown); empty = idle
@@ -120,10 +120,6 @@ def load_plant(path: str, cfg: SystemConfig) -> Automaton:
     return _check_plant(load_automaton(path, name="G"), cfg)
 
 
-def plant_from_text(text: str, cfg: SystemConfig) -> Automaton:
-    return _check_plant(parse_automaton(text, name="G"), cfg)
-
-
 def _check_plant(g: Automaton, cfg: SystemConfig) -> Automaton:
     sigma = set(cfg.plant_labels())
     extra = g.alphabet - sigma
@@ -199,19 +195,6 @@ def check_pruned_invariants(g_new: Automaton, g: Automaton,
             problems.append(f"useless active command at {state_name(state)}")
         elif preempted(state) and g_new.successors(state, ev.tick):
             problems.append(f"tick not preempted at {state_name(state)}")
-    return problems
-
-
-def check_uncontrollable_liveness(g_new: Automaton, g: Automaton,
-                                  cfg: SystemConfig) -> List[str]:
-    problems = []
-    for state in g_new.states:
-        _s, _e, q = state
-        for name in cfg.sigma_uc:
-            if ev.plant(name) in g.enabled(q) and \
-                    not g_new.successors(state, ev.plant(name)):
-                problems.append(
-                    f"uncontrollable {name} blocked at {state_name(state)}")
     return problems
 
 

@@ -37,14 +37,13 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
-from .automaton import (Automaton, AutomatonError, close_under,
-                        complete_with_selfloops, compose, coreachable,
-                        observer_map, observer_pairs, shortest_path_to,
-                        state_name, subset_construction)
+from .automaton import (Automaton, AutomatonError, close_under, compose,
+                        coreachable, observer_map, observer_pairs,
+                        shortest_path_to, state_name)
 from .channels import (capacity_control, capacity_observation,
                        enumerate_channel_states)
 from .config import SystemConfig
-from .events import EventLabel, sorted_events
+from .events import EventLabel
 from .plant import capacity_storage
 
 MONITOR_EMPTY: FrozenSet = frozenset()
@@ -107,8 +106,8 @@ def supremal_supervisor(plant: Automaton, bad: FrozenSet,
                         name: str = "S") -> Optional[Automaton]:
     """Supremal controllable-and-normal supervisor avoiding ``bad``.
 
-    Generic over the control constraint: also used to synthesize networked
-    supervisors. Returns None when no supervisor exists. The result's states
+    Generic over the control constraint (the test suite's reference
+    networked-supervisor synthesis uses it too). Returns None when no supervisor exists. The result's states
     are the surviving reachable observer estimates in discovery order, all
     marked. It is total on the uncontrollable events: an event missing from
     the observer self-loops, since no state of the estimate can take it.
@@ -263,52 +262,6 @@ def verify_damage_nonblocking(problem: SynthesisProblem,
 def verify_damage_reachable(problem: SynthesisProblem,
                             attack: Automaton) -> VerificationResult:
     return damage_reachable_in(problem, attack_loop(problem, attack))
-
-
-# -- local maximality probes ---------------------------------------------------
-
-def disabled_controllable_edits(problem: SynthesisProblem,
-                                attack: Automaton) -> List[Tuple]:
-    """Controllable events disabled at reachable supervisor states that the
-    full observer could still take somewhere.
-
-    Each edit is (state, event, full-observer successor). Events with no
-    observer successor are not edits: the composed plant cannot take them at
-    any compatible state, so re-enabling would change nothing.
-    """
-    plant = problem.plant
-    controllable = frozenset(problem.constraint.controllable) & plant.alphabet
-    observable = frozenset(problem.constraint.observable) & plant.alphabet
-    full_obs = subset_construction(plant, observable)
-    known = set(full_obs.states)
-    edits = []
-    for x in attack.sorted_states():
-        if x not in known:
-            continue
-        for e in sorted_events(controllable):
-            if attack.successors(x, e):
-                continue
-            y = full_obs.step(x, e)
-            if y is not None:
-                edits.append((x, e, y))
-    return edits
-
-
-def apply_edit(problem: SynthesisProblem, attack: Automaton,
-               edit: Tuple) -> Automaton:
-    """Re-enable one disabled controllable event.
-
-    If the observer successor was pruned away it is reattached as a sink
-    that self-loops on every event the attacker cannot disable (which
-    includes everything it cannot observe); the attack's own states are
-    total on those events already.
-    """
-    x, e, y = edit
-    edited = Automaton(attack.states + (y,), attack.alphabet,
-                       attack.transitions | {(x, e, y)}, attack.initial,
-                       attack.marked | {y}, name=attack.name + "+edit")
-    return complete_with_selfloops(
-        edited, attack.alphabet - problem.constraint.controllable)
 
 
 # -- state-size report ---------------------------------------------------------

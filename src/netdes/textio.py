@@ -120,6 +120,8 @@ def parse_automaton(text: str, name: str = "") -> Automaton:
         elif directive == ".initial":
             if len(args) != 1:
                 raise ParseError(".initial takes exactly one state", lineno)
+            if initial is not None:
+                raise ParseError(".initial given twice", lineno)
             initial = args[0]
             note_state(initial)
         elif directive == ".marked":

@@ -1,18 +1,18 @@
 import pytest
 
-from netdes.fixtures import (build_attack_problem, guideway_system,
-                             reduced_system)
+from netdes.fixtures import build_attack_problem
 from netdes.synthesis import SynthesisMode, synthesize_supremal_attack
+from systems import shipped_system
 
 
 @pytest.fixture(scope="session")
 def guideway():
-    return guideway_system()
+    return shipped_system("guideway")
 
 
 @pytest.fixture(scope="session")
 def reduced():
-    return reduced_system()
+    return shipped_system("reduced")
 
 
 @pytest.fixture(scope="session")

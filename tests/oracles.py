@@ -1,0 +1,219 @@
+"""Test oracles: comparisons of automata and of their languages, the
+one-edit local maximality probe, and a reference synthesizer of networked
+supervisors (the pipeline takes the supervisor as given).
+"""
+from typing import Callable, Iterable, List, Set, Tuple
+
+import netdes.events as ev
+from netdes.automaton import (Automaton, AutomatonError, State,
+                              complete_with_selfloops, compose, explore,
+                              state_name, subset_construction)
+from netdes.config import SystemConfig
+from netdes.events import EventLabel, sorted_events
+from netdes.supervision import (supervisor_control_constraint,
+                                validate_networked_supervisor)
+from netdes.synthesis import SynthesisProblem, supremal_supervisor
+
+
+# -- comparisons ---------------------------------------------------------------
+
+def isomorphic_by(a1: Automaton, a2: Automaton,
+                  mapping: Callable[[State], State]) -> bool:
+    """Check that ``mapping`` is a transition-preserving bijection from the
+    states of a1 onto the states of a2 (works for nondeterministic automata
+    when the bijection is known, e.g. tuple reordering)."""
+    image = {mapping(q) for q in a1.states}
+    if image != set(a2.states) or len(image) != len(a1.states):
+        return False
+    if a1.initial is None or a2.initial is None:
+        return a1.initial is None and a2.initial is None
+    if mapping(a1.initial) != a2.initial:
+        return False
+    if {mapping(q) for q in a1.marked} != set(a2.marked):
+        return False
+    mapped = {(mapping(s), e, mapping(t)) for (s, e, t) in a1.transitions}
+    return mapped == set(a2.transitions)
+
+
+def same_closed_language(a1: Automaton, a2: Automaton,
+                         events: Iterable[EventLabel]) -> bool:
+    """Equality of closed behaviors restricted to ``events``.
+
+    Both automata must be deterministic on the compared events (observers
+    are); transitions on other events are followed as silent self-loops only,
+    so callers project first when anything else moves state.
+    """
+    evs = frozenset(events)
+    if a1.initial is None or a2.initial is None:
+        return (a1.initial is None) == (a2.initial is None)
+
+    def moves(pair: Tuple[State, State]) -> List[Tuple[Tuple, EventLabel, Tuple]]:
+        q1, q2 = pair
+        return [(pair, e, (a1.step(q1, e), a2.step(q2, e))) for e in sorted_events(
+            {e for e in a1.enabled(q1) + a2.enabled(q2) if e in evs})]
+
+    # an event enabled on one side only shows as a None component; the search
+    # stops there, before that pair is expanded
+    return all(None not in nxt for _q, out in
+               explore((a1.initial, a2.initial), moves) for _p, _e, nxt in out)
+
+
+def bounded_traces(a: Automaton, depth: int) -> Set[Tuple[EventLabel, ...]]:
+    """All traces of the closed behavior up to the given length.
+
+    Tracks the state estimate per trace so nondeterminism does not blow up
+    a level beyond the number of distinct traces.
+    """
+    out: Set[Tuple[EventLabel, ...]] = set()
+    if a.initial is None:
+        return out
+    level = {(): frozenset((a.initial,))}
+    out.add(())
+    for _ in range(depth):
+        nxt = {trace + (e,): frozenset(t for q in states for t in a.successors(q, e))
+               for trace, states in level.items()
+               for e in {e for q in states for e in a.enabled(q)}}
+        out.update(nxt)
+        level = nxt
+    return out
+
+
+# -- local maximality probes -----------------------------------------------------
+
+def disabled_controllable_edits(problem: SynthesisProblem,
+                                attack: Automaton) -> List[Tuple]:
+    """Controllable events disabled at reachable supervisor states that the
+    full observer could still take somewhere.
+
+    Each edit is (state, event, full-observer successor). Events with no
+    observer successor are not edits: the composed plant cannot take them at
+    any compatible state, so re-enabling would change nothing.
+    """
+    plant = problem.plant
+    controllable = frozenset(problem.constraint.controllable) & plant.alphabet
+    observable = frozenset(problem.constraint.observable) & plant.alphabet
+    full_obs = subset_construction(plant, observable)
+    known = set(full_obs.states)
+    edits = []
+    for x in sorted(attack.states, key=state_name):
+        if x not in known:
+            continue
+        for e in sorted_events(controllable):
+            if attack.successors(x, e):
+                continue
+            y = full_obs.step(x, e)
+            if y is not None:
+                edits.append((x, e, y))
+    return edits
+
+
+def apply_edit(problem: SynthesisProblem, attack: Automaton,
+               edit: Tuple) -> Automaton:
+    """Re-enable one disabled controllable event.
+
+    If the observer successor was pruned away it is reattached as a sink
+    that self-loops on every event the attacker cannot disable (which
+    includes everything it cannot observe); the attack's own states are
+    total on those events already.
+    """
+    x, e, y = edit
+    edited = Automaton(attack.states + (y,), attack.alphabet,
+                       attack.transitions | {(x, e, y)}, attack.initial,
+                       attack.marked | {y}, name=attack.name + "+edit")
+    return complete_with_selfloops(
+        edited, attack.alphabet - problem.constraint.controllable)
+
+
+# -- reference supervisor synthesis ----------------------------------------------
+
+
+class NoSupervisorError(Exception):
+    """No networked supervisor exists for the given specification."""
+
+
+class _SpecDump:
+    __slots__ = ()
+
+    def canonical_name(self) -> str:
+        return "DUMP"
+
+    def __repr__(self) -> str:
+        return "DUMP"
+
+
+SPEC_DUMP = _SpecDump()
+
+
+def build_supervisor_constraints(cfg: SystemConfig) -> Automaton:
+    """Burst bound on command sends: after each observation (an output or a
+    tick) the supervisor sends at most its per-observation budget before the
+    next observation. Counter analogue of the attack-constraints automaton."""
+    v = cfg.rates.v
+    states = [f"c{i}" for i in range(v + 1)]
+    alphabet = [ev.command_entry(g) for g in cfg.gamma]
+    alphabet += [ev.exit_(n) for n in cfg.sigma_o]
+    alphabet.append(ev.tick)
+    t: List[Tuple[str, EventLabel, str]] = []
+    for i in range(v + 1):
+        for n in cfg.sigma_o:
+            t.append((f"c{i}", ev.exit_(n), "c0"))
+        t.append((f"c{i}", ev.tick, "c0"))
+        if i < v:
+            for g in cfg.gamma:
+                t.append((f"c{i}", ev.command_entry(g), f"c{i + 1}"))
+    return Automaton(states, alphabet, t, "c0", name="NSC")
+
+
+def _complete_spec(spec: Automaton, cfg: SystemConfig) -> Automaton:
+    sigma = [ev.plant(n) for n in cfg.sigma]
+    if not spec.alphabet <= set(sigma):
+        extra = sorted(spec.alphabet - set(sigma))[0]
+        raise AutomatonError(f"specification event {extra.spell()} is not a plant event")
+    if not spec.deterministic:
+        raise AutomatonError("specification automaton must be deterministic")
+    states = list(spec.states) + [SPEC_DUMP]
+    transitions = list(spec.transitions)
+    for q in spec.states:
+        for e in sigma:
+            if not spec.successors(q, e):
+                transitions.append((q, e, SPEC_DUMP))
+    for e in sigma:
+        transitions.append((SPEC_DUMP, e, SPEC_DUMP))
+    return Automaton(states, sigma, transitions, spec.initial,
+                     marked=states, name=(spec.name or "spec") + "_total")
+
+
+def synthesize_networked_supervisor(g_new: Automaton, oc_t: Automaton,
+                                    cc: Automaton, spec: Automaton,
+                                    cfg: SystemConfig) -> Automaton:
+    """Synthesize a valid networked supervisor enforcing ``spec`` on the
+    plant behavior of the attack-free loop.
+
+    The loop with the burst-bound template is the plant; tick is observable
+    but uncontrollable; the legal behavior is the specification lifted over
+    it. Raises NoSupervisorError when the supremal result is empty.
+    """
+    nsc = build_supervisor_constraints(cfg)
+    spec_total = _complete_spec(spec, cfg)
+    plant_ns = compose([g_new, oc_t, nsc, cc, spec_total], name="P_ns")
+    bad = set()
+    for q in plant_ns.states:
+        _g, _oc, _nsc, _cc, spec_state = q
+        if spec_state is SPEC_DUMP:
+            bad.add(q)
+    constraint = supervisor_control_constraint(cfg)
+    sup = supremal_supervisor(
+        plant_ns, frozenset(bad),
+        frozenset(constraint.controllable) & plant_ns.alphabet,
+        frozenset(constraint.observable) & plant_ns.alphabet,
+        require_nonblocking=False, name="NS")
+    if sup is None:
+        raise NoSupervisorError("no networked supervisor exists for this spec")
+    # events outside P_ns's alphabet join as self-loops
+    ns = complete_with_selfloops(
+        sup, frozenset(cfg.full_alphabet()) - constraint.controllable)
+    report = validate_networked_supervisor(ns, cfg)
+    if not report.ok:
+        raise AutomatonError("synthesized supervisor fails validity:\n"
+                             + report.render())
+    return ns

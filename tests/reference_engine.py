@@ -14,10 +14,9 @@ from netdes.automaton import (Automaton, AutomatonError, compose, coreachable,
                               restrict_reachable, subset_construction)
 from netdes.config import SystemConfig
 from netdes.events import EventLabel, sorted_events
-from netdes.supervision import (SPEC_DUMP, _complete_spec,
-                                build_supervisor_constraints,
-                                supervisor_control_constraint)
+from netdes.supervision import supervisor_control_constraint
 from netdes.synthesis import SynthesisMode, SynthesisProblem
+from oracles import SPEC_DUMP, _complete_spec, build_supervisor_constraints
 
 
 def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,

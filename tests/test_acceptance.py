@@ -10,9 +10,8 @@ import random
 import time
 
 import netdes.events as ev
-from netdes.attacker import faithful_attacker, validate_attack
-from netdes.automaton import (Automaton, accepts, bounded_traces, compose,
-                              is_nonblocking, isomorphic_by,
+from netdes.attacker import validate_attack
+from netdes.automaton import (Automaton, accepts, compose, is_nonblocking,
                               restrict_reachable, state_name,
                               subset_construction)
 from netdes.channels import (ChannelState, build_observation_channel,
@@ -20,10 +19,12 @@ from netdes.channels import (ChannelState, build_observation_channel,
                              enumerate_channel_states)
 from netdes.config import EventSpec, RateBounds, SystemConfig
 from netdes.plant import capacity_storage
-from netdes.synthesis import (MONITOR_EMPTY, apply_edit,
-                              disabled_controllable_edits, verify_covert,
+from netdes.synthesis import (MONITOR_EMPTY, verify_covert,
                               verify_damage_nonblocking)
 from netdes.textio import parse_automaton, serialize_automaton
+from oracles import (apply_edit, bounded_traces, disabled_controllable_edits,
+                     isomorphic_by)
+from systems import faithful_attacker, shipped_config, shipped_system
 from test_automaton import can_project_to, random_automaton
 
 GUIDEWAY_PARAMS = dict(n_f=1, u=1, v=1, delta_o=1, delta_c=0, delta_s=0)
@@ -51,9 +52,8 @@ def test_criterion_1_capacity_report(capsys):
 def test_criterion_2_state_sizes():
     from netdes.attacker import build_attack_constraints
     from netdes.channels import build_control_channel
-    from netdes.fixtures import guideway_config
     from netdes.plant import build_command_execution, build_command_storage
-    cfg = guideway_config()
+    cfg = shipped_config("guideway")
     t0 = time.perf_counter()
     ac = build_attack_constraints(cfg)
     oc = build_observation_channel(cfg)
@@ -113,10 +113,10 @@ def _first_swap_scenario(cfg, first_obs, answer):
 
 
 def test_criterion_4_guideway_nonblocking():
-    from netdes.fixtures import build_attack_problem, guideway_system
+    from netdes.fixtures import build_attack_problem
     from netdes.synthesis import SynthesisMode, synthesize_supremal_attack
     t0 = time.perf_counter()
-    guideway = guideway_system()
+    guideway = shipped_system("guideway")
     prob = build_attack_problem(guideway)
     attack = synthesize_supremal_attack(prob, SynthesisMode.DAMAGE_NONBLOCKING)
     nonempty = attack is not None

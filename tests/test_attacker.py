@@ -2,11 +2,10 @@ import pytest
 
 import netdes.events as ev
 from netdes.attacker import (AC_INIT, ac_state_count, attack_control_constraint,
-                             build_attack_constraints, faithful_attacker,
-                             validate_attack)
+                             build_attack_constraints, validate_attack)
 from netdes.automaton import Automaton, AutomatonError, complete_with_selfloops
 from netdes.config import ConfigError, EventSpec, RateBounds, SystemConfig
-from netdes.fixtures import guideway_config, reduced_config
+from systems import faithful_attacker, shipped_config
 
 
 def rich_cfg(u=2):
@@ -21,7 +20,7 @@ def rich_cfg(u=2):
 
 
 def test_state_count_formula():
-    cfg = guideway_config()
+    cfg = shipped_config("guideway")
     ac = build_attack_constraints(cfg)
     assert len(ac.states) == ac_state_count(cfg) == 3
     rich = rich_cfg(u=2)
@@ -31,7 +30,7 @@ def test_state_count_formula():
 
 
 def test_compromised_observation_opens_round_and_stop_closes_it():
-    ac = build_attack_constraints(guideway_config())
+    ac = build_attack_constraints(shipped_config("guideway"))
     q0 = ac.step(AC_INIT, ev.plant("a1"))
     assert q0 == "q0"
     assert ac.step("q0", ev.stop) == AC_INIT
@@ -40,7 +39,7 @@ def test_compromised_observation_opens_round_and_stop_closes_it():
 
 
 def test_tick_selfloop_at_init_only():
-    ac = build_attack_constraints(guideway_config())
+    ac = build_attack_constraints(shipped_config("guideway"))
     assert ac.step(AC_INIT, ev.tick) == AC_INIT
     assert not ac.successors("q0", ev.tick)
     assert not ac.successors("q1", ev.tick)
@@ -84,7 +83,7 @@ def test_supervisor_only_events_pass_straight_through():
 
 def test_bounded_return_structure():
     # every non-self-loop path from the initial state returns within U+2 steps
-    for cfg in (guideway_config(), rich_cfg(u=2)):
+    for cfg in (shipped_config("guideway"), rich_cfg(u=2)):
         ac = build_attack_constraints(cfg)
         bound = cfg.rates.u + 2
         frontier = [(AC_INIT, 0)]
@@ -111,7 +110,7 @@ def never_attacker(cfg):
 
 
 def test_never_attacker_is_valid():
-    cfg = guideway_config()
+    cfg = shipped_config("guideway")
     a = never_attacker(cfg)
     report = validate_attack(a, attack_control_constraint(cfg),
                              frozenset(cfg.full_alphabet()))
@@ -119,7 +118,7 @@ def test_never_attacker_is_valid():
 
 
 def test_missing_tick_breaks_sa_controllability():
-    cfg = guideway_config()
+    cfg = shipped_config("guideway")
     a = never_attacker(cfg)
     pruned = Automaton(a.states, a.alphabet,
                        [t for t in a.transitions if t[1] != ev.tick],
@@ -131,7 +130,7 @@ def test_missing_tick_breaks_sa_controllability():
 
 
 def test_state_change_on_unobservable_breaks_sa_observability():
-    cfg = guideway_config()
+    cfg = shipped_config("guideway")
     a = never_attacker(cfg)
     t = set(a.transitions) | {("n", ev.command_entry("v1"), "n2")}
     t |= {("n2", e, "n2") for (_s, e, _d) in a.transitions}
@@ -143,7 +142,7 @@ def test_state_change_on_unobservable_breaks_sa_observability():
 
 
 def test_alphabet_mismatch_is_an_error():
-    cfg = guideway_config()
+    cfg = shipped_config("guideway")
     small = Automaton(["n"], [ev.tick], [("n", ev.tick, "n")], "n")
     with pytest.raises(AutomatonError):
         validate_attack(small, attack_control_constraint(cfg),
@@ -151,7 +150,7 @@ def test_alphabet_mismatch_is_an_error():
 
 
 def test_faithful_attacker_is_valid():
-    for cfg in (guideway_config(), reduced_config(), rich_cfg()):
+    for cfg in (shipped_config("guideway"), shipped_config("reduced"), rich_cfg()):
         a = faithful_attacker(cfg)
         report = validate_attack(a, attack_control_constraint(cfg),
                                  frozenset(cfg.full_alphabet()))
@@ -159,7 +158,7 @@ def test_faithful_attacker_is_valid():
 
 
 def test_completion_adds_only_selfloops():
-    cfg = reduced_config()
+    cfg = shipped_config("reduced")
     constraint = attack_control_constraint(cfg)
     base = Automaton(["n"], cfg.full_alphabet(), [], "n", marked=["n"])
     done = complete_with_selfloops(base, frozenset(base.alphabet)

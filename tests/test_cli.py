@@ -6,18 +6,14 @@ import sys
 import netdes
 import netdes.events as ev
 from netdes.cli import main
-from netdes.automaton import Automaton, isomorphic_by, state_name
+from netdes.automaton import Automaton, state_name
 from netdes.config import load_config
-from netdes.fixtures import _swap_attacker, guideway_config
 from netdes.textio import (load_automaton, parse_automaton, save_automaton,
                            serialize_automaton)
+from oracles import isomorphic_by
+from systems import DATA, shipped_config, shipped_paths, swap_attacker
 
-DATA = os.path.join(os.path.dirname(__file__), "..", "src", "netdes", "data")
-RED = {
-    "config": os.path.join(DATA, "reduced.cfg"),
-    "plant": os.path.join(DATA, "reduced_plant.aut"),
-    "ns": os.path.join(DATA, "reduced_ns.aut"),
-}
+RED = dict(zip(("config", "plant", "ns"), shipped_paths("reduced")))
 
 
 def red_args(cmd, out=None, extra=()):
@@ -269,8 +265,8 @@ def test_usage_error(capsys):
 def test_verify_detected_attack_exit_status(tmp_path, capsys):
     # answering a1 with a3# is inconsistent with the attack-free loop, so the
     # monitor catches it; the report is printed as usual
-    cfg = guideway_config()
-    save_automaton(_swap_attacker(cfg, {"a1": "a3"}), str(tmp_path / "a.aut"))
+    cfg = shipped_config("guideway")
+    save_automaton(swap_attacker(cfg, {"a1": "a3"}), str(tmp_path / "a.aut"))
     rc = main(["verify", "--config", os.path.join(DATA, "guideway.cfg"),
                "--plant", os.path.join(DATA, "guideway_plant.aut"),
                "--ns", os.path.join(DATA, "guideway_ns.aut"),

@@ -17,7 +17,7 @@ def test_parse_sample():
     assert cfg.delta_o == 1 and cfg.delta_c == 0 and cfg.delta_s == 0
     assert cfg.rates == RateBounds(1, 1, 1)
     assert cfg.sigma == ["a1", "a2"]
-    assert cfg.sigma_c == ["a1"] and cfg.sigma_uc == ["a2"]
+    assert cfg.sigma_uc == ["a2"]
     assert cfg.sigma_o == ["a1"] and cfg.sigma_oa == ["a1"] and cfg.sigma_sa == ["a1"]
     assert cfg.commands == {"v1": frozenset({"a1"})}
     assert cfg.damage == frozenset({"5", "10"})
@@ -35,6 +35,15 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("extra,message", [
+    ("detla_o=7", "unknown parameter 'detla_o'"),
+    ("u=5", "parameter u given twice")])
+def test_unknown_or_repeated_parameter_rejected(extra, message):
+    with pytest.raises(ConfigError, match=message) as err:
+        parse_config(SAMPLE.replace("v=1\n", f"v=1\n             {extra}\n"))
+    assert err.value.line == 2
 
 
 def test_event_line_shape_enforced():

@@ -1,33 +1,12 @@
-import os
-
 import netdes.events as ev
-from netdes.automaton import (compose, isomorphic_by, same_closed_language,
-                              state_name, subset_construction)
-from netdes.config import load_config
-from netdes.fixtures import (guideway_config, guideway_plant, guideway_spec,
-                             guideway_supervisor, reduced_config,
-                             reduced_plant, reduced_spec, reduced_supervisor)
+from netdes.automaton import compose, state_name, subset_construction
 from netdes.supervision import validate_networked_supervisor
-from netdes.textio import load_automaton
-
-DATA = os.path.join(os.path.dirname(__file__), "..", "src", "netdes", "data")
-
-
-def test_data_files_match_builders():
-    for stem, cfgf, plantf, nsf in (
-            ("guideway", guideway_config, guideway_plant, guideway_supervisor),
-            ("reduced", reduced_config, reduced_plant, reduced_supervisor)):
-        cfg = cfgf()
-        assert load_config(os.path.join(DATA, f"{stem}.cfg")) == cfg
-        plant_file = load_automaton(os.path.join(DATA, f"{stem}_plant.aut"))
-        assert isomorphic_by(plantf(cfg), plant_file, state_name)
-        ns_file = load_automaton(os.path.join(DATA, f"{stem}_ns.aut"))
-        assert isomorphic_by(nsf(cfg), ns_file, state_name)
+from oracles import same_closed_language
+from systems import guideway_spec, reduced_spec
 
 
-def test_guideway_grid_numbering():
-    cfg = guideway_config()
-    g = guideway_plant(cfg)
+def test_guideway_grid_numbering(guideway):
+    g = guideway.plant
     # both-trains-in-section collisions land exactly on 5 and 10
     assert g.step("0", ev.plant("a1")) == "4"
     assert g.step("4", ev.plant("b1")) == "5"

@@ -6,13 +6,12 @@ import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, compose,
                               restrict_reachable, state_name)
 from netdes.config import EventSpec, RateBounds, SystemConfig
-from netdes.plant import (IDLE, _queue_remove_first, build_command_execution,
-                          build_command_storage, capacity_storage,
-                          check_pruned_invariants,
-                          check_uncontrollable_liveness,
+from netdes.plant import (IDLE, _check_plant, _queue_remove_first,
+                          build_command_execution, build_command_storage,
+                          capacity_storage, check_pruned_invariants,
                           compose_and_prune_plant,
-                          max_plant_events_between_ticks, plant_from_text,
-                          rate_bound_warnings)
+                          max_plant_events_between_ticks, rate_bound_warnings)
+from netdes.textio import parse_automaton
 
 
 def make_cfg(delta_s=0, te=None, commands=None, events=None, damage=()):
@@ -223,6 +222,18 @@ def test_alphabet_mismatch_rejected():
                                 build_command_execution(cfg), g, cfg)
 
 
+def check_uncontrollable_liveness(g_new, g, cfg):
+    problems = []
+    for state in g_new.states:
+        _s, _e, q = state
+        for name in cfg.sigma_uc:
+            if ev.plant(name) in g.enabled(q) and \
+                    not g_new.successors(state, ev.plant(name)):
+                problems.append(
+                    f"uncontrollable {name} blocked at {state_name(state)}")
+    return problems
+
+
 def test_uncontrollable_liveness_on_fixtures(reduced, guideway):
     for system in (reduced, guideway):
         assert not check_uncontrollable_liveness(system.g_new, system.plant,
@@ -251,6 +262,10 @@ def test_rate_bound_warns_on_burst_above_n_f(guideway):
 
 
 # -- plant loading -----------------------------------------------------------------
+
+def plant_from_text(text, cfg):
+    return _check_plant(parse_automaton(text, name="G"), cfg)
+
 
 def test_load_guideway_plant(guideway):
     g = guideway.plant

@@ -1,17 +1,17 @@
 import pytest
 
 import netdes.events as ev
-from netdes.attacker import faithful_attacker
+import netdes.fixtures
 from netdes.automaton import (Automaton, AutomatonError, compose,
-                              same_closed_language, subset_construction)
+                              subset_construction)
 from netdes.config import EventSpec, RateBounds, SystemConfig
-from netdes.fixtures import build_system, reduced_config, reduced_spec
-from netdes.supervision import (NoSupervisorError, build_monitor,
-                                build_supervisor_constraints,
-                                monitor_observed_events,
-                                synthesize_networked_supervisor,
+from netdes.fixtures import build_system
+from netdes.supervision import (supervisor_control_constraint,
                                 validate_networked_supervisor)
 from netdes.synthesis import MONITOR_EMPTY
+from oracles import (NoSupervisorError, build_supervisor_constraints,
+                     same_closed_language, synthesize_networked_supervisor)
+from systems import faithful_attacker, reduced_spec, shipped_config
 
 
 def silent_supervisor(cfg):
@@ -22,12 +22,12 @@ def silent_supervisor(cfg):
 
 
 def test_silent_supervisor_is_valid():
-    cfg = reduced_config()
+    cfg = shipped_config("reduced")
     assert validate_networked_supervisor(silent_supervisor(cfg), cfg).ok
 
 
 def test_missing_plant_selfloop_is_uncontrollable_violation():
-    cfg = reduced_config()
+    cfg = shipped_config("reduced")
     ns = silent_supervisor(cfg)
     pruned = Automaton(ns.states, ns.alphabet,
                        [t for t in ns.transitions if t[1] != ev.plant("a1")],
@@ -38,7 +38,7 @@ def test_missing_plant_selfloop_is_uncontrollable_violation():
 
 
 def test_state_change_on_unobservable_is_observability_violation():
-    cfg = reduced_config()
+    cfg = shipped_config("reduced")
     ns = silent_supervisor(cfg)
     t = set(ns.transitions) | {("n", ev.plant("a3"), "n2")}
     t |= {("n2", e, "n2") for e in ns.alphabet
@@ -58,7 +58,7 @@ def test_hand_supervisors_are_valid(reduced, guideway):
 
 def test_monitor_structure(reduced):
     m = reduced.monitor
-    observed = monitor_observed_events(reduced.cfg)
+    observed = supervisor_control_constraint(reduced.cfg).observable
     assert MONITOR_EMPTY in set(m.states)
     # deterministic everywhere, total self-loops on unobserved events
     assert m.deterministic
@@ -101,14 +101,19 @@ def test_monitor_size_bound(reduced):
     assert math.log2(len(m.states)) <= exponent
 
 
-def test_monitor_rejects_invalid_supervisor(reduced):
+def test_build_system_rejects_invalid_supervisor_first(reduced, monkeypatch):
     cfg = reduced.cfg
     ns = silent_supervisor(cfg)
     broken = Automaton(ns.states, ns.alphabet,
                        [t for t in ns.transitions if t[1] != ev.tick],
                        ns.initial, ns.marked)
-    with pytest.raises(AutomatonError):
-        build_monitor(broken, reduced.g_new, reduced.oc_t, reduced.cc, cfg)
+
+    def never_built(_cfg):
+        raise AssertionError("command storage built before the NS was checked")
+
+    monkeypatch.setattr(netdes.fixtures, "build_command_storage", never_built)
+    with pytest.raises(AutomatonError, match="network-controllability"):
+        build_system(cfg, reduced.plant, broken)
 
 
 def test_attack_free_loop_never_detected(reduced, guideway):
@@ -123,7 +128,7 @@ def test_attack_free_loop_never_detected(reduced, guideway):
 # -- supervisor constraints and synthesis ------------------------------------------
 
 def test_supervisor_constraints_counter():
-    cfg = reduced_config()
+    cfg = shipped_config("reduced")
     nsc = build_supervisor_constraints(cfg)
     assert len(nsc.states) == cfg.rates.v + 1
     assert nsc.step("c0", ev.command_entry("w1")) == "c1"

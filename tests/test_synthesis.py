@@ -3,20 +3,19 @@ import dataclasses
 import pytest
 
 import netdes.events as ev
-from netdes.attacker import (ControlConstraint, faithful_attacker,
-                             validate_attack)
+from netdes.attacker import ControlConstraint, validate_attack
 from netdes.automaton import (Automaton, AutomatonError, accepts,
-                              bounded_traces, compose, empty_automaton,
+                              complete_with_selfloops, compose, empty_automaton,
                               state_name, subset_construction)
-from netdes.fixtures import (build_attack_problem, build_system,
-                             guideway_swap_attacker, reduced_swap_attacker,
-                             reduced_config, reduced_plant, reduced_supervisor,
-                             _swap_attacker)
+from netdes.fixtures import build_attack_problem, build_system
+from netdes.supervision import supervisor_control_constraint
 from netdes.synthesis import (MONITOR_EMPTY, SynthesisMode, SynthesisProblem,
-                              apply_edit, disabled_controllable_edits,
                               state_size_report, synthesize_supremal_attack,
                               verify_covert, verify_damage_nonblocking,
                               verify_damage_reachable)
+from oracles import apply_edit, bounded_traces, disabled_controllable_edits
+from systems import (faithful_attacker, guideway_swap_attacker,
+                     reduced_swap_attacker, swap_attacker)
 
 C_HASH = ev.compromised("c")
 U_EV = ev.plant("u")
@@ -52,11 +51,20 @@ def test_empty_damage_makes_every_detection_bad(reduced):
     assert prob.bad
 
 
-def test_no_tampering_means_no_detection_states():
-    base = reduced_config()
-    events = tuple(dataclasses.replace(e, compromised=False) for e in base.events)
-    cfg = dataclasses.replace(base, events=events)
-    system = build_system(cfg, reduced_plant(cfg), reduced_supervisor(cfg))
+def test_no_tampering_means_no_detection_states(reduced):
+    events = tuple(dataclasses.replace(e, compromised=False)
+                   for e in reduced.cfg.events)
+    cfg = dataclasses.replace(reduced.cfg, events=events)
+    # the shipped NS on this loop alphabet: compromised events leave it,
+    # channel entries join it as self-loops
+    full = frozenset(cfg.full_alphabet())
+    ns = reduced.ns
+    ns = complete_with_selfloops(
+        Automaton(ns.states, ns.alphabet & full,
+                  [t for t in ns.transitions if t[1] in full],
+                  ns.initial, ns.marked, ns.name),
+        full - supervisor_control_constraint(cfg).controllable)
+    system = build_system(cfg, reduced.plant, ns)
     prob = build_attack_problem(system)
     assert not prob.bad
 
@@ -115,7 +123,7 @@ def test_faithful_attacker_is_covert_but_harmless(guideway, guideway_problem):
 
 def test_impossible_insertion_breaks_covertness(guideway, guideway_problem):
     # answering the first a1 with a3# claims a train finished before starting
-    liar = _swap_attacker(guideway.cfg, {"a1": "a3"})
+    liar = swap_attacker(guideway.cfg, {"a1": "a3"})
     res = verify_covert(guideway_problem, liar)
     assert not res.ok
     assert res.witness is not None
@@ -127,9 +135,8 @@ def test_empty_language_attack_is_vacuously_covert(guideway_problem):
     assert verify_covert(guideway_problem, a).ok
 
 
-def test_never_attack_is_not_damage_reachable(reduced_problem):
-    from netdes.fixtures import reduced_config
-    af = faithful_attacker(reduced_config())
+def test_never_attack_is_not_damage_reachable(reduced, reduced_problem):
+    af = faithful_attacker(reduced.cfg)
     assert verify_covert(reduced_problem, af).ok
     assert not verify_damage_reachable(reduced_problem, af).ok
     assert not verify_damage_nonblocking(reduced_problem, af).ok

@@ -3,9 +3,10 @@ import random
 import pytest
 
 import netdes.events as ev
-from netdes.automaton import isomorphic_by, restrict_reachable, state_name
+from netdes.automaton import restrict_reachable, state_name
 from netdes.textio import (ParseError, parse_automaton, serialize_automaton,
                            to_dot)
+from oracles import isomorphic_by
 from test_automaton import random_automaton
 
 
@@ -71,6 +72,13 @@ def test_undeclared_event_is_a_parse_error_with_line():
 def test_missing_initial_rejected():
     with pytest.raises(ParseError):
         parse_automaton(".automaton T\n.alphabet a:plain\n.trans S0 a S1\n")
+
+
+def test_second_initial_rejected():
+    text = ".automaton X\n.alphabet a:plain\n.initial A\n.initial B\n.trans B a B\n"
+    with pytest.raises(ParseError, match=r"\.initial given twice") as err:
+        parse_automaton(text)
+    assert err.value.line == 4
 
 
 def test_unknown_directive_rejected():
