@@ -7,6 +7,12 @@ frozensets) so results hash and compare deterministically. Every forward
 search goes through one breadth-first explorer, ``explore``, whose discovery
 order is the state order of what it builds; unordered closures use
 ``close_under``.
+
+Event labels and channel states are interned (``events``, ``channels``):
+equal values are one object, compared and hashed by identity. Their set and
+dict orders therefore follow addresses, so every order an output can see is
+fixed here by label order (``sorted_events``) or by ``state_name``, never by
+iteration over a set.
 """
 from __future__ import annotations
 
@@ -413,6 +419,13 @@ def compose(components: Sequence[Automaton], name: str = "",
     during exploration (used by the plant pruning step): a rejected
     transition is dropped, and a state that only rejected transitions lead
     to is never discovered or expanded. The initial state is always kept.
+
+    A product state visits only the events that no component blocks: each
+    component state's mask of such events (those it enables and those
+    outside its alphabet) is computed once, the masks are ANDed, and the set
+    bits are walked in label order. Transitions come out in label order with
+    earlier components varying slowest, as a nested loop over every event
+    would produce them.
     """
     if not components:
         raise AutomatonError("compose needs at least one component")
@@ -426,33 +439,46 @@ def compose(components: Sequence[Automaton], name: str = "",
     if any(c.initial is None for c in components):
         return empty_automaton(alphabet, name)
     init = tuple(c.initial for c in components)
+    # bit r of a mask stands for the event of rank r in label order
     events = [(ev, participants[ev]) for ev in sorted_events(alphabet)]
+    rank = {ev: r for r, (ev, _parts) in enumerate(events)}
+    full = (1 << len(events)) - 1
     deltas = [c._delta for c in components]
+    # the events a component never blocks: those outside its alphabet
+    outside = [full & ~sum(1 << rank[ev] for ev in c.alphabet) for c in components]
+    # per component, filled lazily: state -> (unblocked-event mask, row)
+    by_state: List[Dict[State, Tuple[int, Dict]]] = [{} for _ in components]
 
     def moves(cur: Tuple[State, ...]) -> List[Transition]:
         out = []
-        rows = [d[q] for d, q in zip(deltas, cur)]
-        for ev, parts in events:
-            steps = []
+        rows = []
+        bits = full
+        for i, q in enumerate(cur):
+            hit = by_state[i].get(q)
+            if hit is None:
+                row = deltas[i][q]
+                hit = by_state[i][q] = (outside[i] | sum(1 << rank[ev] for ev in row),
+                                        row)
+            bits &= hit[0]
+            rows.append(hit[1])
+        while bits:  # set bits in ascending rank, so events in label order
+            low = bits & -bits
+            bits ^= low
+            ev, parts = events[low.bit_length() - 1]
+            nexts = [list(cur)]
             for i in parts:
-                dsts = rows[i].get(ev)
-                if not dsts:
-                    break
-                steps.append((i, dsts))
-            else:
-                nexts = [list(cur)]
-                for i, dsts in steps:
-                    if len(dsts) == 1:
-                        for nxt in nexts:
-                            nxt[i] = dsts[0]
-                    else:
-                        # earlier components vary slowest, as in nested loops
-                        nexts = [nxt[:i] + [dst] + nxt[i + 1:]
-                                 for nxt in nexts for dst in dsts]
-                for nxt in nexts:
-                    nxt_t = tuple(nxt)
-                    if allowed is None or allowed(cur, ev, nxt_t):
-                        out.append((cur, ev, nxt_t))
+                dsts = rows[i][ev]
+                if len(dsts) == 1:
+                    for nxt in nexts:
+                        nxt[i] = dsts[0]
+                else:
+                    # earlier components vary slowest, as in nested loops
+                    nexts = [nxt[:i] + [dst] + nxt[i + 1:]
+                             for nxt in nexts for dst in dsts]
+            for nxt in nexts:
+                nxt_t = tuple(nxt)
+                if allowed is None or allowed(cur, ev, nxt_t):
+                    out.append((cur, ev, nxt_t))
         return out
 
     product = explored_automaton(init, moves, alphabet, name)

@@ -5,7 +5,8 @@ A message enters with the channel's full delay bound attached; ``tick``
 decrements every remaining delay and is blocked while any message is at
 delay zero (it must leave first); any resident message may exit at any
 time, which is what makes the channel non-FIFO and the automaton
-nondeterministic.
+nondeterministic. A channel state is an interned ``ChannelState``: one
+immutable object per multiset, compared and hashed by identity.
 
 Capacities come from the closed-form rate analysis: the observation channel
 holds at most ``n_f * u * (delta_o + 1)`` messages and the control channel at
@@ -21,26 +22,38 @@ from .config import SystemConfig
 
 Entry = Tuple[Tuple[str, int], int]  # ((message, delay), multiplicity)
 
+_INTERNED: Dict[Tuple[Entry, ...], "ChannelState"] = {}
+
 
 class ChannelState:
     """Canonical bounded multiset of (message, remaining-delay) pairs.
 
     Entries are kept sorted by (message, delay) with positive multiplicities,
-    so equal multisets are identical objects for hashing purposes.
+    and states are interned by that entries tuple: equal multisets are
+    identical objects, whichever of ``tick``, ``add``, ``remove`` or the
+    constructor reached them. Equality and hashing are by identity, and a
+    state is immutable; copying or unpickling one yields the interned one.
     """
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries: Iterable[Entry] = ()):
+    def __new__(cls, entries: Iterable[Entry] = ()) -> "ChannelState":
         cleaned = tuple(sorted((pair, m) for (pair, m) in entries if m > 0))
-        self.entries: Tuple[Entry, ...] = cleaned
-        self._hash = hash(cleaned)
+        state = _INTERNED.get(cleaned)
+        if state is None:
+            state = object.__new__(cls)
+            object.__setattr__(state, "entries", cleaned)
+            _INTERNED[cleaned] = state
+        return state
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChannelState) and self.entries == other.entries
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"channel states are immutable: cannot set {name!r}")
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"channel states are immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return ChannelState, (self.entries,)
 
     def __lt__(self, other: "ChannelState") -> bool:
         return self.entries < other.entries

@@ -4,11 +4,15 @@ Every event carries a role that says where it lives in the architecture:
 a plant event, its channel-entry / channel-exit copies, the compromised
 copy injected by the attacker, command events and their channel copies,
 plus the global clock event ``tick`` and the attacker's ``stop``.
+
+Labels are hash-consed: there is one ``EventLabel`` object per (base, role)
+pair in a process, so ``==`` is ``is`` and a label hashes by its address.
+Nothing may depend on the iteration order of a set or dict keyed by labels;
+every output sorts them by ``sort_key`` first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 PLAIN = "plain"
 IN = "in"
@@ -31,27 +35,46 @@ class EventError(ValueError):
     """Raised for malformed event labels or unknown spellings."""
 
 
-@dataclass(frozen=True, order=False)
+_INTERNED: Dict[Tuple[Optional[str], str], "EventLabel"] = {}
+
+
 class EventLabel:
-    """An event name plus the role it plays in the networked loop."""
+    """An event name plus the role it plays in the networked loop.
 
-    base: Optional[str]
-    role: str
+    Labels are interned: ``EventLabel(base, role)`` returns the one instance
+    for that pair, validating it only when it is first created. Equality and
+    hashing are therefore by identity and run in C, and a label is immutable;
+    copying or unpickling one yields the interned instance.
+    """
 
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise EventError(f"unknown event role {self.role!r}")
-        if self.role in _BARE_ROLES:
-            if self.base is not None:
-                raise EventError(f"{self.role} carries no base name")
-        else:
-            if not self.base:
-                raise EventError(f"role {self.role!r} requires a base name")
-        # labels key every successor map; hash the fields once, not per lookup
-        object.__setattr__(self, "_hash", hash((self.base, self.role)))
+    __slots__ = ("base", "role", "_key")
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, base: Optional[str], role: str) -> "EventLabel":
+        label = _INTERNED.get((base, role))
+        if label is not None:
+            return label
+        if role not in ROLES:
+            raise EventError(f"unknown event role {role!r}")
+        if role in _BARE_ROLES:
+            if base is not None:
+                raise EventError(f"{role} carries no base name")
+        elif not base:
+            raise EventError(f"role {role!r} requires a base name")
+        label = object.__new__(cls)
+        object.__setattr__(label, "base", base)
+        object.__setattr__(label, "role", role)
+        object.__setattr__(label, "_key", (base or "", _ROLE_RANK[role]))
+        _INTERNED[base, role] = label
+        return label
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"event labels are immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"event labels are immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return EventLabel, (self.base, self.role)
 
     def spell(self) -> str:
         """Render in the text-format spelling (``x``, ``x_in``, ``x#`` ...)."""
@@ -69,10 +92,10 @@ class EventLabel:
         return self.base + "#"  # compromised
 
     def sort_key(self) -> tuple:
-        return (self.base or "", _ROLE_RANK[self.role])
+        return self._key
 
     def __lt__(self, other: "EventLabel") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def __repr__(self) -> str:
         return f"E({self.spell()})"

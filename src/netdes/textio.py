@@ -93,6 +93,7 @@ def parse_automaton(text: str, name: str = "") -> Automaton:
     states: List[str] = []
     seen_states: set = set()
     auto_name = name
+    named = False
 
     def note_state(s: str) -> None:
         if s not in seen_states:
@@ -105,6 +106,9 @@ def parse_automaton(text: str, name: str = "") -> Automaton:
             continue
         directive, args = toks[0], toks[1:]
         if directive == ".automaton":
+            if named:
+                raise ParseError(".automaton given twice", lineno)
+            named = True
             if args:
                 auto_name = args[0]
         elif directive == ".alphabet":

@@ -1,8 +1,11 @@
-"""Test oracles: comparisons of automata and of their languages, the
-one-edit local maximality probe, and a reference synthesizer of networked
-supervisors (the pipeline takes the supervisor as given).
+"""Test oracles: comparisons of automata and of their languages, a
+nested-loop synchronous product, the one-edit local maximality probe, and a
+reference synthesizer of networked supervisors (the pipeline takes the
+supervisor as given).
 """
-from typing import Callable, Iterable, List, Set, Tuple
+import itertools
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, State,
@@ -76,6 +79,41 @@ def bounded_traces(a: Automaton, depth: int) -> Set[Tuple[EventLabel, ...]]:
         out.update(nxt)
         level = nxt
     return out
+
+
+# -- synchronous product -------------------------------------------------------
+
+def nested_loop_product(components: Sequence[Automaton], name: str = "",
+                        allowed: Optional[Callable] = None) -> Automaton:
+    """The reachable synchronous product, written without ``compose``.
+
+    A breadth-first search whose successors of a tuple state are, for each
+    event in label order, the cartesian product of every component's
+    successors on it (its own state alone when the event is outside its
+    alphabet), earlier components varying slowest; ``allowed(src, event,
+    dst)`` drops transitions before their targets are discovered. Marked
+    states are the tuples of marked states.
+    """
+    alphabet = frozenset().union(*(c.alphabet for c in components))
+    events = sorted_events(alphabet)
+    init = tuple(c.initial for c in components)
+    index: Dict[Tuple, int] = {init: 0}
+    states = [init]
+    transitions = []
+    for cur in states:  # grows while iterated
+        for e in events:
+            choices = [c.successors(q, e) if e in c.alphabet else (q,)
+                       for c, q in zip(components, cur)]
+            for nxt in itertools.product(*choices):
+                if allowed is not None and not allowed(cur, e, nxt):
+                    continue
+                transitions.append((cur, e, nxt))
+                if nxt not in index:
+                    index[nxt] = len(states)
+                    states.append(nxt)
+    marked = [q for q in states
+              if all(x in c.marked for x, c in zip(q, components))]
+    return Automaton(states, alphabet, transitions, init, marked, name)
 
 
 # -- local maximality probes -----------------------------------------------------

@@ -6,17 +6,19 @@ closure stops changing, re-composes P||S on every nonblocking round, and
 completes the missing uncontrollable events afterwards. It is slow but
 obviously follows the three pruning rules of ``netdes.synthesis``, so the
 production engine must agree with it exactly: same states in the same
-order, same transitions, initial and marked sets.
+order, same transitions, initial and marked sets. Its products come from
+the nested-loop oracle, not from ``netdes.automaton.compose``.
 """
 from typing import FrozenSet, Optional, Set, Tuple
 
-from netdes.automaton import (Automaton, AutomatonError, compose, coreachable,
+from netdes.automaton import (Automaton, AutomatonError, coreachable,
                               restrict_reachable, subset_construction)
 from netdes.config import SystemConfig
 from netdes.events import EventLabel, sorted_events
 from netdes.supervision import supervisor_control_constraint
 from netdes.synthesis import SynthesisMode, SynthesisProblem
-from oracles import SPEC_DUMP, _complete_spec, build_supervisor_constraints
+from oracles import (SPEC_DUMP, _complete_spec, build_supervisor_constraints,
+                     nested_loop_product)
 
 
 def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
@@ -55,7 +57,7 @@ def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
         supervisor = _pruned_observer(obs, dead, disabled, controllable, name)
         if not require_nonblocking:
             return restrict_reachable(supervisor, name=name)
-        loop = compose([plant, supervisor], name="P||S")
+        loop = nested_loop_product([plant, supervisor], name="P||S")
         loop = loop.with_marked([q for q in loop.states if q[0] in plant.marked])
         blocking = frozenset(loop.states) - coreachable(loop)
         if not blocking:
@@ -117,7 +119,7 @@ def reference_attack(problem: SynthesisProblem,
     if sup is None:
         return None
     if mode is SynthesisMode.DAMAGE_REACHABLE:
-        loop = compose([plant, sup], name="P||A")
+        loop = nested_loop_product([plant, sup], name="P||A")
         if not any(q[0] in problem.target for q in loop.states):
             return None
     uncontrollable = frozenset(sup.alphabet) - controllable
@@ -130,8 +132,8 @@ def reference_networked_supervisor(g_new: Automaton, oc_t: Automaton,
     """The networked supervisor as the reference engine computes it, or None
     where no supervisor exists."""
     nsc = build_supervisor_constraints(cfg)
-    plant_ns = compose([g_new, oc_t, nsc, cc, _complete_spec(spec, cfg)],
-                       name="P_ns")
+    plant_ns = nested_loop_product(
+        [g_new, oc_t, nsc, cc, _complete_spec(spec, cfg)], name="P_ns")
     bad = frozenset(q for q in plant_ns.states if q[4] is SPEC_DUMP)
     constraint = supervisor_control_constraint(cfg)
     sup = reference_supremal_supervisor(

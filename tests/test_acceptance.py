@@ -15,10 +15,8 @@ from netdes.automaton import (Automaton, accepts, compose, is_nonblocking,
                               restrict_reachable, state_name,
                               subset_construction)
 from netdes.channels import (ChannelState, build_observation_channel,
-                             capacity_control, capacity_observation,
                              enumerate_channel_states)
 from netdes.config import EventSpec, RateBounds, SystemConfig
-from netdes.plant import capacity_storage
 from netdes.synthesis import (MONITOR_EMPTY, verify_covert,
                               verify_damage_nonblocking)
 from netdes.textio import parse_automaton, serialize_automaton
@@ -26,8 +24,6 @@ from oracles import (apply_edit, bounded_traces, disabled_controllable_edits,
                      isomorphic_by)
 from systems import faithful_attacker, shipped_config, shipped_system
 from test_automaton import can_project_to, random_automaton
-
-GUIDEWAY_PARAMS = dict(n_f=1, u=1, v=1, delta_o=1, delta_c=0, delta_s=0)
 
 
 def verdict(number, ok, text):

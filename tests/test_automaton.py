@@ -8,7 +8,7 @@ from netdes.automaton import (Automaton, AutomatonError, accepts, compose,
                               coreachable, empty_automaton, explore,
                               is_nonblocking, reachable, subset_construction,
                               trim, unobservable_reach)
-from oracles import bounded_traces, isomorphic_by
+from oracles import bounded_traces, isomorphic_by, nested_loop_product
 
 A, B, C, U, O = (ev.plant(x) for x in "abcuo")
 
@@ -209,6 +209,45 @@ def test_compose_filter_never_discovers_states_behind_rejected_transitions():
     assert set(prod.states) == {("p0",), ("p3",)}
     assert set(prod.transitions) == {(("p0",), C, ("p3",)), (("p3",), B, ("p0",))}
     assert set(sources) == {("p0",), ("p3",)}
+
+
+def _random_component(rng, k, shared):
+    """A component over a random part of ``shared`` plus private events of
+    its own, possibly nondeterministic, with state names that do not sort
+    in discovery order."""
+    alphabet = rng.sample(shared, rng.randint(1, len(shared)))
+    alphabet += [ev.plant(f"p{k}{j}") for j in range(rng.randint(0, 2))]
+    states = [f"{'zyxwvu'[i]}{k}" for i in range(rng.randint(1, 6))]
+    trans = {(rng.choice(states), rng.choice(alphabet), rng.choice(states))
+             for _ in range(rng.randint(0, 4 * len(states)))}
+    if rng.random() < 0.3:
+        # a guaranteed nondeterministic branch from the initial state
+        trans |= {(states[0], alphabet[0], q) for q in states}
+    marked = [q for q in states if rng.random() < 0.5]
+    return Automaton(states, alphabet, trans, states[0], marked)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compose_matches_nested_loop_product(seed):
+    rng = random.Random(seed)
+    shared = [ev.plant(x) for x in "abcdefg"] + [ev.entry("a"), ev.tick]
+    for _ in range(25):
+        comps = [_random_component(rng, k, shared)
+                 for k in range(rng.randint(1, 4))]
+        cut = {(k, q, e) for k, c in enumerate(comps) for q in c.states
+               for e in c.alphabet if rng.random() < 0.15}
+
+        def allowed(src, e, dst):
+            return not any((k, q, e) in cut for k, q in enumerate(dst))
+
+        for flt in (None, allowed):
+            got = compose(comps, name="P", allowed=flt)
+            want = nested_loop_product(comps, name="P", allowed=flt)
+            assert got.states == want.states
+            assert got.marked == want.marked
+            assert got.alphabet == want.alphabet
+            for q in want.states:
+                assert got.moves(q) == want.moves(q)
 
 
 # -- explorer ----------------------------------------------------------------------

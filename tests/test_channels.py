@@ -1,13 +1,15 @@
+import copy
+import pickle
 from math import comb
 
 import pytest
 
 import netdes.events as ev
 from netdes.automaton import Automaton, AutomatonError
-from netdes.channels import (ChannelState, build_control_channel,
-                             build_observation_channel, capacity_control,
-                             capacity_observation, enumerate_channel_states,
-                             relabel_to_attack_free)
+from netdes.channels import (EMPTY_CHANNEL, ChannelState,
+                             build_control_channel, build_observation_channel,
+                             capacity_control, capacity_observation,
+                             enumerate_channel_states, relabel_to_attack_free)
 from netdes.config import EventSpec, RateBounds, SystemConfig
 
 
@@ -53,6 +55,39 @@ def test_enumerate_without_message_kinds_is_just_empty():
             assert enumerate_channel_states(0, delta, capacity) == 1
     with pytest.raises(ValueError):
         enumerate_channel_states(-1, 1, 1)
+
+
+# -- interned states ---------------------------------------------------------------
+
+def test_equal_entries_give_one_state():
+    one = ChannelState(((("a", 1), 1), (("b", 0), 2)))
+    assert ChannelState([(("b", 0), 2), (("a", 1), 1), (("c", 3), 0)]) is one
+    assert ChannelState() is ChannelState(()) is EMPTY_CHANNEL
+    assert ChannelState(((("a", 1), 2),)) is not ChannelState(((("a", 1), 1),))
+
+
+def test_every_path_to_a_multiset_gives_one_state():
+    ab = EMPTY_CHANNEL.add("a", 1).add("b", 1)
+    assert EMPTY_CHANNEL.add("b", 1).add("a", 1) is ab
+    assert ab.add("a", 1).remove("a", 1) is ab
+    assert ab.remove("a", 1).remove("b", 1) is EMPTY_CHANNEL
+    ticked = ab.tick()
+    assert ticked is EMPTY_CHANNEL.add("a", 0).add("b", 0)
+    assert ticked is ChannelState(((("a", 0), 1), (("b", 0), 1)))
+
+
+def test_channel_states_copy_pickle_and_stay_immutable():
+    state = EMPTY_CHANNEL.add("a", 2).add("a", 2)
+    assert copy.copy(state) is state
+    assert copy.deepcopy(state) is state
+    assert pickle.loads(pickle.dumps(state)) is state
+    with pytest.raises(AttributeError):
+        state.entries = ()
+    with pytest.raises(AttributeError):
+        del state.entries
+    assert state.canonical_name() == "{(a,2)^2}"
+    with pytest.raises(ValueError):
+        state.remove("b", 2)
 
 
 # -- observation channel ----------------------------------------------------------

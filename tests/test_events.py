@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 import netdes.events as ev
@@ -50,3 +53,53 @@ def test_ordering_is_total_and_stable():
     ordered = ev.sorted_events(labels)
     assert ordered == ev.sorted_events(reversed(labels))
     assert ordered[0].sort_key() <= ordered[1].sort_key()
+
+
+# -- interning ---------------------------------------------------------------
+
+def test_labels_are_interned():
+    assert ev.plant("a") is EventLabel("a", ev.PLAIN) is parse_spelling("a")
+    assert EventLabel(base="a", role=ev.IN) is ev.entry("a")
+    assert parse_spelling("tick") is EventLabel(None, ev.TICK) is ev.tick
+    assert ev.plant("a") is not ev.command("a")
+
+
+def test_copies_and_pickles_are_the_interned_label():
+    for label in (ev.compromised("x"), ev.command_exit("v"), ev.stop):
+        assert copy.copy(label) is label
+        assert copy.deepcopy(label) is label
+        assert copy.deepcopy([label])[0] is label
+        assert pickle.loads(pickle.dumps(label)) is label
+
+
+def test_labels_are_immutable():
+    label = ev.plant("a")
+    with pytest.raises(AttributeError):
+        label.base = "b"
+    with pytest.raises(AttributeError):
+        label.role = ev.IN
+    with pytest.raises(AttributeError):
+        del label.base
+    with pytest.raises(AttributeError):
+        label.extra = 1
+    assert label.spell() == "a"
+
+
+def test_invalid_labels_are_rejected_every_time():
+    # a failed construction interns nothing
+    for _ in range(2):
+        with pytest.raises(EventError, match="unknown event role"):
+            EventLabel("x", "nonsense")
+        with pytest.raises(EventError, match="requires a base name"):
+            EventLabel("", ev.PLAIN)
+        with pytest.raises(EventError, match="carries no base name"):
+            EventLabel("x", ev.TICK)
+
+
+def test_sort_key_matches_label_order():
+    labels = [ev.stop, ev.tick, ev.plant("b"), ev.command_entry("a"),
+              ev.compromised("a"), ev.plant("a"), ev.entry("a")]
+    ordered = ev.sorted_events(labels)
+    assert ordered == sorted(labels)
+    assert [label.sort_key() for label in ordered] == sorted(
+        (label.base or "", ev.ROLES.index(label.role)) for label in labels)

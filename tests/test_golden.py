@@ -3,8 +3,9 @@
 Each case runs ``build`` or ``synthesize`` (and ``verify`` on the attack it
 wrote) and compares the sha256 of every written file, of stdout and the exit
 status with digests recorded before the kernel's orderings were relaxed (the
-rungs: before the searches moved onto one explorer). A change that alters
-any byte of any output fails here.
+rungs: before the searches moved onto one explorer; guideway ``u=2``: before
+event labels and channel states were interned). A change that alters any
+byte of any output fails here.
 """
 import contextlib
 import dataclasses
@@ -103,6 +104,22 @@ RUNGS = {
     },
 }
 
+# guideway with u=2 in nonblocking mode, the largest case here (P has 21,189
+# states): every file synthesize writes, and the stdout of verify
+GUIDEWAY_U2_NONBLOCKING = {
+    **_GUIDEWAY_COMPONENTS,
+    "ac.aut": "1e94df16220f115a9428a4bc2fdcb7324ad9188b968f5df9776f1349c79d8693",
+    "attack.aut": "e50f5af748c60f6ad65279b0ebe7160b876b8c8d776c86af1cd76abedb0ac56b",
+    "cc.aut": "1a10e3669cf116d3d66a85d9cb508f4f25bf5a75d8be3ef2e768cbbf666d8766",
+    "certificate.txt": "2677edcb49bfe07d47e6b23fb4fc8a87c7fabc6034f72b9e213c4e51d5fc0778",
+    "cs.aut": "5b5a29b69b3ae9dddcb68b64c6f80d574c9a410d99601a086105f603b93b557a",
+    "g_new.aut": "aec35cdeaf7543d1284bdadce4618619f05e6207b07f177950318a546fe7ffde",
+    "oc.aut": "e6920dbb4a29a6ad82c56974f8b1fa5e933cd451da5fb2b4fba39f022a923b66",
+    "oc_t.aut": "f1e146e107c2d7a4d426d738e61080025e872b8ad8e3e93cc96b13d3323c58b6",
+    "state_counts.txt": "6dfafc4ddb46de6fcc5de9849ec4e5ea76d32b44b7d728f772b646424fbf7b1b",
+}
+_GUIDEWAY_U2_VERIFY = "10c84d892650a9d1e6d1dae51224c471aae8d851666f60fb3c1204f8012f88e4"
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -167,3 +184,21 @@ def test_synthesize_and_verify_match_golden(system, mode, tmp_path, monkeypatch)
     status, stdout = _run(system, "verify", ["--attack", "out/attack.aut"])
     assert status == 0
     assert _sha(stdout.encode()) == GOLDEN[system, mode]["<verify>"]
+
+
+def test_synthesize_and_verify_on_guideway_u2_match_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config(os.path.join(DATA, "guideway.cfg"))
+    with open("rung.cfg", "w", encoding="utf-8") as fh:
+        fh.write(serialize_config(dataclasses.replace(
+            cfg, rates=dataclasses.replace(cfg.rates, u=2))))
+    status, stdout = _run("guideway", "synthesize",
+                          ["--out", "out", "--mode", "nonblocking"], config="rung.cfg")
+    assert status == 0
+    assert _file_digests("out") == GUIDEWAY_U2_NONBLOCKING
+    assert _sha(stdout.encode()) == GUIDEWAY_U2_NONBLOCKING["certificate.txt"]
+
+    status, stdout = _run("guideway", "verify", ["--attack", "out/attack.aut"],
+                          config="rung.cfg")
+    assert status == 0
+    assert _sha(stdout.encode()) == _GUIDEWAY_U2_VERIFY

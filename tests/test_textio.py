@@ -81,6 +81,13 @@ def test_second_initial_rejected():
     assert err.value.line == 4
 
 
+def test_second_automaton_name_rejected():
+    text = ".automaton X\n.automaton Y\n.alphabet a:plain\n.initial A\n.trans A a A\n"
+    with pytest.raises(ParseError, match=r"\.automaton given twice") as err:
+        parse_automaton(text)
+    assert err.value.line == 2
+
+
 def test_unknown_directive_rejected():
     with pytest.raises(ParseError):
         parse_automaton(".bogus x\n")
