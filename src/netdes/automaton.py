@@ -8,6 +8,14 @@ search goes through one breadth-first explorer, ``explore``, whose discovery
 order is the state order of what it builds; unordered closures use
 ``close_under``.
 
+An automaton is either explicit (``Automaton``) or implicit
+(``ImplicitAutomaton``): an initial state and a row function whose successor
+rows are computed on first lookup and then kept. ``product`` is the
+synchronous product as an implicit automaton, so a product over implicit
+components builds only the component rows its own exploration reaches;
+``compose`` is a materialized ``product``, and materializing explores the
+kept rows once into an ``Automaton`` that shares them.
+
 Event labels and channel states are interned (``events``, ``channels``):
 equal values are one object, compared and hashed by identity. Their set and
 dict orders therefore follow addresses, so every order an output can see is
@@ -97,12 +105,9 @@ class Automaton:
                 succ[ev] = [dst]
             else:
                 dsts.append(dst)
-        # a single successor needs no sort; several keep the canonical
-        # state_name order that BFS numbering and witnesses depend on
         for succ in delta.values():
             for ev, dsts in succ.items():
-                succ[ev] = (tuple(dsts) if len(dsts) == 1
-                            else tuple(sorted(dsts, key=state_name)))
+                succ[ev] = _successor_tuple(dsts)
         self._delta = delta
         self._enabled: Dict[State, Tuple[EventLabel, ...]] = {
             q: tuple(succ) if len(succ) < 2 else tuple(sorted_events(succ))
@@ -203,16 +208,111 @@ def explore(init: State, moves: Moves, index: Optional[Dict[State, int]] = None
         yield q, out
 
 
-def explored_automaton(init: State, moves: Moves, alphabet: Iterable[EventLabel],
-                       name: str = "") -> Automaton:
-    """The automaton of everything reachable from ``init`` under ``moves``,
-    states in discovery order, nothing marked."""
-    states: List[State] = []
-    transitions: List[Transition] = []
-    for q, out in explore(init, moves):
-        states.append(q)
-        transitions += out
-    return Automaton(states, alphabet, transitions, init, (), name)
+Row = Dict[EventLabel, Tuple[State, ...]]
+
+
+class _Rows(dict):
+    """State -> successor row, each computed by ``row(q)`` on its first
+    lookup by ``[]`` and then kept; ``get`` and ``in`` compute nothing. With
+    ``row`` set to None it is a plain dict again: an unknown state raises
+    KeyError."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: Optional[Callable[[State], Row]]) -> None:
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, q: State) -> Row:
+        if self.row is None:
+            raise KeyError(q)
+        out = self[q] = self.row(q)
+        return out
+
+
+class ImplicitAutomaton:
+    """An automaton given by its initial state and a row function.
+
+    ``row(q)`` returns the transitions leaving q in the form of
+    ``Automaton._delta``: event -> tuple of successors, events in label
+    order, several successors in ``state_name`` order. A row is computed on
+    its first lookup in ``_delta`` and then kept. ``product`` and ``compose``
+    read only ``initial``, ``alphabet``, ``marked`` (a membership test) and
+    ``_delta``, so composing over an implicit automaton computes only the rows
+    the composition reaches.
+
+    ``materialize()`` explores the reachable part once, states in
+    breadth-first order of their rows, into an ``Automaton`` that shares the
+    kept rows. Reading any other ``Automaton`` attribute (``states``,
+    ``transitions``, ``successors``, ...) reads that materialized automaton.
+    """
+
+    __slots__ = ("name", "alphabet", "initial", "marked", "_delta", "_automaton")
+
+    def __init__(self, initial: Optional[State], alphabet: Iterable[EventLabel],
+                 row: Optional[Callable[[State], Row]], marked: Any = frozenset(),
+                 name: str = "") -> None:
+        self.name = name
+        self.alphabet: FrozenSet[EventLabel] = frozenset(alphabet)
+        self.initial = initial
+        self.marked = marked
+        self._delta = _Rows(row)
+        self._automaton: Optional[Automaton] = None
+
+    def materialize(self) -> Automaton:
+        """The reachable part as an ``Automaton``, built on the first call."""
+        if self._automaton is not None:
+            return self._automaton
+        if self.initial is None:
+            self._automaton = empty_automaton(self.alphabet, self.name)
+            return self._automaton
+        rows = self._delta
+        states: List[State] = []
+
+        def walk() -> Iterator[Transition]:
+            for q, out in explore(self.initial, lambda q: [
+                    (q, e, dst) for e, dsts in rows[q].items() for dst in dsts]):
+                states.append(q)
+                yield from out
+
+        # straight into the set: no list of every transition besides it
+        transitions = frozenset(walk())
+        # every reachable row is kept now, and only reachable states were
+        # ever looked up; dropping the row function frees its caches
+        rows.row = None
+        m = Automaton.__new__(Automaton)
+        m.name, m.alphabet, m.initial = self.name, self.alphabet, self.initial
+        m.states = tuple(states)
+        m.transitions = transitions
+        m.marked = frozenset(q for q in states if q in self.marked)
+        m._delta = rows
+        m._enabled = {q: tuple(rows[q]) for q in states}
+        self._automaton = m
+        return m
+
+    def __getattr__(self, attr: str) -> Any:
+        # reached only for names that are not slots
+        return getattr(self.materialize(), attr)
+
+
+def implicit_automaton(init: State, moves: Moves, alphabet: Iterable[EventLabel],
+                       name: str = "") -> ImplicitAutomaton:
+    """Everything reachable from ``init`` under ``moves`` (transitions as
+    (q, label, target) triples, in any order), explored on demand, nothing
+    marked."""
+    def row(q: State) -> Row:
+        by_event: Dict[EventLabel, Dict[State, None]] = {}
+        for _q, e, dst in moves(q):
+            by_event.setdefault(e, {})[dst] = None
+        return {e: _successor_tuple(list(by_event[e])) for e in sorted_events(by_event)}
+
+    return ImplicitAutomaton(init, alphabet, row, frozenset(), name)
+
+
+def _successor_tuple(dsts: List[State]) -> Tuple[State, ...]:
+    # a single successor needs no sort; several keep the canonical
+    # state_name order that BFS numbering and witnesses depend on
+    return tuple(dsts) if len(dsts) == 1 else tuple(sorted(dsts, key=state_name))
 
 
 def unobservable_reach(a: Automaton, q: State,
@@ -406,39 +506,53 @@ def observer_pairs(a: Automaton, start: State,
 
 # -- composition -------------------------------------------------------
 
-def compose(components: Sequence[Automaton], name: str = "",
-            allowed: Optional[Callable[[Tuple[State, ...], EventLabel,
-                                        Tuple[State, ...]], bool]] = None
-            ) -> Automaton:
-    """N-ary synchronous product with flat tuple states.
+class _AllMarked:
+    """Membership test for the marked states of a product: tuples of marked
+    component states."""
 
-    Shared events synchronize when all sharing components enable them,
-    private events interleave, and a shared event enabled on one side only
-    is blocked. Only the reachable part is constructed; marked states are
-    tuples of marked states. ``allowed(src, event, dst)`` filters transitions
-    during exploration (used by the plant pruning step): a rejected
-    transition is dropped, and a state that only rejected transitions lead
-    to is never discovered or expanded. The initial state is always kept.
+    __slots__ = ("components",)
 
-    A product state visits only the events that no component blocks: each
-    component state's mask of such events (those it enables and those
-    outside its alphabet) is computed once, the masks are ANDed, and the set
-    bits are walked in label order. Transitions come out in label order with
-    earlier components varying slowest, as a nested loop over every event
-    would produce them.
+    def __init__(self, components: Sequence) -> None:
+        self.components = components
+
+    def __contains__(self, q: Tuple[State, ...]) -> bool:
+        return all(x in c.marked for x, c in zip(q, self.components))
+
+
+Filter = Callable[[Tuple[State, ...], EventLabel, Tuple[State, ...]], bool]
+
+
+def product(components: Sequence, name: str = "",
+            allowed: Optional[Filter] = None) -> ImplicitAutomaton:
+    """N-ary synchronous product with flat tuple states, explored on demand.
+
+    Components are ``Automaton``s or implicit automata. Shared events
+    synchronize when all sharing components enable them, private events
+    interleave, and a shared event enabled on one side only is blocked.
+    Marked states are tuples of marked states. ``allowed(src, event, dst)``
+    filters transitions as rows are computed (used by the plant pruning
+    step): a rejected transition is dropped, and a state that only rejected
+    transitions lead to is never discovered or expanded. The initial state is
+    always kept.
+
+    A row visits only the events that no component blocks: each component
+    state's mask of such events (those it enables and those outside its
+    alphabet) is computed once, the masks are ANDed, and the set bits are
+    walked in label order. Several successors on one event are kept in
+    ``state_name`` order, as in ``Automaton``.
     """
     if not components:
         raise AutomatonError("compose needs at least one component")
     alphabet: Set[EventLabel] = set()
     for c in components:
         alphabet.update(c.alphabet)
+    marked = _AllMarked(components)
+    if any(c.initial is None for c in components):
+        return ImplicitAutomaton(None, alphabet, None, marked, name)
     participants: Dict[EventLabel, Tuple[int, ...]] = {
         ev: tuple(i for i, c in enumerate(components) if ev in c.alphabet)
         for ev in alphabet
     }
-    if any(c.initial is None for c in components):
-        return empty_automaton(alphabet, name)
-    init = tuple(c.initial for c in components)
     # bit r of a mask stands for the event of rank r in label order
     events = [(ev, participants[ev]) for ev in sorted_events(alphabet)]
     rank = {ev: r for r, (ev, _parts) in enumerate(events)}
@@ -447,20 +561,20 @@ def compose(components: Sequence[Automaton], name: str = "",
     # the events a component never blocks: those outside its alphabet
     outside = [full & ~sum(1 << rank[ev] for ev in c.alphabet) for c in components]
     # per component, filled lazily: state -> (unblocked-event mask, row)
-    by_state: List[Dict[State, Tuple[int, Dict]]] = [{} for _ in components]
+    by_state: List[Dict[State, Tuple[int, Row]]] = [{} for _ in components]
 
-    def moves(cur: Tuple[State, ...]) -> List[Transition]:
-        out = []
+    def row(cur: Tuple[State, ...]) -> Row:
         rows = []
         bits = full
         for i, q in enumerate(cur):
             hit = by_state[i].get(q)
             if hit is None:
-                row = deltas[i][q]
-                hit = by_state[i][q] = (outside[i] | sum(1 << rank[ev] for ev in row),
-                                        row)
+                succ = deltas[i][q]
+                hit = by_state[i][q] = (outside[i] | sum(1 << rank[ev] for ev in succ),
+                                        succ)
             bits &= hit[0]
             rows.append(hit[1])
+        out: Row = {}
         while bits:  # set bits in ascending rank, so events in label order
             low = bits & -bits
             bits ^= low
@@ -472,19 +586,23 @@ def compose(components: Sequence[Automaton], name: str = "",
                     for nxt in nexts:
                         nxt[i] = dsts[0]
                 else:
-                    # earlier components vary slowest, as in nested loops
                     nexts = [nxt[:i] + [dst] + nxt[i + 1:]
                              for nxt in nexts for dst in dsts]
-            for nxt in nexts:
-                nxt_t = tuple(nxt)
-                if allowed is None or allowed(cur, ev, nxt_t):
-                    out.append((cur, ev, nxt_t))
+            kept = [nxt_t for nxt_t in map(tuple, nexts)
+                    if allowed is None or allowed(cur, ev, nxt_t)]
+            if kept:
+                out[ev] = _successor_tuple(kept)
         return out
 
-    product = explored_automaton(init, moves, alphabet, name)
-    return product.with_marked(
-        [q for q in product.states
-         if all(q[i] in c.marked for i, c in enumerate(components))])
+    return ImplicitAutomaton(tuple(c.initial for c in components), alphabet, row,
+                             marked, name)
+
+
+def compose(components: Sequence, name: str = "",
+            allowed: Optional[Filter] = None) -> Automaton:
+    """``product(components, name, allowed)``, materialized: the reachable
+    part, states in breadth-first order of ``moves``."""
+    return product(components, name, allowed).materialize()
 
 
 # -- witnesses ---------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 from . import events as ev
-from .automaton import Automaton, AutomatonError, Transition, explored_automaton
+from .automaton import Automaton, AutomatonError, Transition, implicit_automaton
 from .config import SystemConfig
 
 Entry = Tuple[Tuple[str, int], int]  # ((message, delay), multiplicity)
@@ -138,7 +138,7 @@ def _build_channel(messages: List[str], delta: int, capacity: int,
                 for m in messages for d in q.delays_of(m)]
         return out
 
-    return explored_automaton(EMPTY_CHANNEL, moves, alphabet, name)
+    return implicit_automaton(EMPTY_CHANNEL, moves, alphabet, name).materialize()
 
 
 def build_observation_channel(cfg: SystemConfig) -> Automaton:

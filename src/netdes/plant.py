@@ -5,19 +5,24 @@ from the control channel, expire after a bounded number of ticks), a
 command-execution stage (uses one fetched command at a time, fires an event
 once its per-event countdown reaches zero, abandons the command when an
 uncontrollable event preempts it), and the plant proper. Their product is
-explored once, through a transition filter that keeps the execution stage
-from ever holding a command that is useless at the current plant state, or
-idling over a tick while the store holds a usable command. The same two
-rules, written once in ``_pruning_rules``, are re-checked on the result by
+explored through a transition filter that keeps the execution stage from
+ever holding a command that is useless at the current plant state, or idling
+over a tick while the store holds a usable command. The same two rules,
+written once in ``_pruning_rules``, are re-checked on the result by
 ``check_pruned_invariants``.
+
+The command store and the pruned product G_new are implicit automata
+(``automaton.ImplicitAutomaton``): their rows are computed on first lookup,
+so the new plant and the monitor, composed over G_new, build only the part of
+it they reach. Writing ``cs.aut`` and ``g_new.aut`` materializes them.
 """
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from . import events as ev
-from .automaton import (Automaton, AutomatonError, Transition, compose,
-                        explored_automaton, state_name)
+from .automaton import (Automaton, AutomatonError, ImplicitAutomaton, Transition,
+                        implicit_automaton, product, state_name)
 from .config import SystemConfig
 from .textio import load_automaton
 
@@ -55,13 +60,14 @@ def _queue_remove_first(q: StorageState, cmd: str) -> StorageState:
     raise ValueError(f"command {cmd} not stored")
 
 
-def build_command_storage(cfg: SystemConfig) -> Automaton:
+def build_command_storage(cfg: SystemConfig) -> ImplicitAutomaton:
     """FIFO queue of received commands; each entry survives delta_s ticks.
 
     ``v_out`` (arrival from the control channel) appends; the plain command
     event (a fetch by the execution stage) removes the earliest matching
     entry; ``tick`` decrements storage times and silently drops expired
-    entries, so tick is defined everywhere.
+    entries, so tick is defined everywhere. Its states are explored on
+    demand: only those a composition reaches are built.
     """
     cap = capacity_storage(cfg.rates.n_f, cfg.rates.u, cfg.rates.v,
                            cfg.delta_o, cfg.delta_c, cfg.delta_s)
@@ -77,7 +83,7 @@ def build_command_storage(cfg: SystemConfig) -> Automaton:
                 for g in _queue_commands(q)]
         return out
 
-    return explored_automaton(EMPTY_QUEUE, moves, alphabet, name="CS")
+    return implicit_automaton(EMPTY_QUEUE, moves, alphabet, name="CS")
 
 
 # -- command execution ----------------------------------------------------
@@ -111,7 +117,7 @@ def build_command_execution(cfg: SystemConfig) -> Automaton:
             out += [(q, ev.plant(s), IDLE) for (s, t) in sorted(q) if t == 0]
         return out + [(q, u, IDLE) for u in uncontrollable]
 
-    return explored_automaton(IDLE, moves, alphabet, name="CE")
+    return implicit_automaton(IDLE, moves, alphabet, name="CE").materialize()
 
 
 # -- plant loading ---------------------------------------------------------
@@ -136,8 +142,8 @@ def _check_plant(g: Automaton, cfg: SystemConfig) -> Automaton:
 
 # -- composition and pruning ------------------------------------------------
 
-def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
-                            cfg: SystemConfig) -> Automaton:
+def compose_and_prune_plant(cs: Automaton | ImplicitAutomaton, ce: Automaton,
+                            g: Automaton, cfg: SystemConfig) -> ImplicitAutomaton:
     """Product of storage, execution and plant with the two pruning rules.
 
     Rule 1 deletes composite states whose active command shares no event with
@@ -145,7 +151,8 @@ def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
     states where the execution stage idles while the store holds a usable
     command: the fetch preempts time. Both rules filter transitions while
     the product is explored, so a state that only pruned transitions reach
-    is never built.
+    is never built. The result is an implicit automaton: a composition over
+    it computes only the rows it reaches.
     """
     sigma_cs = {ev.command_exit(x) for x in cfg.gamma} \
         | {ev.command(x) for x in cfg.gamma} | {ev.tick}
@@ -156,7 +163,7 @@ def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
         raise AutomatonError("plant alphabet mismatch with config")
 
     useless_fetch, preempted = _pruning_rules(g, cfg)
-    return compose([cs, ce, g], name="G_new",
+    return product([cs, ce, g], name="G_new",
                    allowed=lambda src, e, dst: not useless_fetch(dst)
                    and not (e == ev.tick and preempted(src)))
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from . import events as ev
 from .attacker import ControlConstraint, ValidationReport, validate_control
-from .automaton import Automaton, AutomatonError, compose, subset_construction
+from .automaton import (Automaton, AutomatonError, ImplicitAutomaton, compose,
+                        subset_construction)
 from .config import SystemConfig
 from .events import sorted_events
 from .synthesis import MONITOR_EMPTY
@@ -34,8 +35,8 @@ def validate_networked_supervisor(ns: Automaton,
                             frozenset(cfg.full_alphabet()), "NS")
 
 
-def build_monitor(ns: Automaton, g_new: Automaton, oc_t: Automaton,
-                  cc: Automaton, cfg: SystemConfig) -> Automaton:
+def build_monitor(ns: Automaton, g_new: Automaton | ImplicitAutomaton,
+                  oc_t: Automaton, cc: Automaton, cfg: SystemConfig) -> Automaton:
     """Observer of the attack-free reference loop with explicit detection.
 
     Any observed event with no explanation in the current estimate leads to

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
-from .automaton import (Automaton, AutomatonError, close_under, compose,
-                        coreachable, observer_map, observer_pairs,
+from .automaton import (Automaton, AutomatonError, ImplicitAutomaton, close_under,
+                        compose, coreachable, observer_map, observer_pairs,
                         shortest_path_to, state_name)
 from .channels import (capacity_control, capacity_observation,
                        enumerate_channel_states)
@@ -70,8 +70,8 @@ class SynthesisProblem:
             raise AutomatonError("bad and target sets overlap")
 
 
-def build_problem(g_new: Automaton, ac: Automaton, oc: Automaton,
-                  ns: Automaton, cc: Automaton, m: Automaton,
+def build_problem(g_new: Automaton | ImplicitAutomaton, ac: Automaton,
+                  oc: Automaton, ns: Automaton, cc: Automaton, m: Automaton,
                   cfg: SystemConfig) -> SynthesisProblem:
     """Compose P = G_new || AC || OC || NS || CC || M and classify states.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from . import events as ev
-from .automaton import Automaton, State, explore, state_name
+from .automaton import Automaton, State, state_name
 from .events import EventLabel, sorted_events
 
 
@@ -56,8 +56,17 @@ def serialize_automaton(a: Automaton, rename: bool = False) -> str:
             return f"S{len(naming)}"
 
         if a.initial is not None:
-            for q, _moves in explore(a.initial, a.moves):
-                naming[q] = fresh(q)
+            # breadth-first, events in label order: explore's order, read
+            # straight off the rows
+            naming[a.initial] = fresh(a.initial)
+            order = [a.initial]
+            for q in order:  # grows while iterated
+                succ = a._delta[q]
+                for e in a._enabled[q]:
+                    for dst in succ[e]:
+                        if dst not in naming:
+                            naming[dst] = fresh(dst)
+                            order.append(dst)
         for q in a.states:
             if q not in naming:
                 naming[q] = fresh(q)
@@ -73,15 +82,18 @@ def serialize_automaton(a: Automaton, rename: bool = False) -> str:
             raise ValueError(f"event spelling {sp!r} is ambiguous in this alphabet")
         spellings[sp] = label
 
+    events = sorted_events(a.alphabet)
+    rank = {e: r for r, e in enumerate(events)}
+    spelled = [e.spell() for e in events]
     lines = [f".automaton {a.name or 'A'}"]
-    lines.append(".alphabet " + " ".join(_role_suffix(l) for l in sorted_events(a.alphabet)))
+    lines.append(".alphabet " + " ".join(_role_suffix(l) for l in events))
     if a.initial is not None:
         lines.append(f".initial {naming[a.initial]}")
     if a.marked:
         lines.append(".marked " + " ".join(sorted(naming[q] for q in a.marked)))
-    trans = sorted((naming[s], e, naming[t]) for (s, e, t) in a.transitions)
-    for (s, e, t) in trans:
-        lines.append(f".trans {s} {e.spell()} {t}")
+    # label rank orders as the labels do
+    trans = sorted((naming[s], rank[e], naming[t]) for (s, e, t) in a.transitions)
+    lines.extend(f".trans {s} {spelled[r]} {t}" for (s, r, t) in trans)
     return "\n".join(lines) + "\n"
 
 
@@ -90,18 +102,12 @@ def parse_automaton(text: str, name: str = "") -> Automaton:
     initial: Optional[str] = None
     marked: List[str] = []
     trans: List[tuple] = []
-    states: List[str] = []
-    seen_states: set = set()
+    states: Dict[str, None] = {}   # insertion-ordered set
     auto_name = name
     named = False
 
-    def note_state(s: str) -> None:
-        if s not in seen_states:
-            seen_states.add(s)
-            states.append(s)
-
     for lineno, raw in enumerate(text.splitlines(), 1):
-        toks = _tokens(raw)
+        toks = _tokens(raw) if "#" in raw else raw.split()
         if not toks:
             continue
         directive, args = toks[0], toks[1:]
@@ -127,11 +133,11 @@ def parse_automaton(text: str, name: str = "") -> Automaton:
             if initial is not None:
                 raise ParseError(".initial given twice", lineno)
             initial = args[0]
-            note_state(initial)
+            states[initial] = None
         elif directive == ".marked":
             for s in args:
                 marked.append(s)
-                note_state(s)
+                states[s] = None
         elif directive == ".trans":
             if len(args) != 3:
                 raise ParseError(".trans takes `src event dst`", lineno)
@@ -139,8 +145,8 @@ def parse_automaton(text: str, name: str = "") -> Automaton:
             label = alphabet.get(spelling)
             if label is None:
                 raise ParseError(f"undeclared event {spelling!r}", lineno)
-            note_state(src)
-            note_state(dst)
+            states[src] = None
+            states[dst] = None
             trans.append((src, label, dst))
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)

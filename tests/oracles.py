@@ -38,6 +38,17 @@ def isomorphic_by(a1: Automaton, a2: Automaton,
     return mapped == set(a2.transitions)
 
 
+def assert_same_automaton(got: Automaton, want: Automaton) -> None:
+    """Equal in every observable part: state order, transitions, marked set,
+    alphabet and the order of ``moves`` at each state."""
+    assert got.states == want.states
+    assert got.transitions == want.transitions
+    assert got.marked == want.marked
+    assert got.alphabet == want.alphabet
+    for q in want.states:
+        assert got.moves(q) == want.moves(q)
+
+
 def same_closed_language(a1: Automaton, a2: Automaton,
                          events: Iterable[EventLabel]) -> bool:
     """Equality of closed behaviors restricted to ``events``.

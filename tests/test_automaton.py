@@ -6,9 +6,11 @@ import pytest
 import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, accepts, compose,
                               coreachable, empty_automaton, explore,
-                              is_nonblocking, reachable, subset_construction,
-                              trim, unobservable_reach)
-from oracles import bounded_traces, isomorphic_by, nested_loop_product
+                              is_nonblocking, product, reachable, state_name,
+                              subset_construction, trim, unobservable_reach)
+from netdes.events import sorted_events
+from oracles import (assert_same_automaton, bounded_traces, isomorphic_by,
+                     nested_loop_product)
 
 A, B, C, U, O = (ev.plant(x) for x in "abcuo")
 
@@ -227,8 +229,8 @@ def _random_component(rng, k, shared):
     return Automaton(states, alphabet, trans, states[0], marked)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_compose_matches_nested_loop_product(seed):
+def _random_products(seed):
+    """25 random component lists, each with a random transition filter."""
     rng = random.Random(seed)
     shared = [ev.plant(x) for x in "abcdefg"] + [ev.entry("a"), ev.tick]
     for _ in range(25):
@@ -237,9 +239,15 @@ def test_compose_matches_nested_loop_product(seed):
         cut = {(k, q, e) for k, c in enumerate(comps) for q in c.states
                for e in c.alphabet if rng.random() < 0.15}
 
-        def allowed(src, e, dst):
+        def allowed(src, e, dst, cut=cut):
             return not any((k, q, e) in cut for k, q in enumerate(dst))
 
+        yield comps, allowed
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compose_matches_nested_loop_product(seed):
+    for comps, allowed in _random_products(seed):
         for flt in (None, allowed):
             got = compose(comps, name="P", allowed=flt)
             want = nested_loop_product(comps, name="P", allowed=flt)
@@ -248,6 +256,43 @@ def test_compose_matches_nested_loop_product(seed):
             assert got.alphabet == want.alphabet
             for q in want.states:
                 assert got.moves(q) == want.moves(q)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compose_over_a_product_matches_compose_over_its_materialization(seed):
+    for comps, allowed in _random_products(seed):
+        for flt in (None, allowed):
+            inner = product(comps, name="P", allowed=flt)
+            # the outer composition computes the inner rows it reaches first
+            got = compose([inner, comps[0]])
+            want = compose([compose(comps, name="P", allowed=flt), comps[0]])
+            assert_same_automaton(got, want)
+            # materializing after that partial exploration changes nothing
+            assert_same_automaton(inner.materialize(),
+                                  compose(comps, name="P", allowed=flt))
+
+
+def test_product_rows_are_in_label_and_state_name_order():
+    # the names do not sort in insertion, numeric or hash order (see
+    # test_successors_come_in_state_name_order)
+    a = aut([0, 9, 10, 2, ("x", 1)], [A, B],
+            [(0, A, 9), (0, A, ("x", 1)), (0, A, 10), (0, A, 2), (0, B, 9)], 0)
+    b = aut(["q", "p"], [A, C], [("q", A, "q"), ("q", A, "p"), ("q", C, "p")], "q")
+    row = product([a, b])._delta[(0, "q")]
+    assert list(row) == sorted_events(row) == [A, B, C]
+    assert list(row[A]) == sorted(row[A], key=state_name)
+    assert row[A][:3] == ((("x", 1), "p"), (("x", 1), "q"), (10, "p"))
+    assert row[B] == ((9, "q"),)
+    assert row[C] == ((0, "p"),)
+    for seed in range(6):
+        for comps, allowed in _random_products(seed):
+            for flt in (None, allowed):
+                p = product(comps, allowed=flt)
+                p.materialize()
+                for succ in p._delta.values():
+                    assert list(succ) == sorted_events(succ)
+                    for dsts in succ.values():
+                        assert list(dsts) == sorted(dsts, key=state_name)
 
 
 # -- explorer ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import filecmp
+import gc
 import os
 import subprocess
 import sys
 
+import pytest
+
 import netdes
+import netdes.cli
 import netdes.events as ev
 from netdes.cli import main
 from netdes.automaton import Automaton, state_name
@@ -276,3 +280,33 @@ def test_verify_detected_attack_exit_status(tmp_path, capsys):
     assert "A_swap: valid" in out
     assert "covert: False" in out
     assert "covertness-witness: v3_in v3_out v3 a1 a3# stop a3_out" in out
+
+
+def test_command_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch,
+                                                             capsys):
+    real = netdes.cli.cmd_capacity
+    during = []
+
+    def probe(args):
+        during.append(gc.isenabled())
+        return real(args)
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    cap = ["capacity", "--config"]
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            monkeypatch.setattr(netdes.cli, "cmd_capacity", probe)
+            assert main(cap + [RED["config"]]) == 0
+            assert gc.isenabled() is enabled
+            assert main(cap + [str(tmp_path / "missing.cfg")]) == 1
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(netdes.cli, "cmd_capacity", boom)
+            with pytest.raises(RuntimeError):
+                main(cap + [RED["config"]])
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during == [False] * 4

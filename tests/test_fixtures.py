@@ -1,8 +1,12 @@
+import dataclasses
+
 import netdes.events as ev
 from netdes.automaton import compose, state_name, subset_construction
+from netdes.config import serialize_config
+from netdes.fixtures import build_attack_problem, load_system
 from netdes.supervision import validate_networked_supervisor
 from oracles import same_closed_language
-from systems import guideway_spec, reduced_spec
+from systems import guideway_spec, reduced_spec, shipped_config, shipped_paths
 
 
 def test_guideway_grid_numbering(guideway):
@@ -30,3 +34,28 @@ def test_attack_free_loop_avoids_damage(reduced, guideway):
         damaged = [q for q in loop.states
                    if state_name(q[1][2]) in system.cfg.damage]
         assert not damaged
+
+
+def test_attack_problem_builds_only_the_rows_of_g_new_it_reaches(tmp_path):
+    # reduced with delta_s=1: G_new has 16,398 states, P reaches 19 of them
+    config = tmp_path / "rung.cfg"
+    config.write_text(serialize_config(
+        dataclasses.replace(shipped_config("reduced"), delta_s=1)))
+    _cfg, plant, ns = shipped_paths("reduced")
+    system = load_system(str(config), plant, ns)
+    problem = build_attack_problem(system)
+    g_new, cs = system.implicit_g_new, system.implicit_cs
+    built = set(g_new._delta)
+    in_p = {q[0] for q in problem.plant.states}
+    # the monitor's reference loop again: its rows exist already
+    reference = compose([system.ns, g_new, system.oc_t, system.cc])
+    assert set(g_new._delta) == built
+    assert len(in_p) == 19
+    assert built == in_p | {q[1] for q in reference.states}
+    # CS rows are computed only for the stores of the G_new rows built
+    assert set(cs._delta) == {store for store, _stage, _g in built}
+    assert g_new._automaton is None and cs._automaton is None
+
+    # reading the attribute materializes G_new on the rows already kept
+    assert len(system.g_new.states) == 16398
+    assert system.g_new._delta is g_new._delta

@@ -4,8 +4,9 @@ Each case runs ``build`` or ``synthesize`` (and ``verify`` on the attack it
 wrote) and compares the sha256 of every written file, of stdout and the exit
 status with digests recorded before the kernel's orderings were relaxed (the
 rungs: before the searches moved onto one explorer; guideway ``u=2``: before
-event labels and channel states were interned). A change that alters any
-byte of any output fails here.
+event labels and channel states were interned; reduced ``delta_s=1``
+synthesize and verify: before CS and G_new became lazy). A change that alters
+any byte of any output fails here.
 """
 import contextlib
 import dataclasses
@@ -120,6 +121,15 @@ GUIDEWAY_U2_NONBLOCKING = {
 }
 _GUIDEWAY_U2_VERIFY = "10c84d892650a9d1e6d1dae51224c471aae8d851666f60fb3c1204f8012f88e4"
 
+# reduced with delta_s=1: a 16,398-state G_new of which P reaches 19 states.
+# Storage delay changes the components only; the attacks, certificates and
+# verify outputs are those of the shipped reduced system.
+REDUCED_DELTA_S1 = {
+    mode: {**RUNGS["reduced", "delta_s=1"],
+           "attack.aut": GOLDEN["reduced", mode]["attack.aut"],
+           "certificate.txt": GOLDEN["reduced", mode]["certificate.txt"]}
+    for mode in ("nonblocking", "reachable")}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -184,6 +194,25 @@ def test_synthesize_and_verify_match_golden(system, mode, tmp_path, monkeypatch)
     status, stdout = _run(system, "verify", ["--attack", "out/attack.aut"])
     assert status == 0
     assert _sha(stdout.encode()) == GOLDEN[system, mode]["<verify>"]
+
+
+@pytest.mark.parametrize("mode", sorted(REDUCED_DELTA_S1))
+def test_synthesize_and_verify_on_reduced_delta_s1_match_golden(mode, tmp_path,
+                                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config(os.path.join(DATA, "reduced.cfg"))
+    with open("rung.cfg", "w", encoding="utf-8") as fh:
+        fh.write(serialize_config(dataclasses.replace(cfg, delta_s=1)))
+    status, stdout = _run("reduced", "synthesize", ["--out", "out", "--mode", mode],
+                          config="rung.cfg")
+    assert status == 0
+    assert _file_digests("out") == REDUCED_DELTA_S1[mode]
+    assert _sha(stdout.encode()) == REDUCED_DELTA_S1[mode]["certificate.txt"]
+
+    status, stdout = _run("reduced", "verify", ["--attack", "out/attack.aut"],
+                          config="rung.cfg")
+    assert status == 0
+    assert _sha(stdout.encode()) == GOLDEN["reduced", mode]["<verify>"]
 
 
 def test_synthesize_and_verify_on_guideway_u2_match_golden(tmp_path, monkeypatch):

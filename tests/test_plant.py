@@ -12,6 +12,7 @@ from netdes.plant import (IDLE, _check_plant, _queue_remove_first,
                           compose_and_prune_plant,
                           max_plant_events_between_ticks, rate_bound_warnings)
 from netdes.textio import parse_automaton
+from oracles import assert_same_automaton
 
 
 def make_cfg(delta_s=0, te=None, commands=None, events=None, damage=()):
@@ -295,3 +296,21 @@ def test_plant_rejects_missing_damage_state():
     cfg = make_cfg(damage=("nowhere",))
     with pytest.raises(AutomatonError):
         plant_from_text(".automaton G\n.alphabet s:plain\n.initial q0\n", cfg)
+
+
+def test_compose_over_shipped_g_new_products_matches_their_materialization(
+        guideway, reduced):
+    for system in (guideway, reduced):
+        cfg = system.cfg
+
+        def g_new():
+            return compose_and_prune_plant(build_command_storage(cfg),
+                                           build_command_execution(cfg),
+                                           system.plant, cfg)
+
+        lazy, whole = g_new(), g_new().materialize()
+        # the monitor's reference loop reaches only part of G_new
+        got = compose([system.ns, lazy, system.oc_t, system.cc])
+        assert len(lazy._delta) < len(whole.states)
+        assert_same_automaton(got, compose([system.ns, whole, system.oc_t, system.cc]))
+        assert_same_automaton(lazy.materialize(), whole)
