@@ -1,20 +1,19 @@
 """Finite-state automaton kernel.
 
-Automata here are possibly nondeterministic, immutable after construction,
-and safe to share. States are opaque hashable identifiers; composite
-operations (products, observers) produce canonical encodings (tuples,
-frozensets) so results hash and compare deterministically. Every forward
-search goes through one breadth-first explorer, ``explore``, whose discovery
-order is the state order of what it builds; unordered closures use
-``close_under``.
+Automata here are possibly nondeterministic, immutable once built, and safe
+to share. States are opaque hashable identifiers; composite operations
+(products, observers) produce canonical encodings (tuples, frozensets) so
+results hash and compare deterministically. Every forward search goes
+through one breadth-first explorer, ``explore``, whose discovery order is the
+state order of what it builds; unordered closures use ``close_under``.
 
-An automaton is either explicit (``Automaton``) or implicit
-(``ImplicitAutomaton``): an initial state and a row function whose successor
-rows are computed on first lookup and then kept. ``product`` is the
-synchronous product as an implicit automaton, so a product over implicit
-components builds only the component rows its own exploration reaches;
-``compose`` is a materialized ``product``, and materializing explores the
-kept rows once into an ``Automaton`` that shares them.
+There is one automaton type, ``Automaton``, stored as successor rows. Its
+constructor validates explicit states and transitions; ``product`` and
+``implicit_automaton`` give a row function instead, whose rows are computed
+on first lookup and kept, and whose states and marked set are filled by one
+exploration on first read. A product over such automata therefore builds
+only the component rows its own exploration reaches, and ``compose`` is an
+explored ``product``.
 
 Event labels and channel states are interned (``events``, ``channels``):
 equal values are one object, compared and hashed by identity. Their set and
@@ -61,16 +60,26 @@ def state_name(q: State) -> str:
     return repr(q)
 
 
+Row = Dict[EventLabel, Tuple[State, ...]]
+
+
 class Automaton:
     """A 5-tuple (states, alphabet, transition relation, initial, marked).
 
-    ``initial`` may be None only for the empty automaton (no states), which
-    arises from trimming. The transition relation is stored both as a set of
-    triples and as a successor map for traversal.
+    The relation is stored once, as rows: ``_delta[q]`` maps each event
+    enabled at q, in label order, to its successors, several in
+    ``state_name`` order. ``initial`` may be None only for the empty
+    automaton (no states), which arises from trimming.
+
+    The constructor validates its arguments and builds every row. An
+    automaton made by ``_lazy`` has a row function instead: a row is computed
+    on its first lookup and kept, and ``states`` (breadth-first from the
+    initial state) and ``marked`` are filled on first read. ``transitions``
+    is built from the rows on each read.
     """
 
-    __slots__ = ("name", "states", "alphabet", "transitions", "initial",
-                 "marked", "_delta", "_enabled")
+    __slots__ = ("name", "alphabet", "initial", "states", "marked", "_delta",
+                 "_is_marked")
 
     def __init__(self, states: Iterable[State], alphabet: Iterable[EventLabel],
                  transitions: Iterable[Transition], initial: Optional[State],
@@ -78,12 +87,11 @@ class Automaton:
         self.name = name
         self.states: Tuple[State, ...] = tuple(dict.fromkeys(states))
         self.alphabet: FrozenSet[EventLabel] = frozenset(alphabet)
-        self.transitions: FrozenSet[Transition] = frozenset(transitions)
         self.initial = initial
         self.marked: FrozenSet[State] = frozenset(marked)
 
         # the successor map doubles as the set of declared states
-        delta: Dict[State, Dict[EventLabel, Tuple[State, ...]]] = {q: {} for q in self.states}
+        delta: Dict[State, Dict[EventLabel, Any]] = {q: {} for q in self.states}
         if initial is None:
             if self.states:
                 raise AutomatonError("initial state required for a nonempty automaton")
@@ -93,7 +101,7 @@ class Automaton:
             if q not in delta:
                 raise AutomatonError(f"marked state {state_name(q)} not declared")
 
-        for (src, ev, dst) in self.transitions:
+        for (src, ev, dst) in transitions:
             succ = delta.get(src)
             if succ is None or dst not in delta:
                 raise AutomatonError(f"transition references unknown state: "
@@ -105,27 +113,50 @@ class Automaton:
                 succ[ev] = [dst]
             else:
                 dsts.append(dst)
-        for succ in delta.values():
-            for ev, dsts in succ.items():
-                succ[ev] = _successor_tuple(dsts)
-        self._delta = delta
-        self._enabled: Dict[State, Tuple[EventLabel, ...]] = {
-            q: tuple(succ) if len(succ) < 2 else tuple(sorted_events(succ))
-            for q, succ in delta.items()
-        }
+        for q, succ in delta.items():
+            delta[q] = {e: _successor_tuple(succ[e]) for e in
+                        (succ if len(succ) < 2 else sorted_events(succ))}
+        self._delta: Dict[State, Row] = delta
+
+    def __getattr__(self, attr: str) -> Any:
+        # reached only for unset slots: a lazy automaton's states and marked
+        # set, each filled on its first read
+        if attr == "states":
+            rows = self._delta
+            self.states = tuple(q for q, _out in explore(self.initial, self.moves))
+            # every reachable row is kept now; dropping the row function
+            # frees its caches, and an unknown state is a KeyError again
+            rows.row = None
+            if len(rows) > len(self.states):
+                # a lookup of a state that is not reachable computed a row too
+                for q in rows.keys() - self.states:
+                    del rows[q]
+            return self.states
+        if attr == "marked":
+            is_marked = self._is_marked
+            self.marked = frozenset(q for q in self.states if is_marked(q))
+            return self.marked
+        raise AttributeError(f"'Automaton' object has no attribute {attr!r}")
 
     # -- basic queries -------------------------------------------------
+
+    @property
+    def transitions(self) -> FrozenSet[Transition]:
+        """The relation as (source, event, target) triples, built from the
+        rows on each read."""
+        delta = self._delta
+        return frozenset((q, e, dst) for q in self.states
+                         for e, dsts in delta[q].items() for dst in dsts)
 
     def successors(self, q: State, ev: EventLabel) -> Tuple[State, ...]:
         return self._delta[q].get(ev, ())
 
     def moves(self, q: State) -> List[Transition]:
         """The transitions leaving q, events in label order."""
-        succ = self._delta[q]
-        return [(q, e, dst) for e in self._enabled[q] for dst in succ[e]]
+        return [(q, e, dst) for e, dsts in self._delta[q].items() for dst in dsts]
 
     def enabled(self, q: State) -> Tuple[EventLabel, ...]:
-        return self._enabled[q]
+        return tuple(self._delta[q])
 
     def step(self, q: State, ev: EventLabel) -> Optional[State]:
         """Deterministic single successor, or None when undefined."""
@@ -138,26 +169,68 @@ class Automaton:
 
     @property
     def deterministic(self) -> bool:
-        return all(len(dsts) == 1 for by_ev in self._delta.values()
+        return all(len(dsts) == 1 for by_ev in _rows(self).values()
                    for dsts in by_ev.values())
 
     def with_marked(self, marked: Iterable[State], name: str = "") -> "Automaton":
-        """The same automaton with another marked set; the validated
-        successor maps are shared, so only the new marked states are checked."""
+        """The same automaton with another marked set; the rows are shared,
+        so only the new marked states are checked."""
         marked = frozenset(marked)
+        rows = _rows(self)
         for q in marked:
-            if q not in self._delta:
+            if q not in rows:
                 raise AutomatonError(f"marked state {state_name(q)} not declared")
         copy = Automaton.__new__(Automaton)
-        for slot in Automaton.__slots__:
-            setattr(copy, slot, getattr(self, slot))
-        copy.marked = marked
         copy.name = name or self.name
+        copy.alphabet, copy.initial, copy.states = self.alphabet, self.initial, self.states
+        copy.marked = marked
+        copy._delta = rows
         return copy
 
     def __repr__(self) -> str:
         return (f"Automaton({self.name or '?'}: {len(self.states)} states, "
                 f"{len(self.alphabet)} events, {len(self.transitions)} transitions)")
+
+
+class _Rows(dict):
+    """State -> successor row, each computed by ``row(q)`` on its first
+    lookup by ``[]`` and then kept; ``get`` and ``in`` compute nothing. With
+    ``row`` set to None it is a plain dict again: an unknown state raises
+    KeyError."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: Optional[Callable[[State], Row]]) -> None:
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, q: State) -> Row:
+        if self.row is None:
+            raise KeyError(q)
+        out = self[q] = self.row(q)
+        return out
+
+
+def _lazy(initial: Optional[State], alphabet: Iterable[EventLabel],
+          row: Optional[Callable[[State], Row]], is_marked: Callable[[State], bool],
+          name: str) -> Automaton:
+    """The automaton reachable from ``initial`` under the row function
+    ``row`` (rows in the form of ``Automaton._delta``), marked where
+    ``is_marked`` holds."""
+    a = Automaton.__new__(Automaton)
+    a.name, a.alphabet, a.initial = name, frozenset(alphabet), initial
+    a._delta = _Rows(row)
+    a._is_marked = is_marked
+    if initial is None:
+        a.states, a.marked = (), frozenset()
+    return a
+
+
+def _rows(a: Automaton) -> Dict[State, Row]:
+    """Every row of ``a``, keyed by exactly its states: reading ``states``
+    explores a lazy automaton, which completes its rows."""
+    a.states
+    return a._delta
 
 
 def empty_automaton(alphabet: Iterable[EventLabel], name: str = "") -> Automaton:
@@ -174,9 +247,10 @@ def complete_with_selfloops(a: Automaton, events: Iterable[EventLabel],
     loop's behavior is unchanged while the totality requirement is met.
     """
     events = frozenset(events)
-    loops = [(q, e, q) for q, succ in a._delta.items() for e in events
-             if e not in succ]
-    return Automaton(a.states, a.alphabet | events, a.transitions | frozenset(loops),
+    rows = _rows(a)
+    transitions = [t for q in a.states for t in a.moves(q)]
+    transitions += [(q, e, q) for q in a.states for e in events if e not in rows[q]]
+    return Automaton(a.states, a.alphabet | events, transitions,
                      a.initial, a.marked, name or a.name)
 
 
@@ -208,95 +282,8 @@ def explore(init: State, moves: Moves, index: Optional[Dict[State, int]] = None
         yield q, out
 
 
-Row = Dict[EventLabel, Tuple[State, ...]]
-
-
-class _Rows(dict):
-    """State -> successor row, each computed by ``row(q)`` on its first
-    lookup by ``[]`` and then kept; ``get`` and ``in`` compute nothing. With
-    ``row`` set to None it is a plain dict again: an unknown state raises
-    KeyError."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, row: Optional[Callable[[State], Row]]) -> None:
-        super().__init__()
-        self.row = row
-
-    def __missing__(self, q: State) -> Row:
-        if self.row is None:
-            raise KeyError(q)
-        out = self[q] = self.row(q)
-        return out
-
-
-class ImplicitAutomaton:
-    """An automaton given by its initial state and a row function.
-
-    ``row(q)`` returns the transitions leaving q in the form of
-    ``Automaton._delta``: event -> tuple of successors, events in label
-    order, several successors in ``state_name`` order. A row is computed on
-    its first lookup in ``_delta`` and then kept. ``product`` and ``compose``
-    read only ``initial``, ``alphabet``, ``marked`` (a membership test) and
-    ``_delta``, so composing over an implicit automaton computes only the rows
-    the composition reaches.
-
-    ``materialize()`` explores the reachable part once, states in
-    breadth-first order of their rows, into an ``Automaton`` that shares the
-    kept rows. Reading any other ``Automaton`` attribute (``states``,
-    ``transitions``, ``successors``, ...) reads that materialized automaton.
-    """
-
-    __slots__ = ("name", "alphabet", "initial", "marked", "_delta", "_automaton")
-
-    def __init__(self, initial: Optional[State], alphabet: Iterable[EventLabel],
-                 row: Optional[Callable[[State], Row]], marked: Any = frozenset(),
-                 name: str = "") -> None:
-        self.name = name
-        self.alphabet: FrozenSet[EventLabel] = frozenset(alphabet)
-        self.initial = initial
-        self.marked = marked
-        self._delta = _Rows(row)
-        self._automaton: Optional[Automaton] = None
-
-    def materialize(self) -> Automaton:
-        """The reachable part as an ``Automaton``, built on the first call."""
-        if self._automaton is not None:
-            return self._automaton
-        if self.initial is None:
-            self._automaton = empty_automaton(self.alphabet, self.name)
-            return self._automaton
-        rows = self._delta
-        states: List[State] = []
-
-        def walk() -> Iterator[Transition]:
-            for q, out in explore(self.initial, lambda q: [
-                    (q, e, dst) for e, dsts in rows[q].items() for dst in dsts]):
-                states.append(q)
-                yield from out
-
-        # straight into the set: no list of every transition besides it
-        transitions = frozenset(walk())
-        # every reachable row is kept now, and only reachable states were
-        # ever looked up; dropping the row function frees its caches
-        rows.row = None
-        m = Automaton.__new__(Automaton)
-        m.name, m.alphabet, m.initial = self.name, self.alphabet, self.initial
-        m.states = tuple(states)
-        m.transitions = transitions
-        m.marked = frozenset(q for q in states if q in self.marked)
-        m._delta = rows
-        m._enabled = {q: tuple(rows[q]) for q in states}
-        self._automaton = m
-        return m
-
-    def __getattr__(self, attr: str) -> Any:
-        # reached only for names that are not slots
-        return getattr(self.materialize(), attr)
-
-
 def implicit_automaton(init: State, moves: Moves, alphabet: Iterable[EventLabel],
-                       name: str = "") -> ImplicitAutomaton:
+                       name: str = "") -> Automaton:
     """Everything reachable from ``init`` under ``moves`` (transitions as
     (q, label, target) triples, in any order), explored on demand, nothing
     marked."""
@@ -306,20 +293,20 @@ def implicit_automaton(init: State, moves: Moves, alphabet: Iterable[EventLabel]
             by_event.setdefault(e, {})[dst] = None
         return {e: _successor_tuple(list(by_event[e])) for e in sorted_events(by_event)}
 
-    return ImplicitAutomaton(init, alphabet, row, frozenset(), name)
+    return _lazy(init, alphabet, row, lambda q: False, name)
 
 
 def _successor_tuple(dsts: List[State]) -> Tuple[State, ...]:
-    # a single successor needs no sort; several keep the canonical
-    # state_name order that BFS numbering and witnesses depend on
-    return tuple(dsts) if len(dsts) == 1 else tuple(sorted(dsts, key=state_name))
+    # a single successor needs no sort; several drop repeats and keep the
+    # canonical state_name order that BFS numbering and witnesses depend on
+    return tuple(dsts) if len(dsts) == 1 else tuple(sorted(set(dsts), key=state_name))
 
 
 def unobservable_reach(a: Automaton, q: State,
                        observed: Iterable[EventLabel]) -> FrozenSet[State]:
     """States reachable from q along events outside ``observed`` only."""
     obs = frozenset(observed)
-    if q not in a._delta:
+    if q not in _rows(a):
         raise AutomatonError(f"unknown state {state_name(q)}")
     if not obs <= a.alphabet:
         bad = next(iter(obs - a.alphabet))
@@ -332,9 +319,10 @@ def _silent_steps(a: Automaton, observed: FrozenSet[EventLabel]
     """The successors of each state along events outside ``observed``;
     states without any are absent."""
     silent: Dict[State, List[State]] = {}
-    for src, ev, dst in a.transitions:
-        if ev not in observed:
-            silent.setdefault(src, []).append(dst)
+    for q, row in _rows(a).items():
+        out = [dst for e, dsts in row.items() if e not in observed for dst in dsts]
+        if out:
+            silent[q] = out
     return silent
 
 
@@ -369,8 +357,10 @@ def reachable(a: Automaton) -> FrozenSet[State]:
 def coreachable(a: Automaton) -> FrozenSet[State]:
     """States from which some marked state can be reached."""
     back: Dict[State, List[State]] = {q: [] for q in a.states}
-    for (src, _ev, dst) in a.transitions:
-        back[dst].append(src)
+    for src, row in _rows(a).items():
+        for dsts in row.values():
+            for dst in dsts:
+                back[dst].append(src)
     return frozenset(close_under(set(), a.marked, back.__getitem__))
 
 
@@ -391,7 +381,7 @@ def _restrict(a: Automaton, keep: FrozenSet[State], name: str) -> Automaton:
     if a.initial not in keep:
         return empty_automaton(a.alphabet, name or a.name)
     kept_states = [q for q in a.states if q in keep]
-    kept_trans = [(s, e, t) for (s, e, t) in a.transitions if s in keep and t in keep]
+    kept_trans = [t for q in kept_states for t in a.moves(q) if t[2] in keep]
     return Automaton(kept_states, a.alphabet, kept_trans, a.initial,
                      a.marked & keep, name or a.name)
 
@@ -464,8 +454,8 @@ def subset_construction(a: Automaton, observed: Iterable[EventLabel],
 
     Unobserved events self-loop at every observer state. Observed events
     map an estimate to the unobservable reach of its successor set; empty
-    successors yield no transition (the empty estimate is materialized only
-    by the monitor construction, which routes inconsistencies explicitly).
+    successors yield no transition (the empty estimate is built only by
+    the monitor construction, which routes inconsistencies explicitly).
     """
     obs = frozenset(observed)
     graph = observer_map(a, obs)
@@ -506,27 +496,15 @@ def observer_pairs(a: Automaton, start: State,
 
 # -- composition -------------------------------------------------------
 
-class _AllMarked:
-    """Membership test for the marked states of a product: tuples of marked
-    component states."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Sequence) -> None:
-        self.components = components
-
-    def __contains__(self, q: Tuple[State, ...]) -> bool:
-        return all(x in c.marked for x, c in zip(q, self.components))
-
-
 Filter = Callable[[Tuple[State, ...], EventLabel, Tuple[State, ...]], bool]
 
 
 def product(components: Sequence, name: str = "",
-            allowed: Optional[Filter] = None) -> ImplicitAutomaton:
+            allowed: Optional[Filter] = None) -> Automaton:
     """N-ary synchronous product with flat tuple states, explored on demand.
 
-    Components are ``Automaton``s or implicit automata. Shared events
+    A component's rows are looked up only as the product reaches them, so a
+    lazy component builds only those. Shared events
     synchronize when all sharing components enable them, private events
     interleave, and a shared event enabled on one side only is blocked.
     Marked states are tuples of marked states. ``allowed(src, event, dst)``
@@ -546,9 +524,11 @@ def product(components: Sequence, name: str = "",
     alphabet: Set[EventLabel] = set()
     for c in components:
         alphabet.update(c.alphabet)
-    marked = _AllMarked(components)
+    def is_marked(q: Tuple[State, ...]) -> bool:
+        return all(x in c.marked for x, c in zip(q, components))
+
     if any(c.initial is None for c in components):
-        return ImplicitAutomaton(None, alphabet, None, marked, name)
+        return _lazy(None, alphabet, None, is_marked, name)
     participants: Dict[EventLabel, Tuple[int, ...]] = {
         ev: tuple(i for i, c in enumerate(components) if ev in c.alphabet)
         for ev in alphabet
@@ -594,15 +574,16 @@ def product(components: Sequence, name: str = "",
                 out[ev] = _successor_tuple(kept)
         return out
 
-    return ImplicitAutomaton(tuple(c.initial for c in components), alphabet, row,
-                             marked, name)
+    return _lazy(tuple(c.initial for c in components), alphabet, row, is_marked, name)
 
 
 def compose(components: Sequence, name: str = "",
             allowed: Optional[Filter] = None) -> Automaton:
-    """``product(components, name, allowed)``, materialized: the reachable
-    part, states in breadth-first order of ``moves``."""
-    return product(components, name, allowed).materialize()
+    """``product(components, name, allowed)`` with its states explored, in
+    breadth-first order of ``moves``."""
+    p = product(components, name, allowed)
+    p.states  # explores every row and frees the row function's caches
+    return p
 
 
 # -- witnesses ---------------------------------------------------------

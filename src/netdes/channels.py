@@ -138,7 +138,7 @@ def _build_channel(messages: List[str], delta: int, capacity: int,
                 for m in messages for d in q.delays_of(m)]
         return out
 
-    return implicit_automaton(EMPTY_CHANNEL, moves, alphabet, name).materialize()
+    return implicit_automaton(EMPTY_CHANNEL, moves, alphabet, name)
 
 
 def build_observation_channel(cfg: SystemConfig) -> Automaton:
@@ -182,6 +182,6 @@ def relabel_to_attack_free(oc: Automaton) -> Automaton:
         return label
 
     alphabet = {relabel(l) for l in oc.alphabet}
-    transitions = [(s, relabel(e), t) for (s, e, t) in oc.transitions]
+    transitions = [(s, relabel(e), t) for q in oc.states for (s, e, t) in oc.moves(q)]
     return Automaton(oc.states, alphabet, transitions, oc.initial,
                      oc.marked, name=(oc.name or "OC") + "^T")

@@ -5,9 +5,10 @@ Exit statuses: 0 success, 1 usage or parse error, 2 validation failure,
 3 no covert attack exists, 4 ``verify`` found the attack detectable (not
 covert). ``verify`` still exits 0 when only a damage goal fails.
 
-A command runs with the cyclic garbage collector paused. ``verify`` builds only
-the part of the command store and of G_new that the monitor and the new plant
-reach; ``build`` and ``synthesize`` build and write all of both.
+A command runs with the cyclic garbage collector paused. The command store
+and G_new are lazy automata: ``verify`` builds only the rows of them that the
+monitor and the new plant reach; ``build`` and ``synthesize`` read their
+states to write them, which builds all of both.
 """
 from __future__ import annotations
 

@@ -5,17 +5,17 @@ every component of the loop; ``build_system`` does the same from objects
 already in memory. The networked supervisor is validated once, before
 anything is built. The shipped systems are the files under ``data/``.
 
-The command store CS and the pruned plant G_new stay implicit: the monitor
-and the attack problem are composed over them and build only the rows they
-reach. ``BuiltSystem.cs`` and ``.g_new`` materialize them on first read, for
-the writers and the size and rate checks; ``verify`` reads neither.
+The command store CS and the pruned plant G_new are lazy automata: the
+monitor and the attack problem are composed over them and build only the
+rows they reach. Reading their ``states``, as the writers and the size and
+rate checks do, explores the rest; ``verify`` reads neither.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .attacker import build_attack_constraints
-from .automaton import Automaton, AutomatonError, ImplicitAutomaton
+from .automaton import Automaton, AutomatonError
 from .channels import (build_control_channel, build_observation_channel,
                        relabel_to_attack_free)
 from .config import SystemConfig, load_config
@@ -30,26 +30,15 @@ from .textio import load_automaton
 class BuiltSystem:
     cfg: SystemConfig
     plant: Automaton
-    implicit_cs: ImplicitAutomaton
+    cs: Automaton
     ce: Automaton
-    implicit_g_new: ImplicitAutomaton
+    g_new: Automaton
     ac: Automaton
     oc: Automaton
     oc_t: Automaton
     cc: Automaton
     ns: Automaton
     monitor: Automaton
-
-    @property
-    def cs(self) -> Automaton:
-        """The whole command store, built on first read."""
-        return self.implicit_cs.materialize()
-
-    @property
-    def g_new(self) -> Automaton:
-        """The whole pruned plant G_new, built on first read from the rows
-        the monitor's composition already computed."""
-        return self.implicit_g_new.materialize()
 
 
 def build_system(cfg: SystemConfig, plant: Automaton, ns: Automaton,
@@ -79,5 +68,5 @@ def load_system(config: str, plant: str, ns: str,
 
 
 def build_attack_problem(system: BuiltSystem) -> SynthesisProblem:
-    return build_problem(system.implicit_g_new, system.ac, system.oc, system.ns,
+    return build_problem(system.g_new, system.ac, system.oc, system.ns,
                          system.cc, system.monitor, system.cfg)

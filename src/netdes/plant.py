@@ -11,18 +11,19 @@ over a tick while the store holds a usable command. The same two rules,
 written once in ``_pruning_rules``, are re-checked on the result by
 ``check_pruned_invariants``.
 
-The command store and the pruned product G_new are implicit automata
-(``automaton.ImplicitAutomaton``): their rows are computed on first lookup,
-so the new plant and the monitor, composed over G_new, build only the part of
-it they reach. Writing ``cs.aut`` and ``g_new.aut`` materializes them.
+The command store, the execution stage and G_new are given by row
+functions (``automaton.implicit_automaton``, ``automaton.product``): a row is
+computed on its first lookup, so the new plant and the monitor, composed
+over G_new, build only the part of it they reach. Reading ``states``, as the
+writers of ``cs.aut`` and ``g_new.aut`` do, explores all of it.
 """
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from . import events as ev
-from .automaton import (Automaton, AutomatonError, ImplicitAutomaton, Transition,
-                        implicit_automaton, product, state_name)
+from .automaton import (Automaton, AutomatonError, Transition, implicit_automaton,
+                        product, state_name)
 from .config import SystemConfig
 from .textio import load_automaton
 
@@ -60,7 +61,7 @@ def _queue_remove_first(q: StorageState, cmd: str) -> StorageState:
     raise ValueError(f"command {cmd} not stored")
 
 
-def build_command_storage(cfg: SystemConfig) -> ImplicitAutomaton:
+def build_command_storage(cfg: SystemConfig) -> Automaton:
     """FIFO queue of received commands; each entry survives delta_s ticks.
 
     ``v_out`` (arrival from the control channel) appends; the plain command
@@ -117,7 +118,7 @@ def build_command_execution(cfg: SystemConfig) -> Automaton:
             out += [(q, ev.plant(s), IDLE) for (s, t) in sorted(q) if t == 0]
         return out + [(q, u, IDLE) for u in uncontrollable]
 
-    return implicit_automaton(IDLE, moves, alphabet, name="CE").materialize()
+    return implicit_automaton(IDLE, moves, alphabet, name="CE")
 
 
 # -- plant loading ---------------------------------------------------------
@@ -142,8 +143,8 @@ def _check_plant(g: Automaton, cfg: SystemConfig) -> Automaton:
 
 # -- composition and pruning ------------------------------------------------
 
-def compose_and_prune_plant(cs: Automaton | ImplicitAutomaton, ce: Automaton,
-                            g: Automaton, cfg: SystemConfig) -> ImplicitAutomaton:
+def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
+                            cfg: SystemConfig) -> Automaton:
     """Product of storage, execution and plant with the two pruning rules.
 
     Rule 1 deletes composite states whose active command shares no event with
@@ -151,8 +152,8 @@ def compose_and_prune_plant(cs: Automaton | ImplicitAutomaton, ce: Automaton,
     states where the execution stage idles while the store holds a usable
     command: the fetch preempts time. Both rules filter transitions while
     the product is explored, so a state that only pruned transitions reach
-    is never built. The result is an implicit automaton: a composition over
-    it computes only the rows it reaches.
+    is never built. The result is a lazy product: a composition over it
+    computes only the rows it reaches.
     """
     sigma_cs = {ev.command_exit(x) for x in cfg.gamma} \
         | {ev.command(x) for x in cfg.gamma} | {ev.tick}
@@ -211,12 +212,13 @@ def max_plant_events_between_ticks(a: Automaton) -> Optional[int]:
     order: List[object] = []
     indeg: Dict[object, int] = {q: 0 for q in a.states}
     adj: Dict[object, List[Tuple[object, int]]] = {q: [] for q in a.states}
-    for (s, e, t) in a.transitions:
-        if e == ev.tick:
-            continue
-        weight = 1 if (e.role == ev.PLAIN) else 0
-        adj[s].append((t, weight))
-        indeg[t] += 1
+    for s in a.states:
+        for (_s, e, t) in a.moves(s):
+            if e == ev.tick:
+                continue
+            weight = 1 if (e.role == ev.PLAIN) else 0
+            adj[s].append((t, weight))
+            indeg[t] += 1
     ready = [q for q in a.states if indeg[q] == 0]
     while ready:
         q = ready.pop()

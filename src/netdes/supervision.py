@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from . import events as ev
 from .attacker import ControlConstraint, ValidationReport, validate_control
-from .automaton import (Automaton, AutomatonError, ImplicitAutomaton, compose,
-                        subset_construction)
+from .automaton import Automaton, AutomatonError, compose, subset_construction
 from .config import SystemConfig
 from .events import sorted_events
 from .synthesis import MONITOR_EMPTY
@@ -35,8 +34,8 @@ def validate_networked_supervisor(ns: Automaton,
                             frozenset(cfg.full_alphabet()), "NS")
 
 
-def build_monitor(ns: Automaton, g_new: Automaton | ImplicitAutomaton,
-                  oc_t: Automaton, cc: Automaton, cfg: SystemConfig) -> Automaton:
+def build_monitor(ns: Automaton, g_new: Automaton, oc_t: Automaton,
+                  cc: Automaton, cfg: SystemConfig) -> Automaton:
     """Observer of the attack-free reference loop with explicit detection.
 
     Any observed event with no explanation in the current estimate leads to
@@ -48,7 +47,7 @@ def build_monitor(ns: Automaton, g_new: Automaton | ImplicitAutomaton,
     observed = supervisor_control_constraint(cfg).observable & reference.alphabet
     m = subset_construction(reference, observed, name="M")
     states = list(m.states)
-    transitions = list(m.transitions)
+    transitions = [t for x in states for t in m.moves(x)]
     if MONITOR_EMPTY in set(states):
         raise AutomatonError("reference loop produced an empty estimate")
     states.append(MONITOR_EMPTY)

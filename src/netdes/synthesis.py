@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
-from .automaton import (Automaton, AutomatonError, ImplicitAutomaton, close_under,
-                        compose, coreachable, observer_map, observer_pairs,
+from .automaton import (Automaton, AutomatonError, close_under, compose,
+                        coreachable, observer_map, observer_pairs,
                         shortest_path_to, state_name)
 from .channels import (capacity_control, capacity_observation,
                        enumerate_channel_states)
@@ -70,9 +70,8 @@ class SynthesisProblem:
             raise AutomatonError("bad and target sets overlap")
 
 
-def build_problem(g_new: Automaton | ImplicitAutomaton, ac: Automaton,
-                  oc: Automaton, ns: Automaton, cc: Automaton, m: Automaton,
-                  cfg: SystemConfig) -> SynthesisProblem:
+def build_problem(g_new: Automaton, ac: Automaton, oc: Automaton, ns: Automaton,
+                  cc: Automaton, m: Automaton, cfg: SystemConfig) -> SynthesisProblem:
     """Compose P = G_new || AC || OC || NS || CC || M and classify states.
 
     A composed state is a damage target iff its plant component is a damage
@@ -107,10 +106,11 @@ def supremal_supervisor(plant: Automaton, bad: FrozenSet,
     """Supremal controllable-and-normal supervisor avoiding ``bad``.
 
     Generic over the control constraint (the test suite's reference
-    networked-supervisor synthesis uses it too). Returns None when no supervisor exists. The result's states
-    are the surviving reachable observer estimates in discovery order, all
-    marked. It is total on the uncontrollable events: an event missing from
-    the observer self-loops, since no state of the estimate can take it.
+    networked-supervisor synthesis uses it too). Returns None when no
+    supervisor exists. The result's states are the surviving reachable
+    observer estimates in discovery order, all marked. It is total on the
+    uncontrollable events: an event missing from the observer self-loops,
+    since no state of the estimate can take it.
     """
     if not controllable <= observable:
         raise AutomatonError("controllable events must be observable here")

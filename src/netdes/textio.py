@@ -15,10 +15,10 @@ ends, not begins, its token.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from . import events as ev
-from .automaton import Automaton, State, state_name
+from .automaton import Automaton, State, explore, state_name
 from .events import EventLabel, sorted_events
 
 
@@ -44,6 +44,13 @@ def _role_suffix(label: EventLabel) -> str:
 
 def serialize_automaton(a: Automaton, rename: bool = False) -> str:
     """Render an automaton; ``rename`` maps states to S0.. in BFS order."""
+    return "".join(_lines(a, rename))
+
+
+def _lines(a: Automaton, rename: bool) -> Iterator[str]:
+    """The lines of ``serialize_automaton``, each ending in a newline. Every
+    check runs before the first line; the ``.trans`` lines are read off the
+    rows, sources sorted once."""
     naming: Dict[State, str]
     if rename:
         # BFS numbering; the empty monitor estimate keeps its literal name so
@@ -56,17 +63,8 @@ def serialize_automaton(a: Automaton, rename: bool = False) -> str:
             return f"S{len(naming)}"
 
         if a.initial is not None:
-            # breadth-first, events in label order: explore's order, read
-            # straight off the rows
-            naming[a.initial] = fresh(a.initial)
-            order = [a.initial]
-            for q in order:  # grows while iterated
-                succ = a._delta[q]
-                for e in a._enabled[q]:
-                    for dst in succ[e]:
-                        if dst not in naming:
-                            naming[dst] = fresh(dst)
-                            order.append(dst)
+            for q, _out in explore(a.initial, a.moves):
+                naming[q] = fresh(q)
         for q in a.states:
             if q not in naming:
                 naming[q] = fresh(q)
@@ -83,18 +81,21 @@ def serialize_automaton(a: Automaton, rename: bool = False) -> str:
         spellings[sp] = label
 
     events = sorted_events(a.alphabet)
-    rank = {e: r for r, e in enumerate(events)}
-    spelled = [e.spell() for e in events]
-    lines = [f".automaton {a.name or 'A'}"]
-    lines.append(".alphabet " + " ".join(_role_suffix(l) for l in events))
+    yield f".automaton {a.name or 'A'}\n"
+    yield ".alphabet " + " ".join(_role_suffix(l) for l in events) + "\n"
     if a.initial is not None:
-        lines.append(f".initial {naming[a.initial]}")
+        yield f".initial {naming[a.initial]}\n"
     if a.marked:
-        lines.append(".marked " + " ".join(sorted(naming[q] for q in a.marked)))
-    # label rank orders as the labels do
-    trans = sorted((naming[s], rank[e], naming[t]) for (s, e, t) in a.transitions)
-    lines.extend(f".trans {s} {spelled[r]} {t}" for (s, r, t) in trans)
-    return "\n".join(lines) + "\n"
+        yield ".marked " + " ".join(sorted(naming[q] for q in a.marked)) + "\n"
+    # names are unique and a row's events come in label order, so this is
+    # the order of (source name, event, target name)
+    spelled = {e: e.spell() for e in events}
+    name_of = naming.__getitem__
+    for s in sorted(a.states, key=name_of):
+        src = naming[s]
+        for e, dsts in a._delta[s].items():
+            for t in (dsts if len(dsts) < 2 else sorted(dsts, key=name_of)):
+                yield f".trans {src} {spelled[e]} {naming[t]}\n"
 
 
 def parse_automaton(text: str, name: str = "") -> Automaton:
@@ -163,7 +164,7 @@ def load_automaton(path: str, name: str = "") -> Automaton:
 
 def save_automaton(a: Automaton, path: str, rename: bool = False) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_automaton(a, rename=rename))
+        fh.writelines(_lines(a, rename))
 
 
 # -- DOT export ---------------------------------------------------------

@@ -44,7 +44,7 @@ def test_attack_problem_builds_only_the_rows_of_g_new_it_reaches(tmp_path):
     _cfg, plant, ns = shipped_paths("reduced")
     system = load_system(str(config), plant, ns)
     problem = build_attack_problem(system)
-    g_new, cs = system.implicit_g_new, system.implicit_cs
+    g_new, cs = system.g_new, system.cs
     built = set(g_new._delta)
     in_p = {q[0] for q in problem.plant.states}
     # the monitor's reference loop again: its rows exist already
@@ -54,8 +54,9 @@ def test_attack_problem_builds_only_the_rows_of_g_new_it_reaches(tmp_path):
     assert built == in_p | {q[1] for q in reference.states}
     # CS rows are computed only for the stores of the G_new rows built
     assert set(cs._delta) == {store for store, _stage, _g in built}
-    assert g_new._automaton is None and cs._automaton is None
+    # neither is explored: both row functions are still in place
+    assert g_new._delta.row is not None and cs._delta.row is not None
 
-    # reading the attribute materializes G_new on the rows already kept
-    assert len(system.g_new.states) == 16398
-    assert system.g_new._delta is g_new._delta
+    # reading the states explores G_new on the rows already kept
+    assert len(g_new.states) == 16398
+    assert g_new._delta.row is None and len(g_new._delta) == 16398

@@ -3,10 +3,13 @@ import random
 import pytest
 
 import netdes.events as ev
-from netdes.automaton import (Automaton, AutomatonError, compose,
-                              restrict_reachable, state_name)
+from netdes.automaton import (Automaton, AutomatonError, accepts,
+                              complete_with_selfloops, compose, coreachable,
+                              is_nonblocking, restrict_reachable, state_name,
+                              trim, unobservable_reach)
 from netdes.config import EventSpec, RateBounds, SystemConfig
-from netdes.plant import (IDLE, _check_plant, _queue_remove_first,
+from netdes.plant import (EMPTY_QUEUE, IDLE, _check_plant, _pruning_rules,
+                          _queue_remove_first,
                           build_command_execution, build_command_storage,
                           capacity_storage, check_pruned_invariants,
                           compose_and_prune_plant,
@@ -308,9 +311,50 @@ def test_compose_over_shipped_g_new_products_matches_their_materialization(
                                            build_command_execution(cfg),
                                            system.plant, cfg)
 
-        lazy, whole = g_new(), g_new().materialize()
+        lazy, whole = g_new(), g_new()
+        size = len(whole.states)  # explores all of it
         # the monitor's reference loop reaches only part of G_new
         got = compose([system.ns, lazy, system.oc_t, system.cc])
-        assert len(lazy._delta) < len(whole.states)
+        assert len(lazy._delta) < size
         assert_same_automaton(got, compose([system.ns, whole, system.oc_t, system.cc]))
-        assert_same_automaton(lazy.materialize(), whole)
+        assert_same_automaton(lazy, whole)
+
+
+def test_lazy_command_store_answers_like_the_explored_one(guideway):
+    # an unexplored command store has computed no rows yet, which must not
+    # read as having no states
+    cfg = guideway.cfg
+    explored = build_command_storage(cfg)
+    assert len(explored.states) == 40
+    want = unobservable_reach(explored, EMPTY_QUEUE, [ev.tick])
+    assert len(want) == 40
+    assert unobservable_reach(build_command_storage(cfg), EMPTY_QUEUE, [ev.tick]) == want
+    done = complete_with_selfloops(build_command_storage(cfg), [ev.stop])
+    assert len(done.transitions) == 194
+    assert_same_automaton(done, complete_with_selfloops(explored, [ev.stop]))
+    # a row looked up for a store that is not reachable declares no state
+    lazy, bogus = build_command_storage(cfg), (("unsent", 7),)
+    assert lazy.successors(bogus, ev.tick)
+    with pytest.raises(AutomatonError):
+        lazy.with_marked([bogus])
+    with pytest.raises(AutomatonError):
+        unobservable_reach(lazy, bogus, [ev.tick])
+
+
+def test_lazy_g_new_answers_like_its_explored_composition(guideway):
+    # a product's marked set is a set of its states, unexplored or not
+    cfg, g = guideway.cfg, guideway.plant
+    useless_fetch, preempted = _pruning_rules(g, cfg)
+    whole = compose([build_command_storage(cfg), build_command_execution(cfg), g],
+                    name="G_new", allowed=lambda src, e, dst: not useless_fetch(dst)
+                    and not (e == ev.tick and preempted(src)))
+
+    def lazy():
+        return compose_and_prune_plant(build_command_storage(cfg),
+                                       build_command_execution(cfg), g, cfg)
+
+    assert is_nonblocking(lazy()) == is_nonblocking(whole)
+    assert coreachable(lazy()) == coreachable(whole)
+    assert accepts(lazy(), [ev.tick], marked=True) == accepts(whole, [ev.tick], marked=True)
+    assert_same_automaton(trim(lazy()), trim(whole))
+    assert_same_automaton(lazy(), whole)
