@@ -1,9 +1,11 @@
 """Sensor-attack constraints and attack-automaton validation.
 
 The constraints automaton bounds what any sensor attack may do: after each
-event it can observe, the attacker inserts at most a bounded burst of
-compromised events into the observation channel and then stops; events it
-cannot observe pass straight through. A candidate attack automaton is valid
+event it can observe, the attacker outputs a string of at most ``u`` events
+into the observation channel and then stops; events it cannot observe pass
+straight through. An observation it can see but not tamper with is forwarded
+as it is, and that forwarded event is part of the output string, so it
+spends one unit of the budget ``u``. A candidate attack automaton is valid
 when it never disables an event outside its own control set and never
 changes state on an event it cannot observe.
 """
@@ -45,19 +47,17 @@ def attack_control_constraint(cfg: SystemConfig) -> ControlConstraint:
     return ControlConstraint(frozenset(controllable), frozenset(observable), "sa")
 
 
-def build_attack_constraints(cfg: SystemConfig,
-                             count_forwarded_event: bool = True) -> Automaton:
+def build_attack_constraints(cfg: SystemConfig) -> Automaton:
     """The template automaton every sensor attack is synchronized with.
 
-    ``count_forwarded_event`` selects whether forwarding an uncompromised
-    observation already spends one unit of the per-observation budget; the
-    alternative starts the insertion counter at zero instead.
+    Forwarding an attacker-observable, uncompromised observation spends one
+    unit of the per-observation budget ``u``, so such events need ``u >= 1``.
     """
     u = cfg.rates.u
     oa, sa = set(cfg.sigma_oa), set(cfg.sigma_sa)
     obs_only = [n for n in cfg.sigma_o if n in oa and n not in sa]
     unobs_to_attacker = [n for n in cfg.sigma_o if n not in oa]
-    if count_forwarded_event and obs_only and u < 1:
+    if obs_only and u < 1:
         raise ConfigError("u must be at least 1 when forwarded events count "
                           "toward the attack budget")
 
@@ -85,12 +85,11 @@ def build_attack_constraints(cfg: SystemConfig,
     # case 4: a compromised observation opens an attack round
     for n in sorted(sa):
         t.append((AC_INIT, ev.plant(n), "q0"))
-    # cases 5-6: attacker-observable but untamperable; forwarding may or may
-    # not count toward the budget
-    after_forward = "q1" if count_forwarded_event else "q0"
+    # cases 5-6: attacker-observable but untamperable; the forwarded event
+    # is one unit of the output string, so the counter continues at 1
     for n in obs_only:
         t.append((AC_INIT, ev.plant(n), f"qobs_{n}"))
-        t.append((f"qobs_{n}", ev.entry(n), after_forward))
+        t.append((f"qobs_{n}", ev.entry(n), "q1"))
     # case 7: the attacker may end the round at any counter value
     for i in range(u + 1):
         t.append((f"q{i}", ev.stop, AC_INIT))

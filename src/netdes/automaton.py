@@ -74,8 +74,10 @@ class Automaton:
     The constructor validates its arguments and builds every row. An
     automaton made by ``_lazy`` has a row function instead: a row is computed
     on its first lookup and kept, and ``states`` (breadth-first from the
-    initial state) and ``marked`` are filled on first read. ``transitions``
-    is built from the rows on each read.
+    initial state) and ``marked`` are filled on first read. A lookup of a
+    state no kept row leads to explores first, so a lazy automaton answers
+    as its explored self does. ``transitions`` is built from the rows on
+    each read.
     """
 
     __slots__ = ("name", "alphabet", "initial", "states", "marked", "_delta",
@@ -122,15 +124,7 @@ class Automaton:
         # reached only for unset slots: a lazy automaton's states and marked
         # set, each filled on its first read
         if attr == "states":
-            rows = self._delta
-            self.states = tuple(q for q, _out in explore(self.initial, self.moves))
-            # every reachable row is kept now; dropping the row function
-            # frees its caches, and an unknown state is a KeyError again
-            rows.row = None
-            if len(rows) > len(self.states):
-                # a lookup of a state that is not reachable computed a row too
-                for q in rows.keys() - self.states:
-                    del rows[q]
+            self.states = self._delta.complete()
             return self.states
         if attr == "marked":
             is_marked = self._is_marked
@@ -194,21 +188,43 @@ class Automaton:
 
 class _Rows(dict):
     """State -> successor row, each computed by ``row(q)`` on its first
-    lookup by ``[]`` and then kept; ``get`` and ``in`` compute nothing. With
-    ``row`` set to None it is a plain dict again: an unknown state raises
-    KeyError."""
+    lookup by ``[]`` and then kept; ``get`` and ``in`` compute nothing. A
+    lookup of a state not yet discovered (the initial state or a successor in
+    a kept row) completes the rows first, so it gets what the explored
+    automaton gives: KeyError unless reachable. Complete, it is a plain dict."""
 
-    __slots__ = ("row",)
+    __slots__ = ("row", "initial", "discovered")
 
-    def __init__(self, row: Optional[Callable[[State], Row]]) -> None:
+    def __init__(self, initial: Optional[State],
+                 row: Optional[Callable[[State], Row]]) -> None:
         super().__init__()
-        self.row = row
+        self.row, self.initial = row, initial
+        self.discovered: Optional[Set[State]] = {initial}
 
     def __missing__(self, q: State) -> Row:
         if self.row is None:
             raise KeyError(q)
+        if q not in self.discovered:
+            self.complete()
+            return self[q]
         out = self[q] = self.row(q)
+        self.discovered.update(*out.values())
         return out
+
+    def complete(self) -> Tuple[State, ...]:
+        """The states reachable from the initial one, in breadth-first order,
+        with every row computed; drops the row function and its caches."""
+        row = self.row
+
+        def moves(q: State) -> List[Transition]:
+            out = self.get(q)  # q is discovered: no need to check
+            if out is None:
+                out = self[q] = row(q)
+            return [(q, e, dst) for e, dsts in out.items() for dst in dsts]
+
+        states = tuple(q for q, _out in explore(self.initial, moves))
+        self.row = self.discovered = None
+        return states
 
 
 def _lazy(initial: Optional[State], alphabet: Iterable[EventLabel],
@@ -219,7 +235,7 @@ def _lazy(initial: Optional[State], alphabet: Iterable[EventLabel],
     ``is_marked`` holds."""
     a = Automaton.__new__(Automaton)
     a.name, a.alphabet, a.initial = name, frozenset(alphabet), initial
-    a._delta = _Rows(row)
+    a._delta = _Rows(initial, row)
     a._is_marked = is_marked
     if initial is None:
         a.states, a.marked = (), frozenset()

@@ -65,8 +65,7 @@ def _write_components(system: BuiltSystem, out_dir: str) -> None:
 
 
 def cmd_build(args) -> int:
-    system = load_system(args.config, args.plant, args.ns,
-                         args.count_forwarded_event == "on")
+    system = load_system(args.config, args.plant, args.ns)
     _write_components(system, args.out)
     print(f"wrote 8 automata and state_counts.txt to {args.out}")
     return EXIT_OK
@@ -74,8 +73,7 @@ def cmd_build(args) -> int:
 
 def cmd_synthesize(args) -> int:
     mode = SynthesisMode(args.mode)
-    system = load_system(args.config, args.plant, args.ns,
-                         args.count_forwarded_event == "on")
+    system = load_system(args.config, args.plant, args.ns)
     _write_components(system, args.out)
     problem = build_attack_problem(system)
     attack = synthesize_supremal_attack(problem, mode)
@@ -98,8 +96,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    system = load_system(args.config, args.plant, args.ns,
-                         args.count_forwarded_event == "on")
+    system = load_system(args.config, args.plant, args.ns)
     problem = build_attack_problem(system)
     attack = load_automaton(args.attack, name="A")
     report = validate_attack(attack, problem.constraint, problem.plant.alphabet)
@@ -160,8 +157,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--ns", required=True)
         if needs_out:
             sp.add_argument("--out", required=True)
-        sp.add_argument("--count-forwarded-event", choices=("on", "off"),
-                        default="on", dest="count_forwarded_event")
 
     b = sub.add_parser("build", help="build and export all loop components")
     io_args(b)
@@ -197,7 +192,7 @@ def main(argv: Optional[list] = None) -> int:
     gc.disable()
     try:
         return args.fn(args)
-    except (ParseError, ConfigError) as exc:
+    except (ParseError, ConfigError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AutomatonError, ValueError) as exc:

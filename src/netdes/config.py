@@ -215,17 +215,11 @@ def parse_config(text: str) -> SystemConfig:
             specs.append(EventSpec(name, ctl == "c", obs == "o",
                                    ao == "ao", comp == "comp", delay))
         elif section == "commands":
-            if "=" not in toks:
-                joined = " ".join(toks)
-                if "=" not in joined:
-                    raise ConfigError("command line needs: name = event ...", lineno)
-                lhs, rhs = joined.split("=", 1)
-                name, members = lhs.split()[0], rhs.split()
-            else:
-                i = toks.index("=")
-                name, members = toks[0], toks[i + 1:]
-                if i != 1:
-                    raise ConfigError("command line needs: name = event ...", lineno)
+            lhs, eq, rhs = " ".join(toks).partition("=")
+            names = lhs.split()
+            if not eq or len(names) != 1:
+                raise ConfigError("command line needs: name = event ...", lineno)
+            name, members = names[0], rhs.split()
             if name in commands:
                 raise ConfigError(f"duplicate command {name}", lineno)
             commands[name] = frozenset(members)

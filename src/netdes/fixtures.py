@@ -41,8 +41,7 @@ class BuiltSystem:
     monitor: Automaton
 
 
-def build_system(cfg: SystemConfig, plant: Automaton, ns: Automaton,
-                 count_forwarded_event: bool = True) -> BuiltSystem:
+def build_system(cfg: SystemConfig, plant: Automaton, ns: Automaton) -> BuiltSystem:
     """Every loop component; raises AutomatonError with the validation report
     when ``ns`` is not a valid networked supervisor."""
     report = validate_networked_supervisor(ns, cfg)
@@ -51,7 +50,7 @@ def build_system(cfg: SystemConfig, plant: Automaton, ns: Automaton,
     cs = build_command_storage(cfg)
     ce = build_command_execution(cfg)
     g_new = compose_and_prune_plant(cs, ce, plant, cfg)
-    ac = build_attack_constraints(cfg, count_forwarded_event)
+    ac = build_attack_constraints(cfg)
     oc = build_observation_channel(cfg)
     oc_t = relabel_to_attack_free(oc)
     cc = build_control_channel(cfg)
@@ -59,12 +58,10 @@ def build_system(cfg: SystemConfig, plant: Automaton, ns: Automaton,
     return BuiltSystem(cfg, plant, cs, ce, g_new, ac, oc, oc_t, cc, ns, monitor)
 
 
-def load_system(config: str, plant: str, ns: str,
-                count_forwarded_event: bool = True) -> BuiltSystem:
+def load_system(config: str, plant: str, ns: str) -> BuiltSystem:
     """Read the three files, the config first, and build the system."""
     cfg = load_config(config)
-    return build_system(cfg, load_plant(plant, cfg),
-                        load_automaton(ns, name="NS"), count_forwarded_event)
+    return build_system(cfg, load_plant(plant, cfg), load_automaton(ns, name="NS"))
 
 
 def build_attack_problem(system: BuiltSystem) -> SynthesisProblem:

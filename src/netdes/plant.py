@@ -208,33 +208,32 @@ def check_pruned_invariants(g_new: Automaton, g: Automaton,
 
 def max_plant_events_between_ticks(a: Automaton) -> Optional[int]:
     """Longest run of plant events on any tick-free path; None if the
-    tick-free subgraph is cyclic."""
-    order: List[object] = []
-    indeg: Dict[object, int] = {q: 0 for q in a.states}
-    adj: Dict[object, List[Tuple[object, int]]] = {q: [] for q in a.states}
-    for s in a.states:
-        for (_s, e, t) in a.moves(s):
-            if e == ev.tick:
-                continue
-            weight = 1 if (e.role == ev.PLAIN) else 0
-            adj[s].append((t, weight))
-            indeg[t] += 1
-    ready = [q for q in a.states if indeg[q] == 0]
-    while ready:
-        q = ready.pop()
-        order.append(q)
-        for t, _ in adj[q]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                ready.append(t)
-    if len(order) < len(a.states):
+    tick-free subgraph is cyclic. One topological sort over the kept rows
+    carries, per state, the longest run that ends there."""
+    tick = ev.tick
+    indeg = dict.fromkeys(a.states, 0)
+    rows = a._delta
+    for row in rows.values():
+        for e, dsts in row.items():
+            if e is not tick:
+                for t in dsts:
+                    indeg[t] += 1
+    run = dict.fromkeys(indeg, 0)
+    order = [q for q, n in indeg.items() if n == 0]
+    for q in order:  # grows while iterated; q's run is final when it joins
+        for e, dsts in rows[q].items():
+            if e is not tick:
+                longer = run[q] + (e.role == ev.PLAIN)
+                for t in dsts:
+                    if longer > run[t]:
+                        run[t] = longer
+                    indeg[t] -= 1
+                    if indeg[t] == 0:
+                        order.append(t)
+    if len(order) < len(indeg):
         # Kahn's order misses exactly the states a tick-free cycle reaches
         return None
-    best: Dict[object, int] = {q: 0 for q in a.states}
-    for q in reversed(order):
-        for t, w in adj[q]:
-            best[q] = max(best[q], w + best[t])
-    return max(best.values(), default=0)
+    return max(run.values(), default=0)
 
 
 def rate_bound_warnings(g_new: Automaton, cfg: SystemConfig) -> List[str]:

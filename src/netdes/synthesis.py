@@ -293,8 +293,7 @@ def capacities(cfg: SystemConfig) -> List[Tuple[int, int]]:
 
 def state_size_report(cfg: SystemConfig, *, ac: Automaton, oc: Automaton,
                       cc: Automaton, cs: Automaton, ce: Automaton,
-                      g: Automaton, ns: Automaton,
-                      m: Optional[Automaton] = None) -> List[SizeRow]:
+                      g: Automaton, ns: Automaton, m: Automaton) -> List[SizeRow]:
     """Constructed component sizes against the closed-form counts."""
     rows: List[SizeRow] = []
     n_ac = ac_state_count(cfg)
@@ -311,11 +310,10 @@ def state_size_report(cfg: SystemConfig, *, ac: Automaton, oc: Automaton,
     rows.append(SizeRow("CE", len(ce.states), f"<= 1+{n_ce}",
                         len(ce.states) <= 1 + n_ce))
 
-    if m is not None:
-        exponent = (len(cs.states) * len(ce.states) * len(g.states)
-                    * len(oc.states) * len(ns.states) * len(cc.states))
-        ok = len(m.states) > 0 and math.log2(len(m.states)) <= exponent
-        rows.append(SizeRow("M", len(m.states), f"<= 2^{exponent}", ok))
+    exponent = (len(cs.states) * len(ce.states) * len(g.states)
+                * len(oc.states) * len(ns.states) * len(cc.states))
+    ok = len(m.states) > 0 and math.log2(len(m.states)) <= exponent
+    rows.append(SizeRow("M", len(m.states), f"<= 2^{exponent}", ok))
     return rows
 
 

@@ -169,13 +169,13 @@ def save_automaton(a: Automaton, path: str, rename: bool = False) -> None:
 
 # -- DOT export ---------------------------------------------------------
 
-def to_dot(a: Automaton, graph_name: str = "") -> str:
+def to_dot(a: Automaton) -> str:
     """DOT digraph: initial state double-bordered, marked states shaded,
     the empty monitor state highlighted."""
     naming = {q: state_name(q) for q in a.states}
     if len(set(naming.values())) != len(naming):
         naming = {q: f"S{i}" for i, q in enumerate(a.states)}
-    lines = [f'digraph "{graph_name or a.name or "A"}" {{', "  rankdir=LR;"]
+    lines = [f'digraph "{a.name or "A"}" {{', "  rankdir=LR;"]
     for q in a.states:
         attrs = []
         if q == a.initial:

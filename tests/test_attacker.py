@@ -56,11 +56,9 @@ def test_insertion_budget_exhausts():
 
 
 def test_forwarding_budget_toggle():
-    cfg = rich_cfg(u=1)
-    counted = build_attack_constraints(cfg, count_forwarded_event=True)
+    # the forwarded, untamperable observation is one unit of the budget u
+    counted = build_attack_constraints(rich_cfg(u=1))
     assert counted.step("qobs_oa", ev.entry("oa")) == "q1"
-    free = build_attack_constraints(cfg, count_forwarded_event=False)
-    assert free.step("qobs_oa", ev.entry("oa")) == "q0"
 
 
 def test_counting_forward_requires_budget():
@@ -69,8 +67,7 @@ def test_counting_forward_requires_budget():
     cfg = SystemConfig(events=events, commands={"v": frozenset({"sa"})},
                        delta_o=0, delta_c=0, delta_s=0, rates=RateBounds(1, 0, 1))
     with pytest.raises(ConfigError):
-        build_attack_constraints(cfg, count_forwarded_event=True)
-    build_attack_constraints(cfg, count_forwarded_event=False)
+        build_attack_constraints(cfg)
 
 
 def test_supervisor_only_events_pass_straight_through():

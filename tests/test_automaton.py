@@ -1,4 +1,5 @@
 """Kernel operations against independent brute-force oracles."""
+import gc
 import random
 
 import pytest
@@ -6,8 +7,9 @@ import pytest
 import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, accepts, compose,
                               coreachable, empty_automaton, explore,
-                              is_nonblocking, product, reachable, state_name,
-                              subset_construction, trim, unobservable_reach)
+                              implicit_automaton, is_nonblocking, product,
+                              reachable, state_name, subset_construction, trim,
+                              unobservable_reach)
 from netdes.events import sorted_events
 from oracles import (assert_same_automaton, bounded_traces, isomorphic_by,
                      nested_loop_product)
@@ -321,6 +323,52 @@ def test_explore_is_lazy_on_an_infinite_graph():
             break
     assert states == [1, 2, 3, 4, 6]
     assert expanded == states
+
+
+def _counter(limit, computed):
+    """0 -a-> 1 -a-> ... -a-> limit, explored on demand; ``computed`` records
+    each state whose moves are asked for."""
+    def moves(n):
+        computed.append(n)
+        return [(n, A, n + 1)] if n < limit else []
+    return implicit_automaton(0, moves, [A], name="N")
+
+
+def test_lazy_lookup_of_an_undiscovered_state_answers_as_explored():
+    computed = []
+    lazy = _counter(5, computed)
+    assert lazy.successors(0, A) == (1,) and computed == [0]
+    # 3 is reachable but not yet discovered: exploring finds its row
+    assert lazy.successors(3, A) == (4,)
+    assert computed == [0, 1, 2, 3, 4, 5]
+    with pytest.raises(KeyError):
+        lazy.successors(9, A)
+    assert lazy.states == (0, 1, 2, 3, 4, 5)
+    with pytest.raises(KeyError):
+        _counter(5, []).successors(-1, A)
+    assert computed == [0, 1, 2, 3, 4, 5]
+
+
+def test_lazy_automata_leave_no_reference_cycle():
+    # commands run with the collector paused, so a cycle would never be freed
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        unexplored = product([_counter(3, []), _counter(4, [])])
+        unexplored.successors(unexplored.initial, A)
+        explored = compose([_counter(3, []), _counter(4, [])])
+        assert len(explored.states) == 4
+        stray = _counter(2, [])
+        try:
+            stray.successors(7, A)
+        except KeyError:
+            pass
+        del unexplored, explored, stray
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # -- reachability family -----------------------------------------------------------

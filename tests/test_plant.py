@@ -332,9 +332,10 @@ def test_lazy_command_store_answers_like_the_explored_one(guideway):
     done = complete_with_selfloops(build_command_storage(cfg), [ev.stop])
     assert len(done.transitions) == 194
     assert_same_automaton(done, complete_with_selfloops(explored, [ev.stop]))
-    # a row looked up for a store that is not reachable declares no state
+    # a store that is not reachable has no row, explored or not
     lazy, bogus = build_command_storage(cfg), (("unsent", 7),)
-    assert lazy.successors(bogus, ev.tick)
+    with pytest.raises(KeyError):
+        lazy.successors(bogus, ev.tick)
     with pytest.raises(AutomatonError):
         lazy.with_marked([bogus])
     with pytest.raises(AutomatonError):
