@@ -8,12 +8,15 @@ through one breadth-first explorer, ``explore``, whose discovery order is the
 state order of what it builds; unordered closures use ``close_under``.
 
 There is one automaton type, ``Automaton``, stored as successor rows. Its
-constructor validates explicit states and transitions; ``product`` and
-``implicit_automaton`` give a row function instead, whose rows are computed
-on first lookup and kept, and whose states and marked set are filled by one
-exploration on first read. A product over such automata therefore builds
-only the component rows its own exploration reaches, and ``compose`` is an
-explored ``product``.
+constructor validates explicit states and transitions; ``lazy_automaton``
+gives a row function instead, whose rows are computed on first lookup and
+kept, and whose states (in the breadth-first order of its rows) and marked
+set are filled by one exploration on first read. ``product``,
+``implicit_automaton`` and ``subset_construction`` are lazy, so a product
+over such automata builds only the component rows it reaches, and
+``compose`` is an explored ``product``. The observer has one step,
+``observer_step``, which reads silent successors from the rows on demand;
+``observer_map`` explores it into a plain successor map.
 
 Event labels and channel states are interned (``events``, ``channels``):
 equal values are one object, compared and hashed by identity. Their set and
@@ -69,15 +72,15 @@ class Automaton:
     The relation is stored once, as rows: ``_delta[q]`` maps each event
     enabled at q, in label order, to its successors, several in
     ``state_name`` order. ``initial`` may be None only for the empty
-    automaton (no states), which arises from trimming.
+    automaton (no states), such as a file that declares no state.
 
     The constructor validates its arguments and builds every row. An
-    automaton made by ``_lazy`` has a row function instead: a row is computed
-    on its first lookup and kept, and ``states`` (breadth-first from the
-    initial state) and ``marked`` are filled on first read. A lookup of a
-    state no kept row leads to explores first, so a lazy automaton answers
-    as its explored self does. ``transitions`` is built from the rows on
-    each read.
+    automaton made by ``lazy_automaton`` has a row function instead: a row
+    is computed on its first lookup and kept, and ``states`` (breadth-first
+    from the initial state) and ``marked`` are filled on first read. A
+    lookup of a state no kept row leads to explores first, so a lazy
+    automaton answers as its explored self does. ``transitions`` is built
+    from the rows on each read.
     """
 
     __slots__ = ("name", "alphabet", "initial", "states", "marked", "_delta",
@@ -161,16 +164,12 @@ class Automaton:
             raise AutomatonError(f"nondeterministic on {ev.spell()} at {state_name(q)}")
         return dsts[0]
 
-    @property
-    def deterministic(self) -> bool:
-        return all(len(dsts) == 1 for by_ev in _rows(self).values()
-                   for dsts in by_ev.values())
-
     def with_marked(self, marked: Iterable[State], name: str = "") -> "Automaton":
         """The same automaton with another marked set; the rows are shared,
         so only the new marked states are checked."""
         marked = frozenset(marked)
-        rows = _rows(self)
+        self.states  # explores a lazy automaton, which completes its rows
+        rows = self._delta
         for q in marked:
             if q not in rows:
                 raise AutomatonError(f"marked state {state_name(q)} not declared")
@@ -227,47 +226,19 @@ class _Rows(dict):
         return states
 
 
-def _lazy(initial: Optional[State], alphabet: Iterable[EventLabel],
-          row: Optional[Callable[[State], Row]], is_marked: Callable[[State], bool],
-          name: str) -> Automaton:
+def lazy_automaton(initial: Optional[State], alphabet: Iterable[EventLabel],
+                   row: Optional[Callable[[State], Row]],
+                   is_marked: Callable[[State], bool], name: str) -> Automaton:
     """The automaton reachable from ``initial`` under the row function
     ``row`` (rows in the form of ``Automaton._delta``), marked where
-    ``is_marked`` holds."""
+    ``is_marked`` holds; empty, whatever ``row``, when ``initial`` is None."""
     a = Automaton.__new__(Automaton)
     a.name, a.alphabet, a.initial = name, frozenset(alphabet), initial
-    a._delta = _Rows(initial, row)
+    a._delta = _Rows(initial, None if initial is None else row)
     a._is_marked = is_marked
     if initial is None:
         a.states, a.marked = (), frozenset()
     return a
-
-
-def _rows(a: Automaton) -> Dict[State, Row]:
-    """Every row of ``a``, keyed by exactly its states: reading ``states``
-    explores a lazy automaton, which completes its rows."""
-    a.states
-    return a._delta
-
-
-def empty_automaton(alphabet: Iterable[EventLabel], name: str = "") -> Automaton:
-    return Automaton((), alphabet, (), None, (), name)
-
-
-def complete_with_selfloops(a: Automaton, events: Iterable[EventLabel],
-                            name: str = "") -> Automaton:
-    """``a`` with a self-loop wherever one of ``events`` is undefined; events
-    outside the alphabet join it.
-
-    Sound for synthesized supervisors: a missing uncontrollable event is
-    infeasible at every plant state compatible with the estimate, so the
-    loop's behavior is unchanged while the totality requirement is met.
-    """
-    events = frozenset(events)
-    rows = _rows(a)
-    transitions = [t for q in a.states for t in a.moves(q)]
-    transitions += [(q, e, q) for q in a.states for e in events if e not in rows[q]]
-    return Automaton(a.states, a.alphabet | events, transitions,
-                     a.initial, a.marked, name or a.name)
 
 
 # -- exploration and reachability --------------------------------------
@@ -309,42 +280,13 @@ def implicit_automaton(init: State, moves: Moves, alphabet: Iterable[EventLabel]
             by_event.setdefault(e, {})[dst] = None
         return {e: _successor_tuple(list(by_event[e])) for e in sorted_events(by_event)}
 
-    return _lazy(init, alphabet, row, lambda q: False, name)
+    return lazy_automaton(init, alphabet, row, lambda q: False, name)
 
 
 def _successor_tuple(dsts: List[State]) -> Tuple[State, ...]:
     # a single successor needs no sort; several drop repeats and keep the
     # canonical state_name order that BFS numbering and witnesses depend on
     return tuple(dsts) if len(dsts) == 1 else tuple(sorted(set(dsts), key=state_name))
-
-
-def unobservable_reach(a: Automaton, q: State,
-                       observed: Iterable[EventLabel]) -> FrozenSet[State]:
-    """States reachable from q along events outside ``observed`` only."""
-    obs = frozenset(observed)
-    if q not in _rows(a):
-        raise AutomatonError(f"unknown state {state_name(q)}")
-    if not obs <= a.alphabet:
-        bad = next(iter(obs - a.alphabet))
-        raise AutomatonError(f"observed event {bad.spell()} not in alphabet")
-    return _closure(_silent_steps(a, obs), (q,))
-
-
-def _silent_steps(a: Automaton, observed: FrozenSet[EventLabel]
-                  ) -> Dict[State, List[State]]:
-    """The successors of each state along events outside ``observed``;
-    states without any are absent."""
-    silent: Dict[State, List[State]] = {}
-    for q, row in _rows(a).items():
-        out = [dst for e, dsts in row.items() if e not in observed for dst in dsts]
-        if out:
-            silent[q] = out
-    return silent
-
-
-def _closure(silent: Dict[State, List[State]],
-             seed: Iterable[State]) -> FrozenSet[State]:
-    return frozenset(close_under(set(), seed, lambda q: silent.get(q, ())))
 
 
 def close_under(seen: Set, seeds: Iterable, step: Callable[[Any], Iterable]) -> Set:
@@ -363,63 +305,14 @@ def close_under(seen: Set, seeds: Iterable, step: Callable[[Any], Iterable]) -> 
     return seen
 
 
-def reachable(a: Automaton) -> FrozenSet[State]:
-    if a.initial is None:
-        return frozenset()
-    return frozenset(close_under(set(), (a.initial,), lambda q: [
-        dst for dsts in a._delta[q].values() for dst in dsts]))
-
-
 def coreachable(a: Automaton) -> FrozenSet[State]:
     """States from which some marked state can be reached."""
     back: Dict[State, List[State]] = {q: [] for q in a.states}
-    for src, row in _rows(a).items():
+    for src, row in a._delta.items():  # complete: the states are explored
         for dsts in row.values():
             for dst in dsts:
                 back[dst].append(src)
     return frozenset(close_under(set(), a.marked, back.__getitem__))
-
-
-def is_nonblocking(a: Automaton) -> bool:
-    return reachable(a) <= coreachable(a)
-
-
-def trim(a: Automaton, name: str = "") -> Automaton:
-    return _restrict(a, reachable(a) & coreachable(a), name)
-
-
-def restrict_reachable(a: Automaton, name: str = "") -> Automaton:
-    return _restrict(a, reachable(a), name)
-
-
-def _restrict(a: Automaton, keep: FrozenSet[State], name: str) -> Automaton:
-    """The part of ``a`` on ``keep``; empty unless it holds the initial state."""
-    if a.initial not in keep:
-        return empty_automaton(a.alphabet, name or a.name)
-    kept_states = [q for q in a.states if q in keep]
-    kept_trans = [t for q in kept_states for t in a.moves(q) if t[2] in keep]
-    return Automaton(kept_states, a.alphabet, kept_trans, a.initial,
-                     a.marked & keep, name or a.name)
-
-
-# -- language membership ----------------------------------------------
-
-def accepts(a: Automaton, seq: Sequence[EventLabel], marked: bool = False) -> bool:
-    """Existential run semantics; with ``marked`` require a marked end state."""
-    for ev in seq:
-        if ev not in a.alphabet:
-            raise AutomatonError(f"event {ev.spell()} not in alphabet")
-    if a.initial is None:
-        return False
-    current: Set[State] = {a.initial}
-    for ev in seq:
-        nxt: Set[State] = set()
-        for q in current:
-            nxt.update(a.successors(q, ev))
-        if not nxt:
-            return False
-        current = nxt
-    return bool(current & a.marked) if marked else True
 
 
 # -- observer / subset construction ------------------------------------
@@ -427,27 +320,35 @@ def accepts(a: Automaton, seq: Sequence[EventLabel], marked: bool = False) -> bo
 ObserverMap = Dict[FrozenSet[State], Dict[EventLabel, FrozenSet[State]]]
 
 
-def observer_map(a: Automaton, observed: Iterable[EventLabel]) -> ObserverMap:
-    """The observer of ``a`` w.r.t. ``observed`` as a plain successor map.
+def observer_step(a: Automaton, observed: Iterable[EventLabel]
+                  ) -> Tuple[Optional[FrozenSet[State]], Moves]:
+    """The observer of ``a`` w.r.t. ``observed``: its initial estimate (None
+    when ``a`` is empty) and its step.
 
-    Keys are the estimates in breadth-first discovery order, the initial
-    estimate first (none when ``a`` is empty). Each maps an observed event, in
-    label order, to the unobservable reach of the estimate's successor set;
-    an event with no successor is absent. Unobserved events are implicit
-    self-loops.
+    ``step(x)`` lists, as (x, event, estimate) triples, the observed events
+    some state of x enables, in label order, each with the unobservable
+    reach of x's successor set on it. Rows of ``a`` are read only as
+    estimates reach them; each state's silent successors are kept once read.
     """
     obs = frozenset(observed)
     if not obs <= a.alphabet:
         bad = next(iter(obs - a.alphabet))
         raise AutomatonError(f"observed event {bad.spell()} not in alphabet")
-    if a.initial is None:
-        return {}
     obs_sorted = sorted_events(obs)
     delta = a._delta
-    silent = _silent_steps(a, obs)
+    silent: Dict[State, Tuple[State, ...]] = {}
 
-    def moves(cur: FrozenSet[State]) -> List[Tuple[FrozenSet[State], EventLabel,
-                                                  FrozenSet[State]]]:
+    def silent_of(q: State) -> Tuple[State, ...]:
+        out = silent.get(q)
+        if out is None:
+            out = silent[q] = tuple(dst for ev, dsts in delta[q].items()
+                                    if ev not in obs for dst in dsts)
+        return out
+
+    def reach(seeds: Iterable[State]) -> FrozenSet[State]:
+        return frozenset(close_under(set(), seeds, silent_of))
+
+    def step(cur: FrozenSet[State]) -> List[Transition]:
         raw_by_event: Dict[EventLabel, Set[State]] = {}
         for q in cur:
             for ev, dsts in delta[q].items():
@@ -457,32 +358,40 @@ def observer_map(a: Automaton, observed: Iterable[EventLabel]) -> ObserverMap:
                         raw_by_event[ev] = set(dsts)
                     else:
                         raw.update(dsts)
-        return [(cur, ev, _closure(silent, raw_by_event[ev]))
+        return [(cur, ev, reach(raw_by_event[ev]))
                 for ev in obs_sorted if ev in raw_by_event]
 
-    return {x: {ev: y for _x, ev, y in out} for x, out in
-            explore(_closure(silent, (a.initial,)), moves)}
+    return (None if a.initial is None else reach((a.initial,))), step
+
+
+def observer_map(a: Automaton, observed: Iterable[EventLabel]) -> ObserverMap:
+    """The observer of ``a`` w.r.t. ``observed`` as a plain successor map:
+    each estimate, in breadth-first discovery order (none when ``a`` is
+    empty), maps the events of its ``observer_step``, in label order, to
+    their estimates. Unobserved events are implicit self-loops."""
+    init, step = observer_step(a, observed)
+    if init is None:
+        return {}
+    return {x: {ev: y for _x, ev, y in out} for x, out in explore(init, step)}
 
 
 def subset_construction(a: Automaton, observed: Iterable[EventLabel],
                         name: str = "") -> Automaton:
-    """Determinize w.r.t. ``observed`` over the full alphabet of ``a``.
-
-    Unobserved events self-loop at every observer state. Observed events
-    map an estimate to the unobservable reach of its successor set; empty
-    successors yield no transition (the empty estimate is built only by
-    the monitor construction, which routes inconsistencies explicitly).
-    """
+    """Determinize w.r.t. ``observed`` over the full alphabet of ``a``,
+    explored on demand: an estimate's row is its ``observer_step`` plus a
+    self-loop on each unobserved event, and every estimate is marked. An
+    observed event with no successor has no transition (the monitor routes
+    those to the empty estimate)."""
     obs = frozenset(observed)
-    graph = observer_map(a, obs)
-    if not graph:
-        return empty_automaton(a.alphabet, name)
-    unobs = sorted_events(a.alphabet - obs)
-    transitions = [(x, ev, x) for x in graph for ev in unobs]
-    transitions += [(x, ev, y) for x, succ in graph.items()
-                    for ev, y in succ.items()]
-    states = list(graph)
-    return Automaton(states, a.alphabet, transitions, states[0], states, name)
+    init, step = observer_step(a, obs)
+    events = sorted_events(a.alphabet)
+
+    def row(x: FrozenSet[State]) -> Row:
+        succ = {ev: (y,) for _x, ev, y in step(x)}
+        loop = (x,)
+        return {ev: succ.get(ev, loop) for ev in events if ev in succ or ev not in obs}
+
+    return lazy_automaton(init, a.alphabet, row, lambda x: True, name)
 
 
 def observer_pairs(a: Automaton, start: State,
@@ -544,7 +453,7 @@ def product(components: Sequence, name: str = "",
         return all(x in c.marked for x, c in zip(q, components))
 
     if any(c.initial is None for c in components):
-        return _lazy(None, alphabet, None, is_marked, name)
+        return lazy_automaton(None, alphabet, None, is_marked, name)
     participants: Dict[EventLabel, Tuple[int, ...]] = {
         ev: tuple(i for i, c in enumerate(components) if ev in c.alphabet)
         for ev in alphabet
@@ -590,7 +499,7 @@ def product(components: Sequence, name: str = "",
                 out[ev] = _successor_tuple(kept)
         return out
 
-    return _lazy(tuple(c.initial for c in components), alphabet, row, is_marked, name)
+    return lazy_automaton(tuple(c.initial for c in components), alphabet, row, is_marked, name)
 
 
 def compose(components: Sequence, name: str = "",

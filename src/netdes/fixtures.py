@@ -2,8 +2,9 @@
 
 ``load_system`` turns a config, a plant and a networked supervisor file into
 every component of the loop; ``build_system`` does the same from objects
-already in memory. The networked supervisor is validated once, before
-anything is built. The shipped systems are the files under ``data/``.
+already in memory. Before anything is built, the plant and the networked
+supervisor are checked to have states and the supervisor is validated,
+once. The shipped systems are the files under ``data/``.
 
 The command store CS and the pruned plant G_new are lazy automata: the
 monitor and the attack problem are composed over them and build only the
@@ -42,8 +43,11 @@ class BuiltSystem:
 
 
 def build_system(cfg: SystemConfig, plant: Automaton, ns: Automaton) -> BuiltSystem:
-    """Every loop component; raises AutomatonError with the validation report
-    when ``ns`` is not a valid networked supervisor."""
+    """Every loop component; raises AutomatonError when the plant or ``ns``
+    is empty, or with the report when ``ns`` is not a valid supervisor."""
+    for a, what in ((plant, "plant"), (ns, "networked supervisor NS")):
+        if a.initial is None:
+            raise AutomatonError(f"the {what} has no states")
     report = validate_networked_supervisor(ns, cfg)
     if not report.ok:
         raise AutomatonError(report.render())

@@ -7,9 +7,8 @@ once its per-event countdown reaches zero, abandons the command when an
 uncontrollable event preempts it), and the plant proper. Their product is
 explored through a transition filter that keeps the execution stage from
 ever holding a command that is useless at the current plant state, or idling
-over a tick while the store holds a usable command. The same two rules,
-written once in ``_pruning_rules``, are re-checked on the result by
-``check_pruned_invariants``.
+over a tick while the store holds a usable command. Both rules are written
+once, in ``_pruning_rules``.
 
 The command store, the execution stage and G_new are given by row
 functions (``automaton.implicit_automaton``, ``automaton.product``): a row is
@@ -192,19 +191,6 @@ def _pruning_rules(g: Automaton, cfg: SystemConfig
 
 
 # -- structural checks -------------------------------------------------------
-
-def check_pruned_invariants(g_new: Automaton, g: Automaton,
-                            cfg: SystemConfig) -> List[str]:
-    """Re-assert both pruning rules on the finished composition."""
-    useless_fetch, preempted = _pruning_rules(g, cfg)
-    problems = []
-    for state in g_new.states:
-        if useless_fetch(state):
-            problems.append(f"useless active command at {state_name(state)}")
-        elif preempted(state) and g_new.successors(state, ev.tick):
-            problems.append(f"tick not preempted at {state_name(state)}")
-    return problems
-
 
 def max_plant_events_between_ticks(a: Automaton) -> Optional[int]:
     """Longest run of plant events on any tick-free path; None if the

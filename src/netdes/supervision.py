@@ -10,9 +10,12 @@ detection, so the empty estimate carries a tick self-loop and nothing else.
 """
 from __future__ import annotations
 
+from typing import FrozenSet, List
+
 from . import events as ev
 from .attacker import ControlConstraint, ValidationReport, validate_control
-from .automaton import Automaton, AutomatonError, compose, subset_construction
+from .automaton import (Automaton, Transition, explore, product,
+                        subset_construction)
 from .config import SystemConfig
 from .events import sorted_events
 from .synthesis import MONITOR_EMPTY
@@ -40,21 +43,25 @@ def build_monitor(ns: Automaton, g_new: Automaton, oc_t: Automaton,
 
     Any observed event with no explanation in the current estimate leads to
     the empty estimate; there the only continuation is the tick self-loop.
-    The monitor sees what the networked supervisor sees. ``ns`` is assumed
-    valid (``fixtures.build_system`` checks it first).
+    The monitor sees what the networked supervisor sees. Its states come in
+    the breadth-first order of its rows, the empty estimate last if nothing
+    reaches it. ``ns`` and ``g_new`` are assumed valid and nonempty
+    (``fixtures.build_system`` checks them first).
     """
-    reference = compose([ns, g_new, oc_t, cc], name="NS||G_new||OC^T||CC")
+    reference = product([ns, g_new, oc_t, cc], name="NS||G_new||OC^T||CC")
     observed = supervisor_control_constraint(cfg).observable & reference.alphabet
-    m = subset_construction(reference, observed, name="M")
-    states = list(m.states)
-    transitions = [t for x in states for t in m.moves(x)]
-    if MONITOR_EMPTY in set(states):
-        raise AutomatonError("reference loop produced an empty estimate")
-    states.append(MONITOR_EMPTY)
-    for x in m.states:
-        for e in sorted_events(observed):
-            if not m.successors(x, e):
-                transitions.append((x, e, MONITOR_EMPTY))
-    transitions.append((MONITOR_EMPTY, ev.tick, MONITOR_EMPTY))
-    return Automaton(states, m.alphabet, transitions, m.initial,
-                     marked=states, name="M")
+    observer = subset_construction(reference, observed)
+    events = sorted_events(reference.alphabet)
+
+    def moves(x: FrozenSet) -> List[Transition]:
+        if x == MONITOR_EMPTY:
+            return [(x, ev.tick, x)]
+        # observer estimates are never empty: None is an unexplained event
+        return [(x, e, observer.step(x, e) or MONITOR_EMPTY) for e in events]
+
+    explored = dict(explore(observer.initial, moves))
+    explored.setdefault(MONITOR_EMPTY, moves(MONITOR_EMPTY))
+    states = list(explored)
+    return Automaton(states, reference.alphabet,
+                     [t for out in explored.values() for t in out],
+                     observer.initial, marked=states, name="M")

@@ -14,20 +14,21 @@ of the new plant by an iterated pruning:
    set are eliminated by disabling the controllable entries into them and
    deleting estimates entered uncontrollably, then the pass repeats.
 
-The observer is pruned as a plain successor map; only the result becomes an
-automaton. Rules 1-2 are a worklist attractor (Graedel, Thomas & Wilke, LNCS
-2500): each dead estimate is pushed once to its uncontrollable predecessors,
-in O(|E|). Rule 3 uses the product of P and the full observer, built once;
-each round recomputes reachability and coreachability over the product edges
-that the dead estimates and disabled events still allow.
+The observer is pruned as a plain successor map; the result is a row
+function over it. Rules 1-2 are a worklist attractor (Graedel, Thomas &
+Wilke, LNCS 2500): each dead estimate is pushed once to its uncontrollable
+predecessors, in O(|E|). Rule 3 uses the product of P and the full
+observer, built once; each round recomputes reachability and coreachability
+over the product edges that the dead estimates and disabled events still
+allow.
 
 Runs are reproducible without sorting the pruning passes: each pass only
 adds to the sets of deleted estimates and disabled events, so it ends with
 the same sets in any visiting order (the backward propagation is a least
 fixpoint). Where order does reach an output, it comes from the automaton
-kernel: estimates keep the observer's discovery order, events are visited in
-label order and several successors of one state on one event are kept in
-canonical ``state_name`` order.
+kernel: the attack's states come in the breadth-first order of its rows,
+events are visited in label order and several successors of one state on
+one event are kept in canonical ``state_name`` order.
 """
 from __future__ import annotations
 
@@ -38,12 +39,12 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
 from .automaton import (Automaton, AutomatonError, close_under, compose,
-                        coreachable, observer_map, observer_pairs,
-                        shortest_path_to, state_name)
+                        coreachable, lazy_automaton, observer_map,
+                        observer_pairs, shortest_path_to, state_name)
 from .channels import (capacity_control, capacity_observation,
                        enumerate_channel_states)
 from .config import SystemConfig
-from .events import EventLabel
+from .events import EventLabel, sorted_events
 from .plant import capacity_storage
 
 MONITOR_EMPTY: FrozenSet = frozenset()
@@ -107,8 +108,9 @@ def supremal_supervisor(plant: Automaton, bad: FrozenSet,
 
     Generic over the control constraint (the test suite's reference
     networked-supervisor synthesis uses it too). Returns None when no
-    supervisor exists. The result's states are the surviving reachable
-    observer estimates in discovery order, all marked. It is total on the
+    supervisor exists. The result is given by a row function over the
+    pruned observer: its states are the surviving estimates it reaches, in
+    the breadth-first order of its rows, all marked. It is total on the
     uncontrollable events: an event missing from the observer self-loops,
     since no state of the estimate can take it.
     """
@@ -168,17 +170,15 @@ def supremal_supervisor(plant: Automaton, bad: FrozenSet,
     if init in dead:
         return None
 
-    reach = close_under(set(), (init,), lambda x: [
-        y for e, y in graph[x].items() if keeps(x, e, y)])
-    states = [x for x in graph if x in reach]
-    uncontrollable = plant.alphabet - controllable
-    transitions = []
-    for x in states:
+    events = sorted_events(plant.alphabet)
+
+    def row(x: FrozenSet) -> Dict[EventLabel, Tuple[FrozenSet]]:
+        # a live estimate's uncontrollable successors are live (rule 2)
         succ = graph[x]
-        transitions += [(x, e, succ.get(e, x)) for e in uncontrollable]
-        transitions += [(x, e, y) for e, y in succ.items()
-                        if e in controllable and keeps(x, e, y)]
-    return Automaton(states, plant.alphabet, transitions, init, states, name)
+        return {e: (succ.get(e, x),) for e in events
+                if e not in controllable or (e in succ and keeps(x, e, succ[e]))}
+
+    return lazy_automaton(init, plant.alphabet, row, lambda x: True, name)
 
 
 def synthesize_supremal_attack(problem: SynthesisProblem,

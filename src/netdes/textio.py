@@ -12,13 +12,16 @@ Event spelling: plain ``x``; entry ``x_in``; compromised ``x#``; exit
 ``x_out``; commands ``v``, ``v_in``, ``v_out``; literals ``tick``, ``stop``.
 A ``#`` token starts a comment; the compromised suffix never does because it
 ends, not begins, its token.
+Renamed, as the CLI writes G_new, the monitor and the attack, states are
+``S<i>`` by position i in ``states`` (for those three, the breadth-first
+order of their rows); the monitor's detection state keeps the name ``{}``.
 """
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
 from . import events as ev
-from .automaton import Automaton, State, explore, state_name
+from .automaton import Automaton, State, state_name
 from .events import EventLabel, sorted_events
 
 
@@ -43,7 +46,7 @@ def _role_suffix(label: EventLabel) -> str:
 
 
 def serialize_automaton(a: Automaton, rename: bool = False) -> str:
-    """Render an automaton; ``rename`` maps states to S0.. in BFS order."""
+    """Render an automaton; ``rename`` numbers the states by position."""
     return "".join(_lines(a, rename))
 
 
@@ -53,21 +56,10 @@ def _lines(a: Automaton, rename: bool) -> Iterator[str]:
     rows, sources sorted once."""
     naming: Dict[State, str]
     if rename:
-        # BFS numbering; the empty monitor estimate keeps its literal name so
-        # DOT export can still highlight it after a round trip
-        naming = {}
-
-        def fresh(q: State) -> str:
-            if isinstance(q, frozenset) and not q:
-                return "{}"
-            return f"S{len(naming)}"
-
-        if a.initial is not None:
-            for q, _out in explore(a.initial, a.moves):
-                naming[q] = fresh(q)
-        for q in a.states:
-            if q not in naming:
-                naming[q] = fresh(q)
+        # the empty monitor estimate keeps its literal name so DOT export
+        # can still highlight it after a round trip
+        naming = {q: "{}" if isinstance(q, frozenset) and not q else f"S{i}"
+                  for i, q in enumerate(a.states)}
     else:
         naming = {q: state_name(q) for q in a.states}
         if len(set(naming.values())) != len(naming):

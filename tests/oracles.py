@@ -1,18 +1,20 @@
 """Test oracles: comparisons of automata and of their languages, a
-nested-loop synchronous product, the one-edit local maximality probe, and a
-reference synthesizer of networked supervisors (the pipeline takes the
-supervisor as given).
+nested-loop synchronous product, the kernel helpers only tests run
+(reachability, trimming, language membership, self-loop completion), the
+one-edit local maximality probe, and a reference synthesizer of networked
+supervisors (the pipeline takes the supervisor as given).
 """
 import itertools
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 import netdes.events as ev
-from netdes.automaton import (Automaton, AutomatonError, State,
-                              complete_with_selfloops, compose, explore,
-                              state_name, subset_construction)
+from netdes.automaton import (Automaton, AutomatonError, State, close_under,
+                              compose, coreachable, explore, state_name,
+                              subset_construction)
 from netdes.config import SystemConfig
 from netdes.events import EventLabel, sorted_events
+from netdes.plant import _pruning_rules
 from netdes.supervision import (supervisor_control_constraint,
                                 validate_networked_supervisor)
 from netdes.synthesis import SynthesisProblem, supremal_supervisor
@@ -47,6 +49,14 @@ def assert_same_automaton(got: Automaton, want: Automaton) -> None:
     assert got.alphabet == want.alphabet
     for q in want.states:
         assert got.moves(q) == want.moves(q)
+
+
+def bfs_order(a: Automaton) -> List[State]:
+    """The states reachable in ``a``, in the breadth-first order of its rows:
+    the order in which a renamed file numbers them."""
+    if a.initial is None:
+        return []
+    return [q for q, _out in explore(a.initial, a.moves)]
 
 
 def same_closed_language(a1: Automaton, a2: Automaton,
@@ -90,6 +100,107 @@ def bounded_traces(a: Automaton, depth: int) -> Set[Tuple[EventLabel, ...]]:
         out.update(nxt)
         level = nxt
     return out
+
+
+# -- kernel helpers ------------------------------------------------------------
+
+def empty_automaton(alphabet: Iterable[EventLabel], name: str = "") -> Automaton:
+    return Automaton((), alphabet, (), None, (), name)
+
+
+def complete_with_selfloops(a: Automaton, events: Iterable[EventLabel],
+                            name: str = "") -> Automaton:
+    """``a`` with a self-loop wherever one of ``events`` is undefined; events
+    outside the alphabet join it.
+
+    Sound for synthesized supervisors: a missing uncontrollable event is
+    infeasible at every plant state compatible with the estimate, so the
+    loop's behavior is unchanged while the totality requirement is met.
+    """
+    events = frozenset(events)
+    transitions = [t for q in a.states for t in a.moves(q)]
+    transitions += [(q, e, q) for q in a.states for e in events
+                    if not a.successors(q, e)]
+    return Automaton(a.states, a.alphabet | events, transitions,
+                     a.initial, a.marked, name or a.name)
+
+
+def deterministic(a: Automaton) -> bool:
+    return all(len(a.successors(q, e)) == 1
+               for q in a.states for e in a.enabled(q))
+
+
+def unobservable_reach(a: Automaton, q: State,
+                       observed: Iterable[EventLabel]) -> FrozenSet[State]:
+    """States reachable from q along events outside ``observed`` only."""
+    obs = frozenset(observed)
+    if q not in a.states:
+        raise AutomatonError(f"unknown state {state_name(q)}")
+    if not obs <= a.alphabet:
+        bad = next(iter(obs - a.alphabet))
+        raise AutomatonError(f"observed event {bad.spell()} not in alphabet")
+    return frozenset(close_under(set(), (q,), lambda p: [
+        dst for _p, e, dst in a.moves(p) if e not in obs]))
+
+
+def reachable(a: Automaton) -> FrozenSet[State]:
+    if a.initial is None:
+        return frozenset()
+    return frozenset(close_under(set(), (a.initial,), lambda q: [
+        dst for _q, _e, dst in a.moves(q)]))
+
+
+def is_nonblocking(a: Automaton) -> bool:
+    return reachable(a) <= coreachable(a)
+
+
+def trim(a: Automaton, name: str = "") -> Automaton:
+    return _restrict(a, reachable(a) & coreachable(a), name)
+
+
+def restrict_reachable(a: Automaton, name: str = "") -> Automaton:
+    return _restrict(a, reachable(a), name)
+
+
+def _restrict(a: Automaton, keep: FrozenSet[State], name: str) -> Automaton:
+    """The part of ``a`` on ``keep``; empty unless it holds the initial state."""
+    if a.initial not in keep:
+        return empty_automaton(a.alphabet, name or a.name)
+    kept_states = [q for q in a.states if q in keep]
+    kept_trans = [t for q in kept_states for t in a.moves(q) if t[2] in keep]
+    return Automaton(kept_states, a.alphabet, kept_trans, a.initial,
+                     a.marked & keep, name or a.name)
+
+
+def accepts(a: Automaton, seq: Sequence[EventLabel], marked: bool = False) -> bool:
+    """Existential run semantics; with ``marked`` require a marked end state."""
+    for e in seq:
+        if e not in a.alphabet:
+            raise AutomatonError(f"event {e.spell()} not in alphabet")
+    if a.initial is None:
+        return False
+    current: Set[State] = {a.initial}
+    for e in seq:
+        nxt: Set[State] = set()
+        for q in current:
+            nxt.update(a.successors(q, e))
+        if not nxt:
+            return False
+        current = nxt
+    return bool(current & a.marked) if marked else True
+
+
+def check_pruned_invariants(g_new: Automaton, g: Automaton,
+                            cfg: SystemConfig) -> List[str]:
+    """Re-assert both pruning rules of ``plant`` on the finished G_new."""
+    useless_fetch, preempted = _pruning_rules(g, cfg)
+    problems = []
+    for state in g_new.states:
+        if useless_fetch(state):
+            problems.append(f"useless active command at {state_name(state)}")
+        elif preempted(state) and g_new.successors(state, ev.tick):
+            problems.append(f"tick not preempted at {state_name(state)}")
+    return problems
 
 
 # -- synchronous product -------------------------------------------------------
@@ -218,7 +329,7 @@ def _complete_spec(spec: Automaton, cfg: SystemConfig) -> Automaton:
     if not spec.alphabet <= set(sigma):
         extra = sorted(spec.alphabet - set(sigma))[0]
         raise AutomatonError(f"specification event {extra.spell()} is not a plant event")
-    if not spec.deterministic:
+    if not deterministic(spec):
         raise AutomatonError("specification automaton must be deterministic")
     states = list(spec.states) + [SPEC_DUMP]
     transitions = list(spec.transitions)

@@ -6,19 +6,21 @@ closure stops changing, re-composes P||S on every nonblocking round, and
 completes the missing uncontrollable events afterwards. It is slow but
 obviously follows the three pruning rules of ``netdes.synthesis``, so the
 production engine must agree with it exactly: same states in the same
-order, same transitions, initial and marked sets. Its products come from
-the nested-loop oracle, not from ``netdes.automaton.compose``.
+breadth-first order, same transitions, initial and marked sets. Its
+products come from the nested-loop oracle, not from
+``netdes.automaton.compose``.
 """
 from typing import FrozenSet, Optional, Set, Tuple
 
 from netdes.automaton import (Automaton, AutomatonError, coreachable,
-                              restrict_reachable, subset_construction)
+                              subset_construction)
 from netdes.config import SystemConfig
 from netdes.events import EventLabel, sorted_events
 from netdes.supervision import supervisor_control_constraint
 from netdes.synthesis import SynthesisMode, SynthesisProblem
-from oracles import (SPEC_DUMP, _complete_spec, build_supervisor_constraints,
-                     nested_loop_product)
+from oracles import (SPEC_DUMP, _complete_spec, bfs_order,
+                     build_supervisor_constraints, nested_loop_product,
+                     restrict_reachable)
 
 
 def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
@@ -154,10 +156,13 @@ def reference_networked_supervisor(g_new: Automaton, oc_t: Automaton,
 
 
 def same_automaton(a: Optional[Automaton], b: Optional[Automaton]) -> bool:
-    """Equal as data: states in the same order, alphabet, transitions,
-    initial and marked states."""
+    """Equal as data: the same set of states, listed in the same order by a
+    breadth-first walk of each one's rows, and the same alphabet,
+    transitions, initial and marked states. Each engine lists its own states
+    in its own order; the walk is what the writer numbers."""
     if a is None or b is None:
         return a is None and b is None
-    return (a.states == b.states and a.alphabet == b.alphabet
+    return (bfs_order(a) == bfs_order(b) and set(a.states) == set(b.states)
+            and a.alphabet == b.alphabet
             and a.transitions == b.transitions and a.initial == b.initial
             and a.marked == b.marked)

@@ -9,9 +9,10 @@ from typing import Dict, List, Tuple
 
 import netdes.events as ev
 from netdes.attacker import attack_control_constraint
-from netdes.automaton import Automaton, complete_with_selfloops
+from netdes.automaton import Automaton
 from netdes.config import SystemConfig, load_config
 from netdes.fixtures import BuiltSystem, load_system
+from oracles import complete_with_selfloops
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "netdes", "data")
 

@@ -11,8 +11,7 @@ import time
 
 import netdes.events as ev
 from netdes.attacker import validate_attack
-from netdes.automaton import (Automaton, accepts, compose, is_nonblocking,
-                              restrict_reachable, state_name,
+from netdes.automaton import (Automaton, compose, state_name,
                               subset_construction)
 from netdes.channels import (ChannelState, build_observation_channel,
                              enumerate_channel_states)
@@ -20,8 +19,9 @@ from netdes.config import EventSpec, RateBounds, SystemConfig
 from netdes.synthesis import (MONITOR_EMPTY, verify_covert,
                               verify_damage_nonblocking)
 from netdes.textio import parse_automaton, serialize_automaton
-from oracles import (apply_edit, bounded_traces, disabled_controllable_edits,
-                     isomorphic_by)
+from oracles import (accepts, apply_edit, bounded_traces, deterministic,
+                     disabled_controllable_edits, is_nonblocking,
+                     isomorphic_by, restrict_reachable)
 from systems import faithful_attacker, shipped_config, shipped_system
 from test_automaton import can_project_to, random_automaton
 
@@ -195,7 +195,7 @@ def test_criterion_9_kernel_properties():
     for _ in range(160):
         a = random_automaton(rng)
         observed = [e for e in sorted(a.alphabet) if rng.random() < 0.6]
-        assert subset_construction(a, observed).deterministic
+        assert deterministic(subset_construction(a, observed))
         instances += 1
     # projection-language equality against the brute-force oracle
     for _ in range(120):

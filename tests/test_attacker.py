@@ -3,8 +3,9 @@ import pytest
 import netdes.events as ev
 from netdes.attacker import (AC_INIT, ac_state_count, attack_control_constraint,
                              build_attack_constraints, validate_attack)
-from netdes.automaton import Automaton, AutomatonError, complete_with_selfloops
+from netdes.automaton import Automaton, AutomatonError
 from netdes.config import ConfigError, EventSpec, RateBounds, SystemConfig
+from oracles import complete_with_selfloops
 from systems import faithful_attacker, shipped_config
 
 

@@ -154,6 +154,30 @@ def test_no_attack_exit_status(tmp_path, capsys):
     assert "no covert attack exists" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("empty", ["plant", "ns"])
+@pytest.mark.parametrize("cmd", ["synthesize", "verify"])
+def test_empty_plant_or_supervisor_exit_status(cmd, empty, tmp_path, capsys):
+    # a file that declares an alphabet but no state; the config has no damage
+    # states, so an empty plant passes the plant's own checks
+    cfg_text = open(RED["config"], encoding="utf-8").read()
+    cfg_path = tmp_path / "nodamage.cfg"
+    cfg_path.write_text("\n".join(l for l in cfg_text.splitlines()
+                                  if not l.startswith("[damage]")) + "\n")
+    files = dict(RED, config=str(cfg_path))
+    source = load_automaton(RED[empty])
+    files[empty] = str(tmp_path / "empty.aut")
+    save_automaton(Automaton([], source.alphabet, [], None, name=source.name),
+                   files[empty])
+    extra = (["--out", str(tmp_path / "out")] if cmd == "synthesize"
+             else ["--attack", str(tmp_path / "never_read.aut")])
+    rc = main([cmd, "--config", files["config"], "--plant", files["plant"],
+               "--ns", files["ns"], *extra])
+    assert rc == 2
+    named = {"plant": "the plant has no states",
+             "ns": "the networked supervisor NS has no states"}[empty]
+    assert f"validation error: {named}" in capsys.readouterr().err
+
+
 def test_parse_error_exit_status(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[parameters] delta_o=zzz\n")

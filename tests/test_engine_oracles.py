@@ -13,14 +13,15 @@ import pytest
 
 import netdes.events as ev
 from netdes.attacker import validate_attack
-from netdes.automaton import Automaton, restrict_reachable, subset_construction
+from netdes.automaton import Automaton, subset_construction
 from netdes.config import EventSpec, RateBounds, SystemConfig
 from netdes.fixtures import build_system
 from netdes.synthesis import (SynthesisMode, attack_loop, covert_in,
                               damage_nonblocking_in, damage_reachable_in,
                               synthesize_supremal_attack)
 
-from oracles import NoSupervisorError, synthesize_networked_supervisor
+from oracles import (NoSupervisorError, restrict_reachable,
+                     synthesize_networked_supervisor)
 from reference_engine import (reference_attack, reference_networked_supervisor,
                               same_automaton)
 from systems import reduced_spec

@@ -5,8 +5,9 @@ wrote) and compares the sha256 of every written file, of stdout and the exit
 status with digests recorded before the kernel's orderings were relaxed (the
 rungs: before the searches moved onto one explorer; guideway ``u=2``: before
 event labels and channel states were interned; reduced ``delta_s=1``
-synthesize and verify: before CS and G_new became lazy). A change that alters
-any byte of any output fails here.
+synthesize and verify: before CS and G_new became lazy; the build with an
+unreachable detection state: before the monitor became one exploration). A
+change that alters any byte of any output fails here.
 """
 import contextlib
 import dataclasses
@@ -16,8 +17,10 @@ import os
 
 import pytest
 
+from netdes.automaton import Automaton
 from netdes.cli import main
 from netdes.config import load_config, serialize_config
+from netdes.textio import save_automaton
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "netdes", "data")
 
@@ -131,16 +134,39 @@ REDUCED_DELTA_S1 = {
     for mode in ("nonblocking", "reachable")}
 
 
+# a plant whose one event the supervisor cannot observe, under an NS that
+# allows every event: no observation is ever unexplained, so the monitor's
+# detection state {} is unreachable and is still written, last
+UNREACHABLE_DETECTION_CONFIG = """\
+[parameters] delta_o=0 delta_c=0 delta_s=0 n_f=1 u=1 v=1
+[events]     a1 c uo - - te=0
+[commands]   w1 = a1
+"""
+UNREACHABLE_DETECTION_PLANT = (".automaton G\n.alphabet a1:plain\n"
+                               ".initial 0\n.trans 0 a1 0\n")
+UNREACHABLE_DETECTION = {
+    "ac.aut": "aa07d717151fb2fea889f599711df2143af369f828cd9acf48409b99b7f23d29",
+    "cc.aut": "9e4c2220c1714a655a4367fa2f8b75e04365ec35769ef3da3539951352304cd2",
+    "ce.aut": "d313b150ab5f8baee925c93183a85c251202997db7a3dfa51194e913f6db928a",
+    "cs.aut": "591850f0b4af2e30eecccace17c74cd94a001682c58fa99f08f64f676ac1cd1f",
+    "g_new.aut": "03810883609ec0be7a75047a07127cd9f4178417ceb5ccf2d59413358667dd91",
+    "monitor.aut": "e7e6c44809bb9ceb33bcf4650d36c2fd3e0d39386b58d1a9bef87bb3b8e11edc",
+    "oc.aut": "2962dfc3e0f69388b940f009f0406e5a4eaf6337e2825e2c21b7a59ec2ac1d36",
+    "oc_t.aut": "3a417dd3af102ca7c94681344cdc53d1b96706f79039012b60097fcbb92d5957",
+    "state_counts.txt": "f3a8461df9acf986bb9d03cc599377e27749203cb6fd6e1f6aa895f181a3546a",
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(system, cmd, extra=(), config=None):
+def _run(system, cmd, extra=(), config=None, plant=None, ns=None):
     """Run one CLI command on a shipped system, optionally with another
-    config file; return (status, stdout)."""
+    config, plant or NS file; return (status, stdout)."""
     args = [cmd, "--config", config or os.path.join(DATA, f"{system}.cfg"),
-            "--plant", os.path.join(DATA, f"{system}_plant.aut"),
-            "--ns", os.path.join(DATA, f"{system}_ns.aut"), *extra]
+            "--plant", plant or os.path.join(DATA, f"{system}_plant.aut"),
+            "--ns", ns or os.path.join(DATA, f"{system}_ns.aut"), *extra]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         status = main(args)
@@ -177,6 +203,22 @@ def test_build_on_parameter_rungs_matches_golden(system, params, tmp_path,
     assert status == 0
     assert _sha(stdout.encode()) == _BUILD_STDOUT
     assert _file_digests("out") == RUNGS[system, params]
+
+
+def test_build_with_unreachable_detection_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with open("u.cfg", "w", encoding="utf-8") as fh:
+        fh.write(UNREACHABLE_DETECTION_CONFIG)
+    with open("plant.aut", "w", encoding="utf-8") as fh:
+        fh.write(UNREACHABLE_DETECTION_PLANT)
+    full = load_config("u.cfg").full_alphabet()
+    save_automaton(Automaton(["n"], full, [("n", e, "n") for e in full], "n",
+                             name="NS"), "ns.aut")
+    status, stdout = _run(None, "build", ["--out", "out"], config="u.cfg",
+                          plant="plant.aut", ns="ns.aut")
+    assert status == 0
+    assert _sha(stdout.encode()) == _BUILD_STDOUT
+    assert _file_digests("out") == UNREACHABLE_DETECTION
 
 
 @pytest.mark.parametrize("system,mode", sorted(GOLDEN))

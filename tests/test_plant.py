@@ -3,19 +3,18 @@ import random
 import pytest
 
 import netdes.events as ev
-from netdes.automaton import (Automaton, AutomatonError, accepts,
-                              complete_with_selfloops, compose, coreachable,
-                              is_nonblocking, restrict_reachable, state_name,
-                              trim, unobservable_reach)
+from netdes.automaton import (Automaton, AutomatonError, compose, coreachable,
+                              state_name)
 from netdes.config import EventSpec, RateBounds, SystemConfig
 from netdes.plant import (EMPTY_QUEUE, IDLE, _check_plant, _pruning_rules,
                           _queue_remove_first,
                           build_command_execution, build_command_storage,
-                          capacity_storage, check_pruned_invariants,
-                          compose_and_prune_plant,
+                          capacity_storage, compose_and_prune_plant,
                           max_plant_events_between_ticks, rate_bound_warnings)
 from netdes.textio import parse_automaton
-from oracles import assert_same_automaton
+from oracles import (accepts, assert_same_automaton, check_pruned_invariants,
+                     complete_with_selfloops, is_nonblocking,
+                     restrict_reachable, trim, unobservable_reach)
 
 
 def make_cfg(delta_s=0, te=None, commands=None, events=None, damage=()):

@@ -10,7 +10,8 @@ from netdes.supervision import (supervisor_control_constraint,
                                 validate_networked_supervisor)
 from netdes.synthesis import MONITOR_EMPTY
 from oracles import (NoSupervisorError, build_supervisor_constraints,
-                     same_closed_language, synthesize_networked_supervisor)
+                     deterministic, same_closed_language,
+                     synthesize_networked_supervisor)
 from systems import faithful_attacker, reduced_spec, shipped_config
 
 
@@ -61,7 +62,7 @@ def test_monitor_structure(reduced):
     observed = supervisor_control_constraint(reduced.cfg).observable
     assert MONITOR_EMPTY in set(m.states)
     # deterministic everywhere, total self-loops on unobserved events
-    assert m.deterministic
+    assert deterministic(m)
     for q in m.states:
         if q == MONITOR_EMPTY:
             assert m.enabled(q) == (ev.tick,)

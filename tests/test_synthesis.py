@@ -4,16 +4,17 @@ import pytest
 
 import netdes.events as ev
 from netdes.attacker import ControlConstraint, validate_attack
-from netdes.automaton import (Automaton, AutomatonError, accepts,
-                              complete_with_selfloops, compose, empty_automaton,
-                              state_name, subset_construction)
+from netdes.automaton import (Automaton, AutomatonError, compose, state_name,
+                              subset_construction)
 from netdes.fixtures import build_attack_problem, build_system
 from netdes.supervision import supervisor_control_constraint
 from netdes.synthesis import (MONITOR_EMPTY, SynthesisMode, SynthesisProblem,
                               state_size_report, synthesize_supremal_attack,
                               verify_covert, verify_damage_nonblocking,
                               verify_damage_reachable)
-from oracles import apply_edit, bounded_traces, disabled_controllable_edits
+from oracles import (accepts, apply_edit, bounded_traces, bfs_order,
+                     complete_with_selfloops, disabled_controllable_edits,
+                     empty_automaton)
 from systems import (faithful_attacker, guideway_swap_attacker,
                      reduced_swap_attacker, swap_attacker)
 
@@ -270,6 +271,28 @@ def test_engine_locally_maximal_on_random_problems():
                 assert (not verify_covert(prob, edited).ok
                         or not verify_mode(prob, edited).ok)
     assert checked > 50
+
+
+# -- state order -----------------------------------------------------------------------
+
+def _attacker_wide(guideway):
+    cfg = guideway.cfg
+    cfg = dataclasses.replace(cfg, delta_o=0,
+                              rates=dataclasses.replace(cfg.rates, u=2))
+    return build_system(cfg, guideway.plant, guideway.ns)
+
+
+@pytest.mark.parametrize("mode", ["nonblocking", "reachable"])
+@pytest.mark.parametrize("system", ["guideway", "reduced", "attacker-wide"])
+def test_written_automata_list_states_in_bfs_order(system, mode, request):
+    # a renamed file numbers states by position, so the position of each
+    # state must be its place in a breadth-first walk of the rows
+    built = (_attacker_wide(request.getfixturevalue("guideway"))
+             if system == "attacker-wide" else request.getfixturevalue(system))
+    attack = synthesize_supremal_attack(build_attack_problem(built),
+                                        SynthesisMode(mode))
+    for a in (built.g_new, built.monitor, attack):
+        assert list(a.states) == bfs_order(a), a.name
 
 
 # -- size report -----------------------------------------------------------------------

@@ -3,10 +3,10 @@ import random
 import pytest
 
 import netdes.events as ev
-from netdes.automaton import restrict_reachable, state_name
+from netdes.automaton import state_name
 from netdes.textio import (ParseError, parse_automaton, serialize_automaton,
                            to_dot)
-from oracles import isomorphic_by
+from oracles import isomorphic_by, restrict_reachable
 from test_automaton import random_automaton
 
 
