@@ -16,7 +16,8 @@ set are filled by one exploration on first read. ``product``,
 over such automata builds only the component rows it reaches, and
 ``compose`` is an explored ``product``. The observer has one step,
 ``observer_step``, which reads silent successors from the rows on demand;
-``observer_map`` explores it into a plain successor map.
+``observer_map`` explores it into a plain successor map, without expanding
+the estimates where a ``stop`` predicate holds.
 
 Event labels and channel states are interned (``events``, ``channels``):
 equal values are one object, compared and hashed by identity. Their set and
@@ -80,11 +81,12 @@ class Automaton:
     from the initial state) and ``marked`` are filled on first read. A
     lookup of a state no kept row leads to explores first, so a lazy
     automaton answers as its explored self does. ``transitions`` is built
-    from the rows on each read.
+    from the rows on each read. ``is_marked(q)`` answers for one state
+    without exploring anything.
     """
 
     __slots__ = ("name", "alphabet", "initial", "states", "marked", "_delta",
-                 "_is_marked")
+                 "is_marked")
 
     def __init__(self, states: Iterable[State], alphabet: Iterable[EventLabel],
                  transitions: Iterable[Transition], initial: Optional[State],
@@ -94,6 +96,7 @@ class Automaton:
         self.alphabet: FrozenSet[EventLabel] = frozenset(alphabet)
         self.initial = initial
         self.marked: FrozenSet[State] = frozenset(marked)
+        self.is_marked: Callable[[State], bool] = self.marked.__contains__
 
         # the successor map doubles as the set of declared states
         delta: Dict[State, Dict[EventLabel, Any]] = {q: {} for q in self.states}
@@ -130,7 +133,7 @@ class Automaton:
             self.states = self._delta.complete()
             return self.states
         if attr == "marked":
-            is_marked = self._is_marked
+            is_marked = self.is_marked
             self.marked = frozenset(q for q in self.states if is_marked(q))
             return self.marked
         raise AttributeError(f"'Automaton' object has no attribute {attr!r}")
@@ -177,6 +180,7 @@ class Automaton:
         copy.name = name or self.name
         copy.alphabet, copy.initial, copy.states = self.alphabet, self.initial, self.states
         copy.marked = marked
+        copy.is_marked = marked.__contains__
         copy._delta = rows
         return copy
 
@@ -235,7 +239,7 @@ def lazy_automaton(initial: Optional[State], alphabet: Iterable[EventLabel],
     a = Automaton.__new__(Automaton)
     a.name, a.alphabet, a.initial = name, frozenset(alphabet), initial
     a._delta = _Rows(initial, None if initial is None else row)
-    a._is_marked = is_marked
+    a.is_marked = is_marked
     if initial is None:
         a.states, a.marked = (), frozenset()
     return a
@@ -364,15 +368,22 @@ def observer_step(a: Automaton, observed: Iterable[EventLabel]
     return (None if a.initial is None else reach((a.initial,))), step
 
 
-def observer_map(a: Automaton, observed: Iterable[EventLabel]) -> ObserverMap:
+def observer_map(a: Automaton, observed: Iterable[EventLabel],
+                 stop: Callable[[FrozenSet[State]], bool]) -> ObserverMap:
     """The observer of ``a`` w.r.t. ``observed`` as a plain successor map:
     each estimate, in breadth-first discovery order (none when ``a`` is
     empty), maps the events of its ``observer_step``, in label order, to
-    their estimates. Unobserved events are implicit self-loops."""
+    their estimates. Unobserved events are implicit self-loops. An estimate
+    where ``stop`` holds is kept with no successors and not expanded, so
+    what only it leads to is never built."""
     init, step = observer_step(a, observed)
     if init is None:
         return {}
-    return {x: {ev: y for _x, ev, y in out} for x, out in explore(init, step)}
+
+    def moves(x: FrozenSet[State]) -> List[Transition]:
+        return [] if stop(x) else step(x)
+
+    return {x: {ev: y for _x, ev, y in out} for x, out in explore(init, moves)}
 
 
 def subset_construction(a: Automaton, observed: Iterable[EventLabel],
@@ -425,14 +436,17 @@ Filter = Callable[[Tuple[State, ...], EventLabel, Tuple[State, ...]], bool]
 
 
 def product(components: Sequence, name: str = "",
-            allowed: Optional[Filter] = None) -> Automaton:
+            allowed: Optional[Filter] = None,
+            is_marked: Optional[Callable[[Tuple[State, ...]], bool]] = None
+            ) -> Automaton:
     """N-ary synchronous product with flat tuple states, explored on demand.
 
     A component's rows are looked up only as the product reaches them, so a
     lazy component builds only those. Shared events
     synchronize when all sharing components enable them, private events
     interleave, and a shared event enabled on one side only is blocked.
-    Marked states are tuples of marked states. ``allowed(src, event, dst)``
+    Marked states are tuples of marked states, or those where ``is_marked``
+    holds if it is given. ``allowed(src, event, dst)``
     filters transitions as rows are computed (used by the plant pruning
     step): a rejected transition is dropped, and a state that only rejected
     transitions lead to is never discovered or expanded. The initial state is
@@ -449,8 +463,9 @@ def product(components: Sequence, name: str = "",
     alphabet: Set[EventLabel] = set()
     for c in components:
         alphabet.update(c.alphabet)
-    def is_marked(q: Tuple[State, ...]) -> bool:
-        return all(x in c.marked for x, c in zip(q, components))
+    if is_marked is None:
+        def is_marked(q: Tuple[State, ...]) -> bool:
+            return all(c.is_marked(x) for x, c in zip(q, components))
 
     if any(c.initial is None for c in components):
         return lazy_automaton(None, alphabet, None, is_marked, name)

@@ -5,14 +5,20 @@ Exit statuses: 0 success, 1 usage or parse error, 2 validation failure,
 3 no covert attack exists, 4 ``verify`` found the attack detectable (not
 covert). ``verify`` still exits 0 when only a damage goal fails.
 
-A command runs with the cyclic garbage collector paused. The command store
-and G_new are lazy automata: ``verify`` builds only the rows of them that the
-monitor and the new plant reach; ``build`` and ``synthesize`` read their
-states to write them, which builds all of both.
+A command runs with the cyclic garbage collector paused. The command store,
+G_new and the new plant P are lazy automata: a row is built when something
+first looks it up. ``build`` and ``synthesize`` read the states of CS and
+G_new to write them, which builds all of both. Synthesis reads only the rows
+of P that live observer estimates reach, and ``verify`` only those that the
+attacked loop reaches, so neither explores P in full. When no covert attack
+exists, ``synthesize`` removes any ``attack.aut`` an earlier run left in
+``--out``, so the directory never holds an attack beside a certificate that
+says there is none.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import sys
@@ -78,12 +84,15 @@ def cmd_synthesize(args) -> int:
     problem = build_attack_problem(system)
     attack = synthesize_supremal_attack(problem, mode)
     cert_path = os.path.join(args.out, "certificate.txt")
+    attack_path = os.path.join(args.out, "attack.aut")
     if attack is None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(attack_path)
         with open(cert_path, "w", encoding="utf-8") as fh:
             fh.write(f"mode: {mode.value}\nresult: no covert attack exists\n")
         print("no covert attack exists")
         return EXIT_NO_ATTACK
-    save_automaton(attack, os.path.join(args.out, "attack.aut"), rename=True)
+    save_automaton(attack, attack_path, rename=True)
     lines = [f"mode: {mode.value}",
              f"attack-states: {len(attack.states)}"]
     lines.append(f"validates: {validate_attack(attack, problem.constraint, problem.plant.alphabet).ok}")

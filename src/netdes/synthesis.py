@@ -14,13 +14,19 @@ of the new plant by an iterated pruning:
    set are eliminated by disabling the controllable entries into them and
    deleting estimates entered uncontrollably, then the pass repeats.
 
-The observer is pruned as a plain successor map; the result is a row
-function over it. Rules 1-2 are a worklist attractor (Graedel, Thomas &
-Wilke, LNCS 2500): each dead estimate is pushed once to its uncontrollable
-predecessors, in O(|E|). Rule 3 uses the product of P and the full
-observer, built once; each round recomputes reachability and coreachability
-over the product edges that the dead estimates and disabled events still
-allow.
+Synthesis is on the fly (Tripakis & Altisen, FM 1999; Cassez et al.,
+CONCUR 2005): P is a lazy product, and "bad" and "target" are predicates on
+its states. The observer is explored from the initial estimate, and an
+estimate that holds a covertness-violating state is dead whatever follows
+it (rule 1), so it is kept without successors and what only it leads to is
+never built. The rows of P are computed only for the states of the
+estimates explored. The observer is pruned as a plain successor map; the
+result is a row function over it. Rules 1-2 are a worklist attractor
+(Graedel, Thomas & Wilke, LNCS 2500): each dead estimate is pushed once to
+its uncontrollable predecessors, in O(|E|). Rule 3 uses the product of P
+and the live estimates, built once; each round recomputes reachability and
+coreachability over the product edges that the dead estimates and disabled
+events still allow.
 
 Runs are reproducible without sorting the pruning passes: each pass only
 adds to the sets of deleted estimates and disabled events, so it ends with
@@ -35,12 +41,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
+                    Tuple)
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
-from .automaton import (Automaton, AutomatonError, close_under, compose,
-                        coreachable, lazy_automaton, observer_map,
-                        observer_pairs, shortest_path_to, state_name)
+from .automaton import (Automaton, AutomatonError, State, close_under,
+                        compose, coreachable, lazy_automaton, observer_map,
+                        observer_pairs, product, shortest_path_to, state_name)
 from .channels import (capacity_control, capacity_observation,
                        enumerate_channel_states)
 from .config import SystemConfig
@@ -57,54 +65,62 @@ class SynthesisMode(enum.Enum):
 
 @dataclass
 class SynthesisProblem:
-    """The new plant P with its covertness-violating and damage state sets."""
+    """The new plant P with its covertness-violating and damage states, given
+    as predicates on a state of P; the marked states of P are the targets.
+    No synthesis or verification step reads ``bad`` or ``target``: each is
+    built on first read, which explores all of P."""
     plant: Automaton
-    bad: FrozenSet
-    target: FrozenSet
+    is_bad: Callable[[State], bool]
+    is_target: Callable[[State], bool]
     constraint: ControlConstraint
 
-    def __post_init__(self) -> None:
-        states = set(self.plant.states)
-        if not self.bad <= states or not self.target <= states:
-            raise AutomatonError("bad/target sets must be plant states")
-        if self.bad & self.target:
-            raise AutomatonError("bad and target sets overlap")
+    @cached_property
+    def bad(self) -> FrozenSet:
+        return frozenset(q for q in self.plant.states if self.is_bad(q))
+
+    @cached_property
+    def target(self) -> FrozenSet:
+        return frozenset(q for q in self.plant.states if self.is_target(q))
 
 
 def build_problem(g_new: Automaton, ac: Automaton, oc: Automaton, ns: Automaton,
                   cc: Automaton, m: Automaton, cfg: SystemConfig) -> SynthesisProblem:
-    """Compose P = G_new || AC || OC || NS || CC || M and classify states.
+    """P = G_new || AC || OC || NS || CC || M as a lazy product, with its
+    state predicates.
 
     A composed state is a damage target iff its plant component is a damage
     state (component markings are ignored); it violates covertness iff the
     monitor component is the empty estimate while the plant component is not
-    a damage state.
+    a damage state. So no state is both.
     """
     full = frozenset(cfg.full_alphabet())
     for c, label in ((ac, "AC"), (ns, "NS"), (m, "M")):
         if frozenset(c.alphabet) != full:
             raise AutomatonError(f"{label} alphabet is not the full loop alphabet")
-    plant = compose([g_new, ac, oc, ns, cc, m], name="P")
-    target, bad = set(), set()
-    for q in plant.states:
+    damage = cfg.damage
+
+    def is_target(q: State) -> bool:
+        (_store, _stage, g), _ac, _oc, _ns, _cc, _estimate = q
+        return state_name(g) in damage
+
+    def is_bad(q: State) -> bool:
         (_store, _stage, g), _ac, _oc, _ns, _cc, estimate = q
-        if state_name(g) in cfg.damage:
-            target.add(q)
-        elif estimate == MONITOR_EMPTY:
-            bad.add(q)
-    plant = plant.with_marked(target)
-    return SynthesisProblem(plant, frozenset(bad), frozenset(target),
+        return estimate == MONITOR_EMPTY and state_name(g) not in damage
+
+    plant = product([g_new, ac, oc, ns, cc, m], name="P", is_marked=is_target)
+    return SynthesisProblem(plant, is_bad, is_target,
                             attack_control_constraint(cfg))
 
 
 # -- the observer fixpoint ---------------------------------------------------
 
-def supremal_supervisor(plant: Automaton, bad: FrozenSet,
+def supremal_supervisor(plant: Automaton, is_bad: Callable[[State], bool],
                         controllable: FrozenSet[EventLabel],
                         observable: FrozenSet[EventLabel],
                         require_nonblocking: bool,
                         name: str = "S") -> Optional[Automaton]:
-    """Supremal controllable-and-normal supervisor avoiding ``bad``.
+    """Supremal controllable-and-normal supervisor avoiding the states where
+    ``is_bad`` holds.
 
     Generic over the control constraint (the test suite's reference
     networked-supervisor synthesis uses it too). Returns None when no
@@ -113,10 +129,19 @@ def supremal_supervisor(plant: Automaton, bad: FrozenSet,
     the breadth-first order of its rows, all marked. It is total on the
     uncontrollable events: an event missing from the observer self-loops,
     since no state of the estimate can take it.
+
+    An estimate with a bad state is not expanded, and the nonblocking
+    product never enters a dead estimate, so only the rows of ``plant``
+    that live estimates reach are read; its marked states are found with
+    ``plant.is_marked``.
     """
     if not controllable <= observable:
         raise AutomatonError("controllable events must be observable here")
-    graph = observer_map(plant, observable & plant.alphabet)
+
+    def doomed(x: FrozenSet) -> bool:
+        return any(map(is_bad, x))
+
+    graph = observer_map(plant, observable & plant.alphabet, stop=doomed)
     if not graph:
         return None
     init = next(iter(graph))
@@ -132,17 +157,24 @@ def supremal_supervisor(plant: Automaton, bad: FrozenSet,
         # whether an edge out of a live estimate survives
         return y not in dead and (x, e) not in disabled
 
-    close_under(dead, (x for x in graph if not bad.isdisjoint(x)),
+    # rule 1 kills the stopped estimates: those with no successors and a bad
+    # state (a live estimate may have no successors too)
+    close_under(dead, (x for x, succ in graph.items() if not succ and doomed(x)),
                 preds.__getitem__)
     if require_nonblocking and init not in dead:
         # p is in x in every pair, so each observed move of p has an
-        # observer successor; unobserved events leave x unchanged
-        pairs = list(observer_pairs(plant, init, lambda x, e: graph[x].get(e, x)))
+        # observer successor; unobserved events leave x unchanged. No pair
+        # enters a dead estimate: no live edge does.
+        def step(x: FrozenSet, e: EventLabel) -> Optional[FrozenSet]:
+            y = graph[x].get(e, x)
+            return None if y in dead else y
+
+        pairs = list(observer_pairs(plant, init, step))
         into: List[List[Tuple[int, EventLabel]]] = [[] for _ in pairs]
         for i, (_p, _x, edges) in enumerate(pairs):
             for e, j in edges:
                 into[j].append((i, e))
-        marked = [i for i, (p, _x, _edges) in enumerate(pairs) if p in plant.marked]
+        marked = [i for i, (p, _x, _edges) in enumerate(pairs) if plant.is_marked(p)]
 
         def live(i: int, e: EventLabel, j: int) -> bool:
             return keeps(pairs[i][1], e, pairs[j][1])
@@ -193,13 +225,13 @@ def synthesize_supremal_attack(problem: SynthesisProblem,
     controllable = frozenset(problem.constraint.controllable) & plant.alphabet
     observable = frozenset(problem.constraint.observable) & plant.alphabet
     attack = supremal_supervisor(
-        plant, problem.bad, controllable, observable,
+        plant, problem.is_bad, controllable, observable,
         require_nonblocking=(mode is SynthesisMode.DAMAGE_NONBLOCKING),
         name="A")
     if attack is None:
         return None
     if mode is SynthesisMode.DAMAGE_REACHABLE and not any(
-            p in problem.target for p, _a, _edges in
+            problem.is_target(p) for p, _a, _edges in
             observer_pairs(plant, attack.initial, attack.step)):
         return None
     return attack
@@ -220,16 +252,17 @@ class VerificationResult:
 
 
 def attack_loop(problem: SynthesisProblem, attack: Automaton) -> Automaton:
-    """P||A with the damage states marked; the three checks below read it."""
+    """P||A with the damage states marked; the three checks below read it.
+    Only the rows of P that the attack lets the loop reach are computed."""
     if frozenset(attack.alphabet) != frozenset(problem.plant.alphabet):
         raise AutomatonError("attack alphabet differs from the composed plant's")
     loop = compose([problem.plant, attack], name="P||A")
-    return loop.with_marked([q for q in loop.states if q[0] in problem.target])
+    return loop.with_marked([q for q in loop.states if problem.is_target(q[0])])
 
 
 def covert_in(problem: SynthesisProblem, loop: Automaton) -> VerificationResult:
     """No covertness-violating state may be reachable in the attacked loop."""
-    offenders = [q for q in loop.states if q[0] in problem.bad]
+    offenders = [q for q in loop.states if problem.is_bad(q[0])]
     if not offenders:
         return VerificationResult(True)
     return VerificationResult(False, shortest_path_to(loop, offenders))
@@ -244,7 +277,7 @@ def damage_nonblocking_in(loop: Automaton) -> VerificationResult:
 
 def damage_reachable_in(problem: SynthesisProblem,
                         loop: Automaton) -> VerificationResult:
-    hits = [q for q in loop.states if q[0] in problem.target]
+    hits = [q for q in loop.states if problem.is_target(q[0])]
     if hits:
         return VerificationResult(True, shortest_path_to(loop, hits))
     return VerificationResult(False)

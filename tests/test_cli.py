@@ -154,6 +154,23 @@ def test_no_attack_exit_status(tmp_path, capsys):
     assert "no covert attack exists" in capsys.readouterr().out
 
 
+def test_no_attack_removes_the_attack_an_earlier_run_wrote(tmp_path, capsys):
+    # the same --out first holds an attack, then gets a certificate saying
+    # none exists: the old attack must not stay beside it
+    out = tmp_path / "out"
+    assert main(red_args("synthesize", out)) == 0
+    assert (out / "attack.aut").exists()
+    cfg_text = open(RED["config"], encoding="utf-8").read()
+    cfg_path = tmp_path / "nodamage.cfg"
+    cfg_path.write_text("\n".join(l for l in cfg_text.splitlines()
+                                  if not l.startswith("[damage]")) + "\n")
+    rc = main(["synthesize", "--config", str(cfg_path), "--plant", RED["plant"],
+               "--ns", RED["ns"], "--out", str(out)])
+    assert rc == 3
+    assert "no covert attack exists" in (out / "certificate.txt").read_text()
+    assert not (out / "attack.aut").exists()
+
+
 @pytest.mark.parametrize("empty", ["plant", "ns"])
 @pytest.mark.parametrize("cmd", ["synthesize", "verify"])
 def test_empty_plant_or_supervisor_exit_status(cmd, empty, tmp_path, capsys):

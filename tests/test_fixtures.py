@@ -44,9 +44,10 @@ def test_attack_problem_builds_only_the_rows_of_g_new_it_reaches(tmp_path):
     _cfg, plant, ns = shipped_paths("reduced")
     system = load_system(str(config), plant, ns)
     problem = build_attack_problem(system)
+    # P is lazy too: explore it before the snapshot
+    in_p = {q[0] for q in problem.plant.states}
     g_new, cs = system.g_new, system.cs
     built = set(g_new._delta)
-    in_p = {q[0] for q in problem.plant.states}
     # the monitor's reference loop again: its rows exist already
     reference = compose([system.ns, g_new, system.oc_t, system.cc])
     assert set(g_new._delta) == built

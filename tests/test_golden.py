@@ -6,8 +6,9 @@ status with digests recorded before the kernel's orderings were relaxed (the
 rungs: before the searches moved onto one explorer; guideway ``u=2``: before
 event labels and channel states were interned; reduced ``delta_s=1``
 synthesize and verify: before CS and G_new became lazy; the build with an
-unreachable detection state: before the monitor became one exploration). A
-change that alters any byte of any output fails here.
+unreachable detection state: before the monitor became one exploration;
+guideway ``u=3``: before synthesis became on-the-fly). A change that alters
+any byte of any output fails here.
 """
 import contextlib
 import dataclasses
@@ -20,7 +21,9 @@ import pytest
 from netdes.automaton import Automaton
 from netdes.cli import main
 from netdes.config import load_config, serialize_config
-from netdes.textio import save_automaton
+from netdes.fixtures import build_attack_problem, build_system
+from netdes.synthesis import SynthesisMode, synthesize_supremal_attack
+from netdes.textio import save_automaton, serialize_automaton
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "netdes", "data")
 
@@ -123,6 +126,15 @@ GUIDEWAY_U2_NONBLOCKING = {
     "state_counts.txt": "6dfafc4ddb46de6fcc5de9849ec4e5ea76d32b44b7d728f772b646424fbf7b1b",
 }
 _GUIDEWAY_U2_VERIFY = "10c84d892650a9d1e6d1dae51224c471aae8d851666f60fb3c1204f8012f88e4"
+
+# guideway with u=3 through the library: attack.aut as the CLI writes it
+# (renamed). P has 280,012 states; before synthesis became on-the-fly it was
+# explored in full, and a run took 12 s (reachable) to 26 s and 1.2 GB
+# (nonblocking). Synthesis now reads the rows of 3,083 of them.
+GUIDEWAY_U3_ATTACKS = {
+    "nonblocking": "39d896c7cfd933440a9ba0e82b88b7135c32fc9fdb4a67d3bc3304748d4aa563",
+    "reachable": "41cd7940686eec61af040f32cb8dbe1d9a6052d4739749a5d4550d8adf28f7a2",
+}
 
 # reduced with delta_s=1: a 16,398-state G_new of which P reaches 19 states.
 # Storage delay changes the components only; the attacks, certificates and
@@ -273,3 +285,13 @@ def test_synthesize_and_verify_on_guideway_u2_match_golden(tmp_path, monkeypatch
                           config="rung.cfg")
     assert status == 0
     assert _sha(stdout.encode()) == _GUIDEWAY_U2_VERIFY
+
+
+@pytest.mark.parametrize("mode", sorted(GUIDEWAY_U3_ATTACKS))
+def test_guideway_u3_attack_matches_golden(mode, guideway):
+    cfg = guideway.cfg
+    cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, u=3))
+    problem = build_attack_problem(build_system(cfg, guideway.plant, guideway.ns))
+    attack = synthesize_supremal_attack(problem, SynthesisMode(mode))
+    text = serialize_automaton(attack, rename=True)
+    assert _sha(text.encode()) == GUIDEWAY_U3_ATTACKS[mode]

@@ -4,14 +4,15 @@ import pytest
 
 import netdes.events as ev
 from netdes.attacker import ControlConstraint, validate_attack
-from netdes.automaton import (Automaton, AutomatonError, compose, state_name,
-                              subset_construction)
+from netdes.automaton import (Automaton, AutomatonError, compose,
+                              lazy_automaton, state_name, subset_construction)
 from netdes.fixtures import build_attack_problem, build_system
 from netdes.supervision import supervisor_control_constraint
 from netdes.synthesis import (MONITOR_EMPTY, SynthesisMode, SynthesisProblem,
                               state_size_report, synthesize_supremal_attack,
                               verify_covert, verify_damage_nonblocking,
                               verify_damage_reachable)
+from netdes.textio import serialize_automaton
 from oracles import (accepts, apply_edit, bounded_traces, bfs_order,
                      complete_with_selfloops, disabled_controllable_edits,
                      empty_automaton)
@@ -27,7 +28,8 @@ def tiny_problem(bad, target, trans, states=("s0", "s1", "s2")):
     plant = Automaton(states, alphabet, trans, "s0", marked=target, name="P")
     constraint = ControlConstraint(
         frozenset({C_HASH, ev.stop}), frozenset({C_HASH, ev.stop}), "sa")
-    return SynthesisProblem(plant, frozenset(bad), frozenset(target), constraint)
+    return SynthesisProblem(plant, frozenset(bad).__contains__,
+                            frozenset(target).__contains__, constraint)
 
 
 # -- problem construction ---------------------------------------------------------
@@ -234,7 +236,8 @@ def _random_problems(seed, count):
         cut = rng.randint(0, len(pool))
         bad, target = frozenset(pool[:cut][:2]), frozenset(pool[cut:][:2])
         plant = Automaton(states, alphabet, trans, "p0", marked=target)
-        yield SynthesisProblem(plant, bad, target, constraint)
+        yield SynthesisProblem(plant, bad.__contains__, target.__contains__,
+                               constraint)
 
 
 def test_engine_sound_on_random_problems():
@@ -273,13 +276,78 @@ def test_engine_locally_maximal_on_random_problems():
     assert checked > 50
 
 
-# -- state order -----------------------------------------------------------------------
+# -- on-the-fly synthesis --------------------------------------------------------------
 
 def _attacker_wide(guideway):
     cfg = guideway.cfg
     cfg = dataclasses.replace(cfg, delta_o=0,
                               rates=dataclasses.replace(cfg.rates, u=2))
     return build_system(cfg, guideway.plant, guideway.ns)
+
+
+def _guideway_u(guideway, u):
+    cfg = guideway.cfg
+    cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, u=u))
+    return build_system(cfg, guideway.plant, guideway.ns)
+
+
+def _lazy_copy(prob):
+    """The same problem over a lazy copy of its explicit plant."""
+    plant = prob.plant
+    lazy = lazy_automaton(plant.initial, plant.alphabet, plant._delta.__getitem__,
+                          plant.is_marked, plant.name)
+    return dataclasses.replace(prob, plant=lazy)
+
+
+def _attack_texts(prob):
+    texts = []
+    for mode in SynthesisMode:
+        attack = synthesize_supremal_attack(prob, mode)
+        texts.append(attack and serialize_automaton(attack, rename=True))
+    return texts
+
+
+def test_lazy_plant_gives_the_attack_of_the_explored_plant_on_random_problems():
+    solved = 0
+    for prob in _random_problems(777, 300):
+        prob = _lazy_copy(prob)
+        lazy = _attack_texts(prob)
+        prob.plant.states  # explore
+        assert _attack_texts(prob) == lazy
+        solved += lazy != [None, None]
+    assert solved > 75
+
+
+def test_guideway_u2_attack_reads_under_a_quarter_of_p(guideway):
+    # the observer stops at estimates that are dead by covertness, so the
+    # attack is built from the rows of 928 of P's 21,189 states
+    prob = build_attack_problem(_guideway_u(guideway, 2))
+    lazy = _attack_texts(prob)
+    assert None not in lazy
+    rows = len(prob.plant._delta)
+    assert prob.plant._delta.row is not None  # P is still unexplored
+    assert rows < len(prob.plant.states) / 4
+    assert _attack_texts(prob) == lazy
+
+
+def test_bad_and_target_sets_classify_the_explored_plant(guideway):
+    # counts the traced benchmark reports for attacker-wide: 421 bad, 635 target
+    for built, counts in ((guideway, None), (_attacker_wide(guideway), (421, 635))):
+        prob = build_attack_problem(built)
+        bad, target = set(), set()
+        for q in prob.plant.states:
+            (_store, _stage, g), _ac, _oc, _ns, _cc, estimate = q
+            if state_name(g) in built.cfg.damage:
+                target.add(q)
+            elif estimate == MONITOR_EMPTY:
+                bad.add(q)
+        assert (prob.bad, prob.target) == (bad, target)
+        assert prob.plant.marked == prob.target
+        if counts:
+            assert (len(prob.bad), len(prob.target)) == counts
+
+
+# -- state order -----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("mode", ["nonblocking", "reachable"])
