@@ -5,7 +5,8 @@ to share. States are opaque hashable identifiers; composite operations
 (products, observers) produce canonical encodings (tuples, frozensets) so
 results hash and compare deterministically. Every forward search goes
 through one breadth-first explorer, ``explore``, whose discovery order is the
-state order of what it builds; unordered closures use ``close_under``.
+state order of what it builds; a lazy automaton's ``states`` walk its rows
+directly, in that same order; unordered closures use ``close_under``.
 
 There is one automaton type, ``Automaton``, stored as successor rows. Its
 constructor validates explicit states and transitions; ``lazy_automaton``
@@ -19,8 +20,9 @@ over such automata builds only the component rows it reaches, and
 ``observer_map`` explores it into a plain successor map, without expanding
 the estimates where a ``stop`` predicate holds.
 
-Event labels and channel states are interned (``events``, ``channels``):
-equal values are one object, compared and hashed by identity. Their set and
+Event labels, channel states and the plant assembly's store and stage
+states are interned (``events``, ``channels``, ``plant``): equal values are
+one object, compared and hashed by identity. Their set and
 dict orders therefore follow addresses, so every order an output can see is
 fixed here by label order (``sorted_events``) or by ``state_name``, never by
 iteration over a set.
@@ -216,18 +218,32 @@ class _Rows(dict):
 
     def complete(self) -> Tuple[State, ...]:
         """The states reachable from the initial one, in breadth-first order,
-        with every row computed; drops the row function and its caches."""
-        row = self.row
-
-        def moves(q: State) -> List[Transition]:
-            out = self.get(q)  # q is discovered: no need to check
+        with every row computed; drops the row function and its caches. The
+        walk reads the rows directly, in the order ``explore`` would, and
+        makes the rows that lead to a state by one successor share one
+        tuple of it: an equal tuple, so no answer changes."""
+        row, get, init = self.row, self.get, self.initial
+        order = [init]
+        lone = {init: (init,)}  # per state discovered, its shared 1-tuple
+        for q in order:  # grows while iterated
+            out = get(q)  # q is discovered: no need to check
             if out is None:
                 out = self[q] = row(q)
-            return [(q, e, dst) for e, dsts in out.items() for dst in dsts]
-
-        states = tuple(q for q, _out in explore(self.initial, moves))
+            for e, dsts in out.items():
+                if len(dsts) == 1:
+                    shared = lone.get(dsts[0])
+                    if shared is None:
+                        lone[dsts[0]] = dsts
+                        order.append(dsts[0])
+                    elif shared is not dsts:
+                        out[e] = shared
+                else:
+                    for dst in dsts:
+                        if dst not in lone:
+                            lone[dst] = (dst,)
+                            order.append(dst)
         self.row = self.discovered = None
-        return states
+        return tuple(order)
 
 
 def lazy_automaton(initial: Optional[State], alphabet: Iterable[EventLabel],
@@ -242,7 +258,15 @@ def lazy_automaton(initial: Optional[State], alphabet: Iterable[EventLabel],
     a.is_marked = is_marked
     if initial is None:
         a.states, a.marked = (), frozenset()
+    elif is_marked is _unmarked:
+        a.marked = frozenset()
     return a
+
+
+def _unmarked(q: State) -> bool:
+    """The marking of an automaton that marks nothing, such as an implicit
+    one: its marked set, and a product's over it, is known unexplored."""
+    return False
 
 
 # -- exploration and reachability --------------------------------------
@@ -284,7 +308,7 @@ def implicit_automaton(init: State, moves: Moves, alphabet: Iterable[EventLabel]
             by_event.setdefault(e, {})[dst] = None
         return {e: _successor_tuple(list(by_event[e])) for e in sorted_events(by_event)}
 
-    return lazy_automaton(init, alphabet, row, lambda q: False, name)
+    return lazy_automaton(init, alphabet, row, _unmarked, name)
 
 
 def _successor_tuple(dsts: List[State]) -> Tuple[State, ...]:
@@ -454,18 +478,26 @@ def product(components: Sequence, name: str = "",
 
     A row visits only the events that no component blocks: each component
     state's mask of such events (those it enables and those outside its
-    alphabet) is computed once, the masks are ANDed, and the set bits are
-    walked in label order. Several successors on one event are kept in
-    ``state_name`` order, as in ``Automaton``.
+    alphabet) is computed once, the masks are ANDed, and the events of each
+    ANDed mask are listed once, in label order. An event on which every
+    participant has one successor gives its target tuple directly; several
+    successors on one event are kept in ``state_name`` order, as in
+    ``Automaton``.
     """
     if not components:
         raise AutomatonError("compose needs at least one component")
     alphabet: Set[EventLabel] = set()
     for c in components:
         alphabet.update(c.alphabet)
-    if is_marked is None:
+    marks = [c.is_marked for c in components]
+    if is_marked is None and _unmarked in marks:
+        is_marked = _unmarked
+    elif is_marked is None:
         def is_marked(q: Tuple[State, ...]) -> bool:
-            return all(c.is_marked(x) for x, c in zip(q, components))
+            for marked, x in zip(marks, q):
+                if not marked(x):
+                    return False
+            return True
 
     if any(c.initial is None for c in components):
         return lazy_automaton(None, alphabet, None, is_marked, name)
@@ -482,6 +514,8 @@ def product(components: Sequence, name: str = "",
     outside = [full & ~sum(1 << rank[ev] for ev in c.alphabet) for c in components]
     # per component, filled lazily: state -> (unblocked-event mask, row)
     by_state: List[Dict[State, Tuple[int, Row]]] = [{} for _ in components]
+    # per mask of unblocked events, filled lazily: those events in label order
+    plans: Dict[int, List[Tuple[EventLabel, Tuple[int, ...]]]] = {}
 
     def row(cur: Tuple[State, ...]) -> Row:
         rows = []
@@ -494,20 +528,26 @@ def product(components: Sequence, name: str = "",
                                         succ)
             bits &= hit[0]
             rows.append(hit[1])
+        plan = plans.get(bits)
+        if plan is None:
+            plan = plans[bits] = [events[r] for r in range(len(events)) if bits >> r & 1]
         out: Row = {}
-        while bits:  # set bits in ascending rank, so events in label order
-            low = bits & -bits
-            bits ^= low
-            ev, parts = events[low.bit_length() - 1]
-            nexts = [list(cur)]
+        for ev, parts in plan:
+            nxt = list(cur)
             for i in parts:
                 dsts = rows[i][ev]
-                if len(dsts) == 1:
-                    for nxt in nexts:
-                        nxt[i] = dsts[0]
-                else:
-                    nexts = [nxt[:i] + [dst] + nxt[i + 1:]
-                             for nxt in nexts for dst in dsts]
+                if len(dsts) > 1:
+                    break
+                nxt[i] = dsts[0]
+            else:  # one successor: no copies, no sort
+                nxt_t = tuple(nxt)
+                if allowed is None or allowed(cur, ev, nxt_t):
+                    out[ev] = (nxt_t,)
+                continue
+            nexts = [list(cur)]
+            for i in parts:
+                nexts = [nxt[:i] + [dst] + nxt[i + 1:]
+                         for nxt in nexts for dst in rows[i][ev]]
             kept = [nxt_t for nxt_t in map(tuple, nexts)
                     if allowed is None or allowed(cur, ev, nxt_t)]
             if kept:

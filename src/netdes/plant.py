@@ -10,6 +10,12 @@ ever holding a command that is useless at the current plant state, or idling
 over a tick while the store holds a usable command. Both rules are written
 once, in ``_pruning_rules``.
 
+A store and a stage are interned objects (``StorageState``,
+``ExecState``), as channel states are: one per value, compared and hashed
+by identity, named by the ``state_name`` of the tuple or frozenset they
+hold, and carrying what the pruning rules read, so G_new's states hash
+cheaply and the rules decode no tuples.
+
 The command store, the execution stage and G_new are given by row
 functions (``automaton.implicit_automaton``, ``automaton.product``): a row is
 computed on its first lookup, so the new plant and the monitor, composed
@@ -18,7 +24,7 @@ writers of ``cs.aut`` and ``g_new.aut`` do, explores all of it.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import events as ev
 from .automaton import (Automaton, AutomatonError, Transition, implicit_automaton,
@@ -26,11 +32,89 @@ from .automaton import (Automaton, AutomatonError, Transition, implicit_automato
 from .config import SystemConfig
 from .textio import load_automaton
 
-StorageState = Tuple[Tuple[str, int], ...]   # reception-ordered (command, time-left)
-ExecState = FrozenSet[Tuple[str, int]]       # (event, countdown); empty = idle
 
-IDLE: ExecState = frozenset()
-EMPTY_QUEUE: StorageState = ()
+_NAMES: Dict[FrozenSet[str], FrozenSet[str]] = {}  # one object per set of names
+
+
+class _PairState:
+    """A value made of (name, number) pairs, interned as
+    ``channels.ChannelState`` is: one immutable object per ``value``,
+    compared and hashed by identity, whichever operation or constructor call
+    reached it; copying or unpickling one returns the interned object.
+    ``names``, the set of names in the pairs, is computed once: it is what
+    the pruning rules read. ``canonical_name()`` renders the ``state_name``
+    of the value, so files and name orders are those of the plain tuples
+    and frozensets."""
+
+    __slots__ = ("value", "names")
+    _kind: type                     # tuple or frozenset, set by each subclass
+    _interned: Dict[object, "_PairState"]
+
+    def __new__(cls, pairs: Iterable[Tuple[str, int]] = ()):
+        value = cls._kind(pairs)
+        state = cls._interned.get(value)
+        if state is None:
+            state = cls._interned[value] = object.__new__(cls)
+            names = frozenset(name for name, _n in value)
+            object.__setattr__(state, "value", value)
+            object.__setattr__(state, "names", _NAMES.setdefault(names, names))
+        return state
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"plant-assembly states are immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"plant-assembly states are immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.value,)
+
+    def __repr__(self) -> str:
+        return self.canonical_name()
+
+
+class StorageState(_PairState):
+    """The command store: (command, time-left) entries in reception order,
+    a tuple; ``names`` are the stored commands."""
+
+    __slots__ = ()
+    _kind, _interned = tuple, {}
+
+    def canonical_name(self) -> str:
+        return "(" + ",".join([f"({g},{t})" for g, t in self.value]) + ")"
+
+    def tick(self) -> "StorageState":
+        """Every time left decremented; expired entries dropped."""
+        return StorageState((g, t - 1) for (g, t) in self.value if t > 0)
+
+    def append(self, cmd: str, time_left: int) -> "StorageState":
+        return StorageState(self.value + ((cmd, time_left),))
+
+    def fetch(self, cmd: str) -> "StorageState":
+        """The store without its earliest ``cmd`` entry."""
+        q = self.value
+        for i, (g, _t) in enumerate(q):
+            if g == cmd:
+                return StorageState(q[:i] + q[i + 1:])
+        raise ValueError(f"command {cmd} not stored")
+
+
+class ExecState(_PairState):
+    """The execution stage: the (event, countdown) pairs of the command in
+    use, a frozenset, empty when idle; ``names`` are the command's events."""
+
+    __slots__ = ()
+    _kind, _interned = frozenset, {}
+
+    def canonical_name(self) -> str:
+        return "{" + ",".join(sorted([f"({s},{t})" for s, t in self.value])) + "}"
+
+    def tick(self) -> "ExecState":
+        return ExecState((s, t - 1) for (s, t) in self.value)
+
+
+IDLE = ExecState()
+EMPTY_QUEUE = StorageState()
 
 
 def capacity_storage(n_f: int, u: int, v: int, delta_o: int, delta_c: int,
@@ -40,25 +124,6 @@ def capacity_storage(n_f: int, u: int, v: int, delta_o: int, delta_c: int,
 
 
 # -- command storage -----------------------------------------------------
-
-def _queue_tick(q: StorageState) -> StorageState:
-    return tuple((g, t - 1) for (g, t) in q if t > 0)
-
-
-def _queue_commands(q: StorageState) -> List[str]:
-    out = []
-    for g, _ in q:
-        if g not in out:
-            out.append(g)
-    return out
-
-
-def _queue_remove_first(q: StorageState, cmd: str) -> StorageState:
-    for i, (g, _) in enumerate(q):
-        if g == cmd:
-            return q[:i] + q[i + 1:]
-    raise ValueError(f"command {cmd} not stored")
-
 
 def build_command_storage(cfg: SystemConfig) -> Automaton:
     """FIFO queue of received commands; each entry survives delta_s ticks.
@@ -76,11 +141,10 @@ def build_command_storage(cfg: SystemConfig) -> Automaton:
     alphabet.append(ev.tick)
 
     def moves(q: StorageState) -> List[Transition]:
-        out = [(q, ev.tick, _queue_tick(q))]
-        if len(q) < cap:
-            out += [(q, ev.command_exit(g), q + ((g, cfg.delta_s),)) for g in cfg.gamma]
-        out += [(q, ev.command(g), _queue_remove_first(q, g))
-                for g in _queue_commands(q)]
+        out = [(q, ev.tick, q.tick())]
+        if len(q.value) < cap:
+            out += [(q, ev.command_exit(g), q.append(g, cfg.delta_s)) for g in cfg.gamma]
+        out += [(q, ev.command(g), q.fetch(g)) for g in q.names]
         return out
 
     return implicit_automaton(EMPTY_QUEUE, moves, alphabet, name="CS")
@@ -102,19 +166,19 @@ def build_command_execution(cfg: SystemConfig) -> Automaton:
     alphabet.append(ev.tick)
 
     numbered: Dict[str, ExecState] = {
-        g: frozenset((name, cfg.exec_delay(name)) for name in cfg.commands[g])
+        g: ExecState((name, cfg.exec_delay(name)) for name in cfg.commands[g])
         for g in cfg.gamma
     }
 
     def moves(q: ExecState) -> List[Transition]:
-        if q == IDLE:
+        if q is IDLE:
             out = [(q, ev.tick, IDLE)]
             out += [(q, ev.command(g), numbered[g]) for g in cfg.gamma]
         else:
             out = []
-            if any(t > 0 for _, t in q):
-                out.append((q, ev.tick, frozenset((s, t - 1) for (s, t) in q)))
-            out += [(q, ev.plant(s), IDLE) for (s, t) in sorted(q) if t == 0]
+            if any(t > 0 for _, t in q.value):
+                out.append((q, ev.tick, q.tick()))
+            out += [(q, ev.plant(s), IDLE) for (s, t) in sorted(q.value) if t == 0]
         return out + [(q, u, IDLE) for u in uncontrollable]
 
     return implicit_automaton(IDLE, moves, alphabet, name="CE")
@@ -163,9 +227,10 @@ def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
         raise AutomatonError("plant alphabet mismatch with config")
 
     useless_fetch, preempted = _pruning_rules(g, cfg)
+    tick = ev.tick
     return product([cs, ce, g], name="G_new",
                    allowed=lambda src, e, dst: not useless_fetch(dst)
-                   and not (e == ev.tick and preempted(src)))
+                   and not (e is tick and preempted(src)))
 
 
 def _pruning_rules(g: Automaton, cfg: SystemConfig
@@ -173,19 +238,26 @@ def _pruning_rules(g: Automaton, cfg: SystemConfig
     """The two pruning rules as predicates on G_new's states: whether the
     active command is useless (rule 1 removes the state), and whether the
     idle stage is preempted by a usable stored command (rule 2 removes its
-    tick)."""
+    tick). Each reads the set its stage or store carries; the events of a
+    set of stored commands are collected once."""
     enabled_g: Dict[object, Set[str]] = {
         q: {e.base for e in g.enabled(q)} for q in g.states
     }
+    fireable: Dict[FrozenSet[str], FrozenSet[str]] = {}
 
     def useless_fetch(state: Tuple) -> bool:
         _s, e, q = state
-        return e != IDLE and not (enabled_g[q] & {name for (name, _) in e})
+        return e is not IDLE and e.names.isdisjoint(enabled_g[q])
 
     def preempted(state: Tuple) -> bool:
         s, e, q = state
-        return e == IDLE and any(cfg.commands[c] & enabled_g[q]
-                                 for c in _queue_commands(s))
+        if e is not IDLE:
+            return False
+        events = fireable.get(s.names)
+        if events is None:
+            events = fireable[s.names] = frozenset().union(
+                *(cfg.commands[c] for c in s.names))
+        return not events.isdisjoint(enabled_g[q])
 
     return useless_fetch, preempted
 
@@ -194,32 +266,35 @@ def _pruning_rules(g: Automaton, cfg: SystemConfig
 
 def max_plant_events_between_ticks(a: Automaton) -> Optional[int]:
     """Longest run of plant events on any tick-free path; None if the
-    tick-free subgraph is cyclic. One topological sort over the kept rows
-    carries, per state, the longest run that ends there."""
-    tick = ev.tick
-    indeg = dict.fromkeys(a.states, 0)
-    rows = a._delta
-    for row in rows.values():
-        for e, dsts in row.items():
-            if e is not tick:
-                for t in dsts:
-                    indeg[t] += 1
-    run = dict.fromkeys(indeg, 0)
-    order = [q for q, n in indeg.items() if n == 0]
-    for q in order:  # grows while iterated; q's run is final when it joins
+    tick-free subgraph is cyclic. One topological sort over the positions of
+    the states in ``states`` carries, per position, the longest run that
+    ends there."""
+    tick, plain = ev.tick, ev.PLAIN
+    states, rows = a.states, a._delta
+    position = {q: i for i, q in enumerate(states)}
+    indeg = [0] * len(states)
+    for q in states:
         for e, dsts in rows[q].items():
             if e is not tick:
-                longer = run[q] + (e.role == ev.PLAIN)
                 for t in dsts:
+                    indeg[position[t]] += 1
+    run = [0] * len(states)
+    order = [i for i, n in enumerate(indeg) if not n]
+    for i in order:  # grows while iterated; i's run is final when it joins
+        for e, dsts in rows[states[i]].items():
+            if e is not tick:
+                longer = run[i] + (e.role == plain)
+                for t in dsts:
+                    t = position[t]
                     if longer > run[t]:
                         run[t] = longer
                     indeg[t] -= 1
-                    if indeg[t] == 0:
+                    if not indeg[t]:
                         order.append(t)
-    if len(order) < len(indeg):
+    if len(order) < len(states):
         # Kahn's order misses exactly the states a tick-free cycle reaches
         return None
-    return max(run.values(), default=0)
+    return max(run, default=0)
 
 
 def rate_bound_warnings(g_new: Automaton, cfg: SystemConfig) -> List[str]:

@@ -51,17 +51,19 @@ def serialize_automaton(a: Automaton, rename: bool = False) -> str:
 
 
 def _lines(a: Automaton, rename: bool) -> Iterator[str]:
-    """The lines of ``serialize_automaton``, each ending in a newline. Every
-    check runs before the first line; the ``.trans`` lines are read off the
-    rows, sources sorted once."""
+    """The text of ``serialize_automaton`` in chunks of whole lines: each
+    header line, then the ``.trans`` lines some hundreds at a time. Every
+    check runs before the first chunk; the sources are sorted once."""
+    states = a.states
     naming: Dict[State, str]
     if rename:
+        naming = {q: f"S{i}" for i, q in enumerate(states)}
         # the empty monitor estimate keeps its literal name so DOT export
         # can still highlight it after a round trip
-        naming = {q: "{}" if isinstance(q, frozenset) and not q else f"S{i}"
-                  for i, q in enumerate(a.states)}
+        if frozenset() in naming:
+            naming[frozenset()] = "{}"
     else:
-        naming = {q: state_name(q) for q in a.states}
+        naming = {q: state_name(q) for q in states}
         if len(set(naming.values())) != len(naming):
             raise ValueError("state names collide; serialize with rename=True")
 
@@ -83,11 +85,19 @@ def _lines(a: Automaton, rename: bool) -> Iterator[str]:
     # the order of (source name, event, target name)
     spelled = {e: e.spell() for e in events}
     name_of = naming.__getitem__
-    for s in sorted(a.states, key=name_of):
-        src = naming[s]
-        for e, dsts in a._delta[s].items():
-            for t in (dsts if len(dsts) < 2 else sorted(dsts, key=name_of)):
-                yield f".trans {src} {spelled[e]} {naming[t]}\n"
+    delta = a._delta
+    chunk: List[str] = []
+    for s in sorted(states, key=name_of):
+        src = f".trans {naming[s]} "
+        for e, dsts in delta[s].items():
+            if len(dsts) == 1:
+                chunk.append(f"{src}{spelled[e]} {naming[dsts[0]]}\n")
+            else:
+                chunk += [f"{src}{spelled[e]} {t}\n" for t in sorted(map(name_of, dsts))]
+        if len(chunk) >= 512:
+            yield "".join(chunk)
+            chunk.clear()
+    yield "".join(chunk)
 
 
 def parse_automaton(text: str, name: str = "") -> Automaton:

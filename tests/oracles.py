@@ -1,8 +1,9 @@
 """Test oracles: comparisons of automata and of their languages, a
-nested-loop synchronous product, the kernel helpers only tests run
-(reachability, trimming, language membership, self-loop completion), the
-one-edit local maximality probe, and a reference synthesizer of networked
-supervisors (the pipeline takes the supervisor as given).
+nested-loop synchronous product, a rate check over per-state dicts, the
+kernel helpers only tests run (reachability, trimming, language membership,
+self-loop completion), the one-edit local maximality probe, and a reference
+synthesizer of networked supervisors (the pipeline takes the supervisor as
+given).
 """
 import itertools
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
@@ -201,6 +202,36 @@ def check_pruned_invariants(g_new: Automaton, g: Automaton,
         elif preempted(state) and g_new.successors(state, ev.tick):
             problems.append(f"tick not preempted at {state_name(state)}")
     return problems
+
+
+def longest_plant_run_by_state(a: Automaton) -> Optional[int]:
+    """``plant.max_plant_events_between_ticks`` with per-state dicts keyed by
+    the states themselves: the longest run of plant events on a tick-free
+    path, or None if the tick-free subgraph is cyclic."""
+    tick = ev.tick
+    indeg = dict.fromkeys(a.states, 0)
+    rows = a._delta
+    for row in rows.values():
+        for e, dsts in row.items():
+            if e is not tick:
+                for t in dsts:
+                    indeg[t] += 1
+    run = dict.fromkeys(indeg, 0)
+    order = [q for q, n in indeg.items() if n == 0]
+    for q in order:  # grows while iterated; q's run is final when it joins
+        for e, dsts in rows[q].items():
+            if e is not tick:
+                longer = run[q] + (e.role == ev.PLAIN)
+                for t in dsts:
+                    if longer > run[t]:
+                        run[t] = longer
+                    indeg[t] -= 1
+                    if indeg[t] == 0:
+                        order.append(t)
+    if len(order) < len(indeg):
+        # Kahn's order misses exactly the states a tick-free cycle reaches
+        return None
+    return max(run.values(), default=0)
 
 
 # -- synchronous product -------------------------------------------------------

@@ -14,10 +14,14 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import netdes
 from netdes.automaton import Automaton
 from netdes.cli import main
 from netdes.config import load_config, serialize_config
@@ -295,3 +299,47 @@ def test_guideway_u3_attack_matches_golden(mode, guideway):
     attack = synthesize_supremal_attack(problem, SynthesisMode(mode))
     text = serialize_automaton(attack, rename=True)
     assert _sha(text.encode()) == GUIDEWAY_U3_ATTACKS[mode]
+
+
+# A fresh interpreter interns the plant-assembly states of reduced with
+# delta_s=1, then guideway's stores and stages in the order given (the
+# reverse of their breadth-first order), and only then builds and
+# synthesizes guideway. Identity hashes follow addresses, which
+# PYTHONHASHSEED does not vary, so this moves every such hash.
+_INTERNED_FIRST = """\
+import dataclasses, json, sys
+from netdes.cli import main
+from netdes.fixtures import build_system, load_system
+from netdes.plant import ExecState, StorageState
+data, stores, stages = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+files = [f"{data}/guideway.cfg", f"{data}/guideway_plant.aut", f"{data}/guideway_ns.aut"]
+reduced = load_system(f"{data}/reduced.cfg", f"{data}/reduced_plant.aut",
+                      f"{data}/reduced_ns.aut")
+build_system(dataclasses.replace(reduced.cfg, delta_s=1), reduced.plant,
+             reduced.ns).g_new.states
+for value in stores:
+    StorageState(map(tuple, value))
+for value in stages:
+    ExecState(map(tuple, value))
+args = ["--config", files[0], "--plant", files[1], "--ns", files[2]]
+assert main(["build", *args, "--out", "build"]) == 0
+assert main(["synthesize", *args, "--out", "synthesize", "--mode", "nonblocking"]) == 0
+"""
+
+
+def test_outputs_do_not_depend_on_where_assembly_states_are_interned(
+        guideway, tmp_path):
+    stores = [list(q.value) for q in reversed(guideway.cs.states)]
+    stages = [sorted(q.value) for q in reversed(guideway.ce.states)]
+    src = os.path.dirname(os.path.dirname(netdes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _INTERNED_FIRST, DATA,
+                           json.dumps(stores), json.dumps(stages)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert _file_digests(tmp_path / "build") == _GUIDEWAY_COMPONENTS
+    golden = GOLDEN["guideway", "nonblocking"]
+    assert _file_digests(tmp_path / "synthesize") == {
+        **_GUIDEWAY_COMPONENTS, "attack.aut": golden["attack.aut"],
+        "certificate.txt": golden["certificate.txt"]}

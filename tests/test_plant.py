@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -6,15 +9,17 @@ import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, compose, coreachable,
                               state_name)
 from netdes.config import EventSpec, RateBounds, SystemConfig
-from netdes.plant import (EMPTY_QUEUE, IDLE, _check_plant, _pruning_rules,
-                          _queue_remove_first,
+from netdes.plant import (EMPTY_QUEUE, IDLE, ExecState, StorageState,
+                          _check_plant, _pruning_rules,
                           build_command_execution, build_command_storage,
                           capacity_storage, compose_and_prune_plant,
                           max_plant_events_between_ticks, rate_bound_warnings)
+from netdes.fixtures import build_system
 from netdes.textio import parse_automaton
 from oracles import (accepts, assert_same_automaton, check_pruned_invariants,
                      complete_with_selfloops, is_nonblocking,
-                     restrict_reachable, trim, unobservable_reach)
+                     longest_plant_run_by_state, restrict_reachable, trim,
+                     unobservable_reach)
 
 
 def make_cfg(delta_s=0, te=None, commands=None, events=None, damage=()):
@@ -32,6 +37,89 @@ def test_capacity_storage(args, expect):
     assert capacity_storage(*args) == expect
 
 
+# -- interned store and stage states ---------------------------------------------
+
+def test_equal_values_give_one_store_or_stage():
+    one = StorageState((("g", 1), ("h", 0)))
+    assert StorageState([("g", 1), ("h", 0)]) is one
+    assert StorageState((("h", 0), ("g", 1))) is not one   # reception order counts
+    assert StorageState() is StorageState(()) is EMPTY_QUEUE
+    stage = ExecState({("s", 1), ("t", 0)})
+    assert ExecState([("t", 0), ("s", 1)]) is stage
+    assert ExecState() is ExecState(frozenset()) is IDLE
+    assert EMPTY_QUEUE is not IDLE
+
+
+def test_every_path_to_a_store_or_stage_gives_one_state():
+    gh = EMPTY_QUEUE.append("g", 1).append("h", 1)
+    assert gh is StorageState((("g", 1), ("h", 1)))
+    assert gh.append("g", 1).fetch("g") is EMPTY_QUEUE.append("h", 1).append("g", 1)
+    assert gh.fetch("h").fetch("g") is EMPTY_QUEUE
+    assert gh.tick() is StorageState((("g", 0), ("h", 0)))
+    assert gh.tick().tick() is EMPTY_QUEUE
+    stage = ExecState({("s", 1), ("t", 2)})
+    assert stage.tick() is ExecState({("s", 0), ("t", 1)})
+    cfg = make_cfg(delta_s=1, te=2)
+    cs, ce = build_command_storage(cfg), build_command_execution(cfg)
+    stored = cs.successors(EMPTY_QUEUE, ev.command_exit("g"))[0]
+    assert stored is EMPTY_QUEUE.append("g", 1)
+    assert cs.successors(stored, ev.tick) == (stored.tick(),)
+    assert cs.successors(stored, ev.command("g")) == (EMPTY_QUEUE,)
+    active = ce.successors(IDLE, ev.command("g"))[0]
+    assert active is ExecState({("s", 2)})
+    assert ce.successors(active, ev.tick) == (ExecState({("s", 1)}),)
+
+
+def test_stores_and_stages_copy_pickle_and_stay_immutable():
+    for state in (StorageState((("g", 1), ("g", 0))), ExecState({("s", 0)})):
+        assert copy.copy(state) is state
+        assert copy.deepcopy(state) is state
+        assert pickle.loads(pickle.dumps(state)) is state
+        assert state != state.value   # equality is identity, not value
+        with pytest.raises(AttributeError):
+            state.value = ()
+        with pytest.raises(AttributeError):
+            del state.value
+        with pytest.raises(AttributeError):
+            state.extra = 1
+    with pytest.raises(ValueError):
+        EMPTY_QUEUE.fetch("g")
+
+
+@pytest.fixture(scope="module")
+def reduced_delta_s1(reduced):
+    return build_system(dataclasses.replace(reduced.cfg, delta_s=1),
+                        reduced.plant, reduced.ns)
+
+
+def _tuple_name(entries):
+    # how a store was named when it was a tuple of (command, time-left)
+    return "(" + ",".join(f"({g},{t})" for g, t in entries) + ")"
+
+
+def _frozenset_name(pairs):
+    # how a stage was named when it was a frozenset of (event, countdown)
+    return "{" + ",".join(sorted(f"({s},{t})" for s, t in pairs)) + "}"
+
+
+def test_store_and_stage_names_are_the_tuple_and_frozenset_names(
+        guideway, reduced, reduced_delta_s1):
+    for system in (guideway, reduced, reduced_delta_s1):
+        for q in system.cs.states:
+            assert type(q.value) is tuple
+            assert (q.canonical_name() == state_name(q) == state_name(q.value)
+                    == _tuple_name(q.value))
+            assert q.names == {g for g, _t in q.value}
+        for q in system.ce.states:
+            assert type(q.value) is frozenset
+            assert (q.canonical_name() == state_name(q) == state_name(q.value)
+                    == _frozenset_name(q.value))
+            assert q.names == {s for s, _t in q.value}
+        for store, stage, g in system.g_new.states:
+            assert state_name((store, stage, g)) == (
+                f"({_tuple_name(store.value)},{_frozenset_name(stage.value)},{g})")
+
+
 # -- command storage ------------------------------------------------------------
 
 def test_storage_receive_tick_expire_cycle():
@@ -39,9 +127,9 @@ def test_storage_receive_tick_expire_cycle():
     cs = build_command_storage(cfg)
     empty = cs.initial
     one = cs.successors(empty, ev.command_exit("g"))[0]
-    assert one == (("g", 1),)
+    assert one is StorageState((("g", 1),))
     aged = cs.successors(one, ev.tick)[0]
-    assert aged == (("g", 0),)
+    assert aged is StorageState((("g", 0),))
     assert cs.successors(aged, ev.tick) == (empty,)   # expired silently
     assert cs.successors(one, ev.command("g")) == (empty,)   # fetched instead
 
@@ -53,8 +141,8 @@ def test_storage_tick_selfloop_at_empty():
 
 def test_storage_fetch_removes_earliest():
     # positional check of the removal operation itself
-    q = (("g", 1), ("g", 0))
-    assert _queue_remove_first(q, "g") == (("g", 0),)
+    q = StorageState((("g", 1), ("g", 0)))
+    assert q.fetch("g") is StorageState((("g", 0),))
 
 
 def test_storage_fifo_on_reachable_states():
@@ -62,20 +150,20 @@ def test_storage_fifo_on_reachable_states():
     cs = build_command_storage(cfg)
     for q in cs.states:
         firsts = {}
-        for i, (g, _t) in enumerate(q):
+        for i, (g, _t) in enumerate(q.value):
             firsts.setdefault(g, i)
         for g, i in firsts.items():
             got = cs.successors(q, ev.command(g))
-            assert got == (q[:i] + q[i + 1:],)
+            assert got == (StorageState(q.value[:i] + q.value[i + 1:]),)
 
 
 def test_storage_capacity_respected():
     cfg = make_cfg()
     cap = capacity_storage(1, 1, 1, 1, 0, 0)
     cs = build_command_storage(cfg)
-    assert max(len(q) for q in cs.states) == cap
+    assert max(len(q.value) for q in cs.states) == cap
     for q in cs.states:
-        if len(q) == cap:
+        if len(q.value) == cap:
             assert not cs.successors(q, ev.command_exit("g"))
 
 
@@ -85,7 +173,7 @@ def test_execution_immediate_fire():
     cfg = make_cfg(te=0)
     ce = build_command_execution(cfg)
     active = ce.successors(IDLE, ev.command("g"))[0]
-    assert active == frozenset({("s", 0)})
+    assert active is ExecState({("s", 0)})
     assert not ce.successors(active, ev.tick)
     assert ce.successors(active, ev.plant("s")) == (IDLE,)
 
@@ -106,7 +194,7 @@ def test_execution_staggered_countdowns():
     q = ce.successors(IDLE, ev.command("g"))[0]
     q = ce.successors(q, ev.tick)[0]
     q = ce.successors(q, ev.tick)[0]
-    assert q == frozenset({("s1", -1), ("s2", 0)})
+    assert q is ExecState({("s1", -1), ("s2", 0)})
     assert ce.successors(q, ev.plant("s2")) == (IDLE,)
     assert not ce.successors(q, ev.plant("s1"))   # its window has passed
     assert not ce.successors(q, ev.tick)
@@ -158,7 +246,7 @@ def test_prune_preempts_tick_when_command_usable():
     gn = compose_and_prune_plant(build_command_storage(cfg),
                                  build_command_execution(cfg), g, cfg)
     stored = gn.successors(gn.initial, ev.command_exit("g"))[0]
-    assert stored[0] == (("g", 0),) and stored[1] == IDLE
+    assert stored[0] is StorageState((("g", 0),)) and stored[1] == IDLE
     assert not gn.successors(stored, ev.tick)            # time is preempted
     assert gn.successors(stored, ev.command("g"))        # the fetch is kept
     assert not check_pruned_invariants(gn, g, cfg)
@@ -172,11 +260,12 @@ def _three_stage_g_new(cs, ce, g, cfg):
 
     def useless(state):
         _store, stage, q = state
-        return stage != IDLE and not enabled[q] & {name for name, _t in stage}
+        return stage != IDLE and not enabled[q] & {name for name, _t in stage.value}
 
     def usable_stored(state):
         store, stage, q = state
-        return stage == IDLE and any(cfg.commands[c] & enabled[q] for c, _t in store)
+        return stage == IDLE and any(cfg.commands[c] & enabled[q]
+                                     for c, _t in store.value)
 
     states = [q for q in full.states if not useless(q)]
     trans = [(s, e, t) for (s, e, t) in full.transitions
@@ -246,6 +335,41 @@ def test_uncontrollable_liveness_on_fixtures(reduced, guideway):
 def test_fixtures_are_activity_loop_free(reduced, guideway):
     assert max_plant_events_between_ticks(reduced.g_new) is not None
     assert max_plant_events_between_ticks(guideway.g_new) is not None
+
+
+def _random_rate_case(rng):
+    """A small automaton over tick, a command and (mostly) plant events; in
+    most cases the tick-free moves only go forward, so no tick-free cycle."""
+    states = [f"q{i}" for i in range(rng.randint(1, 7))]
+    labels = [ev.tick, ev.command("g")]
+    if rng.random() < 0.7:
+        labels += [ev.plant("a"), ev.plant("b")]
+    forward = rng.random() < 0.6
+    trans = set()
+    for _ in range(rng.randint(0, 3 * len(states))):
+        e = rng.choice(labels)
+        i, j = rng.randrange(len(states)), rng.randrange(len(states))
+        if forward and e is not ev.tick:
+            if i == j:
+                continue
+            i, j = min(i, j), max(i, j)
+        trans.add((states[i], e, states[j]))
+    return Automaton(states, labels, sorted(trans, key=str), states[0])
+
+
+def test_rate_check_matches_the_per_state_dict_oracle(guideway, reduced,
+                                                      reduced_delta_s1):
+    empty = Automaton([], [ev.tick], [], None)
+    assert max_plant_events_between_ticks(empty) == 0
+    cases = [guideway.g_new, reduced.g_new, reduced_delta_s1.g_new, empty]
+    rng = random.Random(7)
+    cases += [_random_rate_case(rng) for _ in range(400)]
+    outcomes = set()
+    for a in cases:
+        got = max_plant_events_between_ticks(a)
+        assert got == longest_plant_run_by_state(a)
+        outcomes.add("positive" if got else got)
+    assert outcomes == {None, 0, "positive"}
 
 
 def test_rate_bound_warns_on_activity_loop():
@@ -332,7 +456,7 @@ def test_lazy_command_store_answers_like_the_explored_one(guideway):
     assert len(done.transitions) == 194
     assert_same_automaton(done, complete_with_selfloops(explored, [ev.stop]))
     # a store that is not reachable has no row, explored or not
-    lazy, bogus = build_command_storage(cfg), (("unsent", 7),)
+    lazy, bogus = build_command_storage(cfg), StorageState((("unsent", 7),))
     with pytest.raises(KeyError):
         lazy.successors(bogus, ev.tick)
     with pytest.raises(AutomatonError):
