@@ -4,9 +4,10 @@ Automata here are possibly nondeterministic, immutable once built, and safe
 to share. States are opaque hashable identifiers; composite operations
 (products, observers) produce canonical encodings (tuples, frozensets) so
 results hash and compare deterministically. Every forward search goes
-through one breadth-first explorer, ``explore``, whose discovery order is the
-state order of what it builds; a lazy automaton's ``states`` walk its rows
-directly, in that same order; unordered closures use ``close_under``.
+through one lazy breadth-first explorer over successor rows, ``explore``: a
+lazy automaton's ``states`` are its discovery order, and synthesis, the
+monitor and witness paths read rows through it. Unordered closures use
+``close_under``.
 
 There is one automaton type, ``Automaton``, stored as successor rows. Its
 constructor validates explicit states and transitions; ``lazy_automaton``
@@ -15,10 +16,10 @@ kept, and whose states (in the breadth-first order of its rows) and marked
 set are filled by one exploration on first read. ``product``,
 ``implicit_automaton`` and ``subset_construction`` are lazy, so a product
 over such automata builds only the component rows it reaches, and
-``compose`` is an explored ``product``. The observer has one step,
+``compose`` is an explored ``product``. The observer has one row function,
 ``observer_step``, which reads silent successors from the rows on demand;
-``observer_map`` explores it into a plain successor map, without expanding
-the estimates where a ``stop`` predicate holds.
+``subset_construction`` and the attacker's observer are lazy automata over
+it.
 
 Event labels, channel states and the plant assembly's store and stage
 states are interned (``events``, ``channels``, ``plant``): equal values are
@@ -217,33 +218,20 @@ class _Rows(dict):
         return out
 
     def complete(self) -> Tuple[State, ...]:
-        """The states reachable from the initial one, in breadth-first order,
-        with every row computed; drops the row function and its caches. The
-        walk reads the rows directly, in the order ``explore`` would, and
-        makes the rows that lead to a state by one successor share one
-        tuple of it: an equal tuple, so no answer changes."""
-        row, get, init = self.row, self.get, self.initial
-        order = [init]
-        lone = {init: (init,)}  # per state discovered, its shared 1-tuple
-        for q in order:  # grows while iterated
+        """The states reachable from the initial one, in the order of
+        ``explore``, with every row computed; drops the row function and its
+        caches."""
+        row, get = self.row, self.get
+
+        def fill(q: State) -> Row:
             out = get(q)  # q is discovered: no need to check
             if out is None:
                 out = self[q] = row(q)
-            for e, dsts in out.items():
-                if len(dsts) == 1:
-                    shared = lone.get(dsts[0])
-                    if shared is None:
-                        lone[dsts[0]] = dsts
-                        order.append(dsts[0])
-                    elif shared is not dsts:
-                        out[e] = shared
-                else:
-                    for dst in dsts:
-                        if dst not in lone:
-                            lone[dst] = (dst,)
-                            order.append(dst)
+            return out
+
+        order = tuple(q for q, _out in explore(self.initial, fill))
         self.row = self.discovered = None
-        return tuple(order)
+        return order
 
 
 def lazy_automaton(initial: Optional[State], alphabet: Iterable[EventLabel],
@@ -271,34 +259,38 @@ def _unmarked(q: State) -> bool:
 
 # -- exploration and reachability --------------------------------------
 
-Moves = Callable[[Any], List[Tuple[Any, Any, Any]]]
+def explore(initial: State, row: Callable[[State], Row]
+            ) -> Iterator[Tuple[State, Row]]:
+    """Lazy breadth-first search over successor rows, the one forward search.
 
-
-def explore(init: State, moves: Moves, index: Optional[Dict[State, int]] = None
-            ) -> Iterator[Tuple[State, List[Tuple[State, Any, State]]]]:
-    """Lazy breadth-first search from ``init``.
-
-    ``moves(q)`` returns the transitions leaving q as (q, label, target)
-    triples. Yields each reachable state once, in discovery order, with its
-    transitions in the order ``moves`` returned them. The targets of a
-    yielded state are already numbered in ``index`` (if given, empty) by
-    discovery order. A consumer may stop at any point: no state after the
-    last one yielded has been expanded.
+    Yields each state reachable from ``initial`` once, in discovery order,
+    with its row ``row(q)`` (in the form of ``Automaton._delta``). A consumer
+    may stop at any point: no state after the last one yielded has had its
+    row computed. Rows that lead to a state by one successor are made to
+    share one tuple of it: an equal tuple, so no answer changes.
     """
-    seen = {} if index is None else index
-    seen[init] = 0
-    order = [init]
+    order = [initial]
+    lone = {initial: (initial,)}  # per state discovered, its shared 1-tuple
     for q in order:  # grows while iterated
-        out = moves(q)
-        for _src, _label, dst in out:
-            if dst not in seen:
-                seen[dst] = len(order)
-                order.append(dst)
+        out = row(q)
+        for e, dsts in out.items():
+            if len(dsts) == 1:
+                shared = lone.get(dsts[0])
+                if shared is None:
+                    lone[dsts[0]] = dsts
+                    order.append(dsts[0])
+                elif shared is not dsts:
+                    out[e] = shared
+            else:
+                for dst in dsts:
+                    if dst not in lone:
+                        lone[dst] = (dst,)
+                        order.append(dst)
         yield q, out
 
 
-def implicit_automaton(init: State, moves: Moves, alphabet: Iterable[EventLabel],
-                       name: str = "") -> Automaton:
+def implicit_automaton(init: State, moves: Callable[[State], List[Transition]],
+                       alphabet: Iterable[EventLabel], name: str = "") -> Automaton:
     """Everything reachable from ``init`` under ``moves`` (transitions as
     (q, label, target) triples, in any order), explored on demand, nothing
     marked."""
@@ -345,18 +337,15 @@ def coreachable(a: Automaton) -> FrozenSet[State]:
 
 # -- observer / subset construction ------------------------------------
 
-ObserverMap = Dict[FrozenSet[State], Dict[EventLabel, FrozenSet[State]]]
-
-
 def observer_step(a: Automaton, observed: Iterable[EventLabel]
-                  ) -> Tuple[Optional[FrozenSet[State]], Moves]:
+                  ) -> Tuple[Optional[FrozenSet[State]], Callable[[FrozenSet], Row]]:
     """The observer of ``a`` w.r.t. ``observed``: its initial estimate (None
-    when ``a`` is empty) and its step.
+    when ``a`` is empty) and its row function.
 
-    ``step(x)`` lists, as (x, event, estimate) triples, the observed events
-    some state of x enables, in label order, each with the unobservable
-    reach of x's successor set on it. Rows of ``a`` are read only as
-    estimates reach them; each state's silent successors are kept once read.
+    ``step(x)`` maps each observed event some state of x enables, in label
+    order, to the 1-tuple of the unobservable reach of x's successor set on
+    it. Rows of ``a`` are read only as estimates reach them; each state's
+    silent successors are kept once read.
     """
     obs = frozenset(observed)
     if not obs <= a.alphabet:
@@ -376,7 +365,7 @@ def observer_step(a: Automaton, observed: Iterable[EventLabel]
     def reach(seeds: Iterable[State]) -> FrozenSet[State]:
         return frozenset(close_under(set(), seeds, silent_of))
 
-    def step(cur: FrozenSet[State]) -> List[Transition]:
+    def step(cur: FrozenSet[State]) -> Row:
         raw_by_event: Dict[EventLabel, Set[State]] = {}
         for q in cur:
             for ev, dsts in delta[q].items():
@@ -386,28 +375,9 @@ def observer_step(a: Automaton, observed: Iterable[EventLabel]
                         raw_by_event[ev] = set(dsts)
                     else:
                         raw.update(dsts)
-        return [(cur, ev, reach(raw_by_event[ev]))
-                for ev in obs_sorted if ev in raw_by_event]
+        return {ev: (reach(raw_by_event[ev]),) for ev in obs_sorted if ev in raw_by_event}
 
     return (None if a.initial is None else reach((a.initial,))), step
-
-
-def observer_map(a: Automaton, observed: Iterable[EventLabel],
-                 stop: Callable[[FrozenSet[State]], bool]) -> ObserverMap:
-    """The observer of ``a`` w.r.t. ``observed`` as a plain successor map:
-    each estimate, in breadth-first discovery order (none when ``a`` is
-    empty), maps the events of its ``observer_step``, in label order, to
-    their estimates. Unobserved events are implicit self-loops. An estimate
-    where ``stop`` holds is kept with no successors and not expanded, so
-    what only it leads to is never built."""
-    init, step = observer_step(a, observed)
-    if init is None:
-        return {}
-
-    def moves(x: FrozenSet[State]) -> List[Transition]:
-        return [] if stop(x) else step(x)
-
-    return {x: {ev: y for _x, ev, y in out} for x, out in explore(init, moves)}
 
 
 def subset_construction(a: Automaton, observed: Iterable[EventLabel],
@@ -422,36 +392,11 @@ def subset_construction(a: Automaton, observed: Iterable[EventLabel],
     events = sorted_events(a.alphabet)
 
     def row(x: FrozenSet[State]) -> Row:
-        succ = {ev: (y,) for _x, ev, y in step(x)}
+        succ = step(x)
         loop = (x,)
         return {ev: succ.get(ev, loop) for ev in events if ev in succ or ev not in obs}
 
     return lazy_automaton(init, a.alphabet, row, lambda x: True, name)
-
-
-def observer_pairs(a: Automaton, start: State,
-                   step: Callable[[State, EventLabel], Optional[State]]
-                   ) -> Iterator[Tuple[State, State, List[Tuple[EventLabel, int]]]]:
-    """Product of ``a`` with a deterministic observer given by ``step`` (the
-    successor of an observer state on an event, or None), explored lazily in
-    BFS order from (initial, start). Each pair is yielded as (q, x, edges),
-    the edges as (event, index of the target pair in yield order)."""
-    if a.initial is None:
-        return
-    delta = a._delta
-
-    def moves(pair: Tuple[State, State]) -> List[Tuple[Tuple, EventLabel, Tuple]]:
-        q, x = pair
-        out = []
-        for ev, dsts in delta[q].items():
-            y = step(x, ev)
-            if y is not None:
-                out += [(pair, ev, (dst, y)) for dst in dsts]
-        return out
-
-    index: Dict[Tuple[State, State], int] = {}
-    for (q, x), out in explore((a.initial, start), moves, index):
-        yield q, x, [(ev, index[dst]) for _src, ev, dst in out]
 
 
 # -- composition -------------------------------------------------------
@@ -569,23 +514,21 @@ def compose(components: Sequence, name: str = "",
 # -- witnesses ---------------------------------------------------------
 
 def shortest_path_to(a: Automaton, targets: Iterable[State]) -> Optional[List[EventLabel]]:
-    """Shortest event sequence from the initial state into ``targets``."""
-    target_set = set(targets)
+    """Shortest event sequence from the initial state into ``targets``: the
+    rows are read in the order of ``explore``, so the first row that leads
+    to a state lies on a shortest path to it."""
     if a.initial is None:
         return None
-    if a.initial in target_set:
-        return []
+    target_set = set(targets)
     parent: Dict[State, Optional[Tuple[State, EventLabel]]] = {a.initial: None}
-    for _q, out in explore(a.initial, a.moves):
-        for q, ev, dst in out:
-            if dst in parent:
-                continue
-            parent[dst] = (q, ev)
-            if dst in target_set:
-                path: List[EventLabel] = []
-                while parent[dst] is not None:
-                    dst, e = parent[dst]
-                    path.append(e)
-                path.reverse()
-                return path
+    for q, out in explore(a.initial, a._delta.__getitem__):
+        if q in target_set:
+            path: List[EventLabel] = []
+            while parent[q] is not None:
+                q, ev = parent[q]
+                path.append(ev)
+            return path[::-1]
+        for ev, dsts in out.items():
+            for dst in dsts:
+                parent.setdefault(dst, (q, ev))
     return None

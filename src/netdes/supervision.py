@@ -10,12 +10,11 @@ detection, so the empty estimate carries a tick self-loop and nothing else.
 """
 from __future__ import annotations
 
-from typing import FrozenSet, List
+from typing import FrozenSet
 
 from . import events as ev
 from .attacker import ControlConstraint, ValidationReport, validate_control
-from .automaton import (Automaton, Transition, explore, product,
-                        subset_construction)
+from .automaton import Automaton, Row, explore, product, subset_construction
 from .config import SystemConfig
 from .events import sorted_events
 from .synthesis import MONITOR_EMPTY
@@ -41,27 +40,28 @@ def build_monitor(ns: Automaton, g_new: Automaton, oc_t: Automaton,
                   cc: Automaton, cfg: SystemConfig) -> Automaton:
     """Observer of the attack-free reference loop with explicit detection.
 
-    Any observed event with no explanation in the current estimate leads to
-    the empty estimate; there the only continuation is the tick self-loop.
-    The monitor sees what the networked supervisor sees. Its states come in
-    the breadth-first order of its rows, the empty estimate last if nothing
-    reaches it. ``ns`` and ``g_new`` are assumed valid and nonempty
-    (``fixtures.build_system`` checks them first).
+    The rows are those of the reference loop's ``subset_construction``,
+    completed: any observed event with no explanation in the current
+    estimate leads to the empty estimate, where the only continuation is
+    the tick self-loop. The monitor sees what the networked supervisor
+    sees. Its states come in the breadth-first order of its rows, the empty
+    estimate last if nothing reaches it. ``ns`` and ``g_new`` are assumed
+    valid and nonempty (``fixtures.build_system`` checks them first).
     """
     reference = product([ns, g_new, oc_t, cc], name="NS||G_new||OC^T||CC")
     observed = supervisor_control_constraint(cfg).observable & reference.alphabet
     observer = subset_construction(reference, observed)
     events = sorted_events(reference.alphabet)
+    lost = (MONITOR_EMPTY,)
 
-    def moves(x: FrozenSet) -> List[Transition]:
+    def row(x: FrozenSet) -> Row:
         if x == MONITOR_EMPTY:
-            return [(x, ev.tick, x)]
-        # observer estimates are never empty: None is an unexplained event
-        return [(x, e, observer.step(x, e) or MONITOR_EMPTY) for e in events]
+            return {ev.tick: lost}
+        # observer estimates are never empty: no successor is an unexplained event
+        return {e: observer.successors(x, e) or lost for e in events}
 
-    explored = dict(explore(observer.initial, moves))
-    explored.setdefault(MONITOR_EMPTY, moves(MONITOR_EMPTY))
-    states = list(explored)
-    return Automaton(states, reference.alphabet,
-                     [t for out in explored.values() for t in out],
-                     observer.initial, marked=states, name="M")
+    rows = dict(explore(observer.initial, row))
+    rows.setdefault(MONITOR_EMPTY, row(MONITOR_EMPTY))
+    return Automaton(rows, reference.alphabet,
+                     ((x, e, y) for x, out in rows.items() for e, (y,) in out.items()),
+                     observer.initial, marked=rows, name="M")

@@ -16,17 +16,18 @@ of the new plant by an iterated pruning:
 
 Synthesis is on the fly (Tripakis & Altisen, FM 1999; Cassez et al.,
 CONCUR 2005): P is a lazy product, and "bad" and "target" are predicates on
-its states. The observer is explored from the initial estimate, and an
-estimate that holds a covertness-violating state is dead whatever follows
-it (rule 1), so it is kept without successors and what only it leads to is
-never built. The rows of P are computed only for the states of the
-estimates explored. The observer is pruned as a plain successor map; the
-result is a row function over it. Rules 1-2 are a worklist attractor
-(Graedel, Thomas & Wilke, LNCS 2500): each dead estimate is pushed once to
-its uncontrollable predecessors, in O(|E|). Rule 3 uses the product of P
-and the live estimates, built once; each round recomputes reachability and
-coreachability over the product edges that the dead estimates and disabled
-events still allow.
+its states. The observer is a lazy automaton, explored from the initial
+estimate; an estimate that holds a covertness-violating state is dead
+whatever follows it (rule 1), so its row is empty and what only it leads to
+is never built. The rows of P are computed only for the states of the
+estimates explored. The attack is a row function over the pruned observer.
+Rules 1-2 are a worklist attractor (Graedel, Thomas & Wilke, LNCS 2500):
+each dead estimate is pushed once to its uncontrollable predecessors, in
+O(|E|). Rule 3 uses ``product([P, O])``, where O keeps the live observer
+edges, explored once and numbered by position; each round recomputes
+reachability and coreachability over the product edges that the dead
+estimates and disabled events still allow. The damage-reachable check walks
+P||A with ``explore`` and stops at the first damage state.
 
 Runs are reproducible without sorting the pruning passes: each pass only
 adds to the sets of deleted estimates and disabled events, so it ends with
@@ -46,9 +47,9 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
                     Tuple)
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
-from .automaton import (Automaton, AutomatonError, State, close_under,
-                        compose, coreachable, lazy_automaton, observer_map,
-                        observer_pairs, product, shortest_path_to, state_name)
+from .automaton import (Automaton, AutomatonError, Row, State, close_under,
+                        compose, coreachable, explore, lazy_automaton,
+                        observer_step, product, shortest_path_to, state_name)
 from .channels import (capacity_control, capacity_observation,
                        enumerate_channel_states)
 from .config import SystemConfig
@@ -130,10 +131,10 @@ def supremal_supervisor(plant: Automaton, is_bad: Callable[[State], bool],
     uncontrollable events: an event missing from the observer self-loops,
     since no state of the estimate can take it.
 
-    An estimate with a bad state is not expanded, and the nonblocking
-    product never enters a dead estimate, so only the rows of ``plant``
-    that live estimates reach are read; its marked states are found with
-    ``plant.is_marked``.
+    An estimate with a bad state gets an empty observer row, and the
+    nonblocking product never enters a dead estimate, so only the rows of
+    ``plant`` that live estimates reach are read; its marked states are
+    found with ``plant.is_marked``.
     """
     if not controllable <= observable:
         raise AutomatonError("controllable events must be observable here")
@@ -141,13 +142,18 @@ def supremal_supervisor(plant: Automaton, is_bad: Callable[[State], bool],
     def doomed(x: FrozenSet) -> bool:
         return any(map(is_bad, x))
 
-    graph = observer_map(plant, observable & plant.alphabet, stop=doomed)
-    if not graph:
+    # the attacker's observer; a stopped estimate (one with a bad state) has
+    # an empty row, so what only it leads to is never built
+    observed = observable & plant.alphabet
+    init, step = observer_step(plant, observed)
+    if init is None:
         return None
-    init = next(iter(graph))
-    preds: Dict[FrozenSet, List[FrozenSet]] = {x: [] for x in graph}
-    for x, succ in graph.items():
-        for e, y in succ.items():
+    observer = lazy_automaton(init, observed, lambda x: {} if doomed(x) else step(x),
+                              lambda x: True, "O")
+    graph = observer._delta
+    preds: Dict[FrozenSet, List[FrozenSet]] = {x: [] for x in observer.states}
+    for x in observer.states:
+        for e, (y,) in graph[x].items():
             if e not in controllable:
                 preds[y].append(x)
     dead: Set[FrozenSet] = set()
@@ -157,58 +163,63 @@ def supremal_supervisor(plant: Automaton, is_bad: Callable[[State], bool],
         # whether an edge out of a live estimate survives
         return y not in dead and (x, e) not in disabled
 
-    # rule 1 kills the stopped estimates: those with no successors and a bad
-    # state (a live estimate may have no successors too)
-    close_under(dead, (x for x, succ in graph.items() if not succ and doomed(x)),
+    # rule 1 kills the stopped estimates (a live estimate may have an empty
+    # row too)
+    close_under(dead, (x for x in observer.states if not graph[x] and doomed(x)),
                 preds.__getitem__)
     if require_nonblocking and init not in dead:
-        # p is in x in every pair, so each observed move of p has an
-        # observer successor; unobserved events leave x unchanged. No pair
-        # enters a dead estimate: no live edge does.
-        def step(x: FrozenSet, e: EventLabel) -> Optional[FrozenSet]:
-            y = graph[x].get(e, x)
-            return None if y in dead else y
-
-        pairs = list(observer_pairs(plant, init, step))
-        into: List[List[Tuple[int, EventLabel]]] = [[] for _ in pairs]
-        for i, (_p, _x, edges) in enumerate(pairs):
-            for e, j in edges:
+        # P with the live observer edges: p is in x in every pair, so each
+        # observed move of p has an observer successor, and unobserved
+        # events leave x unchanged. No pair enters a dead estimate. Pairs
+        # are numbered by position in the explored order.
+        live = lazy_automaton(init, observed, lambda x: {
+            e: ys for e, ys in graph[x].items() if ys[0] not in dead},
+            lambda x: True, "O")
+        pairs = product([plant, live])
+        index = {pair: i for i, pair in enumerate(pairs.states)}
+        edges = [[(e, index[dst]) for e, dsts in pairs._delta[pair].items()
+                  for dst in dsts] for pair in pairs.states]
+        estimate = [x for _p, x in pairs.states]
+        marked = [index[pair] for pair in pairs.marked]
+        del pairs, index  # the rounds read only the numbered edges
+        into: List[List[Tuple[int, EventLabel]]] = [[] for _ in edges]
+        for i, out in enumerate(edges):
+            for e, j in out:
                 into[j].append((i, e))
-        marked = [i for i, (p, _x, _edges) in enumerate(pairs) if plant.is_marked(p)]
 
-        def live(i: int, e: EventLabel, j: int) -> bool:
-            return keeps(pairs[i][1], e, pairs[j][1])
+        def live_edge(i: int, e: EventLabel, j: int) -> bool:
+            return keeps(estimate[i], e, estimate[j])
 
         # every round disables an event or kills an estimate, so this ends
         while init not in dead:
             reach = close_under(set(), (0,), lambda i: [
-                j for e, j in pairs[i][2] if live(i, e, j)])
+                j for e, j in edges[i] if live_edge(i, e, j)])
             coreach = close_under(set(), (i for i in marked if i in reach),
                                   lambda j: [i for i, e in into[j]
-                                             if i in reach and live(i, e, j)])
+                                             if i in reach and live_edge(i, e, j)])
             if len(coreach) == len(reach):
                 break
             if 0 not in coreach:
                 return None
             deaths = []
             for i in coreach:
-                for e, j in pairs[i][2]:
-                    if j not in coreach and live(i, e, j):
+                for e, j in edges[i]:
+                    if j not in coreach and live_edge(i, e, j):
                         if e in controllable:
-                            disabled.add((pairs[i][1], e))
+                            disabled.add((estimate[i], e))
                         else:
-                            deaths.append(pairs[i][1])
+                            deaths.append(estimate[i])
             close_under(dead, deaths, preds.__getitem__)
     if init in dead:
         return None
 
     events = sorted_events(plant.alphabet)
 
-    def row(x: FrozenSet) -> Dict[EventLabel, Tuple[FrozenSet]]:
+    def row(x: FrozenSet) -> Row:
         # a live estimate's uncontrollable successors are live (rule 2)
-        succ = graph[x]
-        return {e: (succ.get(e, x),) for e in events
-                if e not in controllable or (e in succ and keeps(x, e, succ[e]))}
+        succ, loop = graph[x], (x,)
+        return {e: succ.get(e, loop) for e in events
+                if e not in controllable or (e in succ and keeps(x, e, succ[e][0]))}
 
     return lazy_automaton(init, plant.alphabet, row, lambda x: True, name)
 
@@ -230,10 +241,12 @@ def synthesize_supremal_attack(problem: SynthesisProblem,
         name="A")
     if attack is None:
         return None
-    if mode is SynthesisMode.DAMAGE_REACHABLE and not any(
-            problem.is_target(p) for p, _a, _edges in
-            observer_pairs(plant, attack.initial, attack.step)):
-        return None
+    if mode is SynthesisMode.DAMAGE_REACHABLE:
+        # P||A is walked only up to its first damage state
+        loop = product([plant, attack])
+        if not any(loop.is_marked(q) for q, _out in
+                   explore(loop.initial, loop._delta.__getitem__)):
+            return None
     return attack
 
 

@@ -11,7 +11,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
 
 import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, State, close_under,
-                              compose, coreachable, explore, state_name,
+                              compose, coreachable, state_name,
                               subset_construction)
 from netdes.config import SystemConfig
 from netdes.events import EventLabel, sorted_events
@@ -52,12 +52,40 @@ def assert_same_automaton(got: Automaton, want: Automaton) -> None:
         assert got.moves(q) == want.moves(q)
 
 
+def _bfs(start: State, successors: Callable[[State], Iterable[State]]) -> List[State]:
+    """Everything reachable from ``start``, in breadth-first discovery order."""
+    order, seen = [start], {start}
+    for q in order:  # grows while iterated
+        for dst in successors(q):
+            if dst not in seen:
+                seen.add(dst)
+                order.append(dst)
+    return order
+
+
 def bfs_order(a: Automaton) -> List[State]:
     """The states reachable in ``a``, in the breadth-first order of its rows:
     the order in which a renamed file numbers them."""
     if a.initial is None:
         return []
-    return [q for q, _out in explore(a.initial, a.moves)]
+    return _bfs(a.initial, lambda q: [dst for _q, _e, dst in a.moves(q)])
+
+
+def bfs_distances(a: Automaton) -> Dict[State, int]:
+    """The length of a shortest path from the initial state to each state."""
+    dist: Dict[State, int] = {}
+    if a.initial is None:
+        return dist
+    dist[a.initial] = 0
+
+    def successors(q: State) -> List[State]:
+        out = [dst for _q, _e, dst in a.moves(q)]
+        for dst in out:
+            dist.setdefault(dst, dist[q] + 1)
+        return out
+
+    _bfs(a.initial, successors)
+    return dist
 
 
 def same_closed_language(a1: Automaton, a2: Automaton,
@@ -72,15 +100,16 @@ def same_closed_language(a1: Automaton, a2: Automaton,
     if a1.initial is None or a2.initial is None:
         return (a1.initial is None) == (a2.initial is None)
 
-    def moves(pair: Tuple[State, State]) -> List[Tuple[Tuple, EventLabel, Tuple]]:
+    def successors(pair: Tuple[State, State]) -> List[Tuple[State, State]]:
         q1, q2 = pair
-        return [(pair, e, (a1.step(q1, e), a2.step(q2, e))) for e in sorted_events(
-            {e for e in a1.enabled(q1) + a2.enabled(q2) if e in evs})]
+        if q1 is None or q2 is None:
+            return []
+        return [(a1.step(q1, e), a2.step(q2, e))
+                for e in set(a1.enabled(q1) + a2.enabled(q2)) if e in evs]
 
-    # an event enabled on one side only shows as a None component; the search
-    # stops there, before that pair is expanded
-    return all(None not in nxt for _q, out in
-               explore((a1.initial, a2.initial), moves) for _p, _e, nxt in out)
+    # an event enabled on one side only shows as a None component, which
+    # is not expanded
+    return all(None not in pair for pair in _bfs((a1.initial, a2.initial), successors))
 
 
 def bounded_traces(a: Automaton, depth: int) -> Set[Tuple[EventLabel, ...]]:

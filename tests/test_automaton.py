@@ -6,10 +6,10 @@ import pytest
 
 import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, compose, coreachable,
-                              explore, implicit_automaton, product, state_name,
-                              subset_construction)
+                              explore, implicit_automaton, product,
+                              shortest_path_to, state_name, subset_construction)
 from netdes.events import sorted_events
-from oracles import (accepts, assert_same_automaton, bounded_traces,
+from oracles import (accepts, assert_same_automaton, bfs_distances, bounded_traces,
                      deterministic, empty_automaton, is_nonblocking,
                      isomorphic_by, nested_loop_product, reachable, trim,
                      unobservable_reach)
@@ -275,6 +275,29 @@ def test_compose_over_a_product_matches_compose_over_its_materialization(seed):
             assert_same_automaton(inner, compose(comps, name="P", allowed=flt))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_witness_is_a_shortest_path_into_the_targets(seed):
+    rng = random.Random(seed)
+    for comps, allowed in _random_products(seed):
+        for flt in (None, allowed):
+            loop = compose(comps, allowed=flt)
+            dist = bfs_distances(loop)
+            assert set(dist) == set(loop.states)
+            for targets in (loop.marked, loop.states[-1:],
+                            rng.sample(loop.states, min(3, len(loop.states)))):
+                path = shortest_path_to(loop, targets)
+                if not targets:
+                    assert path is None
+                    continue
+                assert len(path) == min(dist[q] for q in targets)
+                # some run of the loop spells the witness into a target
+                reached = {loop.initial}
+                for e in path:
+                    reached = {dst for q in reached for dst in loop.successors(q, e)}
+                assert reached & set(targets)
+            assert shortest_path_to(loop, [("nowhere",)]) is None
+
+
 def test_product_rows_are_in_label_and_state_name_order():
     # the names do not sort in insertion, numeric or hash order (see
     # test_successors_come_in_state_name_order)
@@ -301,23 +324,22 @@ def test_product_rows_are_in_label_and_state_name_order():
 
 def test_explore_yields_each_state_once_in_discovery_order():
     # a diamond a -> b, c -> d with edges back to a from c and d
-    graph = {"a": [("a", "x", "b"), ("a", "y", "c")], "b": [("b", "x", "d")],
-             "c": [("c", "y", "d"), ("c", "x", "a")], "d": [("d", "x", "a")]}
-    index = {}
-    assert list(explore("a", graph.__getitem__, index)) == [
-        (q, graph[q]) for q in "abcd"]
-    assert index == {"a": 0, "b": 1, "c": 2, "d": 3}
+    graph = {"a": {A: ("b",), B: ("c",)}, "b": {A: ("d",)},
+             "c": {A: ("a",), B: ("d",)}, "d": {A: ("a",)}}
+    assert list(explore("a", graph.__getitem__)) == [(q, graph[q]) for q in "abcd"]
+    # the rows leading to one state by one successor share one tuple of it
+    assert graph["b"][A] is graph["c"][B] and graph["c"][A] is graph["d"][A]
 
 
 def test_explore_is_lazy_on_an_infinite_graph():
     expanded = []
 
-    def moves(n):
+    def row(n):
         expanded.append(n)
-        return [(n, "inc", n + 1), (n, "dbl", 2 * n)]
+        return {A: (n + 1,), B: (2 * n,)}
 
     states = []
-    for n, _out in explore(1, moves):
+    for n, _out in explore(1, row):
         states.append(n)
         if len(states) == 5:
             break

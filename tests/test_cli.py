@@ -343,6 +343,22 @@ def test_verify_detected_attack_exit_status(tmp_path, capsys):
     assert "covertness-witness: v3_in v3_out v3 a1 a3# stop a3_out" in out
 
 
+def test_verify_rejects_an_attack_with_no_states(tmp_path, capsys):
+    # a file with the loop's alphabet and no state: no attack, so no verdict
+    cfg = shipped_config("guideway")
+    save_automaton(Automaton([], cfg.full_alphabet(), [], None, name="A_none"),
+                   str(tmp_path / "a.aut"))
+    assert ".alphabet" in (tmp_path / "a.aut").read_text()
+    rc = main(["verify", "--config", os.path.join(DATA, "guideway.cfg"),
+               "--plant", os.path.join(DATA, "guideway_plant.aut"),
+               "--ns", os.path.join(DATA, "guideway_ns.aut"),
+               "--attack", str(tmp_path / "a.aut")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "validation error: the attack has no states" in err
+    assert "covert:" not in out and "valid" not in out
+
+
 def test_command_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch,
                                                              capsys):
     real = netdes.cli.cmd_capacity

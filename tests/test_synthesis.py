@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import netdes.automaton as automaton
 import netdes.events as ev
 from netdes.attacker import ControlConstraint, validate_attack
 from netdes.automaton import (Automaton, AutomatonError, compose,
@@ -9,7 +10,7 @@ from netdes.automaton import (Automaton, AutomatonError, compose,
 from netdes.fixtures import build_attack_problem, build_system
 from netdes.supervision import supervisor_control_constraint
 from netdes.synthesis import (MONITOR_EMPTY, SynthesisMode, SynthesisProblem,
-                              state_size_report, synthesize_supremal_attack,
+                              attack_loop, state_size_report, synthesize_supremal_attack,
                               verify_covert, verify_damage_nonblocking,
                               verify_damage_reachable)
 from netdes.textio import serialize_automaton
@@ -328,6 +329,26 @@ def test_guideway_u2_attack_reads_under_a_quarter_of_p(guideway):
     assert prob.plant._delta.row is not None  # P is still unexplored
     assert rows < len(prob.plant.states) / 4
     assert _attack_texts(prob) == lazy
+
+
+def test_reachable_synthesis_walks_p_a_only_up_to_a_damage_state(guideway,
+                                                                 monkeypatch):
+    # the damage check of reachable mode stops at the first damage state of
+    # P||A, so it computes fewer rows of P||A than the attacked loop has states
+    prob = build_attack_problem(_attacker_wide(guideway))
+    made, real = [], automaton.lazy_automaton
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(automaton, "lazy_automaton", spy)
+    attack = synthesize_supremal_attack(prob, SynthesisMode.DAMAGE_REACHABLE)
+    monkeypatch.undo()
+    loops = [a for a in made if a.initial == (prob.plant.initial, attack.initial)]
+    assert len(loops) == 1
+    # 70 of 543
+    assert 0 < len(loops[0]._delta) < len(attack_loop(prob, attack).states)
 
 
 def test_bad_and_target_sets_classify_the_explored_plant(guideway):
