@@ -1,7 +1,6 @@
 """Covert sensor-attack synthesis for networked discrete-event systems."""
 
-from .automaton import (Automaton, AutomatonError, compose, coreachable,
-                        subset_construction)
+from .automaton import Automaton, AutomatonError, compose, subset_construction
 from .channels import (build_control_channel, build_observation_channel,
                        capacity_control, capacity_observation,
                        enumerate_channel_states, relabel_to_attack_free)

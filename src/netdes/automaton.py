@@ -5,9 +5,8 @@ to share. States are opaque hashable identifiers; composite operations
 (products, observers) produce canonical encodings (tuples, frozensets) so
 results hash and compare deterministically. Every forward search goes
 through one lazy breadth-first explorer over successor rows, ``explore``: a
-lazy automaton's ``states`` are its discovery order, and synthesis, the
-monitor and witness paths read rows through it. Unordered closures use
-``close_under``.
+lazy automaton's ``states`` are its discovery order, and synthesis and the
+monitor read rows through it. Unordered closures use ``close_under``.
 
 There is one automaton type, ``Automaton``, stored as successor rows. Its
 constructor validates explicit states and transitions; ``lazy_automaton``
@@ -170,23 +169,6 @@ class Automaton:
             raise AutomatonError(f"nondeterministic on {ev.spell()} at {state_name(q)}")
         return dsts[0]
 
-    def with_marked(self, marked: Iterable[State], name: str = "") -> "Automaton":
-        """The same automaton with another marked set; the rows are shared,
-        so only the new marked states are checked."""
-        marked = frozenset(marked)
-        self.states  # explores a lazy automaton, which completes its rows
-        rows = self._delta
-        for q in marked:
-            if q not in rows:
-                raise AutomatonError(f"marked state {state_name(q)} not declared")
-        copy = Automaton.__new__(Automaton)
-        copy.name = name or self.name
-        copy.alphabet, copy.initial, copy.states = self.alphabet, self.initial, self.states
-        copy.marked = marked
-        copy.is_marked = marked.__contains__
-        copy._delta = rows
-        return copy
-
     def __repr__(self) -> str:
         return (f"Automaton({self.name or '?'}: {len(self.states)} states, "
                 f"{len(self.alphabet)} events, {len(self.transitions)} transitions)")
@@ -323,16 +305,6 @@ def close_under(seen: Set, seeds: Iterable, step: Callable[[Any], Iterable]) -> 
                 seen.add(dst)
                 work.append(dst)
     return seen
-
-
-def coreachable(a: Automaton) -> FrozenSet[State]:
-    """States from which some marked state can be reached."""
-    back: Dict[State, List[State]] = {q: [] for q in a.states}
-    for src, row in a._delta.items():  # complete: the states are explored
-        for dsts in row.values():
-            for dst in dsts:
-                back[dst].append(src)
-    return frozenset(close_under(set(), a.marked, back.__getitem__))
 
 
 # -- observer / subset construction ------------------------------------
@@ -509,26 +481,3 @@ def compose(components: Sequence, name: str = "",
     p = product(components, name, allowed)
     p.states  # explores every row and frees the row function's caches
     return p
-
-
-# -- witnesses ---------------------------------------------------------
-
-def shortest_path_to(a: Automaton, targets: Iterable[State]) -> Optional[List[EventLabel]]:
-    """Shortest event sequence from the initial state into ``targets``: the
-    rows are read in the order of ``explore``, so the first row that leads
-    to a state lies on a shortest path to it."""
-    if a.initial is None:
-        return None
-    target_set = set(targets)
-    parent: Dict[State, Optional[Tuple[State, EventLabel]]] = {a.initial: None}
-    for q, out in explore(a.initial, a._delta.__getitem__):
-        if q in target_set:
-            path: List[EventLabel] = []
-            while parent[q] is not None:
-                q, ev = parent[q]
-                path.append(ev)
-            return path[::-1]
-        for ev, dsts in out.items():
-            for dst in dsts:
-                parent.setdefault(dst, (q, ev))
-    return None

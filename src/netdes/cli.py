@@ -9,11 +9,12 @@ A command runs with the cyclic garbage collector paused. The command store,
 G_new and the new plant P are lazy automata: a row is built when something
 first looks it up. ``build`` and ``synthesize`` read the states of CS and
 G_new to write them, which builds all of both. Synthesis reads only the rows
-of P that live observer estimates reach, and ``verify`` only those that the
-attacked loop reaches, so neither explores P in full. When no covert attack
-exists, ``synthesize`` removes any ``attack.aut`` an earlier run left in
-``--out``, so the directory never holds an attack beside a certificate that
-says there is none.
+of P that live observer estimates reach, and the verdicts (one
+``check_attack`` per command) only those that the attacked loop reaches, so
+neither explores P in full. When no covert attack exists, ``synthesize``
+removes any ``attack.aut`` an earlier run left in ``--out``, so the
+directory never holds an attack beside a certificate that says there is
+none.
 """
 from __future__ import annotations
 
@@ -29,10 +30,9 @@ from .automaton import Automaton, AutomatonError
 from .config import ConfigError, load_config
 from .fixtures import BuiltSystem, build_attack_problem, load_system
 from .plant import rate_bound_warnings
-from .synthesis import (SynthesisMode, SynthesisProblem, attack_loop,
-                        capacities, covert_in, damage_nonblocking_in,
-                        damage_reachable_in, render_size_report,
-                        state_size_report, synthesize_supremal_attack)
+from .synthesis import (SynthesisMode, SynthesisProblem, capacities,
+                        check_attack, render_size_report, state_size_report,
+                        synthesize_supremal_attack)
 from .textio import ParseError, load_automaton, save_automaton, to_dot
 
 EXIT_OK = 0
@@ -120,18 +120,15 @@ def cmd_verify(args) -> int:
 def _verdicts(problem: SynthesisProblem, attack: Automaton,
               nonblocking: bool) -> Tuple[bool, List[str]]:
     """Whether the attack is covert, and the verdict and witness lines that
-    ``synthesize`` and ``verify`` print, all read from one P||A."""
-    loop = attack_loop(problem, attack)
-    cov = covert_in(problem, loop)
+    ``synthesize`` and ``verify`` print, all from one ``check_attack``."""
+    cov, check, reach = check_attack(problem, attack)
     lines = [f"covert: {cov.ok}"]
     if not cov.ok:
         lines.append(f"covertness-witness: {cov.render_witness()}")
     if nonblocking:
-        check = damage_nonblocking_in(loop)
         lines.append(f"damage-nonblocking: {check.ok}")
         if not check.ok:
             lines.append(f"blocking-witness: {check.render_witness()}")
-    reach = damage_reachable_in(problem, loop)
     lines.append(f"damage-reachable: {reach.ok}")
     if reach.ok:
         lines.append(f"damage-witness: {reach.render_witness()}")

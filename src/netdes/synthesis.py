@@ -29,6 +29,10 @@ reachability and coreachability over the product edges that the dead
 estimates and disabled events still allow. The damage-reachable check walks
 P||A with ``explore`` and stops at the first damage state.
 
+Verification is independent of the pruning: ``check_attack`` composes P||A
+and reads its states and rows once, for all three verdicts and their
+shortest witnesses.
+
 Runs are reproducible without sorting the pruning passes: each pass only
 adds to the sets of deleted estimates and disabled events, so it ends with
 the same sets in any visiting order (the backward propagation is a least
@@ -43,13 +47,13 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
 from .automaton import (Automaton, AutomatonError, Row, State, close_under,
-                        compose, coreachable, explore, lazy_automaton,
-                        observer_step, product, shortest_path_to, state_name)
+                        compose, explore, lazy_automaton, observer_step,
+                        product, state_name)
 from .channels import (capacity_control, capacity_observation,
                        enumerate_channel_states)
 from .config import SystemConfig
@@ -264,50 +268,69 @@ class VerificationResult:
         return " ".join(e.spell() for e in self.witness) or "(empty)"
 
 
-def attack_loop(problem: SynthesisProblem, attack: Automaton) -> Automaton:
-    """P||A with the damage states marked; the three checks below read it.
-    Only the rows of P that the attack lets the loop reach are computed."""
+class Verdicts(NamedTuple):
+    covert: VerificationResult
+    nonblocking: VerificationResult
+    reachable: VerificationResult
+
+
+def check_attack(problem: SynthesisProblem, attack: Automaton) -> Verdicts:
+    """Whether P||A is covert, damage-nonblocking and damage-reachable, read
+    from one pass over its states and rows.
+
+    Damage states are those whose P component is a target; the attack's own
+    marking is ignored. Each witness spells the shortest run into the first
+    offending state in breadth-first order (for damage-reachable, the first
+    damage state): its first parent is the row that discovered it. Only the
+    rows of P that the attack lets the loop reach are computed.
+    """
     if frozenset(attack.alphabet) != frozenset(problem.plant.alphabet):
         raise AutomatonError("attack alphabet differs from the composed plant's")
     loop = compose([problem.plant, attack], name="P||A")
-    return loop.with_marked([q for q in loop.states if problem.is_target(q[0])])
+    rows = loop._delta
+    parent: Dict[State, Optional[Tuple[State, EventLabel]]] = {loop.initial: None}
+    preds: Dict[State, List[State]] = {q: [] for q in loop.states}
+    bad = None
+    targets: List[State] = []
+    for q in loop.states:
+        if bad is None and problem.is_bad(q[0]):
+            bad = q
+        if problem.is_target(q[0]):
+            targets.append(q)
+        for e, dsts in rows[q].items():
+            for dst in dsts:
+                parent.setdefault(dst, (q, e))
+                preds[dst].append(q)
+    coreach = close_under(set(), targets, preds.__getitem__)
+    stuck = next((q for q in loop.states if q not in coreach), None)
 
+    def witness(q: Optional[State]) -> Optional[List[EventLabel]]:
+        if q is None:
+            return None
+        path: List[EventLabel] = []
+        while parent[q] is not None:
+            q, e = parent[q]
+            path.append(e)
+        return path[::-1]
 
-def covert_in(problem: SynthesisProblem, loop: Automaton) -> VerificationResult:
-    """No covertness-violating state may be reachable in the attacked loop."""
-    offenders = [q for q in loop.states if problem.is_bad(q[0])]
-    if not offenders:
-        return VerificationResult(True)
-    return VerificationResult(False, shortest_path_to(loop, offenders))
-
-
-def damage_nonblocking_in(loop: Automaton) -> VerificationResult:
-    stuck = frozenset(loop.states) - coreachable(loop)
-    if not stuck:
-        return VerificationResult(True)
-    return VerificationResult(False, shortest_path_to(loop, stuck))
-
-
-def damage_reachable_in(problem: SynthesisProblem,
-                        loop: Automaton) -> VerificationResult:
-    hits = [q for q in loop.states if problem.is_target(q[0])]
-    if hits:
-        return VerificationResult(True, shortest_path_to(loop, hits))
-    return VerificationResult(False)
+    hit = targets[0] if targets else None
+    return Verdicts(VerificationResult(bad is None, witness(bad)),
+                    VerificationResult(stuck is None, witness(stuck)),
+                    VerificationResult(hit is not None, witness(hit)))
 
 
 def verify_covert(problem: SynthesisProblem, attack: Automaton) -> VerificationResult:
-    return covert_in(problem, attack_loop(problem, attack))
+    return check_attack(problem, attack).covert
 
 
 def verify_damage_nonblocking(problem: SynthesisProblem,
                               attack: Automaton) -> VerificationResult:
-    return damage_nonblocking_in(attack_loop(problem, attack))
+    return check_attack(problem, attack).nonblocking
 
 
 def verify_damage_reachable(problem: SynthesisProblem,
                             attack: Automaton) -> VerificationResult:
-    return damage_reachable_in(problem, attack_loop(problem, attack))
+    return check_attack(problem, attack).reachable
 
 
 # -- state-size report ---------------------------------------------------------

@@ -171,13 +171,18 @@ def save_automaton(a: Automaton, path: str, rename: bool = False) -> None:
 
 # -- DOT export ---------------------------------------------------------
 
+def _dot_id(text: str) -> str:
+    """``text`` as a quoted DOT ID: backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(a: Automaton) -> str:
     """DOT digraph: initial state double-bordered, marked states shaded,
     the empty monitor state highlighted."""
     naming = {q: state_name(q) for q in a.states}
     if len(set(naming.values())) != len(naming):
         naming = {q: f"S{i}" for i, q in enumerate(a.states)}
-    lines = [f'digraph "{a.name or "A"}" {{', "  rankdir=LR;"]
+    lines = [f"digraph {_dot_id(a.name or 'A')} {{", "  rankdir=LR;"]
     for q in a.states:
         attrs = []
         if q == a.initial:
@@ -187,12 +192,12 @@ def to_dot(a: Automaton) -> str:
         if (isinstance(q, frozenset) and not q) or naming[q] == "{}":
             attrs.append('style=filled fillcolor=salmon')
         attr_txt = (" [" + " ".join(attrs) + "]") if attrs else ""
-        lines.append(f'  "{naming[q]}"{attr_txt};')
+        lines.append(f"  {_dot_id(naming[q])}{attr_txt};")
     grouped: Dict[tuple, List[str]] = {}
     for (s, e, t) in sorted(a.transitions,
                             key=lambda x: (naming[x[0]], x[1].sort_key(), naming[x[2]])):
         grouped.setdefault((naming[s], naming[t]), []).append(e.spell())
     for (s, t), labels in grouped.items():
-        lines.append(f'  "{s}" -> "{t}" [label="{",".join(labels)}"];')
+        lines.append(f"  {_dot_id(s)} -> {_dot_id(t)} [label={_dot_id(','.join(labels))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

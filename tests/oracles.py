@@ -1,9 +1,9 @@
 """Test oracles: comparisons of automata and of their languages, a
 nested-loop synchronous product, a rate check over per-state dicts, the
-kernel helpers only tests run (reachability, trimming, language membership,
-self-loop completion), the one-edit local maximality probe, and a reference
-synthesizer of networked supervisors (the pipeline takes the supervisor as
-given).
+kernel helpers only tests run (reachability, coreachability, trimming,
+re-marking, language membership, self-loop completion), the one-edit local
+maximality probe, and a reference synthesizer of networked supervisors (the
+pipeline takes the supervisor as given).
 """
 import itertools
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
@@ -11,8 +11,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
 
 import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, State, close_under,
-                              compose, coreachable, state_name,
-                              subset_construction)
+                              compose, state_name, subset_construction)
 from netdes.config import SystemConfig
 from netdes.events import EventLabel, sorted_events
 from netdes.plant import _pruning_rules
@@ -178,6 +177,20 @@ def reachable(a: Automaton) -> FrozenSet[State]:
         return frozenset()
     return frozenset(close_under(set(), (a.initial,), lambda q: [
         dst for _q, _e, dst in a.moves(q)]))
+
+
+def coreachable(a: Automaton) -> FrozenSet[State]:
+    """States from which some marked state can be reached."""
+    back: Dict[State, List[State]] = {q: [] for q in a.states}
+    for q in a.states:
+        for _q, _e, dst in a.moves(q):
+            back[dst].append(q)
+    return frozenset(close_under(set(), a.marked, back.__getitem__))
+
+
+def marked_copy(a: Automaton, marked: Iterable[State]) -> Automaton:
+    """``a`` with ``marked`` as its marked states, built anew."""
+    return Automaton(a.states, a.alphabet, a.transitions, a.initial, marked, a.name)
 
 
 def is_nonblocking(a: Automaton) -> bool:

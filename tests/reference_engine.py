@@ -12,15 +12,14 @@ products come from the nested-loop oracle, not from
 """
 from typing import FrozenSet, Optional, Set, Tuple
 
-from netdes.automaton import (Automaton, AutomatonError, coreachable,
-                              subset_construction)
+from netdes.automaton import Automaton, AutomatonError, subset_construction
 from netdes.config import SystemConfig
 from netdes.events import EventLabel, sorted_events
 from netdes.supervision import supervisor_control_constraint
 from netdes.synthesis import SynthesisMode, SynthesisProblem
 from oracles import (SPEC_DUMP, _complete_spec, bfs_order,
-                     build_supervisor_constraints, nested_loop_product,
-                     restrict_reachable)
+                     build_supervisor_constraints, coreachable, marked_copy,
+                     nested_loop_product, restrict_reachable)
 
 
 def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
@@ -60,7 +59,7 @@ def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
         if not require_nonblocking:
             return restrict_reachable(supervisor, name=name)
         loop = nested_loop_product([plant, supervisor], name="P||S")
-        loop = loop.with_marked([q for q in loop.states if q[0] in plant.marked])
+        loop = marked_copy(loop, [q for q in loop.states if q[0] in plant.marked])
         blocking = frozenset(loop.states) - coreachable(loop)
         if not blocking:
             return restrict_reachable(supervisor, name=name)

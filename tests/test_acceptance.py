@@ -21,7 +21,7 @@ from netdes.synthesis import (MONITOR_EMPTY, verify_covert,
 from netdes.textio import parse_automaton, serialize_automaton
 from oracles import (accepts, apply_edit, bounded_traces, deterministic,
                      disabled_controllable_edits, is_nonblocking,
-                     isomorphic_by, restrict_reachable)
+                     isomorphic_by, marked_copy, restrict_reachable)
 from systems import faithful_attacker, shipped_config, shipped_system
 from test_automaton import can_project_to, random_automaton
 
@@ -119,7 +119,7 @@ def test_criterion_4_guideway_nonblocking():
     covert = nonempty and verify_covert(prob, attack).ok
     loop = compose([prob.plant, attack]) if nonempty else None
     nonblocking = nonempty and is_nonblocking(
-        loop.with_marked([q for q in loop.states if q[0] in prob.target]))
+        marked_copy(loop, [q for q in loop.states if q[0] in prob.target]))
     scenario = _first_swap_scenario(guideway.cfg, "a1", "b1")
     guided = compose([prob.plant, attack, scenario]) if nonempty else None
     trace_hits = nonempty and any(

@@ -5,11 +5,14 @@ import random
 import pytest
 
 import netdes.events as ev
-from netdes.automaton import (Automaton, AutomatonError, compose, coreachable,
-                              explore, implicit_automaton, product,
-                              shortest_path_to, state_name, subset_construction)
+from netdes.automaton import (Automaton, AutomatonError, compose, explore,
+                              implicit_automaton, product, state_name,
+                              subset_construction)
+from netdes.attacker import ControlConstraint
 from netdes.events import sorted_events
+from netdes.synthesis import SynthesisProblem, check_attack
 from oracles import (accepts, assert_same_automaton, bfs_distances, bounded_traces,
+                     coreachable,
                      deterministic, empty_automaton, is_nonblocking,
                      isomorphic_by, nested_loop_product, reachable, trim,
                      unobservable_reach)
@@ -277,25 +280,35 @@ def test_compose_over_a_product_matches_compose_over_its_materialization(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_witness_is_a_shortest_path_into_the_targets(seed):
+    # under an attack that disables nothing, P||A is the composed loop itself,
+    # and the covertness and damage witnesses are shortest paths into the targets
     rng = random.Random(seed)
+    free = ControlConstraint(frozenset(), frozenset(), "sa")
     for comps, allowed in _random_products(seed):
         for flt in (None, allowed):
             loop = compose(comps, allowed=flt)
+            attack = aut(["a"], loop.alphabet,
+                         [("a", e, "a") for e in loop.alphabet], "a")
             dist = bfs_distances(loop)
             assert set(dist) == set(loop.states)
             for targets in (loop.marked, loop.states[-1:],
-                            rng.sample(loop.states, min(3, len(loop.states)))):
-                path = shortest_path_to(loop, targets)
-                if not targets:
-                    assert path is None
-                    continue
-                assert len(path) == min(dist[q] for q in targets)
-                # some run of the loop spells the witness into a target
-                reached = {loop.initial}
-                for e in path:
-                    reached = {dst for q in reached for dst in loop.successors(q, e)}
-                assert reached & set(targets)
-            assert shortest_path_to(loop, [("nowhere",)]) is None
+                            rng.sample(loop.states, min(3, len(loop.states))),
+                            [("nowhere",)]):
+                hit = set(targets).__contains__
+                verdicts = check_attack(SynthesisProblem(loop, hit, hit, free), attack)
+                found = set(targets) & set(loop.states)
+                assert verdicts.covert.ok == (not found)
+                assert verdicts.reachable.ok == bool(found)
+                for path in (verdicts.covert.witness, verdicts.reachable.witness):
+                    if not found:
+                        assert path is None
+                        continue
+                    assert len(path) == min(dist[q] for q in found)
+                    # some run of the loop spells the witness into a target
+                    reached = {loop.initial}
+                    for e in path:
+                        reached = {dst for q in reached for dst in loop.successors(q, e)}
+                    assert reached & found
 
 
 def test_product_rows_are_in_label_and_state_name_order():
@@ -469,13 +482,3 @@ def test_successors_come_in_state_name_order():
     assert a.successors(0, A) == (("x", 1), 10, 2, 9)
     assert a.successors(0, B) == (9,)
     assert a.successors(9, A) == ()
-
-
-def test_with_marked_keeps_transitions_and_checks_states():
-    a = aut(["q0", "q1"], [A, B], [("q0", A, "q1"), ("q0", A, "q0")], "q0")
-    m = a.with_marked(["q1"], name="M")
-    assert (m.marked, m.name) == (frozenset({"q1"}), "M")
-    assert m.successors("q0", A) == ("q0", "q1")
-    assert m.transitions == a.transitions and a.marked == frozenset()
-    with pytest.raises(AutomatonError):
-        a.with_marked(["q1", "nowhere"])

@@ -16,8 +16,7 @@ from netdes.attacker import validate_attack
 from netdes.automaton import Automaton, subset_construction
 from netdes.config import EventSpec, RateBounds, SystemConfig
 from netdes.fixtures import build_system
-from netdes.synthesis import (SynthesisMode, attack_loop, covert_in,
-                              damage_nonblocking_in, damage_reachable_in,
+from netdes.synthesis import (SynthesisMode, check_attack,
                               synthesize_supremal_attack)
 
 from oracles import (NoSupervisorError, restrict_reachable,
@@ -139,11 +138,11 @@ def test_synthesized_attack_contains_every_covert_sub_observer_attack():
         checked += 1
         for a in _sub_observer_attacks(prob, choices, fixed, full):
             assert validate_attack(a, prob.constraint, plant.alphabet).ok
-            loop = attack_loop(prob, a)
-            if not covert_in(prob, loop).ok:
+            verdicts = check_attack(prob, a)
+            if not verdicts.covert.ok:
                 continue
-            goals = {SynthesisMode.DAMAGE_NONBLOCKING: damage_nonblocking_in(loop),
-                     SynthesisMode.DAMAGE_REACHABLE: damage_reachable_in(prob, loop)}
+            goals = {SynthesisMode.DAMAGE_NONBLOCKING: verdicts.nonblocking,
+                     SynthesisMode.DAMAGE_REACHABLE: verdicts.reachable}
             for mode in MODES:
                 if goals[mode].ok:
                     kept += 1

@@ -6,8 +6,7 @@ import random
 import pytest
 
 import netdes.events as ev
-from netdes.automaton import (Automaton, AutomatonError, compose, coreachable,
-                              state_name)
+from netdes.automaton import Automaton, AutomatonError, compose, state_name
 from netdes.config import EventSpec, RateBounds, SystemConfig
 from netdes.plant import (EMPTY_QUEUE, IDLE, ExecState, StorageState,
                           _check_plant, _pruning_rules,
@@ -17,7 +16,7 @@ from netdes.plant import (EMPTY_QUEUE, IDLE, ExecState, StorageState,
 from netdes.fixtures import build_system
 from netdes.textio import parse_automaton
 from oracles import (accepts, assert_same_automaton, check_pruned_invariants,
-                     complete_with_selfloops, is_nonblocking,
+                     complete_with_selfloops, coreachable, is_nonblocking,
                      longest_plant_run_by_state, restrict_reachable, trim,
                      unobservable_reach)
 
@@ -459,8 +458,6 @@ def test_lazy_command_store_answers_like_the_explored_one(guideway):
     lazy, bogus = build_command_storage(cfg), StorageState((("unsent", 7),))
     with pytest.raises(KeyError):
         lazy.successors(bogus, ev.tick)
-    with pytest.raises(AutomatonError):
-        lazy.with_marked([bogus])
     with pytest.raises(AutomatonError):
         unobservable_reach(lazy, bogus, [ev.tick])
 

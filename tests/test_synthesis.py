@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -10,13 +11,14 @@ from netdes.automaton import (Automaton, AutomatonError, compose,
 from netdes.fixtures import build_attack_problem, build_system
 from netdes.supervision import supervisor_control_constraint
 from netdes.synthesis import (MONITOR_EMPTY, SynthesisMode, SynthesisProblem,
-                              attack_loop, state_size_report, synthesize_supremal_attack,
-                              verify_covert, verify_damage_nonblocking,
-                              verify_damage_reachable)
+                              check_attack, state_size_report,
+                              synthesize_supremal_attack, verify_covert,
+                              verify_damage_nonblocking, verify_damage_reachable)
 from netdes.textio import serialize_automaton
-from oracles import (accepts, apply_edit, bounded_traces, bfs_order,
-                     complete_with_selfloops, disabled_controllable_edits,
-                     empty_automaton)
+from oracles import (accepts, apply_edit, bfs_distances, bfs_order,
+                     bounded_traces, complete_with_selfloops, coreachable,
+                     disabled_controllable_edits, empty_automaton, marked_copy,
+                     nested_loop_product)
 from systems import (faithful_attacker, guideway_swap_attacker,
                      reduced_swap_attacker, swap_attacker)
 
@@ -47,7 +49,7 @@ def test_guideway_problem_sets(guideway_problem):
 
 def test_empty_damage_makes_every_detection_bad(reduced):
     cfg = dataclasses.replace(reduced.cfg, damage=frozenset())
-    plant = reduced.plant.with_marked(())
+    plant = marked_copy(reduced.plant, ())
     system = build_system(cfg, plant, reduced.ns)
     prob = build_attack_problem(system)
     assert not prob.target
@@ -148,7 +150,7 @@ def test_never_attack_is_not_damage_reachable(reduced, reduced_problem):
 
 def test_no_target_fails_both_damage_checks(reduced):
     cfg = dataclasses.replace(reduced.cfg, damage=frozenset())
-    system = build_system(cfg, reduced.plant.with_marked(()), reduced.ns)
+    system = build_system(cfg, marked_copy(reduced.plant, ()), reduced.ns)
     prob = build_attack_problem(system)
     af = faithful_attacker(cfg)
     assert not verify_damage_reachable(prob, af).ok
@@ -277,6 +279,57 @@ def test_engine_locally_maximal_on_random_problems():
     assert checked > 50
 
 
+# -- witnesses ------------------------------------------------------------------------
+
+def _witness_failures(prob, attack):
+    """The verdicts of ``check_attack`` that fail, after checking each one and
+    its witness against a nested-loop P||A: a witness spells a run into an
+    offending state, as short as the nearest offender is far."""
+    verdicts = check_attack(prob, attack)
+    loop = nested_loop_product([prob.plant, attack])
+    targets = {q for q in loop.states if prob.is_target(q[0])}
+    offenders = {"covert": {q for q in loop.states if prob.is_bad(q[0])},
+                 "nonblocking": set(loop.states) - coreachable(marked_copy(loop, targets)),
+                 "reachable": targets}
+    dist = bfs_distances(loop)
+    failures = []
+    for kind, result in verdicts._asdict().items():
+        found = offenders[kind]
+        assert result.ok == (bool(found) if kind == "reachable" else not found)
+        assert (result.witness is not None) == bool(found)
+        if found:
+            assert len(result.witness) == min(dist[q] for q in found)
+            reached = {loop.initial}
+            for e in result.witness:
+                reached = {dst for q in reached for dst in loop.successors(q, e)}
+            assert reached & found
+        if not result.ok:
+            failures.append(kind)
+    return failures
+
+
+def test_witnesses_are_shortest_runs_into_offenders(reduced_problem, reduced_attacks,
+                                                    guideway_problem, guideway_attacks):
+    # synthesized attacks and their one-edit probes, on random problems and
+    # on the shipped systems: each probe breaks covertness or the goal
+    cases = []
+    for prob in _random_problems(2718, 150):
+        for mode in SynthesisMode:
+            a = synthesize_supremal_attack(prob, mode)
+            if a is not None:
+                cases.append((prob, a))
+                cases += [(prob, apply_edit(prob, a, edit))
+                          for edit in disabled_controllable_edits(prob, a)]
+    for prob, (nb, _r) in ((reduced_problem, reduced_attacks),
+                           (guideway_problem, guideway_attacks)):
+        cases += [(prob, apply_edit(prob, nb, edit))
+                  for edit in disabled_controllable_edits(prob, nb)]
+    failures = Counter()
+    for prob, a in cases:
+        failures.update(_witness_failures(prob, a))
+    assert failures["covert"] >= 10 and failures["nonblocking"] >= 10, failures
+
+
 # -- on-the-fly synthesis --------------------------------------------------------------
 
 def _attacker_wide(guideway):
@@ -348,7 +401,7 @@ def test_reachable_synthesis_walks_p_a_only_up_to_a_damage_state(guideway,
     loops = [a for a in made if a.initial == (prob.plant.initial, attack.initial)]
     assert len(loops) == 1
     # 70 of 543
-    assert 0 < len(loops[0]._delta) < len(attack_loop(prob, attack).states)
+    assert 0 < len(loops[0]._delta) < len(compose([prob.plant, attack]).states)
 
 
 def test_bad_and_target_sets_classify_the_explored_plant(guideway):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -101,6 +102,26 @@ def test_dot_export_shapes():
     assert 'peripheries=2' in dot       # initial
     assert 'fillcolor=gray85' in dot    # marked
     assert '"S1" -> "S1"' in dot
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    # each quoted ID, unescaped, gives back the name it quotes
+    text = ('.automaton T"\\\n.alphabet a:plain b\\:plain\n.initial s"0\n'
+            '.marked t\\\n.trans s"0 a t\\\n.trans t\\ b\\ s"0\n')
+    a = parse_automaton(text)
+    dot = to_dot(a)
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+    def ids(line):
+        assert not quoted.sub("", line).count('"')
+        return [re.sub(r"\\(.)", r"\1", m) for m in quoted.findall(line)]
+
+    lines = dot.splitlines()
+    assert ids(lines[0]) == [a.name]
+    nodes = [ids(l) for l in lines[2:-1] if "->" not in l]
+    assert sorted(n for (n,) in nodes) == sorted(map(state_name, a.states))
+    edges = sorted(tuple(ids(l)) for l in lines[2:-1] if "->" in l)
+    assert edges == [('s"0', "t\\", "a"), ("t\\", 's"0', "b\\")]
 
 
 def test_dot_single_state():
