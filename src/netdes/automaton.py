@@ -12,10 +12,10 @@ There is one automaton type, ``Automaton``, stored as successor rows. Its
 constructor validates explicit states and transitions; ``lazy_automaton``
 gives a row function instead, whose rows are computed on first lookup and
 kept, and whose states (in the breadth-first order of its rows) and marked
-set are filled by one exploration on first read. ``product``,
-``implicit_automaton`` and ``subset_construction`` are lazy, so a product
-over such automata builds only the component rows it reaches, and
-``compose`` is an explored ``product``. The observer has one row function,
+set are filled by one exploration on first read. The loop's components,
+``product`` and ``subset_construction`` are lazy, so a product over them
+builds only the component rows it reaches, and ``compose`` is an explored
+``product``. The observer has one row function,
 ``observer_step``, which reads silent successors from the rows on demand;
 ``subset_construction`` and the attacker's observer are lazy automata over
 it.
@@ -153,21 +153,8 @@ class Automaton:
     def successors(self, q: State, ev: EventLabel) -> Tuple[State, ...]:
         return self._delta[q].get(ev, ())
 
-    def moves(self, q: State) -> List[Transition]:
-        """The transitions leaving q, events in label order."""
-        return [(q, e, dst) for e, dsts in self._delta[q].items() for dst in dsts]
-
     def enabled(self, q: State) -> Tuple[EventLabel, ...]:
         return tuple(self._delta[q])
-
-    def step(self, q: State, ev: EventLabel) -> Optional[State]:
-        """Deterministic single successor, or None when undefined."""
-        dsts = self._delta[q].get(ev, ())
-        if not dsts:
-            return None
-        if len(dsts) > 1:
-            raise AutomatonError(f"nondeterministic on {ev.spell()} at {state_name(q)}")
-        return dsts[0]
 
     def __repr__(self) -> str:
         return (f"Automaton({self.name or '?'}: {len(self.states)} states, "
@@ -216,9 +203,16 @@ class _Rows(dict):
         return order
 
 
+def _unmarked(q: State) -> bool:
+    """The marking of an automaton that marks nothing, such as a channel: its
+    marked set, and a product's over it, is known unexplored."""
+    return False
+
+
 def lazy_automaton(initial: Optional[State], alphabet: Iterable[EventLabel],
                    row: Optional[Callable[[State], Row]],
-                   is_marked: Callable[[State], bool], name: str) -> Automaton:
+                   is_marked: Callable[[State], bool] = _unmarked,
+                   name: str = "") -> Automaton:
     """The automaton reachable from ``initial`` under the row function
     ``row`` (rows in the form of ``Automaton._delta``), marked where
     ``is_marked`` holds; empty, whatever ``row``, when ``initial`` is None."""
@@ -231,12 +225,6 @@ def lazy_automaton(initial: Optional[State], alphabet: Iterable[EventLabel],
     elif is_marked is _unmarked:
         a.marked = frozenset()
     return a
-
-
-def _unmarked(q: State) -> bool:
-    """The marking of an automaton that marks nothing, such as an implicit
-    one: its marked set, and a product's over it, is known unexplored."""
-    return False
 
 
 # -- exploration and reachability --------------------------------------
@@ -269,20 +257,6 @@ def explore(initial: State, row: Callable[[State], Row]
                         lone[dst] = (dst,)
                         order.append(dst)
         yield q, out
-
-
-def implicit_automaton(init: State, moves: Callable[[State], List[Transition]],
-                       alphabet: Iterable[EventLabel], name: str = "") -> Automaton:
-    """Everything reachable from ``init`` under ``moves`` (transitions as
-    (q, label, target) triples, in any order), explored on demand, nothing
-    marked."""
-    def row(q: State) -> Row:
-        by_event: Dict[EventLabel, Dict[State, None]] = {}
-        for _q, e, dst in moves(q):
-            by_event.setdefault(e, {})[dst] = None
-        return {e: _successor_tuple(list(by_event[e])) for e in sorted_events(by_event)}
-
-    return lazy_automaton(init, alphabet, row, _unmarked, name)
 
 
 def _successor_tuple(dsts: List[State]) -> Tuple[State, ...]:
@@ -477,7 +451,7 @@ def product(components: Sequence, name: str = "",
 def compose(components: Sequence, name: str = "",
             allowed: Optional[Filter] = None) -> Automaton:
     """``product(components, name, allowed)`` with its states explored, in
-    breadth-first order of ``moves``."""
+    the breadth-first order of its rows."""
     p = product(components, name, allowed)
     p.states  # explores every row and frees the row function's caches
     return p

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 from . import events as ev
-from .automaton import Automaton, AutomatonError, Transition, implicit_automaton
+from .automaton import Automaton, AutomatonError, Row, lazy_automaton, state_name
 from .config import SystemConfig
 
 Entry = Tuple[Tuple[str, int], int]  # ((message, delay), multiplicity)
@@ -128,17 +128,27 @@ def enumerate_channel_states(n_kinds: int, delta: int, capacity: int) -> int:
 
 def _build_channel(messages: List[str], delta: int, capacity: int,
                    in_label, out_label, name: str) -> Automaton:
-    alphabet = [in_label(m) for m in messages] + [out_label(m) for m in messages]
-    alphabet.append(ev.tick)
-    def moves(q: ChannelState) -> List[Transition]:
-        out = [] if q.has_zero_delay() else [(q, ev.tick, q.tick())]
-        if q.total() < capacity:
-            out += [(q, in_label(m), q.add(m, delta)) for m in messages]
-        out += [(q, out_label(m), q.remove(m, d))
-                for m in messages for d in q.delays_of(m)]
+    """The channel as a row function. Its rows list tick, which has no base,
+    then per message (the base of its labels) its entry and its exit: label
+    order."""
+    plan = [(m, in_label(m), out_label(m)) for m in sorted(messages)]
+    alphabet = [label for _m, *labels in plan for label in labels] + [ev.tick]
+
+    def row(q: ChannelState) -> Row:
+        out: Row = {} if q.has_zero_delay() else {ev.tick: (q.tick(),)}
+        room = q.total() < capacity
+        for m, enter, leave in plan:
+            if room:
+                out[enter] = (q.add(m, delta),)
+            delays = q.delays_of(m)
+            if len(delays) == 1:
+                out[leave] = (q.remove(m, delays[0]),)
+            elif delays:
+                out[leave] = tuple(sorted((q.remove(m, d) for d in delays),
+                                          key=state_name))
         return out
 
-    return implicit_automaton(EMPTY_CHANNEL, moves, alphabet, name)
+    return lazy_automaton(EMPTY_CHANNEL, alphabet, row, name=name)
 
 
 def build_observation_channel(cfg: SystemConfig) -> Automaton:
@@ -166,22 +176,19 @@ def build_control_channel(cfg: SystemConfig) -> Automaton:
 
 
 def relabel_to_attack_free(oc: Automaton) -> Automaton:
-    """Rewrite channel entries to the plain plant events for the monitor's
-    attack-free reference model: ``x#`` and ``x_in`` both become ``x``."""
-    plain_bases = {l.base for l in oc.alphabet if l.role == ev.PLAIN}
-    mapped_bases = {l.base for l in oc.alphabet
-                    if l.role in (ev.IN, ev.COMPROMISED)}
-    clash = plain_bases & mapped_bases
-    if clash:
-        raise AutomatonError(
-            f"plain event {sorted(clash)[0]} already present; relabeling would collide")
-
-    def relabel(label):
+    """The monitor's attack-free reference model, lazy: each row is ``oc``'s
+    with ``x#`` and ``x_in`` rewritten to ``x``. Labels sort by base, then
+    ``x`` before ``x_in`` before ``x#``, so the row stays in label order
+    unless two labels of ``oc`` become one ``x``: that is rejected."""
+    relabel = {label: label for label in oc.alphabet}
+    for label in ev.sorted_events(oc.alphabet):
         if label.role in (ev.IN, ev.COMPROMISED):
-            return ev.plant(label.base)
-        return label
-
-    alphabet = {relabel(l) for l in oc.alphabet}
-    transitions = [(s, relabel(e), t) for q in oc.states for (s, e, t) in oc.moves(q)]
-    return Automaton(oc.states, alphabet, transitions, oc.initial,
-                     oc.marked, name=(oc.name or "OC") + "^T")
+            plain = ev.plant(label.base)
+            if plain in relabel.values():  # in oc, or another's image
+                raise AutomatonError(f"relabeling {label.spell()} to {plain.spell()} "
+                                     f"would collide with another label")
+            relabel[label] = plain
+    delta = oc._delta
+    return lazy_automaton(oc.initial, relabel.values(),
+                          lambda q: {relabel[e]: dsts for e, dsts in delta[q].items()},
+                          oc.is_marked, (oc.name or "OC") + "^T")

@@ -6,10 +6,11 @@ already in memory. Before anything is built, the plant and the networked
 supervisor are checked to have states and the supervisor is validated,
 once. The shipped systems are the files under ``data/``.
 
-The command store CS and the pruned plant G_new are lazy automata: the
-monitor and the attack problem are composed over them and build only the
-rows they reach. Reading their ``states``, as the writers and the size and
-rate checks do, explores the rest; ``verify`` reads neither.
+The command store CS, the pruned plant G_new and the channels OC and OC^T
+are lazy automata: the monitor and the attack problem are composed over
+them and build only the rows they reach. Reading their ``states``, as the
+writers and the size and rate checks do, explores the rest; ``verify``
+explores none of them.
 """
 from __future__ import annotations
 

@@ -17,18 +17,19 @@ hold, and carrying what the pruning rules read, so G_new's states hash
 cheaply and the rules decode no tuples.
 
 The command store, the execution stage and G_new are given by row
-functions (``automaton.implicit_automaton``, ``automaton.product``): a row is
-computed on its first lookup, so the new plant and the monitor, composed
-over G_new, build only the part of it they reach. Reading ``states``, as the
-writers of ``cs.aut`` and ``g_new.aut`` do, explores all of it.
+functions (``automaton.lazy_automaton``, ``automaton.product``), each row in
+label order: a row is computed on its first lookup, so the new plant and
+the monitor, composed over G_new, build only the part of it they reach.
+Reading ``states``, as the writers of ``cs.aut`` and ``g_new.aut`` do,
+explores all of it.
 """
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import events as ev
-from .automaton import (Automaton, AutomatonError, Transition, implicit_automaton,
-                        product, state_name)
+from .automaton import (Automaton, AutomatonError, Row, lazy_automaton, product,
+                        state_name)
 from .config import SystemConfig
 from .textio import load_automaton
 
@@ -132,22 +133,26 @@ def build_command_storage(cfg: SystemConfig) -> Automaton:
     event (a fetch by the execution stage) removes the earliest matching
     entry; ``tick`` decrements storage times and silently drops expired
     entries, so tick is defined everywhere. Its states are explored on
-    demand: only those a composition reaches are built.
+    demand: only those a composition reaches are built. A row lists tick,
+    then per command its fetch and its arrival: label order.
     """
     cap = capacity_storage(cfg.rates.n_f, cfg.rates.u, cfg.rates.v,
                            cfg.delta_o, cfg.delta_c, cfg.delta_s)
-    alphabet = [ev.command_exit(g) for g in cfg.gamma]
-    alphabet += [ev.command(g) for g in cfg.gamma]
-    alphabet.append(ev.tick)
+    plan = [(g, ev.command(g), ev.command_exit(g)) for g in sorted(cfg.gamma)]
+    alphabet = [label for _g, *labels in plan for label in labels] + [ev.tick]
+    tick, delta_s = ev.tick, cfg.delta_s
 
-    def moves(q: StorageState) -> List[Transition]:
-        out = [(q, ev.tick, q.tick())]
-        if len(q.value) < cap:
-            out += [(q, ev.command_exit(g), q.append(g, cfg.delta_s)) for g in cfg.gamma]
-        out += [(q, ev.command(g), q.fetch(g)) for g in q.names]
+    def row(q: StorageState) -> Row:
+        out: Row = {tick: (q.tick(),)}
+        room, stored = len(q.value) < cap, q.names
+        for g, fetch, arrive in plan:
+            if g in stored:
+                out[fetch] = (q.fetch(g),)
+            if room:
+                out[arrive] = (q.append(g, delta_s),)
         return out
 
-    return implicit_automaton(EMPTY_QUEUE, moves, alphabet, name="CS")
+    return lazy_automaton(EMPTY_QUEUE, alphabet, row, name="CS")
 
 
 # -- command execution ----------------------------------------------------
@@ -170,18 +175,18 @@ def build_command_execution(cfg: SystemConfig) -> Automaton:
         for g in cfg.gamma
     }
 
-    def moves(q: ExecState) -> List[Transition]:
+    def row(q: ExecState) -> Row:
         if q is IDLE:
-            out = [(q, ev.tick, IDLE)]
-            out += [(q, ev.command(g), numbered[g]) for g in cfg.gamma]
+            out = {ev.tick: (IDLE,)}
+            out.update((ev.command(g), (numbered[g],)) for g in cfg.gamma)
         else:
-            out = []
+            out = {ev.plant(s): (IDLE,) for s, t in q.value if t == 0}
             if any(t > 0 for _, t in q.value):
-                out.append((q, ev.tick, q.tick()))
-            out += [(q, ev.plant(s), IDLE) for (s, t) in sorted(q.value) if t == 0]
-        return out + [(q, u, IDLE) for u in uncontrollable]
+                out[ev.tick] = (q.tick(),)
+        out.update((u, (IDLE,)) for u in uncontrollable)
+        return {e: out[e] for e in ev.sorted_events(out)}
 
-    return implicit_automaton(IDLE, moves, alphabet, name="CE")
+    return lazy_automaton(IDLE, alphabet, row, name="CE")
 
 
 # -- plant loading ---------------------------------------------------------

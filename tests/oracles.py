@@ -1,17 +1,19 @@
 """Test oracles: comparisons of automata and of their languages, a
-nested-loop synchronous product, a rate check over per-state dicts, the
-kernel helpers only tests run (reachability, coreachability, trimming,
-re-marking, language membership, self-loop completion), the one-edit local
-maximality probe, and a reference synthesizer of networked supervisors (the
-pipeline takes the supervisor as given).
+nested-loop synchronous product, a rate check over per-state dicts, an
+explicit attack-free relabel of a channel, the kernel helpers only tests run
+(transition lists, deterministic steps, reachability, coreachability,
+trimming, re-marking, language membership, self-loop completion), the
+one-edit local maximality probe, and a reference synthesizer of networked
+supervisors (the pipeline takes the supervisor as given).
 """
 import itertools
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
 import netdes.events as ev
-from netdes.automaton import (Automaton, AutomatonError, State, close_under,
-                              compose, state_name, subset_construction)
+from netdes.automaton import (Automaton, AutomatonError, State, Transition,
+                              close_under, compose, state_name,
+                              subset_construction)
 from netdes.config import SystemConfig
 from netdes.events import EventLabel, sorted_events
 from netdes.plant import _pruning_rules
@@ -48,7 +50,7 @@ def assert_same_automaton(got: Automaton, want: Automaton) -> None:
     assert got.marked == want.marked
     assert got.alphabet == want.alphabet
     for q in want.states:
-        assert got.moves(q) == want.moves(q)
+        assert moves(got, q) == moves(want, q)
 
 
 def _bfs(start: State, successors: Callable[[State], Iterable[State]]) -> List[State]:
@@ -67,7 +69,7 @@ def bfs_order(a: Automaton) -> List[State]:
     the order in which a renamed file numbers them."""
     if a.initial is None:
         return []
-    return _bfs(a.initial, lambda q: [dst for _q, _e, dst in a.moves(q)])
+    return _bfs(a.initial, lambda q: [dst for _q, _e, dst in moves(a, q)])
 
 
 def bfs_distances(a: Automaton) -> Dict[State, int]:
@@ -78,7 +80,7 @@ def bfs_distances(a: Automaton) -> Dict[State, int]:
     dist[a.initial] = 0
 
     def successors(q: State) -> List[State]:
-        out = [dst for _q, _e, dst in a.moves(q)]
+        out = [dst for _q, _e, dst in moves(a, q)]
         for dst in out:
             dist.setdefault(dst, dist[q] + 1)
         return out
@@ -103,7 +105,7 @@ def same_closed_language(a1: Automaton, a2: Automaton,
         q1, q2 = pair
         if q1 is None or q2 is None:
             return []
-        return [(a1.step(q1, e), a2.step(q2, e))
+        return [(step(a1, q1, e), step(a2, q2, e))
                 for e in set(a1.enabled(q1) + a2.enabled(q2)) if e in evs]
 
     # an event enabled on one side only shows as a None component, which
@@ -133,6 +135,22 @@ def bounded_traces(a: Automaton, depth: int) -> Set[Tuple[EventLabel, ...]]:
 
 # -- kernel helpers ------------------------------------------------------------
 
+def moves(a: Automaton, q: State) -> List[Transition]:
+    """The transitions leaving q, events in label order."""
+    return [(q, e, dst) for e, dsts in a._delta[q].items() for dst in dsts]
+
+
+def step(a: Automaton, q: State, e: EventLabel) -> Optional[State]:
+    """The one successor of q on e, or None when e is undefined at q; raises
+    AutomatonError when e has several."""
+    dsts = a.successors(q, e)
+    if not dsts:
+        return None
+    if len(dsts) > 1:
+        raise AutomatonError(f"nondeterministic on {e.spell()} at {state_name(q)}")
+    return dsts[0]
+
+
 def empty_automaton(alphabet: Iterable[EventLabel], name: str = "") -> Automaton:
     return Automaton((), alphabet, (), None, (), name)
 
@@ -147,7 +165,7 @@ def complete_with_selfloops(a: Automaton, events: Iterable[EventLabel],
     loop's behavior is unchanged while the totality requirement is met.
     """
     events = frozenset(events)
-    transitions = [t for q in a.states for t in a.moves(q)]
+    transitions = [t for q in a.states for t in moves(a, q)]
     transitions += [(q, e, q) for q in a.states for e in events
                     if not a.successors(q, e)]
     return Automaton(a.states, a.alphabet | events, transitions,
@@ -169,21 +187,21 @@ def unobservable_reach(a: Automaton, q: State,
         bad = next(iter(obs - a.alphabet))
         raise AutomatonError(f"observed event {bad.spell()} not in alphabet")
     return frozenset(close_under(set(), (q,), lambda p: [
-        dst for _p, e, dst in a.moves(p) if e not in obs]))
+        dst for _p, e, dst in moves(a, p) if e not in obs]))
 
 
 def reachable(a: Automaton) -> FrozenSet[State]:
     if a.initial is None:
         return frozenset()
     return frozenset(close_under(set(), (a.initial,), lambda q: [
-        dst for _q, _e, dst in a.moves(q)]))
+        dst for _q, _e, dst in moves(a, q)]))
 
 
 def coreachable(a: Automaton) -> FrozenSet[State]:
     """States from which some marked state can be reached."""
     back: Dict[State, List[State]] = {q: [] for q in a.states}
     for q in a.states:
-        for _q, _e, dst in a.moves(q):
+        for _q, _e, dst in moves(a, q):
             back[dst].append(q)
     return frozenset(close_under(set(), a.marked, back.__getitem__))
 
@@ -210,7 +228,7 @@ def _restrict(a: Automaton, keep: FrozenSet[State], name: str) -> Automaton:
     if a.initial not in keep:
         return empty_automaton(a.alphabet, name or a.name)
     kept_states = [q for q in a.states if q in keep]
-    kept_trans = [t for q in kept_states for t in a.moves(q) if t[2] in keep]
+    kept_trans = [t for q in kept_states for t in moves(a, q) if t[2] in keep]
     return Automaton(kept_states, a.alphabet, kept_trans, a.initial,
                      a.marked & keep, name or a.name)
 
@@ -276,6 +294,21 @@ def longest_plant_run_by_state(a: Automaton) -> Optional[int]:
     return max(run.values(), default=0)
 
 
+def explicit_attack_free_relabel(oc: Automaton) -> Automaton:
+    """``channels.relabel_to_attack_free`` as an explored copy: every
+    transition of ``oc`` with ``x_in`` and ``x#`` rewritten to ``x``,
+    through the validating constructor, over ``oc``'s states in order."""
+    def relabel(label: EventLabel) -> EventLabel:
+        if label.role in (ev.IN, ev.COMPROMISED):
+            return ev.plant(label.base)
+        return label
+
+    alphabet = {relabel(label) for label in oc.alphabet}
+    transitions = [(s, relabel(e), t) for q in oc.states for (s, e, t) in moves(oc, q)]
+    return Automaton(oc.states, alphabet, transitions, oc.initial,
+                     oc.marked, name=(oc.name or "OC") + "^T")
+
+
 # -- synchronous product -------------------------------------------------------
 
 def nested_loop_product(components: Sequence[Automaton], name: str = "",
@@ -334,7 +367,7 @@ def disabled_controllable_edits(problem: SynthesisProblem,
         for e in sorted_events(controllable):
             if attack.successors(x, e):
                 continue
-            y = full_obs.step(x, e)
+            y = step(full_obs, x, e)
             if y is not None:
                 edits.append((x, e, y))
     return edits

@@ -19,7 +19,7 @@ from netdes.supervision import supervisor_control_constraint
 from netdes.synthesis import SynthesisMode, SynthesisProblem
 from oracles import (SPEC_DUMP, _complete_spec, bfs_order,
                      build_supervisor_constraints, coreachable, marked_copy,
-                     nested_loop_product, restrict_reachable)
+                     nested_loop_product, restrict_reachable, step)
 
 
 def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
@@ -46,7 +46,7 @@ def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
                 for e in obs.enabled(x):
                     if e in controllable:
                         continue
-                    if obs.step(x, e) in dead:
+                    if step(obs, x, e) in dead:
                         dead.add(x)
                         changed = True
                         break

@@ -5,7 +5,7 @@ from netdes.attacker import (AC_INIT, ac_state_count, attack_control_constraint,
                              build_attack_constraints, validate_attack)
 from netdes.automaton import Automaton, AutomatonError
 from netdes.config import ConfigError, EventSpec, RateBounds, SystemConfig
-from oracles import complete_with_selfloops
+from oracles import complete_with_selfloops, step
 from systems import faithful_attacker, shipped_config
 
 
@@ -32,34 +32,34 @@ def test_state_count_formula():
 
 def test_compromised_observation_opens_round_and_stop_closes_it():
     ac = build_attack_constraints(shipped_config("guideway"))
-    q0 = ac.step(AC_INIT, ev.plant("a1"))
+    q0 = step(ac, AC_INIT, ev.plant("a1"))
     assert q0 == "q0"
-    assert ac.step("q0", ev.stop) == AC_INIT
-    assert ac.step("q0", ev.compromised("b1")) == "q1"
-    assert ac.step("q1", ev.stop) == AC_INIT
+    assert step(ac, "q0", ev.stop) == AC_INIT
+    assert step(ac, "q0", ev.compromised("b1")) == "q1"
+    assert step(ac, "q1", ev.stop) == AC_INIT
 
 
 def test_tick_selfloop_at_init_only():
     ac = build_attack_constraints(shipped_config("guideway"))
-    assert ac.step(AC_INIT, ev.tick) == AC_INIT
+    assert step(ac, AC_INIT, ev.tick) == AC_INIT
     assert not ac.successors("q0", ev.tick)
     assert not ac.successors("q1", ev.tick)
 
 
 def test_insertion_budget_exhausts():
     ac = build_attack_constraints(rich_cfg(u=2))
-    q = ac.step(AC_INIT, ev.plant("sa"))
-    q = ac.step(q, ev.compromised("sa"))
-    q = ac.step(q, ev.compromised("sa"))
+    q = step(ac, AC_INIT, ev.plant("sa"))
+    q = step(ac, q, ev.compromised("sa"))
+    q = step(ac, q, ev.compromised("sa"))
     assert q == "q2"
     assert not ac.successors(q, ev.compromised("sa"))
-    assert ac.step(q, ev.stop) == AC_INIT
+    assert step(ac, q, ev.stop) == AC_INIT
 
 
 def test_forwarding_budget_toggle():
     # the forwarded, untamperable observation is one unit of the budget u
     counted = build_attack_constraints(rich_cfg(u=1))
-    assert counted.step("qobs_oa", ev.entry("oa")) == "q1"
+    assert step(counted, "qobs_oa", ev.entry("oa")) == "q1"
 
 
 def test_counting_forward_requires_budget():
@@ -73,9 +73,9 @@ def test_counting_forward_requires_budget():
 
 def test_supervisor_only_events_pass_straight_through():
     ac = build_attack_constraints(rich_cfg())
-    mid = ac.step(AC_INIT, ev.plant("so"))
+    mid = step(ac, AC_INIT, ev.plant("so"))
     assert mid == "quo_so"
-    assert ac.step(mid, ev.entry("so")) == AC_INIT
+    assert step(ac, mid, ev.entry("so")) == AC_INIT
     assert len(ac.enabled(mid)) == 1
 
 

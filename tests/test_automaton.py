@@ -6,7 +6,7 @@ import pytest
 
 import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, compose, explore,
-                              implicit_automaton, product, state_name,
+                              lazy_automaton, product, state_name,
                               subset_construction)
 from netdes.attacker import ControlConstraint
 from netdes.events import sorted_events
@@ -14,8 +14,8 @@ from netdes.synthesis import SynthesisProblem, check_attack
 from oracles import (accepts, assert_same_automaton, bfs_distances, bounded_traces,
                      coreachable,
                      deterministic, empty_automaton, is_nonblocking,
-                     isomorphic_by, nested_loop_product, reachable, trim,
-                     unobservable_reach)
+                     isomorphic_by, moves, nested_loop_product, reachable,
+                     step, trim, unobservable_reach)
 
 A, B, C, U, O = (ev.plant(x) for x in "abcuo")
 
@@ -262,7 +262,7 @@ def test_compose_matches_nested_loop_product(seed):
             assert got.marked == want.marked
             assert got.alphabet == want.alphabet
             for q in want.states:
-                assert got.moves(q) == want.moves(q)
+                assert moves(got, q) == moves(want, q)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -362,11 +362,11 @@ def test_explore_is_lazy_on_an_infinite_graph():
 
 def _counter(limit, computed):
     """0 -a-> 1 -a-> ... -a-> limit, explored on demand; ``computed`` records
-    each state whose moves are asked for."""
-    def moves(n):
+    each state whose row is asked for."""
+    def row(n):
         computed.append(n)
-        return [(n, A, n + 1)] if n < limit else []
-    return implicit_automaton(0, moves, [A], name="N")
+        return {A: (n + 1,)} if n < limit else {}
+    return lazy_automaton(0, [A], row, name="N")
 
 
 def test_lazy_lookup_of_an_undiscovered_state_answers_as_explored():
@@ -482,3 +482,11 @@ def test_successors_come_in_state_name_order():
     assert a.successors(0, A) == (("x", 1), 10, 2, 9)
     assert a.successors(0, B) == (9,)
     assert a.successors(9, A) == ()
+
+
+def test_step_gives_the_one_successor_and_rejects_a_nondeterministic_event():
+    a = aut([0, 9, 10], [A, B], [(0, A, 9), (0, A, 10), (0, B, 9)], 0)
+    assert step(a, 0, B) == 9
+    assert step(a, 9, A) is None
+    with pytest.raises(AutomatonError, match="nondeterministic on a at 0"):
+        step(a, 0, A)

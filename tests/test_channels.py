@@ -215,5 +215,11 @@ def test_relabel_rejects_plain_collision():
     bad = Automaton(["s"], [ev.plant("a"), ev.entry("a")],
                     [("s", ev.plant("a"), "s"), ("s", ev.entry("a"), "s")],
                     "s")
-    with pytest.raises(AutomatonError):
+    with pytest.raises(AutomatonError, match="relabeling a_in to a"):
         relabel_to_attack_free(bad)
+    # x_in and x# would both become x: a lazy row cannot merge their successors
+    both = Automaton(["s", "t"], [ev.entry("a"), ev.compromised("a")],
+                     [("s", ev.entry("a"), "s"), ("s", ev.compromised("a"), "t")],
+                     "s")
+    with pytest.raises(AutomatonError, match="relabeling a# to a"):
+        relabel_to_attack_free(both)

@@ -19,7 +19,7 @@ from netdes.fixtures import build_system
 from netdes.synthesis import (SynthesisMode, check_attack,
                               synthesize_supremal_attack)
 
-from oracles import (NoSupervisorError, restrict_reachable,
+from oracles import (NoSupervisorError, restrict_reachable, step,
                      synthesize_networked_supervisor)
 from reference_engine import (reference_attack, reference_networked_supervisor,
                               same_automaton)
@@ -107,10 +107,10 @@ def _loop_within(plant, small, big):
     while work:
         p, x, y = work.pop()
         for e in plant.enabled(p):
-            x2 = small.step(x, e)
+            x2 = step(small, x, e)
             if x2 is None:
                 continue
-            y2 = big.step(y, e)
+            y2 = step(big, y, e)
             if y2 is None:
                 return False
             for p2 in plant.successors(p, e):

@@ -1,21 +1,45 @@
 import dataclasses
 
+import pytest
+
 import netdes.events as ev
 from netdes.automaton import compose, state_name, subset_construction
 from netdes.config import serialize_config
-from netdes.fixtures import build_attack_problem, load_system
+from netdes.events import sorted_events
+from netdes.fixtures import build_attack_problem, build_system, load_system
 from netdes.supervision import validate_networked_supervisor
-from oracles import same_closed_language
-from systems import guideway_spec, reduced_spec, shipped_config, shipped_paths
+from netdes.synthesis import SynthesisMode, check_attack, synthesize_supremal_attack
+from oracles import (assert_same_automaton, explicit_attack_free_relabel,
+                     same_closed_language, step)
+from systems import (guideway_spec, reduced_spec, shipped_config, shipped_paths,
+                     shipped_system)
+
+# the shipped systems and the configs of the golden parameter rungs
+RUNG_CONFIGS = [("guideway", ""), ("reduced", ""), ("guideway", "delta_o=2"),
+                ("guideway", "delta_c=1"), ("guideway", "u=2"), ("reduced", "delta_s=1")]
+
+
+def _rung_system(stem, params=""):
+    """A shipped system with one parameter changed, built anew, so nothing
+    another test explored is shared."""
+    system = shipped_system(stem)
+    cfg = system.cfg
+    if params:
+        key, value = params.split("=")
+        if key == "u":
+            cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, u=int(value)))
+        else:
+            cfg = dataclasses.replace(cfg, **{key: int(value)})
+    return build_system(cfg, system.plant, system.ns)
 
 
 def test_guideway_grid_numbering(guideway):
     g = guideway.plant
     # both-trains-in-section collisions land exactly on 5 and 10
-    assert g.step("0", ev.plant("a1")) == "4"
-    assert g.step("4", ev.plant("b1")) == "5"
-    assert g.step("1", ev.plant("a1")) == "5"
-    assert g.step("6", ev.plant("a2")) == "10"
+    assert step(g, "0", ev.plant("a1")) == "4"
+    assert step(g, "4", ev.plant("b1")) == "5"
+    assert step(g, "1", ev.plant("a1")) == "5"
+    assert step(g, "6", ev.plant("a2")) == "10"
     assert {state_name(q) for q in g.marked} == {"5", "10"}
 
 
@@ -61,3 +85,43 @@ def test_attack_problem_builds_only_the_rows_of_g_new_it_reaches(tmp_path):
     # reading the states explores G_new on the rows already kept
     assert len(g_new.states) == 16398
     assert g_new._delta.row is None and len(g_new._delta) == 16398
+
+
+def test_build_system_computes_only_the_channel_rows_the_monitor_reads():
+    # guideway u=4: OC has 12,870 states; the monitor reads 9 OC^T rows
+    system = _rung_system("guideway", "u=4")
+    oc, oc_t = system.oc, system.oc_t
+    assert len(oc._delta) == len(oc_t._delta) == 9
+    assert oc._delta.row is not None and oc_t._delta.row is not None
+    problem = build_attack_problem(system)
+    attack = synthesize_supremal_attack(problem, SynthesisMode.DAMAGE_NONBLOCKING)
+    assert check_attack(problem, attack).covert.ok
+    # P reads OC's rows as it reaches them, the monitor no more of OC^T's
+    assert len(oc._delta) == 139 and len(oc_t._delta) == 9
+    assert len(oc.states) == 12870  # so 139 rows are 1.1% of OC
+
+
+@pytest.mark.parametrize("stem,params", RUNG_CONFIGS)
+def test_lazy_oc_t_equals_the_explicit_relabel(stem, params):
+    system = _rung_system(stem, params)
+    # OC^T explored first reaches OC only through OC's rows
+    assert system.oc_t.states and system.oc._delta.row is not None
+    assert_same_automaton(system.oc_t, explicit_attack_free_relabel(system.oc))
+    assert system.oc_t.name == "OC^T" and not system.oc_t.marked
+
+
+@pytest.mark.parametrize("stem,params", RUNG_CONFIGS)
+def test_component_rows_are_in_label_and_state_name_order(stem, params):
+    # the rows the components give, as test_product_rows_are_in_label_and_
+    # state_name_order checks for products
+    system = _rung_system(stem, params)
+    several = 0
+    for a in (system.cs, system.ce, system.oc, system.cc, system.oc_t):
+        for q in a.states:
+            row = a._delta[q]
+            assert list(row) == sorted_events(row)
+            for dsts in row.values():
+                assert list(dsts) == sorted(dsts, key=state_name)
+                several += len(dsts) > 1
+    # every system has channel exits over several resident delays
+    assert several
