@@ -157,8 +157,10 @@ class Automaton:
         return tuple(self._delta[q])
 
     def __repr__(self) -> str:
-        return (f"Automaton({self.name or '?'}: {len(self.states)} states, "
-                f"{len(self.alphabet)} events, {len(self.transitions)} transitions)")
+        rows = self._delta  # a lazy automaton's rows so far: explore nothing
+        size = (f"{len(rows)} rows computed" if getattr(rows, "row", None) is not None
+                else f"{len(self.states)} states, {len(self.transitions)} transitions")
+        return f"Automaton({self.name or '?'}: {size}, {len(self.alphabet)} events)"
 
 
 class _Rows(dict):

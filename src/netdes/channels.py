@@ -5,8 +5,9 @@ A message enters with the channel's full delay bound attached; ``tick``
 decrements every remaining delay and is blocked while any message is at
 delay zero (it must leave first); any resident message may exit at any
 time, which is what makes the channel non-FIFO and the automaton
-nondeterministic. A channel state is an interned ``ChannelState``: one
-immutable object per multiset, compared and hashed by identity.
+nondeterministic. A channel state is a ``ChannelState``: the sorted tuple of
+its pairs, one pair per resident message, interned on ``PairState``, the
+one hash-consing base that the plant's store and stage states use too.
 
 Capacities come from the closed-form rate analysis: the observation channel
 holds at most ``n_f * u * (delta_o + 1)`` messages and the control channel at
@@ -14,85 +15,96 @@ most ``n_f * u * v * (delta_o + delta_c + 1) + v * (delta_c + 1)``.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+import bisect
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Tuple
 
 from . import events as ev
 from .automaton import Automaton, AutomatonError, Row, lazy_automaton, state_name
 from .config import SystemConfig
 
-Entry = Tuple[Tuple[str, int], int]  # ((message, delay), multiplicity)
 
-_INTERNED: Dict[Tuple[Entry, ...], "ChannelState"] = {}
+_NAMES: Dict[FrozenSet[str], FrozenSet[str]] = {}  # one object per set of names
 
 
-class ChannelState:
-    """Canonical bounded multiset of (message, remaining-delay) pairs.
+class PairState:
+    """A value made of (name, number) pairs, hash-consed: one immutable
+    object per ``value``, compared and hashed by identity, however it was
+    reached; copying or unpickling one returns the interned object. Each
+    subclass sets ``_kind`` (pairs -> value) and its own ``_interned``
+    table, and gives each state its name in ``canonical_name()``.
+    ``names``, the set of names in the pairs, is computed once."""
 
-    Entries are kept sorted by (message, delay) with positive multiplicities,
-    and states are interned by that entries tuple: equal multisets are
-    identical objects, whichever of ``tick``, ``add``, ``remove`` or the
-    constructor reached them. Equality and hashing are by identity, and a
-    state is immutable; copying or unpickling one yields the interned one.
-    """
+    __slots__ = ("value", "names")
+    _kind: Callable[[Iterable[Tuple[str, int]]], Hashable]
+    _interned: Dict[object, "PairState"]
 
-    __slots__ = ("entries",)
-
-    def __new__(cls, entries: Iterable[Entry] = ()) -> "ChannelState":
-        cleaned = tuple(sorted((pair, m) for (pair, m) in entries if m > 0))
-        state = _INTERNED.get(cleaned)
+    def __new__(cls, pairs: Iterable[Tuple[str, int]] = ()):
+        value = cls._kind(pairs)
+        state = cls._interned.get(value)
         if state is None:
-            state = object.__new__(cls)
-            object.__setattr__(state, "entries", cleaned)
-            _INTERNED[cleaned] = state
+            state = cls._interned[value] = object.__new__(cls)
+            names = frozenset(name for name, _n in value)
+            object.__setattr__(state, "value", value)
+            object.__setattr__(state, "names", _NAMES.setdefault(names, names))
         return state
 
+    @classmethod
+    def _of(cls, value: Hashable) -> "PairState":
+        """The state of ``value``, given already as ``_kind`` makes it."""
+        state = cls._interned.get(value)
+        return cls(value) if state is None else state
+
     def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"channel states are immutable: cannot set {name!r}")
+        raise AttributeError(f"component states are immutable: cannot set {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"channel states are immutable: cannot delete {name!r}")
+        raise AttributeError(f"component states are immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        return ChannelState, (self.entries,)
-
-    def __lt__(self, other: "ChannelState") -> bool:
-        return self.entries < other.entries
-
-    def canonical_name(self) -> str:
-        if not self.entries:
-            return "{}"
-        parts = []
-        for (msg, delay), mult in self.entries:
-            suffix = f"^{mult}" if mult > 1 else ""
-            parts.append(f"({msg},{delay}){suffix}")
-        return "{" + ",".join(parts) + "}"
+        return type(self), (self.value,)
 
     def __repr__(self) -> str:
         return self.canonical_name()
 
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
+    def tick(self):
+        """Every number decremented."""
+        return type(self)((name, n - 1) for name, n in self.value)
 
-    def has_zero_delay(self) -> bool:
-        return any(delay == 0 for (_, delay), _ in self.entries)
 
-    def tick(self) -> "ChannelState":
-        return ChannelState((((msg, delay - 1), m) for (msg, delay), m in self.entries))
+class ChannelState(PairState):
+    """A channel's bounded multiset of (message, remaining-delay) pairs: the
+    sorted tuple of its pairs, one per resident message."""
+
+    __slots__ = ()
+    _kind, _interned = staticmethod(lambda pairs: tuple(sorted(pairs))), {}
+
+    def canonical_name(self) -> str:
+        """``{(a,0),(a,1)^2}``: each distinct pair, with its multiplicity
+        when above one. Equal pairs are adjacent, so each run is counted
+        once and skipped."""
+        value, parts, i = self.value, [], 0
+        while i < len(value):
+            msg, delay = pair = value[i]
+            run = value.count(pair)
+            parts.append(f"({msg},{delay})^{run}" if run > 1 else f"({msg},{delay})")
+            i += run
+        return "{" + ",".join(parts) + "}"
 
     def add(self, msg: str, delay: int) -> "ChannelState":
-        out: Dict[Tuple[str, int], int] = dict(self.entries)
-        out[(msg, delay)] = out.get((msg, delay), 0) + 1
-        return ChannelState(out.items())
+        value = self.value
+        i = bisect.bisect(value, (msg, delay))
+        return ChannelState._of(value[:i] + ((msg, delay),) + value[i:])
 
     def remove(self, msg: str, delay: int) -> "ChannelState":
-        out: Dict[Tuple[str, int], int] = dict(self.entries)
-        if out.get((msg, delay), 0) < 1:
+        value = self.value
+        i = bisect.bisect_left(value, (msg, delay))
+        if i == len(value) or value[i] != (msg, delay):
             raise ValueError(f"no ({msg},{delay}) entry to remove")
-        out[(msg, delay)] -= 1
-        return ChannelState(out.items())
+        return ChannelState._of(value[:i] + value[i + 1:])
 
     def delays_of(self, msg: str) -> List[int]:
-        return [delay for (m, delay), _ in self.entries if m == msg]
+        """The distinct delays of ``msg``'s resident copies, ascending."""
+        return sorted({d for m, d in self.value if m == msg})
 
 
 EMPTY_CHANNEL = ChannelState()
@@ -135,17 +147,15 @@ def _build_channel(messages: List[str], delta: int, capacity: int,
     alphabet = [label for _m, *labels in plan for label in labels] + [ev.tick]
 
     def row(q: ChannelState) -> Row:
-        out: Row = {} if q.has_zero_delay() else {ev.tick: (q.tick(),)}
-        room = q.total() < capacity
+        value, resident = q.value, q.names
+        out: Row = {ev.tick: (q.tick(),)} if all(d for _m, d in value) else {}
+        room = len(value) < capacity
         for m, enter, leave in plan:
             if room:
                 out[enter] = (q.add(m, delta),)
-            delays = q.delays_of(m)
-            if len(delays) == 1:
-                out[leave] = (q.remove(m, delays[0]),)
-            elif delays:
-                out[leave] = tuple(sorted((q.remove(m, d) for d in delays),
-                                          key=state_name))
+            if m in resident:
+                dsts = [q.remove(m, d) for d in q.delays_of(m)]
+                out[leave] = tuple(dsts if len(dsts) == 1 else sorted(dsts, key=state_name))
         return out
 
     return lazy_automaton(EMPTY_CHANNEL, alphabet, row, name=name)

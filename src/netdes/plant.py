@@ -10,11 +10,11 @@ ever holding a command that is useless at the current plant state, or idling
 over a tick while the store holds a usable command. Both rules are written
 once, in ``_pruning_rules``.
 
-A store and a stage are interned objects (``StorageState``,
-``ExecState``), as channel states are: one per value, compared and hashed
-by identity, named by the ``state_name`` of the tuple or frozenset they
-hold, and carrying what the pruning rules read, so G_new's states hash
-cheaply and the rules decode no tuples.
+A store and a stage (``StorageState``, ``ExecState``) are interned on
+``channels.PairState``, the base channel states use: one object per value,
+compared and hashed by identity, named by the ``state_name`` of the tuple
+or frozenset they hold, and carrying the set of names the pruning rules
+read, so G_new's states hash cheaply and the rules decode no tuples.
 
 The command store, the execution stage and G_new are given by row
 functions (``automaton.lazy_automaton``, ``automaton.product``), each row in
@@ -25,56 +25,17 @@ explores all of it.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from . import events as ev
 from .automaton import (Automaton, AutomatonError, Row, lazy_automaton, product,
                         state_name)
+from .channels import PairState
 from .config import SystemConfig
 from .textio import load_automaton
 
 
-_NAMES: Dict[FrozenSet[str], FrozenSet[str]] = {}  # one object per set of names
-
-
-class _PairState:
-    """A value made of (name, number) pairs, interned as
-    ``channels.ChannelState`` is: one immutable object per ``value``,
-    compared and hashed by identity, whichever operation or constructor call
-    reached it; copying or unpickling one returns the interned object.
-    ``names``, the set of names in the pairs, is computed once: it is what
-    the pruning rules read. ``canonical_name()`` renders the ``state_name``
-    of the value, so files and name orders are those of the plain tuples
-    and frozensets."""
-
-    __slots__ = ("value", "names")
-    _kind: type                     # tuple or frozenset, set by each subclass
-    _interned: Dict[object, "_PairState"]
-
-    def __new__(cls, pairs: Iterable[Tuple[str, int]] = ()):
-        value = cls._kind(pairs)
-        state = cls._interned.get(value)
-        if state is None:
-            state = cls._interned[value] = object.__new__(cls)
-            names = frozenset(name for name, _n in value)
-            object.__setattr__(state, "value", value)
-            object.__setattr__(state, "names", _NAMES.setdefault(names, names))
-        return state
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"plant-assembly states are immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"plant-assembly states are immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.value,)
-
-    def __repr__(self) -> str:
-        return self.canonical_name()
-
-
-class StorageState(_PairState):
+class StorageState(PairState):
     """The command store: (command, time-left) entries in reception order,
     a tuple; ``names`` are the stored commands."""
 
@@ -100,7 +61,7 @@ class StorageState(_PairState):
         raise ValueError(f"command {cmd} not stored")
 
 
-class ExecState(_PairState):
+class ExecState(PairState):
     """The execution stage: the (event, countdown) pairs of the command in
     use, a frozenset, empty when idle; ``names`` are the command's events."""
 
@@ -109,9 +70,6 @@ class ExecState(_PairState):
 
     def canonical_name(self) -> str:
         return "{" + ",".join(sorted([f"({s},{t})" for s, t in self.value])) + "}"
-
-    def tick(self) -> "ExecState":
-        return ExecState((s, t - 1) for (s, t) in self.value)
 
 
 IDLE = ExecState()

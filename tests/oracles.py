@@ -1,13 +1,14 @@
 """Test oracles: comparisons of automata and of their languages, a
 nested-loop synchronous product, a rate check over per-state dicts, an
-explicit attack-free relabel of a channel, the kernel helpers only tests run
+explicit attack-free relabel of a channel, the name of a channel state
+rendered from its multiplicities, the kernel helpers only tests run
 (transition lists, deterministic steps, reachability, coreachability,
 trimming, re-marking, language membership, self-loop completion), the
 one-edit local maximality probe, and a reference synthesizer of networked
 supervisors (the pipeline takes the supervisor as given).
 """
 import itertools
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
 import netdes.events as ev
@@ -307,6 +308,18 @@ def explicit_attack_free_relabel(oc: Automaton) -> Automaton:
     transitions = [(s, relabel(e), t) for q in oc.states for (s, e, t) in moves(oc, q)]
     return Automaton(oc.states, alphabet, transitions, oc.initial,
                      oc.marked, name=(oc.name or "OC") + "^T")
+
+
+def channel_state_name(counts: Mapping[Tuple[str, int], int]) -> str:
+    """A channel state's name rendered from its ((message, delay),
+    multiplicity) entries, as channel states were named when they stored
+    those entries: ``{(a,0),(a,1)^2}``, pairs in order, the empty channel
+    ``{}``."""
+    parts = []
+    for (msg, delay), mult in sorted(counts.items()):
+        if mult > 0:
+            parts.append(f"({msg},{delay})" + (f"^{mult}" if mult > 1 else ""))
+    return "{" + ",".join(parts) + "}"
 
 
 # -- synchronous product -------------------------------------------------------

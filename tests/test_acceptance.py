@@ -80,7 +80,7 @@ def test_criterion_3_nonfifo_pop_scenario():
     cfg = SystemConfig(events=events, commands={"v": frozenset({"c0"})},
                        delta_o=1, delta_c=0, delta_s=0, rates=RateBounds(3, 1, 1))
     oc = build_observation_channel(cfg)
-    q = ChannelState(((("a", 0), 1), (("a", 1), 1), (("b", 1), 1)))
+    q = ChannelState((("a", 0), ("a", 1), ("b", 1)))
     a_succ = set(oc.successors(q, ev.exit_("a")))
     b_succ = set(oc.successors(q, ev.exit_("b")))
     ok = (q in set(oc.states) and len(a_succ) == 2 and len(b_succ) == 1

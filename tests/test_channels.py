@@ -1,5 +1,7 @@
 import copy
 import pickle
+import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -11,6 +13,7 @@ from netdes.channels import (EMPTY_CHANNEL, ChannelState,
                              capacity_control, capacity_observation,
                              enumerate_channel_states, relabel_to_attack_free)
 from netdes.config import EventSpec, RateBounds, SystemConfig
+from oracles import channel_state_name
 
 
 def make_cfg(n_f=1, u=1, v=1, delta_o=1, delta_c=0, delta_s=0,
@@ -60,10 +63,11 @@ def test_enumerate_without_message_kinds_is_just_empty():
 # -- interned states ---------------------------------------------------------------
 
 def test_equal_entries_give_one_state():
-    one = ChannelState(((("a", 1), 1), (("b", 0), 2)))
-    assert ChannelState([(("b", 0), 2), (("a", 1), 1), (("c", 3), 0)]) is one
+    one = ChannelState((("a", 1), ("b", 0), ("b", 0)))
+    assert ChannelState([("b", 0), ("a", 1), ("b", 0)]) is one
+    assert one.value == (("a", 1), ("b", 0), ("b", 0))  # sorted, one pair per message
     assert ChannelState() is ChannelState(()) is EMPTY_CHANNEL
-    assert ChannelState(((("a", 1), 2),)) is not ChannelState(((("a", 1), 1),))
+    assert ChannelState([("a", 1)] * 2) is not ChannelState([("a", 1)])
 
 
 def test_every_path_to_a_multiset_gives_one_state():
@@ -73,7 +77,7 @@ def test_every_path_to_a_multiset_gives_one_state():
     assert ab.remove("a", 1).remove("b", 1) is EMPTY_CHANNEL
     ticked = ab.tick()
     assert ticked is EMPTY_CHANNEL.add("a", 0).add("b", 0)
-    assert ticked is ChannelState(((("a", 0), 1), (("b", 0), 1)))
+    assert ticked is ChannelState((("a", 0), ("b", 0)))
 
 
 def test_channel_states_copy_pickle_and_stay_immutable():
@@ -82,12 +86,46 @@ def test_channel_states_copy_pickle_and_stay_immutable():
     assert copy.deepcopy(state) is state
     assert pickle.loads(pickle.dumps(state)) is state
     with pytest.raises(AttributeError):
-        state.entries = ()
+        state.value = ()
     with pytest.raises(AttributeError):
-        del state.entries
+        del state.value
     assert state.canonical_name() == "{(a,2)^2}"
     with pytest.raises(ValueError):
         state.remove("b", 2)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_operations_agree_with_a_multiset_model(seed):
+    # random add/remove/tick runs against a Counter: every reached state is
+    # the one the constructor interns for the model's pairs, and is named
+    # as channel states were named from their multiplicities
+    rng = random.Random(seed)
+    state, model = EMPTY_CHANNEL, Counter()
+    for _ in range(300):
+        op = rng.choice(("add", "add", "remove", "tick"))
+        if op == "add":
+            pair = (rng.choice("abc"), rng.randrange(3))
+            state, model[pair] = state.add(*pair), model[pair] + 1
+        elif op == "remove":
+            pair = (rng.choice("abc"), rng.randrange(3))
+            if model[pair]:
+                state, model[pair] = state.remove(*pair), model[pair] - 1
+            else:
+                with pytest.raises(ValueError):
+                    state.remove(*pair)
+        elif all(d for _m, d in model.elements()):
+            state = state.tick()
+            model = Counter({(m, d - 1): k for (m, d), k in model.items() if k})
+        assert state is ChannelState(model.elements())
+        assert state.value == tuple(sorted(model.elements()))
+        assert state.canonical_name() == channel_state_name(model)
+        assert state.names == {m for m, _d in model.elements()}
+        for m in "abc":
+            assert state.delays_of(m) == sorted({d for (n, d), k in model.items()
+                                                 if n == m and k})
+        if len(state.value) > 6:  # keep the runs bounded, with repeats
+            pair = rng.choice(state.value)
+            state, model[pair] = state.remove(*pair), model[pair] - 1
 
 
 # -- observation channel ----------------------------------------------------------
@@ -101,7 +139,7 @@ def test_entry_attaches_full_delay():
     cfg = make_cfg(delta_o=1)
     oc = build_observation_channel(cfg)
     dst = oc.successors(oc.initial, ev.entry("a"))
-    assert dst == (ChannelState(((("a", 1), 1),)),)
+    assert dst == (ChannelState([("a", 1)]),)
 
 
 def test_compromised_entry_for_tampered_events():
@@ -116,14 +154,14 @@ def test_fig4_scenario_exact():
     # resident delays, popping b is not, and tick is blocked
     cfg = make_cfg(n_f=3, delta_o=1)
     oc = build_observation_channel(cfg)
-    q = ChannelState(((("a", 0), 1), (("a", 1), 1), (("b", 1), 1)))
+    q = ChannelState((("a", 0), ("a", 1), ("b", 1)))
     assert q in set(oc.states)
     a_succ = set(oc.successors(q, ev.exit_("a")))
-    assert a_succ == {ChannelState(((("a", 1), 1), (("b", 1), 1))),
-                      ChannelState(((("a", 0), 1), (("b", 1), 1)))}
+    assert a_succ == {ChannelState((("a", 1), ("b", 1))),
+                      ChannelState((("a", 0), ("b", 1)))}
     assert len(a_succ) == 2
     b_succ = oc.successors(q, ev.exit_("b"))
-    assert b_succ == (ChannelState(((("a", 0), 1), (("a", 1), 1))),)
+    assert b_succ == (ChannelState((("a", 0), ("a", 1))),)
     assert not oc.successors(q, ev.tick)
 
 
@@ -139,8 +177,8 @@ def test_channel_invariants():
     cap = capacity_observation(2, 1, 1)
     oc = build_observation_channel(cfg)
     for q in oc.states:
-        assert q.total() <= cap
-        has_zero = q.has_zero_delay()
+        assert len(q.value) <= cap
+        has_zero = any(d == 0 for _m, d in q.value)
         assert bool(oc.successors(q, ev.tick)) == (not has_zero)
 
 
@@ -151,10 +189,10 @@ def test_non_fifo_witness_exists():
     oc = build_observation_channel(cfg)
     witnesses = []
     for q in oc.states:
-        delays = sorted({d for (_m, d), _k in q.entries})
+        delays = sorted({d for _m, d in q.value})
         if len(delays) < 2:
             continue
-        for (m, d), _k in q.entries:
+        for m, d in q.value:
             if d == delays[-1] and oc.successors(q, ev.exit_(m)):
                 witnesses.append((q, m, d))
     assert witnesses
@@ -177,7 +215,7 @@ def test_control_channel_basicseq():
     cc = build_control_channel(cfg)
     assert cc.successors(cc.initial, ev.tick) == (cc.initial,)
     loaded = cc.successors(cc.initial, ev.command_entry("v"))
-    assert loaded == (ChannelState(((("v", 0), 1),)),)
+    assert loaded == (ChannelState([("v", 0)]),)
     # zero-delay command blocks tick until it pops
     q = loaded[0]
     assert not cc.successors(q, ev.tick)

@@ -302,16 +302,17 @@ def test_guideway_u3_attack_matches_golden(mode, guideway):
 
 
 # A fresh interpreter interns the plant-assembly states of reduced with
-# delta_s=1, then guideway's stores and stages in the order given (the
-# reverse of their breadth-first order), and only then builds and
-# synthesizes guideway. Identity hashes follow addresses, which
+# delta_s=1, then guideway's stores, stages and OC and CC channel states in
+# the order given (the reverse of their breadth-first order), and only then
+# builds and synthesizes guideway. Identity hashes follow addresses, which
 # PYTHONHASHSEED does not vary, so this moves every such hash.
 _INTERNED_FIRST = """\
 import dataclasses, json, sys
+from netdes.channels import ChannelState
 from netdes.cli import main
 from netdes.fixtures import build_system, load_system
 from netdes.plant import ExecState, StorageState
-data, stores, stages = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+data, stores, stages, channels = sys.argv[1], *map(json.loads, sys.argv[2:])
 files = [f"{data}/guideway.cfg", f"{data}/guideway_plant.aut", f"{data}/guideway_ns.aut"]
 reduced = load_system(f"{data}/reduced.cfg", f"{data}/reduced_plant.aut",
                       f"{data}/reduced_ns.aut")
@@ -321,6 +322,8 @@ for value in stores:
     StorageState(map(tuple, value))
 for value in stages:
     ExecState(map(tuple, value))
+for value in channels:
+    ChannelState(map(tuple, value))
 args = ["--config", files[0], "--plant", files[1], "--ns", files[2]]
 assert main(["build", *args, "--out", "build"]) == 0
 assert main(["synthesize", *args, "--out", "synthesize", "--mode", "nonblocking"]) == 0
@@ -331,11 +334,13 @@ def test_outputs_do_not_depend_on_where_assembly_states_are_interned(
         guideway, tmp_path):
     stores = [list(q.value) for q in reversed(guideway.cs.states)]
     stages = [sorted(q.value) for q in reversed(guideway.ce.states)]
+    channels = [list(q.value) for c in (guideway.oc, guideway.cc)
+                for q in reversed(c.states)]
     src = os.path.dirname(os.path.dirname(netdes.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", _INTERNED_FIRST, DATA,
-                           json.dumps(stores), json.dumps(stages)],
+                           json.dumps(stores), json.dumps(stages), json.dumps(channels)],
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert _file_digests(tmp_path / "build") == _GUIDEWAY_COMPONENTS

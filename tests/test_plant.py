@@ -119,6 +119,20 @@ def test_store_and_stage_names_are_the_tuple_and_frozenset_names(
                 f"({_tuple_name(store.value)},{_frozenset_name(stage.value)},{g})")
 
 
+def test_repr_of_a_lazy_g_new_explores_nothing(reduced):
+    # pytest renders automata in assertion messages: that must not build the
+    # 16,398 G_new rows of reduced delta_s=1 (847,684 at delta_s=2)
+    g_new = build_system(dataclasses.replace(reduced.cfg, delta_s=1),
+                         reduced.plant, reduced.ns).g_new
+    rows = len(g_new._delta)
+    assert repr(g_new) == (f"Automaton(G_new: {rows} rows computed, "
+                           f"{len(g_new.alphabet)} events)")
+    assert g_new._delta.row is not None and len(g_new._delta) == rows
+    assert len(g_new.states) == 16398
+    assert repr(g_new) == (f"Automaton(G_new: 16398 states, {len(g_new.transitions)} "
+                           f"transitions, {len(g_new.alphabet)} events)")
+
+
 # -- command storage ------------------------------------------------------------
 
 def test_storage_receive_tick_expire_cycle():
