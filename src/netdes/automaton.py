@@ -6,7 +6,8 @@ to share. States are opaque hashable identifiers; composite operations
 results hash and compare deterministically. Every forward search goes
 through one lazy breadth-first explorer over successor rows, ``explore``: a
 lazy automaton's ``states`` are its discovery order, and synthesis and the
-monitor read rows through it. Unordered closures use ``close_under``.
+monitor read rows through it; ``number`` walks that order into arrays.
+Unordered closures use ``close_under``.
 
 There is one automaton type, ``Automaton``, stored as successor rows. Its
 constructor validates explicit states and transitions; ``lazy_automaton``
@@ -29,6 +30,7 @@ iteration over a set.
 """
 from __future__ import annotations
 
+from array import array
 from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator,
                     List, Optional, Sequence, Set, Tuple)
 
@@ -259,6 +261,54 @@ def explore(initial: State, row: Callable[[State], Row]
                         lone[dst] = (dst,)
                         order.append(dst)
         yield q, out
+
+
+class Numbering:
+    """An automaton as arrays of positions (``number``). State i's
+    transitions, in row order, are at ``starts[i]:starts[i + 1]`` of
+    ``ranks`` (index in ``events``, label order) and ``targets``. ``empty``
+    is the position of the empty set state (the monitor's detection state)."""
+
+    __slots__ = ("name", "events", "initial", "marked", "empty", "starts",
+                 "ranks", "targets")
+
+
+def number(a: Automaton) -> Numbering:
+    """``a`` with its states numbered. A lazy automaton whose row function is
+    still in place is walked in the order of ``explore``, computing the rows
+    not kept without keeping them; otherwise position i is ``a.states[i]``,
+    unreachable declared states included."""
+    n = Numbering()
+    n.name, n.events = a.name, tuple(sorted_events(a.alphabet))
+    rank = {e: r for r, e in enumerate(n.events)}
+    rows = a._delta
+    row = getattr(rows, "row", None)
+    order = [a.initial] if row is not None else list(a.states)
+    index = {q: i for i, q in enumerate(order)}
+    is_marked, get = a.is_marked, rows.get
+    starts, ranks, targets = n.starts, n.ranks, n.targets = (
+        array("q", [0]), array("H"), array("I"))
+    n.marked = marked = []
+    add_rank, add_target, find = ranks.append, targets.append, index.get
+    for i, q in enumerate(order):  # grows while iterated
+        out = get(q)
+        if out is None:
+            out = row(q)
+        if is_marked(q):
+            marked.append(i)
+        for e, dsts in out.items():
+            r = rank[e]
+            for dst in dsts:
+                j = find(dst)
+                if j is None:
+                    j = index[dst] = len(order)
+                    order.append(dst)
+                add_rank(r)
+                add_target(j)
+        starts.append(len(targets))
+    n.initial = index.get(a.initial)
+    n.empty = index.get(frozenset())
+    return n
 
 
 def _successor_tuple(dsts: List[State]) -> Tuple[State, ...]:

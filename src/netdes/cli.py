@@ -7,8 +7,9 @@ covert). ``verify`` still exits 0 when only a damage goal fails.
 
 A command runs with the cyclic garbage collector paused. The command store,
 G_new and the new plant P are lazy automata: a row is built when something
-first looks it up. ``build`` and ``synthesize`` read the states of CS and
-G_new to write them, which builds all of both. Synthesis reads only the rows
+first looks it up. ``build`` and ``synthesize`` write CS from its states,
+which builds all of it, and G_new and its rate check from one
+``automaton.number``, which keeps none of its rows. Synthesis reads only the rows
 of P that live observer estimates reach, and the verdicts (one
 ``check_attack`` per command) only those that the attacked loop reaches, so
 neither explores P in full. When no covert attack exists, ``synthesize``
@@ -26,7 +27,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from .attacker import validate_attack
-from .automaton import Automaton, AutomatonError
+from .automaton import Automaton, AutomatonError, number
 from .config import ConfigError, load_config
 from .fixtures import BuiltSystem, build_attack_problem, load_system
 from .plant import rate_bound_warnings
@@ -57,13 +58,14 @@ def _write_components(system: BuiltSystem, out_dir: str) -> None:
     save_automaton(system.cc, os.path.join(out_dir, "cc.aut"))
     save_automaton(system.cs, os.path.join(out_dir, "cs.aut"))
     save_automaton(system.ce, os.path.join(out_dir, "ce.aut"))
-    save_automaton(system.g_new, os.path.join(out_dir, "g_new.aut"), rename=True)
-    save_automaton(system.monitor, os.path.join(out_dir, "monitor.aut"), rename=True)
+    g_new = number(system.g_new)  # the file and the rate check read it
+    save_automaton(g_new, os.path.join(out_dir, "g_new.aut"))
+    save_automaton(number(system.monitor), os.path.join(out_dir, "monitor.aut"))
     rows = state_size_report(system.cfg, ac=system.ac, oc=system.oc,
                              cc=system.cc, cs=system.cs, ce=system.ce,
                              g=system.plant, ns=system.ns, m=system.monitor)
     lines = [render_size_report(rows)]
-    for w in rate_bound_warnings(system.g_new, system.cfg):
+    for w in rate_bound_warnings(g_new, system.cfg):
         lines.append(f"warning: {w}\n")
     with open(os.path.join(out_dir, "state_counts.txt"), "w",
               encoding="utf-8") as fh:
@@ -92,9 +94,10 @@ def cmd_synthesize(args) -> int:
             fh.write(f"mode: {mode.value}\nresult: no covert attack exists\n")
         print("no covert attack exists")
         return EXIT_NO_ATTACK
-    save_automaton(attack, attack_path, rename=True)
     lines = [f"mode: {mode.value}",
              f"attack-states: {len(attack.states)}"]
+    # after states is read, so the walk reads the kept rows and computes none
+    save_automaton(number(attack), attack_path)
     lines.append(f"validates: {validate_attack(attack, problem.constraint, problem.plant.alphabet).ok}")
     lines += _verdicts(problem, attack,
                        mode is SynthesisMode.DAMAGE_NONBLOCKING)[1]

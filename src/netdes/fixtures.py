@@ -8,9 +8,9 @@ once. The shipped systems are the files under ``data/``.
 
 The command store CS, the pruned plant G_new and the channels OC and OC^T
 are lazy automata: the monitor and the attack problem are composed over
-them and build only the rows they reach. Reading their ``states``, as the
-writers and the size and rate checks do, explores the rest; ``verify``
-explores none of them.
+them and build only the rows they reach. The writers and the size check
+explore the rest (G_new through ``automaton.number``, keeping none of its
+rows); ``verify`` explores none of them.
 """
 from __future__ import annotations
 

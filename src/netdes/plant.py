@@ -20,16 +20,17 @@ The command store, the execution stage and G_new are given by row
 functions (``automaton.lazy_automaton``, ``automaton.product``), each row in
 label order: a row is computed on its first lookup, so the new plant and
 the monitor, composed over G_new, build only the part of it they reach.
-Reading ``states``, as the writers of ``cs.aut`` and ``g_new.aut`` do,
-explores all of it.
+Reading ``states``, as the writer of ``cs.aut`` does, explores all of it;
+``automaton.number``, which writes ``g_new.aut``, keeps none of it.
 """
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from . import events as ev
-from .automaton import (Automaton, AutomatonError, Row, lazy_automaton, product,
-                        state_name)
+from .automaton import (Automaton, AutomatonError, Numbering, Row, lazy_automaton,
+                        product, state_name)
 from .channels import PairState
 from .config import SystemConfig
 from .textio import load_automaton
@@ -163,8 +164,12 @@ def _check_plant(g: Automaton, cfg: SystemConfig) -> Automaton:
     if missing_damage:
         raise AutomatonError(
             f"damage state {sorted(missing_damage)[0]} does not exist in the plant")
-    marked = [q for q in g.states if state_name(q) in cfg.damage]
-    return Automaton(g.states, sigma, g.transitions, g.initial, marked, name="G")
+    # the loaded states and rows stay; only the alphabet and marking change
+    plant = copy.copy(g)
+    plant.name, plant.alphabet = "G", frozenset(sigma)
+    plant.marked = frozenset(q for q in g.states if state_name(q) in cfg.damage)
+    plant.is_marked = plant.marked.__contains__
+    return plant
 
 
 # -- composition and pruning ------------------------------------------------
@@ -227,42 +232,41 @@ def _pruning_rules(g: Automaton, cfg: SystemConfig
 
 # -- structural checks -------------------------------------------------------
 
-def max_plant_events_between_ticks(a: Automaton) -> Optional[int]:
-    """Longest run of plant events on any tick-free path; None if the
-    tick-free subgraph is cyclic. One topological sort over the positions of
-    the states in ``states`` carries, per position, the longest run that
+def max_plant_events_between_ticks(a: Numbering) -> Optional[int]:
+    """Longest run of plant events on any tick-free path of the numbered
+    automaton; None if the tick-free subgraph is cyclic. One topological
+    sort over the positions carries, per position, the longest run that
     ends there."""
-    tick, plain = ev.tick, ev.PLAIN
-    states, rows = a.states, a._delta
-    position = {q: i for i, q in enumerate(states)}
-    indeg = [0] * len(states)
-    for q in states:
-        for e, dsts in rows[q].items():
-            if e is not tick:
-                for t in dsts:
-                    indeg[position[t]] += 1
-    run = [0] * len(states)
+    starts, ranks, targets = a.starts, a.ranks, a.targets
+    tick = a.events.index(ev.tick) if ev.tick in a.events else -1
+    plain = [e.role == ev.PLAIN for e in a.events]
+    size = len(starts) - 1
+    indeg = [0] * size
+    for r, t in zip(ranks, targets):
+        if r != tick:
+            indeg[t] += 1
+    run = [0] * size
     order = [i for i, n in enumerate(indeg) if not n]
     for i in order:  # grows while iterated; i's run is final when it joins
-        for e, dsts in rows[states[i]].items():
-            if e is not tick:
-                longer = run[i] + (e.role == plain)
-                for t in dsts:
-                    t = position[t]
-                    if longer > run[t]:
-                        run[t] = longer
-                    indeg[t] -= 1
-                    if not indeg[t]:
-                        order.append(t)
-    if len(order) < len(states):
+        for k in range(starts[i], starts[i + 1]):
+            r = ranks[k]
+            if r != tick:
+                longer = run[i] + plain[r]
+                t = targets[k]
+                if longer > run[t]:
+                    run[t] = longer
+                indeg[t] -= 1
+                if not indeg[t]:
+                    order.append(t)
+    if len(order) < size:
         # Kahn's order misses exactly the states a tick-free cycle reaches
         return None
     return max(run, default=0)
 
 
-def rate_bound_warnings(g_new: Automaton, cfg: SystemConfig) -> List[str]:
+def rate_bound_warnings(g_new: Numbering, cfg: SystemConfig) -> List[str]:
     """The per-tick firing bound is validated, not enforced: the plant is
-    user input."""
+    user input. ``g_new`` is G_new's ``automaton.number``."""
     burst = max_plant_events_between_ticks(g_new)
     if burst is None:
         return ["composed plant has an activity loop (cycle without tick)"]

@@ -12,17 +12,18 @@ Event spelling: plain ``x``; entry ``x_in``; compromised ``x#``; exit
 ``x_out``; commands ``v``, ``v_in``, ``v_out``; literals ``tick``, ``stop``.
 A ``#`` token starts a comment; the compromised suffix never does because it
 ends, not begins, its token.
-Renamed, as the CLI writes G_new, the monitor and the attack, states are
-``S<i>`` by position i in ``states`` (for those three, the breadth-first
-order of their rows); the monitor's detection state keeps the name ``{}``.
+Written from ``automaton.number``, as the CLI writes G_new, the monitor and
+the attack, states are ``S<i>`` by position i (for those three, the
+breadth-first order of their rows); the monitor's detection state keeps the
+name ``{}``.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Union
 
 from . import events as ev
-from .automaton import Automaton, State, state_name
-from .events import EventLabel, sorted_events
+from .automaton import Automaton, Numbering, number, state_name
+from .events import EventLabel
 
 
 class ParseError(ValueError):
@@ -45,55 +46,55 @@ def _role_suffix(label: EventLabel) -> str:
         else label.spell()
 
 
-def serialize_automaton(a: Automaton, rename: bool = False) -> str:
-    """Render an automaton; ``rename`` numbers the states by position."""
-    return "".join(_lines(a, rename))
+def serialize_automaton(a: Union[Automaton, Numbering]) -> str:
+    """Render an automaton with its states named by ``state_name``, or a
+    numbering of one (``automaton.number``) with state i named ``S<i>``."""
+    return "".join(_lines(a))
 
 
-def _lines(a: Automaton, rename: bool) -> Iterator[str]:
+def _lines(a: Union[Automaton, Numbering]) -> Iterator[str]:
     """The text of ``serialize_automaton`` in chunks of whole lines: each
-    header line, then the ``.trans`` lines some hundreds at a time. Every
-    check runs before the first chunk; the sources are sorted once."""
-    states = a.states
-    naming: Dict[State, str]
-    if rename:
-        naming = {q: f"S{i}" for i, q in enumerate(states)}
-        # the empty monitor estimate keeps its literal name so DOT export
-        # can still highlight it after a round trip
-        if frozenset() in naming:
-            naming[frozenset()] = "{}"
+    header line, then the ``.trans`` lines some hundreds at a time. Both
+    forms are written from a numbering; only the name of a position differs.
+    Every check runs before the first chunk."""
+    if isinstance(a, Automaton):
+        names = [state_name(q) for q in a.states]
+        if len(set(names)) != len(names):
+            raise ValueError("state names collide; serialize its automaton.number")
+        n = number(a)
     else:
-        naming = {q: state_name(q) for q in states}
-        if len(set(naming.values())) != len(naming):
-            raise ValueError("state names collide; serialize with rename=True")
-
+        # sorting the sources by name needs every name at once anyway
+        n = a
+        names = [f"S{i}" for i in range(len(n.starts) - 1)]
+        if n.empty is not None:
+            # the empty monitor estimate keeps its literal name so DOT export
+            # can still highlight it after a round trip
+            names[n.empty] = "{}"
     spellings = {}
-    for label in a.alphabet:
+    for label in n.events:
         sp = label.spell()
         if sp in spellings:
             raise ValueError(f"event spelling {sp!r} is ambiguous in this alphabet")
         spellings[sp] = label
-
-    events = sorted_events(a.alphabet)
-    yield f".automaton {a.name or 'A'}\n"
-    yield ".alphabet " + " ".join(_role_suffix(l) for l in events) + "\n"
-    if a.initial is not None:
-        yield f".initial {naming[a.initial]}\n"
-    if a.marked:
-        yield ".marked " + " ".join(sorted(naming[q] for q in a.marked)) + "\n"
-    # names are unique and a row's events come in label order, so this is
-    # the order of (source name, event, target name)
-    spelled = {e: e.spell() for e in events}
-    name_of = naming.__getitem__
-    delta = a._delta
+    yield f".automaton {n.name or 'A'}\n"
+    yield ".alphabet " + " ".join(_role_suffix(l) for l in n.events) + "\n"
+    if n.initial is not None:
+        yield f".initial {names[n.initial]}\n"
+    if n.marked:
+        yield ".marked " + " ".join(sorted([names[i] for i in n.marked])) + "\n"
+    # names are unique and a row's ranks come in label order, so sorting a
+    # row's (rank, target name) pairs orders only the targets of one event
+    spelled = [e.spell() for e in n.events]
+    starts, ranks, targets = n.starts, n.ranks, n.targets
     chunk: List[str] = []
-    for s in sorted(states, key=name_of):
-        src = f".trans {naming[s]} "
-        for e, dsts in delta[s].items():
-            if len(dsts) == 1:
-                chunk.append(f"{src}{spelled[e]} {naming[dsts[0]]}\n")
-            else:
-                chunk += [f"{src}{spelled[e]} {t}\n" for t in sorted(map(name_of, dsts))]
+    for i in sorted(range(len(names)), key=names.__getitem__):
+        src = f".trans {names[i]} "
+        lo, hi = starts[i], starts[i + 1]
+        if hi - lo == 1:
+            chunk.append(f"{src}{spelled[ranks[lo]]} {names[targets[lo]]}\n")
+        else:
+            chunk += [f"{src}{spelled[r]} {t}\n" for r, t in sorted(
+                [(ranks[k], names[targets[k]]) for k in range(lo, hi)])]
         if len(chunk) >= 512:
             yield "".join(chunk)
             chunk.clear()
@@ -164,9 +165,9 @@ def load_automaton(path: str, name: str = "") -> Automaton:
         return parse_automaton(fh.read(), name=name)
 
 
-def save_automaton(a: Automaton, path: str, rename: bool = False) -> None:
+def save_automaton(a: Union[Automaton, Numbering], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_lines(a, rename))
+        fh.writelines(_lines(a))
 
 
 # -- DOT export ---------------------------------------------------------

@@ -295,6 +295,29 @@ def longest_plant_run_by_state(a: Automaton) -> Optional[int]:
     return max(run.values(), default=0)
 
 
+def renamed_text(a: Automaton) -> str:
+    """The renamed text ``textio`` wrote from a dict of names before it read
+    ``automaton.number``: state i of ``a.states`` named ``S<i>``, the empty
+    monitor estimate ``{}``, sources sorted by name, each row's events in
+    label order and several targets of one event sorted by name."""
+    naming = {q: f"S{i}" for i, q in enumerate(a.states)}
+    if frozenset() in naming:
+        naming[frozenset()] = "{}"
+    events = sorted_events(a.alphabet)
+    lines = [f".automaton {a.name or 'A'}\n", ".alphabet " + " ".join(
+        e.spell() if e.role in (ev.TICK, ev.STOP) else f"{e.spell()}:{e.role}"
+        for e in events) + "\n"]
+    if a.initial is not None:
+        lines.append(f".initial {naming[a.initial]}\n")
+    if a.marked:
+        lines.append(".marked " + " ".join(sorted(naming[q] for q in a.marked)) + "\n")
+    for s in sorted(a.states, key=naming.__getitem__):
+        for e, dsts in a._delta[s].items():
+            lines += [f".trans {naming[s]} {e.spell()} {t}\n"
+                      for t in sorted(naming[dst] for dst in dsts)]
+    return "".join(lines)
+
+
 def explicit_attack_free_relabel(oc: Automaton) -> Automaton:
     """``channels.relabel_to_attack_free`` as an explored copy: every
     transition of ``oc`` with ``x_in`` and ``x#`` rewritten to ``x``,

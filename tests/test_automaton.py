@@ -6,11 +6,12 @@ import pytest
 
 import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, compose, explore,
-                              lazy_automaton, product, state_name,
+                              lazy_automaton, number, product, state_name,
                               subset_construction)
 from netdes.attacker import ControlConstraint
 from netdes.events import sorted_events
 from netdes.synthesis import SynthesisProblem, check_attack
+from netdes.textio import serialize_automaton
 from oracles import (accepts, assert_same_automaton, bfs_distances, bounded_traces,
                      coreachable,
                      deterministic, empty_automaton, is_nonblocking,
@@ -265,6 +266,68 @@ def test_compose_matches_nested_loop_product(seed):
                 assert moves(got, q) == moves(want, q)
 
 
+def numbered_moves(n, states):
+    """The transitions of a ``Numbering``, per position, with events and
+    targets mapped back through ``states``."""
+    return [[(states[i], n.events[n.ranks[k]], states[n.targets[k]])
+             for k in range(n.starts[i], n.starts[i + 1])]
+            for i in range(len(n.starts) - 1)]
+
+
+def assert_numbers_in_order(n, a):
+    """``n`` numbers the states of ``a`` by their position in ``a.states``,
+    with ``a``'s rows, initial state and marked set."""
+    assert len(n.starts) == len(a.states) + 1
+    assert numbered_moves(n, a.states) == [moves(a, q) for q in a.states]
+    assert n.events == tuple(sorted_events(a.alphabet)) and n.name == a.name
+    assert n.initial == (None if a.initial is None else a.states.index(a.initial))
+    assert [a.states[i] for i in n.marked] == [q for q in a.states if q in a.marked]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_number_matches_explore_lazy_and_explored(seed):
+    for comps, allowed in _random_products(seed):
+        for flt in (None, allowed):
+            lazy = product(comps, name="P", allowed=flt)
+            walked = number(lazy)
+            # the walk keeps none of the rows it computes
+            assert len(lazy._delta) == 0 and lazy._delta.row is not None
+            explored = compose(comps, name="P", allowed=flt)
+            assert_numbers_in_order(walked, explored)
+            # an explored automaton is numbered by its states, to the same arrays
+            again = number(explored)
+            assert (again.starts, again.ranks, again.targets, again.marked) == \
+                (walked.starts, walked.ranks, walked.targets, walked.marked)
+            # a partial exploration first: kept rows are read, the rest computed
+            partial = product(comps, name="P", allowed=flt)
+            walk = explore(partial.initial, partial._delta.__getitem__)
+            for _ in range(3):
+                next(walk, None)
+            kept = len(partial._delta)
+            assert 0 < kept <= 3
+            assert_numbers_in_order(number(partial), explored)
+            assert len(partial._delta) == kept
+
+
+def test_number_of_an_explicit_automaton_follows_its_states():
+    rng = random.Random(11)
+    unreachable = 0
+    for _ in range(60):
+        a = random_automaton(rng, max_states=14)
+        unreachable += len(a.states) - len(reachable(a))
+        assert_numbers_in_order(number(a), a)
+    assert unreachable  # declared states no transition reaches are numbered too
+
+
+def test_number_of_an_empty_automaton_has_no_states():
+    for a in (Automaton([], [A, B], [], None, name="E"),
+              lazy_automaton(None, [A, B], None, name="E")):
+        n = number(a)
+        assert list(n.starts) == [0] and not n.ranks and not n.targets
+        assert n.initial is None and n.marked == [] and n.empty is None
+        assert serialize_automaton(n) == ".automaton E\n.alphabet a:plain b:plain\n"
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_compose_over_a_product_matches_compose_over_its_materialization(seed):
     for comps, allowed in _random_products(seed):
@@ -475,7 +538,7 @@ def test_empty_automaton_behaves():
 # -- order contract ------------------------------------------------------------
 
 def test_successors_come_in_state_name_order():
-    # serialize_automaton(rename=True) numbers states in this order, so it
+    # automaton.number numbers states in this order, so it
     # must not follow insertion, numeric or hash order
     a = aut([0, 9, 10, 2, ("x", 1)], [A, B],
             [(0, A, 9), (0, A, ("x", 1)), (0, A, 10), (0, A, 2), (0, B, 9)], 0)

@@ -4,6 +4,7 @@ import pytest
 
 import netdes.events as ev
 from netdes.automaton import compose, state_name, subset_construction
+from netdes.cli import _write_components
 from netdes.config import serialize_config
 from netdes.events import sorted_events
 from netdes.fixtures import build_attack_problem, build_system, load_system
@@ -85,6 +86,20 @@ def test_attack_problem_builds_only_the_rows_of_g_new_it_reaches(tmp_path):
     # reading the states explores G_new on the rows already kept
     assert len(g_new.states) == 16398
     assert g_new._delta.row is None and len(g_new._delta) == 16398
+
+
+def test_writing_the_components_keeps_no_g_new_row_the_monitor_did_not_read(tmp_path):
+    # reduced with delta_s=1: g_new.aut and the rate check walk all 16,398
+    # G_new states through one numbering and keep none of their rows
+    system = _rung_system("reduced", "delta_s=1")
+    g_new = system.g_new
+    read = set(g_new._delta)
+    assert 0 < len(read) < 100
+    _write_components(system, str(tmp_path))
+    assert set(g_new._delta) == read and g_new._delta.row is not None
+    with open(tmp_path / "g_new.aut", encoding="utf-8") as fh:
+        sources = {line.split()[1] for line in fh if line.startswith(".trans")}
+    assert len(sources) == 16398
 
 
 def test_build_system_computes_only_the_channel_rows_the_monitor_reads():

@@ -22,7 +22,7 @@ import sys
 import pytest
 
 import netdes
-from netdes.automaton import Automaton
+from netdes.automaton import Automaton, number
 from netdes.cli import main
 from netdes.config import load_config, serialize_config
 from netdes.fixtures import build_attack_problem, build_system
@@ -297,7 +297,7 @@ def test_guideway_u3_attack_matches_golden(mode, guideway):
     cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, u=3))
     problem = build_attack_problem(build_system(cfg, guideway.plant, guideway.ns))
     attack = synthesize_supremal_attack(problem, SynthesisMode(mode))
-    text = serialize_automaton(attack, rename=True)
+    text = serialize_automaton(number(attack))
     assert _sha(text.encode()) == GUIDEWAY_U3_ATTACKS[mode]
 
 

@@ -6,19 +6,20 @@ import random
 import pytest
 
 import netdes.events as ev
-from netdes.automaton import Automaton, AutomatonError, compose, state_name
-from netdes.config import EventSpec, RateBounds, SystemConfig
+from netdes.automaton import Automaton, AutomatonError, compose, number, state_name
+from netdes.config import EventSpec, RateBounds, SystemConfig, load_config
 from netdes.plant import (EMPTY_QUEUE, IDLE, ExecState, StorageState,
                           _check_plant, _pruning_rules,
                           build_command_execution, build_command_storage,
                           capacity_storage, compose_and_prune_plant,
                           max_plant_events_between_ticks, rate_bound_warnings)
 from netdes.fixtures import build_system
-from netdes.textio import parse_automaton
+from netdes.textio import load_automaton, parse_automaton
 from oracles import (accepts, assert_same_automaton, check_pruned_invariants,
                      complete_with_selfloops, coreachable, is_nonblocking,
                      longest_plant_run_by_state, restrict_reachable, trim,
                      unobservable_reach)
+from systems import shipped_paths
 
 
 def make_cfg(delta_s=0, te=None, commands=None, events=None, damage=()):
@@ -346,8 +347,8 @@ def test_uncontrollable_liveness_on_fixtures(reduced, guideway):
 
 
 def test_fixtures_are_activity_loop_free(reduced, guideway):
-    assert max_plant_events_between_ticks(reduced.g_new) is not None
-    assert max_plant_events_between_ticks(guideway.g_new) is not None
+    assert max_plant_events_between_ticks(number(reduced.g_new)) is not None
+    assert max_plant_events_between_ticks(number(guideway.g_new)) is not None
 
 
 def _random_rate_case(rng):
@@ -373,16 +374,36 @@ def _random_rate_case(rng):
 def test_rate_check_matches_the_per_state_dict_oracle(guideway, reduced,
                                                       reduced_delta_s1):
     empty = Automaton([], [ev.tick], [], None)
-    assert max_plant_events_between_ticks(empty) == 0
+    assert max_plant_events_between_ticks(number(empty)) == 0
     cases = [guideway.g_new, reduced.g_new, reduced_delta_s1.g_new, empty]
     rng = random.Random(7)
     cases += [_random_rate_case(rng) for _ in range(400)]
     outcomes = set()
     for a in cases:
-        got = max_plant_events_between_ticks(a)
+        got = max_plant_events_between_ticks(number(a))
         assert got == longest_plant_run_by_state(a)
         outcomes.add("positive" if got else got)
     assert outcomes == {None, 0, "positive"}
+
+
+@pytest.mark.parametrize("stem", ["guideway", "reduced"])
+def test_loaded_plant_keeps_the_rows_and_order_the_constructor_gives(stem):
+    config, plant_path, _ns = shipped_paths(stem)
+    cfg = load_config(config)
+    loaded = load_automaton(plant_path, name="G")
+    before = (loaded.name, loaded.alphabet, loaded.marked)
+    got = _check_plant(loaded, cfg)
+    marked = [q for q in loaded.states if state_name(q) in cfg.damage]
+    want = Automaton(loaded.states, cfg.plant_labels(), loaded.transitions,
+                     loaded.initial, marked, name="G")
+    assert got.states == want.states and got.initial == want.initial
+    assert got.marked == want.marked and got.alphabet == want.alphabet
+    assert got.name == "G" and got.marked
+    assert [list(got._delta[q].items()) for q in got.states] == \
+        [list(want._delta[q].items()) for q in want.states]
+    assert got._delta is loaded._delta  # the rows are the loaded ones
+    assert all(got.is_marked(q) == (q in want.marked) for q in got.states)
+    assert (loaded.name, loaded.alphabet, loaded.marked) == before  # unchanged
 
 
 def test_rate_bound_warns_on_activity_loop():
@@ -390,12 +411,12 @@ def test_rate_bound_warns_on_activity_loop():
     g = _lone_plant(cfg, [("q0", ev.plant("u"), "q0")], ["q0"])
     gn = compose_and_prune_plant(build_command_storage(cfg),
                                  build_command_execution(cfg), g, cfg)
-    assert rate_bound_warnings(gn, cfg) == [
+    assert rate_bound_warnings(number(gn), cfg) == [
         "composed plant has an activity loop (cycle without tick)"]
 
 
 def test_rate_bound_warns_on_burst_above_n_f(guideway):
-    assert rate_bound_warnings(guideway.g_new, guideway.cfg) == [
+    assert rate_bound_warnings(number(guideway.g_new), guideway.cfg) == [
         "plant assembly alone can fire 6 events within one tick, above n_f=1 "
         "(the closed loop is tighter: supervisor sends are bounded per "
         "observation)"]

@@ -6,7 +6,7 @@ import pytest
 import netdes.automaton as automaton
 import netdes.events as ev
 from netdes.attacker import ControlConstraint, validate_attack
-from netdes.automaton import (Automaton, AutomatonError, compose,
+from netdes.automaton import (Automaton, AutomatonError, compose, number,
                               lazy_automaton, state_name, subset_construction)
 from netdes.fixtures import build_attack_problem, build_system
 from netdes.supervision import supervisor_control_constraint
@@ -357,7 +357,7 @@ def _attack_texts(prob):
     texts = []
     for mode in SynthesisMode:
         attack = synthesize_supremal_attack(prob, mode)
-        texts.append(attack and serialize_automaton(attack, rename=True))
+        texts.append(attack and serialize_automaton(number(attack)))
     return texts
 
 

@@ -4,10 +4,10 @@ import re
 import pytest
 
 import netdes.events as ev
-from netdes.automaton import state_name
+from netdes.automaton import Automaton, number, state_name
 from netdes.textio import (ParseError, parse_automaton, serialize_automaton,
                            to_dot)
-from oracles import isomorphic_by, restrict_reachable
+from oracles import isomorphic_by, renamed_text, restrict_reachable
 from test_automaton import random_automaton
 
 
@@ -26,10 +26,28 @@ def test_round_trip_with_renaming():
     rng = random.Random(8)
     for _ in range(30):
         a = restrict_reachable(random_automaton(rng))
-        twice = parse_automaton(serialize_automaton(a, rename=True))
+        twice = parse_automaton(serialize_automaton(number(a)))
         assert len(twice.states) == len(a.states)
         assert len(twice.transitions) == len(a.transitions)
         assert serialize_automaton(twice) == serialize_automaton(twice)
+
+
+def test_numbered_text_equals_the_dict_named_rendering(guideway, reduced):
+    rng = random.Random(12)
+    cases = []
+    for _ in range(60):
+        a = random_automaton(rng, max_states=30)
+        # declared out of name order, so positions do not follow state names
+        cases.append(Automaton(rng.sample(a.states, len(a.states)), a.alphabet,
+                               a.transitions, a.initial, a.marked))
+    # several targets on one event, marked states and S10 sorting before S2
+    assert any(len(dsts) > 1 for a in cases for row in a._delta.values()
+               for dsts in row.values())
+    assert any(a.marked for a in cases) and any(len(a.states) > 11 for a in cases)
+    cases += [guideway.monitor, reduced.monitor]
+    assert frozenset() in guideway.monitor.states  # named {}
+    for a in cases:
+        assert serialize_automaton(number(a)) == renamed_text(a)
 
 
 def test_serialization_is_deterministic():
