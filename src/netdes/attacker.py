@@ -150,12 +150,13 @@ def validate_control(a: Automaton, constraint: ControlConstraint,
     unobservable = sorted_events(a.alphabet - constraint.observable)
     violations: List[Violation] = []
     for q in a.states:
+        row = a._delta[q]
         for e in uncontrollable:
-            if not a.successors(q, e):
+            if e not in row:
                 violations.append(Violation(state_name(q), e.spell(),
                                             f"{constraint.rule}-controllability"))
         for e in unobservable:
-            for dst in a.successors(q, e):
+            for dst in row.get(e, ()):
                 if dst != q:
                     violations.append(Violation(state_name(q), e.spell(),
                                                 f"{constraint.rule}-observability"))

@@ -399,11 +399,7 @@ def subset_construction(a: Automaton, observed: Iterable[EventLabel],
 
 # -- composition -------------------------------------------------------
 
-Filter = Callable[[Tuple[State, ...], EventLabel, Tuple[State, ...]], bool]
-
-
 def product(components: Sequence, name: str = "",
-            allowed: Optional[Filter] = None,
             is_marked: Optional[Callable[[Tuple[State, ...]], bool]] = None
             ) -> Automaton:
     """N-ary synchronous product with flat tuple states, explored on demand.
@@ -413,11 +409,7 @@ def product(components: Sequence, name: str = "",
     synchronize when all sharing components enable them, private events
     interleave, and a shared event enabled on one side only is blocked.
     Marked states are tuples of marked states, or those where ``is_marked``
-    holds if it is given. ``allowed(src, event, dst)``
-    filters transitions as rows are computed (used by the plant pruning
-    step): a rejected transition is dropped, and a state that only rejected
-    transitions lead to is never discovered or expanded. The initial state is
-    always kept.
+    holds if it is given.
 
     A row visits only the events that no component blocks: each component
     state's mask of such events (those it enables and those outside its
@@ -483,27 +475,21 @@ def product(components: Sequence, name: str = "",
                     break
                 nxt[i] = dsts[0]
             else:  # one successor: no copies, no sort
-                nxt_t = tuple(nxt)
-                if allowed is None or allowed(cur, ev, nxt_t):
-                    out[ev] = (nxt_t,)
+                out[ev] = (tuple(nxt),)
                 continue
             nexts = [list(cur)]
             for i in parts:
                 nexts = [nxt[:i] + [dst] + nxt[i + 1:]
                          for nxt in nexts for dst in rows[i][ev]]
-            kept = [nxt_t for nxt_t in map(tuple, nexts)
-                    if allowed is None or allowed(cur, ev, nxt_t)]
-            if kept:
-                out[ev] = _successor_tuple(kept)
+            out[ev] = _successor_tuple(list(map(tuple, nexts)))
         return out
 
     return lazy_automaton(tuple(c.initial for c in components), alphabet, row, is_marked, name)
 
 
-def compose(components: Sequence, name: str = "",
-            allowed: Optional[Filter] = None) -> Automaton:
-    """``product(components, name, allowed)`` with its states explored, in
-    the breadth-first order of its rows."""
-    p = product(components, name, allowed)
+def compose(components: Sequence, name: str = "") -> Automaton:
+    """``product(components, name)`` with its states explored, in the
+    breadth-first order of its rows."""
+    p = product(components, name)
     p.states  # explores every row and frees the row function's caches
     return p

@@ -4,11 +4,10 @@ The plant assembly has three parts: a FIFO command store (commands arrive
 from the control channel, expire after a bounded number of ticks), a
 command-execution stage (uses one fetched command at a time, fires an event
 once its per-event countdown reaches zero, abandons the command when an
-uncontrollable event preempts it), and the plant proper. Their product is
-explored through a transition filter that keeps the execution stage from
-ever holding a command that is useless at the current plant state, or idling
-over a tick while the store holds a usable command. Both rules are written
-once, in ``_pruning_rules``.
+uncontrollable event preempts it), and the plant proper. Their product,
+G_new, is pruned as it is explored: the execution stage never holds a
+command that is useless at the current plant state, and never idles over a
+tick while the store holds a usable command.
 
 A store and a stage (``StorageState``, ``ExecState``) are interned on
 ``channels.PairState``, the base channel states use: one object per value,
@@ -17,20 +16,20 @@ or frozenset they hold, and carrying the set of names the pruning rules
 read, so G_new's states hash cheaply and the rules decode no tuples.
 
 The command store, the execution stage and G_new are given by row
-functions (``automaton.lazy_automaton``, ``automaton.product``), each row in
-label order: a row is computed on its first lookup, so the new plant and
-the monitor, composed over G_new, build only the part of it they reach.
+functions (``automaton.lazy_automaton``), each row in label order: a row is
+computed on its first lookup, so the new plant and the monitor, composed
+over G_new, build only the part of it they reach.
 Reading ``states``, as the writer of ``cs.aut`` does, explores all of it;
 ``automaton.number``, which writes ``g_new.aut``, keeps none of it.
 """
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import events as ev
 from .automaton import (Automaton, AutomatonError, Numbering, Row, lazy_automaton,
-                        product, state_name)
+                        state_name)
 from .channels import PairState
 from .config import SystemConfig
 from .textio import load_automaton
@@ -176,15 +175,23 @@ def _check_plant(g: Automaton, cfg: SystemConfig) -> Automaton:
 
 def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
                             cfg: SystemConfig) -> Automaton:
-    """Product of storage, execution and plant with the two pruning rules.
+    """Product of storage, execution and (nonempty) plant, pruned by two rules.
 
     Rule 1 deletes composite states whose active command shares no event with
     the plant's enabled set (the fetch was useless). Rule 2 removes tick from
     states where the execution stage idles while the store holds a usable
-    command: the fetch preempts time. Both rules filter transitions while
-    the product is explored, so a state that only pruned transitions reach
-    is never built. The result is a lazy product: a composition over it
-    computes only the rows it reaches.
+    command: the fetch preempts time. The result is lazy: a composition over
+    it computes only the rows it reaches, and a state that only pruned
+    transitions reach is never built.
+
+    The rules read the stage, the plant state and, for an idle stage, the
+    names of the stored commands. Each (stage, plant state) pair gets a
+    plan, made once from CE's and the plant's rows with rule 1 applied: per
+    event, in label order, whether the (deterministic) store takes part, and
+    the (stage, plant state) pairs it leads to, several in ``state_name``
+    order, which is that of the whole triples. A row reads the store's row
+    and drops tick where rule 2 holds: where the stage idles and a stored
+    command is one the plant state can use.
     """
     sigma_cs = {ev.command_exit(x) for x in cfg.gamma} \
         | {ev.command(x) for x in cfg.gamma} | {ev.tick}
@@ -194,40 +201,44 @@ def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
     if set(g.alphabet) != set(cfg.plant_labels()):
         raise AutomatonError("plant alphabet mismatch with config")
 
-    useless_fetch, preempted = _pruning_rules(g, cfg)
-    tick = ev.tick
-    return product([cs, ce, g], name="G_new",
-                   allowed=lambda src, e, dst: not useless_fetch(dst)
-                   and not (e is tick and preempted(src)))
+    alphabet = cs.alphabet | ce.alphabet | g.alphabet
+    events = [(e, e in cs.alphabet, e in ce.alphabet, e in g.alphabet)
+              for e in ev.sorted_events(alphabet)]
+    stores, stages, plants = cs._delta, ce._delta, g._delta
+    enabled = {q: frozenset(e.base for e in g.enabled(q)) for q in g.states}
+    # per plant state, the commands with an event it enables (rule 2)
+    usable = {q: frozenset(c for c, names in cfg.commands.items() if not names.isdisjoint(on))
+              for q, on in enabled.items()}
+    plans: Dict[Tuple, List[Tuple]] = {}
 
+    def plan_of(stage: ExecState, q: object) -> List[Tuple]:
+        plan = plans[stage, q] = []
+        for e, in_store, in_stage, in_plant in events:
+            pairs = sorted(((x, p)
+                            for x in (stages[stage].get(e, ()) if in_stage else (stage,))
+                            for p in (plants[q].get(e, ()) if in_plant else (q,))
+                            if x is IDLE or not x.names.isdisjoint(enabled[p])),  # rule 1
+                           key=state_name)
+            if pairs:
+                plan.append((e, in_store, *pairs[0], pairs if len(pairs) > 1 else None))
+        return plan
 
-def _pruning_rules(g: Automaton, cfg: SystemConfig
-                   ) -> Tuple[Callable[[Tuple], bool], Callable[[Tuple], bool]]:
-    """The two pruning rules as predicates on G_new's states: whether the
-    active command is useless (rule 1 removes the state), and whether the
-    idle stage is preempted by a usable stored command (rule 2 removes its
-    tick). Each reads the set its stage or store carries; the events of a
-    set of stored commands are collected once."""
-    enabled_g: Dict[object, Set[str]] = {
-        q: {e.base for e in g.enabled(q)} for q in g.states
-    }
-    fireable: Dict[FrozenSet[str], FrozenSet[str]] = {}
+    def row(state: Tuple) -> Row:
+        s, stage, q = state
+        plan = plans.get((stage, q)) or plan_of(stage, q)
+        preempted = ev.tick if stage is IDLE and not s.names.isdisjoint(usable[q]) \
+            else None  # rule 2
+        store_row, stay = stores[s], (s,)
+        out: Row = {}
+        for e, in_store, x, p, several in plan:
+            nxt = store_row.get(e) if in_store else stay
+            if nxt is not None and e is not preempted:
+                out[e] = ((nxt[0], x, p),) if several is None else tuple(
+                    [(nxt[0], y, r) for y, r in several])
+        return out
 
-    def useless_fetch(state: Tuple) -> bool:
-        _s, e, q = state
-        return e is not IDLE and e.names.isdisjoint(enabled_g[q])
-
-    def preempted(state: Tuple) -> bool:
-        s, e, q = state
-        if e is not IDLE:
-            return False
-        events = fireable.get(s.names)
-        if events is None:
-            events = fireable[s.names] = frozenset().union(
-                *(cfg.commands[c] for c in s.names))
-        return not events.isdisjoint(enabled_g[q])
-
-    return useless_fetch, preempted
+    return lazy_automaton((cs.initial, ce.initial, g.initial), alphabet, row,
+                          name="G_new")
 
 
 # -- structural checks -------------------------------------------------------

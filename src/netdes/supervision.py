@@ -58,7 +58,8 @@ def build_monitor(ns: Automaton, g_new: Automaton, oc_t: Automaton,
         if x == MONITOR_EMPTY:
             return {ev.tick: lost}
         # observer estimates are never empty: no successor is an unexplained event
-        return {e: observer.successors(x, e) or lost for e in events}
+        succ = observer._delta[x]
+        return {e: succ.get(e, lost) for e in events}
 
     rows = dict(explore(observer.initial, row))
     rows.setdefault(MONITOR_EMPTY, row(MONITOR_EMPTY))

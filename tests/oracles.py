@@ -1,11 +1,12 @@
 """Test oracles: comparisons of automata and of their languages, a
-nested-loop synchronous product, a rate check over per-state dicts, an
-explicit attack-free relabel of a channel, the name of a channel state
-rendered from its multiplicities, the kernel helpers only tests run
-(transition lists, deterministic steps, reachability, coreachability,
-trimming, re-marking, language membership, self-loop completion), the
-one-edit local maximality probe, and a reference synthesizer of networked
-supervisors (the pipeline takes the supervisor as given).
+nested-loop synchronous product, G_new's two pruning rules written out, a
+rate check over per-state dicts, an explicit attack-free relabel of a
+channel, the name of a channel state rendered from its multiplicities, the
+kernel helpers only tests run (transition lists, deterministic steps,
+reachability, coreachability, trimming, re-marking, language membership,
+self-loop completion), the one-edit local maximality probe, and a
+reference synthesizer of networked supervisors (the pipeline takes the
+supervisor as given).
 """
 import itertools
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
@@ -17,7 +18,6 @@ from netdes.automaton import (Automaton, AutomatonError, State, Transition,
                               subset_construction)
 from netdes.config import SystemConfig
 from netdes.events import EventLabel, sorted_events
-from netdes.plant import _pruning_rules
 from netdes.supervision import (supervisor_control_constraint,
                                 validate_networked_supervisor)
 from netdes.synthesis import SynthesisProblem, supremal_supervisor
@@ -252,15 +252,47 @@ def accepts(a: Automaton, seq: Sequence[EventLabel], marked: bool = False) -> bo
     return bool(current & a.marked) if marked else True
 
 
+def pruning_rules(g: Automaton, cfg: SystemConfig
+                  ) -> Tuple[Callable[[Tuple], bool], Callable[[Tuple], bool]]:
+    """The two pruning rules of ``plant.compose_and_prune_plant``, written
+    out on G_new's (store, stage, plant state) triples: whether the stage
+    holds a command none of whose events the plant enables (rule 1 removes
+    the state), and whether the stage idles while some stored command has an
+    event the plant enables (rule 2 removes the state's tick)."""
+    enabled = {q: {e.base for e in g.enabled(q)} for q in g.states}
+
+    def useless(state: Tuple) -> bool:
+        _store, stage, q = state
+        return bool(stage.value) and not enabled[q] & {name for name, _t in stage.value}
+
+    def usable_stored(state: Tuple) -> bool:
+        store, stage, q = state
+        return not stage.value and any(cfg.commands[c] & enabled[q]
+                                       for c, _t in store.value)
+
+    return useless, usable_stored
+
+
+def pruning_filter(g: Automaton, cfg: SystemConfig) -> Callable:
+    """``pruning_rules`` as a transition filter for ``nested_loop_product``
+    over [CS, CE, G]: no transition into a useless stage, no preempted tick."""
+    useless, usable_stored = pruning_rules(g, cfg)
+
+    def allowed(src: Tuple, e: EventLabel, dst: Tuple) -> bool:
+        return not useless(dst) and not (e == ev.tick and usable_stored(src))
+
+    return allowed
+
+
 def check_pruned_invariants(g_new: Automaton, g: Automaton,
                             cfg: SystemConfig) -> List[str]:
-    """Re-assert both pruning rules of ``plant`` on the finished G_new."""
-    useless_fetch, preempted = _pruning_rules(g, cfg)
+    """Re-assert both pruning rules on the finished G_new."""
+    useless, usable_stored = pruning_rules(g, cfg)
     problems = []
     for state in g_new.states:
-        if useless_fetch(state):
+        if useless(state):
             problems.append(f"useless active command at {state_name(state)}")
-        elif preempted(state) and g_new.successors(state, ev.tick):
+        elif usable_stored(state) and g_new.successors(state, ev.tick):
             problems.append(f"tick not preempted at {state_name(state)}")
     return problems
 

@@ -4,6 +4,7 @@ specifications and attacks for them.
 The data files are the only definition of the guideway and reduced systems;
 README describes both.
 """
+import dataclasses
 import os
 from typing import Dict, List, Tuple
 
@@ -11,7 +12,7 @@ import netdes.events as ev
 from netdes.attacker import attack_control_constraint
 from netdes.automaton import Automaton
 from netdes.config import SystemConfig, load_config
-from netdes.fixtures import BuiltSystem, load_system
+from netdes.fixtures import BuiltSystem, build_system, load_system
 from oracles import complete_with_selfloops
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "netdes", "data")
@@ -30,6 +31,25 @@ def shipped_config(stem: str) -> SystemConfig:
 
 def shipped_system(stem: str) -> BuiltSystem:
     return load_system(*shipped_paths(stem))
+
+
+# the shipped systems and the configs of the golden parameter rungs
+RUNG_CONFIGS = [("guideway", ""), ("reduced", ""), ("guideway", "delta_o=2"),
+                ("guideway", "delta_c=1"), ("guideway", "u=2"), ("reduced", "delta_s=1")]
+
+
+def rung_system(stem: str, params: str = "") -> BuiltSystem:
+    """A shipped system with one parameter changed, built anew, so nothing
+    another test explored is shared."""
+    system = shipped_system(stem)
+    cfg = system.cfg
+    if params:
+        key, value = params.split("=")
+        if key == "u":
+            cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, u=int(value)))
+        else:
+            cfg = dataclasses.replace(cfg, **{key: int(value)})
+    return build_system(cfg, system.plant, system.ns)
 
 
 # -- specifications ------------------------------------------------------------

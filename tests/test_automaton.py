@@ -204,23 +204,6 @@ def test_nary_compose_matches_binary():
         assert isomorphic_by(flat, nested, lambda q: ((q[0], q[1]), q[2]))
 
 
-def test_compose_filter_never_discovers_states_behind_rejected_transitions():
-    # p1 and p2 are reachable only through p0 -a-> p1, which the filter rejects
-    a = aut(["p0", "p1", "p2", "p3"], [A, B, C],
-            [("p0", A, "p1"), ("p1", B, "p2"), ("p0", C, "p3"), ("p3", B, "p0")],
-            "p0")
-    sources = []
-
-    def allowed(src, e, dst):
-        sources.append(src)
-        return (src, e, dst) != (("p0",), A, ("p1",))
-
-    prod = compose([a], allowed=allowed)
-    assert set(prod.states) == {("p0",), ("p3",)}
-    assert set(prod.transitions) == {(("p0",), C, ("p3",)), (("p3",), B, ("p0",))}
-    assert set(sources) == {("p0",), ("p3",)}
-
-
 def _random_component(rng, k, shared):
     """A component over a random part of ``shared`` plus private events of
     its own, possibly nondeterministic, with state names that do not sort
@@ -238,32 +221,28 @@ def _random_component(rng, k, shared):
 
 
 def _random_products(seed):
-    """25 random component lists, each with a random transition filter."""
+    """25 random component lists."""
     rng = random.Random(seed)
     shared = [ev.plant(x) for x in "abcdefg"] + [ev.entry("a"), ev.tick]
     for _ in range(25):
-        comps = [_random_component(rng, k, shared)
-                 for k in range(rng.randint(1, 4))]
-        cut = {(k, q, e) for k, c in enumerate(comps) for q in c.states
-               for e in c.alphabet if rng.random() < 0.15}
-
-        def allowed(src, e, dst, cut=cut):
-            return not any((k, q, e) in cut for k, q in enumerate(dst))
-
-        yield comps, allowed
+        comps = [_random_component(rng, k, shared) for k in range(rng.randint(1, 4))]
+        # the draws of a transition filter these lists once came with, so the
+        # lists stay the ones these tests have always run
+        for _ in range(sum(len(c.states) * len(c.alphabet) for c in comps)):
+            rng.random()
+        yield comps
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_compose_matches_nested_loop_product(seed):
-    for comps, allowed in _random_products(seed):
-        for flt in (None, allowed):
-            got = compose(comps, name="P", allowed=flt)
-            want = nested_loop_product(comps, name="P", allowed=flt)
-            assert got.states == want.states
-            assert got.marked == want.marked
-            assert got.alphabet == want.alphabet
-            for q in want.states:
-                assert moves(got, q) == moves(want, q)
+    for comps in _random_products(seed):
+        got = compose(comps, name="P")
+        want = nested_loop_product(comps, name="P")
+        assert got.states == want.states
+        assert got.marked == want.marked
+        assert got.alphabet == want.alphabet
+        for q in want.states:
+            assert moves(got, q) == moves(want, q)
 
 
 def numbered_moves(n, states):
@@ -286,27 +265,26 @@ def assert_numbers_in_order(n, a):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_number_matches_explore_lazy_and_explored(seed):
-    for comps, allowed in _random_products(seed):
-        for flt in (None, allowed):
-            lazy = product(comps, name="P", allowed=flt)
-            walked = number(lazy)
-            # the walk keeps none of the rows it computes
-            assert len(lazy._delta) == 0 and lazy._delta.row is not None
-            explored = compose(comps, name="P", allowed=flt)
-            assert_numbers_in_order(walked, explored)
-            # an explored automaton is numbered by its states, to the same arrays
-            again = number(explored)
-            assert (again.starts, again.ranks, again.targets, again.marked) == \
-                (walked.starts, walked.ranks, walked.targets, walked.marked)
-            # a partial exploration first: kept rows are read, the rest computed
-            partial = product(comps, name="P", allowed=flt)
-            walk = explore(partial.initial, partial._delta.__getitem__)
-            for _ in range(3):
-                next(walk, None)
-            kept = len(partial._delta)
-            assert 0 < kept <= 3
-            assert_numbers_in_order(number(partial), explored)
-            assert len(partial._delta) == kept
+    for comps in _random_products(seed):
+        lazy = product(comps, name="P")
+        walked = number(lazy)
+        # the walk keeps none of the rows it computes
+        assert len(lazy._delta) == 0 and lazy._delta.row is not None
+        explored = compose(comps, name="P")
+        assert_numbers_in_order(walked, explored)
+        # an explored automaton is numbered by its states, to the same arrays
+        again = number(explored)
+        assert (again.starts, again.ranks, again.targets, again.marked) == \
+            (walked.starts, walked.ranks, walked.targets, walked.marked)
+        # a partial exploration first: kept rows are read, the rest computed
+        partial = product(comps, name="P")
+        walk = explore(partial.initial, partial._delta.__getitem__)
+        for _ in range(3):
+            next(walk, None)
+        kept = len(partial._delta)
+        assert 0 < kept <= 3
+        assert_numbers_in_order(number(partial), explored)
+        assert len(partial._delta) == kept
 
 
 def test_number_of_an_explicit_automaton_follows_its_states():
@@ -330,15 +308,14 @@ def test_number_of_an_empty_automaton_has_no_states():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_compose_over_a_product_matches_compose_over_its_materialization(seed):
-    for comps, allowed in _random_products(seed):
-        for flt in (None, allowed):
-            inner = product(comps, name="P", allowed=flt)
-            # the outer composition computes the inner rows it reaches first
-            got = compose([inner, comps[0]])
-            want = compose([compose(comps, name="P", allowed=flt), comps[0]])
-            assert_same_automaton(got, want)
-            # exploring the rest after that partial exploration changes nothing
-            assert_same_automaton(inner, compose(comps, name="P", allowed=flt))
+    for comps in _random_products(seed):
+        inner = product(comps, name="P")
+        # the outer composition computes the inner rows it reaches first
+        got = compose([inner, comps[0]])
+        want = compose([compose(comps, name="P"), comps[0]])
+        assert_same_automaton(got, want)
+        # exploring the rest after that partial exploration changes nothing
+        assert_same_automaton(inner, compose(comps, name="P"))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -347,31 +324,30 @@ def test_witness_is_a_shortest_path_into_the_targets(seed):
     # and the covertness and damage witnesses are shortest paths into the targets
     rng = random.Random(seed)
     free = ControlConstraint(frozenset(), frozenset(), "sa")
-    for comps, allowed in _random_products(seed):
-        for flt in (None, allowed):
-            loop = compose(comps, allowed=flt)
-            attack = aut(["a"], loop.alphabet,
-                         [("a", e, "a") for e in loop.alphabet], "a")
-            dist = bfs_distances(loop)
-            assert set(dist) == set(loop.states)
-            for targets in (loop.marked, loop.states[-1:],
-                            rng.sample(loop.states, min(3, len(loop.states))),
-                            [("nowhere",)]):
-                hit = set(targets).__contains__
-                verdicts = check_attack(SynthesisProblem(loop, hit, hit, free), attack)
-                found = set(targets) & set(loop.states)
-                assert verdicts.covert.ok == (not found)
-                assert verdicts.reachable.ok == bool(found)
-                for path in (verdicts.covert.witness, verdicts.reachable.witness):
-                    if not found:
-                        assert path is None
-                        continue
-                    assert len(path) == min(dist[q] for q in found)
-                    # some run of the loop spells the witness into a target
-                    reached = {loop.initial}
-                    for e in path:
-                        reached = {dst for q in reached for dst in loop.successors(q, e)}
-                    assert reached & found
+    for comps in _random_products(seed):
+        loop = compose(comps)
+        attack = aut(["a"], loop.alphabet,
+                     [("a", e, "a") for e in loop.alphabet], "a")
+        dist = bfs_distances(loop)
+        assert set(dist) == set(loop.states)
+        for targets in (loop.marked, loop.states[-1:],
+                        rng.sample(loop.states, min(3, len(loop.states))),
+                        [("nowhere",)]):
+            hit = set(targets).__contains__
+            verdicts = check_attack(SynthesisProblem(loop, hit, hit, free), attack)
+            found = set(targets) & set(loop.states)
+            assert verdicts.covert.ok == (not found)
+            assert verdicts.reachable.ok == bool(found)
+            for path in (verdicts.covert.witness, verdicts.reachable.witness):
+                if not found:
+                    assert path is None
+                    continue
+                assert len(path) == min(dist[q] for q in found)
+                # some run of the loop spells the witness into a target
+                reached = {loop.initial}
+                for e in path:
+                    reached = {dst for q in reached for dst in loop.successors(q, e)}
+                assert reached & found
 
 
 def test_product_rows_are_in_label_and_state_name_order():
@@ -387,13 +363,12 @@ def test_product_rows_are_in_label_and_state_name_order():
     assert row[B] == ((9, "q"),)
     assert row[C] == ((0, "p"),)
     for seed in range(6):
-        for comps, allowed in _random_products(seed):
-            for flt in (None, allowed):
-                p = product(comps, allowed=flt)
-                for succ in map(p._delta.__getitem__, p.states):
-                    assert list(succ) == sorted_events(succ)
-                    for dsts in succ.values():
-                        assert list(dsts) == sorted(dsts, key=state_name)
+        for comps in _random_products(seed):
+            p = product(comps)
+            for succ in map(p._delta.__getitem__, p.states):
+                assert list(succ) == sorted_events(succ)
+                for dsts in succ.values():
+                    assert list(dsts) == sorted(dsts, key=state_name)
 
 
 # -- explorer ----------------------------------------------------------------------

@@ -7,31 +7,13 @@ from netdes.automaton import compose, state_name, subset_construction
 from netdes.cli import _write_components
 from netdes.config import serialize_config
 from netdes.events import sorted_events
-from netdes.fixtures import build_attack_problem, build_system, load_system
+from netdes.fixtures import build_attack_problem, load_system
 from netdes.supervision import validate_networked_supervisor
 from netdes.synthesis import SynthesisMode, check_attack, synthesize_supremal_attack
 from oracles import (assert_same_automaton, explicit_attack_free_relabel,
                      same_closed_language, step)
-from systems import (guideway_spec, reduced_spec, shipped_config, shipped_paths,
-                     shipped_system)
-
-# the shipped systems and the configs of the golden parameter rungs
-RUNG_CONFIGS = [("guideway", ""), ("reduced", ""), ("guideway", "delta_o=2"),
-                ("guideway", "delta_c=1"), ("guideway", "u=2"), ("reduced", "delta_s=1")]
-
-
-def _rung_system(stem, params=""):
-    """A shipped system with one parameter changed, built anew, so nothing
-    another test explored is shared."""
-    system = shipped_system(stem)
-    cfg = system.cfg
-    if params:
-        key, value = params.split("=")
-        if key == "u":
-            cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, u=int(value)))
-        else:
-            cfg = dataclasses.replace(cfg, **{key: int(value)})
-    return build_system(cfg, system.plant, system.ns)
+from systems import (RUNG_CONFIGS, guideway_spec, reduced_spec, rung_system,
+                     shipped_config, shipped_paths, shipped_system)
 
 
 def test_guideway_grid_numbering(guideway):
@@ -91,7 +73,7 @@ def test_attack_problem_builds_only_the_rows_of_g_new_it_reaches(tmp_path):
 def test_writing_the_components_keeps_no_g_new_row_the_monitor_did_not_read(tmp_path):
     # reduced with delta_s=1: g_new.aut and the rate check walk all 16,398
     # G_new states through one numbering and keep none of their rows
-    system = _rung_system("reduced", "delta_s=1")
+    system = rung_system("reduced", "delta_s=1")
     g_new = system.g_new
     read = set(g_new._delta)
     assert 0 < len(read) < 100
@@ -104,7 +86,7 @@ def test_writing_the_components_keeps_no_g_new_row_the_monitor_did_not_read(tmp_
 
 def test_build_system_computes_only_the_channel_rows_the_monitor_reads():
     # guideway u=4: OC has 12,870 states; the monitor reads 9 OC^T rows
-    system = _rung_system("guideway", "u=4")
+    system = rung_system("guideway", "u=4")
     oc, oc_t = system.oc, system.oc_t
     assert len(oc._delta) == len(oc_t._delta) == 9
     assert oc._delta.row is not None and oc_t._delta.row is not None
@@ -118,7 +100,7 @@ def test_build_system_computes_only_the_channel_rows_the_monitor_reads():
 
 @pytest.mark.parametrize("stem,params", RUNG_CONFIGS)
 def test_lazy_oc_t_equals_the_explicit_relabel(stem, params):
-    system = _rung_system(stem, params)
+    system = rung_system(stem, params)
     # OC^T explored first reaches OC only through OC's rows
     assert system.oc_t.states and system.oc._delta.row is not None
     assert_same_automaton(system.oc_t, explicit_attack_free_relabel(system.oc))
@@ -129,7 +111,7 @@ def test_lazy_oc_t_equals_the_explicit_relabel(stem, params):
 def test_component_rows_are_in_label_and_state_name_order(stem, params):
     # the rows the components give, as test_product_rows_are_in_label_and_
     # state_name_order checks for products
-    system = _rung_system(stem, params)
+    system = rung_system(stem, params)
     several = 0
     for a in (system.cs, system.ce, system.oc, system.cc, system.oc_t):
         for q in a.states:

@@ -9,17 +9,17 @@ import netdes.events as ev
 from netdes.automaton import Automaton, AutomatonError, compose, number, state_name
 from netdes.config import EventSpec, RateBounds, SystemConfig, load_config
 from netdes.plant import (EMPTY_QUEUE, IDLE, ExecState, StorageState,
-                          _check_plant, _pruning_rules,
-                          build_command_execution, build_command_storage,
+                          _check_plant, build_command_execution, build_command_storage,
                           capacity_storage, compose_and_prune_plant,
                           max_plant_events_between_ticks, rate_bound_warnings)
 from netdes.fixtures import build_system
 from netdes.textio import load_automaton, parse_automaton
 from oracles import (accepts, assert_same_automaton, check_pruned_invariants,
                      complete_with_selfloops, coreachable, is_nonblocking,
-                     longest_plant_run_by_state, restrict_reachable, trim,
+                     longest_plant_run_by_state, nested_loop_product,
+                     pruning_filter, pruning_rules, restrict_reachable, trim,
                      unobservable_reach)
-from systems import shipped_paths
+from systems import RUNG_CONFIGS, rung_system, shipped_paths
 
 
 def make_cfg(delta_s=0, te=None, commands=None, events=None, damage=()):
@@ -270,17 +270,7 @@ def _three_stage_g_new(cs, ce, g, cfg):
     """G_new built the long way: the unpruned product, then rule 1's states
     and rule 2's ticks dropped, then the part still reachable."""
     full = compose([cs, ce, g])
-    enabled = {q: {e.base for e in g.enabled(q)} for q in g.states}
-
-    def useless(state):
-        _store, stage, q = state
-        return stage != IDLE and not enabled[q] & {name for name, _t in stage.value}
-
-    def usable_stored(state):
-        store, stage, q = state
-        return stage == IDLE and any(cfg.commands[c] & enabled[q]
-                                     for c, _t in store.value)
-
+    useless, usable_stored = pruning_rules(g, cfg)
     states = [q for q in full.states if not useless(q)]
     trans = [(s, e, t) for (s, e, t) in full.transitions
              if not useless(s) and not useless(t)
@@ -288,7 +278,9 @@ def _three_stage_g_new(cs, ce, g, cfg):
     return restrict_reachable(Automaton(states, full.alphabet, trans, full.initial))
 
 
-def _random_plant_case(rng):
+def _random_plant_case(rng, branch=False):
+    """A random config and plant; with ``branch``, the plant's initial state
+    leads to every state on one plant event."""
     delta_s = rng.choice((0, 1))
     events = (EventSpec("s1", True, True, True, True, rng.choice((0, 1))),
               EventSpec("s2", True, True, True, True, rng.choice((0, 1))),
@@ -300,6 +292,9 @@ def _random_plant_case(rng):
     states = [f"q{i}" for i in range(rng.randint(1, 4))]
     trans = {(rng.choice(states), rng.choice(cfg.plant_labels()), rng.choice(states))
              for _ in range(rng.randint(0, 2 * len(states) + 1))}
+    if branch:
+        label = rng.choice(cfg.plant_labels())
+        trans |= {(states[0], label, q) for q in states}
     return cfg, _lone_plant(cfg, sorted(trans, key=str), states)
 
 
@@ -315,6 +310,74 @@ def test_one_pass_g_new_matches_three_stage_construction(seed):
         assert set(got.states) == set(want.states)
         assert set(got.transitions) == set(want.transitions)
         assert not check_pruned_invariants(got, g, cfg)
+
+
+def _assert_g_new_is_the_oracle_product(g, cfg):
+    """G_new equals the nested-loop product of CS, CE and G under the oracle
+    pruning rules: the same states in the same order, the same moves per
+    state and the same numbering."""
+    cs, ce = build_command_storage(cfg), build_command_execution(cfg)
+    got = compose_and_prune_plant(cs, ce, g, cfg)
+    walked = number(got)  # keeps no row: the exploration below starts afresh
+    want = nested_loop_product([cs, ce, g], name="G_new", allowed=pruning_filter(g, cfg))
+    assert_same_automaton(got, want)
+    again = number(want)
+    assert (walked.starts, walked.ranks, walked.targets, walked.marked, walked.initial) \
+        == (again.starts, again.ranks, again.targets, again.marked, again.initial)
+    return got
+
+
+@pytest.mark.parametrize("stem,params", RUNG_CONFIGS)
+def test_g_new_equals_the_nested_loop_product_under_the_oracle_rules(stem, params):
+    system = rung_system(stem, params)
+    got = _assert_g_new_is_the_oracle_product(system.plant, system.cfg)
+    assert not check_pruned_invariants(got, system.plant, system.cfg)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_g_new_on_branching_plants_equals_the_nested_loop_product(seed):
+    rng = random.Random(100 + seed)
+    several = 0
+    for _ in range(4):
+        cfg, g = _random_plant_case(rng, branch=True)
+        got = _assert_g_new_is_the_oracle_product(g, cfg)
+        several += sum(len(dsts) > 1 for q in got.states for dsts in got._delta[q].values())
+    assert several  # some row leads to several plant states on one event
+
+
+def test_several_g_new_successors_come_in_state_name_order_of_the_triples():
+    # "q" sorts before "q!" as a plant state, but "(...,q)" after "(...,q!)"
+    cfg = make_cfg()
+    g = _lone_plant(cfg, [("q0", ev.plant("u"), q) for q in ("q", "q!", "q0")],
+                    ["q0", "q", "q!"])
+    gn = compose_and_prune_plant(build_command_storage(cfg),
+                                 build_command_execution(cfg), g, cfg)
+    dsts = gn.successors(gn.initial, ev.plant("u"))
+    assert [q for _s, _e, q in dsts] == ["q!", "q", "q0"]
+    assert list(dsts) == sorted(dsts, key=state_name)
+
+
+def test_g_new_row_function_never_sees_a_state_behind_a_pruned_transition():
+    # q0 -s-> q1, where u loops. Rule 2 preempts every tick at q0 while g is
+    # stored, so ((g,0)) at q0 is reachable only by a preempted tick; rule 1
+    # makes fetching g at q1 useless, so a busy stage at q1 is never entered
+    cfg = make_cfg(delta_s=1)
+    g = _lone_plant(cfg, [("q0", ev.plant("s"), "q1"), ("q1", ev.plant("u"), "q1")],
+                    ["q0", "q1"])
+    cs, ce = build_command_storage(cfg), build_command_execution(cfg)
+    aged = StorageState((("g", 0),))
+    behind_tick = (aged, IDLE, "q0")
+    behind_fetch = [(EMPTY_QUEUE, busy, "q1") for busy in ce.states if busy is not IDLE]
+    unpruned = compose([cs, ce, g])
+    assert behind_tick in unpruned.states and set(behind_fetch) <= set(unpruned.states)
+    gn = compose_and_prune_plant(cs, ce, g, cfg)
+    seen = []
+    row = gn._delta.row
+    gn._delta.row = lambda state: seen.append(state) or row(state)
+    assert gn.states and set(seen) == set(gn.states)
+    assert behind_tick not in seen
+    assert not any(stage is not IDLE and q == "q1" for _s, stage, q in seen)
+    assert not check_pruned_invariants(gn, g, cfg)
 
 
 def test_alphabet_mismatch_rejected():
@@ -500,10 +563,9 @@ def test_lazy_command_store_answers_like_the_explored_one(guideway):
 def test_lazy_g_new_answers_like_its_explored_composition(guideway):
     # a product's marked set is a set of its states, unexplored or not
     cfg, g = guideway.cfg, guideway.plant
-    useless_fetch, preempted = _pruning_rules(g, cfg)
-    whole = compose([build_command_storage(cfg), build_command_execution(cfg), g],
-                    name="G_new", allowed=lambda src, e, dst: not useless_fetch(dst)
-                    and not (e == ev.tick and preempted(src)))
+    whole = nested_loop_product([build_command_storage(cfg),
+                                 build_command_execution(cfg), g],
+                                name="G_new", allowed=pruning_filter(g, cfg))
 
     def lazy():
         return compose_and_prune_plant(build_command_storage(cfg),
