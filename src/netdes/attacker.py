@@ -11,8 +11,7 @@ changes state on an event it cannot observe.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List, NamedTuple, Tuple
 
 from . import events as ev
 from .automaton import Automaton, AutomatonError, state_name
@@ -22,19 +21,21 @@ from .events import EventLabel, sorted_events
 AC_INIT = "qinit"
 
 
-@dataclass(frozen=True)
 class ControlConstraint:
     """What a supervisor may disable and what it sees. An attack is the
     supervisor of the composed plant, so attacks and networked supervisors
     share this type; ``rule`` prefixes the names of violations."""
-    controllable: FrozenSet[EventLabel]
-    observable: FrozenSet[EventLabel]
-    rule: str
 
-    def __post_init__(self) -> None:
-        if not self.controllable <= self.observable:
+    __slots__ = ("controllable", "observable", "rule")
+
+    def __init__(self, controllable: FrozenSet[EventLabel],
+                 observable: FrozenSet[EventLabel], rule: str) -> None:
+        if not controllable <= observable:
             raise ConfigError("controllable events must be observable "
                               "(required for normality to equal observability)")
+        self.controllable = controllable
+        self.observable = observable
+        self.rule = rule
 
 
 def attack_control_constraint(cfg: SystemConfig) -> ControlConstraint:
@@ -107,8 +108,7 @@ def ac_state_count(cfg: SystemConfig) -> int:
 # -- validation -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     state: str
     event: str
     rule: str
@@ -117,8 +117,7 @@ class Violation:
         return f"{self.rule} {self.state} {self.event}"
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     subject: str
     violations: List[Violation]
 

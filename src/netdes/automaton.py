@@ -152,12 +152,6 @@ class Automaton:
         return frozenset((q, e, dst) for q in self.states
                          for e, dsts in delta[q].items() for dst in dsts)
 
-    def successors(self, q: State, ev: EventLabel) -> Tuple[State, ...]:
-        return self._delta[q].get(ev, ())
-
-    def enabled(self, q: State) -> Tuple[EventLabel, ...]:
-        return tuple(self._delta[q])
-
     def __repr__(self) -> str:
         rows = self._delta  # a lazy automaton's rows so far: explore nothing
         size = (f"{len(rows)} rows computed" if getattr(rows, "row", None) is not None

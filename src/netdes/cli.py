@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Commands: ``capacity``, ``build``, ``synthesize``, ``verify``, ``export-dot``.
+Commands: ``capacity``, ``build``, ``synthesize``, ``verify``, ``export-dot``;
+``COMMANDS`` gives each one's options, and one small parser reads them.
 Exit statuses: 0 success, 1 usage or parse error, 2 validation failure,
 3 no covert attack exists, 4 ``verify`` found the attack detectable (not
 covert). ``verify`` still exits 0 when only a damage goal fails.
@@ -19,11 +20,11 @@ none.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import os
 import sys
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from .attacker import validate_attack
@@ -149,58 +150,114 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="netdes",
-        description="Covert sensor-attack synthesis for networked DES "
-                    "with non-FIFO channels")
-    sub = p.add_subparsers(dest="command", required=True)
+LOOP_FILES = ("--config", "--plant", "--ns")
 
-    cap = sub.add_parser("capacity", help="print channel/storage capacities")
-    cap.add_argument("--config", required=True)
-    cap.set_defaults(fn=cmd_capacity)
+# name -> (function, required options, optional options with their defaults,
+# positional argument or None, summary). main looks the function up by name
+# when it runs the command, so a test can replace it.
+COMMANDS = {
+    "capacity": ("cmd_capacity", ("--config",), {}, None,
+                 "print channel/storage capacities"),
+    "build": ("cmd_build", (*LOOP_FILES, "--out"), {}, None,
+              "build and export all loop components"),
+    "synthesize": ("cmd_synthesize", (*LOOP_FILES, "--out"),
+                   {"--mode": SynthesisMode.DAMAGE_NONBLOCKING.value}, None,
+                   "synthesize the supremal covert attack"),
+    "verify": ("cmd_verify", (*LOOP_FILES, "--attack"), {}, None,
+               "verify a candidate attack automaton"),
+    "export-dot": ("cmd_export_dot", (), {"--out": None}, "file",
+                   "render an automaton file as DOT"),
+}
+CHOICES = {"--mode": tuple(m.value for m in SynthesisMode)}
+HELP = ("-h", "--help")
 
-    def io_args(sp, needs_out=True):
-        sp.add_argument("--config", required=True)
-        sp.add_argument("--plant", required=True)
-        sp.add_argument("--ns", required=True)
-        if needs_out:
-            sp.add_argument("--out", required=True)
 
-    b = sub.add_parser("build", help="build and export all loop components")
-    io_args(b)
-    b.set_defaults(fn=cmd_build)
+class UsageError(Exception):
+    """A command line the table does not accept. Its args are the command
+    whose usage goes with the message (None for netdes itself) and the
+    message."""
 
-    s = sub.add_parser("synthesize", help="synthesize the supremal covert attack")
-    io_args(s)
-    s.add_argument("--mode", choices=("nonblocking", "reachable"),
-                   default="nonblocking")
-    s.set_defaults(fn=cmd_synthesize)
 
-    v = sub.add_parser("verify", help="verify a candidate attack automaton")
-    io_args(v, needs_out=False)
-    v.add_argument("--attack", required=True)
-    v.set_defaults(fn=cmd_verify)
+def _choose_from(names) -> str:
+    return "(choose from " + ", ".join(map(repr, names)) + ")"
 
-    d = sub.add_parser("export-dot", help="render an automaton file as DOT")
-    d.add_argument("file")
-    d.add_argument("--out")
-    d.set_defaults(fn=cmd_export_dot)
-    return p
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return "usage: netdes {" + ",".join(COMMANDS) + "} ..."
+    _fn, required, optional, positional, _summary = COMMANDS[command]
+    spell = {o: o + " " + ("{" + ",".join(CHOICES[o]) + "}" if o in CHOICES
+                           else o[2:].upper()) for o in (*required, *optional)}
+    words = [spell[o] for o in required] + [f"[{spell[o]}]" for o in optional]
+    return " ".join(["usage: netdes", command, *words, *filter(None, [positional])])
+
+
+def _parse_args(argv: List[str]) -> Tuple[Optional[str], Optional[SimpleNamespace]]:
+    """The command ``argv`` names and its options, read by the table. An
+    option is ``--opt value`` or ``--opt=value``; options come in any order,
+    before or after the positional argument, and the last of a repeated one
+    counts. A ``-h`` or ``--help`` that comes before any error gives None
+    for the options (and for the command too when it comes first). Raises
+    UsageError, with argparse's wording."""
+    if not argv:
+        raise UsageError(None, "the following arguments are required: command")
+    command, *tokens = argv
+    if command in HELP:
+        return None, None
+    if command not in COMMANDS:
+        raise UsageError(None, f"argument command: invalid choice: {command!r} "
+                               + _choose_from(COMMANDS))
+    _fn, required, optional, positional, _summary = COMMANDS[command]
+    values, unknown, rest = dict(optional), [], iter(tokens)
+    for token in rest:
+        if token in HELP:
+            return command, None
+        key, eq, value = token.partition("=")
+        if key in required or key in optional:
+            value = value if eq else next(rest, "-")  # none left: no value
+            if not eq and value.startswith("-"):
+                raise UsageError(command, f"argument {key}: expected one argument")
+            if key in CHOICES and value not in CHOICES[key]:
+                raise UsageError(command, f"argument {key}: invalid choice: "
+                                          f"{value!r} " + _choose_from(CHOICES[key]))
+            values[key] = value
+        elif positional and positional not in values and not token.startswith("-"):
+            values[positional] = token
+        else:
+            unknown.append(token)
+    missing = [a for a in (positional, *required) if a and a not in values]
+    if missing:
+        raise UsageError(command, "the following arguments are required: "
+                                  + ", ".join(missing))
+    if unknown:
+        raise UsageError(command, "unrecognized arguments: " + " ".join(unknown))
+    return command, SimpleNamespace(**{k.lstrip("-"): v for k, v in values.items()})
+
+
+def _help(command: Optional[str]) -> str:
+    if command is not None:
+        return f"{_usage(command)}\n\n{COMMANDS[command][4]}"
+    return (f"{_usage(None)}\n\nCovert sensor-attack synthesis for networked DES "
+            "with non-FIFO channels\n" + "".join(
+                f"\n  {name:<12}{entry[4]}" for name, entry in COMMANDS.items()))
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        command, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as exc:
+        command, message = exc.args
+        print(f"{_usage(command)}\nnetdes: error: {message}", file=sys.stderr)
+        return EXIT_USAGE
+    if args is None:
+        print(_help(command))
+        return EXIT_OK
     # what a command allocates lives until it ends, so the cyclic collector's
     # full passes would only rescan it; the prior state comes back on exit
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.fn(args)
+        return globals()[COMMANDS[command][0]](args)
     except (ParseError, ConfigError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,7 +14,7 @@ rows); ``verify`` explores none of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .attacker import build_attack_constraints
 from .automaton import Automaton, AutomatonError
@@ -28,8 +28,7 @@ from .synthesis import SynthesisProblem, build_problem
 from .textio import load_automaton
 
 
-@dataclass
-class BuiltSystem:
+class BuiltSystem(NamedTuple):
     cfg: SystemConfig
     plant: Automaton
     cs: Automaton

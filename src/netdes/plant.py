@@ -205,7 +205,7 @@ def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
     events = [(e, e in cs.alphabet, e in ce.alphabet, e in g.alphabet)
               for e in ev.sorted_events(alphabet)]
     stores, stages, plants = cs._delta, ce._delta, g._delta
-    enabled = {q: frozenset(e.base for e in g.enabled(q)) for q in g.states}
+    enabled = {q: frozenset(e.base for e in plants[q]) for q in g.states}
     # per plant state, the commands with an event it enables (rule 2)
     usable = {q: frozenset(c for c, names in cfg.commands.items() if not names.isdisjoint(on))
               for q, on in enabled.items()}

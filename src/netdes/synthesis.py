@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
                     Optional, Set, Tuple)
@@ -68,16 +67,19 @@ class SynthesisMode(enum.Enum):
     DAMAGE_REACHABLE = "reachable"
 
 
-@dataclass
 class SynthesisProblem:
     """The new plant P with its covertness-violating and damage states, given
     as predicates on a state of P; the marked states of P are the targets.
     No synthesis or verification step reads ``bad`` or ``target``: each is
     built on first read, which explores all of P."""
-    plant: Automaton
-    is_bad: Callable[[State], bool]
-    is_target: Callable[[State], bool]
-    constraint: ControlConstraint
+
+    def __init__(self, plant: Automaton, is_bad: Callable[[State], bool],
+                 is_target: Callable[[State], bool],
+                 constraint: ControlConstraint) -> None:
+        self.plant = plant
+        self.is_bad = is_bad
+        self.is_target = is_target
+        self.constraint = constraint
 
     @cached_property
     def bad(self) -> FrozenSet:
@@ -257,8 +259,7 @@ def synthesize_supremal_attack(problem: SynthesisProblem,
 # -- verification -------------------------------------------------------------
 
 
-@dataclass
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     witness: Optional[List[EventLabel]] = None
 
@@ -336,8 +337,7 @@ def verify_damage_reachable(problem: SynthesisProblem,
 # -- state-size report ---------------------------------------------------------
 
 
-@dataclass
-class SizeRow:
+class SizeRow(NamedTuple):
     component: str
     count: int
     bound: str

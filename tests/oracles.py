@@ -80,13 +80,13 @@ def bfs_distances(a: Automaton) -> Dict[State, int]:
         return dist
     dist[a.initial] = 0
 
-    def successors(q: State) -> List[State]:
+    def targets(q: State) -> List[State]:
         out = [dst for _q, _e, dst in moves(a, q)]
         for dst in out:
             dist.setdefault(dst, dist[q] + 1)
         return out
 
-    _bfs(a.initial, successors)
+    _bfs(a.initial, targets)
     return dist
 
 
@@ -102,16 +102,17 @@ def same_closed_language(a1: Automaton, a2: Automaton,
     if a1.initial is None or a2.initial is None:
         return (a1.initial is None) == (a2.initial is None)
 
-    def successors(pair: Tuple[State, State]) -> List[Tuple[State, State]]:
+    def pair_successors(pair: Tuple[State, State]) -> List[Tuple[State, State]]:
         q1, q2 = pair
         if q1 is None or q2 is None:
             return []
         return [(step(a1, q1, e), step(a2, q2, e))
-                for e in set(a1.enabled(q1) + a2.enabled(q2)) if e in evs]
+                for e in set(enabled(a1, q1) + enabled(a2, q2)) if e in evs]
 
     # an event enabled on one side only shows as a None component, which
     # is not expanded
-    return all(None not in pair for pair in _bfs((a1.initial, a2.initial), successors))
+    return all(None not in pair
+               for pair in _bfs((a1.initial, a2.initial), pair_successors))
 
 
 def bounded_traces(a: Automaton, depth: int) -> Set[Tuple[EventLabel, ...]]:
@@ -126,9 +127,9 @@ def bounded_traces(a: Automaton, depth: int) -> Set[Tuple[EventLabel, ...]]:
     level = {(): frozenset((a.initial,))}
     out.add(())
     for _ in range(depth):
-        nxt = {trace + (e,): frozenset(t for q in states for t in a.successors(q, e))
+        nxt = {trace + (e,): frozenset(t for q in states for t in successors(a, q, e))
                for trace, states in level.items()
-               for e in {e for q in states for e in a.enabled(q)}}
+               for e in {e for q in states for e in enabled(a, q)}}
         out.update(nxt)
         level = nxt
     return out
@@ -141,10 +142,21 @@ def moves(a: Automaton, q: State) -> List[Transition]:
     return [(q, e, dst) for e, dsts in a._delta[q].items() for dst in dsts]
 
 
+def successors(a: Automaton, q: State, e: EventLabel) -> Tuple[State, ...]:
+    """The successors of q on e, in ``state_name`` order; () when e is
+    undefined at q."""
+    return a._delta[q].get(e, ())
+
+
+def enabled(a: Automaton, q: State) -> Tuple[EventLabel, ...]:
+    """The events defined at q, in label order."""
+    return tuple(a._delta[q])
+
+
 def step(a: Automaton, q: State, e: EventLabel) -> Optional[State]:
     """The one successor of q on e, or None when e is undefined at q; raises
     AutomatonError when e has several."""
-    dsts = a.successors(q, e)
+    dsts = successors(a, q, e)
     if not dsts:
         return None
     if len(dsts) > 1:
@@ -168,14 +180,14 @@ def complete_with_selfloops(a: Automaton, events: Iterable[EventLabel],
     events = frozenset(events)
     transitions = [t for q in a.states for t in moves(a, q)]
     transitions += [(q, e, q) for q in a.states for e in events
-                    if not a.successors(q, e)]
+                    if not successors(a, q, e)]
     return Automaton(a.states, a.alphabet | events, transitions,
                      a.initial, a.marked, name or a.name)
 
 
 def deterministic(a: Automaton) -> bool:
-    return all(len(a.successors(q, e)) == 1
-               for q in a.states for e in a.enabled(q))
+    return all(len(successors(a, q, e)) == 1
+               for q in a.states for e in enabled(a, q))
 
 
 def unobservable_reach(a: Automaton, q: State,
@@ -245,7 +257,7 @@ def accepts(a: Automaton, seq: Sequence[EventLabel], marked: bool = False) -> bo
     for e in seq:
         nxt: Set[State] = set()
         for q in current:
-            nxt.update(a.successors(q, e))
+            nxt.update(successors(a, q, e))
         if not nxt:
             return False
         current = nxt
@@ -259,15 +271,15 @@ def pruning_rules(g: Automaton, cfg: SystemConfig
     holds a command none of whose events the plant enables (rule 1 removes
     the state), and whether the stage idles while some stored command has an
     event the plant enables (rule 2 removes the state's tick)."""
-    enabled = {q: {e.base for e in g.enabled(q)} for q in g.states}
+    bases = {q: {e.base for e in enabled(g, q)} for q in g.states}
 
     def useless(state: Tuple) -> bool:
         _store, stage, q = state
-        return bool(stage.value) and not enabled[q] & {name for name, _t in stage.value}
+        return bool(stage.value) and not bases[q] & {name for name, _t in stage.value}
 
     def usable_stored(state: Tuple) -> bool:
         store, stage, q = state
-        return not stage.value and any(cfg.commands[c] & enabled[q]
+        return not stage.value and any(cfg.commands[c] & bases[q]
                                        for c, _t in store.value)
 
     return useless, usable_stored
@@ -292,7 +304,7 @@ def check_pruned_invariants(g_new: Automaton, g: Automaton,
     for state in g_new.states:
         if useless(state):
             problems.append(f"useless active command at {state_name(state)}")
-        elif usable_stored(state) and g_new.successors(state, ev.tick):
+        elif usable_stored(state) and successors(g_new, state, ev.tick):
             problems.append(f"tick not preempted at {state_name(state)}")
     return problems
 
@@ -398,7 +410,7 @@ def nested_loop_product(components: Sequence[Automaton], name: str = "",
     transitions = []
     for cur in states:  # grows while iterated
         for e in events:
-            choices = [c.successors(q, e) if e in c.alphabet else (q,)
+            choices = [successors(c, q, e) if e in c.alphabet else (q,)
                        for c, q in zip(components, cur)]
             for nxt in itertools.product(*choices):
                 if allowed is not None and not allowed(cur, e, nxt):
@@ -433,7 +445,7 @@ def disabled_controllable_edits(problem: SynthesisProblem,
         if x not in known:
             continue
         for e in sorted_events(controllable):
-            if attack.successors(x, e):
+            if successors(attack, x, e):
                 continue
             y = step(full_obs, x, e)
             if y is not None:
@@ -509,7 +521,7 @@ def _complete_spec(spec: Automaton, cfg: SystemConfig) -> Automaton:
     transitions = list(spec.transitions)
     for q in spec.states:
         for e in sigma:
-            if not spec.successors(q, e):
+            if not successors(spec, q, e):
                 transitions.append((q, e, SPEC_DUMP))
     for e in sigma:
         transitions.append((SPEC_DUMP, e, SPEC_DUMP))

@@ -18,8 +18,9 @@ from netdes.events import EventLabel, sorted_events
 from netdes.supervision import supervisor_control_constraint
 from netdes.synthesis import SynthesisMode, SynthesisProblem
 from oracles import (SPEC_DUMP, _complete_spec, bfs_order,
-                     build_supervisor_constraints, coreachable, marked_copy,
-                     nested_loop_product, restrict_reachable, step)
+                     build_supervisor_constraints, coreachable, enabled,
+                     marked_copy, nested_loop_product, restrict_reachable, step,
+                     successors)
 
 
 def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
@@ -43,7 +44,7 @@ def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
             for x in obs.states:
                 if x in dead:
                     continue
-                for e in obs.enabled(x):
+                for e in enabled(obs, x):
                     if e in controllable:
                         continue
                     if step(obs, x, e) in dead:
@@ -101,7 +102,7 @@ def complete_with_selfloops(a: Automaton, uncontrollable: FrozenSet[EventLabel],
     transitions = set(a.transitions)
     for q in a.states:
         for e in sorted_events(uncontrollable & a.alphabet):
-            if not a.successors(q, e):
+            if not successors(a, q, e):
                 transitions.add((q, e, q))
     return Automaton(a.states, a.alphabet, transitions, a.initial,
                      a.marked, name or a.name)
@@ -148,7 +149,7 @@ def reference_networked_supervisor(g_new: Automaton, oc_t: Automaton,
     transitions = set(sup.transitions)
     for q in sup.states:
         for e in sorted_events(full - constraint.controllable):
-            if e not in sup.alphabet or not sup.successors(q, e):
+            if e not in sup.alphabet or not successors(sup, q, e):
                 transitions.add((q, e, q))
     return Automaton(sup.states, full, transitions, sup.initial,
                      marked=sup.states, name="NS")

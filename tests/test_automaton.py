@@ -16,7 +16,7 @@ from oracles import (accepts, assert_same_automaton, bfs_distances, bounded_trac
                      coreachable,
                      deterministic, empty_automaton, is_nonblocking,
                      isomorphic_by, moves, nested_loop_product, reachable,
-                     step, trim, unobservable_reach)
+                     step, successors, trim, unobservable_reach)
 
 A, B, C, U, O = (ev.plant(x) for x in "abcuo")
 
@@ -127,7 +127,7 @@ def test_observer_selfloops_unobserved_everywhere():
     a = aut(["q0", "q1"], [U, O], [("q0", O, "q1")], "q0")
     obs = subset_construction(a, [O])
     for x in obs.states:
-        assert obs.successors(x, U) == (x,)
+        assert successors(obs, x, U) == (x,)
 
 
 def test_observer_deterministic_on_random_instances():
@@ -346,7 +346,7 @@ def test_witness_is_a_shortest_path_into_the_targets(seed):
                 # some run of the loop spells the witness into a target
                 reached = {loop.initial}
                 for e in path:
-                    reached = {dst for q in reached for dst in loop.successors(q, e)}
+                    reached = {dst for q in reached for dst in successors(loop, q, e)}
                 assert reached & found
 
 
@@ -410,15 +410,15 @@ def _counter(limit, computed):
 def test_lazy_lookup_of_an_undiscovered_state_answers_as_explored():
     computed = []
     lazy = _counter(5, computed)
-    assert lazy.successors(0, A) == (1,) and computed == [0]
+    assert successors(lazy, 0, A) == (1,) and computed == [0]
     # 3 is reachable but not yet discovered: exploring finds its row
-    assert lazy.successors(3, A) == (4,)
+    assert successors(lazy, 3, A) == (4,)
     assert computed == [0, 1, 2, 3, 4, 5]
     with pytest.raises(KeyError):
-        lazy.successors(9, A)
+        successors(lazy, 9, A)
     assert lazy.states == (0, 1, 2, 3, 4, 5)
     with pytest.raises(KeyError):
-        _counter(5, []).successors(-1, A)
+        successors(_counter(5, []), -1, A)
     assert computed == [0, 1, 2, 3, 4, 5]
 
 
@@ -429,12 +429,12 @@ def test_lazy_automata_leave_no_reference_cycle():
     gc.disable()
     try:
         unexplored = product([_counter(3, []), _counter(4, [])])
-        unexplored.successors(unexplored.initial, A)
+        successors(unexplored, unexplored.initial, A)
         explored = compose([_counter(3, []), _counter(4, [])])
         assert len(explored.states) == 4
         stray = _counter(2, [])
         try:
-            stray.successors(7, A)
+            successors(stray, 7, A)
         except KeyError:
             pass
         del unexplored, explored, stray
@@ -517,9 +517,9 @@ def test_successors_come_in_state_name_order():
     # must not follow insertion, numeric or hash order
     a = aut([0, 9, 10, 2, ("x", 1)], [A, B],
             [(0, A, 9), (0, A, ("x", 1)), (0, A, 10), (0, A, 2), (0, B, 9)], 0)
-    assert a.successors(0, A) == (("x", 1), 10, 2, 9)
-    assert a.successors(0, B) == (9,)
-    assert a.successors(9, A) == ()
+    assert successors(a, 0, A) == (("x", 1), 10, 2, 9)
+    assert successors(a, 0, B) == (9,)
+    assert successors(a, 9, A) == ()
 
 
 def test_step_gives_the_one_successor_and_rejects_a_nondeterministic_event():

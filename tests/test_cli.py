@@ -68,18 +68,22 @@ def test_build_is_deterministic(tmp_path):
         assert filecmp.cmp(p, out2 / p.name, shallow=False), p.name
 
 
+def fresh_python(*args, **env):
+    """Run a new interpreter that imports netdes from this checkout."""
+    src = os.path.dirname(os.path.dirname(netdes.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True)
+
+
 def test_synthesize_is_independent_of_hash_seed(tmp_path):
     # set iteration order follows PYTHONHASHSEED; the outputs must not
-    src = os.path.dirname(os.path.dirname(netdes.__file__))
     runs = []
     for seed in ("1", "2"):
         out = tmp_path / f"seed{seed}"
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(
-                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-m", "netdes.cli",
-                               *red_args("synthesize", out)],
-                              env=env, capture_output=True, text=True)
+        proc = fresh_python("-m", "netdes.cli", *red_args("synthesize", out),
+                            PYTHONHASHSEED=seed)
         assert proc.returncode == 0, proc.stderr
         runs.append((proc.stdout, out))
     (stdout1, out1), (stdout2, out2) = runs
@@ -311,18 +315,70 @@ def test_forwarded_event_toggle_plumbs_through(tmp_path, capsys):
     assert not (tmp_path / "certificate.txt").exists()
 
 
-def test_usage_error(capsys):
-    assert main([]) == 1
-    assert main(["synthesize"]) == 1
+def test_usage_error(tmp_path, capsys):
+    # a usage error exits 1 with a "netdes: error:" line; help exits 0
+    cap = ["capacity", "--config", RED["config"]]
+    cases = [
+        ([], 1),                                           # no command
+        (["bogus"], 1),                                    # an unknown command
+        (["synthesize"], 1),                               # missing required options
+        (["capacity", "--config"], 1),                     # an option without a value
+        (["capacity", "--config", "--plant", RED["plant"]], 1),  # its value an option
+        (cap + ["--plant", RED["plant"]], 1),              # an option capacity lacks
+        (red_args("synthesize", tmp_path, ["--mode", "fast"]), 1),  # no such mode
+        (["capacity", "--conf", RED["config"]], 1),        # no abbreviations
+        (["-h"], 0), (["--help"], 0), (cap + ["-h"], 0), (["export-dot", "--help"], 0),
+    ]
+    for argv, status in cases:
+        assert main(argv) == status, argv
+        out, err = capsys.readouterr()
+        if status:
+            assert out == "" and "\nnetdes: error: " in err, argv
+        else:
+            assert out.startswith("usage: netdes") and err == "", argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_argument_forms_give_the_same_result(tmp_path, capsys):
+    # --opt=value is --opt value, and options go before or after the
+    # positional argument
+    dot, plant = tmp_path / "plant.dot", RED["plant"]
+    groups = [
+        [["capacity", "--config", RED["config"]], ["capacity", f"--config={RED['config']}"]],
+        [["export-dot", plant, "--out", str(dot)], ["export-dot", "--out", str(dot), plant],
+         ["export-dot", f"--out={dot}", plant]],
+    ]
+    for group in groups:
+        results = []
+        for argv in group:
+            dot.unlink(missing_ok=True)
+            results.append((main(argv), capsys.readouterr(), dot.exists() and dot.read_text()))
+        assert results[0][0] == 0 and results == [results[0]] * len(group), group
+
+
+def test_import_builds_no_parser_and_only_the_config_dataclasses():
+    # the import is paid by every command: it loads no argparse, and only
+    # config's three dataclasses generate code
+    probe = """\
+import sys
+import netdes.cli
+print("argparse" in sys.modules)
+print(sorted(name for m, module in list(sys.modules.items()) if m.startswith("netdes")
+             for name, obj in vars(module).items()
+             if isinstance(obj, type) and obj.__module__ == m
+             and "__dataclass_fields__" in vars(obj)))
+"""
+    proc = fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False", "['EventSpec', 'RateBounds', 'SystemConfig']"]
 
 
 def test_readme_documents_every_option():
     readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
                   encoding="utf-8").read()
-    sub = next(a for a in netdes.cli._parser()._actions if a.dest == "command")
-    options = {(cmd, opt) for cmd, sp in sub.choices.items()
-               for action in sp._actions for opt in action.option_strings
-               if opt not in ("-h", "--help")}
+    options = {(cmd, opt) for cmd, (_fn, required, optional, _pos, _summary)
+               in netdes.cli.COMMANDS.items() for opt in (*required, *optional)}
     assert len({cmd for cmd, _opt in options}) == 5
     assert sorted(opt for _cmd, opt in options if opt not in readme) == []
 

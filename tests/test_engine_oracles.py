@@ -19,8 +19,8 @@ from netdes.fixtures import build_system
 from netdes.synthesis import (SynthesisMode, check_attack,
                               synthesize_supremal_attack)
 
-from oracles import (NoSupervisorError, restrict_reachable, step,
-                     synthesize_networked_supervisor)
+from oracles import (NoSupervisorError, enabled, restrict_reachable, step,
+                     successors, synthesize_networked_supervisor)
 from reference_engine import (reference_attack, reference_networked_supervisor,
                               same_automaton)
 from systems import reduced_spec
@@ -106,14 +106,14 @@ def _loop_within(plant, small, big):
     work = [start]
     while work:
         p, x, y = work.pop()
-        for e in plant.enabled(p):
+        for e in enabled(plant, p):
             x2 = step(small, x, e)
             if x2 is None:
                 continue
             y2 = step(big, y, e)
             if y2 is None:
                 return False
-            for p2 in plant.successors(p, e):
+            for p2 in successors(plant, p, e):
                 if (p2, x2, y2) not in seen:
                     seen.add((p2, x2, y2))
                     work.append((p2, x2, y2))
@@ -133,7 +133,7 @@ def test_synthesized_attack_contains_every_covert_sub_observer_attack():
         fixed = [t for t in full.transitions if t[1] not in controllable]
         fixed += [(x, e, x) for x in full.states
                   for e in plant.alphabet - controllable
-                  if not full.successors(x, e)]
+                  if not successors(full, x, e)]
         sups = {mode: synthesize_supremal_attack(prob, mode) for mode in MODES}
         checked += 1
         for a in _sub_observer_attacks(prob, choices, fixed, full):

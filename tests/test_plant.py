@@ -15,10 +15,10 @@ from netdes.plant import (EMPTY_QUEUE, IDLE, ExecState, StorageState,
 from netdes.fixtures import build_system
 from netdes.textio import load_automaton, parse_automaton
 from oracles import (accepts, assert_same_automaton, check_pruned_invariants,
-                     complete_with_selfloops, coreachable, is_nonblocking,
-                     longest_plant_run_by_state, nested_loop_product,
-                     pruning_filter, pruning_rules, restrict_reachable, trim,
-                     unobservable_reach)
+                     complete_with_selfloops, coreachable, enabled,
+                     is_nonblocking, longest_plant_run_by_state,
+                     nested_loop_product, pruning_filter, pruning_rules,
+                     restrict_reachable, successors, trim, unobservable_reach)
 from systems import RUNG_CONFIGS, rung_system, shipped_paths
 
 
@@ -61,13 +61,13 @@ def test_every_path_to_a_store_or_stage_gives_one_state():
     assert stage.tick() is ExecState({("s", 0), ("t", 1)})
     cfg = make_cfg(delta_s=1, te=2)
     cs, ce = build_command_storage(cfg), build_command_execution(cfg)
-    stored = cs.successors(EMPTY_QUEUE, ev.command_exit("g"))[0]
+    stored = successors(cs, EMPTY_QUEUE, ev.command_exit("g"))[0]
     assert stored is EMPTY_QUEUE.append("g", 1)
-    assert cs.successors(stored, ev.tick) == (stored.tick(),)
-    assert cs.successors(stored, ev.command("g")) == (EMPTY_QUEUE,)
-    active = ce.successors(IDLE, ev.command("g"))[0]
+    assert successors(cs, stored, ev.tick) == (stored.tick(),)
+    assert successors(cs, stored, ev.command("g")) == (EMPTY_QUEUE,)
+    active = successors(ce, IDLE, ev.command("g"))[0]
     assert active is ExecState({("s", 2)})
-    assert ce.successors(active, ev.tick) == (ExecState({("s", 1)}),)
+    assert successors(ce, active, ev.tick) == (ExecState({("s", 1)}),)
 
 
 def test_stores_and_stages_copy_pickle_and_stay_immutable():
@@ -140,17 +140,17 @@ def test_storage_receive_tick_expire_cycle():
     cfg = make_cfg(delta_s=1)
     cs = build_command_storage(cfg)
     empty = cs.initial
-    one = cs.successors(empty, ev.command_exit("g"))[0]
+    one = successors(cs, empty, ev.command_exit("g"))[0]
     assert one is StorageState((("g", 1),))
-    aged = cs.successors(one, ev.tick)[0]
+    aged = successors(cs, one, ev.tick)[0]
     assert aged is StorageState((("g", 0),))
-    assert cs.successors(aged, ev.tick) == (empty,)   # expired silently
-    assert cs.successors(one, ev.command("g")) == (empty,)   # fetched instead
+    assert successors(cs, aged, ev.tick) == (empty,)   # expired silently
+    assert successors(cs, one, ev.command("g")) == (empty,)   # fetched instead
 
 
 def test_storage_tick_selfloop_at_empty():
     cs = build_command_storage(make_cfg())
-    assert cs.successors(cs.initial, ev.tick) == (cs.initial,)
+    assert successors(cs, cs.initial, ev.tick) == (cs.initial,)
 
 
 def test_storage_fetch_removes_earliest():
@@ -167,7 +167,7 @@ def test_storage_fifo_on_reachable_states():
         for i, (g, _t) in enumerate(q.value):
             firsts.setdefault(g, i)
         for g, i in firsts.items():
-            got = cs.successors(q, ev.command(g))
+            got = successors(cs, q, ev.command(g))
             assert got == (StorageState(q.value[:i] + q.value[i + 1:]),)
 
 
@@ -178,7 +178,7 @@ def test_storage_capacity_respected():
     assert max(len(q.value) for q in cs.states) == cap
     for q in cs.states:
         if len(q.value) == cap:
-            assert not cs.successors(q, ev.command_exit("g"))
+            assert not successors(cs, q, ev.command_exit("g"))
 
 
 # -- command execution ------------------------------------------------------------
@@ -186,17 +186,17 @@ def test_storage_capacity_respected():
 def test_execution_immediate_fire():
     cfg = make_cfg(te=0)
     ce = build_command_execution(cfg)
-    active = ce.successors(IDLE, ev.command("g"))[0]
+    active = successors(ce, IDLE, ev.command("g"))[0]
     assert active is ExecState({("s", 0)})
-    assert not ce.successors(active, ev.tick)
-    assert ce.successors(active, ev.plant("s")) == (IDLE,)
+    assert not successors(ce, active, ev.tick)
+    assert successors(ce, active, ev.plant("s")) == (IDLE,)
 
 
 def test_execution_uncontrollable_fires_anywhere():
     cfg = make_cfg(te=1)
     ce = build_command_execution(cfg)
     for q in ce.states:
-        assert ce.successors(q, ev.plant("u")) == (IDLE,)
+        assert successors(ce, q, ev.plant("u")) == (IDLE,)
 
 
 def test_execution_staggered_countdowns():
@@ -205,14 +205,14 @@ def test_execution_staggered_countdowns():
               EventSpec("u", False, False, False, False, None))
     cfg = make_cfg(events=events, commands={"g": frozenset({"s1", "s2"})})
     ce = build_command_execution(cfg)
-    q = ce.successors(IDLE, ev.command("g"))[0]
-    q = ce.successors(q, ev.tick)[0]
-    q = ce.successors(q, ev.tick)[0]
+    q = successors(ce, IDLE, ev.command("g"))[0]
+    q = successors(ce, q, ev.tick)[0]
+    q = successors(ce, q, ev.tick)[0]
     assert q is ExecState({("s1", -1), ("s2", 0)})
-    assert ce.successors(q, ev.plant("s2")) == (IDLE,)
-    assert not ce.successors(q, ev.plant("s1"))   # its window has passed
-    assert not ce.successors(q, ev.tick)
-    assert ce.successors(q, ev.plant("u")) == (IDLE,)
+    assert successors(ce, q, ev.plant("s2")) == (IDLE,)
+    assert not successors(ce, q, ev.plant("s1"))   # its window has passed
+    assert not successors(ce, q, ev.tick)
+    assert successors(ce, q, ev.plant("u")) == (IDLE,)
 
 
 def test_execution_state_count_bound():
@@ -238,8 +238,8 @@ def test_prune_keeps_idle_uncontrollable_loop():
     ce = build_command_execution(cfg)
     gn = compose_and_prune_plant(cs, ce, g, cfg)
     init = gn.initial
-    assert gn.successors(init, ev.tick) == (init,)
-    assert gn.successors(init, ev.plant("u")) == (init,)
+    assert successors(gn, init, ev.tick) == (init,)
+    assert successors(gn, init, ev.plant("u")) == (init,)
     # the command is never usable here: no state with an active stage survives
     assert all(q[1] == IDLE for q in gn.states)
     assert not check_pruned_invariants(gn, g, cfg)
@@ -250,8 +250,8 @@ def test_prune_deletes_useless_fetch_targets():
     g = _lone_plant(cfg, [("q0", ev.plant("u"), "q0")], ["q0"])
     gn = compose_and_prune_plant(build_command_storage(cfg),
                                  build_command_execution(cfg), g, cfg)
-    stored = gn.successors(gn.initial, ev.command_exit("g"))[0]
-    assert not gn.successors(stored, ev.command("g"))   # fetch leads nowhere
+    stored = successors(gn, gn.initial, ev.command_exit("g"))[0]
+    assert not successors(gn, stored, ev.command("g"))   # fetch leads nowhere
 
 
 def test_prune_preempts_tick_when_command_usable():
@@ -259,10 +259,10 @@ def test_prune_preempts_tick_when_command_usable():
     g = _lone_plant(cfg, [("q0", ev.plant("s"), "q1")], ["q0", "q1"])
     gn = compose_and_prune_plant(build_command_storage(cfg),
                                  build_command_execution(cfg), g, cfg)
-    stored = gn.successors(gn.initial, ev.command_exit("g"))[0]
+    stored = successors(gn, gn.initial, ev.command_exit("g"))[0]
     assert stored[0] is StorageState((("g", 0),)) and stored[1] == IDLE
-    assert not gn.successors(stored, ev.tick)            # time is preempted
-    assert gn.successors(stored, ev.command("g"))        # the fetch is kept
+    assert not successors(gn, stored, ev.tick)            # time is preempted
+    assert successors(gn, stored, ev.command("g"))        # the fetch is kept
     assert not check_pruned_invariants(gn, g, cfg)
 
 
@@ -352,7 +352,7 @@ def test_several_g_new_successors_come_in_state_name_order_of_the_triples():
                     ["q0", "q", "q!"])
     gn = compose_and_prune_plant(build_command_storage(cfg),
                                  build_command_execution(cfg), g, cfg)
-    dsts = gn.successors(gn.initial, ev.plant("u"))
+    dsts = successors(gn, gn.initial, ev.plant("u"))
     assert [q for _s, _e, q in dsts] == ["q!", "q", "q0"]
     assert list(dsts) == sorted(dsts, key=state_name)
 
@@ -396,8 +396,8 @@ def check_uncontrollable_liveness(g_new, g, cfg):
     for state in g_new.states:
         _s, _e, q = state
         for name in cfg.sigma_uc:
-            if ev.plant(name) in g.enabled(q) and \
-                    not g_new.successors(state, ev.plant(name)):
+            if ev.plant(name) in enabled(g, q) and \
+                    not successors(g_new, state, ev.plant(name)):
                 problems.append(
                     f"uncontrollable {name} blocked at {state_name(state)}")
     return problems
@@ -498,7 +498,7 @@ def test_load_guideway_plant(guideway):
     # damage states are absorbing
     for q in g.states:
         if state_name(q) in {"5", "10"}:
-            assert not g.enabled(q)
+            assert not enabled(g, q)
 
 
 def test_plant_from_text_minimal():
@@ -555,7 +555,7 @@ def test_lazy_command_store_answers_like_the_explored_one(guideway):
     # a store that is not reachable has no row, explored or not
     lazy, bogus = build_command_storage(cfg), StorageState((("unsent", 7),))
     with pytest.raises(KeyError):
-        lazy.successors(bogus, ev.tick)
+        successors(lazy, bogus, ev.tick)
     with pytest.raises(AutomatonError):
         unobservable_reach(lazy, bogus, [ev.tick])
 

@@ -10,8 +10,8 @@ from netdes.supervision import (supervisor_control_constraint,
                                 validate_networked_supervisor)
 from netdes.synthesis import MONITOR_EMPTY
 from oracles import (NoSupervisorError, build_supervisor_constraints,
-                     deterministic, same_closed_language, step,
-                     synthesize_networked_supervisor)
+                     deterministic, enabled, same_closed_language, step,
+                     successors, synthesize_networked_supervisor)
 from systems import faithful_attacker, reduced_spec, shipped_config
 
 
@@ -65,7 +65,7 @@ def test_monitor_structure(reduced):
     assert deterministic(m)
     for q in m.states:
         if q == MONITOR_EMPTY:
-            assert m.enabled(q) == (ev.tick,)
+            assert enabled(m, q) == (ev.tick,)
             assert step(m, q, ev.tick) == MONITOR_EMPTY
             continue
         for e in m.alphabet:
@@ -133,7 +133,7 @@ def test_supervisor_constraints_counter():
     nsc = build_supervisor_constraints(cfg)
     assert len(nsc.states) == cfg.rates.v + 1
     assert step(nsc, "c0", ev.command_entry("w1")) == "c1"
-    assert not nsc.successors("c1", ev.command_entry("w2"))
+    assert not successors(nsc, "c1", ev.command_entry("w2"))
     assert step(nsc, "c1", ev.tick) == "c0"
     assert step(nsc, "c1", ev.exit_("a1")) == "c0"
 

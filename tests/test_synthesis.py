@@ -17,8 +17,8 @@ from netdes.synthesis import (MONITOR_EMPTY, SynthesisMode, SynthesisProblem,
 from netdes.textio import serialize_automaton
 from oracles import (accepts, apply_edit, bfs_distances, bfs_order,
                      bounded_traces, complete_with_selfloops, coreachable,
-                     disabled_controllable_edits, empty_automaton, marked_copy,
-                     nested_loop_product)
+                     disabled_controllable_edits, empty_automaton, enabled,
+                     marked_copy, nested_loop_product, successors)
 from systems import (faithful_attacker, guideway_swap_attacker,
                      reduced_swap_attacker, swap_attacker)
 
@@ -214,7 +214,7 @@ def test_guideway_attack_round_choices(guideway, guideway_problem,
         if p[1] != "q0":
             continue
         bucket = post if state_name(p[0][2]) in guideway.cfg.damage else pre
-        bucket.update(e.spell() for e in loop.enabled(q))
+        bucket.update(e.spell() for e in enabled(loop, q))
     assert pre == {"a1#", "b1#"}
     assert post == {"a1#", "a3#", "b1#", "b3#", "stop"}
 
@@ -301,7 +301,7 @@ def _witness_failures(prob, attack):
             assert len(result.witness) == min(dist[q] for q in found)
             reached = {loop.initial}
             for e in result.witness:
-                reached = {dst for q in reached for dst in loop.successors(q, e)}
+                reached = {dst for q in reached for dst in successors(loop, q, e)}
             assert reached & found
         if not result.ok:
             failures.append(kind)
@@ -350,7 +350,7 @@ def _lazy_copy(prob):
     plant = prob.plant
     lazy = lazy_automaton(plant.initial, plant.alphabet, plant._delta.__getitem__,
                           plant.is_marked, plant.name)
-    return dataclasses.replace(prob, plant=lazy)
+    return SynthesisProblem(lazy, prob.is_bad, prob.is_target, prob.constraint)
 
 
 def _attack_texts(prob):
