@@ -55,10 +55,6 @@ def state_name(q: State) -> str:
     canon = getattr(q, "canonical_name", None)
     if canon is not None:
         return canon()
-    if isinstance(q, EventLabel):
-        return q.spell()
-    if isinstance(q, bool):
-        return "true" if q else "false"
     if isinstance(q, int):
         return str(q)
     if isinstance(q, tuple):

@@ -30,11 +30,11 @@ from typing import List, Optional, Tuple
 from .attacker import validate_attack
 from .automaton import Automaton, AutomatonError, number
 from .config import ConfigError, load_config
-from .fixtures import BuiltSystem, build_attack_problem, load_system
+from .fixtures import BuiltSystem, load_system
 from .plant import rate_bound_warnings
-from .synthesis import (SynthesisMode, SynthesisProblem, capacities,
-                        check_attack, render_size_report, state_size_report,
-                        synthesize_supremal_attack)
+from .synthesis import (SynthesisMode, SynthesisProblem, build_problem,
+                        capacities, check_attack, render_size_report,
+                        state_size_report, synthesize_supremal_attack)
 from .textio import ParseError, load_automaton, save_automaton, to_dot
 
 EXIT_OK = 0
@@ -62,10 +62,7 @@ def _write_components(system: BuiltSystem, out_dir: str) -> None:
     g_new = number(system.g_new)  # the file and the rate check read it
     save_automaton(g_new, os.path.join(out_dir, "g_new.aut"))
     save_automaton(number(system.monitor), os.path.join(out_dir, "monitor.aut"))
-    rows = state_size_report(system.cfg, ac=system.ac, oc=system.oc,
-                             cc=system.cc, cs=system.cs, ce=system.ce,
-                             g=system.plant, ns=system.ns, m=system.monitor)
-    lines = [render_size_report(rows)]
+    lines = [render_size_report(state_size_report(system))]
     for w in rate_bound_warnings(g_new, system.cfg):
         lines.append(f"warning: {w}\n")
     with open(os.path.join(out_dir, "state_counts.txt"), "w",
@@ -84,7 +81,7 @@ def cmd_synthesize(args) -> int:
     mode = SynthesisMode(args.mode)
     system = load_system(args.config, args.plant, args.ns)
     _write_components(system, args.out)
-    problem = build_attack_problem(system)
+    problem = build_problem(system)
     attack = synthesize_supremal_attack(problem, mode)
     cert_path = os.path.join(args.out, "certificate.txt")
     attack_path = os.path.join(args.out, "attack.aut")
@@ -110,7 +107,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_verify(args) -> int:
     system = load_system(args.config, args.plant, args.ns)
-    problem = build_attack_problem(system)
+    problem = build_problem(system)
     attack = load_automaton(args.attack, name="A")
     report = validate_attack(attack, problem.constraint, problem.plant.alphabet)
     print(report.render())

@@ -63,8 +63,7 @@ class SystemConfig:
         if len(set(names)) != len(names):
             raise ConfigError("duplicate event name")
         for name in names + list(self.commands):
-            if (not name or name in ("tick", "stop") or "#" in name
-                    or name.endswith("_in") or name.endswith("_out")):
+            if not ev.spellable(name):
                 raise ConfigError(f"name {name!r} collides with event spelling rules")
         for d, label in ((self.delta_o, "delta_o"), (self.delta_c, "delta_c"),
                          (self.delta_s, "delta_s")):

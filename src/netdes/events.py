@@ -156,9 +156,16 @@ def parse_spelling(token: str, role: Optional[str] = None) -> EventLabel:
         label = command(token) if role == COMMAND else plant(token)
     if role is not None and label.role != role:
         raise EventError(f"spelling {token!r} does not match role {role!r}")
-    if not label.base and label.role not in _BARE_ROLES:
-        raise EventError(f"empty base name in spelling {token!r}")
     return label
+
+
+def spellable(name: str) -> bool:
+    """Whether ``name`` can be a model's event or command name: every
+    spelling of it then parses back to it and its role. The spelling rules
+    reserve ``tick``, ``stop``, the ``#``, ``_in`` and ``_out`` suffixes and,
+    in ``.alphabet``, the ``:`` before a role."""
+    return (bool(name) and name not in ("tick", "stop") and "#" not in name
+            and ":" not in name and not name.endswith(("_in", "_out")))
 
 
 def sorted_events(events: Iterable[EventLabel]) -> list[EventLabel]:

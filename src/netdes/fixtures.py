@@ -7,10 +7,11 @@ supervisor are checked to have states and the supervisor is validated,
 once. The shipped systems are the files under ``data/``.
 
 The command store CS, the pruned plant G_new and the channels OC and OC^T
-are lazy automata: the monitor and the attack problem are composed over
-them and build only the rows they reach. The writers and the size check
-explore the rest (G_new through ``automaton.number``, keeping none of its
-rows); ``verify`` explores none of them.
+are lazy automata: the monitor, and the attack problem that
+``synthesis.build_problem`` composes over a ``BuiltSystem``, build only the
+rows of them that they reach. The writers and the size check explore the
+rest (G_new through ``automaton.number``, keeping none of its rows);
+``verify`` explores none of them.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .config import SystemConfig, load_config
 from .plant import (build_command_execution, build_command_storage,
                     compose_and_prune_plant, load_plant)
 from .supervision import build_monitor, validate_networked_supervisor
-from .synthesis import SynthesisProblem, build_problem
 from .textio import load_automaton
 
 
@@ -67,7 +67,3 @@ def load_system(config: str, plant: str, ns: str) -> BuiltSystem:
     cfg = load_config(config)
     return build_system(cfg, load_plant(plant, cfg), load_automaton(ns, name="NS"))
 
-
-def build_attack_problem(system: BuiltSystem) -> SynthesisProblem:
-    return build_problem(system.g_new, system.ac, system.oc, system.ns,
-                         system.cc, system.monitor, system.cfg)

@@ -17,7 +17,8 @@ from .attacker import ControlConstraint, ValidationReport, validate_control
 from .automaton import Automaton, Row, explore, product, subset_construction
 from .config import SystemConfig
 from .events import sorted_events
-from .synthesis import MONITOR_EMPTY
+
+MONITOR_EMPTY: FrozenSet = frozenset()  # the monitor's detection state
 
 
 def supervisor_control_constraint(cfg: SystemConfig) -> ControlConstraint:

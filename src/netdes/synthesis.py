@@ -16,8 +16,8 @@ of the new plant by an iterated pruning:
 
 Synthesis is on the fly (Tripakis & Altisen, FM 1999; Cassez et al.,
 CONCUR 2005): P is a lazy product, and "bad" and "target" are predicates on
-its states. The observer is a lazy automaton, explored from the initial
-estimate; an estimate that holds a covertness-violating state is dead
+its states. The observer's rows are explored from the initial estimate;
+an estimate that holds a covertness-violating state is dead
 whatever follows it (rule 1), so its row is empty and what only it leads to
 is never built. The rows of P are computed only for the states of the
 estimates explored. The attack is a row function over the pruned observer.
@@ -57,9 +57,9 @@ from .channels import (capacity_control, capacity_observation,
                        enumerate_channel_states)
 from .config import SystemConfig
 from .events import EventLabel, sorted_events
+from .fixtures import BuiltSystem
 from .plant import capacity_storage
-
-MONITOR_EMPTY: FrozenSet = frozenset()
+from .supervision import MONITOR_EMPTY
 
 
 class SynthesisMode(enum.Enum):
@@ -90,16 +90,16 @@ class SynthesisProblem:
         return frozenset(q for q in self.plant.states if self.is_target(q))
 
 
-def build_problem(g_new: Automaton, ac: Automaton, oc: Automaton, ns: Automaton,
-                  cc: Automaton, m: Automaton, cfg: SystemConfig) -> SynthesisProblem:
-    """P = G_new || AC || OC || NS || CC || M as a lazy product, with its
-    state predicates.
+def build_problem(system: BuiltSystem) -> SynthesisProblem:
+    """P = G_new || AC || OC || NS || CC || M over the built loop, as a lazy
+    product, with its state predicates.
 
     A composed state is a damage target iff its plant component is a damage
     state (component markings are ignored); it violates covertness iff the
     monitor component is the empty estimate while the plant component is not
     a damage state. So no state is both.
     """
+    cfg, _plant, _cs, _ce, g_new, ac, oc, _oc_t, cc, ns, m = system
     full = frozenset(cfg.full_alphabet())
     for c, label in ((ac, "AC"), (ns, "NS"), (m, "M")):
         if frozenset(c.alphabet) != full:
@@ -148,18 +148,17 @@ def supremal_supervisor(plant: Automaton, is_bad: Callable[[State], bool],
     def doomed(x: FrozenSet) -> bool:
         return any(map(is_bad, x))
 
-    # the attacker's observer; a stopped estimate (one with a bad state) has
-    # an empty row, so what only it leads to is never built
+    # the attacker's observer, explored into its rows; a stopped estimate
+    # (one with a bad state) has an empty row, so what only it leads to is
+    # never built
     observed = observable & plant.alphabet
     init, step = observer_step(plant, observed)
     if init is None:
         return None
-    observer = lazy_automaton(init, observed, lambda x: {} if doomed(x) else step(x),
-                              lambda x: True, "O")
-    graph = observer._delta
-    preds: Dict[FrozenSet, List[FrozenSet]] = {x: [] for x in observer.states}
-    for x in observer.states:
-        for e, (y,) in graph[x].items():
+    graph = dict(explore(init, lambda x: {} if doomed(x) else step(x)))
+    preds: Dict[FrozenSet, List[FrozenSet]] = {x: [] for x in graph}
+    for x, out in graph.items():
+        for e, (y,) in out.items():
             if e not in controllable:
                 preds[y].append(x)
     dead: Set[FrozenSet] = set()
@@ -171,7 +170,7 @@ def supremal_supervisor(plant: Automaton, is_bad: Callable[[State], bool],
 
     # rule 1 kills the stopped estimates (a live estimate may have an empty
     # row too)
-    close_under(dead, (x for x in observer.states if not graph[x] and doomed(x)),
+    close_under(dead, (x for x, out in graph.items() if not out and doomed(x)),
                 preds.__getitem__)
     if require_nonblocking and init not in dead:
         # P with the live observer edges: p is in x in every pair, so each
@@ -360,10 +359,9 @@ def capacities(cfg: SystemConfig) -> List[Tuple[int, int]]:
             (c_cs, enumerate_channel_states(len(cfg.gamma), cfg.delta_s, c_cs))]
 
 
-def state_size_report(cfg: SystemConfig, *, ac: Automaton, oc: Automaton,
-                      cc: Automaton, cs: Automaton, ce: Automaton,
-                      g: Automaton, ns: Automaton, m: Automaton) -> List[SizeRow]:
+def state_size_report(system: BuiltSystem) -> List[SizeRow]:
     """Constructed component sizes against the closed-form counts."""
+    cfg, g, cs, ce, _g_new, ac, oc, _oc_t, cc, ns, m = system
     rows: List[SizeRow] = []
     n_ac = ac_state_count(cfg)
     rows.append(SizeRow("AC", len(ac.states), f"= {n_ac}", len(ac.states) == n_ac))

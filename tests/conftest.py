@@ -1,6 +1,6 @@
 import pytest
 
-from netdes.fixtures import build_attack_problem
+from netdes.synthesis import build_problem
 from netdes.synthesis import SynthesisMode, synthesize_supremal_attack
 from systems import shipped_system
 
@@ -17,12 +17,12 @@ def reduced():
 
 @pytest.fixture(scope="session")
 def guideway_problem(guideway):
-    return build_attack_problem(guideway)
+    return build_problem(guideway)
 
 
 @pytest.fixture(scope="session")
 def reduced_problem(reduced):
-    return build_attack_problem(reduced)
+    return build_problem(reduced)
 
 
 @pytest.fixture(scope="session")

@@ -110,11 +110,11 @@ def _first_swap_scenario(cfg, first_obs, answer):
 
 
 def test_criterion_4_guideway_nonblocking():
-    from netdes.fixtures import build_attack_problem
-    from netdes.synthesis import SynthesisMode, synthesize_supremal_attack
+    from netdes.synthesis import (SynthesisMode, build_problem,
+                                  synthesize_supremal_attack)
     t0 = time.perf_counter()
     guideway = shipped_system("guideway")
-    prob = build_attack_problem(guideway)
+    prob = build_problem(guideway)
     attack = synthesize_supremal_attack(prob, SynthesisMode.DAMAGE_NONBLOCKING)
     nonempty = attack is not None
     covert = nonempty and verify_covert(prob, attack).ok

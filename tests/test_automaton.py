@@ -6,8 +6,8 @@ import pytest
 
 import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, compose, explore,
-                              lazy_automaton, number, product, state_name,
-                              subset_construction)
+                              lazy_automaton, number, observer_step, product,
+                              state_name, subset_construction)
 from netdes.attacker import ControlConstraint
 from netdes.events import sorted_events
 from netdes.synthesis import SynthesisProblem, check_attack
@@ -528,3 +528,30 @@ def test_step_gives_the_one_successor_and_rejects_a_nondeterministic_event():
     assert step(a, 9, A) is None
     with pytest.raises(AutomatonError, match="nondeterministic on a at 0"):
         step(a, 0, A)
+
+
+# case -> (a call that must fail, message)
+AUTOMATON_ERRORS = {
+    "no-initial": (lambda: aut(["p"], [A], [], None),
+                   "initial state required for a nonempty automaton"),
+    "undeclared-initial": (lambda: aut(["p"], [A], [], "q"),
+                           "initial state q not declared"),
+    "undeclared-marked": (lambda: aut(["p"], [A], [], "p", marked=["q"]),
+                          "marked state q not declared"),
+    "undeclared-source": (lambda: aut(["p"], [A], [("q", A, "p")], "p"),
+                          "transition references unknown state: q -a-> p"),
+    "undeclared-target": (lambda: aut(["p"], [A], [("p", A, "q")], "p"),
+                          "transition references unknown state: p -a-> q"),
+    "event-outside-alphabet": (lambda: aut(["p"], [A], [("p", B, "p")], "p"),
+                               "transition event b not in alphabet"),
+    "observed-outside-alphabet": (lambda: observer_step(aut(["p"], [A], [], "p"), [B]),
+                                  "observed event b not in alphabet"),
+}
+
+
+@pytest.mark.parametrize("case", AUTOMATON_ERRORS)
+def test_automaton_argument_errors(case):
+    call, message = AUTOMATON_ERRORS[case]
+    with pytest.raises(AutomatonError) as err:
+        call()
+    assert str(err.value) == message

@@ -1,5 +1,6 @@
 import pytest
 
+from netdes.cli import main
 from netdes.config import (ConfigError, EventSpec, RateBounds, SystemConfig,
                            parse_config, serialize_config)
 
@@ -100,9 +101,9 @@ def test_exec_delay_exactly_on_controllables():
                      delta_o=0, delta_c=0, delta_s=0, rates=RateBounds(1, 1, 1))
 
 
-@pytest.mark.parametrize("name", ["tick", "stop", "x#", "x_in", "x_out", ""])
+@pytest.mark.parametrize("name", ["tick", "stop", "x#", "x_in", "x_out", "", "a:1"])
 def test_reserved_names_rejected(name):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="collides with event spelling rules"):
         SystemConfig(events=(EventSpec(name, True, True, True, True, 0),),
                      commands={"v": frozenset({name})},
                      delta_o=0, delta_c=0, delta_s=0, rates=RateBounds(1, 1, 1))
@@ -115,3 +116,47 @@ def test_negative_bounds_rejected():
         SystemConfig(events=(EventSpec("a", True, True, True, True, 0),),
                      commands={"v": frozenset({"a"})},
                      delta_o=-1, delta_c=0, delta_s=0, rates=RateBounds(1, 1, 1))
+
+
+# case -> (the config text, message, line or None when the whole config is
+# at fault)
+CONFIG_ERRORS = {
+    "duplicate-event": (SAMPLE + "[events] a1 c o ao comp te=0\n",
+                        "duplicate event name", None),
+    "negative-te": (SAMPLE.replace("te=0", "te=-1"), "a1: te must be nonnegative",
+                    None),
+    "no-commands": (SAMPLE.replace("[commands]   v1 = a1\n", ""),
+                    "at least one command is required", None),
+    "unknown-member": (SAMPLE.replace("v1 = a1", "v1 = zz"),
+                       "command v1 references unknown event zz", None),
+    "event-and-command": (SAMPLE + "[commands] a1 = a1\n",
+                          "name a1 used for both an event and a command", None),
+    "unknown-section": (SAMPLE + "[bogus] x\n", "unknown section [bogus]", 6),
+    "before-sections": ("a1 c o ao comp te=0\n" + SAMPLE,
+                        "content before any section header", 1),
+    "malformed-parameter": (SAMPLE.replace("delta_o=1", "delta_o"),
+                            "malformed parameter 'delta_o'", 1),
+    "c-flag": (SAMPLE.replace("a2 uc uo", "a2 x uo"), "bad flags for event a2", 3),
+    "o-flag": (SAMPLE.replace("a2 uc uo", "a2 uc x"), "bad flags for event a2", 3),
+    "ao-flag": (SAMPLE.replace("a1 c o ao", "a1 c o x"), "bad flags for event a1", 2),
+    "comp-flag": (SAMPLE.replace("ao comp", "ao x"), "bad flags for event a1", 2),
+    "te-column": (SAMPLE.replace("te=0", "0"), "bad te column '0'", 2),
+    "duplicate-command": (SAMPLE + "[commands] v1 = a1\n", "duplicate command v1", 6),
+    # `:` precedes the role in an `.alphabet`, so no `.aut` file could
+    # declare this event
+    "role-colon-in-name": (SAMPLE.replace("a1", "a:1"),
+                           "name 'a:1' collides with event spelling rules", None),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_config_input_errors(case, tmp_path, capsys):
+    text, message, line = CONFIG_ERRORS[case]
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    where = f"line {line}: " if line else ""
+    assert (str(err.value), err.value.line) == (where + message, line)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["capacity", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {where}{message}\n"

@@ -7,9 +7,10 @@ from netdes.automaton import compose, state_name, subset_construction
 from netdes.cli import _write_components
 from netdes.config import serialize_config
 from netdes.events import sorted_events
-from netdes.fixtures import build_attack_problem, load_system
+from netdes.fixtures import load_system
 from netdes.supervision import validate_networked_supervisor
-from netdes.synthesis import SynthesisMode, check_attack, synthesize_supremal_attack
+from netdes.synthesis import (SynthesisMode, build_problem, check_attack,
+                              synthesize_supremal_attack)
 from oracles import (assert_same_automaton, explicit_attack_free_relabel,
                      same_closed_language, step)
 from systems import (RUNG_CONFIGS, guideway_spec, reduced_spec, rung_system,
@@ -50,7 +51,7 @@ def test_attack_problem_builds_only_the_rows_of_g_new_it_reaches(tmp_path):
         dataclasses.replace(shipped_config("reduced"), delta_s=1)))
     _cfg, plant, ns = shipped_paths("reduced")
     system = load_system(str(config), plant, ns)
-    problem = build_attack_problem(system)
+    problem = build_problem(system)
     # P is lazy too: explore it before the snapshot
     in_p = {q[0] for q in problem.plant.states}
     g_new, cs = system.g_new, system.cs
@@ -90,7 +91,7 @@ def test_build_system_computes_only_the_channel_rows_the_monitor_reads():
     oc, oc_t = system.oc, system.oc_t
     assert len(oc._delta) == len(oc_t._delta) == 9
     assert oc._delta.row is not None and oc_t._delta.row is not None
-    problem = build_attack_problem(system)
+    problem = build_problem(system)
     attack = synthesize_supremal_attack(problem, SynthesisMode.DAMAGE_NONBLOCKING)
     assert check_attack(problem, attack).covert.ok
     # P reads OC's rows as it reaches them, the monitor no more of OC^T's

@@ -25,8 +25,8 @@ import netdes
 from netdes.automaton import Automaton, number
 from netdes.cli import main
 from netdes.config import load_config, serialize_config
-from netdes.fixtures import build_attack_problem, build_system
-from netdes.synthesis import SynthesisMode, synthesize_supremal_attack
+from netdes.fixtures import build_system
+from netdes.synthesis import SynthesisMode, build_problem, synthesize_supremal_attack
 from netdes.textio import save_automaton, serialize_automaton
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "netdes", "data")
@@ -295,7 +295,7 @@ def test_synthesize_and_verify_on_guideway_u2_match_golden(tmp_path, monkeypatch
 def test_guideway_u3_attack_matches_golden(mode, guideway):
     cfg = guideway.cfg
     cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, u=3))
-    problem = build_attack_problem(build_system(cfg, guideway.plant, guideway.ns))
+    problem = build_problem(build_system(cfg, guideway.plant, guideway.ns))
     attack = synthesize_supremal_attack(problem, SynthesisMode(mode))
     text = serialize_automaton(number(attack))
     assert _sha(text.encode()) == GUIDEWAY_U3_ATTACKS[mode]

@@ -6,9 +6,8 @@ from netdes.automaton import (Automaton, AutomatonError, compose,
                               subset_construction)
 from netdes.config import EventSpec, RateBounds, SystemConfig
 from netdes.fixtures import build_system
-from netdes.supervision import (supervisor_control_constraint,
+from netdes.supervision import (MONITOR_EMPTY, supervisor_control_constraint,
                                 validate_networked_supervisor)
-from netdes.synthesis import MONITOR_EMPTY
 from oracles import (NoSupervisorError, build_supervisor_constraints,
                      deterministic, enabled, same_closed_language, step,
                      successors, synthesize_networked_supervisor)

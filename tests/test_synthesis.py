@@ -8,9 +8,9 @@ import netdes.events as ev
 from netdes.attacker import ControlConstraint, validate_attack
 from netdes.automaton import (Automaton, AutomatonError, compose, number,
                               lazy_automaton, state_name, subset_construction)
-from netdes.fixtures import build_attack_problem, build_system
-from netdes.supervision import supervisor_control_constraint
-from netdes.synthesis import (MONITOR_EMPTY, SynthesisMode, SynthesisProblem,
+from netdes.fixtures import build_system
+from netdes.supervision import MONITOR_EMPTY, supervisor_control_constraint
+from netdes.synthesis import (SynthesisMode, SynthesisProblem, build_problem,
                               check_attack, state_size_report,
                               synthesize_supremal_attack, verify_covert,
                               verify_damage_nonblocking, verify_damage_reachable)
@@ -51,7 +51,7 @@ def test_empty_damage_makes_every_detection_bad(reduced):
     cfg = dataclasses.replace(reduced.cfg, damage=frozenset())
     plant = marked_copy(reduced.plant, ())
     system = build_system(cfg, plant, reduced.ns)
-    prob = build_attack_problem(system)
+    prob = build_problem(system)
     assert not prob.target
     assert all(q[5] == MONITOR_EMPTY for q in prob.bad)
     assert prob.bad
@@ -71,7 +71,7 @@ def test_no_tampering_means_no_detection_states(reduced):
                   ns.initial, ns.marked, ns.name),
         full - supervisor_control_constraint(cfg).controllable)
     system = build_system(cfg, reduced.plant, ns)
-    prob = build_attack_problem(system)
+    prob = build_problem(system)
     assert not prob.bad
 
 
@@ -151,7 +151,7 @@ def test_never_attack_is_not_damage_reachable(reduced, reduced_problem):
 def test_no_target_fails_both_damage_checks(reduced):
     cfg = dataclasses.replace(reduced.cfg, damage=frozenset())
     system = build_system(cfg, marked_copy(reduced.plant, ()), reduced.ns)
-    prob = build_attack_problem(system)
+    prob = build_problem(system)
     af = faithful_attacker(cfg)
     assert not verify_damage_reachable(prob, af).ok
     assert not verify_damage_nonblocking(prob, af).ok
@@ -375,7 +375,7 @@ def test_lazy_plant_gives_the_attack_of_the_explored_plant_on_random_problems():
 def test_guideway_u2_attack_reads_under_a_quarter_of_p(guideway):
     # the observer stops at estimates that are dead by covertness, so the
     # attack is built from the rows of 928 of P's 21,189 states
-    prob = build_attack_problem(_guideway_u(guideway, 2))
+    prob = build_problem(_guideway_u(guideway, 2))
     lazy = _attack_texts(prob)
     assert None not in lazy
     rows = len(prob.plant._delta)
@@ -388,7 +388,7 @@ def test_reachable_synthesis_walks_p_a_only_up_to_a_damage_state(guideway,
                                                                  monkeypatch):
     # the damage check of reachable mode stops at the first damage state of
     # P||A, so it computes fewer rows of P||A than the attacked loop has states
-    prob = build_attack_problem(_attacker_wide(guideway))
+    prob = build_problem(_attacker_wide(guideway))
     made, real = [], automaton.lazy_automaton
 
     def spy(*args, **kwargs):
@@ -407,7 +407,7 @@ def test_reachable_synthesis_walks_p_a_only_up_to_a_damage_state(guideway,
 def test_bad_and_target_sets_classify_the_explored_plant(guideway):
     # counts the traced benchmark reports for attacker-wide: 421 bad, 635 target
     for built, counts in ((guideway, None), (_attacker_wide(guideway), (421, 635))):
-        prob = build_attack_problem(built)
+        prob = build_problem(built)
         bad, target = set(), set()
         for q in prob.plant.states:
             (_store, _stage, g), _ac, _oc, _ns, _cc, estimate = q
@@ -431,7 +431,7 @@ def test_written_automata_list_states_in_bfs_order(system, mode, request):
     # state must be its place in a breadth-first walk of the rows
     built = (_attacker_wide(request.getfixturevalue("guideway"))
              if system == "attacker-wide" else request.getfixturevalue(system))
-    attack = synthesize_supremal_attack(build_attack_problem(built),
+    attack = synthesize_supremal_attack(build_problem(built),
                                         SynthesisMode(mode))
     for a in (built.g_new, built.monitor, attack):
         assert list(a.states) == bfs_order(a), a.name
@@ -440,10 +440,7 @@ def test_written_automata_list_states_in_bfs_order(system, mode, request):
 # -- size report -----------------------------------------------------------------------
 
 def test_state_size_report_rows(guideway):
-    rows = state_size_report(
-        guideway.cfg, ac=guideway.ac, oc=guideway.oc, cc=guideway.cc,
-        cs=guideway.cs, ce=guideway.ce, g=guideway.plant, ns=guideway.ns,
-        m=guideway.monitor)
+    rows = state_size_report(guideway)
     by_name = {r.component: r for r in rows}
     assert by_name["AC"].count == 3 and by_name["AC"].ok
     assert by_name["OC"].bound == "<= 73" and by_name["OC"].ok

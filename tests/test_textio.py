@@ -5,6 +5,7 @@ import pytest
 
 import netdes.events as ev
 from netdes.automaton import Automaton, number, state_name
+from netdes.cli import main
 from netdes.textio import (ParseError, parse_automaton, serialize_automaton,
                            to_dot)
 from oracles import isomorphic_by, renamed_text, restrict_reachable
@@ -145,3 +146,35 @@ def test_dot_escapes_quotes_and_backslashes():
 def test_dot_single_state():
     dot = to_dot(parse_automaton(".automaton T\n.alphabet a:plain\n.initial S0\n"))
     assert dot.count("->") == 0
+
+
+# case -> (the text, message, line)
+AUT_ERRORS = {
+    "duplicate-spelling": (".automaton T\n.alphabet a:plain a:plain\n",
+                           "duplicate event spelling 'a'", 2),
+    "two-initials": (".automaton T\n.alphabet a:plain\n.initial A B\n",
+                     ".initial takes exactly one state", 3),
+    "no-initial-state": (".automaton T\n.alphabet a:plain\n.initial\n",
+                         ".initial takes exactly one state", 3),
+    "short-trans": (".automaton T\n.alphabet a:plain\n.initial A\n.trans A a\n",
+                    ".trans takes `src event dst`", 4),
+    "long-trans": (".automaton T\n.alphabet a:plain\n.initial A\n.trans A a A A\n",
+                   ".trans takes `src event dst`", 4),
+    "role-mismatch": (".automaton T\n.alphabet a_in:plain\n",
+                      "spelling 'a_in' does not match role 'plain'", 2),
+    "empty-base": (".automaton T\n.alphabet b:plain _out:out\n",
+                   "role 'out' requires a base name", 2),
+}
+
+
+@pytest.mark.parametrize("case", AUT_ERRORS)
+def test_automaton_file_errors(case, tmp_path, capsys):
+    text, message, line = AUT_ERRORS[case]
+    with pytest.raises(ParseError) as err:
+        parse_automaton(text)
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+    path = tmp_path / "bad.aut"
+    path.write_text(text, encoding="utf-8")
+    assert main(["export-dot", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: line {line}: {message}\n")
