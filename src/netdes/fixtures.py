@@ -44,7 +44,11 @@ class BuiltSystem(NamedTuple):
 
 def build_system(cfg: SystemConfig, plant: Automaton, ns: Automaton) -> BuiltSystem:
     """Every loop component; raises AutomatonError when the plant or ``ns``
-    is empty, or with the report when ``ns`` is not a valid supervisor."""
+    is empty, or with the report when ``ns`` is not a valid supervisor.
+
+    The plant's marked states are its damage set: ``synthesis.build_problem``
+    reads them, not ``cfg.damage``. ``load_plant`` marks the states the
+    config's ``[damage]`` line names, so in a loaded system the two agree."""
     for a, what in ((plant, "plant"), (ns, "networked supervisor NS")):
         if a.initial is None:
             raise AutomatonError(f"the {what} has no states")

@@ -4,9 +4,10 @@ supervisor synthesis.
 The composed loop (plant assembly, attack constraints, channels, supervisor,
 monitor) is treated as a new plant; the attack to synthesize is its
 supervisor under the attack-control constraint. Because every event the
-attacker controls is also one it observes, observability coincides with
-normality and the supremal solution exists; it is computed on the observer
-of the new plant by an iterated pruning:
+attacker controls is also one it observes (``ControlConstraint`` checks
+this when it is made), observability coincides with normality and the
+supremal solution exists; it is computed on the observer of the new plant
+by an iterated pruning:
 
 1. estimates that contain a covertness-violating state are deleted;
 2. deletions propagate backwards over events the attacker cannot disable;
@@ -15,12 +16,12 @@ of the new plant by an iterated pruning:
    deleting estimates entered uncontrollably, then the pass repeats.
 
 Synthesis is on the fly (Tripakis & Altisen, FM 1999; Cassez et al.,
-CONCUR 2005): P is a lazy product, and "bad" and "target" are predicates on
-its states. The observer's rows are explored from the initial estimate;
-an estimate that holds a covertness-violating state is dead
-whatever follows it (rule 1), so its row is empty and what only it leads to
-is never built. The rows of P are computed only for the states of the
-estimates explored. The attack is a row function over the pruned observer.
+CONCUR 2005): P is a lazy product whose marked states are the damage
+targets, and "bad" is a predicate on its states. The observer's rows are
+explored from the initial estimate; an estimate that holds a
+covertness-violating state is dead whatever follows it (rule 1), so its
+row is empty and what only it leads to is never built. The rows of P are
+computed only for the states of the estimates explored. The attack is a row function over the pruned observer.
 Rules 1-2 are a worklist attractor (Graedel, Thomas & Wilke, LNCS 2500):
 each dead estimate is pushed once to its uncontrollable predecessors, in
 O(|E|). Rule 3 uses ``product([P, O])``, where O keeps the live observer
@@ -45,14 +46,13 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import cached_property
 from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
                     Optional, Set, Tuple)
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
 from .automaton import (Automaton, AutomatonError, Row, State, close_under,
                         compose, explore, lazy_automaton, observer_step,
-                        product, state_name)
+                        product)
 from .channels import (capacity_control, capacity_observation,
                        enumerate_channel_states)
 from .config import SystemConfig
@@ -67,83 +67,75 @@ class SynthesisMode(enum.Enum):
     DAMAGE_REACHABLE = "reachable"
 
 
-class SynthesisProblem:
-    """The new plant P with its covertness-violating and damage states, given
-    as predicates on a state of P; the marked states of P are the targets.
-    No synthesis or verification step reads ``bad`` or ``target``: each is
-    built on first read, which explores all of P."""
+class SynthesisProblem(NamedTuple):
+    """The new plant P, the predicate on its states that marks a covertness
+    violation, and the attacker's control constraint. The marked states of P
+    are the damage targets. No synthesis or verification step reads ``bad``
+    or ``target``: each explores all of P."""
 
-    def __init__(self, plant: Automaton, is_bad: Callable[[State], bool],
-                 is_target: Callable[[State], bool],
-                 constraint: ControlConstraint) -> None:
-        self.plant = plant
-        self.is_bad = is_bad
-        self.is_target = is_target
-        self.constraint = constraint
+    plant: Automaton
+    is_bad: Callable[[State], bool]
+    constraint: ControlConstraint
 
-    @cached_property
+    @property
     def bad(self) -> FrozenSet:
-        return frozenset(q for q in self.plant.states if self.is_bad(q))
+        return frozenset(filter(self.is_bad, self.plant.states))
 
-    @cached_property
+    @property
     def target(self) -> FrozenSet:
-        return frozenset(q for q in self.plant.states if self.is_target(q))
+        return self.plant.marked
 
 
 def build_problem(system: BuiltSystem) -> SynthesisProblem:
     """P = G_new || AC || OC || NS || CC || M over the built loop, as a lazy
-    product, with its state predicates.
+    product, with its covertness predicate.
 
     A composed state is a damage target iff its plant component is a damage
-    state (component markings are ignored); it violates covertness iff the
-    monitor component is the empty estimate while the plant component is not
-    a damage state. So no state is both.
+    state, one the loop's plant marks (the other components' markings are
+    ignored); it violates covertness iff the monitor component is the empty
+    estimate while the plant component is not a damage state. So no state
+    is both.
     """
-    cfg, _plant, _cs, _ce, g_new, ac, oc, _oc_t, cc, ns, m = system
+    cfg, plant, _cs, _ce, g_new, ac, oc, _oc_t, cc, ns, m = system
     full = frozenset(cfg.full_alphabet())
     for c, label in ((ac, "AC"), (ns, "NS"), (m, "M")):
-        if frozenset(c.alphabet) != full:
+        if c.alphabet != full:
             raise AutomatonError(f"{label} alphabet is not the full loop alphabet")
-    damage = cfg.damage
-
-    def is_target(q: State) -> bool:
-        (_store, _stage, g), _ac, _oc, _ns, _cc, _estimate = q
-        return state_name(g) in damage
+    damage = plant.is_marked
 
     def is_bad(q: State) -> bool:
         (_store, _stage, g), _ac, _oc, _ns, _cc, estimate = q
-        return estimate == MONITOR_EMPTY and state_name(g) not in damage
+        return estimate == MONITOR_EMPTY and not damage(g)
 
-    plant = product([g_new, ac, oc, ns, cc, m], name="P", is_marked=is_target)
-    return SynthesisProblem(plant, is_bad, is_target,
-                            attack_control_constraint(cfg))
+    return SynthesisProblem(product([g_new, ac, oc, ns, cc, m], name="P",
+                                    is_marked=lambda q: damage(q[0][2])),
+                            is_bad, attack_control_constraint(cfg))
 
 
 # -- the observer fixpoint ---------------------------------------------------
 
-def supremal_supervisor(plant: Automaton, is_bad: Callable[[State], bool],
-                        controllable: FrozenSet[EventLabel],
-                        observable: FrozenSet[EventLabel],
-                        require_nonblocking: bool,
+def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
                         name: str = "S") -> Optional[Automaton]:
-    """Supremal controllable-and-normal supervisor avoiding the states where
-    ``is_bad`` holds.
+    """Supremal controllable-and-normal supervisor of ``problem.plant``
+    avoiding the states where ``problem.is_bad`` holds, under
+    ``problem.constraint`` restricted to the plant's alphabet.
 
     Generic over the control constraint (the test suite's reference
-    networked-supervisor synthesis uses it too). Returns None when no
-    supervisor exists. The result is given by a row function over the
-    pruned observer: its states are the surviving estimates it reaches, in
-    the breadth-first order of its rows, all marked. It is total on the
+    networked-supervisor synthesis uses it too); ``ControlConstraint``
+    guarantees that every controllable event is observable. Returns None
+    when no supervisor exists. The result is given by a row function over
+    the pruned observer: its states are the surviving estimates it reaches,
+    in the breadth-first order of its rows, all marked. It is total on the
     uncontrollable events: an event missing from the observer self-loops,
     since no state of the estimate can take it.
 
     An estimate with a bad state gets an empty observer row, and the
     nonblocking product never enters a dead estimate, so only the rows of
-    ``plant`` that live estimates reach are read; its marked states are
+    the plant that live estimates reach are read; its marked states are
     found with ``plant.is_marked``.
     """
-    if not controllable <= observable:
-        raise AutomatonError("controllable events must be observable here")
+    plant, is_bad = problem.plant, problem.is_bad
+    controllable = problem.constraint.controllable & plant.alphabet
 
     def doomed(x: FrozenSet) -> bool:
         return any(map(is_bad, x))
@@ -151,7 +143,7 @@ def supremal_supervisor(plant: Automaton, is_bad: Callable[[State], bool],
     # the attacker's observer, explored into its rows; a stopped estimate
     # (one with a bad state) has an empty row, so what only it leads to is
     # never built
-    observed = observable & plant.alphabet
+    observed = problem.constraint.observable & plant.alphabet
     init, step = observer_step(plant, observed)
     if init is None:
         return None
@@ -237,18 +229,14 @@ def synthesize_supremal_attack(problem: SynthesisProblem,
     that some damage state stays reachable; damage-nonblocking mode also
     eliminates every composed state that cannot reach damage.
     """
-    plant = problem.plant
-    controllable = frozenset(problem.constraint.controllable) & plant.alphabet
-    observable = frozenset(problem.constraint.observable) & plant.alphabet
     attack = supremal_supervisor(
-        plant, problem.is_bad, controllable, observable,
-        require_nonblocking=(mode is SynthesisMode.DAMAGE_NONBLOCKING),
+        problem, require_nonblocking=(mode is SynthesisMode.DAMAGE_NONBLOCKING),
         name="A")
     if attack is None:
         return None
     if mode is SynthesisMode.DAMAGE_REACHABLE:
         # P||A is walked only up to its first damage state
-        loop = product([plant, attack])
+        loop = product([problem.plant, attack])
         if not any(loop.is_marked(q) for q, _out in
                    explore(loop.initial, loop._delta.__getitem__)):
             return None
@@ -278,13 +266,13 @@ def check_attack(problem: SynthesisProblem, attack: Automaton) -> Verdicts:
     """Whether P||A is covert, damage-nonblocking and damage-reachable, read
     from one pass over its states and rows.
 
-    Damage states are those whose P component is a target; the attack's own
-    marking is ignored. Each witness spells the shortest run into the first
+    Damage states are those whose P component is marked in P; the attack's
+    own marking is ignored. Each witness spells the shortest run into the first
     offending state in breadth-first order (for damage-reachable, the first
     damage state): its first parent is the row that discovered it. Only the
     rows of P that the attack lets the loop reach are computed.
     """
-    if frozenset(attack.alphabet) != frozenset(problem.plant.alphabet):
+    if attack.alphabet != problem.plant.alphabet:
         raise AutomatonError("attack alphabet differs from the composed plant's")
     loop = compose([problem.plant, attack], name="P||A")
     rows = loop._delta
@@ -295,7 +283,7 @@ def check_attack(problem: SynthesisProblem, attack: Automaton) -> Verdicts:
     for q in loop.states:
         if bad is None and problem.is_bad(q[0]):
             bad = q
-        if problem.is_target(q[0]):
+        if problem.plant.is_marked(q[0]):
             targets.append(q)
         for e, dsts in rows[q].items():
             for dst in dsts:

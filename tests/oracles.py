@@ -549,9 +549,7 @@ def synthesize_networked_supervisor(g_new: Automaton, oc_t: Automaton,
             bad.add(q)
     constraint = supervisor_control_constraint(cfg)
     sup = supremal_supervisor(
-        plant_ns, frozenset(bad).__contains__,
-        frozenset(constraint.controllable) & plant_ns.alphabet,
-        frozenset(constraint.observable) & plant_ns.alphabet,
+        SynthesisProblem(plant_ns, frozenset(bad).__contains__, constraint),
         require_nonblocking=False, name="NS")
     if sup is None:
         raise NoSupervisorError("no networked supervisor exists for this spec")

@@ -1,8 +1,9 @@
 import pytest
 
 import netdes.events as ev
-from netdes.attacker import (AC_INIT, ac_state_count, attack_control_constraint,
-                             build_attack_constraints, validate_attack)
+from netdes.attacker import (AC_INIT, ControlConstraint, ac_state_count,
+                             attack_control_constraint, build_attack_constraints,
+                             validate_attack)
 from netdes.automaton import Automaton, AutomatonError
 from netdes.config import ConfigError, EventSpec, RateBounds, SystemConfig
 from oracles import complete_with_selfloops, enabled, step, successors
@@ -69,6 +70,15 @@ def test_counting_forward_requires_budget():
                        delta_o=0, delta_c=0, delta_s=0, rates=RateBounds(1, 0, 1))
     with pytest.raises(ConfigError):
         build_attack_constraints(cfg)
+
+
+def test_control_constraint_rejects_an_unobserved_controllable_event():
+    # the one check that a constraint's controllable events are observed,
+    # which makes normality and observability coincide in synthesis
+    with pytest.raises(ConfigError) as err:
+        ControlConstraint(frozenset({ev.stop, ev.tick}), frozenset({ev.tick}), "sa")
+    assert str(err.value) == ("controllable events must be observable "
+                              "(required for normality to equal observability)")
 
 
 def test_supervisor_only_events_pass_straight_through():

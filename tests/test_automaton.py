@@ -15,7 +15,7 @@ from netdes.textio import serialize_automaton
 from oracles import (accepts, assert_same_automaton, bfs_distances, bounded_traces,
                      coreachable,
                      deterministic, empty_automaton, is_nonblocking,
-                     isomorphic_by, moves, nested_loop_product, reachable,
+                     isomorphic_by, marked_copy, moves, nested_loop_product, reachable,
                      step, successors, trim, unobservable_reach)
 
 A, B, C, U, O = (ev.plant(x) for x in "abcuo")
@@ -333,9 +333,9 @@ def test_witness_is_a_shortest_path_into_the_targets(seed):
         for targets in (loop.marked, loop.states[-1:],
                         rng.sample(loop.states, min(3, len(loop.states))),
                         [("nowhere",)]):
-            hit = set(targets).__contains__
-            verdicts = check_attack(SynthesisProblem(loop, hit, hit, free), attack)
             found = set(targets) & set(loop.states)
+            problem = SynthesisProblem(marked_copy(loop, found), found.__contains__, free)
+            verdicts = check_attack(problem, attack)
             assert verdicts.covert.ok == (not found)
             assert verdicts.reachable.ok == bool(found)
             for path in (verdicts.covert.witness, verdicts.reachable.witness):
@@ -546,6 +546,7 @@ AUTOMATON_ERRORS = {
                                "transition event b not in alphabet"),
     "observed-outside-alphabet": (lambda: observer_step(aut(["p"], [A], [], "p"), [B]),
                                   "observed event b not in alphabet"),
+    "compose-nothing": (lambda: compose([]), "compose needs at least one component"),
 }
 
 

@@ -56,8 +56,16 @@ def test_enumerate_without_message_kinds_is_just_empty():
     for delta in range(3):
         for capacity in range(4):
             assert enumerate_channel_states(0, delta, capacity) == 1
-    with pytest.raises(ValueError):
-        enumerate_channel_states(-1, 1, 1)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((-1, 1, 1), "the number of message kinds must be nonnegative"),
+    ((1, 0, -1), "capacity must be nonnegative")],
+    ids=["negative-kinds", "negative-capacity"])
+def test_enumerate_rejects_negative_counts(args, message):
+    with pytest.raises(ValueError) as err:
+        enumerate_channel_states(*args)
+    assert str(err.value) == message
 
 
 # -- interned states ---------------------------------------------------------------

@@ -3,6 +3,7 @@ import gc
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,7 +149,7 @@ def test_verify_rejects_invalid_attack(tmp_path, capsys):
 
 def test_no_attack_exit_status(tmp_path, capsys):
     # no damage states: nothing to reach, distinguished exit status
-    cfg_text = open(RED["config"], encoding="utf-8").read()
+    cfg_text = Path(RED["config"]).read_text(encoding="utf-8")
     lines = [l for l in cfg_text.splitlines() if not l.startswith("[damage]")]
     cfg_path = tmp_path / "nodamage.cfg"
     cfg_path.write_text("\n".join(lines) + "\n")
@@ -164,7 +165,7 @@ def test_no_attack_removes_the_attack_an_earlier_run_wrote(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(red_args("synthesize", out)) == 0
     assert (out / "attack.aut").exists()
-    cfg_text = open(RED["config"], encoding="utf-8").read()
+    cfg_text = Path(RED["config"]).read_text(encoding="utf-8")
     cfg_path = tmp_path / "nodamage.cfg"
     cfg_path.write_text("\n".join(l for l in cfg_text.splitlines()
                                   if not l.startswith("[damage]")) + "\n")
@@ -180,7 +181,7 @@ def test_no_attack_removes_the_attack_an_earlier_run_wrote(tmp_path, capsys):
 def test_empty_plant_or_supervisor_exit_status(cmd, empty, tmp_path, capsys):
     # a file that declares an alphabet but no state; the config has no damage
     # states, so an empty plant passes the plant's own checks
-    cfg_text = open(RED["config"], encoding="utf-8").read()
+    cfg_text = Path(RED["config"]).read_text(encoding="utf-8")
     cfg_path = tmp_path / "nodamage.cfg"
     cfg_path.write_text("\n".join(l for l in cfg_text.splitlines()
                                   if not l.startswith("[damage]")) + "\n")
@@ -214,7 +215,7 @@ def test_parse_error_exit_status(tmp_path, capsys):
 
 
 def test_invalid_supervisor_exit_status(tmp_path, capsys):
-    ns_text = open(RED["ns"], encoding="utf-8").read()
+    ns_text = Path(RED["ns"]).read_text(encoding="utf-8")
     # drop one required self-loop: a validity violation the CLI must name
     lines = [l for l in ns_text.splitlines() if l != ".trans B0 a1 B0"]
     ns_path = tmp_path / "broken_ns.aut"
@@ -375,8 +376,7 @@ print(sorted(name for m, module in list(sys.modules.items()) if m.startswith("ne
 
 
 def test_readme_documents_every_option():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
-                  encoding="utf-8").read()
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     options = {(cmd, opt) for cmd, (_fn, required, optional, _pos, _summary)
                in netdes.cli.COMMANDS.items() for opt in (*required, *optional)}
     assert len({cmd for cmd, _opt in options}) == 5

@@ -118,6 +118,16 @@ def test_negative_bounds_rejected():
                      delta_o=-1, delta_c=0, delta_s=0, rates=RateBounds(1, 1, 1))
 
 
+def test_exec_delay_of_an_unknown_event_rejected():
+    cfg = SystemConfig(events=(EventSpec("a", True, True, True, True, 2),),
+                       commands={"v": frozenset({"a"})},
+                       delta_o=0, delta_c=0, delta_s=0, rates=RateBounds(1, 1, 1))
+    assert cfg.exec_delay("a") == 2
+    with pytest.raises(ConfigError) as err:
+        cfg.exec_delay("zz")
+    assert str(err.value) == "unknown event zz"
+
+
 # case -> (the config text, message, line or None when the whole config is
 # at fault)
 CONFIG_ERRORS = {

@@ -386,9 +386,17 @@ def test_alphabet_mismatch_rejected():
                              EventSpec("u", False, False, False, False, None)),
                      commands={"g": frozenset({"z"})})
     g = _lone_plant(other, [], ["q0"])
-    with pytest.raises(AutomatonError):
+    with pytest.raises(AutomatonError) as err:
         compose_and_prune_plant(build_command_storage(cfg),
                                 build_command_execution(cfg), g, cfg)
+    assert str(err.value) == "plant alphabet mismatch with config"
+    # the store of a config with other commands
+    renamed = make_cfg(commands={"h": frozenset({"s"})})
+    with pytest.raises(AutomatonError) as err:
+        compose_and_prune_plant(build_command_storage(renamed),
+                                build_command_execution(cfg),
+                                _lone_plant(cfg, [], ["q0"]), cfg)
+    assert str(err.value) == "command storage/execution alphabet mismatch with config"
 
 
 def check_uncontrollable_liveness(g_new, g, cfg):

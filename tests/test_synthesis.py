@@ -31,8 +31,7 @@ def tiny_problem(bad, target, trans, states=("s0", "s1", "s2")):
     plant = Automaton(states, alphabet, trans, "s0", marked=target, name="P")
     constraint = ControlConstraint(
         frozenset({C_HASH, ev.stop}), frozenset({C_HASH, ev.stop}), "sa")
-    return SynthesisProblem(plant, frozenset(bad).__contains__,
-                            frozenset(target).__contains__, constraint)
+    return SynthesisProblem(plant, frozenset(bad).__contains__, constraint)
 
 
 # -- problem construction ---------------------------------------------------------
@@ -55,6 +54,16 @@ def test_empty_damage_makes_every_detection_bad(reduced):
     assert not prob.target
     assert all(q[5] == MONITOR_EMPTY for q in prob.bad)
     assert prob.bad
+
+
+def test_damage_states_are_the_plant_marking_not_the_config(reduced):
+    # the config still names 7 and 8 as damage; the plant marks only 7
+    assert reduced.cfg.damage == {"7", "8"}
+    only_7 = [q for q in reduced.plant.states if state_name(q) == "7"]
+    system = build_system(reduced.cfg, marked_copy(reduced.plant, only_7), reduced.ns)
+    prob = build_problem(system)
+    assert {state_name(q[0][2]) for q in prob.target} == {"7"}
+    assert len(prob.bad) == 7
 
 
 def test_no_tampering_means_no_detection_states(reduced):
@@ -162,6 +171,16 @@ def test_alphabet_mismatch_rejected(reduced_problem):
         verify_covert(reduced_problem, empty_automaton([ev.tick]))
 
 
+def test_problem_rejects_a_supervisor_without_a_loop_event(reduced):
+    ns = reduced.ns
+    no_tick = Automaton(ns.states, ns.alphabet - {ev.tick},
+                        [t for t in ns.transitions if t[1] != ev.tick],
+                        ns.initial, ns.marked, ns.name)
+    with pytest.raises(AutomatonError) as err:
+        build_problem(reduced._replace(ns=no_tick))
+    assert str(err.value) == "NS alphabet is not the full loop alphabet"
+
+
 # -- dominance of hand-written fixtures ------------------------------------------------
 
 def test_hand_attacks_are_dominated(reduced, reduced_problem, reduced_attacks,
@@ -239,8 +258,7 @@ def _random_problems(seed, count):
         cut = rng.randint(0, len(pool))
         bad, target = frozenset(pool[:cut][:2]), frozenset(pool[cut:][:2])
         plant = Automaton(states, alphabet, trans, "p0", marked=target)
-        yield SynthesisProblem(plant, bad.__contains__, target.__contains__,
-                               constraint)
+        yield SynthesisProblem(plant, bad.__contains__, constraint)
 
 
 def test_engine_sound_on_random_problems():
@@ -287,7 +305,7 @@ def _witness_failures(prob, attack):
     offending state, as short as the nearest offender is far."""
     verdicts = check_attack(prob, attack)
     loop = nested_loop_product([prob.plant, attack])
-    targets = {q for q in loop.states if prob.is_target(q[0])}
+    targets = {q for q in loop.states if prob.plant.is_marked(q[0])}
     offenders = {"covert": {q for q in loop.states if prob.is_bad(q[0])},
                  "nonblocking": set(loop.states) - coreachable(marked_copy(loop, targets)),
                  "reachable": targets}
@@ -350,7 +368,7 @@ def _lazy_copy(prob):
     plant = prob.plant
     lazy = lazy_automaton(plant.initial, plant.alphabet, plant._delta.__getitem__,
                           plant.is_marked, plant.name)
-    return SynthesisProblem(lazy, prob.is_bad, prob.is_target, prob.constraint)
+    return prob._replace(plant=lazy)
 
 
 def _attack_texts(prob):

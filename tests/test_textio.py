@@ -178,3 +178,20 @@ def test_automaton_file_errors(case, tmp_path, capsys):
     assert main(["export-dot", str(path)]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: line {line}: {message}\n")
+
+
+# case -> (an automaton the writer cannot name unambiguously, message)
+WRITER_ERRORS = {
+    "colliding-state-names": (Automaton([1, "1"], [ev.plant("a")], [], 1),
+                              "state names collide; serialize its automaton.number"),
+    "ambiguous-spelling": (Automaton(["p"], [ev.plant("v"), ev.command("v")], [], "p"),
+                           "event spelling 'v' is ambiguous in this alphabet"),
+}
+
+
+@pytest.mark.parametrize("case", WRITER_ERRORS)
+def test_writer_errors(case):
+    a, message = WRITER_ERRORS[case]
+    with pytest.raises(ValueError) as err:
+        serialize_automaton(a)
+    assert str(err.value) == message
