@@ -16,10 +16,10 @@ kept, and whose states (in the breadth-first order of its rows) and marked
 set are filled by one exploration on first read. The loop's components,
 ``product`` and ``subset_construction`` are lazy, so a product over them
 builds only the component rows it reaches, and ``compose`` is an explored
-``product``. The observer has one row function,
-``observer_step``, which reads silent successors from the rows on demand;
-``subset_construction`` and the attacker's observer are lazy automata over
-it.
+``product``. ``subset_construction`` is the one observer: its alphabet is
+the observed events and it reads silent successors from the rows on
+demand; the monitor and the attack each complete its rows once, in their
+own row functions.
 
 Event labels, channel states and the plant assembly's store and stage
 states are interned (``events``, ``channels``, ``plant``): equal values are
@@ -325,16 +325,14 @@ def close_under(seen: Set, seeds: Iterable, step: Callable[[Any], Iterable]) -> 
 
 # -- observer / subset construction ------------------------------------
 
-def observer_step(a: Automaton, observed: Iterable[EventLabel]
-                  ) -> Tuple[Optional[FrozenSet[State]], Callable[[FrozenSet], Row]]:
-    """The observer of ``a`` w.r.t. ``observed``: its initial estimate (None
-    when ``a`` is empty) and its row function.
-
-    ``step(x)`` maps each observed event some state of x enables, in label
-    order, to the 1-tuple of the unobservable reach of x's successor set on
-    it. Rows of ``a`` are read only as estimates reach them; each state's
-    silent successors are kept once read.
-    """
+def subset_construction(a: Automaton, observed: Iterable[EventLabel],
+                        name: str = "") -> Automaton:
+    """The observer of ``a`` w.r.t. ``observed``, explored on demand. Its
+    alphabet is ``observed``, every estimate is marked, and an estimate's
+    row maps each observed event some state of it enables, in label order,
+    to the 1-tuple of the unobservable reach of its successor set on it; a
+    consumer completes the rows it needs. Rows of ``a`` are read only as
+    estimates reach them; each state's silent successors are kept once read."""
     obs = frozenset(observed)
     if not obs <= a.alphabet:
         bad = next(iter(obs - a.alphabet))
@@ -353,7 +351,7 @@ def observer_step(a: Automaton, observed: Iterable[EventLabel]
     def reach(seeds: Iterable[State]) -> FrozenSet[State]:
         return frozenset(close_under(set(), seeds, silent_of))
 
-    def step(cur: FrozenSet[State]) -> Row:
+    def row(cur: FrozenSet[State]) -> Row:
         raw_by_event: Dict[EventLabel, Set[State]] = {}
         for q in cur:
             for ev, dsts in delta[q].items():
@@ -365,26 +363,8 @@ def observer_step(a: Automaton, observed: Iterable[EventLabel]
                         raw.update(dsts)
         return {ev: (reach(raw_by_event[ev]),) for ev in obs_sorted if ev in raw_by_event}
 
-    return (None if a.initial is None else reach((a.initial,))), step
-
-
-def subset_construction(a: Automaton, observed: Iterable[EventLabel],
-                        name: str = "") -> Automaton:
-    """Determinize w.r.t. ``observed`` over the full alphabet of ``a``,
-    explored on demand: an estimate's row is its ``observer_step`` plus a
-    self-loop on each unobserved event, and every estimate is marked. An
-    observed event with no successor has no transition (the monitor routes
-    those to the empty estimate)."""
-    obs = frozenset(observed)
-    init, step = observer_step(a, obs)
-    events = sorted_events(a.alphabet)
-
-    def row(x: FrozenSet[State]) -> Row:
-        succ = step(x)
-        loop = (x,)
-        return {ev: succ.get(ev, loop) for ev in events if ev in succ or ev not in obs}
-
-    return lazy_automaton(init, a.alphabet, row, lambda x: True, name)
+    init = None if a.initial is None else reach((a.initial,))
+    return lazy_automaton(init, obs, row, lambda x: True, name)
 
 
 # -- composition -------------------------------------------------------

@@ -42,12 +42,13 @@ def build_monitor(ns: Automaton, g_new: Automaton, oc_t: Automaton,
     """Observer of the attack-free reference loop with explicit detection.
 
     The rows are those of the reference loop's ``subset_construction``,
-    completed: any observed event with no explanation in the current
-    estimate leads to the empty estimate, where the only continuation is
-    the tick self-loop. The monitor sees what the networked supervisor
-    sees. Its states come in the breadth-first order of its rows, the empty
-    estimate last if nothing reaches it. ``ns`` and ``g_new`` are assumed
-    valid and nonempty (``fixtures.build_system`` checks them first).
+    completed once: an unobserved event self-loops, and an observed event
+    with no explanation in the current estimate leads to the empty estimate,
+    where the only continuation is the tick self-loop. The monitor sees what
+    the networked supervisor sees. Its states come in the breadth-first
+    order of its rows, the empty estimate last if nothing reaches it.
+    ``ns`` and ``g_new`` are assumed valid and nonempty
+    (``fixtures.build_system`` checks them first).
     """
     reference = product([ns, g_new, oc_t, cc], name="NS||G_new||OC^T||CC")
     observed = supervisor_control_constraint(cfg).observable & reference.alphabet
@@ -59,8 +60,8 @@ def build_monitor(ns: Automaton, g_new: Automaton, oc_t: Automaton,
         if x == MONITOR_EMPTY:
             return {ev.tick: lost}
         # observer estimates are never empty: no successor is an unexplained event
-        succ = observer._delta[x]
-        return {e: succ.get(e, lost) for e in events}
+        succ, loop = observer._delta[x], (x,)
+        return {e: succ.get(e, lost if e in observed else loop) for e in events}
 
     rows = dict(explore(observer.initial, row))
     rows.setdefault(MONITOR_EMPTY, row(MONITOR_EMPTY))

@@ -17,18 +17,19 @@ by an iterated pruning:
 
 Synthesis is on the fly (Tripakis & Altisen, FM 1999; Cassez et al.,
 CONCUR 2005): P is a lazy product whose marked states are the damage
-targets, and "bad" is a predicate on its states. The observer's rows are
-explored from the initial estimate; an estimate that holds a
-covertness-violating state is dead whatever follows it (rule 1), so its
-row is empty and what only it leads to is never built. The rows of P are
-computed only for the states of the estimates explored. The attack is a row function over the pruned observer.
+targets, and "bad" is a predicate on its states. The rows of P's
+``subset_construction`` are explored from the initial estimate; an
+estimate that holds a covertness-violating state is dead whatever follows
+it (rule 1), so its row is empty and what only it leads to is never built.
+The rows of P are computed only for the states of the estimates explored. The attack is a row function over the pruned observer.
 Rules 1-2 are a worklist attractor (Graedel, Thomas & Wilke, LNCS 2500):
 each dead estimate is pushed once to its uncontrollable predecessors, in
 O(|E|). Rule 3 uses ``product([P, O])``, where O keeps the live observer
 edges, explored once and numbered by position; each round recomputes
 reachability and coreachability over the product edges that the dead
-estimates and disabled events still allow. The damage-reachable check walks
-P||A with ``explore`` and stops at the first damage state.
+estimates and disabled events still allow. The damage-reachable check reads
+the attack's estimates: the attack enables every event it does not observe,
+so P||A reaches exactly the states of P in the estimates the attack reaches.
 
 Verification is independent of the pruning: ``check_attack`` composes P||A
 and reads its states and rows once, for all three verdicts and their
@@ -51,8 +52,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
 from .automaton import (Automaton, AutomatonError, Row, State, close_under,
-                        compose, explore, lazy_automaton, observer_step,
-                        product)
+                        compose, explore, lazy_automaton, product,
+                        subset_construction)
 from .channels import (capacity_control, capacity_observation,
                        enumerate_channel_states)
 from .config import SystemConfig
@@ -126,8 +127,9 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
     when no supervisor exists. The result is given by a row function over
     the pruned observer: its states are the surviving estimates it reaches,
     in the breadth-first order of its rows, all marked. It is total on the
-    uncontrollable events: an event missing from the observer self-loops,
-    since no state of the estimate can take it.
+    uncontrollable events: one missing from the observer's row self-loops,
+    since an unobserved event keeps the plant inside the estimate and no
+    state of the estimate takes a missing observed one.
 
     An estimate with a bad state gets an empty observer row, and the
     nonblocking product never enters a dead estimate, so only the rows of
@@ -143,11 +145,11 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
     # the attacker's observer, explored into its rows; a stopped estimate
     # (one with a bad state) has an empty row, so what only it leads to is
     # never built
-    observed = problem.constraint.observable & plant.alphabet
-    init, step = observer_step(plant, observed)
+    observer = subset_construction(plant, problem.constraint.observable & plant.alphabet)
+    init, rows = observer.initial, observer._delta
     if init is None:
         return None
-    graph = dict(explore(init, lambda x: {} if doomed(x) else step(x)))
+    graph = dict(explore(init, lambda x: {} if doomed(x) else rows[x]))
     preds: Dict[FrozenSet, List[FrozenSet]] = {x: [] for x in graph}
     for x, out in graph.items():
         for e, (y,) in out.items():
@@ -169,7 +171,7 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
         # observed move of p has an observer successor, and unobserved
         # events leave x unchanged. No pair enters a dead estimate. Pairs
         # are numbered by position in the explored order.
-        live = lazy_automaton(init, observed, lambda x: {
+        live = lazy_automaton(init, observer.alphabet, lambda x: {
             e: ys for e, ys in graph[x].items() if ys[0] not in dead},
             lambda x: True, "O")
         pairs = product([plant, live])
@@ -235,10 +237,10 @@ def synthesize_supremal_attack(problem: SynthesisProblem,
     if attack is None:
         return None
     if mode is SynthesisMode.DAMAGE_REACHABLE:
-        # P||A is walked only up to its first damage state
-        loop = product([problem.plant, attack])
-        if not any(loop.is_marked(q) for q, _out in
-                   explore(loop.initial, loop._delta.__getitem__)):
+        # the attack enables every event it does not observe, so P||A reaches
+        # exactly the states of P in the estimates the attack reaches
+        damage = problem.plant.is_marked
+        if not any(damage(p) for x in attack.states for p in x):
             return None
     return attack
 

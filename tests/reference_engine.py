@@ -17,6 +17,7 @@ from netdes.config import SystemConfig
 from netdes.events import EventLabel, sorted_events
 from netdes.supervision import supervisor_control_constraint
 from netdes.synthesis import SynthesisMode, SynthesisProblem
+import oracles
 from oracles import (SPEC_DUMP, _complete_spec, bfs_order,
                      build_supervisor_constraints, coreachable, enabled,
                      marked_copy, nested_loop_product, restrict_reachable, step,
@@ -31,7 +32,9 @@ def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
     """Supremal supervisor before completion of uncontrollable events."""
     if not controllable <= observable:
         raise AutomatonError("controllable events must be observable here")
-    obs = subset_construction(plant, observable & plant.alphabet, name=name)
+    obs = oracles.complete_with_selfloops(
+        subset_construction(plant, observable & plant.alphabet),
+        plant.alphabet - observable, name=name)
     if obs.initial is None:
         return None
     dead: Set = {x for x in obs.states if x & bad}

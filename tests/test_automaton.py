@@ -6,7 +6,7 @@ import pytest
 
 import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, compose, explore,
-                              lazy_automaton, number, observer_step, product,
+                              lazy_automaton, number, product,
                               state_name, subset_construction)
 from netdes.attacker import ControlConstraint
 from netdes.events import sorted_events
@@ -14,7 +14,7 @@ from netdes.synthesis import SynthesisProblem, check_attack
 from netdes.textio import serialize_automaton
 from oracles import (accepts, assert_same_automaton, bfs_distances, bounded_traces,
                      coreachable,
-                     deterministic, empty_automaton, is_nonblocking,
+                     deterministic, empty_automaton, enabled, is_nonblocking,
                      isomorphic_by, marked_copy, moves, nested_loop_product, reachable,
                      step, successors, trim, unobservable_reach)
 
@@ -123,11 +123,15 @@ def test_observer_initial_is_closure():
     assert obs.initial == frozenset({"q0", "q1"})
 
 
-def test_observer_selfloops_unobserved_everywhere():
-    a = aut(["q0", "q1"], [U, O], [("q0", O, "q1")], "q0")
-    obs = subset_construction(a, [O])
+def test_observer_alphabet_and_rows_hold_observed_events_only():
+    a = aut(["q0", "q1", "q2"], [U, O, A],
+            [("q0", O, "q1"), ("q1", U, "q2"), ("q2", A, "q0")], "q0")
+    obs = subset_construction(a, [O, A])
+    assert obs.alphabet == frozenset({O, A})
+    assert obs.states == (frozenset({"q0"}), frozenset({"q1", "q2"}))
     for x in obs.states:
-        assert successors(obs, x, U) == (x,)
+        assert set(enabled(obs, x)) <= {O, A}
+    assert successors(obs, frozenset({"q1", "q2"}), A) == (frozenset({"q0"}),)
 
 
 def test_observer_deterministic_on_random_instances():
@@ -137,6 +141,8 @@ def test_observer_deterministic_on_random_instances():
         observed = [e for e in sorted(a.alphabet) if rng.random() < 0.6]
         obs = subset_construction(a, observed)
         assert deterministic(obs)
+        assert obs.alphabet == frozenset(observed)
+        assert all(set(enabled(obs, x)) <= obs.alphabet for x in obs.states)
 
 
 def test_observer_projection_language_matches_oracle():
@@ -544,7 +550,7 @@ AUTOMATON_ERRORS = {
                           "transition references unknown state: p -a-> q"),
     "event-outside-alphabet": (lambda: aut(["p"], [A], [("p", B, "p")], "p"),
                                "transition event b not in alphabet"),
-    "observed-outside-alphabet": (lambda: observer_step(aut(["p"], [A], [], "p"), [B]),
+    "observed-outside-alphabet": (lambda: subset_construction(aut(["p"], [A], [], "p"), [B]),
                                   "observed event b not in alphabet"),
     "compose-nothing": (lambda: compose([]), "compose needs at least one component"),
 }

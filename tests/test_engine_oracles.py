@@ -95,7 +95,7 @@ def _sub_observer_attacks(prob, choices, fixed, full):
     for picks in itertools.product((False, True), repeat=len(choices)):
         kept = fixed + [t for t, on in zip(choices, picks) if on]
         yield restrict_reachable(Automaton(
-            full.states, full.alphabet, kept, full.initial, full.states, "A'"))
+            full.states, prob.plant.alphabet, kept, full.initial, full.states, "A'"))
 
 
 def _loop_within(plant, small, big):

@@ -7,7 +7,9 @@ rungs: before the searches moved onto one explorer; guideway ``u=2``: before
 event labels and channel states were interned; reduced ``delta_s=1``
 synthesize and verify: before CS and G_new became lazy; the build with an
 unreachable detection state: before the monitor became one exploration;
-guideway ``u=3``: before synthesis became on-the-fly). A change that alters
+guideway ``u=3``: before synthesis became on-the-fly). One case runs
+``export-dot`` on five guideway files and compares the sha256 of what it
+prints, recorded before the kernel had one observer. A change that alters
 any byte of any output fails here.
 """
 import contextlib
@@ -150,6 +152,17 @@ REDUCED_DELTA_S1 = {
     for mode in ("nonblocking", "reachable")}
 
 
+# the DOT text export-dot prints for the shipped guideway plant and NS and
+# for three files synthesize writes for guideway in nonblocking mode (the
+# monitor's 24 lines that name the detection state {} included)
+GUIDEWAY_DOT = {
+    "guideway_plant.aut": "9ff2faf7d6db671d756bde5c563873b42f110f02f05d6aa25e12d2c822c5502f",
+    "guideway_ns.aut": "dfaef05561367a226ea41c5e3727b4e19b3a6dc79d0c07cdfe26bd58d6a19db9",
+    "monitor.aut": "ad5d701b38ad33b09e7e1dfe1070357e16accde26f89a8f22aa03c791ecd87bd",
+    "attack.aut": "2fd543069afc8bc032b85f1c74571fbbc14936243497b2c408cd67596644f5b7",
+    "g_new.aut": "59c7483881ae5b4a6f05e2ef18c2b531eeb405c1641b52ec63f3c0439a687a73",
+}
+
 # a plant whose one event the supervisor cannot observe, under an NS that
 # allows every event: no observation is ever unexplained, so the monitor's
 # detection state {} is unreachable and is still written, last
@@ -252,6 +265,23 @@ def test_synthesize_and_verify_match_golden(system, mode, tmp_path, monkeypatch)
     status, stdout = _run(system, "verify", ["--attack", "out/attack.aut"])
     assert status == 0
     assert _sha(stdout.encode()) == GOLDEN[system, mode]["<verify>"]
+
+
+def test_export_dot_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    status, _stdout = _run("guideway", "synthesize",
+                           ["--out", "out", "--mode", "nonblocking"])
+    assert status == 0
+    digests = {}
+    for name in GUIDEWAY_DOT:
+        path = os.path.join(DATA if name.startswith("guideway_") else "out", name)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["export-dot", path]) == 0
+        digests[name] = _sha(buf.getvalue().encode())
+        if name == "monitor.aut":
+            assert sum("{}" in line for line in buf.getvalue().splitlines()) == 24
+    assert digests == GUIDEWAY_DOT
 
 
 @pytest.mark.parametrize("mode", sorted(REDUCED_DELTA_S1))

@@ -1,9 +1,9 @@
 import dataclasses
+import itertools
 from collections import Counter
 
 import pytest
 
-import netdes.automaton as automaton
 import netdes.events as ev
 from netdes.attacker import ControlConstraint, validate_attack
 from netdes.automaton import (Automaton, AutomatonError, compose, number,
@@ -12,7 +12,7 @@ from netdes.fixtures import build_system
 from netdes.supervision import MONITOR_EMPTY, supervisor_control_constraint
 from netdes.synthesis import (SynthesisMode, SynthesisProblem, build_problem,
                               check_attack, state_size_report,
-                              synthesize_supremal_attack, verify_covert,
+                              supremal_supervisor, synthesize_supremal_attack, verify_covert,
                               verify_damage_nonblocking, verify_damage_reachable)
 from netdes.textio import serialize_automaton
 from oracles import (accepts, apply_edit, bfs_distances, bfs_order,
@@ -402,24 +402,25 @@ def test_guideway_u2_attack_reads_under_a_quarter_of_p(guideway):
     assert _attack_texts(prob) == lazy
 
 
-def test_reachable_synthesis_walks_p_a_only_up_to_a_damage_state(guideway,
-                                                                 monkeypatch):
-    # the damage check of reachable mode stops at the first damage state of
-    # P||A, so it computes fewer rows of P||A than the attacked loop has states
-    prob = build_problem(_attacker_wide(guideway))
-    made, real = [], automaton.lazy_automaton
-
-    def spy(*args, **kwargs):
-        made.append(real(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(automaton, "lazy_automaton", spy)
-    attack = synthesize_supremal_attack(prob, SynthesisMode.DAMAGE_REACHABLE)
-    monkeypatch.undo()
-    loops = [a for a in made if a.initial == (prob.plant.initial, attack.initial)]
-    assert len(loops) == 1
-    # 70 of 543
-    assert 0 < len(loops[0]._delta) < len(compose([prob.plant, attack]).states)
+def test_attacked_loop_reaches_exactly_the_plant_states_of_the_attack_estimates(
+        guideway, reduced):
+    # reachable mode reads damage off the attack's estimates: the attack
+    # enables every event it does not observe, so P||A reaches exactly the
+    # states of P in the estimates the attack reaches
+    shipped = [build_problem(s) for s in (guideway, _attacker_wide(guideway), reduced)]
+    checked = Counter()
+    for prob in itertools.chain(shipped, _random_problems(1618, 200)):
+        for nonblocking in (False, True):
+            attack = supremal_supervisor(prob, nonblocking)
+            if attack is None:
+                continue
+            checked[nonblocking] += 1
+            loop = compose([prob.plant, attack])
+            assert frozenset().union(*attack.states) == {q[0] for q in loop.states}
+            if not nonblocking:
+                reachable = synthesize_supremal_attack(prob, SynthesisMode.DAMAGE_REACHABLE)
+                assert (reachable is not None) == check_attack(prob, attack).reachable.ok
+    assert min(checked.values()) > 40
 
 
 def test_bad_and_target_sets_classify_the_explored_plant(guideway):
