@@ -25,8 +25,8 @@ Event labels, channel states and the plant assembly's store and stage
 states are interned (``events``, ``channels``, ``plant``): equal values are
 one object, compared and hashed by identity. Their set and
 dict orders therefore follow addresses, so every order an output can see is
-fixed here by label order (``sorted_events``) or by ``state_name``, never by
-iteration over a set.
+fixed here by label order (``sorted_events``) or by ``state_name`` (one
+event's successors: ``successor_tuple``), never by iteration over a set.
 """
 from __future__ import annotations
 
@@ -59,9 +59,16 @@ def state_name(q: State) -> str:
         return str(q)
     if isinstance(q, tuple):
         return "(" + ",".join(state_name(x) for x in q) + ")"
-    if isinstance(q, (frozenset, set)):
+    if isinstance(q, frozenset):
         return "{" + ",".join(sorted(state_name(x) for x in q)) + "}"
     return repr(q)
+
+
+def successor_tuple(dsts: Sequence[State]) -> Tuple[State, ...]:
+    """The successors of one state on one event, as a row holds them:
+    repeats dropped and several in ``state_name`` order, the one order that
+    breadth-first numbering, written files and witnesses depend on."""
+    return tuple(dsts) if len(dsts) == 1 else tuple(sorted(set(dsts), key=state_name))
 
 
 Row = Dict[EventLabel, Tuple[State, ...]]
@@ -122,7 +129,7 @@ class Automaton:
             else:
                 dsts.append(dst)
         for q, succ in delta.items():
-            delta[q] = {e: _successor_tuple(succ[e]) for e in
+            delta[q] = {e: successor_tuple(succ[e]) for e in
                         (succ if len(succ) < 2 else sorted_events(succ))}
         self._delta: Dict[State, Row] = delta
 
@@ -198,8 +205,7 @@ class _Rows(dict):
 
 
 def _unmarked(q: State) -> bool:
-    """The marking of an automaton that marks nothing, such as a channel: its
-    marked set, and a product's over it, is known unexplored."""
+    """``lazy_automaton``'s default marking: nothing, as in a channel."""
     return False
 
 
@@ -209,15 +215,15 @@ def lazy_automaton(initial: Optional[State], alphabet: Iterable[EventLabel],
                    name: str = "") -> Automaton:
     """The automaton reachable from ``initial`` under the row function
     ``row`` (rows in the form of ``Automaton._delta``), marked where
-    ``is_marked`` holds; empty, whatever ``row``, when ``initial`` is None."""
+    ``is_marked`` holds; empty, whatever ``row``, when ``initial`` is None.
+    Otherwise ``states`` and ``marked`` are filled by one exploration on
+    their first read, whatever the marking."""
     a = Automaton.__new__(Automaton)
     a.name, a.alphabet, a.initial = name, frozenset(alphabet), initial
     a._delta = _Rows(initial, None if initial is None else row)
     a.is_marked = is_marked
     if initial is None:
         a.states, a.marked = (), frozenset()
-    elif is_marked is _unmarked:
-        a.marked = frozenset()
     return a
 
 
@@ -301,12 +307,6 @@ def number(a: Automaton) -> Numbering:
     return n
 
 
-def _successor_tuple(dsts: List[State]) -> Tuple[State, ...]:
-    # a single successor needs no sort; several drop repeats and keep the
-    # canonical state_name order that BFS numbering and witnesses depend on
-    return tuple(dsts) if len(dsts) == 1 else tuple(sorted(set(dsts), key=state_name))
-
-
 def close_under(seen: Set, seeds: Iterable, step: Callable[[Any], Iterable]) -> Set:
     """Worklist search: add ``seeds`` and everything ``step`` reaches from
     them to ``seen`` and return it. Members of ``seen`` are not expanded
@@ -325,14 +325,14 @@ def close_under(seen: Set, seeds: Iterable, step: Callable[[Any], Iterable]) -> 
 
 # -- observer / subset construction ------------------------------------
 
-def subset_construction(a: Automaton, observed: Iterable[EventLabel],
-                        name: str = "") -> Automaton:
-    """The observer of ``a`` w.r.t. ``observed``, explored on demand. Its
-    alphabet is ``observed``, every estimate is marked, and an estimate's
-    row maps each observed event some state of it enables, in label order,
-    to the 1-tuple of the unobservable reach of its successor set on it; a
-    consumer completes the rows it needs. Rows of ``a`` are read only as
-    estimates reach them; each state's silent successors are kept once read."""
+def subset_construction(a: Automaton, observed: Iterable[EventLabel]) -> Automaton:
+    """The observer of ``a`` w.r.t. ``observed``, unnamed and explored on
+    demand. Its alphabet is ``observed``, every estimate is marked, and an
+    estimate's row maps each observed event some state of it enables, in
+    label order, to the 1-tuple of the unobservable reach of its successor
+    set on it; a consumer completes the rows it needs. Rows of ``a`` are
+    read only as estimates reach them; each state's silent successors are
+    kept once read."""
     obs = frozenset(observed)
     if not obs <= a.alphabet:
         bad = next(iter(obs - a.alphabet))
@@ -364,7 +364,7 @@ def subset_construction(a: Automaton, observed: Iterable[EventLabel],
         return {ev: (reach(raw_by_event[ev]),) for ev in obs_sorted if ev in raw_by_event}
 
     init = None if a.initial is None else reach((a.initial,))
-    return lazy_automaton(init, obs, row, lambda x: True, name)
+    return lazy_automaton(init, obs, row, lambda x: True)
 
 
 # -- composition -------------------------------------------------------
@@ -378,16 +378,15 @@ def product(components: Sequence, name: str = "",
     lazy component builds only those. Shared events
     synchronize when all sharing components enable them, private events
     interleave, and a shared event enabled on one side only is blocked.
-    Marked states are tuples of marked states, or those where ``is_marked``
-    holds if it is given.
+    Marked states are tuples of marked states (so a product over a channel
+    marks none), or those where ``is_marked`` holds if it is given.
 
     A row visits only the events that no component blocks: each component
     state's mask of such events (those it enables and those outside its
     alphabet) is computed once, the masks are ANDed, and the events of each
     ANDed mask are listed once, in label order. An event on which every
     participant has one successor gives its target tuple directly; several
-    successors on one event are kept in ``state_name`` order, as in
-    ``Automaton``.
+    go through ``successor_tuple``, as in ``Automaton``.
     """
     if not components:
         raise AutomatonError("compose needs at least one component")
@@ -395,9 +394,7 @@ def product(components: Sequence, name: str = "",
     for c in components:
         alphabet.update(c.alphabet)
     marks = [c.is_marked for c in components]
-    if is_marked is None and _unmarked in marks:
-        is_marked = _unmarked
-    elif is_marked is None:
+    if is_marked is None:
         def is_marked(q: Tuple[State, ...]) -> bool:
             for marked, x in zip(marks, q):
                 if not marked(x):
@@ -451,7 +448,7 @@ def product(components: Sequence, name: str = "",
             for i in parts:
                 nexts = [nxt[:i] + [dst] + nxt[i + 1:]
                          for nxt in nexts for dst in rows[i][ev]]
-            out[ev] = _successor_tuple(list(map(tuple, nexts)))
+            out[ev] = successor_tuple(list(map(tuple, nexts)))
         return out
 
     return lazy_automaton(tuple(c.initial for c in components), alphabet, row, is_marked, name)

@@ -19,7 +19,7 @@ import bisect
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Tuple
 
 from . import events as ev
-from .automaton import Automaton, AutomatonError, Row, lazy_automaton, state_name
+from .automaton import Automaton, AutomatonError, Row, lazy_automaton, successor_tuple
 from .config import SystemConfig
 
 
@@ -154,8 +154,7 @@ def _build_channel(messages: List[str], delta: int, capacity: int,
             if room:
                 out[enter] = (q.add(m, delta),)
             if m in resident:
-                dsts = [q.remove(m, d) for d in q.delays_of(m)]
-                out[leave] = tuple(dsts if len(dsts) == 1 else sorted(dsts, key=state_name))
+                out[leave] = successor_tuple([q.remove(m, d) for d in q.delays_of(m)])
         return out
 
     return lazy_automaton(EMPTY_CHANNEL, alphabet, row, name=name)

@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import events as ev
 from .automaton import (Automaton, AutomatonError, Numbering, Row, lazy_automaton,
-                        state_name)
-from .channels import PairState
+                        state_name, successor_tuple)
+from .channels import PairState, capacity_control
 from .config import SystemConfig
 from .textio import load_automaton
 
@@ -78,8 +78,9 @@ EMPTY_QUEUE = StorageState()
 
 def capacity_storage(n_f: int, u: int, v: int, delta_o: int, delta_c: int,
                      delta_s: int) -> int:
-    return (n_f * u * v * (delta_o + delta_c + delta_s + 1)
-            + v * (delta_c + delta_s + 1))
+    """The store holds what the control channel can deliver over
+    ``delta_c + delta_s`` ticks."""
+    return capacity_control(n_f, u, v, delta_o, delta_c + delta_s)
 
 
 # -- command storage -----------------------------------------------------
@@ -214,11 +215,10 @@ def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
     def plan_of(stage: ExecState, q: object) -> List[Tuple]:
         plan = plans[stage, q] = []
         for e, in_store, in_stage, in_plant in events:
-            pairs = sorted(((x, p)
-                            for x in (stages[stage].get(e, ()) if in_stage else (stage,))
-                            for p in (plants[q].get(e, ()) if in_plant else (q,))
-                            if x is IDLE or not x.names.isdisjoint(enabled[p])),  # rule 1
-                           key=state_name)
+            pairs = successor_tuple([
+                (x, p) for x in (stages[stage].get(e, ()) if in_stage else (stage,))
+                for p in (plants[q].get(e, ()) if in_plant else (q,))
+                if x is IDLE or not x.names.isdisjoint(enabled[p])])  # rule 1
             if pairs:
                 plan.append((e, in_store, *pairs[0], pairs if len(pairs) > 1 else None))
         return plan

@@ -46,6 +46,15 @@ def _role_suffix(label: EventLabel) -> str:
         else label.spell()
 
 
+def _state_names(a: Automaton) -> List[str]:
+    """``state_name`` of each of ``a.states``, in order; a ValueError if two
+    collide, the one check of both writers."""
+    names = [state_name(q) for q in a.states]
+    if len(set(names)) != len(names):
+        raise ValueError("state names collide; serialize its automaton.number")
+    return names
+
+
 def serialize_automaton(a: Union[Automaton, Numbering]) -> str:
     """Render an automaton with its states named by ``state_name``, or a
     numbering of one (``automaton.number``) with state i named ``S<i>``."""
@@ -58,9 +67,7 @@ def _lines(a: Union[Automaton, Numbering]) -> Iterator[str]:
     forms are written from a numbering; only the name of a position differs.
     Every check runs before the first chunk."""
     if isinstance(a, Automaton):
-        names = [state_name(q) for q in a.states]
-        if len(set(names)) != len(names):
-            raise ValueError("state names collide; serialize its automaton.number")
+        names = _state_names(a)
         n = number(a)
     else:
         # sorting the sources by name needs every name at once anyway
@@ -179,10 +186,10 @@ def _dot_id(text: str) -> str:
 
 def to_dot(a: Automaton) -> str:
     """DOT digraph: initial state double-bordered, marked states shaded,
-    the empty monitor state highlighted."""
-    naming = {q: state_name(q) for q in a.states}
-    if len(set(naming.values())) != len(naming):
-        naming = {q: f"S{i}" for i, q in enumerate(a.states)}
+    the state named ``{}`` (the empty monitor estimate) highlighted. States
+    are named by ``state_name``, which must not collide, as in the ``.aut``
+    writer."""
+    naming = dict(zip(a.states, _state_names(a)))
     lines = [f"digraph {_dot_id(a.name or 'A')} {{", "  rankdir=LR;"]
     for q in a.states:
         attrs = []
@@ -190,7 +197,7 @@ def to_dot(a: Automaton) -> str:
             attrs.append("peripheries=2")
         if q in a.marked:
             attrs.append('style=filled fillcolor=gray85')
-        if (isinstance(q, frozenset) and not q) or naming[q] == "{}":
+        if naming[q] == "{}":
             attrs.append('style=filled fillcolor=salmon')
         attr_txt = (" [" + " ".join(attrs) + "]") if attrs else ""
         lines.append(f"  {_dot_id(naming[q])}{attr_txt};")

@@ -1,0 +1,68 @@
+"""Check that every ``raise`` statement in ``src/netdes`` runs under the suite.
+
+Runs the tier-1 suite in this process under a line tracer
+(``sys.settrace`` and ``threading.settrace``) that records the lines run in
+``src/netdes``, then lists each ``raise`` statement whose line never ran.
+Exits 1 if the suite fails or such a line exists. Code run in a child
+interpreter (the CLI tests start some) is not seen. Extra arguments go to
+pytest::
+
+    python tests/raise_coverage.py [pytest arguments]
+"""
+import ast
+import os
+import sys
+import threading
+
+import pytest
+
+TESTS = os.path.dirname(os.path.realpath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+PACKAGE = os.path.join(SRC, "netdes")
+
+
+def raise_lines(path: str) -> set:
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+
+
+def main(argv: list) -> int:
+    sys.path.insert(0, SRC)
+    ran = {os.path.join(PACKAGE, f): set() for f in os.listdir(PACKAGE) if f.endswith(".py")}
+    local_for = {}  # code file name -> its line tracer, or None outside the package
+
+    def line_tracer(lines: set):
+        def trace(frame, event, _arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return trace
+        return trace
+
+    def trace_call(frame, _event, _arg):
+        filename = frame.f_code.co_filename
+        if filename not in local_for:
+            lines = ran.get(os.path.realpath(filename))
+            local_for[filename] = None if lines is None else line_tracer(lines)
+        return local_for[filename]
+
+    threading.settrace(trace_call)
+    sys.settrace(trace_call)
+    try:
+        status = pytest.main(["-q", TESTS, *argv])
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+
+    raises = {path: raise_lines(path) for path in ran}
+    missed = [(path, line) for path in sorted(ran)
+              for line in sorted(raises[path] - ran[path])]
+    for path, line in missed:
+        print(f"{os.path.relpath(path)}:{line}: raise never ran")
+    total = sum(map(len, raises.values()))
+    print(f"{total - len(missed)} of {total} raise statements in src/netdes ran")
+    return 1 if status != 0 or missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

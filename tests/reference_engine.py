@@ -14,14 +14,13 @@ from typing import FrozenSet, Optional, Set, Tuple
 
 from netdes.automaton import Automaton, AutomatonError, subset_construction
 from netdes.config import SystemConfig
-from netdes.events import EventLabel, sorted_events
+from netdes.events import EventLabel
 from netdes.supervision import supervisor_control_constraint
 from netdes.synthesis import SynthesisMode, SynthesisProblem
 import oracles
 from oracles import (SPEC_DUMP, _complete_spec, bfs_order,
                      build_supervisor_constraints, coreachable, enabled,
-                     marked_copy, nested_loop_product, restrict_reachable, step,
-                     successors)
+                     marked_copy, nested_loop_product, restrict_reachable, step)
 
 
 def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
@@ -99,18 +98,6 @@ def _pruned_observer(obs: Automaton, dead: Set, disabled: Set,
                      marked=states, name=name)
 
 
-def complete_with_selfloops(a: Automaton, uncontrollable: FrozenSet[EventLabel],
-                            name: str = "") -> Automaton:
-    """Self-loops for missing uncontrollable events at every state."""
-    transitions = set(a.transitions)
-    for q in a.states:
-        for e in sorted_events(uncontrollable & a.alphabet):
-            if not successors(a, q, e):
-                transitions.add((q, e, q))
-    return Automaton(a.states, a.alphabet, transitions, a.initial,
-                     a.marked, name or a.name)
-
-
 def reference_attack(problem: SynthesisProblem,
                      mode: SynthesisMode) -> Optional[Automaton]:
     """The supremal covert attack as the reference engine computes it."""
@@ -128,7 +115,7 @@ def reference_attack(problem: SynthesisProblem,
         if not any(q[0] in problem.target for q in loop.states):
             return None
     uncontrollable = frozenset(sup.alphabet) - controllable
-    return complete_with_selfloops(sup, uncontrollable, name="A")
+    return oracles.complete_with_selfloops(sup, uncontrollable, name="A")
 
 
 def reference_networked_supervisor(g_new: Automaton, oc_t: Automaton,
@@ -149,13 +136,7 @@ def reference_networked_supervisor(g_new: Automaton, oc_t: Automaton,
     if sup is None:
         return None
     full = frozenset(cfg.full_alphabet())
-    transitions = set(sup.transitions)
-    for q in sup.states:
-        for e in sorted_events(full - constraint.controllable):
-            if e not in sup.alphabet or not successors(sup, q, e):
-                transitions.add((q, e, q))
-    return Automaton(sup.states, full, transitions, sup.initial,
-                     marked=sup.states, name="NS")
+    return oracles.complete_with_selfloops(sup, full - constraint.controllable)
 
 
 def same_automaton(a: Optional[Automaton], b: Optional[Automaton]) -> bool:

@@ -1,6 +1,6 @@
 """The package's modules are layers: each imports only modules that come
 before it in ``ORDER``, so synthesis sits on top of the built loop, and only
-the command line and the package itself import synthesis."""
+the command line imports synthesis. The package root imports nothing."""
 import ast
 import os
 
@@ -9,6 +9,7 @@ import pytest
 import netdes
 import netdes.supervision
 import netdes.synthesis
+from test_cli import fresh_python
 
 ORDER = ["events", "automaton", "config", "textio", "channels", "attacker",
          "plant", "supervision", "fixtures", "synthesis", "cli"]
@@ -44,9 +45,16 @@ def test_module_imports_only_earlier_layers(module):
     assert imported_modules(module) <= earlier, module
 
 
-def test_only_the_command_line_and_the_package_import_synthesis():
+def test_only_the_command_line_imports_synthesis():
     importers = {m for m in [*ORDER, "__init__"] if "synthesis" in imported_modules(m)}
-    assert importers == {"cli", "__init__"}
+    assert importers == {"cli"}
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    proc = fresh_python("-c", "import sys, netdes; "
+                        "print(sorted(m for m in sys.modules if m.startswith('netdes.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_the_detection_state_keeps_its_synthesis_name():

@@ -487,10 +487,15 @@ def test_rate_bound_warns_on_activity_loop():
 
 
 def test_rate_bound_warns_on_burst_above_n_f(guideway):
-    assert rate_bound_warnings(number(guideway.g_new), guideway.cfg) == [
-        "plant assembly alone can fire 6 events within one tick, above n_f=1 "
-        "(the closed loop is tighter: supervisor sends are bounded per "
-        "observation)"]
+    # guideway's G_new fires at most 6 plant events between ticks (at n_f=1)
+    g_new, cfg = number(guideway.g_new), guideway.cfg
+    for n_f in (1, 5, 6):
+        rated = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, n_f=n_f))
+        expected = [
+            f"plant assembly alone can fire 6 events within one tick, above n_f={n_f} "
+            "(the closed loop is tighter: supervisor sends are bounded per "
+            "observation)"] if n_f < 6 else []
+        assert rate_bound_warnings(g_new, rated) == expected
 
 
 # -- plant loading -----------------------------------------------------------------

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import netdes.events as ev
-from netdes.attacker import ControlConstraint, validate_attack
+from netdes.attacker import ControlConstraint, attack_control_constraint, validate_attack
 from netdes.automaton import (Automaton, AutomatonError, compose, number,
                               lazy_automaton, state_name, subset_construction)
 from netdes.fixtures import build_system
@@ -148,6 +148,17 @@ def test_impossible_insertion_breaks_covertness(guideway, guideway_problem):
 def test_empty_language_attack_is_vacuously_covert(guideway_problem):
     a = empty_automaton(guideway_problem.plant.alphabet)
     assert verify_covert(guideway_problem, a).ok
+
+
+def test_an_empty_plant_has_no_supervisor_and_no_attack(guideway):
+    # P without states has no initial estimate, whatever the mode
+    cfg = guideway.cfg
+    problem = SynthesisProblem(empty_automaton(cfg.full_alphabet()),
+                               frozenset().__contains__, attack_control_constraint(cfg))
+    for require_nonblocking in (True, False):
+        assert supremal_supervisor(problem, require_nonblocking) is None
+    for mode in SynthesisMode:
+        assert synthesize_supremal_attack(problem, mode) is None
 
 
 def test_never_attack_is_not_damage_reachable(reduced, reduced_problem):

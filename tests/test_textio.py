@@ -180,18 +180,22 @@ def test_automaton_file_errors(case, tmp_path, capsys):
     assert (captured.out, captured.err) == ("", f"error: line {line}: {message}\n")
 
 
-# case -> (an automaton the writer cannot name unambiguously, message)
+# case -> (an automaton a writer cannot name unambiguously, message, the
+# writers that reject it)
 WRITER_ERRORS = {
     "colliding-state-names": (Automaton([1, "1"], [ev.plant("a")], [], 1),
-                              "state names collide; serialize its automaton.number"),
+                              "state names collide; serialize its automaton.number",
+                              [serialize_automaton, to_dot]),
     "ambiguous-spelling": (Automaton(["p"], [ev.plant("v"), ev.command("v")], [], "p"),
-                           "event spelling 'v' is ambiguous in this alphabet"),
+                           "event spelling 'v' is ambiguous in this alphabet",
+                           [serialize_automaton]),
 }
 
 
 @pytest.mark.parametrize("case", WRITER_ERRORS)
 def test_writer_errors(case):
-    a, message = WRITER_ERRORS[case]
-    with pytest.raises(ValueError) as err:
-        serialize_automaton(a)
-    assert str(err.value) == message
+    a, message, writers = WRITER_ERRORS[case]
+    for write in writers:
+        with pytest.raises(ValueError) as err:
+            write(a)
+        assert str(err.value) == message
