@@ -55,8 +55,6 @@ def state_name(q: State) -> str:
     canon = getattr(q, "canonical_name", None)
     if canon is not None:
         return canon()
-    if isinstance(q, int):
-        return str(q)
     if isinstance(q, tuple):
         return "(" + ",".join(state_name(x) for x in q) + ")"
     if isinstance(q, frozenset):
@@ -128,9 +126,10 @@ class Automaton:
                 succ[ev] = [dst]
             else:
                 dsts.append(dst)
+        rank = {e: r for r, e in enumerate(sorted_events(self.alphabet))}.__getitem__
         for q, succ in delta.items():
             delta[q] = {e: successor_tuple(succ[e]) for e in
-                        (succ if len(succ) < 2 else sorted_events(succ))}
+                        (succ if len(succ) < 2 else sorted(succ, key=rank))}
         self._delta: Dict[State, Row] = delta
 
     def __getattr__(self, attr: str) -> Any:

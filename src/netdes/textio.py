@@ -19,7 +19,7 @@ name ``{}``.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from . import events as ev
 from .automaton import Automaton, Numbering, number, state_name
@@ -33,12 +33,8 @@ class ParseError(ValueError):
 
 
 def _tokens(line: str) -> List[str]:
-    out = []
-    for tok in line.split():
-        if tok.startswith("#"):
-            break
-        out.append(tok)
-    return out
+    toks = line.split()
+    return next((toks[:k] for k, tok in enumerate(toks) if tok.startswith("#")), toks)
 
 
 def _role_suffix(label: EventLabel) -> str:
@@ -46,13 +42,22 @@ def _role_suffix(label: EventLabel) -> str:
         else label.spell()
 
 
-def _state_names(a: Automaton) -> List[str]:
-    """``state_name`` of each of ``a.states``, in order; a ValueError if two
-    collide, the one check of both writers."""
-    names = [state_name(q) for q in a.states]
-    if len(set(names)) != len(names):
-        raise ValueError("state names collide; serialize its automaton.number")
-    return names
+def _named(a: Union[Automaton, Numbering]) -> Tuple[Numbering, List[str]]:
+    """What a writer is given, as a numbering and the name of each of its
+    positions: an automaton's states by ``state_name``, a ValueError if two
+    collide; a numbering's position i as ``S<i>``, and its empty estimate
+    (the monitor's detection state) as ``{}``, so DOT export can still
+    highlight it after a round trip."""
+    if isinstance(a, Automaton):
+        # states before number(a): a lazy automaton is explored once, not twice
+        names = [state_name(q) for q in a.states]
+        if len(set(names)) != len(names):
+            raise ValueError("state names collide; serialize its automaton.number")
+        return number(a), names
+    names = [f"S{i}" for i in range(len(a.starts) - 1)]
+    if a.empty is not None:
+        names[a.empty] = "{}"
+    return a, names
 
 
 def serialize_automaton(a: Union[Automaton, Numbering]) -> str:
@@ -66,23 +71,11 @@ def _lines(a: Union[Automaton, Numbering]) -> Iterator[str]:
     header line, then the ``.trans`` lines some hundreds at a time. Both
     forms are written from a numbering; only the name of a position differs.
     Every check runs before the first chunk."""
-    if isinstance(a, Automaton):
-        names = _state_names(a)
-        n = number(a)
-    else:
-        # sorting the sources by name needs every name at once anyway
-        n = a
-        names = [f"S{i}" for i in range(len(n.starts) - 1)]
-        if n.empty is not None:
-            # the empty monitor estimate keeps its literal name so DOT export
-            # can still highlight it after a round trip
-            names[n.empty] = "{}"
-    spellings = {}
-    for label in n.events:
-        sp = label.spell()
-        if sp in spellings:
-            raise ValueError(f"event spelling {sp!r} is ambiguous in this alphabet")
-        spellings[sp] = label
+    n, names = _named(a)
+    spelled = [e.spell() for e in n.events]
+    if len(set(spelled)) != len(spelled):
+        sp = next(sp for k, sp in enumerate(spelled) if sp in spelled[:k])
+        raise ValueError(f"event spelling {sp!r} is ambiguous in this alphabet")
     yield f".automaton {n.name or 'A'}\n"
     yield ".alphabet " + " ".join(_role_suffix(l) for l in n.events) + "\n"
     if n.initial is not None:
@@ -91,7 +84,6 @@ def _lines(a: Union[Automaton, Numbering]) -> Iterator[str]:
         yield ".marked " + " ".join(sorted([names[i] for i in n.marked])) + "\n"
     # names are unique and a row's ranks come in label order, so sorting a
     # row's (rank, target name) pairs orders only the targets of one event
-    spelled = [e.spell() for e in n.events]
     starts, ranks, targets = n.starts, n.ranks, n.targets
     chunk: List[str] = []
     for i in sorted(range(len(names)), key=names.__getitem__):
@@ -121,7 +113,19 @@ def parse_automaton(text: str, name: str = "") -> Automaton:
         toks = _tokens(raw) if "#" in raw else raw.split()
         if not toks:
             continue
-        directive, args = toks[0], toks[1:]
+        directive = toks[0]
+        if directive == ".trans":  # nearly every line of a file
+            if len(toks) != 4:
+                raise ParseError(".trans takes `src event dst`", lineno)
+            _, src, spelling, dst = toks
+            label = alphabet.get(spelling)
+            if label is None:
+                raise ParseError(f"undeclared event {spelling!r}", lineno)
+            states[src] = None
+            states[dst] = None
+            trans.append((src, label, dst))
+            continue
+        args = toks[1:]
         if directive == ".automaton":
             if named:
                 raise ParseError(".automaton given twice", lineno)
@@ -146,19 +150,8 @@ def parse_automaton(text: str, name: str = "") -> Automaton:
             initial = args[0]
             states[initial] = None
         elif directive == ".marked":
-            for s in args:
-                marked.append(s)
-                states[s] = None
-        elif directive == ".trans":
-            if len(args) != 3:
-                raise ParseError(".trans takes `src event dst`", lineno)
-            src, spelling, dst = args
-            label = alphabet.get(spelling)
-            if label is None:
-                raise ParseError(f"undeclared event {spelling!r}", lineno)
-            states[src] = None
-            states[dst] = None
-            trans.append((src, label, dst))
+            marked += args
+            states.update(dict.fromkeys(args))
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)
 
@@ -184,28 +177,31 @@ def _dot_id(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(a: Automaton) -> str:
-    """DOT digraph: initial state double-bordered, marked states shaded,
-    the state named ``{}`` (the empty monitor estimate) highlighted. States
-    are named by ``state_name``, which must not collide, as in the ``.aut``
-    writer."""
-    naming = dict(zip(a.states, _state_names(a)))
-    lines = [f"digraph {_dot_id(a.name or 'A')} {{", "  rankdir=LR;"]
-    for q in a.states:
-        attrs = []
-        if q == a.initial:
-            attrs.append("peripheries=2")
-        if q in a.marked:
+def to_dot(a: Union[Automaton, Numbering]) -> str:
+    """DOT digraph of what ``save_automaton`` writes, its states named as
+    there: initial state double-bordered, marked states shaded, the state
+    named ``{}`` (the empty monitor estimate) highlighted. Nodes come in
+    position order; edges in the ``.trans`` order, one per source and target
+    with the events between them."""
+    n, names = _named(a)
+    lines = [f"digraph {_dot_id(n.name or 'A')} {{", "  rankdir=LR;"]
+    marked = set(n.marked)
+    for i, name in enumerate(names):
+        attrs = ["peripheries=2"] if i == n.initial else []
+        if i in marked:
             attrs.append('style=filled fillcolor=gray85')
-        if naming[q] == "{}":
+        if name == "{}":
             attrs.append('style=filled fillcolor=salmon')
         attr_txt = (" [" + " ".join(attrs) + "]") if attrs else ""
-        lines.append(f"  {_dot_id(naming[q])}{attr_txt};")
-    grouped: Dict[tuple, List[str]] = {}
-    for (s, e, t) in sorted(a.transitions,
-                            key=lambda x: (naming[x[0]], x[1].sort_key(), naming[x[2]])):
-        grouped.setdefault((naming[s], naming[t]), []).append(e.spell())
-    for (s, t), labels in grouped.items():
-        lines.append(f"  {_dot_id(s)} -> {_dot_id(t)} [label={_dot_id(','.join(labels))}];")
+        lines.append(f"  {_dot_id(name)}{attr_txt};")
+    spelled = [e.spell() for e in n.events]
+    starts, ranks, targets = n.starts, n.ranks, n.targets
+    for i in sorted(range(len(names)), key=names.__getitem__):
+        grouped: Dict[str, List[str]] = {}
+        for r, t in sorted([(ranks[k], names[targets[k]])
+                            for k in range(starts[i], starts[i + 1])]):
+            grouped.setdefault(t, []).append(spelled[r])
+        lines += [f"  {_dot_id(names[i])} -> {_dot_id(t)} [label={_dot_id(','.join(labels))}];"
+                  for t, labels in grouped.items()]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -532,6 +532,7 @@ def test_successors_come_in_state_name_order():
     assert successors(a, 0, A) == (("x", 1), 10, 2, 9)
     assert successors(a, 0, B) == (9,)
     assert successors(a, 9, A) == ()
+    assert [state_name(q) for q in (7, True, ("x", 1))] == ["7", "True", "(x,1)"]
 
 
 def test_step_gives_the_one_successor_and_rejects_a_nondeterministic_event():

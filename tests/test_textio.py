@@ -199,3 +199,24 @@ def test_writer_errors(case):
         with pytest.raises(ValueError) as err:
             write(a)
         assert str(err.value) == message
+    if case == "colliding-state-names":
+        # the advice works for both writers
+        assert '"S0" [peripheries=2]' in to_dot(number(a))
+        assert ".initial S0\n" in serialize_automaton(number(a))
+
+
+def test_dot_of_a_numbering_survives_writing_and_reparsing(guideway, reduced):
+    # the reparsed automaton declares its states in file order, not in
+    # position order, so only its node lines are compared as a set
+    rng = random.Random(14)
+    cases = [restrict_reachable(random_automaton(rng, max_states=30)) for _ in range(60)]
+    assert any(len(a.states) > 11 for a in cases)
+    cases += [guideway.monitor, reduced.monitor]
+    for a in cases:
+        n = number(a)
+        direct = to_dot(n).splitlines()
+        again = to_dot(parse_automaton(serialize_automaton(n))).splitlines()
+        assert direct[:2] == again[:2] and direct[-1] == again[-1]
+        assert [l for l in direct if "->" in l] == [l for l in again if "->" in l]
+        assert {l for l in direct if "->" not in l} == {l for l in again if "->" not in l}
+    assert 'fillcolor=salmon' in to_dot(number(guideway.monitor))
