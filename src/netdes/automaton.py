@@ -6,8 +6,8 @@ to share. States are opaque hashable identifiers; composite operations
 results hash and compare deterministically. Every forward search goes
 through one lazy breadth-first explorer over successor rows, ``explore``: a
 lazy automaton's ``states`` are its discovery order, and synthesis and the
-monitor read rows through it; ``number`` walks that order into arrays.
-Unordered closures use ``close_under``.
+monitor read rows through it; ``number`` walks that order into arrays and
+``predecessors`` into reverse edges. Unordered closures use ``close_under``.
 
 There is one automaton type, ``Automaton``, stored as successor rows. Its
 constructor validates explicit states and transitions; ``lazy_automaton``
@@ -304,6 +304,25 @@ def number(a: Automaton) -> Numbering:
     n.initial = index.get(a.initial)
     n.empty = index.get(frozenset())
     return n
+
+
+def predecessors(a: Automaton) -> Dict[State, List[Any]]:
+    """The one reverse-edge map: each state of ``a``, in ``a.states`` order,
+    with its incoming transitions in row order, flat as ``[source, event,
+    source, event, ...]``. A lazy automaton with its row function in place
+    is walked by ``explore`` and keeps no row it did not have. In the order
+    of ``explore`` the first pair of each state but the initial one is the
+    transition that found it: followed back, they spell a shortest run."""
+    rows = a._delta
+    row, get = getattr(rows, "row", None), rows.get
+    into: Dict[State, List[Any]] = {q: [] for q in (a.states if row is None else [a.initial])}
+    walk = (zip(a.states, map(rows.__getitem__, a.states)) if row is None
+            else explore(a.initial, lambda q: get(q) or row(q)))
+    for q, out in walk:
+        for e, dsts in out.items():
+            for dst in dsts:
+                into.setdefault(dst, []).extend((q, e))
+    return into
 
 
 def close_under(seen: Set, seeds: Iterable, step: Callable[[Any], Iterable]) -> Set:

@@ -16,7 +16,8 @@ most ``n_f * u * v * (delta_o + delta_c + 1) + v * (delta_c + 1)``.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Tuple
+import math
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Tuple, Union
 
 from . import events as ev
 from .automaton import Automaton, AutomatonError, Row, lazy_automaton, successor_tuple
@@ -120,11 +121,13 @@ def capacity_control(n_f: int, u: int, v: int, delta_o: int, delta_c: int) -> in
     return n_f * u * v * (delta_o + delta_c + 1) + v * (delta_c + 1)
 
 
-def enumerate_channel_states(n_kinds: int, delta: int, capacity: int) -> int:
-    """Number of bounded multisets over n_kinds messages and delays [0:delta].
+def enumerate_channel_states(n_kinds: int, delta: int, capacity: int) -> Union[int, str]:
+    """Number of entry sequences of length at most ``capacity`` over n_kinds
+    messages and delays [0:delta]: an upper bound on the multiset states.
 
-    Geometric sum of multiset counts by size; the empty channel counts too,
-    and is the only state when there are no message kinds.
+    Geometric sum by length; the empty channel counts too, and is the only
+    state when there are no message kinds. A count of 30 digits or more is
+    given, unbuilt, as the text ``~10^D``, D its base-10 logarithm rounded down.
     """
     if n_kinds < 0:
         raise ValueError("the number of message kinds must be nonnegative")
@@ -133,6 +136,10 @@ def enumerate_channel_states(n_kinds: int, delta: int, capacity: int) -> int:
     base = n_kinds * (delta + 1)
     if base == 1:
         return capacity + 1
+    if base > 1:
+        digits = (capacity + 1) * math.log10(base) - math.log10(base - 1)
+        if digits >= 29:
+            return f"~10^{math.floor(digits)}"
     return (base ** (capacity + 1) - 1) // (base - 1)
 
 

@@ -21,19 +21,20 @@ targets, and "bad" is a predicate on its states. The rows of P's
 ``subset_construction`` are explored from the initial estimate; an
 estimate that holds a covertness-violating state is dead whatever follows
 it (rule 1), so its row is empty and what only it leads to is never built.
-The rows of P are computed only for the states of the estimates explored. The attack is a row function over the pruned observer.
 Rules 1-2 are a worklist attractor (Graedel, Thomas & Wilke, LNCS 2500):
 each dead estimate is pushed once to its uncontrollable predecessors, in
-O(|E|). Rule 3 uses ``product([P, O])``, where O keeps the live observer
-edges, explored once and numbered by position; each round recomputes
-reachability and coreachability over the product edges that the dead
-estimates and disabled events still allow. The damage-reachable check reads
-the attack's estimates: the attack enables every event it does not observe,
-so P||A reaches exactly the states of P in the estimates the attack reaches.
+O(|E|). Rule 3 walks P with the live observer edges once into its reverse
+edges; a round is one backward closure from the damage pairs and one scan
+of the surviving edges that leave it. No forward search is needed: a pair
+(p, x) is reachable when x is, and an estimate no longer reached has only
+unreached uncontrollable predecessors, so cuts there leave the attack's
+reachable part alone. The damage-reachable check reads the attack's
+estimates: the attack enables every event it does not observe, so P||A
+reaches exactly the states of P in the estimates the attack reaches.
 
-Verification is independent of the pruning: ``check_attack`` composes P||A
-and reads its states and rows once, for all three verdicts and their
-shortest witnesses.
+Verification is independent of the pruning: ``check_attack`` walks P||A
+once into its reverse edges, for all three verdicts and their shortest
+witnesses.
 
 Runs are reproducible without sorting the pruning passes: each pass only
 adds to the sets of deleted estimates and disabled events, so it ends with
@@ -48,11 +49,11 @@ from __future__ import annotations
 import enum
 import math
 from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
-                    Optional, Set, Tuple)
+                    Optional, Set, Tuple, Union)
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
 from .automaton import (Automaton, AutomatonError, Row, State, close_under,
-                        compose, explore, lazy_automaton, product,
+                        explore, lazy_automaton, predecessors, product,
                         subset_construction)
 from .channels import (capacity_control, capacity_observation,
                        enumerate_channel_states)
@@ -131,10 +132,9 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
     since an unobserved event keeps the plant inside the estimate and no
     state of the estimate takes a missing observed one.
 
-    An estimate with a bad state gets an empty observer row, and the
-    nonblocking product never enters a dead estimate, so only the rows of
-    the plant that live estimates reach are read; its marked states are
-    found with ``plant.is_marked``.
+    Only the plant rows that live estimates reach are read. The nonblocking
+    rounds need no forward search: a pair is reachable exactly when its
+    estimate is, so a cut at an estimate no longer reached changes nothing.
     """
     plant, is_bad = problem.plant, problem.is_bad
     controllable = problem.constraint.controllable & plant.alphabet
@@ -159,56 +159,38 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
     disabled: Set[Tuple[FrozenSet, EventLabel]] = set()
 
     def keeps(x: FrozenSet, e: EventLabel, y: FrozenSet) -> bool:
-        # whether an edge out of a live estimate survives
-        return y not in dead and (x, e) not in disabled
+        # whether an observer edge survives
+        return x not in dead and y not in dead and (x, e) not in disabled
 
     # rule 1 kills the stopped estimates (a live estimate may have an empty
     # row too)
     close_under(dead, (x for x, out in graph.items() if not out and doomed(x)),
                 preds.__getitem__)
     if require_nonblocking and init not in dead:
-        # P with the live observer edges: p is in x in every pair, so each
-        # observed move of p has an observer successor, and unobserved
-        # events leave x unchanged. No pair enters a dead estimate. Pairs
-        # are numbered by position in the explored order.
+        # P with the live observer edges, walked once into its reverse edges
         live = lazy_automaton(init, observer.alphabet, lambda x: {
-            e: ys for e, ys in graph[x].items() if ys[0] not in dead},
-            lambda x: True, "O")
-        pairs = product([plant, live])
-        index = {pair: i for i, pair in enumerate(pairs.states)}
-        edges = [[(e, index[dst]) for e, dsts in pairs._delta[pair].items()
-                  for dst in dsts] for pair in pairs.states]
-        estimate = [x for _p, x in pairs.states]
-        marked = [index[pair] for pair in pairs.marked]
-        del pairs, index  # the rounds read only the numbered edges
-        into: List[List[Tuple[int, EventLabel]]] = [[] for _ in edges]
-        for i, out in enumerate(edges):
-            for e, j in out:
-                into[j].append((i, e))
+            e: ys for e, ys in graph[x].items() if ys[0] not in dead})
+        into = predecessors(product([plant, live]))
+        targets = [pair for pair in into if plant.is_marked(pair[0])]
 
-        def live_edge(i: int, e: EventLabel, j: int) -> bool:
-            return keeps(estimate[i], e, estimate[j])
+        def kept_into(pair: State) -> List[State]:
+            edges, y = into[pair], pair[1]
+            return [src for src, e in zip(edges[::2], edges[1::2]) if keeps(src[1], e, y)]
 
         # every round disables an event or kills an estimate, so this ends
         while init not in dead:
-            reach = close_under(set(), (0,), lambda i: [
-                j for e, j in edges[i] if live_edge(i, e, j)])
-            coreach = close_under(set(), (i for i in marked if i in reach),
-                                  lambda j: [i for i, e in into[j]
-                                             if i in reach and live_edge(i, e, j)])
-            if len(coreach) == len(reach):
-                break
-            if 0 not in coreach:
+            coreach = close_under(set(), (q for q in targets if q[1] not in dead),
+                                  kept_into)
+            if (plant.initial, init) not in coreach:
                 return None
-            deaths = []
-            for i in coreach:
-                for e, j in edges[i]:
-                    if j not in coreach and live_edge(i, e, j):
-                        if e in controllable:
-                            disabled.add((estimate[i], e))
-                        else:
-                            deaths.append(estimate[i])
-            close_under(dead, deaths, preds.__getitem__)
+            cuts = [(src[1], e) for pair, edges in into.items() if pair not in coreach
+                    for src, e in zip(edges[::2], edges[1::2])
+                    if src in coreach and keeps(src[1], e, pair[1])]
+            if not cuts:
+                break
+            disabled.update(cut for cut in cuts if cut[1] in controllable)
+            close_under(dead, (x for x, e in cuts if e not in controllable),
+                        preds.__getitem__)
     if init in dead:
         return None
 
@@ -266,40 +248,29 @@ class Verdicts(NamedTuple):
 
 def check_attack(problem: SynthesisProblem, attack: Automaton) -> Verdicts:
     """Whether P||A is covert, damage-nonblocking and damage-reachable, read
-    from one pass over its states and rows.
+    from one walk of it into its reverse edges (``predecessors``).
 
     Damage states are those whose P component is marked in P; the attack's
     own marking is ignored. Each witness spells the shortest run into the first
     offending state in breadth-first order (for damage-reachable, the first
-    damage state): its first parent is the row that discovered it. Only the
-    rows of P that the attack lets the loop reach are computed.
+    damage state), following first predecessors back. Only the rows of P
+    that the attack lets the loop reach are computed.
     """
     if attack.alphabet != problem.plant.alphabet:
         raise AutomatonError("attack alphabet differs from the composed plant's")
-    loop = compose([problem.plant, attack], name="P||A")
-    rows = loop._delta
-    parent: Dict[State, Optional[Tuple[State, EventLabel]]] = {loop.initial: None}
-    preds: Dict[State, List[State]] = {q: [] for q in loop.states}
-    bad = None
-    targets: List[State] = []
-    for q in loop.states:
-        if bad is None and problem.is_bad(q[0]):
-            bad = q
-        if problem.plant.is_marked(q[0]):
-            targets.append(q)
-        for e, dsts in rows[q].items():
-            for dst in dsts:
-                parent.setdefault(dst, (q, e))
-                preds[dst].append(q)
-    coreach = close_under(set(), targets, preds.__getitem__)
-    stuck = next((q for q in loop.states if q not in coreach), None)
+    start = (problem.plant.initial, attack.initial)
+    into = predecessors(product([problem.plant, attack], name="P||A"))
+    bad = next((q for q in into if problem.is_bad(q[0])), None)
+    targets = [q for q in into if problem.plant.is_marked(q[0])]
+    coreach = close_under(set(), targets, lambda q: into[q][::2])
+    stuck = next((q for q in into if q not in coreach), None)
 
     def witness(q: Optional[State]) -> Optional[List[EventLabel]]:
         if q is None:
             return None
         path: List[EventLabel] = []
-        while parent[q] is not None:
-            q, e = parent[q]
+        while q != start:
+            q, e = into[q][:2]
             path.append(e)
         return path[::-1]
 
@@ -337,7 +308,7 @@ class SizeRow(NamedTuple):
         return f"{self.component:<6} states={self.count:<8} bound={self.bound:<12} {flag}"
 
 
-def capacities(cfg: SystemConfig) -> List[Tuple[int, int]]:
+def capacities(cfg: SystemConfig) -> List[Tuple[int, Union[int, str]]]:
     """(capacity, closed-form state count) of OC, CC and CS, in that order."""
     c_oc = capacity_observation(cfg.rates.n_f, cfg.rates.u, cfg.delta_o)
     c_cc = capacity_control(cfg.rates.n_f, cfg.rates.u, cfg.rates.v,
@@ -357,11 +328,11 @@ def state_size_report(system: BuiltSystem) -> List[SizeRow]:
     rows.append(SizeRow("AC", len(ac.states), f"= {n_ac}", len(ac.states) == n_ac))
 
     # the closed-form channel counts enumerate entry orders, so they bound
-    # the canonical multiset state spaces from above
+    # the multiset state spaces from above; a ``~10^D`` one bounds any
     for label, built, (_cap, n) in zip(("OC", "CC", "CS"), (oc, cc, cs),
                                        capacities(cfg)):
         rows.append(SizeRow(label, len(built.states), f"<= {n}",
-                            len(built.states) <= n))
+                            isinstance(n, str) or len(built.states) <= n))
 
     n_ce = len(cfg.gamma) * (1 + cfg.max_exec_delay())
     rows.append(SizeRow("CE", len(ce.states), f"<= 1+{n_ce}",

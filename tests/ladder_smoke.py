@@ -1,0 +1,72 @@
+"""Smoke run of two ladder rungs: nonblocking synthesis and its verdicts.
+
+For guideway ``u=4`` and ``u=8``, one fresh child interpreter builds the
+system, synthesizes the supremal damage-nonblocking attack and checks it
+with ``check_attack``. The run fails unless the attack is covert,
+damage-nonblocking and damage-reachable and has the rung's state count.
+Each child's CPU time and peak resident set size are printed, not gated.
+pytest does not collect this file (its name does not start with
+``test_``)::
+
+    python tests/ladder_smoke.py
+"""
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+import time
+
+TESTS = os.path.dirname(os.path.realpath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+# rung (the attacker's rate u) -> states of the supremal nonblocking attack
+RUNGS = {4: 444, 8: 2994}
+
+
+def child(u: int) -> None:
+    sys.path.insert(0, SRC)
+    from netdes.config import load_config
+    from netdes.fixtures import build_system
+    from netdes.plant import load_plant
+    from netdes.synthesis import (SynthesisMode, build_problem, check_attack,
+                                  synthesize_supremal_attack)
+    from netdes.textio import load_automaton
+
+    data = os.path.join(SRC, "netdes", "data")
+    cfg = load_config(os.path.join(data, "guideway.cfg"))
+    cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, u=u))
+    system = build_system(cfg, load_plant(os.path.join(data, "guideway_plant.aut"), cfg),
+                          load_automaton(os.path.join(data, "guideway_ns.aut"), name="NS"))
+    problem = build_problem(system)
+    attack = synthesize_supremal_attack(problem, SynthesisMode.DAMAGE_NONBLOCKING)
+    verdicts = [] if attack is None else [v.ok for v in check_attack(problem, attack)]
+    with open("/proc/self/status", encoding="ascii") as fh:
+        peak = next(line.split()[1] for line in fh if line.startswith("VmHWM"))
+    print(json.dumps({"states": None if attack is None else len(attack.states),
+                      "verdicts": verdicts, "cpu_s": time.process_time(),
+                      "vmhwm_kb": int(peak)}))
+
+
+def main() -> int:
+    failed = False
+    for u, states in RUNGS.items():
+        proc = subprocess.run([sys.executable, __file__, "--child", str(u)],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"u={u}: child failed\n{proc.stderr}")
+            failed = True
+            continue
+        got = json.loads(proc.stdout)
+        ok = got["verdicts"] == [True, True, True] and got["states"] == states
+        print(f"u={u}: attack states {got['states']} (expected {states}), "
+              f"verdicts {got['verdicts']}, cpu {got['cpu_s']:.2f} s, "
+              f"VmHWM {got['vmhwm_kb'] / 1024:.1f} MB{'' if ok else '  FAIL'}")
+        failed |= not ok
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        child(int(sys.argv[2]))
+    else:
+        sys.exit(main())

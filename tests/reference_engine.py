@@ -10,7 +10,7 @@ breadth-first order, same transitions, initial and marked sets. Its
 products come from the nested-loop oracle, not from
 ``netdes.automaton.compose``.
 """
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from netdes.automaton import Automaton, AutomatonError, subset_construction
 from netdes.config import SystemConfig
@@ -27,8 +27,12 @@ def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
                                   controllable: FrozenSet[EventLabel],
                                   observable: FrozenSet[EventLabel],
                                   require_nonblocking: bool,
-                                  name: str = "S") -> Optional[Automaton]:
-    """Supremal supervisor before completion of uncontrollable events."""
+                                  name: str = "S",
+                                  rounds: Optional[List[int]] = None
+                                  ) -> Optional[Automaton]:
+    """Supremal supervisor before completion of uncontrollable events. Each
+    nonblocking round appends to ``rounds``, when given, the number of
+    states of P||S that cannot reach damage."""
     if not controllable <= observable:
         raise AutomatonError("controllable events must be observable here")
     obs = oracles.complete_with_selfloops(
@@ -64,6 +68,8 @@ def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
         loop = nested_loop_product([plant, supervisor], name="P||S")
         loop = marked_copy(loop, [q for q in loop.states if q[0] in plant.marked])
         blocking = frozenset(loop.states) - coreachable(loop)
+        if rounds is not None:
+            rounds.append(len(blocking))
         if not blocking:
             return restrict_reachable(supervisor, name=name)
         if loop.initial in blocking:
@@ -98,16 +104,17 @@ def _pruned_observer(obs: Automaton, dead: Set, disabled: Set,
                      marked=states, name=name)
 
 
-def reference_attack(problem: SynthesisProblem,
-                     mode: SynthesisMode) -> Optional[Automaton]:
-    """The supremal covert attack as the reference engine computes it."""
+def reference_attack(problem: SynthesisProblem, mode: SynthesisMode,
+                     rounds: Optional[List[int]] = None) -> Optional[Automaton]:
+    """The supremal covert attack as the reference engine computes it;
+    ``rounds`` as in ``reference_supremal_supervisor``."""
     plant = problem.plant
     controllable = frozenset(problem.constraint.controllable) & plant.alphabet
     observable = frozenset(problem.constraint.observable) & plant.alphabet
     sup = reference_supremal_supervisor(
         plant, problem.bad, controllable, observable,
         require_nonblocking=(mode is SynthesisMode.DAMAGE_NONBLOCKING),
-        name="A")
+        name="A", rounds=rounds)
     if sup is None:
         return None
     if mode is SynthesisMode.DAMAGE_REACHABLE:

@@ -7,7 +7,7 @@ import pytest
 
 import netdes.events as ev
 from netdes.automaton import (Automaton, AutomatonError, compose, explore,
-                              lazy_automaton, number, product,
+                              lazy_automaton, number, predecessors, product,
                               state_name, subset_construction)
 from netdes.attacker import ControlConstraint
 from netdes.events import sorted_events
@@ -311,6 +311,34 @@ def test_number_of_an_empty_automaton_has_no_states():
         assert list(n.starts) == [0] and not n.ranks and not n.targets
         assert n.initial is None and n.marked == [] and n.empty is None
         assert serialize_automaton(n) == ".automaton E\n.alphabet a:plain b:plain\n"
+
+
+def _first_into(a, q):
+    """The first (source, event) in ``a.states`` and row order whose
+    successors include ``q``."""
+    return next([src, e] for src in a.states for e, dsts in a._delta[src].items()
+                if q in dsts)
+
+
+def test_predecessors_list_each_transition_once_first_the_discovering_one():
+    rng = random.Random(26)
+    for _ in range(200):
+        explicit = random_automaton(rng, max_states=12)
+        lazy = lazy_automaton(explicit.initial, explicit.alphabet,
+                              explicit._delta.__getitem__, name="L")
+        into = predecessors(lazy)
+        # the walk keeps none of the rows it computes
+        assert len(lazy._delta) == 0 and lazy._delta.row is not None
+        for a, got in ((lazy, into), (explicit, predecessors(explicit))):
+            assert list(got) == list(a.states)
+            listed = [(src, e, dst) for dst, edges in got.items()
+                      for src, e in zip(edges[::2], edges[1::2])]
+            assert len(listed) == len(set(listed))
+            assert set(listed) == a.transitions
+            for q in a.states:
+                if q != a.initial and got[q]:
+                    assert got[q][:2] == _first_into(a, q)
+    assert predecessors(lazy_automaton(None, [A], None)) == {}
 
 
 @pytest.mark.parametrize("seed", range(6))

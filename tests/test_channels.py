@@ -52,6 +52,16 @@ def test_enumerate_capacity_zero_is_just_empty():
     assert enumerate_channel_states(1, 0, 4) == 5  # degenerate base-1 series
 
 
+def test_enumerate_gives_a_count_of_30_digits_or_more_as_a_power_of_ten():
+    assert enumerate_channel_states(2, 0, 95) == 2 ** 96 - 1  # 29 digits
+    assert enumerate_channel_states(2, 0, 96) == "~10^29"     # 2^97 - 1
+    for n_kinds, delta, capacity in ((3, 9, 40), (7, 2, 300), (4, 1000, 500)):
+        base = n_kinds * (delta + 1)
+        exact = (base ** (capacity + 1) - 1) // (base - 1)
+        got = enumerate_channel_states(n_kinds, delta, capacity)
+        assert got == f"~10^{len(str(exact)) - 1}"
+
+
 def test_enumerate_without_message_kinds_is_just_empty():
     for delta in range(3):
         for capacity in range(4):

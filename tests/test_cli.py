@@ -1,8 +1,10 @@
+import dataclasses
 import filecmp
 import gc
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ import netdes.cli
 import netdes.events as ev
 from netdes.cli import main
 from netdes.automaton import Automaton, state_name
-from netdes.config import load_config
+from netdes.config import load_config, serialize_config
 from netdes.textio import (load_automaton, parse_automaton, save_automaton,
                            serialize_automaton)
 from oracles import isomorphic_by
@@ -41,6 +43,20 @@ def test_capacity_guideway(capsys):
     out = capsys.readouterr().out
     assert "C_oc=2 C_cc=3 C_cs=3" in out
     assert "states_oc=73 states_cc=40" in out
+
+
+@pytest.mark.parametrize("delta_o,oc,cc", [(2000, "~10^7810", "~10^955"),
+                                           (1_000_000, "~10^6602067", "~10^477122")])
+def test_capacity_with_large_delays_prints_counts_as_powers_of_ten(
+        tmp_path, capsys, delta_o, oc, cc):
+    cfg = tmp_path / "large.cfg"
+    cfg.write_text(serialize_config(
+        dataclasses.replace(shipped_config("guideway"), delta_o=delta_o)))
+    start = time.process_time()
+    assert main(["capacity", "--config", str(cfg)]) == 0
+    assert time.process_time() - start < 1
+    assert capsys.readouterr().out.splitlines()[1] == \
+        f"states_oc={oc} states_cc={cc} states_cs<={cc}"
 
 
 def test_build_writes_components(tmp_path, capsys):

@@ -48,6 +48,21 @@ def test_engine_matches_reference_on_random_problems(seed, count):
     assert solved > count // 4
 
 
+# A second observed uncontrollable event makes nonblocking rounds cut more
+# often: of these 2,000 instances the reference engine composes P||S twice
+# for 61 and three times for 2, so the rounds after the first are compared.
+def test_engine_matches_reference_with_two_observed_uncontrollable_events():
+    solved = repeated = 0
+    for prob in _random_problems(2026, 2000, observed=("o", "k"), sizes=(3, 10)):
+        for mode in MODES:
+            rounds = []
+            attack = synthesize_supremal_attack(prob, mode)
+            assert same_automaton(attack, reference_attack(prob, mode, rounds))
+            solved += attack is not None
+            repeated += len(rounds) > 1
+    assert solved > 500 and repeated >= 50
+
+
 def test_engine_matches_reference_on_shipped_systems(
         guideway_problem, guideway_attacks, reduced_problem, reduced_attacks):
     for prob, attacks in ((guideway_problem, guideway_attacks),

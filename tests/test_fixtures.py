@@ -14,7 +14,7 @@ from netdes.synthesis import (SynthesisMode, build_problem, check_attack,
 from oracles import (assert_same_automaton, explicit_attack_free_relabel,
                      same_closed_language, step)
 from systems import (RUNG_CONFIGS, guideway_spec, reduced_spec, rung_system,
-                     shipped_config, shipped_paths, shipped_system)
+                     shipped_config, shipped_paths)
 
 
 def test_guideway_grid_numbering(guideway):

@@ -14,6 +14,7 @@ from test_cli import fresh_python
 ORDER = ["events", "automaton", "config", "textio", "channels", "attacker",
          "plant", "supervision", "fixtures", "synthesis", "cli"]
 PACKAGE = os.path.dirname(netdes.__file__)
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def imported_modules(module: str) -> set:
@@ -60,3 +61,29 @@ def test_importing_the_package_loads_none_of_its_modules():
 def test_the_detection_state_keeps_its_synthesis_name():
     assert netdes.synthesis.MONITOR_EMPTY is netdes.supervision.MONITOR_EMPTY
     assert netdes.supervision.MONITOR_EMPTY == frozenset()
+
+
+def unused_imports(path: str) -> list:
+    """The names that the module-level imports of ``path`` bind and that its
+    code never reads."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(
+    [os.path.join(PACKAGE, f) for f in os.listdir(PACKAGE) if f.endswith(".py")]
+    + [os.path.join(TESTS, f) for f in os.listdir(TESTS) if f.endswith(".py")]),
+    ids=os.path.basename)
+def test_every_module_level_import_is_used(path):
+    assert unused_imports(path) == []

@@ -249,16 +249,19 @@ def test_guideway_attack_round_choices(guideway, guideway_problem,
     assert post == {"a1#", "a3#", "b1#", "b3#", "stop"}
 
 
-def _random_problems(seed, count):
+def _random_problems(seed, count, observed=("o",), sizes=(2, 7)):
+    """Random plants over two controllable events, the unobservable ``h``
+    and the observed uncontrollable events named in ``observed``, with
+    ``sizes`` bounding the number of states."""
     import random as _random
     rng = _random.Random(seed)
     c1, c2 = ev.compromised("x"), ev.stop
-    uo, oo = ev.plant("h"), ev.plant("o")
-    alphabet = [c1, c2, uo, oo]
+    uo, seen = ev.plant("h"), [ev.plant(name) for name in observed]
+    alphabet = [c1, c2, uo, *seen]
     constraint = ControlConstraint(
-        frozenset({c1, c2}), frozenset({c1, c2, oo}), "sa")
+        frozenset({c1, c2}), frozenset({c1, c2, *seen}), "sa")
     for _ in range(count):
-        n = rng.randint(2, 7)
+        n = rng.randint(*sizes)
         states = [f"p{i}" for i in range(n)]
         trans = set()
         for _k in range(rng.randint(n, 3 * n)):
