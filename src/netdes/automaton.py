@@ -12,8 +12,10 @@ monitor read rows through it; ``number`` walks that order into arrays and
 There is one automaton type, ``Automaton``, stored as successor rows. Its
 constructor validates explicit states and transitions; ``lazy_automaton``
 gives a row function instead, whose rows are computed on first lookup and
-kept, and whose states (in the breadth-first order of its rows) and marked
-set are filled by one exploration on first read. The loop's components,
+kept by ``_Rows``, the one keeper of rows (which gives every kept edge with
+one successor that state's one shared 1-tuple), and whose states (in the
+breadth-first order of its rows) and marked set are filled by one
+exploration on first read. The loop's components,
 ``product`` and ``subset_construction`` are lazy, so a product over them
 builds only the component rows it reaches, and ``compose`` is an explored
 ``product``. ``subset_construction`` is the one observer: its alphabet is
@@ -166,40 +168,46 @@ class _Rows(dict):
     lookup by ``[]`` and then kept; ``get`` and ``in`` compute nothing. A
     lookup of a state not yet discovered (the initial state or a successor in
     a kept row) completes the rows first, so it gets what the explored
-    automaton gives: KeyError unless reachable. Complete, it is a plain dict."""
+    automaton gives: KeyError unless reachable. Complete, it is a plain dict.
 
-    __slots__ = ("row", "initial", "discovered")
+    ``lone`` maps each state discovered so far to its one 1-tuple, and every
+    kept row that leads to a state by one successor holds that tuple: an
+    equal tuple, so no answer changes, and one object per state however many
+    edges lead to it."""
+
+    __slots__ = ("row", "initial", "lone")
 
     def __init__(self, initial: Optional[State],
                  row: Optional[Callable[[State], Row]]) -> None:
         super().__init__()
         self.row, self.initial = row, initial
-        self.discovered: Optional[Set[State]] = {initial}
+        self.lone: Optional[Dict[State, Tuple[State]]] = {initial: (initial,)}
 
     def __missing__(self, q: State) -> Row:
         if self.row is None:
             raise KeyError(q)
-        if q not in self.discovered:
+        lone = self.lone
+        if q not in lone:
             self.complete()
             return self[q]
         out = self[q] = self.row(q)
-        self.discovered.update(*out.values())
+        for e, dsts in out.items():
+            if len(dsts) == 1:
+                shared = lone.setdefault(dsts[0], dsts)
+                if shared is not dsts:
+                    out[e] = shared
+            else:
+                for dst in dsts:
+                    if dst not in lone:
+                        lone[dst] = (dst,)
         return out
 
     def complete(self) -> Tuple[State, ...]:
         """The states reachable from the initial one, in the order of
         ``explore``, with every row computed; drops the row function and its
         caches."""
-        row, get = self.row, self.get
-
-        def fill(q: State) -> Row:
-            out = get(q)  # q is discovered: no need to check
-            if out is None:
-                out = self[q] = row(q)
-            return out
-
-        order = tuple(q for q, _out in explore(self.initial, fill))
-        self.row = self.discovered = None
+        order = tuple(q for q, _out in explore(self.initial, self.__getitem__))
+        self.row = self.lone = None
         return order
 
 
@@ -233,28 +241,18 @@ def explore(initial: State, row: Callable[[State], Row]
     """Lazy breadth-first search over successor rows, the one forward search.
 
     Yields each state reachable from ``initial`` once, in discovery order,
-    with its row ``row(q)`` (in the form of ``Automaton._delta``). A consumer
-    may stop at any point: no state after the last one yielded has had its
-    row computed. Rows that lead to a state by one successor are made to
-    share one tuple of it: an equal tuple, so no answer changes.
+    with its row ``row(q)`` (in the form of ``Automaton._delta``), as
+    returned. A consumer may stop at any point: no state after the last one
+    yielded has had its row computed.
     """
-    order = [initial]
-    lone = {initial: (initial,)}  # per state discovered, its shared 1-tuple
+    order, seen = [initial], {initial}
     for q in order:  # grows while iterated
         out = row(q)
-        for e, dsts in out.items():
-            if len(dsts) == 1:
-                shared = lone.get(dsts[0])
-                if shared is None:
-                    lone[dsts[0]] = dsts
-                    order.append(dsts[0])
-                elif shared is not dsts:
-                    out[e] = shared
-            else:
-                for dst in dsts:
-                    if dst not in lone:
-                        lone[dst] = (dst,)
-                        order.append(dst)
+        for dsts in out.values():
+            for dst in dsts:
+                if dst not in seen:
+                    seen.add(dst)
+                    order.append(dst)
         yield q, out
 
 

@@ -235,8 +235,8 @@ class VerificationResult(NamedTuple):
     witness: Optional[List[EventLabel]] = None
 
     def render_witness(self) -> str:
-        if self.witness is None:
-            return "-"
+        """The witness's events, spelled; only a verdict that carries one
+        (a failed check, a met damage-reachable one) is rendered."""
         return " ".join(e.spell() for e in self.witness) or "(empty)"
 
 

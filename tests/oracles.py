@@ -2,11 +2,11 @@
 nested-loop synchronous product, G_new's two pruning rules written out, a
 rate check over per-state dicts, an explicit attack-free relabel of a
 channel, the name of a channel state rendered from its multiplicities, the
-kernel helpers only tests run (transition lists, deterministic steps,
-reachability, coreachability, trimming, re-marking, language membership,
-self-loop completion), the one-edit local maximality probe, and a
-reference synthesizer of networked supervisors (the pipeline takes the
-supervisor as given).
+kernel helpers only tests run (transition lists, shared target tuples,
+deterministic steps, reachability, coreachability, trimming, re-marking,
+language membership, self-loop completion), the one-edit local
+maximality probe, and a reference synthesizer of networked supervisors
+(the pipeline takes the supervisor as given).
 """
 import itertools
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
@@ -151,6 +151,14 @@ def successors(a: Automaton, q: State, e: EventLabel) -> Tuple[State, ...]:
 def enabled(a: Automaton, q: State) -> Tuple[EventLabel, ...]:
     """The events defined at q, in label order."""
     return tuple(a._delta[q])
+
+
+def lone_target_tuples(a: Automaton) -> Tuple[int, int, int]:
+    """Over the rows ``a`` keeps, without computing any: the number of edges
+    whose event has one successor, of distinct tuple objects holding those
+    successors, and of distinct states among them."""
+    lone = [dsts for out in a._delta.values() for dsts in out.values() if len(dsts) == 1]
+    return len(lone), len({id(dsts) for dsts in lone}), len({dsts[0] for dsts in lone})
 
 
 def step(a: Automaton, q: State, e: EventLabel) -> Optional[State]:

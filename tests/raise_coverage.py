@@ -2,10 +2,11 @@
 
 Runs the tier-1 suite in this process under a line tracer
 (``sys.settrace`` and ``threading.settrace``) that records the lines run in
-``src/netdes``, then lists each ``raise`` statement whose line never ran.
-Exits 1 if the suite fails or such a line exists. Code run in a child
-interpreter (the CLI tests start some) is not seen. Extra arguments go to
-pytest::
+``src/netdes``. It then lists every line with code on it that never ran, a
+dead branch among them, without failing on them, and each ``raise``
+statement whose line never ran. Exits 1 if the suite fails or such a
+``raise`` exists. Code run in a child interpreter (the CLI tests start
+some) is not seen. Extra arguments go to pytest::
 
     python tests/raise_coverage.py [pytest arguments]
 """
@@ -13,6 +14,7 @@ import ast
 import os
 import sys
 import threading
+import types
 
 import pytest
 
@@ -25,6 +27,18 @@ def raise_lines(path: str) -> set:
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), path)
     return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+
+
+def code_lines(path: str) -> set:
+    """The lines of ``path`` that hold code a line tracer can see run."""
+    with open(path, encoding="utf-8") as fh:
+        todo = [compile(fh.read(), path, "exec")]
+    lines = set()
+    while todo:
+        code = todo.pop()
+        lines.update(line for _start, _end, line in code.co_lines() if line)
+        todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return lines
 
 
 def main(argv: list) -> int:
@@ -55,6 +69,9 @@ def main(argv: list) -> int:
         threading.settrace(None)
 
     raises = {path: raise_lines(path) for path in ran}
+    for path in sorted(ran):
+        for line in sorted(code_lines(path) - ran[path] - raises[path]):
+            print(f"{os.path.relpath(path)}:{line}: never ran")
     missed = [(path, line) for path in sorted(ran)
               for line in sorted(raises[path] - ran[path])]
     for path, line in missed:

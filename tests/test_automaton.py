@@ -16,7 +16,8 @@ from netdes.textio import serialize_automaton
 from oracles import (accepts, assert_same_automaton, bfs_distances, bounded_traces,
                      coreachable,
                      deterministic, empty_automaton, enabled, is_nonblocking,
-                     isomorphic_by, marked_copy, moves, nested_loop_product, reachable,
+                     isomorphic_by, lone_target_tuples, marked_copy, moves,
+                     nested_loop_product, reachable,
                      step, successors, trim, unobservable_reach)
 
 A, B, C, U, O = (ev.plant(x) for x in "abcuo")
@@ -410,11 +411,19 @@ def test_product_rows_are_in_label_and_state_name_order():
 
 def test_explore_yields_each_state_once_in_discovery_order():
     # a diamond a -> b, c -> d with edges back to a from c and d
-    graph = {"a": {A: ("b",), B: ("c",)}, "b": {A: ("d",)},
-             "c": {A: ("a",), B: ("d",)}, "d": {A: ("a",)}}
-    assert list(explore("a", graph.__getitem__)) == [(q, graph[q]) for q in "abcd"]
-    # the rows leading to one state by one successor share one tuple of it
-    assert graph["b"][A] is graph["c"][B] and graph["c"][A] is graph["d"][A]
+    diamond = {"a": {A: ("b",), B: ("c",)}, "b": {A: ("d",)},
+               "c": {A: ("a",), B: ("d",)}, "d": {A: ("a",)}}
+    # tuples built at run time, so equal ones are distinct objects
+    graph = {q: {e: tuple(list(dsts)) for e, dsts in out.items()}
+             for q, out in diamond.items()}
+    before = {q: list(out.items()) for q, out in graph.items()}
+    walked = list(explore("a", graph.__getitem__))
+    assert [q for q, _out in walked] == list("abcd")
+    # each row is the very object the row function returned, left as it was
+    for q, out in walked:
+        assert out is graph[q]
+        assert [(e, id(dsts)) for e, dsts in out.items()] == \
+            [(e, id(dsts)) for e, dsts in before[q]]
 
 
 def test_explore_is_lazy_on_an_infinite_graph():
@@ -455,6 +464,29 @@ def test_lazy_lookup_of_an_undiscovered_state_answers_as_explored():
     with pytest.raises(KeyError):
         successors(_counter(5, []), -1, A)
     assert computed == [0, 1, 2, 3, 4, 5]
+
+
+def test_kept_rows_share_one_tuple_per_lone_target():
+    # n -a-> n+1, n -b-> 2n, and at even n, n -c-> {n+3, n+5} (mod 12); every
+    # tuple is built anew on each call
+    def row(n):
+        out = {A: tuple([(n + 1) % 12]), B: tuple([2 * n % 12])}
+        if n % 2 == 0:
+            out[C] = tuple(sorted({(n + 3) % 12, (n + 5) % 12}))
+        return out
+
+    lazy = lazy_automaton(0, [A, B, C], row)
+    for n in range(5):  # partial lookups, each of a state a kept row found
+        assert successors(lazy, n, A) == ((n + 1) % 12,)
+    edges, objects, targets = lone_target_tuples(lazy)
+    assert (edges, objects, targets) == (10, 8, 8)
+    kept = {n: dict(out) for n, out in lazy._delta.items()}
+    assert lazy.states == tuple(q for q, _out in explore(0, row))
+    edges, objects, targets = lone_target_tuples(lazy)
+    assert (edges, objects, targets) == (24, 12, 12)
+    # the exploration left the rows and tuples kept before it in place
+    assert all(lazy._delta[n][e] is dsts for n, out in kept.items()
+               for e, dsts in out.items())
 
 
 def test_lazy_automata_leave_no_reference_cycle():

@@ -31,6 +31,30 @@ def test_serialize_round_trip():
     assert serialize_config(again) == serialize_config(cfg)
 
 
+def test_blank_lines_comments_and_lone_headers_parse_as_the_compact_form():
+    spread = """\
+# a comment alone on its line
+
+[parameters]
+  delta_o=1 delta_c=0   # trailing comment
+  delta_s=0 n_f=1 u=1 v=1
+
+[events]
+  a1 c o ao comp te=0
+      # indented comment
+  a2 uc uo - - -
+[commands]
+  v1 = a1
+[damage]
+  5
+  10
+"""
+    cfg = parse_config(spread)
+    assert cfg == parse_config(SAMPLE)
+    assert parse_config(serialize_config(cfg)) == cfg
+    assert serialize_config(cfg) == serialize_config(parse_config(SAMPLE))
+
+
 def test_parse_error_carries_line_number():
     bad = SAMPLE.replace("delta_o=1", "delta_o=x")
     with pytest.raises(ConfigError) as err:

@@ -18,9 +18,9 @@ from netdes.textio import serialize_automaton
 from oracles import (accepts, apply_edit, bfs_distances, bfs_order,
                      bounded_traces, complete_with_selfloops, coreachable,
                      disabled_controllable_edits, empty_automaton, enabled,
-                     marked_copy, nested_loop_product, successors)
+                     lone_target_tuples, marked_copy, nested_loop_product, successors)
 from systems import (faithful_attacker, guideway_swap_attacker,
-                     reduced_swap_attacker, swap_attacker)
+                     reduced_swap_attacker, rung_system, swap_attacker)
 
 C_HASH = ev.compromised("c")
 U_EV = ev.plant("u")
@@ -414,6 +414,15 @@ def test_guideway_u2_attack_reads_under_a_quarter_of_p(guideway):
     assert prob.plant._delta.row is not None  # P is still unexplored
     assert rows < len(prob.plant.states) / 4
     assert _attack_texts(prob) == lazy
+
+
+def test_plant_rows_kept_by_synthesis_share_one_tuple_per_target():
+    # synthesis keeps P's rows through partial lookups: the 361 edges with
+    # one successor hold one tuple object per target state
+    prob = build_problem(rung_system("guideway"))
+    assert synthesize_supremal_attack(prob, SynthesisMode.DAMAGE_NONBLOCKING) is not None
+    assert prob.plant._delta.row is not None  # P is still unexplored
+    assert lone_target_tuples(prob.plant) == (361, 251, 251)
 
 
 def test_attacked_loop_reaches_exactly_the_plant_states_of_the_attack_estimates(
