@@ -19,9 +19,9 @@ exploration on first read. The loop's components,
 ``product`` and ``subset_construction`` are lazy, so a product over them
 builds only the component rows it reaches, and ``compose`` is an explored
 ``product``. ``subset_construction`` is the one observer: its alphabet is
-the observed events and it reads silent successors from the rows on
-demand; the monitor and the attack each complete its rows once, in their
-own row functions.
+the observed events and it reads silent successors from the rows at each
+use, keeping no table of its own; the monitor and the attack each complete
+its rows once, in their own row functions.
 
 Event labels, channel states and the plant assembly's store and stage
 states are interned (``events``, ``channels``, ``plant``): equal values are
@@ -347,22 +347,18 @@ def subset_construction(a: Automaton, observed: Iterable[EventLabel]) -> Automat
     estimate's row maps each observed event some state of it enables, in
     label order, to the 1-tuple of the unobservable reach of its successor
     set on it; a consumer completes the rows it needs. Rows of ``a`` are
-    read only as estimates reach them; each state's silent successors are
-    kept once read."""
+    read only as estimates reach them, and each state's silent successors
+    are read from its row at each use: the observer keeps no table of its
+    own beside the rows of ``a``."""
     obs = frozenset(observed)
     if not obs <= a.alphabet:
         bad = next(iter(obs - a.alphabet))
         raise AutomatonError(f"observed event {bad.spell()} not in alphabet")
     obs_sorted = sorted_events(obs)
     delta = a._delta
-    silent: Dict[State, Tuple[State, ...]] = {}
 
-    def silent_of(q: State) -> Tuple[State, ...]:
-        out = silent.get(q)
-        if out is None:
-            out = silent[q] = tuple(dst for ev, dsts in delta[q].items()
-                                    if ev not in obs for dst in dsts)
-        return out
+    def silent_of(q: State) -> List[State]:
+        return [dst for ev, dsts in delta[q].items() if ev not in obs for dst in dsts]
 
     def reach(seeds: Iterable[State]) -> FrozenSet[State]:
         return frozenset(close_under(set(), seeds, silent_of))

@@ -139,7 +139,7 @@ def _verdicts(problem: SynthesisProblem, attack: Automaton,
 def cmd_export_dot(args) -> int:
     a = load_automaton(args.file)
     dot = to_dot(a)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dot)
     else:

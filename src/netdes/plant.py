@@ -194,10 +194,8 @@ def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
     and drops tick where rule 2 holds: where the stage idles and a stored
     command is one the plant state can use.
     """
-    sigma_cs = {ev.command_exit(x) for x in cfg.gamma} \
-        | {ev.command(x) for x in cfg.gamma} | {ev.tick}
-    sigma_ce = {ev.command(x) for x in cfg.gamma} | set(cfg.plant_labels()) | {ev.tick}
-    if set(cs.alphabet) != sigma_cs or set(ce.alphabet) != sigma_ce:
+    if cs.alphabet != build_command_storage(cfg).alphabet \
+            or ce.alphabet != build_command_execution(cfg).alphabet:
         raise AutomatonError("command storage/execution alphabet mismatch with config")
     if set(g.alphabet) != set(cfg.plant_labels()):
         raise AutomatonError("plant alphabet mismatch with config")

@@ -3,8 +3,10 @@
 For guideway ``u=4`` and ``u=8``, one fresh child interpreter builds the
 system, synthesizes the supremal damage-nonblocking attack and checks it
 with ``check_attack``. The run fails unless the attack is covert,
-damage-nonblocking and damage-reachable and has the rung's state count.
-Each child's CPU time and peak resident set size are printed, not gated.
+damage-nonblocking and damage-reachable, has the rung's state count, and
+the composed plant P has computed the rung's number of rows by then, so a
+change that makes synthesis or the check read more of P fails. Each
+child's CPU time and peak resident set size are printed, not gated.
 pytest does not collect this file (its name does not start with
 ``test_``)::
 
@@ -19,8 +21,9 @@ import time
 
 TESTS = os.path.dirname(os.path.realpath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
-# rung (the attacker's rate u) -> states of the supremal nonblocking attack
-RUNGS = {4: 444, 8: 2994}
+# rung (the attacker's rate u) -> (states of the supremal nonblocking attack,
+# rows of P computed after synthesis and the check)
+RUNGS = {4: (444, 8420), 8: (2994, 127022)}
 
 
 def child(u: int) -> None:
@@ -43,13 +46,14 @@ def child(u: int) -> None:
     with open("/proc/self/status", encoding="ascii") as fh:
         peak = next(line.split()[1] for line in fh if line.startswith("VmHWM"))
     print(json.dumps({"states": None if attack is None else len(attack.states),
-                      "verdicts": verdicts, "cpu_s": time.process_time(),
+                      "verdicts": verdicts, "p_rows": len(problem.plant._delta),
+                      "cpu_s": time.process_time(),
                       "vmhwm_kb": int(peak)}))
 
 
 def main() -> int:
     failed = False
-    for u, states in RUNGS.items():
+    for u, (states, p_rows) in RUNGS.items():
         proc = subprocess.run([sys.executable, __file__, "--child", str(u)],
                               capture_output=True, text=True)
         if proc.returncode != 0:
@@ -57,9 +61,11 @@ def main() -> int:
             failed = True
             continue
         got = json.loads(proc.stdout)
-        ok = got["verdicts"] == [True, True, True] and got["states"] == states
+        ok = (got["verdicts"] == [True, True, True] and got["states"] == states
+              and got["p_rows"] == p_rows)
         print(f"u={u}: attack states {got['states']} (expected {states}), "
-              f"verdicts {got['verdicts']}, cpu {got['cpu_s']:.2f} s, "
+              f"verdicts {got['verdicts']}, P rows {got['p_rows']} (expected {p_rows}), "
+              f"cpu {got['cpu_s']:.2f} s, "
               f"VmHWM {got['vmhwm_kb'] / 1024:.1f} MB{'' if ok else '  FAIL'}")
         failed |= not ok
     return 1 if failed else 0

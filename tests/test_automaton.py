@@ -136,15 +136,67 @@ def test_observer_alphabet_and_rows_hold_observed_events_only():
     assert successors(obs, frozenset({"q1", "q2"}), A) == (frozenset({"q0"}),)
 
 
-def test_observer_deterministic_on_random_instances():
+def random_observer_cases():
+    """60 random automata, each with a random set of observed events."""
     rng = random.Random(1)
     for _ in range(60):
         a = random_automaton(rng)
-        observed = [e for e in sorted(a.alphabet) if rng.random() < 0.6]
+        yield a, [e for e in sorted(a.alphabet) if rng.random() < 0.6]
+
+
+def test_observer_deterministic_on_random_instances():
+    for a, observed in random_observer_cases():
         obs = subset_construction(a, observed)
         assert deterministic(obs)
         assert obs.alphabet == frozenset(observed)
         assert all(set(enabled(obs, x)) <= obs.alphabet for x in obs.states)
+
+
+def test_observer_estimates_are_unobservable_reaches_on_random_instances():
+    # each estimate is the union of the oracle's unobservable reaches, over
+    # explicit rows and over the same rows read lazily
+    for explicit, observed in random_observer_cases():
+        lazy = lazy_automaton(explicit.initial, explicit.alphabet,
+                              explicit._delta.__getitem__)
+
+        def reach(states):
+            return frozenset().union(
+                *(unobservable_reach(explicit, q, observed) for q in states))
+
+        for a in (explicit, lazy):
+            obs = subset_construction(a, observed)
+            assert obs.initial == reach([explicit.initial])
+            for x in obs.states:
+                for e in observed:
+                    after = {dst for q in x for dst in successors(explicit, q, e)}
+                    assert successors(obs, x, e) == ((reach(after),) if after else ())
+
+
+def test_observer_keeps_no_table_beside_the_rows_it_reads():
+    # after a few rows, the row function and the functions it closes over
+    # hold one dict: the rows of the automaton observed, in which
+    # n -o-> n + 2 and, where 3 divides n, n -u-> n + 1 (mod 12)
+    a = lazy_automaton(0, [U, O], lambda n: {U: ((n + 1) % 12,), O: ((n + 2) % 12,)}
+                       if n % 3 == 0 else {O: ((n + 2) % 12,)})
+    obs = subset_construction(a, [O])
+    row, x = obs._delta.row, obs.initial
+    for _ in range(3):
+        x = successors(obs, x, O)[0]
+    dicts, todo, seen = [], [row], set()
+    while todo:
+        fn = todo.pop()
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, dict):
+                dicts.append(value)
+            elif isinstance(value, type(row)):
+                todo.append(value)
+    assert x == frozenset({6, 7, 8, 9, 10}) and len(obs._delta) == 3
+    assert a._delta.row is not None  # a's rows are read, not all computed
+    assert dicts and all(d is a._delta for d in dicts)
 
 
 def test_observer_projection_language_matches_oracle():

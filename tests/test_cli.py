@@ -257,6 +257,16 @@ def test_export_dot(tmp_path, capsys):
     assert "digraph" in capsys.readouterr().out
 
 
+def test_empty_out_path_is_an_error(capsys):
+    # an empty --out names no file: export-dot fails as synthesize does
+    # rather than print to stdout
+    for argv in (["export-dot", RED["plant"], "--out="],
+                 red_args("synthesize", extra=["--out="])):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv
+
+
 def test_capacity_zero_rates(tmp_path, capsys):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text("[parameters] delta_o=0 delta_c=0 delta_s=0 n_f=0 u=0 v=0\n"
