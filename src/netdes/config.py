@@ -8,7 +8,8 @@ Text format (line-oriented; continuation lines extend the current section)::
     [commands]   v1 = a1
     [damage]     5 10
 
-Event columns: name, c/uc, o/uo, ao/-, comp/-, te=N or -.
+Event columns: name, one column per entry of ``FLAGS``, te=N or -. ``FLAGS``
+and ``DELAYS`` + ``RATES`` are declared once for the reader and the writer.
 """
 from __future__ import annotations
 
@@ -17,6 +18,14 @@ from typing import Dict, FrozenSet, List, Optional
 
 from . import events as ev
 from .events import EventLabel
+
+DELAYS = ("delta_o", "delta_c", "delta_s")
+RATES = ("n_f", "u", "v")
+PARAMETERS = DELAYS + RATES
+
+# (EventSpec field, spelling when true, spelling when false), in column order
+FLAGS = (("controllable", "c", "uc"), ("observable", "o", "uo"),
+         ("attacker_observable", "ao", "-"), ("compromised", "comp", "-"))
 
 
 class ConfigError(ValueError):
@@ -33,8 +42,8 @@ class RateBounds:
     v: int
 
     def __post_init__(self) -> None:
-        for label, val in (("n_f", self.n_f), ("u", self.u), ("v", self.v)):
-            if val < 0:
+        for label in RATES:
+            if getattr(self, label) < 0:
                 raise ConfigError(f"rate bound {label} must be nonnegative")
 
 
@@ -65,9 +74,8 @@ class SystemConfig:
         for name in names + list(self.commands):
             if not ev.spellable(name):
                 raise ConfigError(f"name {name!r} collides with event spelling rules")
-        for d, label in ((self.delta_o, "delta_o"), (self.delta_c, "delta_c"),
-                         (self.delta_s, "delta_s")):
-            if d < 0:
+        for label in DELAYS:
+            if getattr(self, label) < 0:
                 raise ConfigError(f"{label} must be nonnegative")
         by_name = {e.name: e for e in self.events}
         for e in self.events:
@@ -163,9 +171,6 @@ def _parse_int(tok: str, what: str, lineno: int) -> int:
         raise ConfigError(f"{what} expects an integer, got {tok!r}", lineno)
 
 
-PARAMETERS = ("delta_o", "delta_c", "delta_s", "n_f", "u", "v")
-
-
 def parse_config(text: str) -> SystemConfig:
     params: Dict[str, int] = {}
     specs: List[EventSpec] = []
@@ -198,21 +203,19 @@ def parse_config(text: str) -> SystemConfig:
                     raise ConfigError(f"parameter {key} given twice", lineno)
                 params[key] = _parse_int(val, key, lineno)
         elif section == "events":
-            if len(toks) != 6:
-                raise ConfigError("event line needs: name c|uc o|uo ao|- comp|- te=N|-",
-                                  lineno)
-            name, ctl, obs, ao, comp, te = toks
-            if ctl not in ("c", "uc") or obs not in ("o", "uo"):
-                raise ConfigError(f"bad flags for event {name}", lineno)
-            if ao not in ("ao", "-") or comp not in ("comp", "-"):
+            if len(toks) != len(FLAGS) + 2:
+                raise ConfigError("event line needs: name " + " ".join(
+                    f"{true}|{false}" for _, true, false in FLAGS) + " te=N|-", lineno)
+            name, *flags, te = toks
+            if any(tok not in spellings[1:] for tok, spellings in zip(flags, FLAGS)):
                 raise ConfigError(f"bad flags for event {name}", lineno)
             delay: Optional[int] = None
             if te != "-":
                 if not te.startswith("te="):
                     raise ConfigError(f"bad te column {te!r}", lineno)
                 delay = _parse_int(te[3:], "te", lineno)
-            specs.append(EventSpec(name, ctl == "c", obs == "o",
-                                   ao == "ao", comp == "comp", delay))
+            specs.append(EventSpec(name=name, exec_delay=delay, **{
+                field: tok == true for tok, (field, true, _) in zip(flags, FLAGS)}))
         elif section == "commands":
             lhs, eq, rhs = " ".join(toks).partition("=")
             names = lhs.split()
@@ -230,10 +233,8 @@ def parse_config(text: str) -> SystemConfig:
         raise ConfigError(f"missing parameters: {', '.join(missing)}")
     return SystemConfig(
         events=tuple(specs), commands=commands,
-        delta_o=params["delta_o"], delta_c=params["delta_c"],
-        delta_s=params["delta_s"],
-        rates=RateBounds(params["n_f"], params["u"], params["v"]),
-        damage=frozenset(damage))
+        rates=RateBounds(**{k: params[k] for k in RATES}),
+        damage=frozenset(damage), **{k: params[k] for k in DELAYS})
 
 
 def load_config(path: str) -> SystemConfig:
@@ -242,21 +243,16 @@ def load_config(path: str) -> SystemConfig:
 
 
 def serialize_config(cfg: SystemConfig) -> str:
-    lines = [f"[parameters] delta_o={cfg.delta_o} delta_c={cfg.delta_c} "
-             f"delta_s={cfg.delta_s} n_f={cfg.rates.n_f} u={cfg.rates.u} v={cfg.rates.v}"]
-    first = True
-    for e in cfg.events:
-        head = "[events]    " if first else "            "
-        first = False
+    values = [getattr(cfg, k) for k in DELAYS] + [getattr(cfg.rates, k) for k in RATES]
+    lines = ["[parameters] " + " ".join(f"{k}={v}" for k, v in zip(PARAMETERS, values))]
+    for k, e in enumerate(cfg.events):
+        head = "[events]    " if k == 0 else "            "
         te = f"te={e.exec_delay}" if e.exec_delay is not None else "-"
-        lines.append(f"{head} {e.name} {'c' if e.controllable else 'uc'} "
-                     f"{'o' if e.observable else 'uo'} "
-                     f"{'ao' if e.attacker_observable else '-'} "
-                     f"{'comp' if e.compromised else '-'} {te}")
-    first = True
-    for name in sorted(cfg.commands):
-        head = "[commands]  " if first else "            "
-        first = False
+        flags = " ".join(true if getattr(e, field) else false
+                         for field, true, false in FLAGS)
+        lines.append(f"{head} {e.name} {flags} {te}")
+    for k, name in enumerate(sorted(cfg.commands)):
+        head = "[commands]  " if k == 0 else "            "
         lines.append(f"{head} {name} = " + " ".join(sorted(cfg.commands[name])))
     if cfg.damage:
         lines.append("[damage]     " + " ".join(sorted(cfg.damage)))

@@ -5,6 +5,10 @@ a plant event, its channel-entry / channel-exit copies, the compromised
 copy injected by the attacker, command events and their channel copies,
 plus the global clock event ``tick`` and the attacker's ``stop``.
 
+``SUFFIXES`` declares the text spelling once: a role with a base is spelled
+as the base plus its suffix (``x``, ``x_in``, ``x#``, ``x_out``), ``tick``
+and ``stop`` as their role names; its order, then theirs, is the label order.
+
 Labels are hash-consed: there is one ``EventLabel`` object per (base, role)
 pair in a process, so ``==`` is ``is`` and a label hashes by its address.
 Nothing may depend on the iteration order of a set or dict keyed by labels;
@@ -24,9 +28,12 @@ COMMAND_OUT = "command-out"
 TICK = "tick"
 STOP = "stop"
 
-ROLES = (PLAIN, IN, COMPROMISED, OUT, COMMAND, COMMAND_IN, COMMAND_OUT, TICK, STOP)
+SUFFIXES = {PLAIN: "", IN: "_in", COMPROMISED: "#", OUT: "_out",
+            COMMAND: "", COMMAND_IN: "_in", COMMAND_OUT: "_out"}
 
-_BARE_ROLES = (TICK, STOP)
+ROLES = (*SUFFIXES, TICK, STOP)
+
+_ENDINGS = tuple(suffix for suffix in SUFFIXES.values() if suffix)
 
 _ROLE_RANK = {role: i for i, role in enumerate(ROLES)}
 
@@ -55,7 +62,7 @@ class EventLabel:
             return label
         if role not in ROLES:
             raise EventError(f"unknown event role {role!r}")
-        if role in _BARE_ROLES:
+        if role not in SUFFIXES:
             if base is not None:
                 raise EventError(f"{role} carries no base name")
         elif not base:
@@ -78,18 +85,7 @@ class EventLabel:
 
     def spell(self) -> str:
         """Render in the text-format spelling (``x``, ``x_in``, ``x#`` ...)."""
-        if self.role == TICK:
-            return "tick"
-        if self.role == STOP:
-            return "stop"
-        assert self.base is not None
-        if self.role in (PLAIN, COMMAND):
-            return self.base
-        if self.role in (IN, COMMAND_IN):
-            return self.base + "_in"
-        if self.role in (OUT, COMMAND_OUT):
-            return self.base + "_out"
-        return self.base + "#"  # compromised
+        return self.role if self.base is None else self.base + SUFFIXES[self.role]
 
     def sort_key(self) -> tuple:
         return self._key
@@ -136,24 +132,18 @@ stop = EventLabel(None, STOP)
 def parse_spelling(token: str, role: Optional[str] = None) -> EventLabel:
     """Decode a spelled event, optionally checked against a declared role.
 
-    Without a role the spelling alone is ambiguous between plant and command
-    families (``v`` could be either), so the plant family wins; alphabet
-    declarations always carry the role and resolve this.
+    The token loses the one suffix it ends with. Without a role the suffix
+    alone is ambiguous between plant and command families (``v`` could be
+    either), so the plant family wins; alphabet declarations always carry
+    the role and resolve this.
     """
-    if token == "tick":
-        label = tick
-    elif token == "stop":
-        label = stop
-    elif token.endswith("#"):
-        label = compromised(token[:-1])
-    elif token.endswith("_in"):
-        base = token[: -len("_in")]
-        label = command_entry(base) if role == COMMAND_IN else entry(base)
-    elif token.endswith("_out"):
-        base = token[: -len("_out")]
-        label = command_exit(base) if role == COMMAND_OUT else exit_(base)
+    if token in (TICK, STOP):
+        label = EventLabel(None, token)
     else:
-        label = command(token) if role == COMMAND else plant(token)
+        suffix = next((s for s in _ENDINGS if token.endswith(s)), "")
+        family = [r for r, s in SUFFIXES.items() if s == suffix]  # plant's first
+        label = EventLabel(token[:len(token) - len(suffix)],
+                           role if role in family else family[0])
     if role is not None and label.role != role:
         raise EventError(f"spelling {token!r} does not match role {role!r}")
     return label
@@ -162,10 +152,11 @@ def parse_spelling(token: str, role: Optional[str] = None) -> EventLabel:
 def spellable(name: str) -> bool:
     """Whether ``name`` can be a model's event or command name: every
     spelling of it then parses back to it and its role. The spelling rules
-    reserve ``tick``, ``stop``, the ``#``, ``_in`` and ``_out`` suffixes and,
-    in ``.alphabet``, the ``:`` before a role."""
-    return (bool(name) and name not in ("tick", "stop") and "#" not in name
-            and ":" not in name and not name.endswith(("_in", "_out")))
+    reserve ``tick``, ``stop`` and the endings in ``SUFFIXES``; the config
+    format also reserves ``#`` anywhere, where a comment starts, and
+    ``.alphabet`` the ``:`` before a role."""
+    return (bool(name) and name not in (TICK, STOP) and "#" not in name
+            and ":" not in name and not name.endswith(_ENDINGS))
 
 
 def sorted_events(events: Iterable[EventLabel]) -> list[EventLabel]:

@@ -8,8 +8,8 @@ Format (bit-exact, UTF-8, ``#`` comments)::
     .marked    S5 S10
     .trans     S0 a1 S1
 
-Event spelling: plain ``x``; entry ``x_in``; compromised ``x#``; exit
-``x_out``; commands ``v``, ``v_in``, ``v_out``; literals ``tick``, ``stop``.
+Event spelling as in ``events.SUFFIXES``: ``x``, ``x_in``, ``x#``, ``x_out``;
+commands ``v``, ``v_in``, ``v_out``; ``tick`` and ``stop``.
 A ``#`` token starts a comment; the compromised suffix never does because it
 ends, not begins, its token.
 Written from ``automaton.number``, as the CLI writes G_new, the monitor and
@@ -38,8 +38,7 @@ def _tokens(line: str) -> List[str]:
 
 
 def _role_suffix(label: EventLabel) -> str:
-    return f"{label.spell()}:{label.role}" if label.role not in (ev.TICK, ev.STOP) \
-        else label.spell()
+    return f"{label.spell()}:{label.role}" if label.role in ev.SUFFIXES else label.role
 
 
 def _named(a: Union[Automaton, Numbering]) -> Tuple[Numbering, List[str]]:

@@ -1,12 +1,13 @@
-"""Check that every ``raise`` statement in ``src/netdes`` runs under the suite.
+"""Check that every line of code in ``src/netdes`` runs under the suite.
 
 Runs the tier-1 suite in this process under a line tracer
 (``sys.settrace`` and ``threading.settrace``) that records the lines run in
-``src/netdes``. It then lists every line with code on it that never ran, a
-dead branch among them, without failing on them, and each ``raise``
-statement whose line never ran. Exits 1 if the suite fails or such a
-``raise`` exists. Code run in a child interpreter (the CLI tests start
-some) is not seen. Extra arguments go to pytest::
+``src/netdes``. It then lists every line with code on it that never ran (a
+``raise`` among them is named as such) and counts the ``raise`` statements
+that ran. Exits 1 if the suite fails or such a line exists. The body of an
+``if __name__ == "__main__":`` guard is not counted. Code run in a child
+interpreter (the CLI tests start some) is not seen, so a line that only a
+child runs needs an in-process test too. Extra arguments go to pytest::
 
     python tests/raise_coverage.py [pytest arguments]
 """
@@ -23,10 +24,16 @@ SRC = os.path.join(os.path.dirname(TESTS), "src")
 PACKAGE = os.path.join(SRC, "netdes")
 
 
-def raise_lines(path: str) -> set:
+def raise_and_main_lines(path: str) -> tuple:
+    """The lines of ``path`` that start a ``raise``, and the lines of the
+    bodies of its ``if __name__ == "__main__":`` guards."""
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), path)
-    return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+    raises = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+    main = {line for node in tree.body if isinstance(node, ast.If)
+            and ast.unparse(node.test) == "__name__ == '__main__'"
+            for line in range(node.body[0].lineno, node.body[-1].end_lineno + 1)}
+    return raises, main
 
 
 def code_lines(path: str) -> set:
@@ -68,16 +75,17 @@ def main(argv: list) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
-    raises = {path: raise_lines(path) for path in ran}
+    missed = raises_missed = total = 0
     for path in sorted(ran):
-        for line in sorted(code_lines(path) - ran[path] - raises[path]):
-            print(f"{os.path.relpath(path)}:{line}: never ran")
-    missed = [(path, line) for path in sorted(ran)
-              for line in sorted(raises[path] - ran[path])]
-    for path, line in missed:
-        print(f"{os.path.relpath(path)}:{line}: raise never ran")
-    total = sum(map(len, raises.values()))
-    print(f"{total - len(missed)} of {total} raise statements in src/netdes ran")
+        raises, main = raise_and_main_lines(path)
+        total += len(raises)
+        for line in sorted((code_lines(path) | raises) - main - ran[path]):
+            kind = "raise" if line in raises else "line"
+            print(f"{os.path.relpath(path)}:{line}: {kind} never ran")
+            missed += 1
+            raises_missed += line in raises
+    print(f"{total - raises_missed} of {total} raise statements in src/netdes ran; "
+          f"{missed} lines of code never ran")
     return 1 if status != 0 or missed else 0
 
 

@@ -1,8 +1,13 @@
+import dataclasses
+import itertools
+import random
+
 import pytest
 
 from netdes.cli import main
 from netdes.config import (ConfigError, EventSpec, RateBounds, SystemConfig,
                            parse_config, serialize_config)
+from systems import shipped_config
 
 SAMPLE = """\
 [parameters] delta_o=1 delta_c=0 delta_s=0 n_f=1 u=1 v=1
@@ -29,6 +34,83 @@ def test_serialize_round_trip():
     again = parse_config(serialize_config(cfg))
     assert again == cfg
     assert serialize_config(again) == serialize_config(cfg)
+
+
+GUIDEWAY_BODY = """\
+[events]     a1 c o ao comp te=0
+             a2 c uo - - te=0
+             a3 uc o ao comp -
+             b1 c o ao comp te=0
+             b2 c uo - - te=0
+             b3 uc o ao comp -
+[commands]   v1 = a1 a2
+             v2 = b1 b2
+             v3 = a1 b1
+[damage]     10 5
+"""
+REDUCED_BODY = """\
+[events]     a1 c o ao comp te=0
+             a2 c o ao comp te=0
+             a3 uc uo - - -
+[commands]   w1 = a1
+             w2 = a2
+             w3 = a1 a2
+[damage]     7 8
+"""
+
+
+# the configs the benchmark writes for its inputs, and the reduced system
+@pytest.mark.parametrize("stem,params,text", [
+    ("guideway", {}, "delta_o=1 delta_c=0 delta_s=0 n_f=1 u=1 v=1\n" + GUIDEWAY_BODY),
+    ("reduced", {}, "delta_o=1 delta_c=0 delta_s=0 n_f=1 u=1 v=1\n" + REDUCED_BODY),
+    ("guideway", {"u": 2, "delta_o": 0},
+     "delta_o=0 delta_c=0 delta_s=0 n_f=1 u=2 v=1\n" + GUIDEWAY_BODY),
+    ("reduced", {"delta_s": 1},
+     "delta_o=1 delta_c=0 delta_s=1 n_f=1 u=1 v=1\n" + REDUCED_BODY)])
+def test_serialize_config_text(stem, params, text):
+    cfg = shipped_config(stem)
+    rates = {k: v for k, v in params.items() if k in ("n_f", "u", "v")}
+    delays = {k: v for k, v in params.items() if k not in rates}
+    cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, **rates), **delays)
+    assert serialize_config(cfg) == "[parameters] " + text
+
+
+# every (controllable, observable, attacker-observable, compromised) that
+# SystemConfig accepts: compromised => attacker-observable => observable
+FLAG_COMBINATIONS = [(c, *ocomp) for c in (True, False) for ocomp in
+                     ((False, False, False), (True, False, False),
+                      (True, True, False), (True, True, True))]
+
+
+def _random_config(rng: random.Random) -> SystemConfig:
+    names = rng.sample([f"{a}{b}" for a, b in itertools.product("aexz_", "019in")],
+                       rng.randint(1, 5))
+    specs = [EventSpec(name, *flags, rng.randrange(4) if flags[0] else None)
+             for name, flags in zip(names, rng.sample(FLAG_COMBINATIONS, len(names)))]
+    if not any(spec.controllable for spec in specs):
+        specs[0] = dataclasses.replace(specs[0], controllable=True, exec_delay=0)
+    controllable = [spec.name for spec in specs if spec.controllable]
+    commands = {f"v{k}": frozenset(rng.sample(controllable, rng.randint(1, len(controllable))))
+                for k in range(rng.randint(1, 4))}
+    damage = frozenset(rng.sample(["0", "5", "10", "s_in", "q1"], rng.randint(0, 3)))
+    return SystemConfig(events=tuple(specs), commands=commands,
+                        delta_o=rng.randrange(3), delta_c=rng.randrange(3),
+                        delta_s=rng.randrange(3),
+                        rates=RateBounds(rng.randrange(3), rng.randrange(4), rng.randrange(3)),
+                        damage=damage)
+
+
+def test_serialize_round_trip_on_random_configs():
+    rng = random.Random(2029)
+    seen = set()
+    for _ in range(300):
+        cfg = _random_config(rng)
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg, text
+        assert serialize_config(parse_config(text)) == text
+        seen.update((e.controllable, e.observable, e.attacker_observable, e.compromised)
+                    for e in cfg.events)
+    assert seen == set(FLAG_COMBINATIONS)
 
 
 def test_blank_lines_comments_and_lone_headers_parse_as_the_compact_form():
@@ -175,6 +257,8 @@ CONFIG_ERRORS = {
     "ao-flag": (SAMPLE.replace("a1 c o ao", "a1 c o x"), "bad flags for event a1", 2),
     "comp-flag": (SAMPLE.replace("ao comp", "ao x"), "bad flags for event a1", 2),
     "te-column": (SAMPLE.replace("te=0", "0"), "bad te column '0'", 2),
+    "event-line": (SAMPLE.replace("a2 uc uo - - -", "a2 uc uo -"),
+                   "event line needs: name c|uc o|uo ao|- comp|- te=N|-", 3),
     "duplicate-command": (SAMPLE + "[commands] v1 = a1\n", "duplicate command v1", 6),
     # `:` precedes the role in an `.alphabet`, so no `.aut` file could
     # declare this event
