@@ -9,9 +9,13 @@ nondeterministic. A channel state is a ``ChannelState``: the sorted tuple of
 its pairs, one pair per resident message, interned on ``PairState``, the
 one hash-consing base that the plant's store and stage states use too.
 
-Capacities come from the closed-form rate analysis: the observation channel
-holds at most ``n_f * u * (delta_o + 1)`` messages and the control channel at
-most ``n_f * u * v * (delta_o + delta_c + 1) + v * (delta_c + 1)``.
+``capacities`` is the one capacity table of the loop: per bounded part (OC,
+CC and the plant's command store CS) its capacity and the closed-form count
+of its states, from the rate analysis. The observation channel holds at
+most ``n_f * u * (delta_o + 1)`` messages and the control channel at most
+``n_f * u * v * (delta_o + delta_c + 1) + v * (delta_c + 1)``. The store
+holds what the control channel delivers over ``delta_c + delta_s`` ticks:
+the control channel's bound with ``delta_c + delta_s`` for ``delta_c``.
 """
 from __future__ import annotations
 
@@ -111,15 +115,7 @@ class ChannelState(PairState):
 EMPTY_CHANNEL = ChannelState()
 
 
-# -- capacity formulas ---------------------------------------------------
-
-def capacity_observation(n_f: int, u: int, delta_o: int) -> int:
-    return n_f * u * (delta_o + 1)
-
-
-def capacity_control(n_f: int, u: int, v: int, delta_o: int, delta_c: int) -> int:
-    return n_f * u * v * (delta_o + delta_c + 1) + v * (delta_c + 1)
-
+# -- the capacity table --------------------------------------------------
 
 def enumerate_channel_states(n_kinds: int, delta: int, capacity: int) -> Union[int, str]:
     """Number of entry sequences of length at most ``capacity`` over n_kinds
@@ -141,6 +137,19 @@ def enumerate_channel_states(n_kinds: int, delta: int, capacity: int) -> Union[i
         if digits >= 29:
             return f"~10^{math.floor(digits)}"
     return (base ** (capacity + 1) - 1) // (base - 1)
+
+
+def capacities(cfg: SystemConfig) -> List[Tuple[int, Union[int, str]]]:
+    """(capacity, closed-form state count) of OC, CC and CS, in that order."""
+    n_f, u, v = cfg.rates.n_f, cfg.rates.u, cfg.rates.v
+
+    def control(delta: int) -> int:  # what CC delivers over ``delta`` ticks
+        return n_f * u * v * (cfg.delta_o + delta + 1) + v * (delta + 1)
+
+    parts = ((n_f * u * (cfg.delta_o + 1), len(cfg.sigma_o), cfg.delta_o),
+             (control(cfg.delta_c), len(cfg.gamma), cfg.delta_c),
+             (control(cfg.delta_c + cfg.delta_s), len(cfg.gamma), cfg.delta_s))
+    return [(c, enumerate_channel_states(kinds, delta, c)) for c, kinds, delta in parts]
 
 
 # -- channel construction --------------------------------------------------
@@ -174,7 +183,7 @@ def build_observation_channel(cfg: SystemConfig) -> Automaton:
     ones enter only as attacker sends (``x#``); each exit yields one
     successor per distinct resident delay of that message.
     """
-    capacity = capacity_observation(cfg.rates.n_f, cfg.rates.u, cfg.delta_o)
+    (capacity, _count), _cc, _cs = capacities(cfg)
     sa = set(cfg.sigma_sa)
 
     def in_label(m: str):
@@ -185,8 +194,7 @@ def build_observation_channel(cfg: SystemConfig) -> Automaton:
 
 
 def build_control_channel(cfg: SystemConfig) -> Automaton:
-    capacity = capacity_control(cfg.rates.n_f, cfg.rates.u, cfg.rates.v,
-                                cfg.delta_o, cfg.delta_c)
+    _oc, (capacity, _count), _cs = capacities(cfg)
     return _build_channel(cfg.gamma, cfg.delta_c, capacity,
                           ev.command_entry, ev.command_exit, "CC")
 

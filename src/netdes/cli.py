@@ -29,12 +29,13 @@ from typing import List, Optional, Tuple
 
 from .attacker import validate_attack
 from .automaton import Automaton, AutomatonError, number
+from .channels import capacities
 from .config import ConfigError, load_config
 from .fixtures import BuiltSystem, load_system
 from .plant import rate_bound_warnings
 from .synthesis import (SynthesisMode, SynthesisProblem, build_problem,
-                        capacities, check_attack, render_size_report,
-                        state_size_report, synthesize_supremal_attack)
+                        check_attack, render_size_report, state_size_report,
+                        synthesize_supremal_attack)
 from .textio import ParseError, load_automaton, save_automaton, to_dot
 
 EXIT_OK = 0
@@ -53,12 +54,9 @@ def cmd_capacity(args) -> int:
 
 def _write_components(system: BuiltSystem, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    save_automaton(system.ac, os.path.join(out_dir, "ac.aut"))
-    save_automaton(system.oc, os.path.join(out_dir, "oc.aut"))
-    save_automaton(system.oc_t, os.path.join(out_dir, "oc_t.aut"))
-    save_automaton(system.cc, os.path.join(out_dir, "cc.aut"))
-    save_automaton(system.cs, os.path.join(out_dir, "cs.aut"))
-    save_automaton(system.ce, os.path.join(out_dir, "ce.aut"))
+    # the parts whose states the files name by state_name; G_new and M are numbered
+    for part in ("ac", "oc", "oc_t", "cc", "cs", "ce"):
+        save_automaton(getattr(system, part), os.path.join(out_dir, part + ".aut"))
     g_new = number(system.g_new)  # the file and the rate check read it
     save_automaton(g_new, os.path.join(out_dir, "g_new.aut"))
     save_automaton(number(system.monitor), os.path.join(out_dir, "monitor.aut"))

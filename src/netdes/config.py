@@ -92,6 +92,8 @@ class SystemConfig:
         if not self.commands:
             raise ConfigError("at least one command is required")
         for cmd, members in self.commands.items():
+            if "=" in cmd:  # it ends the name on a [commands] line
+                raise ConfigError(f"command name {cmd!r} contains '='")
             if not members:
                 raise ConfigError(f"command {cmd} must be a nonempty set of events")
             for m in members:
@@ -103,6 +105,10 @@ class SystemConfig:
         if set(self.commands) & set(names):
             clash = sorted(set(self.commands) & set(names))[0]
             raise ConfigError(f"name {clash} used for both an event and a command")
+        for name in sorted(self.damage):  # one token of the [damage] line each
+            if not name or "#" in name or any(map(str.isspace, name)):
+                raise ConfigError(f"damage state name {name!r} is empty or holds "
+                                  f"whitespace or '#'")
 
     # -- alphabet views --------------------------------------------------
 
@@ -133,17 +139,6 @@ class SystemConfig:
     @property
     def gamma(self) -> List[str]:
         return sorted(self.commands)
-
-    def exec_delay(self, name: str) -> int:
-        for e in self.events:
-            if e.name == name:
-                assert e.exec_delay is not None
-                return e.exec_delay
-        raise ConfigError(f"unknown event {name}")
-
-    def max_exec_delay(self) -> int:
-        return max((e.exec_delay for e in self.events if e.exec_delay is not None),
-                   default=0)
 
     # -- composite alphabets ----------------------------------------------
 

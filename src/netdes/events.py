@@ -153,10 +153,12 @@ def spellable(name: str) -> bool:
     """Whether ``name`` can be a model's event or command name: every
     spelling of it then parses back to it and its role. The spelling rules
     reserve ``tick``, ``stop`` and the endings in ``SUFFIXES``; the config
-    format also reserves ``#`` anywhere, where a comment starts, and
-    ``.alphabet`` the ``:`` before a role."""
+    format also reserves whitespace, which separates columns, ``#``
+    anywhere, where a comment starts, and a leading ``[``, which starts a
+    section; ``.alphabet`` reserves the ``:`` before a role."""
     return (bool(name) and name not in (TICK, STOP) and "#" not in name
-            and ":" not in name and not name.endswith(_ENDINGS))
+            and ":" not in name and not name.endswith(_ENDINGS)
+            and not name.startswith("[") and not any(map(str.isspace, name)))
 
 
 def sorted_events(events: Iterable[EventLabel]) -> list[EventLabel]:

@@ -49,18 +49,15 @@ from __future__ import annotations
 import enum
 import math
 from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
-                    Optional, Set, Tuple, Union)
+                    Optional, Set, Tuple)
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
 from .automaton import (Automaton, AutomatonError, Row, State, close_under,
                         explore, lazy_automaton, predecessors, product,
                         subset_construction)
-from .channels import (capacity_control, capacity_observation,
-                       enumerate_channel_states)
-from .config import SystemConfig
+from .channels import capacities
 from .events import EventLabel, sorted_events
 from .fixtures import BuiltSystem
-from .plant import capacity_storage
 from .supervision import MONITOR_EMPTY
 
 
@@ -308,18 +305,6 @@ class SizeRow(NamedTuple):
         return f"{self.component:<6} states={self.count:<8} bound={self.bound:<12} {flag}"
 
 
-def capacities(cfg: SystemConfig) -> List[Tuple[int, Union[int, str]]]:
-    """(capacity, closed-form state count) of OC, CC and CS, in that order."""
-    c_oc = capacity_observation(cfg.rates.n_f, cfg.rates.u, cfg.delta_o)
-    c_cc = capacity_control(cfg.rates.n_f, cfg.rates.u, cfg.rates.v,
-                            cfg.delta_o, cfg.delta_c)
-    c_cs = capacity_storage(cfg.rates.n_f, cfg.rates.u, cfg.rates.v,
-                            cfg.delta_o, cfg.delta_c, cfg.delta_s)
-    return [(c_oc, enumerate_channel_states(len(cfg.sigma_o), cfg.delta_o, c_oc)),
-            (c_cc, enumerate_channel_states(len(cfg.gamma), cfg.delta_c, c_cc)),
-            (c_cs, enumerate_channel_states(len(cfg.gamma), cfg.delta_s, c_cs))]
-
-
 def state_size_report(system: BuiltSystem) -> List[SizeRow]:
     """Constructed component sizes against the closed-form counts."""
     cfg, g, cs, ce, _g_new, ac, oc, _oc_t, cc, ns, m = system
@@ -334,7 +319,8 @@ def state_size_report(system: BuiltSystem) -> List[SizeRow]:
         rows.append(SizeRow(label, len(built.states), f"<= {n}",
                             isinstance(n, str) or len(built.states) <= n))
 
-    n_ce = len(cfg.gamma) * (1 + cfg.max_exec_delay())
+    # each command has an event, a controllable one, so one with a delay
+    n_ce = len(cfg.gamma) * (1 + max(e.exec_delay for e in cfg.events if e.controllable))
     rows.append(SizeRow("CE", len(ce.states), f"<= 1+{n_ce}",
                         len(ce.states) <= 1 + n_ce))
 

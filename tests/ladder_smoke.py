@@ -6,13 +6,16 @@ with ``check_attack``. The run fails unless the attack is covert,
 damage-nonblocking and damage-reachable, has the rung's state count, and
 the composed plant P has computed the rung's number of rows by then, so a
 change that makes synthesis or the check read more of P fails. Each
-child's CPU time and peak resident set size are printed, not gated.
+child pauses the cyclic garbage collector for its work, as ``netdes.cli``
+does for a command, so its CPU time and peak resident set size, printed
+and not gated, are those of a CLI run.
 pytest does not collect this file (its name does not start with
 ``test_``)::
 
     python tests/ladder_smoke.py
 """
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -38,6 +41,7 @@ def child(u: int) -> None:
     data = os.path.join(SRC, "netdes", "data")
     cfg = load_config(os.path.join(data, "guideway.cfg"))
     cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, u=u))
+    gc.disable()
     system = build_system(cfg, load_plant(os.path.join(data, "guideway_plant.aut"), cfg),
                           load_automaton(os.path.join(data, "guideway_ns.aut"), name="NS"))
     problem = build_problem(system)

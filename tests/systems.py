@@ -38,18 +38,23 @@ RUNG_CONFIGS = [("guideway", ""), ("reduced", ""), ("guideway", "delta_o=2"),
                 ("guideway", "delta_c=1"), ("guideway", "u=2"), ("reduced", "delta_s=1")]
 
 
-def rung_system(stem: str, params: str = "") -> BuiltSystem:
-    """A shipped system with one parameter changed, built anew, so nothing
-    another test explored is shared."""
-    system = shipped_system(stem)
-    cfg = system.cfg
+def rung_config(stem: str, params: str = "") -> SystemConfig:
+    """A shipped config with one parameter changed."""
+    cfg = shipped_config(stem)
     if params:
         key, value = params.split("=")
         if key == "u":
             cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, u=int(value)))
         else:
             cfg = dataclasses.replace(cfg, **{key: int(value)})
-    return build_system(cfg, system.plant, system.ns)
+    return cfg
+
+
+def rung_system(stem: str, params: str = "") -> BuiltSystem:
+    """A shipped system with one parameter changed, built anew, so nothing
+    another test explored is shared."""
+    system = shipped_system(stem)
+    return build_system(rung_config(stem, params), system.plant, system.ns)
 
 
 # -- specifications ------------------------------------------------------------

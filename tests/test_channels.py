@@ -8,12 +8,12 @@ import pytest
 
 import netdes.events as ev
 from netdes.automaton import Automaton, AutomatonError
-from netdes.channels import (EMPTY_CHANNEL, ChannelState,
-                             build_control_channel, build_observation_channel,
-                             capacity_control, capacity_observation,
+from netdes.channels import (EMPTY_CHANNEL, ChannelState, build_control_channel,
+                             build_observation_channel, capacities,
                              enumerate_channel_states, relabel_to_attack_free)
 from netdes.config import EventSpec, RateBounds, SystemConfig
 from oracles import channel_state_name, successors
+from systems import RUNG_CONFIGS, rung_config
 
 
 def make_cfg(n_f=1, u=1, v=1, delta_o=1, delta_c=0, delta_s=0,
@@ -27,18 +27,41 @@ def make_cfg(n_f=1, u=1, v=1, delta_o=1, delta_c=0, delta_s=0,
                         rates=RateBounds(n_f, u, v))
 
 
-# -- capacity formulas ----------------------------------------------------------
+# -- the capacity table ---------------------------------------------------------
 
-@pytest.mark.parametrize("args,expect", [
-    ((1, 1, 1), 2), ((1, 1, 0), 1), ((2, 3, 4), 30)])
-def test_capacity_observation(args, expect):
-    assert capacity_observation(*args) == expect
+def closed_forms(cfg):
+    """The rate analysis written out: OC holds n_f*u*(delta_o+1) messages,
+    CC n_f*u*v*(delta_o+delta_c+1) + v*(delta_c+1), and the store what CC
+    delivers over delta_c+delta_s ticks; each count sums (kinds*(delay+1))^i
+    for i up to the capacity, given as ``~10^D`` from 30 digits on."""
+    n_f, u, v = cfg.rates.n_f, cfg.rates.u, cfg.rates.v
+    d_o, d_c, d_s = cfg.delta_o, cfg.delta_c, cfg.delta_s
+    c_oc = n_f * u * (d_o + 1)
+    c_cc = n_f * u * v * (d_o + d_c + 1) + v * (d_c + 1)
+    c_cs = n_f * u * v * (d_o + d_c + d_s + 1) + v * (d_c + d_s + 1)
+    rows = []
+    for cap, kinds, delay in ((c_oc, len(cfg.sigma_o), d_o),
+                              (c_cc, len(cfg.gamma), d_c), (c_cs, len(cfg.gamma), d_s)):
+        n = sum((kinds * (delay + 1)) ** i for i in range(cap + 1))
+        rows.append((cap, n if n < 10 ** 29 else f"~10^{len(str(n)) - 1}"))
+    return rows
 
 
-@pytest.mark.parametrize("args,expect", [
-    ((1, 1, 1, 1, 0), 3), ((1, 1, 1, 0, 0), 2), ((2, 1, 2, 1, 1), 16)])
-def test_capacity_control(args, expect):
-    assert capacity_control(*args) == expect
+@pytest.mark.parametrize("stem,params", RUNG_CONFIGS)
+def test_capacity_table_is_the_closed_forms_on_the_rungs(stem, params):
+    cfg = rung_config(stem, params)
+    assert capacities(cfg) == closed_forms(cfg)
+
+
+def test_capacity_table_is_the_closed_forms_on_random_parameters():
+    rng = random.Random(30)
+    for _ in range(200):
+        cfg = make_cfg(n_f=rng.randrange(4), u=rng.randrange(4), v=rng.randrange(4),
+                       delta_o=rng.randrange(3), delta_c=rng.randrange(3),
+                       delta_s=rng.randrange(3),
+                       observables=("a", "b", "c")[:rng.randrange(4)])
+        assert capacities(cfg) == closed_forms(cfg), cfg
+
 
 
 @pytest.mark.parametrize("args,expect", [
@@ -192,7 +215,7 @@ def test_entries_blocked_at_capacity():
 
 def test_channel_invariants():
     cfg = make_cfg(n_f=2, delta_o=1)
-    cap = capacity_observation(2, 1, 1)
+    cap = 4  # n_f * u * (delta_o + 1)
     oc = build_observation_channel(cfg)
     for q in oc.states:
         assert len(q.value) <= cap
@@ -220,7 +243,7 @@ def test_constructed_count_is_multiset_count_below_formula():
     cfg = make_cfg(n_f=1, u=1, delta_o=1, observables=("a", "b"))
     oc = build_observation_channel(cfg)
     kinds = 2 * (1 + 1)
-    cap = capacity_observation(1, 1, 1)
+    cap = 2  # n_f * u * (delta_o + 1)
     multisets = sum(comb(kinds + i - 1, i) for i in range(cap + 1))
     assert len(oc.states) == multisets
     assert multisets <= enumerate_channel_states(2, 1, cap)

@@ -207,7 +207,8 @@ def test_exec_delay_exactly_on_controllables():
                      delta_o=0, delta_c=0, delta_s=0, rates=RateBounds(1, 1, 1))
 
 
-@pytest.mark.parametrize("name", ["tick", "stop", "x#", "x_in", "x_out", "", "a:1"])
+@pytest.mark.parametrize("name", ["tick", "stop", "x#", "x_in", "x_out", "", "a:1",
+                                  "[a", "a b", "a\tb", "a\nb", "a\x1cb"])
 def test_reserved_names_rejected(name):
     with pytest.raises(ConfigError, match="collides with event spelling rules"):
         SystemConfig(events=(EventSpec(name, True, True, True, True, 0),),
@@ -224,14 +225,62 @@ def test_negative_bounds_rejected():
                      delta_o=-1, delta_c=0, delta_s=0, rates=RateBounds(1, 1, 1))
 
 
-def test_exec_delay_of_an_unknown_event_rejected():
-    cfg = SystemConfig(events=(EventSpec("a", True, True, True, True, 2),),
-                       commands={"v": frozenset({"a"})},
-                       delta_o=0, delta_c=0, delta_s=0, rates=RateBounds(1, 1, 1))
-    assert cfg.exec_delay("a") == 2
+def _one_event_config(event="a", command="v", damage=()):
+    return SystemConfig(events=(EventSpec(event, True, True, True, True, 0),),
+                        commands={command: frozenset({event})}, delta_o=0, delta_c=0,
+                        delta_s=0, rates=RateBounds(1, 1, 1), damage=frozenset(damage))
+
+
+@pytest.mark.parametrize("command", ["v=w", "=", "v="])
+def test_command_names_with_an_equals_sign_rejected(command):
     with pytest.raises(ConfigError) as err:
-        cfg.exec_delay("zz")
-    assert str(err.value) == "unknown event zz"
+        _one_event_config(command=command)
+    assert str(err.value) == f"command name {command!r} contains '='"
+
+
+@pytest.mark.parametrize("name", ["7 8", "\t", "#x", "x#", ""])
+def test_damage_names_that_are_not_one_token_rejected(name):
+    with pytest.raises(ConfigError) as err:
+        _one_event_config(damage=("5", name))
+    assert str(err.value) == (f"damage state name {name!r} is empty or holds "
+                              f"whitespace or '#'")
+
+
+def test_event_names_with_an_equals_sign_load():
+    cfg = _one_event_config(event="a=b", damage=("[x", "=", "te=1"))
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+# the separators of the config format, the role suffixes and reserved names
+NAME_PARTS = list(" \t#[]=:") + ["_in", "_out", "tick", "stop"]
+
+
+def _random_name(rng: random.Random) -> str:
+    """Up to three parts, each a letter twice as often as anything else."""
+    return "".join(rng.choice("abcdefghijklmnopqrstuvwxy") if rng.random() < 2 / 3
+                   else rng.choice(NAME_PARTS) for _ in range(rng.randrange(4)))
+
+
+def test_every_config_accepted_round_trips():
+    """A config built from any names either is rejected or reads back from
+    its text as itself."""
+    rng = random.Random(30)
+    accepted = rejected = 0
+    for _ in range(3000):
+        events = list(dict.fromkeys(_random_name(rng) for _ in range(rng.randint(1, 3))))
+        specs = tuple(EventSpec(name, True, True, True, True, 0) for name in events)
+        commands = {_random_name(rng): frozenset(rng.sample(events, rng.randint(1, len(events))))
+                    for _ in range(rng.randint(1, 2))}
+        damage = frozenset(_random_name(rng) for _ in range(rng.randrange(3)))
+        try:
+            cfg = SystemConfig(events=specs, commands=commands, delta_o=0, delta_c=0,
+                               delta_s=0, rates=RateBounds(1, 1, 1), damage=damage)
+        except ConfigError:
+            rejected += 1
+            continue
+        accepted += 1
+        assert parse_config(serialize_config(cfg)) == cfg, serialize_config(cfg)
+    assert accepted > 100 and rejected > 100
 
 
 # case -> (the config text, message, line or None when the whole config is

@@ -3,18 +3,20 @@ import dataclasses
 import pytest
 
 import netdes.events as ev
+import netdes.fixtures
+import netdes.plant
 from netdes.automaton import compose, state_name, subset_construction
 from netdes.cli import _write_components
 from netdes.config import serialize_config
 from netdes.events import sorted_events
-from netdes.fixtures import load_system
+from netdes.fixtures import build_system, load_system
 from netdes.supervision import validate_networked_supervisor
 from netdes.synthesis import (SynthesisMode, build_problem, check_attack,
                               synthesize_supremal_attack)
 from oracles import (assert_same_automaton, explicit_attack_free_relabel,
                      same_closed_language, step)
 from systems import (RUNG_CONFIGS, guideway_spec, reduced_spec, rung_system,
-                     shipped_config, shipped_paths)
+                     shipped_config, shipped_paths, shipped_system)
 
 
 def test_guideway_grid_numbering(guideway):
@@ -123,3 +125,19 @@ def test_component_rows_are_in_label_and_state_name_order(stem, params):
                 several += len(dsts) > 1
     # every system has channel exits over several resident delays
     assert several
+
+
+def test_build_system_builds_one_store_and_one_stage(monkeypatch):
+    """G_new is composed over the CS and CE that the system holds; nothing
+    builds a second pair to compare with."""
+    system = shipped_system("reduced")
+    calls = []
+    for name in ("build_command_storage", "build_command_execution"):
+        def counted(cfg, name=name, real=getattr(netdes.plant, name)):
+            calls.append(name)
+            return real(cfg)
+        for module in (netdes.fixtures, netdes.plant):
+            monkeypatch.setattr(module, name, counted)
+    built = build_system(system.cfg, system.plant, system.ns)
+    assert sorted(calls) == ["build_command_execution", "build_command_storage"]
+    assert built.g_new.initial[:2] == (built.cs.initial, built.ce.initial)
