@@ -63,6 +63,20 @@ def test_capacity_table_is_the_closed_forms_on_random_parameters():
         assert capacities(cfg) == closed_forms(cfg), cfg
 
 
+@pytest.mark.parametrize("args,expect", [
+    ((1, 1, 1), 2), ((1, 1, 0), 1), ((2, 3, 4), 30)])
+def test_capacity_observation(args, expect):
+    n_f, u, delta_o = args
+    assert capacities(make_cfg(n_f=n_f, u=u, delta_o=delta_o))[0][0] == expect
+
+
+@pytest.mark.parametrize("args,expect", [
+    ((1, 1, 1, 1, 0), 3), ((1, 1, 1, 0, 0), 2), ((2, 1, 2, 1, 1), 16)])
+def test_capacity_control(args, expect):
+    n_f, u, v, delta_o, delta_c = args
+    cfg = make_cfg(n_f=n_f, u=u, v=v, delta_o=delta_o, delta_c=delta_c)
+    assert capacities(cfg)[1][0] == expect
+
 
 @pytest.mark.parametrize("args,expect", [
     ((4, 1, 2), 73), ((3, 0, 3), 40)])

@@ -7,6 +7,7 @@ import pytest
 
 import netdes.events as ev
 from netdes.automaton import Automaton, AutomatonError, compose, number, state_name
+from netdes.channels import capacities
 from netdes.config import EventSpec, RateBounds, SystemConfig, load_config
 from netdes.plant import (EMPTY_QUEUE, IDLE, ExecState, StorageState,
                           _check_plant, build_command_execution, build_command_storage,
@@ -29,6 +30,15 @@ def make_cfg(delta_s=0, te=None, commands=None, events=None, damage=()):
     return SystemConfig(events=tuple(events), commands=commands,
                         delta_o=1, delta_c=0, delta_s=delta_s,
                         rates=RateBounds(1, 1, 1), damage=frozenset(damage))
+
+
+@pytest.mark.parametrize("args,expect", [
+    ((1, 1, 1, 1, 0, 0), 3), ((1, 2, 1, 1, 1, 1), 11), ((0, 0, 0, 2, 2, 2), 0)])
+def test_capacity_storage(args, expect):
+    n_f, u, v, delta_o, delta_c, delta_s = args
+    cfg = dataclasses.replace(make_cfg(delta_s=delta_s), delta_o=delta_o,
+                              delta_c=delta_c, rates=RateBounds(n_f, u, v))
+    assert capacities(cfg)[2][0] == expect
 
 
 # -- interned store and stage states ---------------------------------------------
