@@ -39,11 +39,9 @@ class ControlConstraint:
 
 
 def attack_control_constraint(cfg: SystemConfig) -> ControlConstraint:
-    sa = set(cfg.sigma_sa)
-    controllable = {ev.compromised(n) for n in cfg.sigma_sa} | {ev.stop}
+    controllable = {cfg.sent(n) for n in cfg.sigma_sa} | {ev.stop}
     observable = {ev.plant(n) for n in cfg.sigma_oa}
-    observable |= {ev.entry(n) for n in cfg.sigma_oa if n not in sa}
-    observable |= {ev.compromised(n) for n in cfg.sigma_sa}
+    observable |= {cfg.sent(n) for n in cfg.sigma_oa}
     observable |= {ev.tick, ev.stop}
     return ControlConstraint(frozenset(controllable), frozenset(observable), "sa")
 
@@ -82,7 +80,7 @@ def build_attack_constraints(cfg: SystemConfig) -> Automaton:
     # cases 2-3: observable to the supervisor only; forwarded untouched
     for n in unobs_to_attacker:
         t.append((AC_INIT, ev.plant(n), f"quo_{n}"))
-        t.append((f"quo_{n}", ev.entry(n), AC_INIT))
+        t.append((f"quo_{n}", cfg.sent(n), AC_INIT))
     # case 4: a compromised observation opens an attack round
     for n in sorted(sa):
         t.append((AC_INIT, ev.plant(n), "q0"))
@@ -90,14 +88,14 @@ def build_attack_constraints(cfg: SystemConfig) -> Automaton:
     # is one unit of the output string, so the counter continues at 1
     for n in obs_only:
         t.append((AC_INIT, ev.plant(n), f"qobs_{n}"))
-        t.append((f"qobs_{n}", ev.entry(n), "q1"))
+        t.append((f"qobs_{n}", cfg.sent(n), "q1"))
     # case 7: the attacker may end the round at any counter value
     for i in range(u + 1):
         t.append((f"q{i}", ev.stop, AC_INIT))
     # case 8: insertions up to the budget
     for i in range(u):
         for n in sorted(sa):
-            t.append((f"q{i}", ev.compromised(n), f"q{i + 1}"))
+            t.append((f"q{i}", cfg.sent(n), f"q{i + 1}"))
     return Automaton(states, alphabet, t, AC_INIT, name="AC")
 
 

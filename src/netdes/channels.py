@@ -179,18 +179,12 @@ def _build_channel(messages: List[str], delta: int, capacity: int,
 def build_observation_channel(cfg: SystemConfig) -> Automaton:
     """Channel between the attack point and the supervisor.
 
-    Uncompromised observables enter as plant sends (``x_in``); compromised
-    ones enter only as attacker sends (``x#``); each exit yields one
-    successor per distinct resident delay of that message.
+    Each observable enters under ``cfg.sent``: as a plant send (``x_in``),
+    or only as an attacker send (``x#``) when compromised; each exit yields
+    one successor per distinct resident delay of that message.
     """
     (capacity, _count), _cc, _cs = capacities(cfg)
-    sa = set(cfg.sigma_sa)
-
-    def in_label(m: str):
-        return ev.compromised(m) if m in sa else ev.entry(m)
-
-    return _build_channel(cfg.sigma_o, cfg.delta_o, capacity,
-                          in_label, ev.exit_, "OC")
+    return _build_channel(cfg.sigma_o, cfg.delta_o, capacity, cfg.sent, ev.exit_, "OC")
 
 
 def build_control_channel(cfg: SystemConfig) -> Automaton:

@@ -48,7 +48,7 @@ EXIT_DETECTED = 4
 def cmd_capacity(args) -> int:
     (c_oc, n_oc), (c_cc, n_cc), (c_cs, n_cs) = capacities(load_config(args.config))
     print(f"C_oc={c_oc} C_cc={c_cc} C_cs={c_cs}")
-    print(f"states_oc={n_oc} states_cc={n_cc} states_cs<={n_cs}")
+    print(f"states_oc<={n_oc} states_cc<={n_cc} states_cs<={n_cs}")
     return EXIT_OK
 
 

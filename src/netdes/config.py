@@ -145,12 +145,16 @@ class SystemConfig:
     def plant_labels(self) -> List[EventLabel]:
         return [ev.plant(n) for n in self.sigma]
 
+    def sent(self, name: str) -> EventLabel:
+        """The label under which a reading of observable event ``name``
+        enters the observation channel: ``x#``, sent by the attacker, when
+        ``name`` is compromised, else ``x_in``, forwarded as read."""
+        return ev.compromised(name) if name in self.sigma_sa else ev.entry(name)
+
     def full_alphabet(self) -> List[EventLabel]:
         """The common alphabet of AC, NS and the composed plant."""
-        sa = set(self.sigma_sa)
         labels = [ev.plant(n) for n in self.sigma]
-        labels += [ev.entry(n) for n in self.sigma_o if n not in sa]
-        labels += [ev.compromised(n) for n in self.sigma_sa]
+        labels += [self.sent(n) for n in self.sigma_o]
         labels += [ev.exit_(n) for n in self.sigma_o]
         labels += [ev.command_entry(g) for g in self.gamma]
         labels += [ev.command_exit(g) for g in self.gamma]

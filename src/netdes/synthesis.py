@@ -17,13 +17,17 @@ by an iterated pruning:
 
 Synthesis is on the fly (Tripakis & Altisen, FM 1999; Cassez et al.,
 CONCUR 2005): P is a lazy product whose marked states are the damage
-targets, and "bad" is a predicate on its states. The rows of P's
-``subset_construction`` are explored from the initial estimate; an
-estimate that holds a covertness-violating state is dead whatever follows
-it (rule 1), so its row is empty and what only it leads to is never built.
-Rules 1-2 are a worklist attractor (Graedel, Thomas & Wilke, LNCS 2500):
-each dead estimate is pushed once to its uncontrollable predecessors, in
-O(|E|). Rule 3 walks P with the live observer edges once into its reverse
+targets, and "bad" is a predicate on its states. P's observer
+(``subset_construction``) is walked once from the initial estimate into
+its reverse edges (``predecessors``); an estimate that holds a
+covertness-violating state is dead whatever follows it (rule 1), so its
+row in the walk is empty and what only it leads to is never built. Rule
+1's seeds are the walked estimates that ``is_bad`` finds dead, never the
+rows the observer has not computed: whoever reads the observer's
+``states`` computes them all. Rules 1-2 are a worklist attractor (Graedel,
+Thomas & Wilke, LNCS 2500) over that one reverse-edge map: each dead
+estimate is pushed once to its uncontrollable predecessors, in O(|E|).
+Rule 3 walks P with the live observer edges once into its reverse
 edges; a round is one backward closure from the damage pairs and one scan
 of the surviving edges that leave it. No forward search is needed: a pair
 (p, x) is reachable when x is, and an estimate no longer reached has only
@@ -48,13 +52,11 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
-                    Optional, Set, Tuple)
+from typing import Callable, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
 from .automaton import (Automaton, AutomatonError, Row, State, close_under,
-                        explore, lazy_automaton, predecessors, product,
-                        subset_construction)
+                        lazy_automaton, predecessors, product, subset_construction)
 from .channels import capacities
 from .events import EventLabel, sorted_events
 from .fixtures import BuiltSystem
@@ -129,7 +131,12 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
     since an unobserved event keeps the plant inside the estimate and no
     state of the estimate takes a missing observed one.
 
-    Only the plant rows that live estimates reach are read. The nonblocking
+    Only the plant rows that live estimates reach are read. Rules 1-2 read
+    the observer's reverse edges (``predecessors``), seeded where
+    ``is_bad`` holds of a state of a walked estimate: which rows the
+    observer has computed says nothing, since a reader of its ``states``
+    computes them all. The live view, the nonblocking rounds and the
+    result's rows read the observer's own kept rows. The nonblocking
     rounds need no forward search: a pair is reachable exactly when its
     estimate is, so a cut at an estimate no longer reached changes nothing.
     """
@@ -139,19 +146,20 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
     def doomed(x: FrozenSet) -> bool:
         return any(map(is_bad, x))
 
-    # the attacker's observer, explored into its rows; a stopped estimate
-    # (one with a bad state) has an empty row, so what only it leads to is
-    # never built
+    # the attacker's observer, walked once into its reverse edges; a doomed
+    # estimate (one with a bad state) has an empty row in the walk, so what
+    # only it leads to is never built
     observer = subset_construction(plant, problem.constraint.observable & plant.alphabet)
     init, rows = observer.initial, observer._delta
     if init is None:
         return None
-    graph = dict(explore(init, lambda x: {} if doomed(x) else rows[x]))
-    preds: Dict[FrozenSet, List[FrozenSet]] = {x: [] for x in graph}
-    for x, out in graph.items():
-        for e, (y,) in out.items():
-            if e not in controllable:
-                preds[y].append(x)
+    back = predecessors(lazy_automaton(init, observer.alphabet,
+                                       lambda x: {} if doomed(x) else rows[x]))
+
+    def uncontrollable_into(y: FrozenSet) -> List[FrozenSet]:
+        edges = back[y]
+        return [x for x, e in zip(edges[::2], edges[1::2]) if e not in controllable]
+
     dead: Set[FrozenSet] = set()
     disabled: Set[Tuple[FrozenSet, EventLabel]] = set()
 
@@ -159,14 +167,13 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
         # whether an observer edge survives
         return x not in dead and y not in dead and (x, e) not in disabled
 
-    # rule 1 kills the stopped estimates (a live estimate may have an empty
-    # row too)
-    close_under(dead, (x for x, out in graph.items() if not out and doomed(x)),
-                preds.__getitem__)
+    # rules 1-2, seeded from ``is_bad`` over the walked estimates
+    close_under(dead, filter(doomed, back), uncontrollable_into)
     if require_nonblocking and init not in dead:
-        # P with the live observer edges, walked once into its reverse edges
+        # P with the live observer edges, walked once into its reverse edges;
+        # a live estimate is not doomed, so the walk above kept its row
         live = lazy_automaton(init, observer.alphabet, lambda x: {
-            e: ys for e, ys in graph[x].items() if ys[0] not in dead})
+            e: ys for e, ys in rows[x].items() if ys[0] not in dead})
         into = predecessors(product([plant, live]))
         targets = [pair for pair in into if plant.is_marked(pair[0])]
 
@@ -187,7 +194,7 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
                 break
             disabled.update(cut for cut in cuts if cut[1] in controllable)
             close_under(dead, (x for x, e in cuts if e not in controllable),
-                        preds.__getitem__)
+                        uncontrollable_into)
     if init in dead:
         return None
 
@@ -195,7 +202,7 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
 
     def row(x: FrozenSet) -> Row:
         # a live estimate's uncontrollable successors are live (rule 2)
-        succ, loop = graph[x], (x,)
+        succ, loop = rows[x], (x,)
         return {e: succ.get(e, loop) for e in events
                 if e not in controllable or (e in succ and keeps(x, e, succ[e][0]))}
 

@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+import netdes.events as ev
+from netdes.attacker import attack_control_constraint
+from netdes.channels import build_observation_channel
 from netdes.cli import main
 from netdes.config import (ConfigError, EventSpec, RateBounds, SystemConfig,
                            parse_config, serialize_config)
@@ -111,6 +114,31 @@ def test_serialize_round_trip_on_random_configs():
         seen.update((e.controllable, e.observable, e.attacker_observable, e.compromised)
                     for e in cfg.events)
     assert seen == set(FLAG_COMBINATIONS)
+
+
+def test_one_rule_gives_each_reading_its_channel_label():
+    rng = random.Random(31)
+    for _ in range(300):
+        cfg = _random_config(rng)
+        for n in cfg.sigma_o:
+            assert (cfg.sent(n) == ev.compromised(n)) == (n in cfg.sigma_sa)
+            assert cfg.sent(n) in (ev.compromised(n), ev.entry(n))
+        entering = {ev.IN, ev.COMPROMISED}
+        oc = build_observation_channel(cfg)
+        assert {e for e in oc.alphabet if e.role in entering} == \
+            {cfg.sent(n) for n in cfg.sigma_o}
+        seen = attack_control_constraint(cfg).observable
+        assert {e for e in seen if e.role in entering} == {cfg.sent(n) for n in cfg.sigma_oa}
+        sa = set(cfg.sigma_sa)
+        formula = ([ev.plant(n) for n in cfg.sigma]
+                   + [ev.entry(n) for n in cfg.sigma_o if n not in sa]
+                   + [ev.compromised(n) for n in cfg.sigma_sa]
+                   + [ev.exit_(n) for n in cfg.sigma_o]
+                   + [ev.command_entry(g) for g in cfg.gamma]
+                   + [ev.command_exit(g) for g in cfg.gamma]
+                   + [ev.command(g) for g in cfg.gamma] + [ev.tick, ev.stop])
+        assert set(cfg.full_alphabet()) == set(formula)
+        assert len(cfg.full_alphabet()) == len(formula)
 
 
 def test_blank_lines_comments_and_lone_headers_parse_as_the_compact_form():

@@ -422,6 +422,24 @@ def test_guideway_u2_attack_reads_under_a_quarter_of_p(guideway):
     assert _attack_texts(prob) == lazy
 
 
+def test_attack_is_the_same_when_the_observer_is_explored_first(guideway, reduced,
+                                                               monkeypatch):
+    # whoever reads the observer's states (the benchmark's tracer does, as
+    # soon as subset_construction returns) computes every row, a doomed
+    # estimate's too, so rule 1 cannot find its seeds by missing rows
+    systems = (guideway, reduced, _attacker_wide(guideway))
+    plain = [_attack_texts(build_problem(s)) for s in systems]
+
+    def explored(a, observed):
+        observer = subset_construction(a, observed)
+        observer.states
+        return observer
+
+    monkeypatch.setattr("netdes.synthesis.subset_construction", explored)
+    assert [_attack_texts(build_problem(s)) for s in systems] == plain
+    assert None not in plain[0]
+
+
 def test_plant_rows_kept_by_synthesis_share_one_tuple_per_target():
     # synthesis keeps P's rows through partial lookups: the 361 edges with
     # one successor hold one tuple object per target state
