@@ -6,14 +6,15 @@ Text format (line-oriented; continuation lines extend the current section)::
     [events]     a1 c o ao comp te=0
                  a2 uc uo - - -
     [commands]   v1 = a1
-    [damage]     5 10
 
 Event columns: name, one column per entry of ``FLAGS``, te=N or -. ``FLAGS``
 and ``DELAYS`` + ``RATES`` are declared once for the reader and the writer.
+The damage states are not configured here: they are the plant's marked
+states, the ``.marked`` line of its file.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional
 
 from . import events as ev
@@ -65,7 +66,6 @@ class SystemConfig:
     delta_c: int
     delta_s: int
     rates: RateBounds
-    damage: FrozenSet[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         names = [e.name for e in self.events]
@@ -105,10 +105,6 @@ class SystemConfig:
         if set(self.commands) & set(names):
             clash = sorted(set(self.commands) & set(names))[0]
             raise ConfigError(f"name {clash} used for both an event and a command")
-        for name in sorted(self.damage):  # one token of the [damage] line each
-            if not name or "#" in name or any(map(str.isspace, name)):
-                raise ConfigError(f"damage state name {name!r} is empty or holds "
-                                  f"whitespace or '#'")
 
     # -- alphabet views --------------------------------------------------
 
@@ -174,7 +170,6 @@ def parse_config(text: str) -> SystemConfig:
     params: Dict[str, int] = {}
     specs: List[EventSpec] = []
     commands: Dict[str, FrozenSet[str]] = {}
-    damage: List[str] = []
     section: Optional[str] = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -185,7 +180,7 @@ def parse_config(text: str) -> SystemConfig:
         if toks[0].startswith("["):
             section = toks[0].strip("[]").lower()
             toks = toks[1:]
-            if section not in ("parameters", "events", "commands", "damage"):
+            if section not in ("parameters", "events", "commands"):
                 raise ConfigError(f"unknown section [{section}]", lineno)
         if section is None:
             raise ConfigError("content before any section header", lineno)
@@ -224,8 +219,6 @@ def parse_config(text: str) -> SystemConfig:
             if name in commands:
                 raise ConfigError(f"duplicate command {name}", lineno)
             commands[name] = frozenset(members)
-        elif section == "damage":
-            damage.extend(toks)
 
     missing = [k for k in PARAMETERS if k not in params]
     if missing:
@@ -233,7 +226,7 @@ def parse_config(text: str) -> SystemConfig:
     return SystemConfig(
         events=tuple(specs), commands=commands,
         rates=RateBounds(**{k: params[k] for k in RATES}),
-        damage=frozenset(damage), **{k: params[k] for k in DELAYS})
+        **{k: params[k] for k in DELAYS})
 
 
 def load_config(path: str) -> SystemConfig:
@@ -253,6 +246,4 @@ def serialize_config(cfg: SystemConfig) -> str:
     for k, name in enumerate(sorted(cfg.commands)):
         head = "[commands]  " if k == 0 else "            "
         lines.append(f"{head} {name} = " + " ".join(sorted(cfg.commands[name])))
-    if cfg.damage:
-        lines.append("[damage]     " + " ".join(sorted(cfg.damage)))
     return "\n".join(lines) + "\n"

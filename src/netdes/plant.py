@@ -21,6 +21,9 @@ computed on its first lookup, so the new plant and the monitor, composed
 over G_new, build only the part of it they reach.
 Reading ``states``, as the writer of ``cs.aut`` does, explores all of it;
 ``automaton.number``, which writes ``g_new.aut``, keeps none of it.
+
+The plant proper is user input, read by ``load_plant``: its marked states
+are the damage states.
 """
 from __future__ import annotations
 
@@ -142,6 +145,9 @@ def build_command_execution(cfg: SystemConfig) -> Automaton:
 # -- plant loading ---------------------------------------------------------
 
 def load_plant(path: str, cfg: SystemConfig) -> Automaton:
+    """The plant file at ``path`` over the config's whole plant alphabet.
+    The states its ``.marked`` line names are the damage states, the one
+    place they are declared."""
     return _check_plant(load_automaton(path, name="G"), cfg)
 
 
@@ -151,15 +157,16 @@ def _check_plant(g: Automaton, cfg: SystemConfig) -> Automaton:
     if extra:
         raise AutomatonError(
             f"plant event {sorted(extra)[0].spell()} is not declared in the config")
-    missing_damage = cfg.damage - set(map(state_name, g.states))
-    if missing_damage:
-        raise AutomatonError(
-            f"damage state {sorted(missing_damage)[0]} does not exist in the plant")
-    # the loaded states and rows stay; only the alphabet and marking change
+    # the reader declares every name a ``.marked`` line gives, so a typo there
+    # is a marked state that is neither initial nor on a transition
+    linked = {g.initial, *(p for row in g._delta.values() for ps in row.values() for p in ps)}
+    stray = sorted(state_name(q) for q in g.marked if q not in linked and not g._delta[q])
+    if stray:
+        raise AutomatonError(f"damage state {stray[0]} is neither the "
+                             f"plant's initial state nor on any of its transitions")
+    # the loaded states, rows and marking stay; only the alphabet widens
     plant = copy.copy(g)
     plant.name, plant.alphabet = "G", frozenset(sigma)
-    plant.marked = frozenset(q for q in g.states if state_name(q) in cfg.damage)
-    plant.is_marked = plant.marked.__contains__
     return plant
 
 

@@ -143,18 +143,22 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
     plant, is_bad = problem.plant, problem.is_bad
     controllable = problem.constraint.controllable & plant.alphabet
 
-    def doomed(x: FrozenSet) -> bool:
-        return any(map(is_bad, x))
-
     # the attacker's observer, walked once into its reverse edges; a doomed
-    # estimate (one with a bad state) has an empty row in the walk, so what
-    # only it leads to is never built
+    # estimate (one with a bad state) is listed and has an empty row in the
+    # walk, so what only it leads to is never built
     observer = subset_construction(plant, problem.constraint.observable & plant.alphabet)
     init, rows = observer.initial, observer._delta
     if init is None:
         return None
-    back = predecessors(lazy_automaton(init, observer.alphabet,
-                                       lambda x: {} if doomed(x) else rows[x]))
+    doomed: List[FrozenSet] = []
+
+    def walked(x: FrozenSet) -> Row:
+        if any(map(is_bad, x)):
+            doomed.append(x)
+            return {}
+        return rows[x]
+
+    back = predecessors(lazy_automaton(init, observer.alphabet, walked))
 
     def uncontrollable_into(y: FrozenSet) -> List[FrozenSet]:
         edges = back[y]
@@ -168,7 +172,7 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
         return x not in dead and y not in dead and (x, e) not in disabled
 
     # rules 1-2, seeded from ``is_bad`` over the walked estimates
-    close_under(dead, filter(doomed, back), uncontrollable_into)
+    close_under(dead, doomed, uncontrollable_into)
     if require_nonblocking and init not in dead:
         # P with the live observer edges, walked once into its reverse edges;
         # a live estimate is not doomed, so the walk above kept its row

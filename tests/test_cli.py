@@ -163,16 +163,37 @@ def test_verify_rejects_invalid_attack(tmp_path, capsys):
     assert "sa-controllability" in capsys.readouterr().out
 
 
+def unmarked_red_plant(tmp_path):
+    """The reduced plant's file without its `.marked` line: no damage states."""
+    text = Path(RED["plant"]).read_text(encoding="utf-8")
+    path = tmp_path / "nodamage.aut"
+    path.write_text("".join(l for l in text.splitlines(keepends=True)
+                            if not l.startswith(".marked")))
+    return str(path)
+
+
 def test_no_attack_exit_status(tmp_path, capsys):
     # no damage states: nothing to reach, distinguished exit status
-    cfg_text = Path(RED["config"]).read_text(encoding="utf-8")
-    lines = [l for l in cfg_text.splitlines() if not l.startswith("[damage]")]
-    cfg_path = tmp_path / "nodamage.cfg"
-    cfg_path.write_text("\n".join(lines) + "\n")
-    rc = main(["synthesize", "--config", str(cfg_path), "--plant", RED["plant"],
+    rc = main(["synthesize", "--config", RED["config"], "--plant", unmarked_red_plant(tmp_path),
                "--ns", RED["ns"], "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "no covert attack exists" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", ["build", "synthesize"])
+def test_misspelled_damage_state_exit_status(cmd, tmp_path, capsys):
+    # the reader declares every `.marked` name, so a typo is a state on no
+    # transition; the plant's check rejects it by name
+    text = Path(RED["plant"]).read_text(encoding="utf-8")
+    assert ".marked 7 8\n" in text
+    plant = tmp_path / "typo.aut"
+    plant.write_text(text.replace(".marked 7 8\n", ".marked 7 88\n"))
+    rc = main([cmd, "--config", RED["config"], "--plant", str(plant),
+               "--ns", RED["ns"], "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "validation error: damage state 88 is neither the plant's initial state "
+        "nor on any of its transitions\n")
 
 
 def test_no_attack_removes_the_attack_an_earlier_run_wrote(tmp_path, capsys):
@@ -181,11 +202,7 @@ def test_no_attack_removes_the_attack_an_earlier_run_wrote(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(red_args("synthesize", out)) == 0
     assert (out / "attack.aut").exists()
-    cfg_text = Path(RED["config"]).read_text(encoding="utf-8")
-    cfg_path = tmp_path / "nodamage.cfg"
-    cfg_path.write_text("\n".join(l for l in cfg_text.splitlines()
-                                  if not l.startswith("[damage]")) + "\n")
-    rc = main(["synthesize", "--config", str(cfg_path), "--plant", RED["plant"],
+    rc = main(["synthesize", "--config", RED["config"], "--plant", unmarked_red_plant(tmp_path),
                "--ns", RED["ns"], "--out", str(out)])
     assert rc == 3
     assert "no covert attack exists" in (out / "certificate.txt").read_text()
@@ -195,13 +212,9 @@ def test_no_attack_removes_the_attack_an_earlier_run_wrote(tmp_path, capsys):
 @pytest.mark.parametrize("empty", ["plant", "ns"])
 @pytest.mark.parametrize("cmd", ["synthesize", "verify"])
 def test_empty_plant_or_supervisor_exit_status(cmd, empty, tmp_path, capsys):
-    # a file that declares an alphabet but no state; the config has no damage
-    # states, so an empty plant passes the plant's own checks
-    cfg_text = Path(RED["config"]).read_text(encoding="utf-8")
-    cfg_path = tmp_path / "nodamage.cfg"
-    cfg_path.write_text("\n".join(l for l in cfg_text.splitlines()
-                                  if not l.startswith("[damage]")) + "\n")
-    files = dict(RED, config=str(cfg_path))
+    # a file that declares an alphabet but no state; the plant marks no
+    # damage state, so an empty one passes the plant's own checks
+    files = dict(RED, plant=unmarked_red_plant(tmp_path))
     source = load_automaton(RED[empty])
     files[empty] = str(tmp_path / "empty.aut")
     save_automaton(Automaton([], source.alphabet, [], None, name=source.name),
@@ -287,8 +300,7 @@ def test_config_without_observable_events(tmp_path, capsys):
                    "         a2 c uo - - te=0\n"
                    "         a3 uc uo - - -\n"
                    "[commands] w1 = a1\n"
-                   "           w2 = a2\n"
-                   "[damage] 7 8\n")
+                   "           w2 = a2\n")
     full = load_config(str(cfg)).full_alphabet()
     ns = Automaton(["n"], full, [("n", e, "n") for e in full
                                  if e.role != ev.COMMAND_IN], "n", ["n"], "NS")

@@ -17,7 +17,6 @@ SAMPLE = """\
 [events]     a1 c o ao comp te=0
              a2 uc uo - - -
 [commands]   v1 = a1
-[damage]     5 10
 """
 
 
@@ -29,7 +28,6 @@ def test_parse_sample():
     assert cfg.sigma_uc == ["a2"]
     assert cfg.sigma_o == ["a1"] and cfg.sigma_oa == ["a1"] and cfg.sigma_sa == ["a1"]
     assert cfg.commands == {"v1": frozenset({"a1"})}
-    assert cfg.damage == frozenset({"5", "10"})
 
 
 def test_serialize_round_trip():
@@ -49,7 +47,6 @@ GUIDEWAY_BODY = """\
 [commands]   v1 = a1 a2
              v2 = b1 b2
              v3 = a1 b1
-[damage]     10 5
 """
 REDUCED_BODY = """\
 [events]     a1 c o ao comp te=0
@@ -58,7 +55,6 @@ REDUCED_BODY = """\
 [commands]   w1 = a1
              w2 = a2
              w3 = a1 a2
-[damage]     7 8
 """
 
 
@@ -95,12 +91,10 @@ def _random_config(rng: random.Random) -> SystemConfig:
     controllable = [spec.name for spec in specs if spec.controllable]
     commands = {f"v{k}": frozenset(rng.sample(controllable, rng.randint(1, len(controllable))))
                 for k in range(rng.randint(1, 4))}
-    damage = frozenset(rng.sample(["0", "5", "10", "s_in", "q1"], rng.randint(0, 3)))
     return SystemConfig(events=tuple(specs), commands=commands,
                         delta_o=rng.randrange(3), delta_c=rng.randrange(3),
                         delta_s=rng.randrange(3),
-                        rates=RateBounds(rng.randrange(3), rng.randrange(4), rng.randrange(3)),
-                        damage=damage)
+                        rates=RateBounds(rng.randrange(3), rng.randrange(4), rng.randrange(3)))
 
 
 def test_serialize_round_trip_on_random_configs():
@@ -155,9 +149,6 @@ def test_blank_lines_comments_and_lone_headers_parse_as_the_compact_form():
   a2 uc uo - - -
 [commands]
   v1 = a1
-[damage]
-  5
-  10
 """
     cfg = parse_config(spread)
     assert cfg == parse_config(SAMPLE)
@@ -253,10 +244,10 @@ def test_negative_bounds_rejected():
                      delta_o=-1, delta_c=0, delta_s=0, rates=RateBounds(1, 1, 1))
 
 
-def _one_event_config(event="a", command="v", damage=()):
+def _one_event_config(event="a", command="v"):
     return SystemConfig(events=(EventSpec(event, True, True, True, True, 0),),
                         commands={command: frozenset({event})}, delta_o=0, delta_c=0,
-                        delta_s=0, rates=RateBounds(1, 1, 1), damage=frozenset(damage))
+                        delta_s=0, rates=RateBounds(1, 1, 1))
 
 
 @pytest.mark.parametrize("command", ["v=w", "=", "v="])
@@ -266,16 +257,8 @@ def test_command_names_with_an_equals_sign_rejected(command):
     assert str(err.value) == f"command name {command!r} contains '='"
 
 
-@pytest.mark.parametrize("name", ["7 8", "\t", "#x", "x#", ""])
-def test_damage_names_that_are_not_one_token_rejected(name):
-    with pytest.raises(ConfigError) as err:
-        _one_event_config(damage=("5", name))
-    assert str(err.value) == (f"damage state name {name!r} is empty or holds "
-                              f"whitespace or '#'")
-
-
 def test_event_names_with_an_equals_sign_load():
-    cfg = _one_event_config(event="a=b", damage=("[x", "=", "te=1"))
+    cfg = _one_event_config(event="a=b")
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -299,10 +282,9 @@ def test_every_config_accepted_round_trips():
         specs = tuple(EventSpec(name, True, True, True, True, 0) for name in events)
         commands = {_random_name(rng): frozenset(rng.sample(events, rng.randint(1, len(events))))
                     for _ in range(rng.randint(1, 2))}
-        damage = frozenset(_random_name(rng) for _ in range(rng.randrange(3)))
         try:
             cfg = SystemConfig(events=specs, commands=commands, delta_o=0, delta_c=0,
-                               delta_s=0, rates=RateBounds(1, 1, 1), damage=damage)
+                               delta_s=0, rates=RateBounds(1, 1, 1))
         except ConfigError:
             rejected += 1
             continue
@@ -324,7 +306,9 @@ CONFIG_ERRORS = {
                        "command v1 references unknown event zz", None),
     "event-and-command": (SAMPLE + "[commands] a1 = a1\n",
                           "name a1 used for both an event and a command", None),
-    "unknown-section": (SAMPLE + "[bogus] x\n", "unknown section [bogus]", 6),
+    "unknown-section": (SAMPLE + "[bogus] x\n", "unknown section [bogus]", 5),
+    # damage states are the plant's marked states; the config names none
+    "damage-section": (SAMPLE + "[damage] 5 10\n", "unknown section [damage]", 5),
     "before-sections": ("a1 c o ao comp te=0\n" + SAMPLE,
                         "content before any section header", 1),
     "malformed-parameter": (SAMPLE.replace("delta_o=1", "delta_o"),
@@ -336,7 +320,7 @@ CONFIG_ERRORS = {
     "te-column": (SAMPLE.replace("te=0", "0"), "bad te column '0'", 2),
     "event-line": (SAMPLE.replace("a2 uc uo - - -", "a2 uc uo -"),
                    "event line needs: name c|uc o|uo ao|- comp|- te=N|-", 3),
-    "duplicate-command": (SAMPLE + "[commands] v1 = a1\n", "duplicate command v1", 6),
+    "duplicate-command": (SAMPLE + "[commands] v1 = a1\n", "duplicate command v1", 5),
     # `:` precedes the role in an `.alphabet`, so no `.aut` file could
     # declare this event
     "role-colon-in-name": (SAMPLE.replace("a1", "a:1"),

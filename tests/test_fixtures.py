@@ -42,7 +42,7 @@ def test_attack_free_loop_avoids_damage(reduced, guideway):
     for system in (reduced, guideway):
         loop = compose([system.ns, system.g_new, system.oc_t, system.cc])
         damaged = [q for q in loop.states
-                   if state_name(q[1][2]) in system.cfg.damage]
+                   if system.plant.is_marked(q[1][2])]
         assert not damaged
 
 

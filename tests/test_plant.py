@@ -23,13 +23,13 @@ from oracles import (accepts, assert_same_automaton, check_pruned_invariants,
 from systems import RUNG_CONFIGS, rung_system, shipped_paths
 
 
-def make_cfg(delta_s=0, te=None, commands=None, events=None, damage=()):
+def make_cfg(delta_s=0, te=None, commands=None, events=None):
     events = events or (EventSpec("s", True, True, True, True, te or 0),
                         EventSpec("u", False, False, False, False, None))
     commands = commands or {"g": frozenset({"s"})}
     return SystemConfig(events=tuple(events), commands=commands,
                         delta_o=1, delta_c=0, delta_s=delta_s,
-                        rates=RateBounds(1, 1, 1), damage=frozenset(damage))
+                        rates=RateBounds(1, 1, 1))
 
 
 @pytest.mark.parametrize("args,expect", [
@@ -461,9 +461,9 @@ def test_loaded_plant_keeps_the_rows_and_order_the_constructor_gives(stem):
     loaded = load_automaton(plant_path, name="G")
     before = (loaded.name, loaded.alphabet, loaded.marked)
     got = _check_plant(loaded, cfg)
-    marked = [q for q in loaded.states if state_name(q) in cfg.damage]
+    # the file's marking is the damage set
     want = Automaton(loaded.states, cfg.plant_labels(), loaded.transitions,
-                     loaded.initial, marked, name="G")
+                     loaded.initial, loaded.marked, name="G")
     assert got.states == want.states and got.initial == want.initial
     assert got.marked == want.marked and got.alphabet == want.alphabet
     assert got.name == "G" and got.marked
@@ -525,10 +525,22 @@ def test_plant_rejects_foreign_events():
                         ".trans q0 zz q0\n", cfg)
 
 
-def test_plant_rejects_missing_damage_state():
-    cfg = make_cfg(damage=("nowhere",))
-    with pytest.raises(AutomatonError):
-        plant_from_text(".automaton G\n.alphabet s:plain\n.initial q0\n", cfg)
+# q0 is initial, q1 only a target, q2 only a source
+PLANT_HEAD = ".automaton G\n.alphabet s:plain\n.initial q0\n.trans q0 s q1\n.trans q2 s q0\n"
+
+
+def test_plant_rejects_a_marked_state_on_no_transition():
+    # `.marked` declares the states it names: a typo is a state no run reaches
+    with pytest.raises(AutomatonError) as err:
+        plant_from_text(PLANT_HEAD + ".marked q1 nowhere\n", make_cfg())
+    assert str(err.value) == ("damage state nowhere is neither the plant's initial "
+                              "state nor on any of its transitions")
+
+
+@pytest.mark.parametrize("marked", ["q0", "q1", "q2", "q0 q1 q2"])
+def test_plant_keeps_marked_initial_and_transition_states(marked):
+    g = plant_from_text(PLANT_HEAD + f".marked {marked}\n", make_cfg())
+    assert sorted(g.marked) == marked.split()
 
 
 def test_compose_over_shipped_g_new_products_matches_their_materialization(

@@ -7,20 +7,22 @@ import pytest
 import netdes.events as ev
 from netdes.attacker import ControlConstraint, attack_control_constraint, validate_attack
 from netdes.automaton import (Automaton, AutomatonError, compose, number,
-                              lazy_automaton, state_name, subset_construction)
-from netdes.fixtures import build_system
+                              lazy_automaton, predecessors, state_name,
+                              subset_construction)
+from netdes.config import load_config
+from netdes.fixtures import build_system, load_system
 from netdes.supervision import MONITOR_EMPTY, supervisor_control_constraint
 from netdes.synthesis import (SynthesisMode, SynthesisProblem, build_problem,
                               check_attack, state_size_report,
                               supremal_supervisor, synthesize_supremal_attack, verify_covert,
                               verify_damage_nonblocking, verify_damage_reachable)
-from netdes.textio import serialize_automaton
+from netdes.textio import load_automaton, serialize_automaton
 from oracles import (accepts, apply_edit, bfs_distances, bfs_order,
                      bounded_traces, complete_with_selfloops, coreachable,
                      disabled_controllable_edits, empty_automaton, enabled,
                      lone_target_tuples, marked_copy, nested_loop_product, successors)
 from systems import (faithful_attacker, guideway_swap_attacker,
-                     reduced_swap_attacker, rung_system, swap_attacker)
+                     reduced_swap_attacker, rung_system, shipped_paths, swap_attacker)
 
 C_HASH = ev.compromised("c")
 U_EV = ev.plant("u")
@@ -47,22 +49,35 @@ def test_guideway_problem_sets(guideway_problem):
 
 
 def test_empty_damage_makes_every_detection_bad(reduced):
-    cfg = dataclasses.replace(reduced.cfg, damage=frozenset())
     plant = marked_copy(reduced.plant, ())
-    system = build_system(cfg, plant, reduced.ns)
+    system = build_system(reduced.cfg, plant, reduced.ns)
     prob = build_problem(system)
     assert not prob.target
     assert all(q[5] == MONITOR_EMPTY for q in prob.bad)
     assert prob.bad
 
 
-def test_damage_states_are_the_plant_marking_not_the_config(reduced):
-    # the config still names 7 and 8 as damage; the plant marks only 7
-    assert reduced.cfg.damage == {"7", "8"}
-    only_7 = [q for q in reduced.plant.states if state_name(q) == "7"]
-    system = build_system(reduced.cfg, marked_copy(reduced.plant, only_7), reduced.ns)
-    prob = build_problem(system)
+@pytest.mark.parametrize("stem", ["guideway", "reduced"])
+def test_loaded_and_in_memory_plants_give_the_same_targets(stem):
+    # the plant file's `.marked` line is the one damage set, loaded or not
+    config, plant, ns = shipped_paths(stem)
+    loaded = build_problem(load_system(config, plant, ns))
+    in_memory = build_problem(build_system(load_config(config), load_automaton(plant, name="G"),
+                                           load_automaton(ns, name="NS")))
+    assert loaded.target == in_memory.target
+    assert loaded.target and loaded.bad == in_memory.bad
+
+
+def test_a_plant_that_marks_fewer_states_gives_fewer_targets(tmp_path, reduced_problem):
+    config, plant, ns = shipped_paths("reduced")
+    with open(plant, encoding="utf-8") as fh:
+        text = fh.read()
+    assert ".marked 7 8\n" in text
+    only_7 = tmp_path / "only_7.aut"
+    only_7.write_text(text.replace(".marked 7 8\n", ".marked 7\n"))
+    prob = build_problem(load_system(config, str(only_7), ns))
     assert {state_name(q[0][2]) for q in prob.target} == {"7"}
+    assert {state_name(q[0][2]) for q in reduced_problem.target} == {"7", "8"}
     assert len(prob.bad) == 7
 
 
@@ -175,10 +190,9 @@ def test_never_attack_is_not_damage_reachable(reduced, reduced_problem):
 
 
 def test_no_target_fails_both_damage_checks(reduced):
-    cfg = dataclasses.replace(reduced.cfg, damage=frozenset())
-    system = build_system(cfg, marked_copy(reduced.plant, ()), reduced.ns)
+    system = build_system(reduced.cfg, marked_copy(reduced.plant, ()), reduced.ns)
     prob = build_problem(system)
-    af = faithful_attacker(cfg)
+    af = faithful_attacker(reduced.cfg)
     assert not verify_damage_reachable(prob, af).ok
     assert not verify_damage_nonblocking(prob, af).ok
 
@@ -249,7 +263,7 @@ def test_guideway_attack_round_choices(guideway, guideway_problem,
         p, _x = q
         if p[1] != "q0":
             continue
-        bucket = post if state_name(p[0][2]) in guideway.cfg.damage else pre
+        bucket = post if guideway.plant.is_marked(p[0][2]) else pre
         bucket.update(e.spell() for e in enabled(loop, q))
     assert pre == {"a1#", "b1#"}
     assert post == {"a1#", "a3#", "b1#", "b3#", "stop"}
@@ -440,6 +454,29 @@ def test_attack_is_the_same_when_the_observer_is_explored_first(guideway, reduce
     assert None not in plain[0]
 
 
+def test_rule_1_reads_each_walked_estimate_once(guideway, monkeypatch):
+    # the walk lists the estimates that hold a bad state and rule 1 is
+    # seeded from that list, so no estimate is checked a second time
+    walks = []
+
+    def spied(a):
+        walks.append(predecessors(a))
+        return walks[-1]
+
+    monkeypatch.setattr("netdes.synthesis.predecessors", spied)
+    for built, nonblocking in ((_attacker_wide(guideway), False), (guideway, True)):
+        prob = build_problem(built)
+        calls = []
+
+        def is_bad(q, bad=prob.is_bad):
+            calls.append(q)
+            return bad(q)
+
+        walks.clear()
+        assert supremal_supervisor(prob._replace(is_bad=is_bad), nonblocking) is not None
+        assert 0 < len(calls) <= sum(map(len, walks[0]))
+
+
 def test_plant_rows_kept_by_synthesis_share_one_tuple_per_target():
     # synthesis keeps P's rows through partial lookups: the 361 edges with
     # one successor hold one tuple object per target state
@@ -477,7 +514,7 @@ def test_bad_and_target_sets_classify_the_explored_plant(guideway):
         bad, target = set(), set()
         for q in prob.plant.states:
             (_store, _stage, g), _ac, _oc, _ns, _cc, estimate = q
-            if state_name(g) in built.cfg.damage:
+            if state_name(g) in {"5", "10"}:
                 target.add(q)
             elif estimate == MONITOR_EMPTY:
                 bad.add(q)
