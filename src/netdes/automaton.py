@@ -7,7 +7,9 @@ results hash and compare deterministically. Every forward search goes
 through one lazy breadth-first explorer over successor rows, ``explore``: a
 lazy automaton's ``states`` are its discovery order, and synthesis and the
 monitor read rows through it; ``number`` walks that order into arrays and
-``predecessors`` into reverse edges. Unordered closures use ``close_under``.
+``predecessors`` into reverse edges. Unordered closures use ``close_under``;
+the observer's closures go by whole breadth-first layers, so where one
+stops does not depend on the order of a set.
 
 There is one automaton type, ``Automaton``, stored as successor rows. Its
 constructor validates explicit states and transitions; ``lazy_automaton``
@@ -21,7 +23,8 @@ builds only the component rows it reaches, and ``compose`` is an explored
 ``product``. ``subset_construction`` is the one observer: its alphabet is
 the observed events and it reads silent successors from the rows at each
 use, keeping no table of its own; the monitor and the attack each complete
-its rows once, in their own row functions.
+its rows once, in their own row functions. Synthesis gives it a stop
+predicate: an estimate whose closure meets a stop state is ``STOPPED``.
 
 Event labels, channel states and the plant assembly's store and stage
 states are interned (``events``, ``channels``, ``plant``): equal values are
@@ -341,7 +344,14 @@ def close_under(seen: Set, seeds: Iterable, step: Callable[[Any], Iterable]) -> 
 
 # -- observer / subset construction ------------------------------------
 
-def subset_construction(a: Automaton, observed: Iterable[EventLabel]) -> Automaton:
+# the one estimate ``subset_construction`` gives every closure that meets a
+# stop state; its one member is no automaton's state, so it equals no other
+# estimate (the monitor's empty one included)
+STOPPED: FrozenSet = frozenset((object(),))
+
+
+def subset_construction(a: Automaton, observed: Iterable[EventLabel],
+                        stop: Optional[Callable[[State], bool]] = None) -> Automaton:
     """The observer of ``a`` w.r.t. ``observed``, unnamed and explored on
     demand. Its alphabet is ``observed``, every estimate is marked, and an
     estimate's row maps each observed event some state of it enables, in
@@ -349,7 +359,15 @@ def subset_construction(a: Automaton, observed: Iterable[EventLabel]) -> Automat
     set on it; a consumer completes the rows it needs. Rows of ``a`` are
     read only as estimates reach them, and each state's silent successors
     are read from its row at each use: the observer keeps no table of its
-    own beside the rows of ``a``."""
+    own beside the rows of ``a``.
+
+    A reach is closed breadth-first by whole layers: the seeds, then each
+    layer of new silent successors. With ``stop``, a reach ends at the
+    first layer that holds a state where ``stop`` holds, before reading
+    that layer's rows, and is ``STOPPED``, whose row is empty. The rows of
+    ``a`` it read are then those of the layers before, whatever order a
+    layer's states come in; a reach that meets no stop state is closed in
+    full, as without ``stop``."""
     obs = frozenset(observed)
     if not obs <= a.alphabet:
         bad = next(iter(obs - a.alphabet))
@@ -357,13 +375,21 @@ def subset_construction(a: Automaton, observed: Iterable[EventLabel]) -> Automat
     obs_sorted = sorted_events(obs)
     delta = a._delta
 
-    def silent_of(q: State) -> List[State]:
-        return [dst for ev, dsts in delta[q].items() if ev not in obs for dst in dsts]
-
     def reach(seeds: Iterable[State]) -> FrozenSet[State]:
-        return frozenset(close_under(set(), seeds, silent_of))
+        # set operations reuse stored hashes; composite states hash slowly
+        layer = set(seeds)
+        seen = set(layer)
+        while layer:
+            if stop is not None and any(map(stop, layer)):
+                return STOPPED
+            layer = {dst for q in layer for ev, dsts in delta[q].items()
+                     if ev not in obs for dst in dsts} - seen
+            seen |= layer
+        return frozenset(seen)
 
     def row(cur: FrozenSet[State]) -> Row:
+        if cur is STOPPED:
+            return {}
         raw_by_event: Dict[EventLabel, Set[State]] = {}
         for q in cur:
             for ev, dsts in delta[q].items():

@@ -11,7 +11,8 @@ G_new and the new plant P are lazy automata: a row is built when something
 first looks it up. ``build`` and ``synthesize`` write CS from its states,
 which builds all of it, and G_new and its rate check from one
 ``automaton.number``, which keeps none of its rows. Synthesis reads only the rows
-of P that live observer estimates reach, and the verdicts (one
+of P that live observer estimates reach, and those of a doomed estimate's
+silent layers before its first covertness-violating state, and the verdicts (one
 ``check_attack`` per command) only those that the attacked loop reaches, so
 neither explores P in full. When no covert attack exists, ``synthesize``
 removes any ``attack.aut`` an earlier run left in ``--out``, so the

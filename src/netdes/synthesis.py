@@ -18,12 +18,14 @@ by an iterated pruning:
 Synthesis is on the fly (Tripakis & Altisen, FM 1999; Cassez et al.,
 CONCUR 2005): P is a lazy product whose marked states are the damage
 targets, and "bad" is a predicate on its states. P's observer
-(``subset_construction``) is walked once from the initial estimate into
-its reverse edges (``predecessors``); an estimate that holds a
-covertness-violating state is dead whatever follows it (rule 1), so its
-row in the walk is empty and what only it leads to is never built. Rule
-1's seeds are the walked estimates that ``is_bad`` finds dead, never the
-rows the observer has not computed: whoever reads the observer's
+(``subset_construction``, stopped by ``is_bad``) is walked once from the
+initial estimate into its reverse edges (``predecessors``). An estimate
+that holds a covertness-violating state is dead whatever follows it (rule
+1), so its closure ends after the first silent layer that holds one, and
+every such estimate is the one ``STOPPED``, whose row is empty: the rows
+of P that only the rest of its closure or its successors would read are
+never built. Rule 1's seed is ``STOPPED`` where the walk reached it, never
+the rows the observer has not computed: whoever reads the observer's
 ``states`` computes them all. Rules 1-2 are a worklist attractor (Graedel,
 Thomas & Wilke, LNCS 2500) over that one reverse-edge map: each dead
 estimate is pushed once to its uncontrollable predecessors, in O(|E|).
@@ -55,7 +57,7 @@ import math
 from typing import Callable, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
-from .automaton import (Automaton, AutomatonError, Row, State, close_under,
+from .automaton import (STOPPED, Automaton, AutomatonError, Row, State, close_under,
                         lazy_automaton, predecessors, product, subset_construction)
 from .channels import capacities
 from .events import EventLabel, sorted_events
@@ -131,34 +133,31 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
     since an unobserved event keeps the plant inside the estimate and no
     state of the estimate takes a missing observed one.
 
-    Only the plant rows that live estimates reach are read. Rules 1-2 read
-    the observer's reverse edges (``predecessors``), seeded where
-    ``is_bad`` holds of a state of a walked estimate: which rows the
-    observer has computed says nothing, since a reader of its ``states``
-    computes them all. The live view, the nonblocking rounds and the
-    result's rows read the observer's own kept rows. The nonblocking
-    rounds need no forward search: a pair is reachable exactly when its
-    estimate is, so a cut at an estimate no longer reached changes nothing.
+    Only the plant rows that live estimates reach are read, and those of
+    the silent layers of a doomed estimate before its first bad state: the
+    observer's closures stop where ``is_bad`` holds, and every doomed
+    estimate is the one ``STOPPED``. Rules 1-2 read the observer's reverse
+    edges (``predecessors``), seeded with ``STOPPED`` if the walk reached
+    it: which rows the observer has computed says nothing, since a reader
+    of its ``states`` computes them all. The live view, the nonblocking
+    rounds and the result's rows read the observer's own kept rows. The
+    nonblocking rounds need no forward search: a pair is reachable exactly
+    when its estimate is, so a cut at an estimate no longer reached changes
+    nothing.
     """
-    plant, is_bad = problem.plant, problem.is_bad
+    plant = problem.plant
     controllable = problem.constraint.controllable & plant.alphabet
 
-    # the attacker's observer, walked once into its reverse edges; a doomed
-    # estimate (one with a bad state) is listed and has an empty row in the
-    # walk, so what only it leads to is never built
-    observer = subset_construction(plant, problem.constraint.observable & plant.alphabet)
+    # the attacker's observer, walked once into its reverse edges; every
+    # doomed estimate (one with a bad state) is the one STOPPED, whose row is
+    # empty, so what only it leads to is never built; the walk keeps each
+    # live estimate's row in the observer
+    observer = subset_construction(plant, problem.constraint.observable & plant.alphabet,
+                                   problem.is_bad)
     init, rows = observer.initial, observer._delta
     if init is None:
         return None
-    doomed: List[FrozenSet] = []
-
-    def walked(x: FrozenSet) -> Row:
-        if any(map(is_bad, x)):
-            doomed.append(x)
-            return {}
-        return rows[x]
-
-    back = predecessors(lazy_automaton(init, observer.alphabet, walked))
+    back = predecessors(lazy_automaton(init, observer.alphabet, rows.__getitem__))
 
     def uncontrollable_into(y: FrozenSet) -> List[FrozenSet]:
         edges = back[y]
@@ -171,11 +170,11 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
         # whether an observer edge survives
         return x not in dead and y not in dead and (x, e) not in disabled
 
-    # rules 1-2, seeded from ``is_bad`` over the walked estimates
-    close_under(dead, doomed, uncontrollable_into)
+    # rules 1-2, seeded from STOPPED if the walk reached it
+    close_under(dead, [STOPPED] if STOPPED in back else [], uncontrollable_into)
     if require_nonblocking and init not in dead:
         # P with the live observer edges, walked once into its reverse edges;
-        # a live estimate is not doomed, so the walk above kept its row
+        # the walk above kept every live estimate's row
         live = lazy_automaton(init, observer.alphabet, lambda x: {
             e: ys for e, ys in rows[x].items() if ys[0] not in dead})
         into = predecessors(product([plant, live]))

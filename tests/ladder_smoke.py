@@ -5,10 +5,11 @@ system, synthesizes the supremal damage-nonblocking attack and checks it
 with ``check_attack``. The run fails unless the attack is covert,
 damage-nonblocking and damage-reachable, has the rung's state count, and
 the composed plant P has computed the rung's number of rows by then, so a
-change that makes synthesis or the check read more of P fails. Each
-child pauses the cyclic garbage collector for its work, as ``netdes.cli``
-does for a command, so its CPU time and peak resident set size, printed
-and not gated, are those of a CLI run.
+change that makes synthesis or the check read more of P fails, and, at
+``u=8``, unless the child's peak resident set size (VmHWM) is within the
+rung's bound. Each child pauses the cyclic garbage collector for its work,
+as ``netdes.cli`` does for a command, so its CPU time (printed, not gated)
+and its peak are those of a CLI run.
 pytest does not collect this file (its name does not start with
 ``test_``)::
 
@@ -25,8 +26,8 @@ import time
 TESTS = os.path.dirname(os.path.realpath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
 # rung (the attacker's rate u) -> (states of the supremal nonblocking attack,
-# rows of P computed after synthesis and the check)
-RUNGS = {4: (444, 8420), 8: (2994, 127022)}
+# rows of P computed after synthesis and the check, most VmHWM in MB or None)
+RUNGS = {4: (444, 3669, None), 8: (2994, 36665, 90)}
 
 
 def child(u: int) -> None:
@@ -57,7 +58,7 @@ def child(u: int) -> None:
 
 def main() -> int:
     failed = False
-    for u, (states, p_rows) in RUNGS.items():
+    for u, (states, p_rows, peak_mb) in RUNGS.items():
         proc = subprocess.run([sys.executable, __file__, "--child", str(u)],
                               capture_output=True, text=True)
         if proc.returncode != 0:
@@ -65,12 +66,14 @@ def main() -> int:
             failed = True
             continue
         got = json.loads(proc.stdout)
+        peak = got["vmhwm_kb"] / 1024
         ok = (got["verdicts"] == [True, True, True] and got["states"] == states
-              and got["p_rows"] == p_rows)
+              and got["p_rows"] == p_rows and (peak_mb is None or peak <= peak_mb))
         print(f"u={u}: attack states {got['states']} (expected {states}), "
               f"verdicts {got['verdicts']}, P rows {got['p_rows']} (expected {p_rows}), "
               f"cpu {got['cpu_s']:.2f} s, "
-              f"VmHWM {got['vmhwm_kb'] / 1024:.1f} MB{'' if ok else '  FAIL'}")
+              f"VmHWM {peak:.1f} MB{'' if peak_mb is None else f' (at most {peak_mb})'}"
+              f"{'' if ok else '  FAIL'}")
         failed |= not ok
     return 1 if failed else 0
 

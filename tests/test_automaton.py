@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import netdes.events as ev
-from netdes.automaton import (Automaton, AutomatonError, compose, explore,
+from netdes.automaton import (STOPPED, Automaton, AutomatonError, compose, explore,
                               lazy_automaton, number, predecessors, product,
                               state_name, subset_construction)
 from netdes.attacker import ControlConstraint
@@ -197,6 +197,57 @@ def test_observer_keeps_no_table_beside_the_rows_it_reads():
     assert x == frozenset({6, 7, 8, 9, 10}) and len(obs._delta) == 3
     assert a._delta.row is not None  # a's rows are read, not all computed
     assert dicts and all(d is a._delta for d in dicts)
+
+
+def _branches(bad, computed):
+    """0 -o-> 1, 2, 3, and each branch b -u-> 10 + b -u-> 20 + b, explored on
+    demand; ``computed`` records each state whose row is asked for."""
+    def row(n):
+        computed.append(n)
+        if n == 0:
+            return {O: (1, 2, 3)}
+        return {U: (n + 10,)} if n < 20 else {}
+    return lazy_automaton(0, [U, O], row), bad.__eq__
+
+
+def test_a_closure_stops_after_its_first_layer_with_a_stop_state():
+    # the bad state is at silent depth 2 of one of three branches; the
+    # closure reads every row of layers 0-1 and none of layer 2, whether the
+    # bad branch comes first or last among the seeds
+    for bad in (21, 23):
+        computed = []
+        a, stop = _branches(bad, computed)
+        obs = subset_construction(a, [O], stop)
+        assert obs.initial == frozenset({0})
+        assert successors(obs, obs.initial, O) == (STOPPED,)
+        assert sorted(computed) == [0, 1, 2, 3, 11, 12, 13]
+        assert obs.states == (frozenset({0}), STOPPED) and obs._delta[STOPPED] == {}
+    a, _stop = _branches(None, [])
+    full = subset_construction(a, [O])  # no stop: closed in full
+    assert successors(full, full.initial, O) == (frozenset({1, 2, 3, 11, 12, 13, 21, 22, 23}),)
+    assert STOPPED != frozenset() and len(STOPPED) == 1
+
+
+def test_stopped_estimates_are_the_full_ones_that_hold_a_stop_state():
+    # on random automata and random stop sets, an estimate is STOPPED
+    # exactly where the full closure holds a stop state, and is unchanged
+    # elsewhere, its row too
+    rng = random.Random(3)
+    stopped = 0
+    for a, observed in random_observer_cases():
+        full = subset_construction(a, observed)
+        stop = frozenset(q for q in a.states if rng.random() < 0.3)
+
+        def expected(x):
+            return STOPPED if x & stop else x
+
+        obs = subset_construction(a, observed, stop.__contains__)
+        assert obs.initial == expected(full.initial)
+        for x in obs.states:
+            assert obs._delta[x] == ({} if x is STOPPED else {
+                e: (expected(y),) for e, (y,) in full._delta[x].items()})
+        stopped += STOPPED in obs.states
+    assert stopped > 10
 
 
 def test_observer_projection_language_matches_oracle():

@@ -6,7 +6,7 @@ import pytest
 
 import netdes.events as ev
 from netdes.attacker import ControlConstraint, attack_control_constraint, validate_attack
-from netdes.automaton import (Automaton, AutomatonError, compose, number,
+from netdes.automaton import (STOPPED, Automaton, AutomatonError, compose, number,
                               lazy_automaton, predecessors, state_name,
                               subset_construction)
 from netdes.config import load_config
@@ -21,7 +21,7 @@ from oracles import (accepts, apply_edit, bfs_distances, bfs_order,
                      bounded_traces, complete_with_selfloops, coreachable,
                      disabled_controllable_edits, empty_automaton, enabled,
                      lone_target_tuples, marked_copy, nested_loop_product, successors)
-from systems import (faithful_attacker, guideway_swap_attacker,
+from systems import (RUNG_CONFIGS, faithful_attacker, guideway_swap_attacker,
                      reduced_swap_attacker, rung_system, shipped_paths, swap_attacker)
 
 C_HASH = ev.compromised("c")
@@ -426,7 +426,7 @@ def test_lazy_plant_gives_the_attack_of_the_explored_plant_on_random_problems():
 
 def test_guideway_u2_attack_reads_under_a_quarter_of_p(guideway):
     # the observer stops at estimates that are dead by covertness, so the
-    # attack is built from the rows of 928 of P's 21,189 states
+    # attack is built from the rows of 631 of P's 21,189 states
     prob = build_problem(_guideway_u(guideway, 2))
     lazy = _attack_texts(prob)
     assert None not in lazy
@@ -439,13 +439,13 @@ def test_guideway_u2_attack_reads_under_a_quarter_of_p(guideway):
 def test_attack_is_the_same_when_the_observer_is_explored_first(guideway, reduced,
                                                                monkeypatch):
     # whoever reads the observer's states (the benchmark's tracer does, as
-    # soon as subset_construction returns) computes every row, a doomed
-    # estimate's too, so rule 1 cannot find its seeds by missing rows
+    # soon as subset_construction returns) computes every row, STOPPED's
+    # too, so rule 1 cannot find its seeds by missing rows
     systems = (guideway, reduced, _attacker_wide(guideway))
     plain = [_attack_texts(build_problem(s)) for s in systems]
 
-    def explored(a, observed):
-        observer = subset_construction(a, observed)
+    def explored(a, observed, stop=None):
+        observer = subset_construction(a, observed, stop)
         observer.states
         return observer
 
@@ -454,9 +454,9 @@ def test_attack_is_the_same_when_the_observer_is_explored_first(guideway, reduce
     assert None not in plain[0]
 
 
-def test_rule_1_reads_each_walked_estimate_once(guideway, monkeypatch):
-    # the walk lists the estimates that hold a bad state and rule 1 is
-    # seeded from that list, so no estimate is checked a second time
+def test_no_walked_estimate_but_stopped_holds_a_bad_state(guideway, monkeypatch):
+    # the observer's closures stop at bad states, so every doomed estimate
+    # the walk meets is the one STOPPED, and rule 1 is seeded from it alone
     walks = []
 
     def spied(a):
@@ -466,24 +466,65 @@ def test_rule_1_reads_each_walked_estimate_once(guideway, monkeypatch):
     monkeypatch.setattr("netdes.synthesis.predecessors", spied)
     for built, nonblocking in ((_attacker_wide(guideway), False), (guideway, True)):
         prob = build_problem(built)
-        calls = []
-
-        def is_bad(q, bad=prob.is_bad):
-            calls.append(q)
-            return bad(q)
-
         walks.clear()
-        assert supremal_supervisor(prob._replace(is_bad=is_bad), nonblocking) is not None
-        assert 0 < len(calls) <= sum(map(len, walks[0]))
+        attack = supremal_supervisor(prob, nonblocking)
+        assert attack is not None and STOPPED not in attack.states
+        walked = walks[0]
+        assert STOPPED in walked and STOPPED != MONITOR_EMPTY
+        assert not any(prob.is_bad(p) for x in walked if x is not STOPPED for p in x)
+
+
+def _closed_in_full(a, observed, stop):
+    """``subset_construction`` with ``stop`` dropped from its closures: each
+    reach is closed in full, and an estimate that holds a stop state is then
+    replaced by STOPPED, so rule 1 deletes what it deleted before the stop."""
+    full = subset_construction(a, observed)
+
+    def doom(x):
+        return STOPPED if any(map(stop, x)) else x
+
+    return lazy_automaton(doom(full.initial), full.alphabet, lambda x: {} if x is STOPPED else {
+        e: (doom(y),) for e, (y,) in full._delta[x].items()}, lambda x: True)
+
+
+def test_stopped_closures_give_the_attack_of_full_closures(guideway, monkeypatch):
+    # a doomed estimate's closure ends at its first layer with a bad state;
+    # the live estimates are closed in full, so no attack changes, while the
+    # stop reads fewer rows of P
+    def run():
+        problems = [build_problem(s) for s in (_attacker_wide(guideway), *(
+            rung_system(stem, params) for stem, params in RUNG_CONFIGS))]
+        problems += _random_problems(31415, 200)
+        texts = [_attack_texts(prob) for prob in problems]
+        return texts, len(problems[1].plant._delta)  # guideway's P rows
+
+    stopped, stopped_rows = run()
+    monkeypatch.setattr("netdes.synthesis.subset_construction", _closed_in_full)
+    full, full_rows = run()
+    assert full == stopped and stopped_rows < full_rows
+    assert all(None not in texts for texts in stopped[:3])
+    assert sum(texts != [None, None] for texts in stopped) > 50
+
+
+def test_p_rows_read_by_synthesis():
+    # guideway nonblocking and attacker-wide reachable synthesis read these
+    # rows of P; the closures stop by whole layers, so the counts do not
+    # depend on the order of a set of states
+    for built, mode, rows in ((rung_system("guideway"), SynthesisMode.DAMAGE_NONBLOCKING, 221),
+                              (_attacker_wide(rung_system("guideway")),
+                               SynthesisMode.DAMAGE_REACHABLE, 547)):
+        prob = build_problem(built)
+        assert synthesize_supremal_attack(prob, mode) is not None
+        assert len(prob.plant._delta) == rows
 
 
 def test_plant_rows_kept_by_synthesis_share_one_tuple_per_target():
-    # synthesis keeps P's rows through partial lookups: the 361 edges with
+    # synthesis keeps P's rows through partial lookups: the 353 edges with
     # one successor hold one tuple object per target state
     prob = build_problem(rung_system("guideway"))
     assert synthesize_supremal_attack(prob, SynthesisMode.DAMAGE_NONBLOCKING) is not None
     assert prob.plant._delta.row is not None  # P is still unexplored
-    assert lone_target_tuples(prob.plant) == (361, 251, 251)
+    assert lone_target_tuples(prob.plant) == (353, 251, 251)
 
 
 def test_attacked_loop_reaches_exactly_the_plant_states_of_the_attack_estimates(
