@@ -178,10 +178,10 @@ def parse_config(text: str) -> SystemConfig:
             continue
         toks = line.split()
         if toks[0].startswith("["):
-            section = toks[0].strip("[]").lower()
+            if toks[0] not in ("[parameters]", "[events]", "[commands]"):
+                raise ConfigError(f"unknown section {toks[0]}", lineno)
+            section = toks[0][1:-1]
             toks = toks[1:]
-            if section not in ("parameters", "events", "commands"):
-                raise ConfigError(f"unknown section [{section}]", lineno)
         if section is None:
             raise ConfigError("content before any section header", lineno)
         if not toks:

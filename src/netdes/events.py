@@ -8,6 +8,9 @@ plus the global clock event ``tick`` and the attacker's ``stop``.
 ``SUFFIXES`` declares the text spelling once: a role with a base is spelled
 as the base plus its suffix (``x``, ``x_in``, ``x#``, ``x_out``), ``tick``
 and ``stop`` as their role names; its order, then theirs, is the label order.
+A plant event and a command share their suffixes, so a spelling alone does
+not say which role it is: ``parse_spelling`` reads a token only together
+with the role it declares.
 
 Labels are hash-consed: there is one ``EventLabel`` object per (base, role)
 pair in a process, so ``==`` is ``is`` and a label hashes by its address.
@@ -129,22 +132,14 @@ tick = EventLabel(None, TICK)
 stop = EventLabel(None, STOP)
 
 
-def parse_spelling(token: str, role: Optional[str] = None) -> EventLabel:
-    """Decode a spelled event, optionally checked against a declared role.
-
-    The token loses the one suffix it ends with. Without a role the suffix
-    alone is ambiguous between plant and command families (``v`` could be
-    either), so the plant family wins; alphabet declarations always carry
-    the role and resolve this.
-    """
-    if token in (TICK, STOP):
-        label = EventLabel(None, token)
-    else:
-        suffix = next((s for s in _ENDINGS if token.endswith(s)), "")
-        family = [r for r, s in SUFFIXES.items() if s == suffix]  # plant's first
-        label = EventLabel(token[:len(token) - len(suffix)],
-                           role if role in family else family[0])
-    if role is not None and label.role != role:
+def parse_spelling(token: str, role: str) -> EventLabel:
+    """Decode ``token``, spelled as its declared ``role``: the inverse of
+    ``EventLabel.spell``. The base is what the role's suffix leaves, and it
+    must be ``spellable``; ``tick`` and ``stop`` are spelled as their role.
+    A token that its label does not spell back is an EventError."""
+    suffix = SUFFIXES.get(role)
+    label = EventLabel(None if suffix is None else token.removesuffix(suffix), role)
+    if label.spell() != token or label.base is not None and not spellable(label.base):
         raise EventError(f"spelling {token!r} does not match role {role!r}")
     return label
 

@@ -9,7 +9,9 @@ Format (bit-exact, UTF-8, ``#`` comments)::
     .trans     S0 a1 S1
 
 Event spelling as in ``events.SUFFIXES``: ``x``, ``x_in``, ``x#``, ``x_out``;
-commands ``v``, ``v_in``, ``v_out``; ``tick`` and ``stop``.
+commands ``v``, ``v_in``, ``v_out``; ``tick`` and ``stop``. Every
+``.alphabet`` token but ``tick`` and ``stop`` declares its role after a
+``:``, and is read as exactly that role.
 A ``#`` token starts a comment; the compromised suffix never does because it
 ends, not begins, its token.
 Written from ``automaton.number``, as the CLI writes G_new, the monitor and
@@ -128,14 +130,18 @@ def parse_automaton(text: str, name: str = "") -> Automaton:
         if directive == ".automaton":
             if named:
                 raise ParseError(".automaton given twice", lineno)
+            if len(args) > 1:
+                raise ParseError(".automaton takes at most one name", lineno)
             named = True
             if args:
                 auto_name = args[0]
         elif directive == ".alphabet":
             for tok in args:
-                spelling, _, role = tok.partition(":")
+                spelling, colon, role = tok.partition(":")
+                if not colon and tok not in (ev.TICK, ev.STOP):  # as _role_suffix writes
+                    raise ParseError(f"event {tok!r} declares no role", lineno)
                 try:
-                    label = ev.parse_spelling(spelling, role or None)
+                    label = ev.parse_spelling(spelling, role if colon else tok)
                 except ev.EventError as exc:
                     raise ParseError(str(exc), lineno)
                 if label.spell() in alphabet:

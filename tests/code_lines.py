@@ -1,8 +1,9 @@
-"""Count the code lines of ``src/netdes``: lines that hold a token other
-than a comment or a line break, docstrings excluded. A string that spans
-lines counts on each of them. Prints one line per module and the total;
-it gates nothing. pytest does not collect this file (its name does not
-start with ``test_``)::
+"""Count the code lines of ``src/netdes`` and of ``tests``: lines that hold
+a token other than a comment or a line break, docstrings excluded. A string
+that spans lines counts on each of them. Prints one line per module of
+``src/netdes``, their total and the total of ``tests``; it gates nothing.
+pytest does not collect this file (its name does not start with
+``test_``)::
 
     python tests/code_lines.py
 """
@@ -37,14 +38,19 @@ def code_lines(path: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def sources(directory: str) -> list:
+    return sorted(name for name in os.listdir(directory) if name.endswith(".py"))
+
+
 def main() -> int:
     total = 0
-    for name in sorted(os.listdir(PACKAGE)):
-        if name.endswith(".py"):
-            n = code_lines(os.path.join(PACKAGE, name))
-            total += n
-            print(f"{n:6} {name}")
+    for name in sources(PACKAGE):
+        n = code_lines(os.path.join(PACKAGE, name))
+        total += n
+        print(f"{n:6} {name}")
     print(f"{total:6} src/netdes")
+    tests = sum(code_lines(os.path.join(TESTS, name)) for name in sources(TESTS))
+    print(f"{tests:6} tests")
     return 0
 
 

@@ -11,7 +11,7 @@ from typing import Dict, List, Tuple
 import netdes.events as ev
 from netdes.attacker import attack_control_constraint
 from netdes.automaton import Automaton
-from netdes.config import SystemConfig, load_config
+from netdes.config import RATES, SystemConfig, load_config
 from netdes.fixtures import BuiltSystem, build_system, load_system
 from oracles import complete_with_selfloops
 
@@ -38,16 +38,20 @@ RUNG_CONFIGS = [("guideway", ""), ("reduced", ""), ("guideway", "delta_o=2"),
                 ("guideway", "delta_c=1"), ("guideway", "u=2"), ("reduced", "delta_s=1")]
 
 
+def with_params(cfg: SystemConfig, **params: int) -> SystemConfig:
+    """``cfg`` with the given delay and rate parameters (``config.PARAMETERS``)
+    changed."""
+    rates = {key: params.pop(key) for key in RATES if key in params}
+    return dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, **rates), **params)
+
+
 def rung_config(stem: str, params: str = "") -> SystemConfig:
     """A shipped config with one parameter changed."""
     cfg = shipped_config(stem)
-    if params:
-        key, value = params.split("=")
-        if key == "u":
-            cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, u=int(value)))
-        else:
-            cfg = dataclasses.replace(cfg, **{key: int(value)})
-    return cfg
+    if not params:
+        return cfg
+    key, value = params.split("=")
+    return with_params(cfg, **{key: int(value)})
 
 
 def rung_system(stem: str, params: str = "") -> BuiltSystem:

@@ -57,7 +57,7 @@ def test_insertion_budget_exhausts():
     assert step(ac, q, ev.stop) == AC_INIT
 
 
-def test_forwarding_budget_toggle():
+def test_a_forwarded_observation_spends_one_unit_of_u():
     # the forwarded, untamperable observation is one unit of the budget u
     counted = build_attack_constraints(rich_cfg(u=1))
     assert step(counted, "qobs_oa", ev.entry("oa")) == "q1"

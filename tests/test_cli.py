@@ -1,4 +1,3 @@
-import dataclasses
 import filecmp
 import gc
 import os
@@ -18,7 +17,7 @@ from netdes.config import load_config, serialize_config
 from netdes.textio import (load_automaton, parse_automaton, save_automaton,
                            serialize_automaton)
 from oracles import isomorphic_by
-from systems import DATA, shipped_config, shipped_paths, swap_attacker
+from systems import DATA, shipped_config, shipped_paths, swap_attacker, with_params
 
 RED = dict(zip(("config", "plant", "ns"), shipped_paths("reduced")))
 
@@ -51,7 +50,7 @@ def test_capacity_with_large_delays_prints_counts_as_powers_of_ten(
         tmp_path, capsys, delta_o, oc, cc):
     cfg = tmp_path / "large.cfg"
     cfg.write_text(serialize_config(
-        dataclasses.replace(shipped_config("guideway"), delta_o=delta_o)))
+        with_params(shipped_config("guideway"), delta_o=delta_o)))
     start = time.process_time()
     assert main(["capacity", "--config", str(cfg)]) == 0
     assert time.process_time() - start < 1
@@ -342,7 +341,7 @@ def test_export_dot_nondeterministic_pop_has_parallel_edges(tmp_path, capsys):
     assert dot.count('"{(a,0),(a,1),(b,1)}" ->') >= 3
 
 
-def test_forwarded_event_toggle_plumbs_through(tmp_path, capsys):
+def test_the_removed_forwarding_option_is_a_usage_error(tmp_path, capsys):
     # a forwarded event always counts toward u; the option that once chose
     # otherwise is gone (spelled in two parts, so that a search of src and
     # tests for leftovers of the option finds none)

@@ -10,7 +10,7 @@ from netdes.channels import build_observation_channel
 from netdes.cli import main
 from netdes.config import (ConfigError, EventSpec, RateBounds, SystemConfig,
                            parse_config, serialize_config)
-from systems import shipped_config
+from systems import shipped_config, with_params
 
 SAMPLE = """\
 [parameters] delta_o=1 delta_c=0 delta_s=0 n_f=1 u=1 v=1
@@ -67,10 +67,7 @@ REDUCED_BODY = """\
     ("reduced", {"delta_s": 1},
      "delta_o=1 delta_c=0 delta_s=1 n_f=1 u=1 v=1\n" + REDUCED_BODY)])
 def test_serialize_config_text(stem, params, text):
-    cfg = shipped_config(stem)
-    rates = {k: v for k, v in params.items() if k in ("n_f", "u", "v")}
-    delays = {k: v for k, v in params.items() if k not in rates}
-    cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, **rates), **delays)
+    cfg = with_params(shipped_config(stem), **params)
     assert serialize_config(cfg) == "[parameters] " + text
 
 
@@ -309,6 +306,13 @@ CONFIG_ERRORS = {
     "unknown-section": (SAMPLE + "[bogus] x\n", "unknown section [bogus]", 5),
     # damage states are the plant's marked states; the config names none
     "damage-section": (SAMPLE + "[damage] 5 10\n", "unknown section [damage]", 5),
+    # a header is exactly one of the three that serialize_config writes
+    "unclosed-header": (SAMPLE.replace("[parameters]", "[parameters"),
+                        "unknown section [parameters", 1),
+    "doubled-brackets": (SAMPLE.replace("[events]", "[[events]]]"),
+                         "unknown section [[events]]]", 2),
+    "upper-case-header": (SAMPLE.replace("[commands]", "[COMMANDS"),
+                          "unknown section [COMMANDS", 4),
     "before-sections": ("a1 c o ao comp te=0\n" + SAMPLE,
                         "content before any section header", 1),
     "malformed-parameter": (SAMPLE.replace("delta_o=1", "delta_o"),

@@ -38,13 +38,29 @@ def test_parse_spelling_round_trip():
         assert parse_spelling(label.spell(), label.role) == label
 
 
-def test_parse_spelling_defaults_to_plant_family():
-    assert parse_spelling("x_in") == ev.entry("x")
-    assert parse_spelling("v_in", ev.COMMAND_IN) == ev.command_entry("v")
-    with pytest.raises(EventError):
-        parse_spelling("x", "nonsense")
-    with pytest.raises(EventError):
-        parse_spelling("x_in", ev.PLAIN)
+def test_parse_spelling_reads_only_the_declared_role():
+    # a suffix does not say the role: v_in is a command's entry only if
+    # declared so, and a bare base is a plant event or a command
+    assert parse_spelling("v_in", ev.COMMAND_IN) is ev.command_entry("v")
+    assert parse_spelling("v_in", ev.IN) is ev.entry("v")
+    assert parse_spelling("v", ev.COMMAND) is ev.command("v")
+    cases = [("x", "nonsense", "unknown event role 'nonsense'"),
+             ("x", None, "unknown event role None"),
+             ("x_in", ev.PLAIN, "spelling 'x_in' does not match role 'plain'"),
+             ("x", ev.IN, "spelling 'x' does not match role 'in'"),
+             ("x#", ev.OUT, "spelling 'x#' does not match role 'out'"),
+             ("x", ev.TICK, "spelling 'x' does not match role 'tick'"),
+             ("tick", ev.STOP, "spelling 'tick' does not match role 'stop'"),
+             # the base must be a name a config could declare
+             ("tick", ev.PLAIN, "spelling 'tick' does not match role 'plain'"),
+             ("a#b", ev.PLAIN, "spelling 'a#b' does not match role 'plain'"),
+             ("a##", ev.COMPROMISED, "spelling 'a##' does not match role 'compromised'"),
+             ("[x", ev.COMMAND, "spelling '[x' does not match role 'command'"),
+             ("_in", ev.IN, "role 'in' requires a base name")]
+    for token, role, message in cases:
+        with pytest.raises(EventError) as err:
+            parse_spelling(token, role)
+        assert str(err.value) == message
 
 
 def test_ordering_is_total_and_stable():
@@ -58,9 +74,9 @@ def test_ordering_is_total_and_stable():
 # -- interning ---------------------------------------------------------------
 
 def test_labels_are_interned():
-    assert ev.plant("a") is EventLabel("a", ev.PLAIN) is parse_spelling("a")
+    assert ev.plant("a") is EventLabel("a", ev.PLAIN) is parse_spelling("a", ev.PLAIN)
     assert EventLabel(base="a", role=ev.IN) is ev.entry("a")
-    assert parse_spelling("tick") is EventLabel(None, ev.TICK) is ev.tick
+    assert parse_spelling("tick", ev.TICK) is EventLabel(None, ev.TICK) is ev.tick
     assert ev.plant("a") is not ev.command("a")
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -16,7 +15,7 @@ from netdes.synthesis import (SynthesisMode, build_problem, check_attack,
 from oracles import (assert_same_automaton, explicit_attack_free_relabel,
                      same_closed_language, step)
 from systems import (RUNG_CONFIGS, guideway_spec, reduced_spec, rung_system,
-                     shipped_config, shipped_paths, shipped_system)
+                     shipped_config, shipped_paths, shipped_system, with_params)
 
 
 def test_guideway_grid_numbering(guideway):
@@ -50,7 +49,7 @@ def test_attack_problem_builds_only_the_rows_of_g_new_it_reaches(tmp_path):
     # reduced with delta_s=1: G_new has 16,398 states, P reaches 19 of them
     config = tmp_path / "rung.cfg"
     config.write_text(serialize_config(
-        dataclasses.replace(shipped_config("reduced"), delta_s=1)))
+        with_params(shipped_config("reduced"), delta_s=1)))
     _cfg, plant, ns = shipped_paths("reduced")
     system = load_system(str(config), plant, ns)
     problem = build_problem(system)

@@ -13,23 +13,27 @@ prints, recorded before the kernel had one observer. A change that alters
 any byte of any output fails here.
 """
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import netdes
+import netdes.automaton
+import netdes.synthesis
 from netdes.automaton import Automaton, number
 from netdes.cli import main
 from netdes.config import load_config, serialize_config
 from netdes.fixtures import build_system
-from netdes.synthesis import SynthesisMode, build_problem, synthesize_supremal_attack
+from netdes.synthesis import (SynthesisMode, SynthesisProblem, build_problem,
+                              synthesize_supremal_attack)
 from netdes.textio import save_automaton, serialize_automaton
+from systems import with_params
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "netdes", "data")
 
@@ -227,7 +231,7 @@ def test_build_on_parameter_rungs_matches_golden(system, params, tmp_path,
     key, _, value = params.partition("=")
     cfg = load_config(os.path.join(DATA, f"{system}.cfg"))
     with open("rung.cfg", "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(dataclasses.replace(cfg, **{key: int(value)})))
+        fh.write(serialize_config(with_params(cfg, **{key: int(value)})))
     status, stdout = _run(system, "build", ["--out", "out"], config="rung.cfg")
     assert status == 0
     assert _sha(stdout.encode()) == _BUILD_STDOUT
@@ -250,21 +254,97 @@ def test_build_with_unreachable_detection_matches_golden(tmp_path, monkeypatch):
     assert _file_digests("out") == UNREACHABLE_DETECTION
 
 
+def _synthesize_and_verify(system, mode, out, plant=None, ns=None):
+    """Run synthesize in ``mode`` into ``out``, then verify on the attack it
+    wrote, and compare every digest with the shipped system's golden one."""
+    status, stdout = _run(system, "synthesize", ["--out", out, "--mode", mode],
+                          plant=plant, ns=ns)
+    assert status == 0
+    golden = GOLDEN[system, mode]
+    assert _file_digests(out) == {**_COMPONENTS[system], "attack.aut": golden["attack.aut"],
+                                  "certificate.txt": golden["certificate.txt"]}
+    # synthesize prints exactly the certificate
+    assert _sha(stdout.encode()) == golden["certificate.txt"]
+
+    status, stdout = _run(system, "verify", ["--attack", os.path.join(out, "attack.aut")],
+                          plant=plant, ns=ns)
+    assert status == 0
+    assert _sha(stdout.encode()) == golden["<verify>"]
+
+
 @pytest.mark.parametrize("system,mode", sorted(GOLDEN))
 def test_synthesize_and_verify_match_golden(system, mode, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    status, stdout = _run(system, "synthesize", ["--out", "out", "--mode", mode])
-    assert status == 0
-    expected = dict(_COMPONENTS[system])
-    expected["attack.aut"] = GOLDEN[system, mode]["attack.aut"]
-    expected["certificate.txt"] = GOLDEN[system, mode]["certificate.txt"]
-    assert _file_digests("out") == expected
-    # synthesize prints exactly the certificate
-    assert _sha(stdout.encode()) == GOLDEN[system, mode]["certificate.txt"]
+    _synthesize_and_verify(system, mode, "out")
 
-    status, stdout = _run(system, "verify", ["--attack", "out/attack.aut"])
+
+def _shuffled(path, rng):
+    """The automaton file at ``path`` with its ``.trans`` lines in another
+    order and the tokens of its ``.alphabet`` and ``.marked`` lines permuted."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.split() for line in fh if line.strip()]
+    for toks in lines:
+        if toks[0] in (".alphabet", ".marked"):
+            toks[1:] = rng.sample(toks[1:], len(toks) - 1)
+    trans = [toks for toks in lines if toks[0] == ".trans"]
+    rng.shuffle(trans)
+    head = [toks for toks in lines if toks[0] != ".trans"]
+    return "".join(" ".join(toks) + "\n" for toks in head + trans)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("system", ["guideway", "reduced"])
+def test_input_order_reaches_no_output(system, seed, tmp_path, monkeypatch):
+    # a metamorphic relation: the plant and NS read in another order give
+    # every output byte of the shipped files
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(seed)
+    for part in ("plant", "ns"):
+        path = os.path.join(DATA, f"{system}_{part}.aut")
+        text = _shuffled(path, rng)
+        with open(path, encoding="utf-8") as fh:
+            assert text.splitlines() != fh.read().splitlines()
+        with open(f"{part}.aut", "w", encoding="utf-8") as fh:
+            fh.write(text)
+    for mode in ("nonblocking", "reachable"):
+        _synthesize_and_verify(system, mode, mode, plant="plant.aut", ns="ns.aut")
+
+
+def _must_not_run(what):
+    def fail(*_args, **_kwargs):
+        raise AssertionError(f"a command read {what}")
+    return fail
+
+
+@pytest.mark.parametrize("system", ["guideway", "reduced"])
+def test_no_command_reads_the_tracer_only_surface(system, tmp_path, monkeypatch):
+    # the benchmark's tracer and the tests read these, and no command may:
+    # bad and target explore all of P, and transitions all of an automaton
+    monkeypatch.chdir(tmp_path)
+    for cls, attr in ((SynthesisProblem, "bad"), (SynthesisProblem, "target"),
+                      (Automaton, "transitions")):
+        monkeypatch.setattr(cls, attr, property(_must_not_run(f"{cls.__name__}.{attr}")))
+    functions = [netdes.automaton.compose] + [
+        getattr(netdes.synthesis, f"verify_{goal}")
+        for goal in ("covert", "damage_nonblocking", "damage_reachable")]
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "netdes"]
+    for function in functions:
+        # every module that imported it by name sees the stand-in too
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, name, _must_not_run(function.__name__))
+    with pytest.raises(AssertionError, match="a command read Automaton.transitions"):
+        Automaton(["s"], [], [], "s").transitions
+    with pytest.raises(AssertionError, match="a command read verify_covert"):
+        netdes.synthesis.verify_covert(None, None)
+
+    status, stdout = _run(system, "build", ["--out", "out"])
     assert status == 0
-    assert _sha(stdout.encode()) == GOLDEN[system, mode]["<verify>"]
+    assert _sha(stdout.encode()) == _BUILD_STDOUT
+    assert _file_digests("out") == _COMPONENTS[system]
+    for mode in ("nonblocking", "reachable"):
+        _synthesize_and_verify(system, mode, mode)
 
 
 def test_export_dot_matches_golden(tmp_path, monkeypatch):
@@ -290,7 +370,7 @@ def test_synthesize_and_verify_on_reduced_delta_s1_match_golden(mode, tmp_path,
     monkeypatch.chdir(tmp_path)
     cfg = load_config(os.path.join(DATA, "reduced.cfg"))
     with open("rung.cfg", "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(dataclasses.replace(cfg, delta_s=1)))
+        fh.write(serialize_config(with_params(cfg, delta_s=1)))
     status, stdout = _run("reduced", "synthesize", ["--out", "out", "--mode", mode],
                           config="rung.cfg")
     assert status == 0
@@ -307,8 +387,7 @@ def test_synthesize_and_verify_on_guideway_u2_match_golden(tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     cfg = load_config(os.path.join(DATA, "guideway.cfg"))
     with open("rung.cfg", "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(dataclasses.replace(
-            cfg, rates=dataclasses.replace(cfg.rates, u=2))))
+        fh.write(serialize_config(with_params(cfg, u=2)))
     status, stdout = _run("guideway", "synthesize",
                           ["--out", "out", "--mode", "nonblocking"], config="rung.cfg")
     assert status == 0
@@ -323,8 +402,7 @@ def test_synthesize_and_verify_on_guideway_u2_match_golden(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("mode", sorted(GUIDEWAY_U3_ATTACKS))
 def test_guideway_u3_attack_matches_golden(mode, guideway):
-    cfg = guideway.cfg
-    cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, u=3))
+    cfg = with_params(guideway.cfg, u=3)
     problem = build_problem(build_system(cfg, guideway.plant, guideway.ns))
     attack = synthesize_supremal_attack(problem, SynthesisMode(mode))
     text = serialize_automaton(number(attack))

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 import random
 
@@ -20,7 +19,7 @@ from oracles import (accepts, assert_same_automaton, check_pruned_invariants,
                      is_nonblocking, longest_plant_run_by_state,
                      nested_loop_product, pruning_filter, pruning_rules,
                      restrict_reachable, successors, trim, unobservable_reach)
-from systems import RUNG_CONFIGS, rung_system, shipped_paths
+from systems import RUNG_CONFIGS, rung_system, shipped_paths, with_params
 
 
 def make_cfg(delta_s=0, te=None, commands=None, events=None):
@@ -36,8 +35,8 @@ def make_cfg(delta_s=0, te=None, commands=None, events=None):
     ((1, 1, 1, 1, 0, 0), 3), ((1, 2, 1, 1, 1, 1), 11), ((0, 0, 0, 2, 2, 2), 0)])
 def test_capacity_storage(args, expect):
     n_f, u, v, delta_o, delta_c, delta_s = args
-    cfg = dataclasses.replace(make_cfg(delta_s=delta_s), delta_o=delta_o,
-                              delta_c=delta_c, rates=RateBounds(n_f, u, v))
+    cfg = with_params(make_cfg(delta_s=delta_s), delta_o=delta_o, delta_c=delta_c,
+                      n_f=n_f, u=u, v=v)
     assert capacities(cfg)[2][0] == expect
 
 
@@ -92,8 +91,7 @@ def test_stores_and_stages_copy_pickle_and_stay_immutable():
 
 @pytest.fixture(scope="module")
 def reduced_delta_s1(reduced):
-    return build_system(dataclasses.replace(reduced.cfg, delta_s=1),
-                        reduced.plant, reduced.ns)
+    return build_system(with_params(reduced.cfg, delta_s=1), reduced.plant, reduced.ns)
 
 
 def _tuple_name(entries):
@@ -127,7 +125,7 @@ def test_store_and_stage_names_are_the_tuple_and_frozenset_names(
 def test_repr_of_a_lazy_g_new_explores_nothing(reduced):
     # pytest renders automata in assertion messages: that must not build the
     # 16,398 G_new rows of reduced delta_s=1 (847,684 at delta_s=2)
-    g_new = build_system(dataclasses.replace(reduced.cfg, delta_s=1),
+    g_new = build_system(with_params(reduced.cfg, delta_s=1),
                          reduced.plant, reduced.ns).g_new
     rows = len(g_new._delta)
     assert repr(g_new) == (f"Automaton(G_new: {rows} rows computed, "
@@ -487,7 +485,7 @@ def test_rate_bound_warns_on_burst_above_n_f(guideway):
     # guideway's G_new fires at most 6 plant events between ticks (at n_f=1)
     g_new, cfg = number(guideway.g_new), guideway.cfg
     for n_f in (1, 5, 6):
-        rated = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, n_f=n_f))
+        rated = with_params(cfg, n_f=n_f)
         expected = [
             f"plant assembly alone can fire 6 events within one tick, above n_f={n_f} "
             "(the closed loop is tighter: supervisor sends are bounded per "

@@ -22,7 +22,8 @@ from oracles import (accepts, apply_edit, bfs_distances, bfs_order,
                      disabled_controllable_edits, empty_automaton, enabled,
                      lone_target_tuples, marked_copy, nested_loop_product, successors)
 from systems import (RUNG_CONFIGS, faithful_attacker, guideway_swap_attacker,
-                     reduced_swap_attacker, rung_system, shipped_paths, swap_attacker)
+                     reduced_swap_attacker, rung_system, shipped_paths, swap_attacker,
+                     with_params)
 
 C_HASH = ev.compromised("c")
 U_EV = ev.plant("u")
@@ -385,16 +386,12 @@ def test_witnesses_are_shortest_runs_into_offenders(reduced_problem, reduced_att
 # -- on-the-fly synthesis --------------------------------------------------------------
 
 def _attacker_wide(guideway):
-    cfg = guideway.cfg
-    cfg = dataclasses.replace(cfg, delta_o=0,
-                              rates=dataclasses.replace(cfg.rates, u=2))
-    return build_system(cfg, guideway.plant, guideway.ns)
+    return build_system(with_params(guideway.cfg, delta_o=0, u=2),
+                        guideway.plant, guideway.ns)
 
 
 def _guideway_u(guideway, u):
-    cfg = guideway.cfg
-    cfg = dataclasses.replace(cfg, rates=dataclasses.replace(cfg.rates, u=u))
-    return build_system(cfg, guideway.plant, guideway.ns)
+    return build_system(with_params(guideway.cfg, u=u), guideway.plant, guideway.ns)
 
 
 def _lazy_copy(prob):

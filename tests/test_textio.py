@@ -9,6 +9,7 @@ from netdes.cli import main
 from netdes.textio import (ParseError, parse_automaton, serialize_automaton,
                            to_dot)
 from oracles import isomorphic_by, renamed_text, restrict_reachable
+from systems import shipped_config
 from test_automaton import random_automaton
 
 
@@ -67,6 +68,18 @@ def test_full_event_zoo_round_trips():
     back = parse_automaton(serialize_automaton(a))
     assert set(back.alphabet) == set(labels)
     assert len(back.transitions) == len(labels)
+
+
+def test_every_shipped_label_round_trips_through_its_role():
+    for stem in ("guideway", "reduced"):
+        labels = shipped_config(stem).full_alphabet()
+        for label in labels:
+            assert ev.parse_spelling(label.spell(), label.role) is label
+        text = serialize_automaton(Automaton([], labels, [], None))
+        alphabet = text.splitlines()[1].split()[1:]
+        assert [tok.partition(":")[1] for tok in alphabet] == [
+            "" if label in (ev.tick, ev.stop) else ":" for label in sorted(labels)]
+        assert sorted(parse_automaton(text).alphabet) == sorted(labels)
 
 
 def test_comments_and_compromised_hash_coexist():
@@ -164,6 +177,16 @@ AUT_ERRORS = {
                       "spelling 'a_in' does not match role 'plain'", 2),
     "empty-base": (".automaton T\n.alphabet b:plain _out:out\n",
                    "role 'out' requires a base name", 2),
+    "two-names": (".automaton A B\n", ".automaton takes at most one name", 1),
+    # every token but tick and stop declares its role, as the writer spells it
+    "bare-event": (".automaton T\n.alphabet a1\n", "event 'a1' declares no role", 2),
+    "bare-role-name": (".automaton T\n.alphabet tick command\n",
+                       "event 'command' declares no role", 2),
+    "empty-role": (".automaton T\n.alphabet a1:\n", "unknown event role ''", 2),
+    "comment-mark-in-name": (".automaton T\n.alphabet a#b:plain\n",
+                             "spelling 'a#b' does not match role 'plain'", 2),
+    "section-mark-in-name": (".automaton T\n.alphabet [x:plain\n",
+                             "spelling '[x' does not match role 'plain'", 2),
 }
 
 
