@@ -7,24 +7,26 @@ results hash and compare deterministically. Every forward search goes
 through one lazy breadth-first explorer over successor rows, ``explore``: a
 lazy automaton's ``states`` are its discovery order, and synthesis and the
 monitor read rows through it; ``number`` walks that order into arrays and
-``predecessors`` into reverse edges. Unordered closures use ``close_under``;
-the observer's closures go by whole breadth-first layers, so where one
-stops does not depend on the order of a set.
+``predecessors``, from the initial state, into reverse edges. Unordered
+closures use ``close_under``; the observer's closures go by whole
+breadth-first layers, so where one stops does not depend on the order of a
+set.
 
 There is one automaton type, ``Automaton``, stored as successor rows. Its
 constructor validates explicit states and transitions; ``lazy_automaton``
-gives a row function instead, whose rows are computed on first lookup and
-kept by ``_Rows``, the one keeper of rows (which gives every kept edge with
-one successor that state's one shared 1-tuple), and whose states (in the
-breadth-first order of its rows) and marked set are filled by one
-exploration on first read. The loop's components,
-``product`` and ``subset_construction`` are lazy, so a product over them
-builds only the component rows it reaches, and ``compose`` is an explored
-``product``. ``subset_construction`` is the one observer: its alphabet is
-the observed events and it reads silent successors from the rows at each
-use, keeping no table of its own; the monitor and the attack each complete
-its rows once, in their own row functions. Synthesis gives it a stop
-predicate: an estimate whose closure meets a stop state is ``STOPPED``.
+gives an initial state and a row function instead, so a lazy automaton is
+never empty. Its rows are computed on first lookup and kept by ``_Rows``,
+the one keeper of rows (which gives every kept edge with one successor
+that state's one shared 1-tuple), and its states (in the breadth-first
+order of its rows) and marked set are filled by one exploration on first
+read. The loop's components, ``product`` and ``subset_construction`` are
+lazy, so a product over them builds only the component rows it reaches,
+and ``compose`` is an explored ``product``. ``subset_construction`` is the
+one observer: its alphabet is the observed events and it reads silent
+successors from the rows at each use, keeping no table of its own; the
+monitor and the attack each complete its rows once, in their own row
+functions. Synthesis gives it a stop predicate: an estimate whose closure
+meets a stop state is ``STOPPED``.
 
 Event labels, channel states and the plant assembly's store and stage
 states are interned (``events``, ``channels``, ``plant``): equal values are
@@ -83,7 +85,10 @@ class Automaton:
     The relation is stored once, as rows: ``_delta[q]`` maps each event
     enabled at q, in label order, to its successors, several in
     ``state_name`` order. ``initial`` may be None only for the empty
-    automaton (no states), such as a file that declares no state.
+    automaton (no states), such as a file that declares no state; only the
+    reader, ``number`` (and so the writer and DOT export) and the checks of
+    input (``fixtures.build_system``, ``attacker.validate_control``) meet
+    one.
 
     The constructor validates its arguments and builds every row. An
     automaton made by ``lazy_automaton`` has a row function instead: a row
@@ -180,8 +185,7 @@ class _Rows(dict):
 
     __slots__ = ("row", "initial", "lone")
 
-    def __init__(self, initial: Optional[State],
-                 row: Optional[Callable[[State], Row]]) -> None:
+    def __init__(self, initial: State, row: Callable[[State], Row]) -> None:
         super().__init__()
         self.row, self.initial = row, initial
         self.lone: Optional[Dict[State, Tuple[State]]] = {initial: (initial,)}
@@ -219,21 +223,19 @@ def _unmarked(q: State) -> bool:
     return False
 
 
-def lazy_automaton(initial: Optional[State], alphabet: Iterable[EventLabel],
-                   row: Optional[Callable[[State], Row]],
+def lazy_automaton(initial: State, alphabet: Iterable[EventLabel],
+                   row: Callable[[State], Row],
                    is_marked: Callable[[State], bool] = _unmarked,
                    name: str = "") -> Automaton:
     """The automaton reachable from ``initial`` under the row function
     ``row`` (rows in the form of ``Automaton._delta``), marked where
-    ``is_marked`` holds; empty, whatever ``row``, when ``initial`` is None.
-    Otherwise ``states`` and ``marked`` are filled by one exploration on
-    their first read, whatever the marking."""
+    ``is_marked`` holds. It is never empty: ``initial`` is a state. Its
+    ``states`` and ``marked`` are filled by one exploration on their first
+    read, whatever the marking."""
     a = Automaton.__new__(Automaton)
     a.name, a.alphabet, a.initial = name, frozenset(alphabet), initial
-    a._delta = _Rows(initial, None if initial is None else row)
+    a._delta = _Rows(initial, row)
     a.is_marked = is_marked
-    if initial is None:
-        a.states, a.marked = (), frozenset()
     return a
 
 
@@ -308,18 +310,22 @@ def number(a: Automaton) -> Numbering:
 
 
 def predecessors(a: Automaton) -> Dict[State, List[Any]]:
-    """The one reverse-edge map: each state of ``a``, in ``a.states`` order,
-    with its incoming transitions in row order, flat as ``[source, event,
-    source, event, ...]``. A lazy automaton with its row function in place
-    is walked by ``explore`` and keeps no row it did not have. In the order
-    of ``explore`` the first pair of each state but the initial one is the
-    transition that found it: followed back, they spell a shortest run."""
+    """The one reverse-edge map: each state reachable in ``a``, in the order
+    of ``explore`` from the initial state, with its incoming transitions in
+    row order, flat as ``[source, event, source, event, ...]``. Rows are
+    read as ``number`` reads them: a kept row if there is one, else one
+    computed and not kept. The first pair of each state but the initial one
+    is the transition that found it: followed back, they spell a shortest
+    run."""
     rows = a._delta
     row, get = getattr(rows, "row", None), rows.get
-    into: Dict[State, List[Any]] = {q: [] for q in (a.states if row is None else [a.initial])}
-    walk = (zip(a.states, map(rows.__getitem__, a.states)) if row is None
-            else explore(a.initial, lambda q: get(q) or row(q)))
-    for q, out in walk:
+
+    def row_of(q: State) -> Row:
+        out = get(q)
+        return row(q) if out is None else out
+
+    into: Dict[State, List[Any]] = {a.initial: []}
+    for q, out in explore(a.initial, row_of):
         for e, dsts in out.items():
             for dst in dsts:
                 into.setdefault(dst, []).extend((q, e))
@@ -353,7 +359,8 @@ STOPPED: FrozenSet = frozenset((object(),))
 def subset_construction(a: Automaton, observed: Iterable[EventLabel],
                         stop: Optional[Callable[[State], bool]] = None) -> Automaton:
     """The observer of ``a`` w.r.t. ``observed``, unnamed and explored on
-    demand. Its alphabet is ``observed``, every estimate is marked, and an
+    demand. Its alphabet is ``observed``, a subset of ``a``'s (each caller
+    intersects it with that alphabet), every estimate is marked, and an
     estimate's row maps each observed event some state of it enables, in
     label order, to the 1-tuple of the unobservable reach of its successor
     set on it; a consumer completes the rows it needs. Rows of ``a`` are
@@ -369,9 +376,6 @@ def subset_construction(a: Automaton, observed: Iterable[EventLabel],
     layer's states come in; a reach that meets no stop state is closed in
     full, as without ``stop``."""
     obs = frozenset(observed)
-    if not obs <= a.alphabet:
-        bad = next(iter(obs - a.alphabet))
-        raise AutomatonError(f"observed event {bad.spell()} not in alphabet")
     obs_sorted = sorted_events(obs)
     delta = a._delta
 
@@ -401,8 +405,7 @@ def subset_construction(a: Automaton, observed: Iterable[EventLabel],
                         raw.update(dsts)
         return {ev: (reach(raw_by_event[ev]),) for ev in obs_sorted if ev in raw_by_event}
 
-    init = None if a.initial is None else reach((a.initial,))
-    return lazy_automaton(init, obs, row, lambda x: True)
+    return lazy_automaton(reach((a.initial,)), obs, row, lambda x: True)
 
 
 # -- composition -------------------------------------------------------
@@ -426,8 +429,6 @@ def product(components: Sequence, name: str = "",
     participant has one successor gives its target tuple directly; several
     go through ``successor_tuple``, as in ``Automaton``.
     """
-    if not components:
-        raise AutomatonError("compose needs at least one component")
     alphabet: Set[EventLabel] = set()
     for c in components:
         alphabet.update(c.alphabet)
@@ -439,8 +440,6 @@ def product(components: Sequence, name: str = "",
                     return False
             return True
 
-    if any(c.initial is None for c in components):
-        return lazy_automaton(None, alphabet, None, is_marked, name)
     participants: Dict[EventLabel, Tuple[int, ...]] = {
         ev: tuple(i for i, c in enumerate(components) if ev in c.alphabet)
         for ev in alphabet

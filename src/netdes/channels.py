@@ -24,7 +24,7 @@ import math
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Tuple, Union
 
 from . import events as ev
-from .automaton import Automaton, AutomatonError, Row, lazy_automaton, successor_tuple
+from .automaton import Automaton, Row, lazy_automaton, successor_tuple
 from .config import SystemConfig
 
 
@@ -101,10 +101,10 @@ class ChannelState(PairState):
         return ChannelState._of(value[:i] + ((msg, delay),) + value[i:])
 
     def remove(self, msg: str, delay: int) -> "ChannelState":
+        """The state with one ``(msg, delay)`` pair less; one must be
+        resident (the channel's row takes a delay from ``delays_of``)."""
         value = self.value
         i = bisect.bisect_left(value, (msg, delay))
-        if i == len(value) or value[i] != (msg, delay):
-            raise ValueError(f"no ({msg},{delay}) entry to remove")
         return ChannelState._of(value[:i] + value[i + 1:])
 
     def delays_of(self, msg: str) -> List[int]:
@@ -124,11 +124,9 @@ def enumerate_channel_states(n_kinds: int, delta: int, capacity: int) -> Union[i
     Geometric sum by length; the empty channel counts too, and is the only
     state when there are no message kinds. A count of 30 digits or more is
     given, unbuilt, as the text ``~10^D``, D its base-10 logarithm rounded down.
+    All three arguments are nonnegative: ``capacities`` passes lengths and
+    products of parameters that ``SystemConfig`` has checked.
     """
-    if n_kinds < 0:
-        raise ValueError("the number of message kinds must be nonnegative")
-    if capacity < 0:
-        raise ValueError("capacity must be nonnegative")
     base = n_kinds * (delta + 1)
     if base == 1:
         return capacity + 1
@@ -196,16 +194,12 @@ def build_control_channel(cfg: SystemConfig) -> Automaton:
 def relabel_to_attack_free(oc: Automaton) -> Automaton:
     """The monitor's attack-free reference model, lazy: each row is ``oc``'s
     with ``x#`` and ``x_in`` rewritten to ``x``. Labels sort by base, then
-    ``x`` before ``x_in`` before ``x#``, so the row stays in label order
-    unless two labels of ``oc`` become one ``x``: that is rejected."""
-    relabel = {label: label for label in oc.alphabet}
-    for label in ev.sorted_events(oc.alphabet):
-        if label.role in (ev.IN, ev.COMPROMISED):
-            plain = ev.plant(label.base)
-            if plain in relabel.values():  # in oc, or another's image
-                raise AutomatonError(f"relabeling {label.spell()} to {plain.spell()} "
-                                     f"would collide with another label")
-            relabel[label] = plain
+    ``x`` before ``x_in`` before ``x#``, so the row stays in label order as
+    long as no two labels of ``oc`` become one ``x``. None do in an OC built
+    from a config: it holds one entry label (``cfg.sent``) per observable
+    event and no plant label, and ``SystemConfig`` keeps names distinct."""
+    relabel = {label: ev.plant(label.base) if label.role in (ev.IN, ev.COMPROMISED)
+               else label for label in oc.alphabet}
     delta = oc._delta
     return lazy_automaton(oc.initial, relabel.values(),
                           lambda q: {relabel[e]: dsts for e, dsts in delta[q].items()},

@@ -149,19 +149,18 @@ def cmd_export_dot(args) -> int:
 LOOP_FILES = ("--config", "--plant", "--ns")
 
 # name -> (function, required options, optional options with their defaults,
-# positional argument or None, summary). main looks the function up by name
-# when it runs the command, so a test can replace it.
+# positional argument or None, summary)
 COMMANDS = {
-    "capacity": ("cmd_capacity", ("--config",), {}, None,
+    "capacity": (cmd_capacity, ("--config",), {}, None,
                  "print channel/storage capacities"),
-    "build": ("cmd_build", (*LOOP_FILES, "--out"), {}, None,
+    "build": (cmd_build, (*LOOP_FILES, "--out"), {}, None,
               "build and export all loop components"),
-    "synthesize": ("cmd_synthesize", (*LOOP_FILES, "--out"),
+    "synthesize": (cmd_synthesize, (*LOOP_FILES, "--out"),
                    {"--mode": SynthesisMode.DAMAGE_NONBLOCKING.value}, None,
                    "synthesize the supremal covert attack"),
-    "verify": ("cmd_verify", (*LOOP_FILES, "--attack"), {}, None,
+    "verify": (cmd_verify, (*LOOP_FILES, "--attack"), {}, None,
                "verify a candidate attack automaton"),
-    "export-dot": ("cmd_export_dot", (), {"--out": None}, "file",
+    "export-dot": (cmd_export_dot, (), {"--out": None}, "file",
                    "render an automaton file as DOT"),
 }
 CHOICES = {"--mode": tuple(m.value for m in SynthesisMode)}
@@ -253,7 +252,7 @@ def main(argv: Optional[list] = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return globals()[COMMANDS[command][0]](args)
+        return COMMANDS[command][0](args)
     except (ParseError, ConfigError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

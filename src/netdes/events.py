@@ -150,9 +150,17 @@ def spellable(name: str) -> bool:
     reserve ``tick``, ``stop`` and the endings in ``SUFFIXES``; the config
     format also reserves whitespace, which separates columns, ``#``
     anywhere, where a comment starts, and a leading ``[``, which starts a
-    section; ``.alphabet`` reserves the ``:`` before a role."""
+    section; ``.alphabet`` reserves the ``:`` before a role.
+
+    State names reserve ``,``: a channel, store or stage state is named by
+    its ``(name,number)`` pairs, joined by ``,`` and held in braces or
+    parentheses. A name without ``,`` ends at the first ``,`` after the
+    ``(`` that opens its pair, and the number, a ``)`` and any ``^count``
+    follow, so such a state name reads back to one value and no two values
+    share one. With a ``,`` allowed, ``{(x,0),(y,0)}`` names both two
+    messages and one message ``x,0),(y``."""
     return (bool(name) and name not in (TICK, STOP) and "#" not in name
-            and ":" not in name and not name.endswith(_ENDINGS)
+            and ":" not in name and "," not in name and not name.endswith(_ENDINGS)
             and not name.startswith("[") and not any(map(str.isspace, name)))
 
 

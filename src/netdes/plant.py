@@ -56,12 +56,11 @@ class StorageState(PairState):
         return StorageState(self.value + ((cmd, time_left),))
 
     def fetch(self, cmd: str) -> "StorageState":
-        """The store without its earliest ``cmd`` entry."""
+        """The store without its earliest ``cmd`` entry; ``cmd`` must be
+        stored (the store's row fetches only what ``names`` holds)."""
         q = self.value
-        for i, (g, _t) in enumerate(q):
-            if g == cmd:
-                return StorageState(q[:i] + q[i + 1:])
-        raise ValueError(f"command {cmd} not stored")
+        i = next(i for i, (g, _t) in enumerate(q) if g == cmd)
+        return StorageState(q[:i] + q[i + 1:])
 
 
 class ExecState(PairState):

@@ -42,6 +42,10 @@ Verification is independent of the pruning: ``check_attack`` walks P||A
 once into its reverse edges, for all three verdicts and their shortest
 witnesses.
 
+Neither checks its input again: ``build_problem`` takes a system that
+``fixtures.build_system`` has checked, and ``check_attack`` an attack that
+``attacker.validate_attack`` has checked or that synthesis built.
+
 Runs are reproducible without sorting the pruning passes: each pass only
 adds to the sets of deleted estimates and disabled events, so it ends with
 the same sets in any visiting order (the backward propagation is a least
@@ -57,8 +61,8 @@ import math
 from typing import Callable, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .attacker import ControlConstraint, ac_state_count, attack_control_constraint
-from .automaton import (STOPPED, Automaton, AutomatonError, Row, State, close_under,
-                        lazy_automaton, predecessors, product, subset_construction)
+from .automaton import (STOPPED, Automaton, Row, State, close_under, lazy_automaton,
+                        predecessors, product, subset_construction)
 from .channels import capacities
 from .events import EventLabel, sorted_events
 from .fixtures import BuiltSystem
@@ -98,12 +102,12 @@ def build_problem(system: BuiltSystem) -> SynthesisProblem:
     ignored); it violates covertness iff the monitor component is the empty
     estimate while the plant component is not a damage state. So no state
     is both.
+
+    ``system`` comes from ``fixtures.build_system``, which has checked NS
+    against the loop alphabet; AC's alphabet is that alphabet and M's
+    contains NS's, so P's alphabet is the loop's.
     """
     cfg, plant, _cs, _ce, g_new, ac, oc, _oc_t, cc, ns, m = system
-    full = frozenset(cfg.full_alphabet())
-    for c, label in ((ac, "AC"), (ns, "NS"), (m, "M")):
-        if c.alphabet != full:
-            raise AutomatonError(f"{label} alphabet is not the full loop alphabet")
     damage = plant.is_marked
 
     def is_bad(q: State) -> bool:
@@ -155,8 +159,6 @@ def supremal_supervisor(problem: SynthesisProblem, require_nonblocking: bool,
     observer = subset_construction(plant, problem.constraint.observable & plant.alphabet,
                                    problem.is_bad)
     init, rows = observer.initial, observer._delta
-    if init is None:
-        return None
     back = predecessors(lazy_automaton(init, observer.alphabet, rows.__getitem__))
 
     def uncontrollable_into(y: FrozenSet) -> List[FrozenSet]:
@@ -262,9 +264,11 @@ def check_attack(problem: SynthesisProblem, attack: Automaton) -> Verdicts:
     offending state in breadth-first order (for damage-reachable, the first
     damage state), following first predecessors back. Only the rows of P
     that the attack lets the loop reach are computed.
+
+    The attack is nonempty and over P's alphabet: ``verify`` checks a loaded
+    one with ``attacker.validate_attack`` first, and a synthesized one is so
+    by construction.
     """
-    if attack.alphabet != problem.plant.alphabet:
-        raise AutomatonError("attack alphabet differs from the composed plant's")
     start = (problem.plant.initial, attack.initial)
     into = predecessors(product([problem.plant, attack], name="P||A"))
     bad = next((q for q in into if problem.is_bad(q[0])), None)

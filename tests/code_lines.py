@@ -1,9 +1,9 @@
-"""Count the code lines of ``src/netdes`` and of ``tests``: lines that hold
-a token other than a comment or a line break, docstrings excluded. A string
-that spans lines counts on each of them. Prints one line per module of
-``src/netdes``, their total and the total of ``tests``; it gates nothing.
-pytest does not collect this file (its name does not start with
-``test_``)::
+"""Count the code lines and the ``raise`` statements of ``src/netdes`` and
+of ``tests``. A code line holds a token other than a comment or a line
+break, docstrings excluded; a string that spans lines counts on each of
+them. Prints one line per module of ``src/netdes`` (code lines, then
+raises), their totals and the totals of ``tests``; it gates nothing. pytest
+does not collect this file (its name does not start with ``test_``)::
 
     python tests/code_lines.py
 """
@@ -30,27 +30,32 @@ def docstring_lines(tree: ast.AST) -> set:
     return lines
 
 
-def code_lines(path: str) -> int:
+def counts(path: str) -> tuple:
+    """The code lines and the ``raise`` statements of ``path``."""
     with open(path, "rb") as fh:
         source = fh.read()
+    tree = ast.parse(source)
     lines = {n for tok in tokenize.tokenize(io.BytesIO(source).readline)
              if tok.type not in LAYOUT for n in range(tok.start[0], tok.end[0] + 1)}
-    return len(lines - docstring_lines(ast.parse(source)))
+    return (len(lines - docstring_lines(tree)),
+            sum(isinstance(node, ast.Raise) for node in ast.walk(tree)))
 
 
 def sources(directory: str) -> list:
     return sorted(name for name in os.listdir(directory) if name.endswith(".py"))
 
 
+def total(directory: str) -> tuple:
+    every = [counts(os.path.join(directory, name)) for name in sources(directory)]
+    return sum(n for n, _r in every), sum(r for _n, r in every)
+
+
 def main() -> int:
-    total = 0
+    print("  code raise")
     for name in sources(PACKAGE):
-        n = code_lines(os.path.join(PACKAGE, name))
-        total += n
-        print(f"{n:6} {name}")
-    print(f"{total:6} src/netdes")
-    tests = sum(code_lines(os.path.join(TESTS, name)) for name in sources(TESTS))
-    print(f"{tests:6} tests")
+        print("{:6} {:5} {}".format(*counts(os.path.join(PACKAGE, name)), name))
+    print("{:6} {:5} src/netdes".format(*total(PACKAGE)))
+    print("{:6} {:5} tests".format(*total(TESTS)))
     return 0
 
 

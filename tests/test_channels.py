@@ -7,7 +7,6 @@ from math import comb
 import pytest
 
 import netdes.events as ev
-from netdes.automaton import Automaton, AutomatonError
 from netdes.channels import (EMPTY_CHANNEL, ChannelState, build_control_channel,
                              build_observation_channel, capacities,
                              enumerate_channel_states, relabel_to_attack_free)
@@ -105,16 +104,6 @@ def test_enumerate_without_message_kinds_is_just_empty():
             assert enumerate_channel_states(0, delta, capacity) == 1
 
 
-@pytest.mark.parametrize("args,message", [
-    ((-1, 1, 1), "the number of message kinds must be nonnegative"),
-    ((1, 0, -1), "capacity must be nonnegative")],
-    ids=["negative-kinds", "negative-capacity"])
-def test_enumerate_rejects_negative_counts(args, message):
-    with pytest.raises(ValueError) as err:
-        enumerate_channel_states(*args)
-    assert str(err.value) == message
-
-
 # -- interned states ---------------------------------------------------------------
 
 def test_equal_entries_give_one_state():
@@ -145,8 +134,6 @@ def test_channel_states_copy_pickle_and_stay_immutable():
     with pytest.raises(AttributeError):
         del state.value
     assert state.canonical_name() == "{(a,2)^2}"
-    with pytest.raises(ValueError):
-        state.remove("b", 2)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -162,12 +149,10 @@ def test_operations_agree_with_a_multiset_model(seed):
             pair = (rng.choice("abc"), rng.randrange(3))
             state, model[pair] = state.add(*pair), model[pair] + 1
         elif op == "remove":
+            # a resident pair, as the channel's row removes one
             pair = (rng.choice("abc"), rng.randrange(3))
             if model[pair]:
                 state, model[pair] = state.remove(*pair), model[pair] - 1
-            else:
-                with pytest.raises(ValueError):
-                    state.remove(*pair)
         elif all(d for _m, d in model.elements()):
             state = state.tick()
             model = Counter({(m, d - 1): k for (m, d), k in model.items() if k})
@@ -304,15 +289,13 @@ def test_relabel_to_attack_free():
     assert successors(oct_, oct_.initial, ev.tick) == (oct_.initial,)
 
 
-def test_relabel_rejects_plain_collision():
-    bad = Automaton(["s"], [ev.plant("a"), ev.entry("a")],
-                    [("s", ev.plant("a"), "s"), ("s", ev.entry("a"), "s")],
-                    "s")
-    with pytest.raises(AutomatonError, match="relabeling a_in to a"):
-        relabel_to_attack_free(bad)
-    # x_in and x# would both become x: a lazy row cannot merge their successors
-    both = Automaton(["s", "t"], [ev.entry("a"), ev.compromised("a")],
-                     [("s", ev.entry("a"), "s"), ("s", ev.compromised("a"), "t")],
-                     "s")
-    with pytest.raises(AutomatonError, match="relabeling a# to a"):
-        relabel_to_attack_free(both)
+def test_relabel_of_a_built_oc_merges_no_two_labels():
+    # an OC built from a config holds one entry label (x_in or x#) per
+    # observable event and no plant label, so no two labels become one x and
+    # every relabeled row stays in label order
+    for compromised in ((), ("a",), ("a", "b")):
+        oc = build_observation_channel(make_cfg(compromised=compromised))
+        oct_ = relabel_to_attack_free(oc)
+        assert len(oct_.alphabet) == len(oc.alphabet)
+        for q in oc.states:
+            assert list(oct_._delta[q]) == ev.sorted_events(oct_._delta[q])

@@ -208,6 +208,30 @@ def test_no_attack_removes_the_attack_an_earlier_run_wrote(tmp_path, capsys):
     assert not (out / "attack.aut").exists()
 
 
+@pytest.mark.parametrize("cmd", ["build", "synthesize"])
+def test_a_comma_in_a_name_is_rejected_before_any_file_is_written(cmd, tmp_path, capsys):
+    # with the event x,0),(y beside x and y, OC would hold two states named
+    # {(x,0),(y,0)}; the config reader rejects the name first
+    names = ("x", "y", "x,0),(y")
+    (tmp_path / "c.cfg").write_text(
+        "[parameters] delta_o=0 delta_c=0 delta_s=0 n_f=1 u=2 v=1\n[events]\n"
+        + "".join(f"  {n} c o ao comp te=0\n" for n in names) + "[commands] v1 = x\n")
+    (tmp_path / "p.aut").write_text(
+        ".automaton G\n.alphabet " + " ".join(f"{n}:plain" for n in names) + "\n.initial 0\n")
+    labels = ["tick", "stop", "v1:command", "v1_in:command-in", "v1_out:command-out"]
+    labels += [f"{n}{suffix}" for n in names
+               for suffix in (":plain", "#:compromised", "_out:out")]
+    (tmp_path / "ns.aut").write_text(
+        ".automaton NS\n.alphabet " + " ".join(labels) + "\n.initial n\n.marked n\n"
+        + "".join(f".trans n {label.split(':')[0]} n\n" for label in labels))
+    out = tmp_path / "out"
+    assert main([cmd, "--config", str(tmp_path / "c.cfg"), "--plant", str(tmp_path / "p.aut"),
+                 "--ns", str(tmp_path / "ns.aut"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: name 'x,0),(y' collides with event spelling rules\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("empty", ["plant", "ns"])
 @pytest.mark.parametrize("cmd", ["synthesize", "verify"])
 def test_empty_plant_or_supervisor_exit_status(cmd, empty, tmp_path, capsys):
@@ -454,7 +478,7 @@ def test_verify_rejects_an_attack_with_no_states(tmp_path, capsys):
 
 def test_command_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch,
                                                              capsys):
-    real = netdes.cli.cmd_capacity
+    real, *rest = netdes.cli.COMMANDS["capacity"]
     during = []
 
     def probe(args):
@@ -468,12 +492,12 @@ def test_command_pauses_the_collector_and_restores_its_state(tmp_path, monkeypat
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            monkeypatch.setattr(netdes.cli, "cmd_capacity", probe)
+            monkeypatch.setitem(netdes.cli.COMMANDS, "capacity", (probe, *rest))
             assert main(cap + [RED["config"]]) == 0
             assert gc.isenabled() is enabled
             assert main(cap + [str(tmp_path / "missing.cfg")]) == 1
             assert gc.isenabled() is enabled
-            monkeypatch.setattr(netdes.cli, "cmd_capacity", boom)
+            monkeypatch.setitem(netdes.cli.COMMANDS, "capacity", (boom, *rest))
             with pytest.raises(RuntimeError):
                 main(cap + [RED["config"]])
             assert gc.isenabled() is enabled

@@ -260,7 +260,7 @@ def test_event_names_with_an_equals_sign_load():
 
 
 # the separators of the config format, the role suffixes and reserved names
-NAME_PARTS = list(" \t#[]=:") + ["_in", "_out", "tick", "stop"]
+NAME_PARTS = list(" \t#[]=:,") + ["_in", "_out", "tick", "stop"]
 
 
 def _random_name(rng: random.Random) -> str:
@@ -329,6 +329,12 @@ CONFIG_ERRORS = {
     # declare this event
     "role-colon-in-name": (SAMPLE.replace("a1", "a:1"),
                            "name 'a:1' collides with event spelling rules", None),
+    # `,` separates the name and the number of a state's pair, so two
+    # channel, store or stage states could render one name
+    "comma-in-event": (SAMPLE.replace("a1", "a,1"),
+                       "name 'a,1' collides with event spelling rules", None),
+    "comma-in-command": (SAMPLE.replace("v1", "v,1"),
+                         "name 'v,1' collides with event spelling rules", None),
 }
 
 

@@ -4,11 +4,13 @@ from collections import Counter
 
 import pytest
 
+import netdes.cli
 import netdes.events as ev
-from netdes.attacker import ControlConstraint, attack_control_constraint, validate_attack
+from netdes.attacker import ControlConstraint, validate_attack
 from netdes.automaton import (STOPPED, Automaton, AutomatonError, compose, number,
                               lazy_automaton, predecessors, state_name,
                               subset_construction)
+from netdes.cli import LOOP_FILES, main
 from netdes.config import load_config
 from netdes.fixtures import build_system, load_system
 from netdes.supervision import MONITOR_EMPTY, supervisor_control_constraint
@@ -16,10 +18,10 @@ from netdes.synthesis import (SynthesisMode, SynthesisProblem, build_problem,
                               check_attack, state_size_report,
                               supremal_supervisor, synthesize_supremal_attack, verify_covert,
                               verify_damage_nonblocking, verify_damage_reachable)
-from netdes.textio import load_automaton, serialize_automaton
+from netdes.textio import load_automaton, save_automaton, serialize_automaton
 from oracles import (accepts, apply_edit, bfs_distances, bfs_order,
                      bounded_traces, complete_with_selfloops, coreachable,
-                     disabled_controllable_edits, empty_automaton, enabled,
+                     disabled_controllable_edits, enabled,
                      lone_target_tuples, marked_copy, nested_loop_product, successors)
 from systems import (RUNG_CONFIGS, faithful_attacker, guideway_swap_attacker,
                      reduced_swap_attacker, rung_system, shipped_paths, swap_attacker,
@@ -167,22 +169,6 @@ def test_impossible_insertion_breaks_covertness(guideway, guideway_problem):
     assert ev.compromised("a3") in res.witness
 
 
-def test_empty_language_attack_is_vacuously_covert(guideway_problem):
-    a = empty_automaton(guideway_problem.plant.alphabet)
-    assert verify_covert(guideway_problem, a).ok
-
-
-def test_an_empty_plant_has_no_supervisor_and_no_attack(guideway):
-    # P without states has no initial estimate, whatever the mode
-    cfg = guideway.cfg
-    problem = SynthesisProblem(empty_automaton(cfg.full_alphabet()),
-                               frozenset().__contains__, attack_control_constraint(cfg))
-    for require_nonblocking in (True, False):
-        assert supremal_supervisor(problem, require_nonblocking) is None
-    for mode in SynthesisMode:
-        assert synthesize_supremal_attack(problem, mode) is None
-
-
 def test_never_attack_is_not_damage_reachable(reduced, reduced_problem):
     af = faithful_attacker(reduced.cfg)
     assert verify_covert(reduced_problem, af).ok
@@ -198,19 +184,30 @@ def test_no_target_fails_both_damage_checks(reduced):
     assert not verify_damage_nonblocking(prob, af).ok
 
 
-def test_alphabet_mismatch_rejected(reduced_problem):
-    with pytest.raises(AutomatonError):
-        verify_covert(reduced_problem, empty_automaton([ev.tick]))
+def without_tick(a):
+    return Automaton(a.states, a.alphabet - {ev.tick},
+                     [t for t in a.transitions if t[1] is not ev.tick],
+                     a.initial, a.marked, a.name)
+
+
+def test_alphabet_mismatch_rejected(reduced, tmp_path, monkeypatch, capsys):
+    # verify checks a loaded attack's alphabet (validate_attack, exit 2)
+    # before check_attack, which relies on that check, runs
+    path = str(tmp_path / "a.aut")
+    save_automaton(without_tick(faithful_attacker(reduced.cfg)), path)
+    monkeypatch.setattr(netdes.cli, "check_attack", None)
+    assert main(["verify", *itertools.chain(*zip(LOOP_FILES, shipped_paths("reduced"))),
+                 "--attack", path]) == 2
+    assert capsys.readouterr().err == \
+        "validation error: attack alphabet differs from the loop alphabet\n"
 
 
 def test_problem_rejects_a_supervisor_without_a_loop_event(reduced):
-    ns = reduced.ns
-    no_tick = Automaton(ns.states, ns.alphabet - {ev.tick},
-                        [t for t in ns.transitions if t[1] != ev.tick],
-                        ns.initial, ns.marked, ns.name)
+    # build_system checks NS against the loop alphabet before it builds
+    # anything, so build_problem never meets such a supervisor
     with pytest.raises(AutomatonError) as err:
-        build_problem(reduced._replace(ns=no_tick))
-    assert str(err.value) == "NS alphabet is not the full loop alphabet"
+        build_system(reduced.cfg, reduced.plant, without_tick(reduced.ns))
+    assert str(err.value) == "NS alphabet differs from the loop alphabet"
 
 
 # -- dominance of hand-written fixtures ------------------------------------------------
