@@ -137,10 +137,7 @@ def validate_control(a: Automaton, constraint: ControlConstraint,
     """Controllability (every event outside the control set is defined
     everywhere) and observability (no state change on an unobservable event)
     of a supervisor or attack; ``subject`` names it when ``a`` has no name.
-    An automaton with no states is no supervisor: it raises, as a wrong
-    alphabet does."""
-    if a.initial is None:
-        raise AutomatonError(f"the {subject} has no states")
+    A wrong alphabet raises."""
     if a.alphabet != expected_alphabet:
         raise AutomatonError(f"{subject} alphabet differs from the loop alphabet")
     uncontrollable = sorted_events(a.alphabet - constraint.controllable)

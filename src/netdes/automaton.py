@@ -13,20 +13,20 @@ breadth-first layers, so where one stops does not depend on the order of a
 set.
 
 There is one automaton type, ``Automaton``, stored as successor rows. Its
-constructor validates explicit states and transitions; ``lazy_automaton``
-gives an initial state and a row function instead, so a lazy automaton is
-never empty. Its rows are computed on first lookup and kept by ``_Rows``,
-the one keeper of rows (which gives every kept edge with one successor
-that state's one shared 1-tuple), and its states (in the breadth-first
-order of its rows) and marked set are filled by one exploration on first
-read. The loop's components, ``product`` and ``subset_construction`` are
-lazy, so a product over them builds only the component rows it reaches,
-and ``compose`` is an explored ``product``. ``subset_construction`` is the
-one observer: its alphabet is the observed events and it reads silent
-successors from the rows at each use, keeping no table of its own; the
-monitor and the attack each complete its rows once, in their own row
-functions. Synthesis gives it a stop predicate: an estimate whose closure
-meets a stop state is ``STOPPED``.
+constructor validates explicit states and transitions, the initial state
+among them, so no automaton is empty; ``lazy_automaton`` gives an initial
+state and a row function instead. Its rows are computed on first lookup
+and kept by ``_Rows``, the one keeper of rows (which gives every kept edge
+with one successor that state's one shared 1-tuple), and its states (in
+the breadth-first order of its rows) and marked set are filled by one
+exploration on first read. The loop's components, ``product`` and
+``subset_construction`` are lazy, so a product over them builds only the
+component rows it reaches, and ``compose`` is an explored ``product``.
+``subset_construction`` is the one observer: its alphabet is the observed
+events and it reads silent successors from the rows at each use, keeping
+no table of its own; the monitor and the attack each complete its rows
+once, in their own row functions. Synthesis gives it a stop predicate: an
+estimate whose closure meets a stop state is ``STOPPED``.
 
 Event labels, channel states and the plant assembly's store and stage
 states are interned (``events``, ``channels``, ``plant``): equal values are
@@ -84,11 +84,7 @@ class Automaton:
 
     The relation is stored once, as rows: ``_delta[q]`` maps each event
     enabled at q, in label order, to its successors, several in
-    ``state_name`` order. ``initial`` may be None only for the empty
-    automaton (no states), such as a file that declares no state; only the
-    reader, ``number`` (and so the writer and DOT export) and the checks of
-    input (``fixtures.build_system``, ``attacker.validate_control``) meet
-    one.
+    ``state_name`` order. ``initial`` is always one of its states.
 
     The constructor validates its arguments and builds every row. An
     automaton made by ``lazy_automaton`` has a row function instead: a row
@@ -104,7 +100,7 @@ class Automaton:
                  "is_marked")
 
     def __init__(self, states: Iterable[State], alphabet: Iterable[EventLabel],
-                 transitions: Iterable[Transition], initial: Optional[State],
+                 transitions: Iterable[Transition], initial: State,
                  marked: Iterable[State] = (), name: str = "") -> None:
         self.name = name
         self.states: Tuple[State, ...] = tuple(dict.fromkeys(states))
@@ -115,10 +111,7 @@ class Automaton:
 
         # the successor map doubles as the set of declared states
         delta: Dict[State, Dict[EventLabel, Any]] = {q: {} for q in self.states}
-        if initial is None:
-            if self.states:
-                raise AutomatonError("initial state required for a nonempty automaton")
-        elif initial not in delta:
+        if initial not in delta:
             raise AutomatonError(f"initial state {state_name(initial)} not declared")
         for q in self.marked:
             if q not in delta:
@@ -229,9 +222,8 @@ def lazy_automaton(initial: State, alphabet: Iterable[EventLabel],
                    name: str = "") -> Automaton:
     """The automaton reachable from ``initial`` under the row function
     ``row`` (rows in the form of ``Automaton._delta``), marked where
-    ``is_marked`` holds. It is never empty: ``initial`` is a state. Its
-    ``states`` and ``marked`` are filled by one exploration on their first
-    read, whatever the marking."""
+    ``is_marked`` holds. Its ``states`` and ``marked`` are filled by one
+    exploration on their first read, whatever the marking."""
     a = Automaton.__new__(Automaton)
     a.name, a.alphabet, a.initial = name, frozenset(alphabet), initial
     a._delta = _Rows(initial, row)
@@ -304,7 +296,7 @@ def number(a: Automaton) -> Numbering:
                 add_rank(r)
                 add_target(j)
         starts.append(len(targets))
-    n.initial = index.get(a.initial)
+    n.initial = index[a.initial]
     n.empty = index.get(frozenset())
     return n
 

@@ -253,15 +253,12 @@ def main(argv: Optional[list] = None) -> int:
     gc.disable()
     try:
         return COMMANDS[command][0](args)
-    except (ParseError, ConfigError, UnicodeDecodeError) as exc:
+    except (ParseError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AutomatonError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     finally:
         if collecting:
             gc.enable()

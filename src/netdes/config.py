@@ -70,7 +70,8 @@ class SystemConfig:
     def __post_init__(self) -> None:
         names = [e.name for e in self.events]
         if len(set(names)) != len(names):
-            raise ConfigError("duplicate event name")
+            dup = next(n for k, n in enumerate(names) if n in names[:k])
+            raise ConfigError(f"duplicate event name {dup}")
         for name in names + list(self.commands):
             if not ev.spellable(name):
                 raise ConfigError(f"name {name!r} collides with event spelling rules")
@@ -230,8 +231,13 @@ def parse_config(text: str) -> SystemConfig:
 
 
 def load_config(path: str) -> SystemConfig:
+    """The config in the file at ``path``; a ConfigError, text that is not
+    UTF-8 included, names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            return parse_config(fh.read())
+        except (ConfigError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def serialize_config(cfg: SystemConfig) -> str:

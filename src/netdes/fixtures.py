@@ -2,9 +2,8 @@
 
 ``load_system`` turns a config, a plant and a networked supervisor file into
 every component of the loop; ``build_system`` does the same from objects
-already in memory. Before anything is built, the plant and the networked
-supervisor are checked to have states and the supervisor is validated,
-once. The shipped systems are the files under ``data/``.
+already in memory. Before anything is built, the networked supervisor is
+validated, once. The shipped systems are the files under ``data/``.
 
 The command store CS, the pruned plant G_new and the channels OC and OC^T
 are lazy automata: the monitor, and the attack problem that
@@ -43,15 +42,12 @@ class BuiltSystem(NamedTuple):
 
 
 def build_system(cfg: SystemConfig, plant: Automaton, ns: Automaton) -> BuiltSystem:
-    """Every loop component; raises AutomatonError when the plant or ``ns``
-    is empty, or with the report when ``ns`` is not a valid supervisor.
+    """Every loop component; raises AutomatonError with the report when
+    ``ns`` is not a valid supervisor.
 
     The plant's marked states are its damage set, which
     ``synthesis.build_problem`` reads: for a loaded plant the states its
     file's ``.marked`` line names, for one in memory its ``marked``."""
-    for a, what in ((plant, "plant"), (ns, "networked supervisor NS")):
-        if a.initial is None:
-            raise AutomatonError(f"the {what} has no states")
     report = validate_networked_supervisor(ns, cfg)
     if not report.ok:
         raise AutomatonError(report.render())

@@ -173,7 +173,7 @@ def _check_plant(g: Automaton, cfg: SystemConfig) -> Automaton:
 
 def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
                             cfg: SystemConfig) -> Automaton:
-    """Product of storage, execution and (nonempty) plant, pruned by two rules.
+    """Product of storage, execution and plant, pruned by two rules.
 
     Rule 1 deletes composite states whose active command shares no event with
     the plant's enabled set (the fetch was useless). Rule 2 removes tick from

@@ -47,8 +47,7 @@ def build_monitor(ns: Automaton, g_new: Automaton, oc_t: Automaton,
     where the only continuation is the tick self-loop. The monitor sees what
     the networked supervisor sees. Its states come in the breadth-first
     order of its rows, the empty estimate last if nothing reaches it.
-    ``ns`` and ``g_new`` are assumed valid and nonempty
-    (``fixtures.build_system`` checks them first).
+    ``ns`` is assumed valid (``fixtures.build_system`` checks it first).
     """
     reference = product([ns, g_new, oc_t, cc], name="NS||G_new||OC^T||CC")
     observed = supervisor_control_constraint(cfg).observable & reference.alphabet

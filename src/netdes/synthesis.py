@@ -265,7 +265,7 @@ def check_attack(problem: SynthesisProblem, attack: Automaton) -> Verdicts:
     damage state), following first predecessors back. Only the rows of P
     that the attack lets the loop reach are computed.
 
-    The attack is nonempty and over P's alphabet: ``verify`` checks a loaded
+    The attack is over P's alphabet: ``verify`` checks a loaded
     one with ``attacker.validate_attack`` first, and a synthesized one is so
     by construction.
     """

@@ -79,8 +79,7 @@ def _lines(a: Union[Automaton, Numbering]) -> Iterator[str]:
         raise ValueError(f"event spelling {sp!r} is ambiguous in this alphabet")
     yield f".automaton {n.name or 'A'}\n"
     yield ".alphabet " + " ".join(_role_suffix(l) for l in n.events) + "\n"
-    if n.initial is not None:
-        yield f".initial {names[n.initial]}\n"
+    yield f".initial {names[n.initial]}\n"
     if n.marked:
         yield ".marked " + " ".join(sorted([names[i] for i in n.marked])) + "\n"
     # names are unique and a row's ranks come in label order, so sorting a
@@ -103,7 +102,7 @@ def _lines(a: Union[Automaton, Numbering]) -> Iterator[str]:
 
 def parse_automaton(text: str, name: str = "") -> Automaton:
     alphabet: Dict[str, EventLabel] = {}
-    initial: Optional[str] = None
+    initial = ""  # no state token is empty
     marked: List[str] = []
     trans: List[tuple] = []
     states: Dict[str, None] = {}   # insertion-ordered set
@@ -150,7 +149,7 @@ def parse_automaton(text: str, name: str = "") -> Automaton:
         elif directive == ".initial":
             if len(args) != 1:
                 raise ParseError(".initial takes exactly one state", lineno)
-            if initial is not None:
+            if initial:
                 raise ParseError(".initial given twice", lineno)
             initial = args[0]
             states[initial] = None
@@ -160,19 +159,30 @@ def parse_automaton(text: str, name: str = "") -> Automaton:
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)
 
-    if initial is None and states:
-        raise ParseError("missing .initial for a nonempty automaton")
+    if not initial:
+        raise ParseError("missing .initial")
     return Automaton(states, alphabet.values(), trans, initial, marked, auto_name)
 
 
 def load_automaton(path: str, name: str = "") -> Automaton:
+    """The automaton in the file at ``path``; a ParseError, text that is not
+    UTF-8 included, names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_automaton(fh.read(), name=name)
+        try:
+            return parse_automaton(fh.read(), name=name)
+        except (ParseError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def save_automaton(a: Union[Automaton, Numbering], path: str) -> None:
+    """Write ``a`` to ``path``. A failed writer check neither creates nor
+    truncates the file: every check runs before the first chunk, and that
+    chunk is taken before the file is opened."""
+    chunks = _lines(a)
+    first = next(chunks)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_lines(a))
+        fh.write(first)
+        fh.writelines(chunks)
 
 
 # -- DOT export ---------------------------------------------------------

@@ -33,8 +33,6 @@ def isomorphic_by(a1: Automaton, a2: Automaton,
     image = {mapping(q) for q in a1.states}
     if image != set(a2.states) or len(image) != len(a1.states):
         return False
-    if a1.initial is None or a2.initial is None:
-        return a1.initial is None and a2.initial is None
     if mapping(a1.initial) != a2.initial:
         return False
     if {mapping(q) for q in a1.marked} != set(a2.marked):
@@ -68,17 +66,12 @@ def _bfs(start: State, successors: Callable[[State], Iterable[State]]) -> List[S
 def bfs_order(a: Automaton) -> List[State]:
     """The states reachable in ``a``, in the breadth-first order of its rows:
     the order in which a renamed file numbers them."""
-    if a.initial is None:
-        return []
     return _bfs(a.initial, lambda q: [dst for _q, _e, dst in moves(a, q)])
 
 
 def bfs_distances(a: Automaton) -> Dict[State, int]:
     """The length of a shortest path from the initial state to each state."""
-    dist: Dict[State, int] = {}
-    if a.initial is None:
-        return dist
-    dist[a.initial] = 0
+    dist: Dict[State, int] = {a.initial: 0}
 
     def targets(q: State) -> List[State]:
         out = [dst for _q, _e, dst in moves(a, q)]
@@ -99,8 +92,6 @@ def same_closed_language(a1: Automaton, a2: Automaton,
     so callers project first when anything else moves state.
     """
     evs = frozenset(events)
-    if a1.initial is None or a2.initial is None:
-        return (a1.initial is None) == (a2.initial is None)
 
     def pair_successors(pair: Tuple[State, State]) -> List[Tuple[State, State]]:
         q1, q2 = pair
@@ -121,11 +112,8 @@ def bounded_traces(a: Automaton, depth: int) -> Set[Tuple[EventLabel, ...]]:
     Tracks the state estimate per trace so nondeterminism does not blow up
     a level beyond the number of distinct traces.
     """
-    out: Set[Tuple[EventLabel, ...]] = set()
-    if a.initial is None:
-        return out
+    out: Set[Tuple[EventLabel, ...]] = {()}
     level = {(): frozenset((a.initial,))}
-    out.add(())
     for _ in range(depth):
         nxt = {trace + (e,): frozenset(t for q in states for t in successors(a, q, e))
                for trace, states in level.items()
@@ -172,10 +160,6 @@ def step(a: Automaton, q: State, e: EventLabel) -> Optional[State]:
     return dsts[0]
 
 
-def empty_automaton(alphabet: Iterable[EventLabel], name: str = "") -> Automaton:
-    return Automaton((), alphabet, (), None, (), name)
-
-
 def complete_with_selfloops(a: Automaton, events: Iterable[EventLabel],
                             name: str = "") -> Automaton:
     """``a`` with a self-loop wherever one of ``events`` is undefined; events
@@ -212,8 +196,6 @@ def unobservable_reach(a: Automaton, q: State,
 
 
 def reachable(a: Automaton) -> FrozenSet[State]:
-    if a.initial is None:
-        return frozenset()
     return frozenset(close_under(set(), (a.initial,), lambda q: [
         dst for _q, _e, dst in moves(a, q)]))
 
@@ -236,7 +218,10 @@ def is_nonblocking(a: Automaton) -> bool:
     return reachable(a) <= coreachable(a)
 
 
-def trim(a: Automaton, name: str = "") -> Automaton:
+def trim(a: Automaton, name: str = "") -> Optional[Automaton]:
+    """The reachable and coreachable part of ``a``; None, as
+    ``supremal_supervisor`` reports no automaton, when the initial state is
+    not in it."""
     return _restrict(a, reachable(a) & coreachable(a), name)
 
 
@@ -244,10 +229,10 @@ def restrict_reachable(a: Automaton, name: str = "") -> Automaton:
     return _restrict(a, reachable(a), name)
 
 
-def _restrict(a: Automaton, keep: FrozenSet[State], name: str) -> Automaton:
-    """The part of ``a`` on ``keep``; empty unless it holds the initial state."""
+def _restrict(a: Automaton, keep: FrozenSet[State], name: str) -> Optional[Automaton]:
+    """The part of ``a`` on ``keep``; None unless it holds the initial state."""
     if a.initial not in keep:
-        return empty_automaton(a.alphabet, name or a.name)
+        return None
     kept_states = [q for q in a.states if q in keep]
     kept_trans = [t for q in kept_states for t in moves(a, q) if t[2] in keep]
     return Automaton(kept_states, a.alphabet, kept_trans, a.initial,
@@ -259,8 +244,6 @@ def accepts(a: Automaton, seq: Sequence[EventLabel], marked: bool = False) -> bo
     for e in seq:
         if e not in a.alphabet:
             raise AutomatonError(f"event {e.spell()} not in alphabet")
-    if a.initial is None:
-        return False
     current: Set[State] = {a.initial}
     for e in seq:
         nxt: Set[State] = set()
@@ -358,9 +341,7 @@ def renamed_text(a: Automaton) -> str:
     events = sorted_events(a.alphabet)
     lines = [f".automaton {a.name or 'A'}\n", ".alphabet " + " ".join(
         e.spell() if e.role in (ev.TICK, ev.STOP) else f"{e.spell()}:{e.role}"
-        for e in events) + "\n"]
-    if a.initial is not None:
-        lines.append(f".initial {naming[a.initial]}\n")
+        for e in events) + "\n", f".initial {naming[a.initial]}\n"]
     if a.marked:
         lines.append(".marked " + " ".join(sorted(naming[q] for q in a.marked)) + "\n")
     for s in sorted(a.states, key=naming.__getitem__):

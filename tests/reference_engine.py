@@ -38,8 +38,6 @@ def reference_supremal_supervisor(plant: Automaton, bad: FrozenSet,
     obs = oracles.complete_with_selfloops(
         subset_construction(plant, observable & plant.alphabet),
         plant.alphabet - observable, name=name)
-    if obs.initial is None:
-        return None
     dead: Set = {x for x in obs.states if x & bad}
     disabled: Set[Tuple[FrozenSet, EventLabel]] = set()
 

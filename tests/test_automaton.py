@@ -12,10 +12,9 @@ from netdes.automaton import (STOPPED, Automaton, AutomatonError, compose, explo
 from netdes.attacker import ControlConstraint
 from netdes.events import sorted_events
 from netdes.synthesis import SynthesisProblem, check_attack
-from netdes.textio import serialize_automaton
 from oracles import (accepts, assert_same_automaton, bfs_distances, bfs_order,
                      bounded_traces, coreachable,
-                     deterministic, empty_automaton, enabled, is_nonblocking,
+                     deterministic, enabled, is_nonblocking,
                      isomorphic_by, lone_target_tuples, marked_copy, moves,
                      nested_loop_product, reachable,
                      step, successors, trim, unobservable_reach)
@@ -370,7 +369,7 @@ def assert_numbers_in_order(n, a):
     assert len(n.starts) == len(a.states) + 1
     assert numbered_moves(n, a.states) == [moves(a, q) for q in a.states]
     assert n.events == tuple(sorted_events(a.alphabet)) and n.name == a.name
-    assert n.initial == (None if a.initial is None else a.states.index(a.initial))
+    assert n.initial == a.states.index(a.initial)
     assert [a.states[i] for i in n.marked] == [q for q in a.states if q in a.marked]
 
 
@@ -406,15 +405,6 @@ def test_number_of_an_explicit_automaton_follows_its_states():
         unreachable += len(a.states) - len(reachable(a))
         assert_numbers_in_order(number(a), a)
     assert unreachable  # declared states no transition reaches are numbered too
-
-
-def test_number_of_an_empty_automaton_has_no_states():
-    # only a file that declares no state gives one; a lazy automaton has an
-    # initial state
-    n = number(Automaton([], [A, B], [], None, name="E"))
-    assert list(n.starts) == [0] and not n.ranks and not n.targets
-    assert n.initial is None and n.marked == [] and n.empty is None
-    assert serialize_automaton(n) == ".automaton E\n.alphabet a:plain b:plain\n"
 
 
 def test_predecessors_list_each_transition_once_first_the_discovering_one():
@@ -636,16 +626,16 @@ def test_trim_nonblocking_on_random_instances():
     for _ in range(60):
         a = random_automaton(rng)
         t = trim(a)
-        if t.states:
+        if t is not None:
             assert is_nonblocking(t)
-        assert reachable(a) >= set(t.states)
-        assert coreachable(a) >= set(t.states)
+            assert reachable(a) >= set(t.states)
+            assert coreachable(a) >= set(t.states)
 
 
 def test_trim_to_empty():
+    # nothing is left: no automaton, as supremal_supervisor reports it
     a = aut(["q0"], [A], [], "q0", marked=[])
-    t = trim(a)
-    assert not t.states and t.initial is None
+    assert trim(a) is None
 
 
 # -- accepts ------------------------------------------------------------------------
@@ -677,12 +667,6 @@ def test_marked_acceptance_mode():
     assert accepts(a, [A], marked=True)
 
 
-def test_empty_automaton_behaves():
-    e = empty_automaton([A])
-    assert not accepts(e, [])
-    assert reachable(e) == frozenset()
-
-
 # -- order contract ------------------------------------------------------------
 
 def test_successors_come_in_state_name_order():
@@ -706,8 +690,9 @@ def test_step_gives_the_one_successor_and_rejects_a_nondeterministic_event():
 
 # case -> (a call that must fail, message)
 AUTOMATON_ERRORS = {
-    "no-initial": (lambda: aut(["p"], [A], [], None),
-                   "initial state required for a nonempty automaton"),
+    # every automaton has an initial state, so none is empty
+    "no-initial": (lambda: aut(["p"], [A], [], None), "initial state None not declared"),
+    "no-states": (lambda: aut([], [A], [], None), "initial state None not declared"),
     "undeclared-initial": (lambda: aut(["p"], [A], [], "q"),
                            "initial state q not declared"),
     "undeclared-marked": (lambda: aut(["p"], [A], [], "p", marked=["q"]),

@@ -1,6 +1,7 @@
 import filecmp
 import gc
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from oracles import isomorphic_by
 from systems import DATA, shipped_config, shipped_paths, swap_attacker, with_params
 
 RED = dict(zip(("config", "plant", "ns"), shipped_paths("reduced")))
+README = Path(__file__).parent.parent / "README.md"
 
 
 def red_args(cmd, out=None, extra=()):
@@ -228,28 +230,35 @@ def test_a_comma_in_a_name_is_rejected_before_any_file_is_written(cmd, tmp_path,
     assert main([cmd, "--config", str(tmp_path / "c.cfg"), "--plant", str(tmp_path / "p.aut"),
                  "--ns", str(tmp_path / "ns.aut"), "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
-        "error: name 'x,0),(y' collides with event spelling rules\n"
+        f"error: {tmp_path / 'c.cfg'}: name 'x,0),(y' collides with event spelling rules\n"
     assert not out.exists()
+
+
+def stateless_copy(path, tmp_path):
+    """The file at ``path`` cut to its `.automaton` and `.alphabet` lines:
+    it declares no state, so no initial one."""
+    text = Path(path).read_text(encoding="utf-8")
+    copy = tmp_path / "empty.aut"
+    copy.write_text("".join(l for l in text.splitlines(keepends=True)
+                            if l.startswith((".automaton", ".alphabet"))))
+    return str(copy)
 
 
 @pytest.mark.parametrize("empty", ["plant", "ns"])
 @pytest.mark.parametrize("cmd", ["synthesize", "verify"])
 def test_empty_plant_or_supervisor_exit_status(cmd, empty, tmp_path, capsys):
-    # a file that declares an alphabet but no state; the plant marks no
-    # damage state, so an empty one passes the plant's own checks
-    files = dict(RED, plant=unmarked_red_plant(tmp_path))
-    source = load_automaton(RED[empty])
-    files[empty] = str(tmp_path / "empty.aut")
-    save_automaton(Automaton([], source.alphabet, [], None, name=source.name),
-                   files[empty])
-    extra = (["--out", str(tmp_path / "out")] if cmd == "synthesize"
+    # the reader refuses a file with no initial state, naming it, before
+    # anything is built or written
+    files = dict(RED)
+    files[empty] = stateless_copy(RED[empty], tmp_path)
+    out = tmp_path / "out"
+    extra = (["--out", str(out)] if cmd == "synthesize"
              else ["--attack", str(tmp_path / "never_read.aut")])
     rc = main([cmd, "--config", files["config"], "--plant", files["plant"],
                "--ns", files["ns"], *extra])
-    assert rc == 2
-    named = {"plant": "the plant has no states",
-             "ns": "the networked supervisor NS has no states"}[empty]
-    assert f"validation error: {named}" in capsys.readouterr().err
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {files[empty]}: missing .initial\n"
+    assert not out.exists()
 
 
 def test_parse_error_exit_status(tmp_path, capsys):
@@ -263,7 +272,9 @@ def test_parse_error_exit_status(tmp_path, capsys):
     assert main(["capacity", "--config", str(bad)]) == 1
     (tmp_path / "bad.aut").write_bytes(b".automaton \xe9t\xe9\n")
     assert main(["export-dot", str(tmp_path / "bad.aut")]) == 1
-    assert capsys.readouterr().err.count("error: 'utf-8' codec") == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: {bad}: 'utf-8' codec") == 1
+    assert err.count(f"error: {tmp_path / 'bad.aut'}: 'utf-8' codec") == 1
 
 
 def test_invalid_supervisor_exit_status(tmp_path, capsys):
@@ -437,11 +448,80 @@ print(sorted(name for m, module in list(sys.modules.items()) if m.startswith("ne
 
 
 def test_readme_documents_every_option():
-    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     options = {(cmd, opt) for cmd, (_fn, required, optional, _pos, _summary)
                in netdes.cli.COMMANDS.items() for opt in (*required, *optional)}
     assert len({cmd for cmd, _opt in options}) == 5
     assert sorted(opt for _cmd, opt in options if opt not in readme) == []
+
+
+def input_check_rows():
+    """README's "Where input is checked" table, keyed by each row's check
+    (its first code span, or the whole cell without one): the row's exit
+    status and example message (the first code span of its last cell)."""
+    section = README.read_text(encoding="utf-8").split("### Where input is checked\n")[1]
+    start = section.index("\n|") + 1
+    rows = {}
+    for line in section[start:section.index("\n\n", start)].splitlines()[2:]:
+        _what, check, status, message = (c.strip() for c in line.strip("| ").split(" | "))
+        spans = re.findall(r"`([^`]+)`", check)
+        rows[spans[0] if spans else check] = (int(status), re.findall(r"`([^`]+)`", message)[0])
+    return rows
+
+
+# a loop where forwarding a1 spends the attack budget, which u=0 does not
+# allow; its supervisor is one state that never sends a command
+UNBUDGETED = {
+    "x.cfg": "[parameters] delta_o=0 delta_c=0 delta_s=0 n_f=1 u=0 v=1\n"
+             "[events] a1 c o ao - te=0\n[commands] w1 = a1\n",
+    "p.aut": ".automaton G\n.alphabet a1:plain\n.initial 0\n",
+    "ns.aut": ".automaton NS\n.alphabet tick stop a1:plain a1_in:in a1_out:out w1:command "
+              "w1_in:command-in w1_out:command-out\n.initial n\n"
+              + "".join(f".trans n {e} n\n" for e in
+                        ("tick", "stop", "a1", "a1_in", "a1_out", "w1", "w1_out")),
+}
+VERIFY = ["verify", "--config", "x.cfg", "--plant", "p.aut", "--ns", "ns.aut", "--attack", "a.aut"]
+# a row's check -> (the files that replace the reduced loop's, None for a
+# missing one; the command line)
+INPUT_CHECK_CASES = {
+    "cli._parse_args": ({}, ["build", "--config", "x.cfg", "--plant", "p.aut", "--ns", "ns.aut"]),
+    "opening it": ({"x.cfg": None}, ["capacity", "--config", "x.cfg"]),
+    "config.parse_config": (
+        {"x.cfg": "".join(Path(RED["config"]).read_text().splitlines(True)[:4]) + "[bogus] x\n"},
+        ["capacity", "--config", "x.cfg"]),
+    "SystemConfig": ({"x.cfg": Path(RED["config"]).read_text().replace("a1", "a,1")},
+                     ["capacity", "--config", "x.cfg"]),
+    "attacker.build_attack_constraints": (
+        UNBUDGETED, ["build", "--config", "x.cfg", "--plant", "p.aut", "--ns", "ns.aut",
+                     "--out", "out"]),
+    "textio.parse_automaton": ({"ns.aut": ".automaton NS\n.alphabet a1:plain\n.trans n zz n\n"},
+                               VERIFY),
+    "plant.load_plant": ({"p.aut": ".automaton G\n.alphabet zz:plain\n.initial q\n"}, VERIFY),
+    "fixtures.build_system": ({"ns.aut": ".automaton NS\n.alphabet a1:plain\n.initial n\n"},
+                              VERIFY),
+    "attacker.validate_attack": ({"a.aut": ".automaton A\n.alphabet a1:plain\n.initial q\n"},
+                                 VERIFY),
+}
+
+
+@pytest.mark.parametrize("check", sorted(set(input_check_rows()) | set(INPUT_CHECK_CASES)))
+def test_readme_input_check_table_holds(check, tmp_path, monkeypatch, capsys):
+    # each row of the table, in README's words: one bad input ends in the
+    # row's exit status with the row's example message as one line
+    status, message = input_check_rows()[check]
+    replaced, argv = INPUT_CHECK_CASES[check]
+    monkeypatch.chdir(tmp_path)
+    files = {"x.cfg": RED["config"], "p.aut": RED["plant"], "ns.aut": RED["ns"]}
+    for name, source in files.items():
+        Path(name).write_text(Path(source).read_text(encoding="utf-8"), encoding="utf-8")
+    for name, text in replaced.items():
+        if text is None:
+            os.remove(name)
+        else:
+            Path(name).write_text(text, encoding="utf-8")
+    assert main(argv) == status
+    out, err = capsys.readouterr()
+    assert message in (out + err).splitlines()
 
 
 def test_verify_detected_attack_exit_status(tmp_path, capsys):
@@ -461,19 +541,15 @@ def test_verify_detected_attack_exit_status(tmp_path, capsys):
 
 
 def test_verify_rejects_an_attack_with_no_states(tmp_path, capsys):
-    # a file with the loop's alphabet and no state: no attack, so no verdict
-    cfg = shipped_config("guideway")
-    save_automaton(Automaton([], cfg.full_alphabet(), [], None, name="A_none"),
-                   str(tmp_path / "a.aut"))
-    assert ".alphabet" in (tmp_path / "a.aut").read_text()
+    # a file with the loop's alphabet and no state has no initial state:
+    # the reader refuses it, so there is no report and no verdict
+    attack = stateless_copy(os.path.join(DATA, "guideway_ns.aut"), tmp_path)
     rc = main(["verify", "--config", os.path.join(DATA, "guideway.cfg"),
                "--plant", os.path.join(DATA, "guideway_plant.aut"),
                "--ns", os.path.join(DATA, "guideway_ns.aut"),
-               "--attack", str(tmp_path / "a.aut")])
-    assert rc == 2
-    out, err = capsys.readouterr()
-    assert "validation error: the attack has no states" in err
-    assert "covert:" not in out and "valid" not in out
+               "--attack", attack])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {attack}: missing .initial\n")
 
 
 def test_command_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch,

@@ -294,7 +294,7 @@ def test_every_config_accepted_round_trips():
 # at fault)
 CONFIG_ERRORS = {
     "duplicate-event": (SAMPLE + "[events] a1 c o ao comp te=0\n",
-                        "duplicate event name", None),
+                        "duplicate event name a1", None),
     "negative-te": (SAMPLE.replace("te=0", "te=-1"), "a1: te must be nonnegative",
                     None),
     "no-commands": (SAMPLE.replace("[commands]   v1 = a1\n", ""),
@@ -348,4 +348,4 @@ def test_config_input_errors(case, tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(text, encoding="utf-8")
     assert main(["capacity", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {where}{message}\n"
+    assert capsys.readouterr().err == f"error: {path}: {where}{message}\n"

@@ -6,8 +6,8 @@ import pytest
 import netdes.events as ev
 from netdes.automaton import Automaton, number, state_name
 from netdes.cli import main
-from netdes.textio import (ParseError, parse_automaton, serialize_automaton,
-                           to_dot)
+from netdes.textio import (ParseError, parse_automaton, save_automaton,
+                           serialize_automaton, to_dot)
 from oracles import isomorphic_by, renamed_text, restrict_reachable
 from systems import shipped_config
 from test_automaton import random_automaton
@@ -75,7 +75,7 @@ def test_every_shipped_label_round_trips_through_its_role():
         labels = shipped_config(stem).full_alphabet()
         for label in labels:
             assert ev.parse_spelling(label.spell(), label.role) is label
-        text = serialize_automaton(Automaton([], labels, [], None))
+        text = serialize_automaton(Automaton(["q"], labels, [], "q"))
         alphabet = text.splitlines()[1].split()[1:]
         assert [tok.partition(":")[1] for tok in alphabet] == [
             "" if label in (ev.tick, ev.stop) else ":" for label in sorted(labels)]
@@ -187,6 +187,10 @@ AUT_ERRORS = {
                              "spelling 'a#b' does not match role 'plain'", 2),
     "section-mark-in-name": (".automaton T\n.alphabet [x:plain\n",
                              "spelling '[x' does not match role 'plain'", 2),
+    # every automaton has an initial state, one that declares no state too
+    "no-initial": (".automaton T\n.alphabet a:plain\n.trans A a B\n", "missing .initial", None),
+    "no-states": (".automaton T\n.alphabet a:plain\n", "missing .initial", None),
+    "empty-file": ("", "missing .initial", None),
 }
 
 
@@ -195,12 +199,13 @@ def test_automaton_file_errors(case, tmp_path, capsys):
     text, message, line = AUT_ERRORS[case]
     with pytest.raises(ParseError) as err:
         parse_automaton(text)
-    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+    where = f"line {line}: " if line else ""
+    assert (str(err.value), err.value.line) == (where + message, line)
     path = tmp_path / "bad.aut"
     path.write_text(text, encoding="utf-8")
     assert main(["export-dot", str(path)]) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: line {line}: {message}\n")
+    assert (captured.out, captured.err) == ("", f"error: {path}: {where}{message}\n")
 
 
 # case -> (an automaton a writer cannot name unambiguously, message, the
@@ -226,6 +231,16 @@ def test_writer_errors(case):
         # the advice works for both writers
         assert '"S0" [peripheries=2]' in to_dot(number(a))
         assert ".initial S0\n" in serialize_automaton(number(a))
+
+
+@pytest.mark.parametrize("case", WRITER_ERRORS)
+def test_a_failed_writer_check_leaves_no_file(case, tmp_path):
+    a, message, _writers = WRITER_ERRORS[case]
+    path = tmp_path / "a.aut"
+    with pytest.raises(ValueError) as err:
+        save_automaton(a, str(path))
+    assert str(err.value) == message
+    assert not path.exists()
 
 
 def test_dot_of_a_numbering_survives_writing_and_reparsing(guideway, reduced):
