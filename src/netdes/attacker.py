@@ -50,15 +50,15 @@ def build_attack_constraints(cfg: SystemConfig) -> Automaton:
     """The template automaton every sensor attack is synchronized with.
 
     Forwarding an attacker-observable, uncompromised observation spends one
-    unit of the per-observation budget ``u``, so such events need ``u >= 1``.
+    unit of the per-observation budget ``u``; ``SystemConfig`` requires
+    ``u >= 1`` when such an event exists, so the counter state ``q1`` that
+    the forward leads to is always declared. Both ends of every transition
+    come from the one list of states built here.
     """
     u = cfg.rates.u
     oa, sa = set(cfg.sigma_oa), set(cfg.sigma_sa)
     obs_only = [n for n in cfg.sigma_o if n in oa and n not in sa]
     unobs_to_attacker = [n for n in cfg.sigma_o if n not in oa]
-    if obs_only and u < 1:
-        raise ConfigError("u must be at least 1 when forwarded events count "
-                          "toward the attack budget")
 
     states: List[str] = [AC_INIT]
     states += [f"qobs_{n}" for n in obs_only]

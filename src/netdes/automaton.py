@@ -13,15 +13,16 @@ breadth-first layers, so where one stops does not depend on the order of a
 set.
 
 There is one automaton type, ``Automaton``, stored as successor rows. Its
-constructor validates explicit states and transitions, the initial state
-among them, so no automaton is empty; ``lazy_automaton`` gives an initial
-state and a row function instead. Its rows are computed on first lookup
-and kept by ``_Rows``, the one keeper of rows (which gives every kept edge
-with one successor that state's one shared 1-tuple), and its states (in
-the breadth-first order of its rows) and marked set are filled by one
-exploration on first read. The loop's components, ``product`` and
-``subset_construction`` are lazy, so a product over them builds only the
-component rows it reaches, and ``compose`` is an explored ``product``.
+constructor takes explicit states and transitions and checks that the
+initial and marked states are declared, so no automaton is empty;
+``lazy_automaton`` gives an initial state and a row function instead. Its
+rows are computed on first lookup and kept by ``_Rows``, the one keeper of
+rows (which gives every kept edge with one successor that state's one
+shared 1-tuple), and its states (in the breadth-first order of its rows)
+and marked set are filled by one exploration on first read. The loop's
+components, ``product`` and ``subset_construction`` are lazy, so a product
+over them builds only the component rows it reaches, and ``compose`` is an
+explored ``product``.
 ``subset_construction`` is the one observer: its alphabet is the observed
 events and it reads silent successors from the rows at each use, keeping
 no table of its own; the monitor and the attack each complete its rows
@@ -86,10 +87,13 @@ class Automaton:
     enabled at q, in label order, to its successors, several in
     ``state_name`` order. ``initial`` is always one of its states.
 
-    The constructor validates its arguments and builds every row. An
-    automaton made by ``lazy_automaton`` has a row function instead: a row
-    is computed on its first lookup and kept, and ``states`` (breadth-first
-    from the initial state) and ``marked`` are filled on first read. A
+    The constructor checks that ``initial`` and ``marked`` are among
+    ``states`` and builds every row. It does not check the transitions: the
+    caller declares both ends of each (the ``.aut`` reader, AC and the
+    monitor do) and takes its event from ``alphabet``. An automaton made by
+    ``lazy_automaton`` has a row function instead: a row is computed on its
+    first lookup and kept, and ``states`` (breadth-first from the initial
+    state) and ``marked`` are filled on first read. A
     lookup of a state no kept row leads to explores first, so a lazy
     automaton answers as its explored self does. ``transitions`` is built
     from the rows on each read. ``is_marked(q)`` answers for one state
@@ -118,12 +122,7 @@ class Automaton:
                 raise AutomatonError(f"marked state {state_name(q)} not declared")
 
         for (src, ev, dst) in transitions:
-            succ = delta.get(src)
-            if succ is None or dst not in delta:
-                raise AutomatonError(f"transition references unknown state: "
-                                     f"{state_name(src)} -{ev.spell()}-> {state_name(dst)}")
-            if ev not in self.alphabet:
-                raise AutomatonError(f"transition event {ev.spell()} not in alphabet")
+            succ = delta[src]
             dsts = succ.get(ev)
             if dsts is None:
                 succ[ev] = [dst]

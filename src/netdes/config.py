@@ -90,6 +90,11 @@ class SystemConfig:
                 raise ConfigError(f"{e.name}: te only applies to controllable events")
             if e.exec_delay is not None and e.exec_delay < 0:
                 raise ConfigError(f"{e.name}: te must be nonnegative")
+        if self.rates.u < 1 and any(e.attacker_observable and not e.compromised
+                                    for e in self.events):
+            # forwarding such an event as read spends one unit of u
+            raise ConfigError("u must be at least 1 when forwarded events count "
+                              "toward the attack budget")
         if not self.commands:
             raise ConfigError("at least one command is required")
         for cmd, members in self.commands.items():

@@ -193,11 +193,9 @@ def compose_and_prune_plant(cs: Automaton, ce: Automaton, g: Automaton,
 
     ``cs`` and ``ce`` are ``build_command_storage(cfg)`` and
     ``build_command_execution(cfg)``, as ``fixtures.build_system`` makes
-    them; only the plant, which is user input, is checked against ``cfg``.
+    them, and ``g`` is over ``cfg.plant_labels()``, as ``load_plant`` gives
+    it.
     """
-    if set(g.alphabet) != set(cfg.plant_labels()):
-        raise AutomatonError("plant alphabet mismatch with config")
-
     alphabet = cs.alphabet | ce.alphabet | g.alphabet
     events = [(e, e in cs.alphabet, e in ce.alphabet, e in g.alphabet)
               for e in ev.sorted_events(alphabet)]

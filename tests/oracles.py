@@ -141,6 +141,15 @@ def enabled(a: Automaton, q: State) -> Tuple[EventLabel, ...]:
     return tuple(a._delta[q])
 
 
+def undeclared_entries(a: Automaton) -> List[Transition]:
+    """The edges of ``a`` whose event is outside its alphabet or whose
+    target is not one of its states; the constructor does not look, so
+    whoever builds an automaton must give none."""
+    states = set(a.states)
+    return [(q, e, dst) for q in a.states for e, dsts in a._delta[q].items()
+            for dst in dsts if e not in a.alphabet or dst not in states]
+
+
 def lone_target_tuples(a: Automaton) -> Tuple[int, int, int]:
     """Over the rows ``a`` keeps, without computing any: the number of edges
     whose event has one successor, of distinct tuple objects holding those

@@ -6,7 +6,8 @@ from netdes.attacker import (AC_INIT, ControlConstraint, ac_state_count,
                              validate_attack)
 from netdes.automaton import Automaton, AutomatonError
 from netdes.config import ConfigError, EventSpec, RateBounds, SystemConfig
-from oracles import complete_with_selfloops, enabled, step, successors
+from oracles import (complete_with_selfloops, enabled, step, successors,
+                     undeclared_entries)
 from systems import faithful_attacker, shipped_config
 
 
@@ -58,18 +59,23 @@ def test_insertion_budget_exhausts():
 
 
 def test_a_forwarded_observation_spends_one_unit_of_u():
-    # the forwarded, untamperable observation is one unit of the budget u
+    # the forwarded, untamperable observation is one unit of the budget u,
+    # and q1, the target of that edge, is one of AC's states
     counted = build_attack_constraints(rich_cfg(u=1))
     assert step(counted, "qobs_oa", ev.entry("oa")) == "q1"
+    assert undeclared_entries(counted) == []
 
 
 def test_counting_forward_requires_budget():
+    # the config refuses u=0 where a forward spends it, so AC's qobs_oa ->
+    # q1 edge always has its target
     events = (EventSpec("sa", True, True, True, True, 0),
               EventSpec("oa", False, True, True, False, None))
-    cfg = SystemConfig(events=events, commands={"v": frozenset({"sa"})},
-                       delta_o=0, delta_c=0, delta_s=0, rates=RateBounds(1, 0, 1))
-    with pytest.raises(ConfigError):
-        build_attack_constraints(cfg)
+    with pytest.raises(ConfigError) as err:
+        SystemConfig(events=events, commands={"v": frozenset({"sa"})},
+                     delta_o=0, delta_c=0, delta_s=0, rates=RateBounds(1, 0, 1))
+    assert str(err.value) == ("u must be at least 1 when forwarded events count "
+                              "toward the attack budget")
 
 
 def test_control_constraint_rejects_an_unobserved_controllable_event():

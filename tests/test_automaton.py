@@ -697,12 +697,6 @@ AUTOMATON_ERRORS = {
                            "initial state q not declared"),
     "undeclared-marked": (lambda: aut(["p"], [A], [], "p", marked=["q"]),
                           "marked state q not declared"),
-    "undeclared-source": (lambda: aut(["p"], [A], [("q", A, "p")], "p"),
-                          "transition references unknown state: q -a-> p"),
-    "undeclared-target": (lambda: aut(["p"], [A], [("p", A, "q")], "p"),
-                          "transition references unknown state: p -a-> q"),
-    "event-outside-alphabet": (lambda: aut(["p"], [A], [("p", B, "p")], "p"),
-                               "transition event b not in alphabet"),
 }
 
 

@@ -491,9 +491,6 @@ INPUT_CHECK_CASES = {
         ["capacity", "--config", "x.cfg"]),
     "SystemConfig": ({"x.cfg": Path(RED["config"]).read_text().replace("a1", "a,1")},
                      ["capacity", "--config", "x.cfg"]),
-    "attacker.build_attack_constraints": (
-        UNBUDGETED, ["build", "--config", "x.cfg", "--plant", "p.aut", "--ns", "ns.aut",
-                     "--out", "out"]),
     "textio.parse_automaton": ({"ns.aut": ".automaton NS\n.alphabet a1:plain\n.trans n zz n\n"},
                                VERIFY),
     "plant.load_plant": ({"p.aut": ".automaton G\n.alphabet zz:plain\n.initial q\n"}, VERIFY),
@@ -522,6 +519,24 @@ def test_readme_input_check_table_holds(check, tmp_path, monkeypatch, capsys):
     assert main(argv) == status
     out, err = capsys.readouterr()
     assert message in (out + err).splitlines()
+
+
+@pytest.mark.parametrize("command", ["capacity", "build", "synthesize", "verify"])
+def test_every_command_refuses_an_unbudgeted_config_as_it_loads(command, tmp_path,
+                                                                monkeypatch, capsys):
+    # SystemConfig checks the budget rule, so capacity, which builds no
+    # loop, refuses the config as the loop commands do, naming the file
+    monkeypatch.chdir(tmp_path)
+    for name, text in UNBUDGETED.items():
+        Path(name).write_text(text, encoding="utf-8")
+    argv = [command, "--config", "x.cfg"]
+    if command != "capacity":
+        argv += ["--plant", "p.aut", "--ns", "ns.aut"]
+        argv += ["--attack", "a.aut"] if command == "verify" else ["--out", "out"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: x.cfg: u must be at least 1 when forwarded "
+                                       "events count toward the attack budget\n")
+    assert set(os.listdir()) == set(UNBUDGETED)  # and no --out directory
 
 
 def test_verify_detected_attack_exit_status(tmp_path, capsys):

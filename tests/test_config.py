@@ -88,10 +88,13 @@ def _random_config(rng: random.Random) -> SystemConfig:
     controllable = [spec.name for spec in specs if spec.controllable]
     commands = {f"v{k}": frozenset(rng.sample(controllable, rng.randint(1, len(controllable))))
                 for k in range(rng.randint(1, 4))}
+    # a forwarded event spends one unit of u, so u is then at least 1
+    least_u = int(any(spec.attacker_observable and not spec.compromised for spec in specs))
     return SystemConfig(events=tuple(specs), commands=commands,
                         delta_o=rng.randrange(3), delta_c=rng.randrange(3),
                         delta_s=rng.randrange(3),
-                        rates=RateBounds(rng.randrange(3), rng.randrange(4), rng.randrange(3)))
+                        rates=RateBounds(rng.randrange(3), max(rng.randrange(4), least_u),
+                                         rng.randrange(3)))
 
 
 def test_serialize_round_trip_on_random_configs():

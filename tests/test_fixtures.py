@@ -13,7 +13,7 @@ from netdes.supervision import validate_networked_supervisor
 from netdes.synthesis import (SynthesisMode, build_problem, check_attack,
                               synthesize_supremal_attack)
 from oracles import (assert_same_automaton, explicit_attack_free_relabel,
-                     same_closed_language, step)
+                     same_closed_language, step, undeclared_entries)
 from systems import (RUNG_CONFIGS, guideway_spec, reduced_spec, rung_system,
                      shipped_config, shipped_paths, shipped_system, with_params)
 
@@ -107,6 +107,15 @@ def test_lazy_oc_t_equals_the_explicit_relabel(stem, params):
     assert system.oc_t.states and system.oc._delta.row is not None
     assert_same_automaton(system.oc_t, explicit_attack_free_relabel(system.oc))
     assert system.oc_t.name == "OC^T" and not system.oc_t.marked
+
+
+@pytest.mark.parametrize("stem,params", RUNG_CONFIGS)
+def test_ac_and_the_monitor_declare_every_edge_they_hold(stem, params):
+    # each builds both ends of its transitions from one list of states and
+    # takes their events from its alphabet; the constructor checks neither
+    system = rung_system(stem, params)
+    for a in (system.ac, system.monitor):
+        assert a.transitions and undeclared_entries(a) == []
 
 
 @pytest.mark.parametrize("stem,params", RUNG_CONFIGS)

@@ -412,18 +412,6 @@ def test_g_new_row_function_never_sees_a_state_behind_a_pruned_transition():
     assert not check_pruned_invariants(gn, g, cfg)
 
 
-def test_alphabet_mismatch_rejected():
-    cfg = make_cfg()
-    other = make_cfg(events=(EventSpec("z", True, True, True, True, 0),
-                             EventSpec("u", False, False, False, False, None)),
-                     commands={"g": frozenset({"z"})})
-    g = _lone_plant(other, [], ["q0"])
-    with pytest.raises(AutomatonError) as err:
-        compose_and_prune_plant(build_command_storage(cfg),
-                                build_command_execution(cfg), g, cfg)
-    assert str(err.value) == "plant alphabet mismatch with config"
-
-
 def check_uncontrollable_liveness(g_new, g, cfg):
     problems = []
     for state in g_new.states:

@@ -1,5 +1,6 @@
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +9,10 @@ from netdes.automaton import Automaton, number, state_name
 from netdes.cli import main
 from netdes.textio import (ParseError, parse_automaton, save_automaton,
                            serialize_automaton, to_dot)
-from oracles import isomorphic_by, renamed_text, restrict_reachable
-from systems import shipped_config
+from oracles import isomorphic_by, renamed_text, restrict_reachable, undeclared_entries
+from systems import shipped_config, shipped_paths
 from test_automaton import random_automaton
+from test_input_mutation import SEED, mutate
 
 
 def test_round_trip_keeps_structure():
@@ -50,6 +52,27 @@ def test_numbered_text_equals_the_dict_named_rendering(guideway, reduced):
     assert frozenset() in guideway.monitor.states  # named {}
     for a in cases:
         assert serialize_automaton(number(a)) == renamed_text(a)
+
+
+def test_a_parsed_automaton_declares_every_edge_it_holds():
+    # the reader declares both ends of each .trans line and resolves its
+    # event against .alphabet, so the constructor checks neither: seeded
+    # mutations of the shipped plant and NS files, and random automata
+    rng = random.Random(SEED)
+    texts = [Path(path).read_text(encoding="utf-8")
+             for stem in ("guideway", "reduced") for path in shipped_paths(stem)[1:]]
+    parsed = 0
+    for _ in range(400):
+        try:
+            a = parse_automaton(mutate(rng.choice(texts), rng))
+        except ParseError:
+            continue
+        parsed += 1
+        assert undeclared_entries(a) == []
+    assert parsed > 200
+    for _ in range(60):
+        a = parse_automaton(serialize_automaton(random_automaton(rng, max_states=30)))
+        assert undeclared_entries(a) == []
 
 
 def test_serialization_is_deterministic():
