@@ -14,10 +14,14 @@ which builds all of it, and G_new and its rate check from one
 of P that live observer estimates reach, and those of a doomed estimate's
 silent layers before its first covertness-violating state, and the verdicts (one
 ``check_attack`` per command) only those that the attacked loop reaches, so
-neither explores P in full. When no covert attack exists, ``synthesize``
-removes any ``attack.aut`` an earlier run left in ``--out``, so the
-directory never holds an attack beside a certificate that says there is
-none.
+neither explores P in full.
+
+Every file goes through ``textio.write_text``, so each is written whole or
+not at all. ``build`` first removes any ``state_counts.txt`` an earlier run
+left in ``--out``, and ``synthesize`` that, ``attack.aut`` and
+``certificate.txt``; each command writes these completion files last. So a
+command that stops leaves no completion file, and a directory never holds
+an attack beside a certificate that says there is none.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from .plant import rate_bound_warnings
 from .synthesis import (SynthesisMode, SynthesisProblem, build_problem,
                         check_attack, render_size_report, state_size_report,
                         synthesize_supremal_attack)
-from .textio import ParseError, load_automaton, save_automaton, to_dot
+from .textio import ParseError, load_automaton, save_automaton, to_dot, write_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,8 +57,15 @@ def cmd_capacity(args) -> int:
     return EXIT_OK
 
 
-def _write_components(system: BuiltSystem, out_dir: str) -> None:
+def _write_components(system: BuiltSystem, out_dir: str,
+                      stale: Tuple[str, ...]) -> None:
+    """Write the eight parts into ``out_dir``, then ``state_counts.txt``.
+    First remove each file in ``stale``: the completion files of the
+    command, which an earlier run may have left there."""
     os.makedirs(out_dir, exist_ok=True)
+    for name in stale:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     # the parts whose states the files name by state_name; G_new and M are numbered
     for part in ("ac", "oc", "oc_t", "cc", "cs", "ce"):
         save_automaton(getattr(system, part), os.path.join(out_dir, part + ".aut"))
@@ -64,14 +75,12 @@ def _write_components(system: BuiltSystem, out_dir: str) -> None:
     lines = [render_size_report(state_size_report(system))]
     for w in rate_bound_warnings(g_new, system.cfg):
         lines.append(f"warning: {w}\n")
-    with open(os.path.join(out_dir, "state_counts.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    write_text(os.path.join(out_dir, "state_counts.txt"), lines)
 
 
 def cmd_build(args) -> int:
     system = load_system(args.config, args.plant, args.ns)
-    _write_components(system, args.out)
+    _write_components(system, args.out, ("state_counts.txt",))
     print(f"wrote 8 automata and state_counts.txt to {args.out}")
     return EXIT_OK
 
@@ -79,27 +88,23 @@ def cmd_build(args) -> int:
 def cmd_synthesize(args) -> int:
     mode = SynthesisMode(args.mode)
     system = load_system(args.config, args.plant, args.ns)
-    _write_components(system, args.out)
+    _write_components(system, args.out,
+                      ("state_counts.txt", "attack.aut", "certificate.txt"))
     problem = build_problem(system)
     attack = synthesize_supremal_attack(problem, mode)
     cert_path = os.path.join(args.out, "certificate.txt")
-    attack_path = os.path.join(args.out, "attack.aut")
     if attack is None:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(attack_path)
-        with open(cert_path, "w", encoding="utf-8") as fh:
-            fh.write(f"mode: {mode.value}\nresult: no covert attack exists\n")
+        write_text(cert_path, [f"mode: {mode.value}\nresult: no covert attack exists\n"])
         print("no covert attack exists")
         return EXIT_NO_ATTACK
     lines = [f"mode: {mode.value}",
              f"attack-states: {len(attack.states)}"]
     # after states is read, so the walk reads the kept rows and computes none
-    save_automaton(number(attack), attack_path)
+    save_automaton(number(attack), os.path.join(args.out, "attack.aut"))
     lines.append(f"validates: {validate_attack(attack, problem.constraint, problem.plant.alphabet).ok}")
     lines += _verdicts(problem, attack,
                        mode is SynthesisMode.DAMAGE_NONBLOCKING)[1]
-    with open(cert_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(cert_path, ["\n".join(lines) + "\n"])
     print("\n".join(lines))
     return EXIT_OK
 
@@ -139,8 +144,7 @@ def cmd_export_dot(args) -> int:
     a = load_automaton(args.file)
     dot = to_dot(a)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        write_text(args.out, [dot])
     else:
         sys.stdout.write(dot)
     return EXIT_OK

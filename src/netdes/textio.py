@@ -17,11 +17,13 @@ ends, not begins, its token.
 Written from ``automaton.number``, as the CLI writes G_new, the monitor and
 the attack, states are ``S<i>`` by position i (for those three, the
 breadth-first order of their rows); the monitor's detection state keeps the
-name ``{}``.
+name ``{}``. Every file the CLI writes goes through ``write_text``.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+import contextlib
+import os
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from . import events as ev
 from .automaton import Automaton, Numbering, number, state_name
@@ -70,8 +72,7 @@ def serialize_automaton(a: Union[Automaton, Numbering]) -> str:
 def _lines(a: Union[Automaton, Numbering]) -> Iterator[str]:
     """The text of ``serialize_automaton`` in chunks of whole lines: each
     header line, then the ``.trans`` lines some hundreds at a time. Both
-    forms are written from a numbering; only the name of a position differs.
-    Every check runs before the first chunk."""
+    forms are written from a numbering; only the name of a position differs."""
     n, names = _named(a)
     spelled = [e.spell() for e in n.events]
     if len(set(spelled)) != len(spelled):
@@ -174,15 +175,30 @@ def load_automaton(path: str, name: str = "") -> Automaton:
             raise ParseError(f"{path}: {exc}") from None
 
 
+def write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` as UTF-8 with ``\\n`` line ends, whole or
+    not at all: they go to a temporary file beside ``path``, which replaces
+    ``path`` only after the last chunk is written. On any failure, an error
+    raised by ``chunks`` included, the temporary file is removed and
+    ``path`` is left as it was; an ``OSError`` names ``path``."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # name the file the caller asked for, not the temporary one
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
+
+
 def save_automaton(a: Union[Automaton, Numbering], path: str) -> None:
-    """Write ``a`` to ``path``. A failed writer check neither creates nor
-    truncates the file: every check runs before the first chunk, and that
-    chunk is taken before the file is opened."""
-    chunks = _lines(a)
-    first = next(chunks)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(first)
-        fh.writelines(chunks)
+    """Write ``a`` to ``path`` through ``write_text``: a failed writer check
+    or write leaves ``path`` as it was."""
+    write_text(path, _lines(a))
 
 
 # -- DOT export ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import errno
 import filecmp
 import gc
 import os
@@ -210,6 +211,42 @@ def test_no_attack_removes_the_attack_an_earlier_run_wrote(tmp_path, capsys):
     assert not (out / "attack.aut").exists()
 
 
+# the files a command writes last, which an earlier run's may not outlive
+COMPLETION = {"build": {"state_counts.txt"},
+              "synthesize": {"state_counts.txt", "attack.aut", "certificate.txt"}}
+
+
+@pytest.mark.parametrize("cmd", sorted(COMPLETION))
+def test_a_failed_write_leaves_no_file_that_looks_whole(cmd, tmp_path, capsys,
+                                                        monkeypatch):
+    # after a complete run, a rerun whose g_new.aut write fails after its
+    # first chunk (a full disk) leaves no truncated file and none of the
+    # earlier run's completion files
+    out = tmp_path / "out"
+    assert main(red_args(cmd, out)) == 0
+    assert COMPLETION[cmd] <= {p.name for p in out.iterdir()}
+    write_text = netdes.textio.write_text
+
+    def first_then_full(chunks):
+        yield next(iter(chunks))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def full_disk(path, chunks):
+        is_g_new = os.path.basename(path) == "g_new.aut"
+        write_text(path, first_then_full(chunks) if is_g_new else chunks)
+
+    monkeypatch.setattr(netdes.textio, "write_text", full_disk)
+    capsys.readouterr()
+    assert main(red_args(cmd, out)) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    names = {p.name for p in out.iterdir()}
+    assert not names & COMPLETION[cmd]
+    assert names == {f"{part}.aut" for part in ("ac", "oc", "oc_t", "cc", "cs", "ce",
+                                                "g_new", "monitor")}
+    for name in names:
+        load_automaton(str(out / name))
+
+
 @pytest.mark.parametrize("cmd", ["build", "synthesize"])
 def test_a_comma_in_a_name_is_rejected_before_any_file_is_written(cmd, tmp_path, capsys):
     # with the event x,0),(y beside x and y, OC would hold two states named
@@ -302,6 +339,20 @@ def test_export_dot(tmp_path, capsys):
     rc = main(["export-dot", str(tmp_path / "cs.aut")])
     assert rc == 0
     assert "digraph" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("out, message", [
+    ("no/p.dot", "[Errno 2] No such file or directory"),
+    ("d", "[Errno 21] Is a directory")])
+def test_export_dot_that_cannot_write_changes_nothing(out, message, tmp_path, capsys):
+    # the error names the --out file, not the temporary file beside it
+    (tmp_path / "d").mkdir()
+    target = str(tmp_path / out)
+    rc = main(["export-dot", RED["plant"], "--out", target])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {message}: '{target}'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 def test_empty_out_path_is_an_error(capsys):

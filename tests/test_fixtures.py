@@ -79,7 +79,7 @@ def test_writing_the_components_keeps_no_g_new_row_the_monitor_did_not_read(tmp_
     g_new = system.g_new
     read = set(g_new._delta)
     assert 0 < len(read) < 100
-    _write_components(system, str(tmp_path))
+    _write_components(system, str(tmp_path), ())
     assert set(g_new._delta) == read and g_new._delta.row is not None
     with open(tmp_path / "g_new.aut", encoding="utf-8") as fh:
         sources = {line.split()[1] for line in fh if line.startswith(".trans")}

@@ -9,8 +9,10 @@ synthesize and verify: before CS and G_new became lazy; the build with an
 unreachable detection state: before the monitor became one exploration;
 guideway ``u=3``: before synthesis became on-the-fly). One case runs
 ``export-dot`` on five guideway files and compares the sha256 of what it
-prints, recorded before the kernel had one observer. A change that alters
-any byte of any output fails here.
+prints, recorded before the kernel had one observer. One case builds and
+synthesizes guideway with a forwarded event; its digests were recorded
+before every command wrote through one writer. A change that alters any
+byte of any output fails here.
 """
 import contextlib
 import hashlib
@@ -29,10 +31,11 @@ import netdes.synthesis
 from netdes.automaton import Automaton, number
 from netdes.cli import main
 from netdes.config import load_config, serialize_config
-from netdes.fixtures import build_system
+from netdes.fixtures import build_system, load_system
 from netdes.synthesis import (SynthesisMode, SynthesisProblem, build_problem,
                               synthesize_supremal_attack)
 from netdes.textio import save_automaton, serialize_automaton
+from reference_engine import reference_attack, same_automaton
 from systems import with_params
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "netdes", "data")
@@ -190,6 +193,31 @@ UNREACHABLE_DETECTION = {
 }
 
 
+# guideway with b3 forwarded, attacker-observable and not compromised: the
+# config line "b3 uc o ao - -", and the NS with b3# relabelled b3_in. AC has
+# two qobs_b3 lines and OC carries b3_in, which no shipped system has. CS,
+# CE, CC, OC^T and G_new are guideway's, and verify prints guideway's lines.
+FORWARDED_B3_COMPONENTS = {
+    **_GUIDEWAY_COMPONENTS,
+    "ac.aut": "801a5a03b6b86e5b367499e0edbe592867463f55053c73c24c4a96d6adca5a6e",
+    "monitor.aut": "b775cc104c0d25530a75cb21abac53f11422da241705b04e4405413fcad3e48a",
+    "oc.aut": "08797a00f8c4a7b0676a3713119a987e3a636968126d0d072add9b873cbd2491",
+    "state_counts.txt": "b49706d37a5c34c55e1a9398bb1c90c7b4e4b283dcd8b7f076e25285fd46abe0",
+}
+FORWARDED_B3 = {
+    "nonblocking": {
+        "attack.aut": "6deb1d75845c1a869a22d4915044bcc2e4bef08cdd867e1bbbd88c4469741f0a",
+        "certificate.txt": "9d70c30ac3deb41c43cf9e1307ffd3d121fbfdb446ce61e83435c397de1a16f6",
+        "<verify>": GOLDEN["guideway", "nonblocking"]["<verify>"],
+    },
+    "reachable": {
+        "attack.aut": "a33d2a87f960b0b736b2c935b2a419a972bf1dcf48981e51c475ae9a02a47c89",
+        "certificate.txt": "7238e4afa640f4e05ae6e66f9899b253a7616de58fc00908213d7b0bf423682c",
+        "<verify>": GOLDEN["guideway", "reachable"]["<verify>"],
+    },
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -276,6 +304,59 @@ def _synthesize_and_verify(system, mode, out, plant=None, ns=None):
 def test_synthesize_and_verify_match_golden(system, mode, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _synthesize_and_verify(system, mode, "out")
+
+
+def _forwarded_b3_inputs():
+    """Write ``fwd.cfg`` and ``fwd_ns.aut``, the shipped guideway config
+    and NS with b3 forwarded, into the working directory."""
+    with open(os.path.join(DATA, "guideway.cfg"), encoding="utf-8") as fh:
+        cfg = fh.read()
+    assert cfg.count("b3 uc o ao comp -") == 1
+    with open("fwd.cfg", "w", encoding="utf-8") as fh:
+        fh.write(cfg.replace("b3 uc o ao comp -", "b3 uc o ao - -"))
+    relabel = {"b3#:compromised": "b3_in:in", "b3#": "b3_in"}
+    with open(os.path.join(DATA, "guideway_ns.aut"), encoding="utf-8") as fh:
+        ns = [" ".join(relabel.get(tok, tok) for tok in line.split()) + "\n"
+              for line in fh]
+    with open("fwd_ns.aut", "w", encoding="utf-8") as fh:
+        fh.writelines(ns)
+
+
+def test_a_forwarded_event_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _forwarded_b3_inputs()
+    files = {"config": "fwd.cfg", "ns": "fwd_ns.aut"}
+    status, stdout = _run("guideway", "build", ["--out", "out"], **files)
+    assert status == 0
+    assert _sha(stdout.encode()) == _BUILD_STDOUT
+    with open("out/ac.aut", encoding="utf-8") as fh:
+        assert sum("qobs_b3" in line for line in fh) == 2
+    with open("out/oc.aut", encoding="utf-8") as fh:
+        assert "b3_in:in" in fh.readline() + fh.readline()
+    assert _file_digests("out") == FORWARDED_B3_COMPONENTS
+
+    for mode, states in (("nonblocking", 38), ("reachable", 107)):
+        status, stdout = _run("guideway", "synthesize", ["--out", mode, "--mode", mode],
+                              **files)
+        assert status == 0
+        assert f"attack-states: {states}\n" in stdout
+        golden = FORWARDED_B3[mode]
+        assert _file_digests(mode) == {**FORWARDED_B3_COMPONENTS,
+                                       "attack.aut": golden["attack.aut"],
+                                       "certificate.txt": golden["certificate.txt"]}
+        assert _sha(stdout.encode()) == golden["certificate.txt"]
+        status, stdout = _run("guideway", "verify",
+                              ["--attack", os.path.join(mode, "attack.aut")], **files)
+        assert status == 0
+        assert "covert: True\n" in stdout
+        assert _sha(stdout.encode()) == golden["<verify>"]
+
+    # the reference engine computes both attacks alike
+    problem = build_problem(load_system("fwd.cfg", os.path.join(DATA, "guideway_plant.aut"),
+                                        "fwd_ns.aut"))
+    for mode in SynthesisMode:
+        assert same_automaton(synthesize_supremal_attack(problem, mode),
+                              reference_attack(problem, mode))
 
 
 def _shuffled(path, rng):

@@ -1,3 +1,4 @@
+import errno
 import random
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ import netdes.events as ev
 from netdes.automaton import Automaton, number, state_name
 from netdes.cli import main
 from netdes.textio import (ParseError, parse_automaton, save_automaton,
-                           serialize_automaton, to_dot)
+                           serialize_automaton, to_dot, write_text)
 from oracles import isomorphic_by, renamed_text, restrict_reachable, undeclared_entries
 from systems import shipped_config, shipped_paths
 from test_automaton import random_automaton
@@ -263,7 +264,34 @@ def test_a_failed_writer_check_leaves_no_file(case, tmp_path):
     with pytest.raises(ValueError) as err:
         save_automaton(a, str(path))
     assert str(err.value) == message
-    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
+    # an earlier file stays byte for byte, and no temporary file is left
+    path.write_bytes(b".automaton old\r\n")
+    with pytest.raises(ValueError):
+        save_automaton(a, str(path))
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b".automaton old\r\n"
+
+
+def test_a_write_that_fails_after_a_chunk_leaves_the_target_as_it_was(tmp_path):
+    path = tmp_path / "out.txt"
+
+    def chunks():
+        yield "first line\n"
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        write_text(str(path), chunks())
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("earlier\n")
+    with pytest.raises(OSError, match="No space left"):
+        write_text(str(path), chunks())
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "earlier\n"
+    # a whole write replaces it, with \n line ends whatever the platform
+    write_text(str(path), ["a\n", "b\n"])
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"a\nb\n"
 
 
 def test_dot_of_a_numbering_survives_writing_and_reparsing(guideway, reduced):
