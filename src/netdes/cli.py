@@ -17,11 +17,12 @@ silent layers before its first covertness-violating state, and the verdicts (one
 neither explores P in full.
 
 Every file goes through ``textio.write_text``, so each is written whole or
-not at all. ``build`` first removes any ``state_counts.txt`` an earlier run
-left in ``--out``, and ``synthesize`` that, ``attack.aut`` and
-``certificate.txt``; each command writes these completion files last. So a
-command that stops leaves no completion file, and a directory never holds
-an attack beside a certificate that says there is none.
+not at all. ``build`` and ``synthesize`` first remove the three completion
+files, ``state_counts.txt``, ``attack.aut`` and ``certificate.txt``, from
+``--out``, and each writes those it produces last. So every completion file
+in ``--out`` comes from the last such run, one that stopped leaves none, and
+a directory never holds an attack beside parts or a certificate from other
+inputs.
 """
 from __future__ import annotations
 
@@ -49,6 +50,10 @@ EXIT_VALIDATION = 2
 EXIT_NO_ATTACK = 3
 EXIT_DETECTED = 4
 
+# what build and synthesize write last, and remove from --out before they write
+COMPLETION_FILES = ("state_counts.txt", "attack.aut", "certificate.txt")
+COUNTS, ATTACK, CERTIFICATE = COMPLETION_FILES
+
 
 def cmd_capacity(args) -> int:
     (c_oc, n_oc), (c_cc, n_cc), (c_cs, n_cs) = capacities(load_config(args.config))
@@ -57,13 +62,12 @@ def cmd_capacity(args) -> int:
     return EXIT_OK
 
 
-def _write_components(system: BuiltSystem, out_dir: str,
-                      stale: Tuple[str, ...]) -> None:
+def _write_components(system: BuiltSystem, out_dir: str) -> None:
     """Write the eight parts into ``out_dir``, then ``state_counts.txt``.
-    First remove each file in ``stale``: the completion files of the
-    command, which an earlier run may have left there."""
+    First remove every completion file an earlier ``build`` or
+    ``synthesize`` may have left there, so none outlives its inputs."""
     os.makedirs(out_dir, exist_ok=True)
-    for name in stale:
+    for name in COMPLETION_FILES:
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, name))
     # the parts whose states the files name by state_name; G_new and M are numbered
@@ -75,24 +79,23 @@ def _write_components(system: BuiltSystem, out_dir: str,
     lines = [render_size_report(state_size_report(system))]
     for w in rate_bound_warnings(g_new, system.cfg):
         lines.append(f"warning: {w}\n")
-    write_text(os.path.join(out_dir, "state_counts.txt"), lines)
+    write_text(os.path.join(out_dir, COUNTS), lines)
 
 
 def cmd_build(args) -> int:
     system = load_system(args.config, args.plant, args.ns)
-    _write_components(system, args.out, ("state_counts.txt",))
-    print(f"wrote 8 automata and state_counts.txt to {args.out}")
+    _write_components(system, args.out)
+    print(f"wrote 8 automata and {COUNTS} to {args.out}")
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
     mode = SynthesisMode(args.mode)
     system = load_system(args.config, args.plant, args.ns)
-    _write_components(system, args.out,
-                      ("state_counts.txt", "attack.aut", "certificate.txt"))
+    _write_components(system, args.out)
     problem = build_problem(system)
     attack = synthesize_supremal_attack(problem, mode)
-    cert_path = os.path.join(args.out, "certificate.txt")
+    cert_path = os.path.join(args.out, CERTIFICATE)
     if attack is None:
         write_text(cert_path, [f"mode: {mode.value}\nresult: no covert attack exists\n"])
         print("no covert attack exists")
@@ -100,7 +103,7 @@ def cmd_synthesize(args) -> int:
     lines = [f"mode: {mode.value}",
              f"attack-states: {len(attack.states)}"]
     # after states is read, so the walk reads the kept rows and computes none
-    save_automaton(number(attack), os.path.join(args.out, "attack.aut"))
+    save_automaton(number(attack), os.path.join(args.out, ATTACK))
     lines.append(f"validates: {validate_attack(attack, problem.constraint, problem.plant.alphabet).ok}")
     lines += _verdicts(problem, attack,
                        mode is SynthesisMode.DAMAGE_NONBLOCKING)[1]

@@ -107,16 +107,16 @@ def build_problem(system: BuiltSystem) -> SynthesisProblem:
     against the loop alphabet; AC's alphabet is that alphabet and M's
     contains NS's, so P's alphabet is the loop's.
     """
-    cfg, plant, _cs, _ce, g_new, ac, oc, _oc_t, cc, ns, m = system
-    damage = plant.is_marked
+    damage = system.plant.is_marked
 
     def is_bad(q: State) -> bool:
         (_store, _stage, g), _ac, _oc, _ns, _cc, estimate = q
         return estimate == MONITOR_EMPTY and not damage(g)
 
-    return SynthesisProblem(product([g_new, ac, oc, ns, cc, m], name="P",
+    parts = [system.g_new, system.ac, system.oc, system.ns, system.cc, system.monitor]
+    return SynthesisProblem(product(parts, name="P",
                                     is_marked=lambda q: damage(q[0][2])),
-                            is_bad, attack_control_constraint(cfg))
+                            is_bad, attack_control_constraint(system.cfg))
 
 
 # -- the observer fixpoint ---------------------------------------------------
@@ -321,14 +321,15 @@ class SizeRow(NamedTuple):
 
 def state_size_report(system: BuiltSystem) -> List[SizeRow]:
     """Constructed component sizes against the closed-form counts."""
-    cfg, g, cs, ce, _g_new, ac, oc, _oc_t, cc, ns, m = system
+    cfg, ac, ce, m = system.cfg, system.ac, system.ce, system.monitor
     rows: List[SizeRow] = []
     n_ac = ac_state_count(cfg)
     rows.append(SizeRow("AC", len(ac.states), f"= {n_ac}", len(ac.states) == n_ac))
 
     # the closed-form channel counts enumerate entry orders, so they bound
     # the multiset state spaces from above; a ``~10^D`` one bounds any
-    for label, built, (_cap, n) in zip(("OC", "CC", "CS"), (oc, cc, cs),
+    for label, built, (_cap, n) in zip(("OC", "CC", "CS"),
+                                       (system.oc, system.cc, system.cs),
                                        capacities(cfg)):
         rows.append(SizeRow(label, len(built.states), f"<= {n}",
                             isinstance(n, str) or len(built.states) <= n))
@@ -338,8 +339,8 @@ def state_size_report(system: BuiltSystem) -> List[SizeRow]:
     rows.append(SizeRow("CE", len(ce.states), f"<= 1+{n_ce}",
                         len(ce.states) <= 1 + n_ce))
 
-    exponent = (len(cs.states) * len(ce.states) * len(g.states)
-                * len(oc.states) * len(ns.states) * len(cc.states))
+    exponent = math.prod(len(a.states) for a in (system.cs, ce, system.plant,
+                                                  system.oc, system.ns, system.cc))
     ok = len(m.states) > 0 and math.log2(len(m.states)) <= exponent
     rows.append(SizeRow("M", len(m.states), f"<= 2^{exponent}", ok))
     return rows

@@ -211,20 +211,22 @@ def test_no_attack_removes_the_attack_an_earlier_run_wrote(tmp_path, capsys):
     assert not (out / "attack.aut").exists()
 
 
-# the files a command writes last, which an earlier run's may not outlive
-COMPLETION = {"build": {"state_counts.txt"},
-              "synthesize": {"state_counts.txt", "attack.aut", "certificate.txt"}}
+# the files both build and synthesize remove first, and those each writes last
+CLEARED = {"state_counts.txt", "attack.aut", "certificate.txt"}
+WRITTEN_LAST = {"build": {"state_counts.txt"}, "synthesize": CLEARED}
+PARTS = {f"{part}.aut" for part in ("ac", "oc", "oc_t", "cc", "cs", "ce", "g_new",
+                                    "monitor")}
 
 
-@pytest.mark.parametrize("cmd", sorted(COMPLETION))
+@pytest.mark.parametrize("cmd", sorted(WRITTEN_LAST))
 def test_a_failed_write_leaves_no_file_that_looks_whole(cmd, tmp_path, capsys,
                                                         monkeypatch):
-    # after a complete run, a rerun whose g_new.aut write fails after its
-    # first chunk (a full disk) leaves no truncated file and none of the
-    # earlier run's completion files
+    # after a complete synthesize, a rerun of either command whose g_new.aut
+    # write fails after its first chunk (a full disk) leaves no truncated
+    # file and none of the earlier run's completion files
     out = tmp_path / "out"
-    assert main(red_args(cmd, out)) == 0
-    assert COMPLETION[cmd] <= {p.name for p in out.iterdir()}
+    assert main(red_args("synthesize", out)) == 0
+    assert CLEARED <= {p.name for p in out.iterdir()}
     write_text = netdes.textio.write_text
 
     def first_then_full(chunks):
@@ -240,11 +242,29 @@ def test_a_failed_write_leaves_no_file_that_looks_whole(cmd, tmp_path, capsys,
     assert main(red_args(cmd, out)) == 1
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     names = {p.name for p in out.iterdir()}
-    assert not names & COMPLETION[cmd]
-    assert names == {f"{part}.aut" for part in ("ac", "oc", "oc_t", "cc", "cs", "ce",
-                                                "g_new", "monitor")}
+    assert not names & CLEARED
+    assert names == PARTS
     for name in names:
         load_automaton(str(out / name))
+
+
+@pytest.mark.parametrize("cmd", sorted(WRITTEN_LAST))
+def test_each_command_leaves_only_its_own_completion_files(cmd, tmp_path, capsys):
+    # synthesize on reduced, then cmd on guideway into the same --out: no
+    # attack or certificate of reduced stays beside guideway's parts, and
+    # the directory holds what cmd writes into an empty one
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(red_args("synthesize", out)) == 0
+    config, plant, ns = shipped_paths("guideway")
+    for directory in (out, fresh):
+        assert main([cmd, "--config", config, "--plant", plant, "--ns", ns,
+                     "--out", str(directory)]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert set(names) == PARTS | WRITTEN_LAST[cmd]
+    for name in names:
+        if name.endswith(".aut"):
+            load_automaton(str(out / name))
+    assert filecmp.cmpfiles(out, fresh, names, shallow=False)[0] == names
 
 
 @pytest.mark.parametrize("cmd", ["build", "synthesize"])
