@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import events as ev
 from .automaton import (Automaton, AutomatonError, Numbering, Row, lazy_automaton,
-                        state_name, successor_tuple)
+                        successor_tuple)
 from .channels import PairState, capacities
 from .config import SystemConfig
 from .textio import load_automaton
@@ -145,8 +145,9 @@ def build_command_execution(cfg: SystemConfig) -> Automaton:
 
 def load_plant(path: str, cfg: SystemConfig) -> Automaton:
     """The plant file at ``path`` over the config's whole plant alphabet.
-    The states its ``.marked`` line names are the damage states, the one
-    place they are declared."""
+    The states its ``.marked`` line marks are the damage states, the one
+    place they are given; the reader has refused a marked name that is
+    neither the initial state nor on a transition."""
     return _check_plant(load_automaton(path, name="G"), cfg)
 
 
@@ -156,13 +157,6 @@ def _check_plant(g: Automaton, cfg: SystemConfig) -> Automaton:
     if extra:
         raise AutomatonError(
             f"plant event {sorted(extra)[0].spell()} is not declared in the config")
-    # the reader declares every name a ``.marked`` line gives, so a typo there
-    # is a marked state that is neither initial nor on a transition
-    linked = {g.initial, *(p for row in g._delta.values() for ps in row.values() for p in ps)}
-    stray = sorted(state_name(q) for q in g.marked if q not in linked and not g._delta[q])
-    if stray:
-        raise AutomatonError(f"damage state {stray[0]} is neither the "
-                             f"plant's initial state nor on any of its transitions")
     # the loaded states, rows and marking stay; only the alphabet widens
     plant = copy.copy(g)
     plant.name, plant.alphabet = "G", frozenset(sigma)

@@ -8,6 +8,9 @@ Format (bit-exact, UTF-8, ``#`` comments)::
     .marked    S5 S10
     .trans     S0 a1 S1
 
+``.initial`` and ``.trans`` declare the states; ``.marked`` only marks
+them, and a name it gives that is neither the initial state nor an end of a
+transition is a ParseError on its line, in any file.
 Event spelling as in ``events.SUFFIXES``: ``x``, ``x_in``, ``x#``, ``x_out``;
 commands ``v``, ``v_in``, ``v_out``; ``tick`` and ``stop``. Every
 ``.alphabet`` token but ``tick`` and ``stop`` declares its role after a
@@ -104,7 +107,7 @@ def _lines(a: Union[Automaton, Numbering]) -> Iterator[str]:
 def parse_automaton(text: str, name: str = "") -> Automaton:
     alphabet: Dict[str, EventLabel] = {}
     initial = ""  # no state token is empty
-    marked: List[str] = []
+    marked: Dict[str, int] = {}  # each name to the line that first marks it
     trans: List[tuple] = []
     states: Dict[str, None] = {}   # insertion-ordered set
     auto_name = name
@@ -132,9 +135,7 @@ def parse_automaton(text: str, name: str = "") -> Automaton:
                 raise ParseError(".automaton given twice", lineno)
             if len(args) > 1:
                 raise ParseError(".automaton takes at most one name", lineno)
-            named = True
-            if args:
-                auto_name = args[0]
+            named, auto_name = True, args[0] if args else auto_name
         elif directive == ".alphabet":
             for tok in args:
                 spelling, colon, role = tok.partition(":")
@@ -155,14 +156,23 @@ def parse_automaton(text: str, name: str = "") -> Automaton:
             initial = args[0]
             states[initial] = None
         elif directive == ".marked":
-            marked += args
+            marked.update((q, lineno) for q in args if q not in marked)
             states.update(dict.fromkeys(args))
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)
 
     if not initial:
         raise ParseError("missing .initial")
-    return Automaton(states, alphabet.values(), trans, initial, marked, auto_name)
+    a = Automaton(states, alphabet.values(), trans, initial, marked, auto_name)
+    # .initial and .trans declare the states: a .marked name that is neither
+    # has an empty row and is no transition's target
+    rowless = [q for q in marked if not a._delta[q] and q != initial]
+    entered = {dst for _, _, dst in trans} if rowless else ()
+    for q in rowless:
+        if q not in entered:
+            raise ParseError(f"marked state {q} is neither the initial state "
+                             "nor on a transition", marked[q])
+    return a
 
 
 def load_automaton(path: str, name: str = "") -> Automaton:
@@ -210,8 +220,10 @@ def _dot_id(text: str) -> str:
 
 def to_dot(a: Union[Automaton, Numbering]) -> str:
     """DOT digraph of what ``save_automaton`` writes, its states named as
-    there: initial state double-bordered, marked states shaded, the state
-    named ``{}`` (the empty monitor estimate) highlighted. Nodes come in
+    there: initial state double-bordered, marked states shaded gray, and a
+    state named ``{}`` that is not the initial state salmon in place of the
+    gray: that is the monitor's detection state, while the ``{}`` of a
+    channel or a plant-assembly stage is its initial state. Nodes come in
     position order; edges in the ``.trans`` order, one per source and target
     with the events between them."""
     n, names = _named(a)
@@ -219,10 +231,9 @@ def to_dot(a: Union[Automaton, Numbering]) -> str:
     marked = set(n.marked)
     for i, name in enumerate(names):
         attrs = ["peripheries=2"] if i == n.initial else []
-        if i in marked:
-            attrs.append('style=filled fillcolor=gray85')
-        if name == "{}":
-            attrs.append('style=filled fillcolor=salmon')
+        fill = "salmon" if name == "{}" and i != n.initial else "gray85" if i in marked else ""
+        if fill:
+            attrs.append(f"style=filled fillcolor={fill}")
         attr_txt = (" [" + " ".join(attrs) + "]") if attrs else ""
         lines.append(f"  {_dot_id(name)}{attr_txt};")
     spelled = [e.spell() for e in n.events]

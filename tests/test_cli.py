@@ -182,20 +182,45 @@ def test_no_attack_exit_status(tmp_path, capsys):
     assert "no covert attack exists" in capsys.readouterr().out
 
 
+GHOST = "marked state {} is neither the initial state nor on a transition"
+
+
 @pytest.mark.parametrize("cmd", ["build", "synthesize"])
 def test_misspelled_damage_state_exit_status(cmd, tmp_path, capsys):
-    # the reader declares every `.marked` name, so a typo is a state on no
-    # transition; the plant's check rejects it by name
+    # .initial and .trans declare the states, so a typo on the plant's
+    # .marked line names none; the reader refuses it with its line
     text = Path(RED["plant"]).read_text(encoding="utf-8")
-    assert ".marked 7 8\n" in text
+    assert text.splitlines()[3] == ".marked 7 8"
     plant = tmp_path / "typo.aut"
     plant.write_text(text.replace(".marked 7 8\n", ".marked 7 88\n"))
     rc = main([cmd, "--config", RED["config"], "--plant", str(plant),
                "--ns", RED["ns"], "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "validation error: damage state 88 is neither the plant's initial state "
-        "nor on any of its transitions\n")
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {plant}: line 4: {GHOST.format(88)}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("part,cmd", [
+    ("plant", "verify"), ("plant", "export-dot"), ("ns", "build"), ("ns", "synthesize"),
+    ("ns", "verify"), ("ns", "export-dot"), ("attack", "verify"), ("attack", "export-dot")])
+def test_a_marked_name_on_no_transition_is_refused_in_any_file(part, cmd, tmp_path, capsys):
+    # the reader's one rule holds for the plant, the NS and the attack alike
+    assert main(red_args("synthesize", tmp_path / "out")) == 0
+    files = {"plant": RED["plant"], "ns": RED["ns"],
+             "attack": str(tmp_path / "out" / "attack.aut")}
+    text = Path(files[part]).read_text(encoding="utf-8")
+    ghost = tmp_path / "ghost.aut"
+    ghost.write_text(text + ".marked ghost\n", encoding="utf-8")
+    files[part] = str(ghost)
+    loop = ["--config", RED["config"], "--plant", files["plant"], "--ns", files["ns"]]
+    argv = {"build": ["build", *loop, "--out", str(tmp_path / "again")],
+            "synthesize": ["synthesize", *loop, "--out", str(tmp_path / "again")],
+            "verify": ["verify", *loop, "--attack", files["attack"]],
+            "export-dot": ["export-dot", str(ghost)]}[cmd]
+    capsys.readouterr()
+    assert main(argv) == 1
+    line = len(text.splitlines()) + 1
+    assert capsys.readouterr() == ("", f"error: {ghost}: line {line}: {GHOST.format('ghost')}\n")
 
 
 def test_no_attack_removes_the_attack_an_earlier_run_wrote(tmp_path, capsys):
@@ -359,6 +384,24 @@ def test_export_dot(tmp_path, capsys):
     rc = main(["export-dot", str(tmp_path / "cs.aut")])
     assert rc == 0
     assert "digraph" in capsys.readouterr().out
+
+
+def test_export_dot_paints_only_the_monitors_detection_state(tmp_path, capsys):
+    # OC, OC^T, CC and CE name their empty initial state {} too; only the
+    # monitor's {}, which is never its initial state, is a detection, and
+    # it is painted salmon in place of the marked states' gray
+    assert main(red_args("build", tmp_path)) == 0
+    for name in ("oc", "oc_t", "cc", "ce", "monitor"):
+        capsys.readouterr()
+        assert main(["export-dot", str(tmp_path / f"{name}.aut")]) == 0
+        nodes = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith('  "') and " -> " not in l]
+        painted = [l for l in nodes if "salmon" in l]
+        if name == "monitor":
+            assert painted == ['  "{}" [style=filled fillcolor=salmon];']
+        else:
+            assert painted == [] and '  "{}" [peripheries=2];' in nodes
+        assert all(l.count("style=") <= 1 for l in nodes)
 
 
 @pytest.mark.parametrize("out, message", [

@@ -9,10 +9,12 @@ synthesize and verify: before CS and G_new became lazy; the build with an
 unreachable detection state: before the monitor became one exploration;
 guideway ``u=3``: before synthesis became on-the-fly). One case runs
 ``export-dot`` on five guideway files and compares the sha256 of what it
-prints, recorded before the kernel had one observer. One case builds and
-synthesizes guideway with a forwarded event; its digests were recorded
-before every command wrote through one writer. A change that alters any
-byte of any output fails here.
+prints, recorded before the kernel had one observer (the monitor's: when
+its detection state stopped being painted both gray and salmon). One case
+builds and synthesizes guideway with a forwarded event; its digests were
+recorded before every command wrote through one writer. A change that
+alters any byte of any output fails here, and so does a written ``.aut``
+file that does not read back byte for byte.
 """
 import contextlib
 import hashlib
@@ -34,7 +36,7 @@ from netdes.config import load_config, serialize_config
 from netdes.fixtures import build_system, load_system
 from netdes.synthesis import (SynthesisMode, SynthesisProblem, build_problem,
                               synthesize_supremal_attack)
-from netdes.textio import save_automaton, serialize_automaton
+from netdes.textio import load_automaton, save_automaton, serialize_automaton
 from reference_engine import reference_attack, same_automaton
 from systems import with_params
 
@@ -161,11 +163,12 @@ REDUCED_DELTA_S1 = {
 
 # the DOT text export-dot prints for the shipped guideway plant and NS and
 # for three files synthesize writes for guideway in nonblocking mode (the
-# monitor's 24 lines that name the detection state {} included)
+# monitor's 24 lines that name the detection state {} included, that state
+# painted salmon once)
 GUIDEWAY_DOT = {
     "guideway_plant.aut": "9ff2faf7d6db671d756bde5c563873b42f110f02f05d6aa25e12d2c822c5502f",
     "guideway_ns.aut": "dfaef05561367a226ea41c5e3727b4e19b3a6dc79d0c07cdfe26bd58d6a19db9",
-    "monitor.aut": "ad5d701b38ad33b09e7e1dfe1070357e16accde26f89a8f22aa03c791ecd87bd",
+    "monitor.aut": "6c9bf7dc7a40f98b0e7268ab67ffc0c5a80d782b4029dd343d2f8f28233b972e",
     "attack.aut": "2fd543069afc8bc032b85f1c74571fbbc14936243497b2c408cd67596644f5b7",
     "g_new.aut": "59c7483881ae5b4a6f05e2ef18c2b531eeb405c1641b52ec63f3c0439a687a73",
 }
@@ -234,11 +237,22 @@ def _run(system, cmd, extra=(), config=None, plant=None, ns=None):
     return status, buf.getvalue()
 
 
+_READ_BACK = set()  # digests of .aut files already found to read back
+
+
 def _file_digests(out_dir):
+    """The digest of each file in ``out_dir``. Each ``.aut`` file must also
+    read back: the reader takes it and the writer gives its text again, byte
+    for byte, so no rule of the reader refuses what a command writes."""
     digests = {}
     for name in sorted(os.listdir(out_dir)):
-        with open(os.path.join(out_dir, name), "rb") as fh:
-            digests[name] = _sha(fh.read())
+        path = os.path.join(out_dir, name)
+        with open(path, "rb") as fh:
+            digests[name] = digest = _sha(fh.read())
+        if name.endswith(".aut") and digest not in _READ_BACK:
+            with open(path, encoding="utf-8") as fh:
+                assert serialize_automaton(load_automaton(path)) == fh.read(), path
+            _READ_BACK.add(digest)
     return digests
 
 

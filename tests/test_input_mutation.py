@@ -26,8 +26,8 @@ ERROR_PREFIXES = ("error: ", "validation error: ")
 # command -> exit status -> runs: a change means some mutated input now
 # ends differently, at another check or at none
 PINNED = {"capacity": {0: 16, 1: 96},
-          "build": {0: 57, 1: 92, 2: 51},
-          "synthesize": {0: 42, 1: 92, 2: 51, 3: 15},
+          "build": {0: 57, 1: 97, 2: 46},
+          "synthesize": {0: 42, 1: 97, 2: 46, 3: 15},
           "verify": {0: 10, 1: 14, 2: 26}}
 
 

@@ -14,7 +14,7 @@ from netdes.plant import (EMPTY_QUEUE, IDLE, ExecState, StorageState,
                           compose_and_prune_plant,
                           max_plant_events_between_ticks, rate_bound_warnings)
 from netdes.fixtures import build_system
-from netdes.textio import load_automaton, parse_automaton
+from netdes.textio import ParseError, load_automaton, parse_automaton
 from oracles import (accepts, assert_same_automaton, check_pruned_invariants,
                      complete_with_selfloops, coreachable, enabled,
                      is_nonblocking, longest_plant_run_by_state,
@@ -546,11 +546,12 @@ PLANT_HEAD = ".automaton G\n.alphabet s:plain\n.initial q0\n.trans q0 s q1\n.tra
 
 
 def test_plant_rejects_a_marked_state_on_no_transition():
-    # `.marked` declares the states it names: a typo is a state no run reaches
-    with pytest.raises(AutomatonError) as err:
+    # `.marked` only marks states that `.initial` and `.trans` declare: a
+    # typo there is refused by the reader, on its line
+    with pytest.raises(ParseError) as err:
         plant_from_text(PLANT_HEAD + ".marked q1 nowhere\n", make_cfg())
-    assert str(err.value) == ("damage state nowhere is neither the plant's initial "
-                              "state nor on any of its transitions")
+    assert str(err.value) == ("line 6: marked state nowhere is neither the initial "
+                              "state nor on a transition")
 
 
 @pytest.mark.parametrize("marked", ["q0", "q1", "q2", "q0 q1 q2"])

@@ -71,9 +71,23 @@ def test_a_parsed_automaton_declares_every_edge_it_holds():
         parsed += 1
         assert undeclared_entries(a) == []
     assert parsed > 200
+    # a random automaton may mark a state on no transition: the writer puts
+    # it on the .marked line (line 4) only, and the reader refuses the first
+    refused = 0
     for _ in range(60):
-        a = parse_automaton(serialize_automaton(random_automaton(rng, max_states=30)))
-        assert undeclared_entries(a) == []
+        g = random_automaton(rng, max_states=30)
+        text = serialize_automaton(g)
+        linked = {g.initial, *(q for src, _, dst in g.transitions for q in (src, dst))}
+        isolated = sorted(q for q in g.marked if q not in linked)
+        if isolated:
+            refused += 1
+            with pytest.raises(ParseError) as err:
+                parse_automaton(text)
+            assert str(err.value) == (f"line 4: marked state {isolated[0]} is neither "
+                                      "the initial state nor on a transition")
+        else:
+            assert undeclared_entries(parse_automaton(text)) == []
+    assert 0 < refused < 60
 
 
 def test_serialization_is_deterministic():
