@@ -248,10 +248,10 @@ def _file_digests(out_dir):
     for name in sorted(os.listdir(out_dir)):
         path = os.path.join(out_dir, name)
         with open(path, "rb") as fh:
-            digests[name] = digest = _sha(fh.read())
+            data = fh.read()
+        digests[name] = digest = _sha(data)
         if name.endswith(".aut") and digest not in _READ_BACK:
-            with open(path, encoding="utf-8") as fh:
-                assert serialize_automaton(load_automaton(path)) == fh.read(), path
+            assert serialize_automaton(load_automaton(path)).encode() == data, path
             _READ_BACK.add(digest)
     return digests
 
