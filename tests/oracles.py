@@ -527,16 +527,14 @@ def _complete_spec(spec: Automaton, cfg: SystemConfig) -> Automaton:
                      marked=states, name=(spec.name or "spec") + "_total")
 
 
-def synthesize_networked_supervisor(g_new: Automaton, oc_t: Automaton,
-                                    cc: Automaton, spec: Automaton,
-                                    cfg: SystemConfig) -> Automaton:
-    """Synthesize a valid networked supervisor enforcing ``spec`` on the
-    plant behavior of the attack-free loop.
+def networked_supervisor_problem(g_new: Automaton, oc_t: Automaton, cc: Automaton,
+                                 spec: Automaton, cfg: SystemConfig) -> SynthesisProblem:
+    """The synthesis problem of a networked supervisor enforcing ``spec`` on
+    the plant behavior of the attack-free loop.
 
     The loop with the burst-bound template is the plant; tick is observable
     but uncontrollable; the legal behavior is the specification lifted over
-    it. Raises NoSupervisorError when the supremal result is empty.
-    """
+    it."""
     nsc = build_supervisor_constraints(cfg)
     spec_total = _complete_spec(spec, cfg)
     plant_ns = compose([g_new, oc_t, nsc, cc, spec_total], name="P_ns")
@@ -545,15 +543,24 @@ def synthesize_networked_supervisor(g_new: Automaton, oc_t: Automaton,
         _g, _oc, _nsc, _cc, spec_state = q
         if spec_state is SPEC_DUMP:
             bad.add(q)
-    constraint = supervisor_control_constraint(cfg)
-    sup = supremal_supervisor(
-        SynthesisProblem(plant_ns, frozenset(bad).__contains__, constraint),
-        require_nonblocking=False, name="NS")
+    return SynthesisProblem(plant_ns, frozenset(bad).__contains__,
+                            supervisor_control_constraint(cfg))
+
+
+def synthesize_networked_supervisor(g_new: Automaton, oc_t: Automaton,
+                                    cc: Automaton, spec: Automaton,
+                                    cfg: SystemConfig) -> Automaton:
+    """Synthesize a valid networked supervisor enforcing ``spec`` on the
+    plant behavior of the attack-free loop (``networked_supervisor_problem``).
+    Raises NoSupervisorError when the supremal result is empty.
+    """
+    problem = networked_supervisor_problem(g_new, oc_t, cc, spec, cfg)
+    sup = supremal_supervisor(problem, require_nonblocking=False, name="NS")
     if sup is None:
         raise NoSupervisorError("no networked supervisor exists for this spec")
     # events outside P_ns's alphabet join as self-loops
     ns = complete_with_selfloops(
-        sup, frozenset(cfg.full_alphabet()) - constraint.controllable)
+        sup, frozenset(cfg.full_alphabet()) - problem.constraint.controllable)
     report = validate_networked_supervisor(ns, cfg)
     if not report.ok:
         raise AutomatonError("synthesized supervisor fails validity:\n"

@@ -16,8 +16,7 @@ from netdes.automaton import (Automaton, compose, state_name,
 from netdes.channels import (ChannelState, build_observation_channel,
                              enumerate_channel_states)
 from netdes.config import EventSpec, RateBounds, SystemConfig
-from netdes.synthesis import (MONITOR_EMPTY, verify_covert,
-                              verify_damage_nonblocking)
+from netdes.synthesis import MONITOR_EMPTY, check_attack
 from netdes.textio import parse_automaton, serialize_automaton
 from oracles import (accepts, apply_edit, bounded_traces, deterministic,
                      disabled_controllable_edits, is_nonblocking,
@@ -117,7 +116,7 @@ def test_criterion_4_guideway_nonblocking():
     prob = build_problem(guideway)
     attack = synthesize_supremal_attack(prob, SynthesisMode.DAMAGE_NONBLOCKING)
     nonempty = attack is not None
-    covert = nonempty and verify_covert(prob, attack).ok
+    covert = nonempty and check_attack(prob, attack).covert.ok
     loop = compose([prob.plant, attack]) if nonempty else None
     nonblocking = nonempty and is_nonblocking(
         marked_copy(loop, [q for q in loop.states if q[0] in prob.target]))
@@ -179,9 +178,8 @@ def test_criterion_8_local_maximality_reduced(reduced_problem, reduced_attacks):
     edits = disabled_controllable_edits(reduced_problem, nb)
     failures = []
     for edit in edits:
-        edited = apply_edit(reduced_problem, nb, edit)
-        if verify_covert(reduced_problem, edited).ok and \
-                verify_damage_nonblocking(reduced_problem, edited).ok:
+        verdicts = check_attack(reduced_problem, apply_edit(reduced_problem, nb, edit))
+        if verdicts.covert.ok and verdicts.nonblocking.ok:
             failures.append(edit)
     elapsed = time.perf_counter() - t0
     ok = bool(edits) and not failures and elapsed < 600

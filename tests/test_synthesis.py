@@ -16,13 +16,13 @@ from netdes.fixtures import build_system, load_system
 from netdes.supervision import MONITOR_EMPTY, supervisor_control_constraint
 from netdes.synthesis import (SynthesisMode, SynthesisProblem, build_problem,
                               check_attack, state_size_report,
-                              supremal_supervisor, synthesize_supremal_attack, verify_covert,
-                              verify_damage_nonblocking, verify_damage_reachable)
+                              supremal_supervisor, synthesize_supremal_attack)
 from netdes.textio import load_automaton, save_automaton, serialize_automaton
 from oracles import (accepts, apply_edit, bfs_distances, bfs_order,
                      bounded_traces, complete_with_selfloops, coreachable,
                      disabled_controllable_edits, enabled,
                      lone_target_tuples, marked_copy, nested_loop_product, successors)
+from supcn_oracle import loop_difference
 from systems import (RUNG_CONFIGS, faithful_attacker, guideway_swap_attacker,
                      reduced_swap_attacker, rung_system, shipped_paths, swap_attacker,
                      with_params)
@@ -112,7 +112,7 @@ def test_unconstrained_problem_keeps_full_observer():
                                & prob.plant.alphabet)
     assert a is not None
     assert len(a.states) == len(full.states)
-    assert verify_damage_reachable(prob, a).ok
+    assert check_attack(prob, a).reachable.ok
 
 
 def test_every_damage_path_through_bad_is_unsolvable():
@@ -130,58 +130,70 @@ def test_fixture_synthesis_nonempty_and_correct(reduced_problem, reduced_attacks
                           (guideway_problem, guideway_attacks)):
         assert nb is not None and r is not None
         for attack in (nb, r):
-            assert verify_covert(prob, attack).ok
+            assert check_attack(prob, attack).covert.ok
             assert validate_attack(attack, prob.constraint,
                                    prob.plant.alphabet).ok
-        assert verify_damage_nonblocking(prob, nb).ok
-        assert verify_damage_reachable(prob, nb).ok
-        assert verify_damage_reachable(prob, r).ok
+        assert all(v.ok for v in check_attack(prob, nb))
+        assert check_attack(prob, r).reachable.ok
 
 
 def test_mode_monotonicity(guideway, reduced):
-    # the nonblocking attack's closed loop is contained in the reachable
-    # one's; depth 12 reaches 296, 292 and 214 traces
+    # the nonblocking attack's closed loop lies strictly inside the
+    # reachable one's
     for built in (guideway, reduced, _attacker_wide(guideway)):
         problem = build_problem(built)
         nb, r = (synthesize_supremal_attack(problem, mode) for mode in
                  (SynthesisMode.DAMAGE_NONBLOCKING, SynthesisMode.DAMAGE_REACHABLE))
-        loop_r = compose([problem.plant, r])
-        traces = bounded_traces(compose([problem.plant, nb]), 12)
-        assert len(traces) > 200
-        for trace in traces:
-            assert accepts(loop_r, trace)
+        assert loop_difference(problem.plant, nb, r, inclusion=True) is None
+        assert loop_difference(problem.plant, r, nb, inclusion=True) is not None
+
+
+def test_mode_monotonicity_on_random_problems():
+    # on the 3,000 random problems of test_engine_oracles.py, 691 of which
+    # have a nonblocking attack, that attack implies a reachable one, and its
+    # closed loop lies inside the reachable one's
+    problems = itertools.chain(
+        *(_random_problems(seed, count) for seed, count in
+          ((777, 300), (3, 100), (271828, 500), (31337, 100))),
+        _random_problems(2026, 2000, observed=("o", "k"), sizes=(3, 10)))
+    both = 0
+    for problem in problems:
+        nb, r = (synthesize_supremal_attack(problem, mode) for mode in
+                 (SynthesisMode.DAMAGE_NONBLOCKING, SynthesisMode.DAMAGE_REACHABLE))
+        if nb is not None:
+            assert r is not None
+            assert loop_difference(problem.plant, nb, r, inclusion=True) is None
+            both += 1
+    assert both > 500
 
 
 # -- verification -------------------------------------------------------------------
 
 def test_faithful_attacker_is_covert_but_harmless(guideway, guideway_problem):
-    af = faithful_attacker(guideway.cfg)
-    assert verify_covert(guideway_problem, af).ok
-    assert not verify_damage_reachable(guideway_problem, af).ok
+    verdicts = check_attack(guideway_problem, faithful_attacker(guideway.cfg))
+    assert verdicts.covert.ok and not verdicts.reachable.ok
 
 
 def test_impossible_insertion_breaks_covertness(guideway, guideway_problem):
     # answering the first a1 with a3# claims a train finished before starting
     liar = swap_attacker(guideway.cfg, {"a1": "a3"})
-    res = verify_covert(guideway_problem, liar)
+    res = check_attack(guideway_problem, liar).covert
     assert not res.ok
     assert res.witness is not None
     assert ev.compromised("a3") in res.witness
 
 
 def test_never_attack_is_not_damage_reachable(reduced, reduced_problem):
-    af = faithful_attacker(reduced.cfg)
-    assert verify_covert(reduced_problem, af).ok
-    assert not verify_damage_reachable(reduced_problem, af).ok
-    assert not verify_damage_nonblocking(reduced_problem, af).ok
+    verdicts = check_attack(reduced_problem, faithful_attacker(reduced.cfg))
+    assert verdicts.covert.ok
+    assert not verdicts.reachable.ok and not verdicts.nonblocking.ok
 
 
 def test_no_target_fails_both_damage_checks(reduced):
     system = build_system(reduced.cfg, marked_copy(reduced.plant, ()), reduced.ns)
     prob = build_problem(system)
-    af = faithful_attacker(reduced.cfg)
-    assert not verify_damage_reachable(prob, af).ok
-    assert not verify_damage_nonblocking(prob, af).ok
+    verdicts = check_attack(prob, faithful_attacker(reduced.cfg))
+    assert not verdicts.reachable.ok and not verdicts.nonblocking.ok
 
 
 def without_tick(a):
@@ -221,7 +233,7 @@ def test_hand_attacks_are_dominated(reduced, reduced_problem, reduced_attacks,
         (guideway_problem, faithful_attacker(guideway.cfg), guideway_attacks[1]),
     ]
     for prob, hand, supremal in cases:
-        assert verify_covert(prob, hand).ok
+        assert check_attack(prob, hand).covert.ok
         loop_hand = compose([prob.plant, hand])
         loop_sup = compose([prob.plant, supremal])
         for trace in bounded_traces(loop_hand, 12):
@@ -230,24 +242,11 @@ def test_hand_attacks_are_dominated(reduced, reduced_problem, reduced_attacks,
 
 def test_swap_attackers_are_damage_nonblocking(reduced, reduced_problem,
                                                guideway, guideway_problem):
-    assert verify_damage_nonblocking(
-        reduced_problem, reduced_swap_attacker(reduced.cfg)).ok
-    assert verify_damage_nonblocking(
-        guideway_problem, guideway_swap_attacker(guideway.cfg)).ok
+    assert check_attack(reduced_problem, reduced_swap_attacker(reduced.cfg)).nonblocking.ok
+    assert check_attack(guideway_problem, guideway_swap_attacker(guideway.cfg)).nonblocking.ok
 
 
-# -- local maximality -----------------------------------------------------------------
-
-def test_local_maximality_reduced(reduced_problem, reduced_attacks):
-    nb, _ = reduced_attacks
-    edits = disabled_controllable_edits(reduced_problem, nb)
-    assert edits
-    for edit in edits:
-        edited = apply_edit(reduced_problem, nb, edit)
-        broke_covert = not verify_covert(reduced_problem, edited).ok
-        broke_mode = not verify_damage_nonblocking(reduced_problem, edited).ok
-        assert broke_covert or broke_mode
-
+# -- the guideway attack and random problems ----------------------------------------------
 
 def test_guideway_attack_round_choices(guideway, guideway_problem,
                                        guideway_attacks):
@@ -302,31 +301,14 @@ def test_engine_sound_on_random_problems():
         r = synthesize_supremal_attack(prob, SynthesisMode.DAMAGE_REACHABLE)
         if nb is not None:
             assert r is not None
-            assert verify_covert(prob, nb).ok
-            assert verify_damage_nonblocking(prob, nb).ok
+            verdicts = check_attack(prob, nb)
+            assert verdicts.covert.ok and verdicts.nonblocking.ok
             produced += 1
         if r is not None:
-            assert verify_covert(prob, r).ok
-            assert verify_damage_reachable(prob, r).ok
+            verdicts = check_attack(prob, r)
+            assert verdicts.covert.ok and verdicts.reachable.ok
             assert validate_attack(r, prob.constraint, prob.plant.alphabet).ok
     assert produced  # the generator does hit solvable instances
-
-
-def test_engine_locally_maximal_on_random_problems():
-    checked = 0
-    for prob in _random_problems(777, 120):
-        for mode, verify_mode in (
-                (SynthesisMode.DAMAGE_NONBLOCKING, verify_damage_nonblocking),
-                (SynthesisMode.DAMAGE_REACHABLE, verify_damage_reachable)):
-            a = synthesize_supremal_attack(prob, mode)
-            if a is None:
-                continue
-            checked += 1
-            for edit in disabled_controllable_edits(prob, a):
-                edited = apply_edit(prob, a, edit)
-                assert (not verify_covert(prob, edited).ok
-                        or not verify_mode(prob, edited).ok)
-    assert checked > 50
 
 
 # -- witnesses ------------------------------------------------------------------------
